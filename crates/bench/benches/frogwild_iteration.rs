@@ -3,13 +3,13 @@
 //! iteration" claim (relative, not absolute, on the simulated engine).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use frogwild::driver::{partition_graph, run_frogwild_on};
 use frogwild::prelude::*;
 use frogwild_graph::generators::twitter_like;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn bench_frogwild(c: &mut Criterion) {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let mut rng = SmallRng::seed_from_u64(17);
     let graph = twitter_like(10_000, &mut rng);
     let cluster = ClusterConfig::new(16, 19);
@@ -21,7 +21,7 @@ fn bench_frogwild(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sync_probability", ps), &ps, |b, &ps| {
             b.iter(|| {
                 black_box(
-                    run_frogwild_on(
+                    run_frogwild(
                         &pg,
                         &FrogWildConfig {
                             num_walkers: 50_000,
@@ -29,6 +29,8 @@ fn bench_frogwild(c: &mut Criterion) {
                             sync_probability: ps,
                             ..FrogWildConfig::default()
                         },
+                        &exec,
+                        &off,
                     )
                     .unwrap(),
                 )
@@ -42,7 +44,7 @@ fn bench_frogwild(c: &mut Criterion) {
             |b, &walkers| {
                 b.iter(|| {
                     black_box(
-                        run_frogwild_on(
+                        run_frogwild(
                             &pg,
                             &FrogWildConfig {
                                 num_walkers: walkers,
@@ -50,6 +52,8 @@ fn bench_frogwild(c: &mut Criterion) {
                                 sync_probability: 0.7,
                                 ..FrogWildConfig::default()
                             },
+                            &exec,
+                            &off,
                         )
                         .unwrap(),
                     )

@@ -5,15 +5,13 @@
 //! the algorithm's accuracy concerns.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use frogwild::driver::{
-    partition_graph, run_frogwild_on, run_frogwild_scheduled, run_frogwild_with, run_graphlab_pr_on,
-};
 use frogwild::prelude::*;
 use frogwild_graph::generators::twitter_like;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn bench_superstep(c: &mut Criterion) {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let mut rng = SmallRng::seed_from_u64(5);
     let graph = twitter_like(10_000, &mut rng);
     let cluster = ClusterConfig::new(16, 9);
@@ -28,17 +26,19 @@ fn bench_superstep(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_superstep");
     group.sample_size(10);
     group.bench_function("frogwild_4_supersteps_serial", |b| {
-        b.iter(|| black_box(run_frogwild_on(&pg, &config).unwrap()))
+        b.iter(|| black_box(run_frogwild(&pg, &config, &exec, &off).unwrap()))
     });
     group.bench_function("frogwild_4_supersteps_parallel", |b| {
         b.iter(|| {
             black_box(
-                run_frogwild_on(
+                run_frogwild(
                     &pg,
                     &FrogWildConfig {
                         parallel: true,
                         ..config
                     },
+                    &exec,
+                    &off,
                 )
                 .unwrap(),
             )
@@ -47,16 +47,14 @@ fn bench_superstep(c: &mut Criterion) {
     group.bench_function("frogwild_4_supersteps_pool4_batch256", |b| {
         b.iter(|| {
             black_box(
-                run_frogwild_scheduled(
+                run_frogwild(
                     &pg,
                     &FrogWildConfig {
                         parallel: true,
                         ..config
                     },
-                    &Scheduling {
-                        workers: 4,
-                        batch_size: 256,
-                    },
+                    &ExecutionConfig::new().workers(4).batch_size(256),
+                    &off,
                 )
                 .unwrap(),
             )
@@ -65,12 +63,14 @@ fn bench_superstep(c: &mut Criterion) {
     group.bench_function("frogwild_4_supersteps_gated_tol2", |b| {
         b.iter(|| {
             black_box(
-                run_frogwild_on(
+                run_frogwild(
                     &pg,
                     &FrogWildConfig {
                         tolerance: 2.0,
                         ..config
                     },
+                    &exec,
+                    &off,
                 )
                 .unwrap(),
             )
@@ -84,6 +84,7 @@ fn bench_superstep(c: &mut Criterion) {
 /// for the deterministic per-channel delays and the `BTreeMap` staging inbox, which
 /// is exactly the host-side overhead this group measures.
 fn bench_staleness(c: &mut Criterion) {
+    let off = Tracer::disabled();
     let mut rng = SmallRng::seed_from_u64(5);
     let graph = twitter_like(10_000, &mut rng);
     let pg = partition_graph(&graph, &ClusterConfig::new(16, 9));
@@ -102,10 +103,11 @@ fn bench_staleness(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     black_box(
-                        run_frogwild_with(
+                        run_frogwild(
                             &pg,
                             &config,
                             &ExecutionConfig::new().staleness(staleness),
+                            &off,
                         )
                         .unwrap(),
                     )
@@ -117,6 +119,7 @@ fn bench_staleness(c: &mut Criterion) {
 }
 
 fn bench_delta_gate(c: &mut Criterion) {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let mut rng = SmallRng::seed_from_u64(42);
     let graph = twitter_like(3_000, &mut rng);
     let pg = partition_graph(&graph, &ClusterConfig::new(16, 9));
@@ -130,12 +133,14 @@ fn bench_delta_gate(c: &mut Criterion) {
     group.bench_function("pagerank_20_iters_ungated", |b| {
         b.iter(|| {
             black_box(
-                run_graphlab_pr_on(
+                run_graphlab_pr(
                     &pg,
                     &PageRankConfig {
                         tolerance: 0.0,
                         ..base
                     },
+                    &exec,
+                    &off,
                 )
                 .unwrap(),
             )
@@ -144,12 +149,14 @@ fn bench_delta_gate(c: &mut Criterion) {
     group.bench_function("pagerank_20_iters_gated_tol1e3", |b| {
         b.iter(|| {
             black_box(
-                run_graphlab_pr_on(
+                run_graphlab_pr(
                     &pg,
                     &PageRankConfig {
                         tolerance: 1e-3,
                         ..base
                     },
+                    &exec,
+                    &off,
                 )
                 .unwrap(),
             )

@@ -8,7 +8,6 @@
 //! disabled vs enabled sink, plus the merge/export step over a recorded timeline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use frogwild::driver::{partition_graph, run_frogwild_traced};
 use frogwild::obs::{span_meta, SpanKey, TraceConfig, Tracer};
 use frogwild::prelude::*;
 use frogwild_graph::generators::twitter_like;
@@ -31,12 +30,12 @@ fn bench_engine_overhead(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("frogwild_4_supersteps_tracer_disabled", |b| {
         let tracer = Tracer::disabled();
-        b.iter(|| black_box(run_frogwild_traced(&pg, &config, &execution, &tracer).unwrap()))
+        b.iter(|| black_box(run_frogwild(&pg, &config, &execution, &tracer).unwrap()))
     });
     group.bench_function("frogwild_4_supersteps_tracer_enabled", |b| {
         b.iter(|| {
             let tracer = Tracer::new(TraceConfig::enabled());
-            let report = run_frogwild_traced(&pg, &config, &execution, &tracer).unwrap();
+            let report = run_frogwild(&pg, &config, &execution, &tracer).unwrap();
             black_box((report, tracer.finish()))
         })
     });

@@ -17,7 +17,6 @@
 
 use super::accuracy;
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{run_frogwild_on, run_graphlab_pr_on};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{
@@ -29,6 +28,7 @@ use rand::SeedableRng;
 
 /// Runs the ablation tables.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
     let k = 100;
@@ -58,9 +58,9 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     ];
     for (name, partitioner) in partitioners {
         let pg = PartitionedGraph::build(&workload.graph, machines, partitioner, scale.seed);
-        let pr = run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2))
+        let pr = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
             .expect("valid figure configuration");
-        let fw = run_frogwild_on(
+        let fw = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: scale.walkers,
@@ -68,6 +68,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 sync_probability: 0.7,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         let (mass, _) = accuracy(&fw, &workload.truth, k);
@@ -94,7 +96,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
     for &ps in &[1.0, 0.4] {
         for (mode, binomial) in [("even-split", false), ("binomial", true)] {
-            let fw = run_frogwild_on(
+            let fw = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: scale.walkers,
@@ -103,6 +105,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     binomial_scatter: binomial,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             let (mass, _) = accuracy(&fw, &workload.truth, k);

@@ -19,7 +19,6 @@
 //!   shows it.
 
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::run_frogwild_on;
 use frogwild::metrics::{exact_identification, mass_captured};
 use frogwild::montecarlo::{complete_path_pagerank, walkers_per_vertex_pagerank};
 use frogwild::prelude::*;
@@ -33,6 +32,7 @@ use rand::SeedableRng;
 
 /// Runs the estimator-study tables.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let k = 100;
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
@@ -66,7 +66,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 
     let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
     for &ps in &[1.0, 0.4] {
-        let report = run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: scale.walkers,
@@ -75,6 +75,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 seed: scale.seed,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         push_estimator_row(
@@ -128,7 +130,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     ];
     for (name, graph, truth) in families {
         let pg = PartitionedGraph::build(graph, machines, &ObliviousPartitioner, scale.seed);
-        let report = run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: scale.walkers,
@@ -137,6 +139,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 seed: scale.seed,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         let optimal = mass_captured(truth, truth, k).optimal;

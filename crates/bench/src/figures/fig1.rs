@@ -8,12 +8,12 @@
 
 use super::PS_SWEEP;
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on, run_graphlab_pr_on, RunReport};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 
 /// Runs the Figure 1 sweep and returns one table per panel.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let mut per_iteration = Table::new(
         format!(
@@ -42,30 +42,32 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         let mut runs: Vec<(String, RunReport)> = Vec::new();
         runs.push((
             "GraphLab PR exact".into(),
-            run_graphlab_pr_on(
+            run_graphlab_pr(
                 &pg,
                 &PageRankConfig {
                     max_iterations: scale.exact_pr_iterations,
                     tolerance: 1e-9,
                     ..PageRankConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration"),
         ));
         runs.push((
             "GraphLab PR 2 iters".into(),
-            run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2))
+            run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
                 .expect("valid figure configuration"),
         ));
         runs.push((
             "GraphLab PR 1 iters".into(),
-            run_graphlab_pr_on(&pg, &PageRankConfig::truncated(1))
+            run_graphlab_pr(&pg, &PageRankConfig::truncated(1), &exec, &off)
                 .expect("valid figure configuration"),
         ));
         for &ps in &PS_SWEEP {
             runs.push((
                 format!("FrogWild ps={ps}"),
-                run_frogwild_on(
+                run_frogwild(
                     &pg,
                     &FrogWildConfig {
                         num_walkers: scale.walkers,
@@ -73,6 +75,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                         sync_probability: ps,
                         ..FrogWildConfig::default()
                     },
+                    &exec,
+                    &off,
                 )
                 .expect("valid figure configuration"),
             ));
@@ -86,7 +90,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 per_iteration.push_row(vec![
                     machines.to_string(),
                     label.clone(),
-                    fmt_f64(report.cost.simulated_seconds_per_iteration),
+                    fmt_f64(report.cost.seconds_per_iteration()),
                 ]);
             }
             // Panels (b)-(d): PR exact/2/1 plus FrogWild ps = 1 and 0.1.
@@ -95,7 +99,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 total_time.push_row(vec![
                     machines.to_string(),
                     label.clone(),
-                    fmt_f64(report.cost.simulated_total_seconds),
+                    fmt_f64(report.cost.simulated_seconds),
                 ]);
                 network.push_row(vec![
                     machines.to_string(),

@@ -8,7 +8,6 @@
 
 use super::{accuracy, PS_SWEEP};
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on, run_graphlab_pr_on, RunReport};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 
@@ -19,6 +18,7 @@ pub const K: usize = 100;
 
 /// Runs the Figure 3/4 sweep and returns a single trade-off table.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let machines = *scale.machine_counts.last().unwrap_or(&24);
     let cluster = ClusterConfig::new(machines, scale.seed);
@@ -46,7 +46,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             iterations,
             ps,
             fmt_f64(mass),
-            fmt_f64(report.cost.simulated_total_seconds),
+            fmt_f64(report.cost.simulated_seconds),
             report.cost.network_bytes.to_string(),
         ]);
     };
@@ -63,7 +63,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             },
         ),
     ] {
-        let report = run_graphlab_pr_on(&pg, &config).expect("valid figure configuration");
+        let report =
+            run_graphlab_pr(&pg, &config, &exec, &off).expect("valid figure configuration");
         push(
             label,
             config.max_iterations.to_string(),
@@ -74,7 +75,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 
     for &iterations in &ITERATION_SWEEP {
         for &ps in &PS_SWEEP {
-            let report = run_frogwild_on(
+            let report = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: scale.walkers,
@@ -82,6 +83,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     sync_probability: ps,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             push("FrogWild", iterations.to_string(), ps.to_string(), &report);

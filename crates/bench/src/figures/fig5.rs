@@ -8,7 +8,6 @@
 
 use super::accuracy;
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on, run_sparsified_pr};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 use frogwild::sparsify::SparsifiedBaselineConfig;
@@ -18,6 +17,7 @@ pub const K: usize = 100;
 
 /// Runs the Figure 5 comparison.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let machines = *scale.machine_counts.first().unwrap_or(&12);
     let cluster = ClusterConfig::new(machines, scale.seed);
@@ -51,14 +51,14 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             "Sparsified GraphLab PR 2 iters".into(),
             config.keep_probability.to_string(),
             fmt_f64(mass),
-            fmt_f64(report.cost.simulated_total_seconds),
-            fmt_f64(report.cost.simulated_seconds_per_iteration),
+            fmt_f64(report.cost.simulated_seconds),
+            fmt_f64(report.cost.seconds_per_iteration()),
             report.cost.network_bytes.to_string(),
         ]);
     }
 
     for ps in [0.4, 0.7, 1.0] {
-        let report = run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: scale.walkers,
@@ -66,6 +66,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 sync_probability: ps,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         let (mass, _) = accuracy(&report, &workload.truth, K);
@@ -73,8 +75,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             "FrogWild 4 iters".into(),
             ps.to_string(),
             fmt_f64(mass),
-            fmt_f64(report.cost.simulated_total_seconds),
-            fmt_f64(report.cost.simulated_seconds_per_iteration),
+            fmt_f64(report.cost.simulated_seconds),
+            fmt_f64(report.cost.seconds_per_iteration()),
             report.cost.network_bytes.to_string(),
         ]);
     }

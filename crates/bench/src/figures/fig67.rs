@@ -8,7 +8,6 @@
 
 use super::{accuracy, PS_SWEEP};
 use crate::workloads::{livejournal_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on, run_graphlab_pr_on};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 
@@ -19,6 +18,7 @@ pub const ITERATION_SWEEP: [usize; 5] = [2, 3, 4, 5, 6];
 
 /// Runs the Figure 6 and 7 sweeps.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = livejournal_workload(scale);
     let machines = scale
         .machine_counts
@@ -43,7 +43,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
     for &walkers in &scale.walker_sweep() {
         for &ps in &PS_SWEEP {
-            let report = run_frogwild_on(
+            let report = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: walkers,
@@ -51,6 +51,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     sync_probability: ps,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             let (mass, _) = accuracy(&report, &workload.truth, K);
@@ -58,7 +60,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             walkers_time.push_row(vec![
                 walkers.to_string(),
                 ps.to_string(),
-                fmt_f64(report.cost.simulated_total_seconds),
+                fmt_f64(report.cost.simulated_seconds),
             ]);
         }
     }
@@ -77,7 +79,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
     for &iterations in &ITERATION_SWEEP {
         for &ps in &PS_SWEEP {
-            let report = run_frogwild_on(
+            let report = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: scale.walkers,
@@ -85,6 +87,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     sync_probability: ps,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             let (mass, _) = accuracy(&report, &workload.truth, K);
@@ -92,7 +96,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             iters_time.push_row(vec![
                 iterations.to_string(),
                 ps.to_string(),
-                fmt_f64(report.cost.simulated_total_seconds),
+                fmt_f64(report.cost.simulated_seconds),
             ]);
         }
     }
@@ -124,20 +128,21 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             },
         ),
     ] {
-        let report = run_graphlab_pr_on(&pg, &config).expect("valid figure configuration");
+        let report =
+            run_graphlab_pr(&pg, &config, &exec, &off).expect("valid figure configuration");
         let (mass, _) = accuracy(&report, &workload.truth, K);
         tradeoff.push_row(vec![
             label.to_string(),
             config.max_iterations.to_string(),
             "-".into(),
             fmt_f64(mass),
-            fmt_f64(report.cost.simulated_total_seconds),
+            fmt_f64(report.cost.simulated_seconds),
             report.cost.network_bytes.to_string(),
         ]);
     }
     for iterations in [3usize, 4, 5] {
         for &ps in &PS_SWEEP {
-            let report = run_frogwild_on(
+            let report = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: scale.walkers,
@@ -145,6 +150,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     sync_probability: ps,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             let (mass, _) = accuracy(&report, &workload.truth, K);
@@ -153,7 +160,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 iterations.to_string(),
                 ps.to_string(),
                 fmt_f64(mass),
-                fmt_f64(report.cost.simulated_total_seconds),
+                fmt_f64(report.cost.simulated_seconds),
                 report.cost.network_bytes.to_string(),
             ]);
         }

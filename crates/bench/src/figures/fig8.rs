@@ -6,12 +6,12 @@
 //! in earlier Monte-Carlo PageRank work.
 
 use crate::workloads::{livejournal_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on};
 use frogwild::prelude::*;
 use frogwild::report::Table;
 
 /// Runs the Figure 8 sweep.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = livejournal_workload(scale);
     let machines = scale
         .machine_counts
@@ -30,7 +30,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         &["walkers", "network_bytes", "messages"],
     );
     for &walkers in &scale.walker_sweep() {
-        let report = run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: walkers,
@@ -38,6 +38,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 sync_probability: 1.0,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         table.push_row(vec![

@@ -38,8 +38,8 @@ pub fn cost_row(label: &str, report: &RunReport, truth: &[f64], k: usize) -> Vec
     vec![
         label.to_string(),
         fmt_f64(mass),
-        fmt_f64(report.cost.simulated_seconds_per_iteration),
-        fmt_f64(report.cost.simulated_total_seconds),
+        fmt_f64(report.cost.seconds_per_iteration()),
+        fmt_f64(report.cost.simulated_seconds),
         report.cost.network_bytes.to_string(),
         fmt_f64(report.cost.simulated_cpu_seconds),
     ]
@@ -66,15 +66,18 @@ mod tests {
 
     #[test]
     fn cost_row_has_matching_arity() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let scale = Scale::tiny();
         let w = twitter_workload(&scale);
-        let report = frogwild::driver::run_frogwild_on(
+        let report = frogwild::driver::run_frogwild(
             &frogwild::driver::partition_graph(&w.graph, &ClusterConfig::new(4, 1)),
             &FrogWildConfig {
                 num_walkers: 5_000,
                 iterations: 3,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         let row = cost_row("test", &report, &w.truth, 20);

@@ -23,7 +23,6 @@
 
 use crate::figures::accuracy;
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::run_frogwild_with;
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
@@ -33,6 +32,7 @@ const STALENESS_SWEEP: [usize; 4] = [0, 1, 2, 4];
 
 /// Runs the staleness sweep table.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let off = Tracer::disabled();
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
     let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
@@ -61,13 +61,13 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let deepest = *STALENESS_SWEEP.last().unwrap_or(&0);
     let mut straggler_profile: Vec<f64> = Vec::new();
     for s in STALENESS_SWEEP {
-        let report = run_frogwild_with(&pg, &config, &ExecutionConfig::new().staleness(s))
+        let report = run_frogwild(&pg, &config, &ExecutionConfig::new().staleness(s), &off)
             .expect("valid figure configuration");
         let (mass, _) = accuracy(&report, &workload.truth, 20);
         table.push_row(vec![
             s.to_string(),
             fmt_f64(mass),
-            fmt_f64(report.cost.simulated_total_seconds),
+            fmt_f64(report.cost.simulated_seconds),
             fmt_f64(report.cost.barrier_wait_avoided_seconds),
             report.cost.staleness_lag.to_string(),
             report.cost.max_inbox_depth.to_string(),

@@ -13,7 +13,6 @@
 //! for exact PageRank, 2-iteration PageRank and FrogWild at `p_s ∈ {1, 0.4}`.
 
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{run_frogwild_on, run_graphlab_pr_on, RunReport};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{CostModel, ObliviousPartitioner, PartitionedGraph};
@@ -23,6 +22,7 @@ const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
 
 /// Runs the straggler-sensitivity table.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
     let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
@@ -44,7 +44,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
 
     let mut push_row = |label: &str, report: &RunReport| {
-        let nominal = report.cost.simulated_total_seconds;
+        let nominal = report.cost.simulated_seconds;
         let mut row = vec![
             label.to_string(),
             fmt_f64(report.metrics.work_imbalance()),
@@ -61,21 +61,23 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         table.push_row(row);
     };
 
-    let exact = run_graphlab_pr_on(
+    let exact = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: scale.exact_pr_iterations,
             tolerance: 1e-9,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .expect("valid figure configuration");
     push_row("GraphLab PR exact", &exact);
-    let two =
-        run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2)).expect("valid figure configuration");
+    let two = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
+        .expect("valid figure configuration");
     push_row("GraphLab PR 2 iters", &two);
     for &ps in &[1.0, 0.4] {
-        let fw = run_frogwild_on(
+        let fw = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: scale.walkers,
@@ -84,6 +86,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 seed: scale.seed,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .expect("valid figure configuration");
         push_row(&format!("FrogWild ps={ps}"), &fw);

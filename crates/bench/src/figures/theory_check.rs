@@ -7,7 +7,6 @@
 //! for the partial-synchronization machinery.
 
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{partition_graph, run_frogwild_on};
 use frogwild::metrics::mass_captured;
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
@@ -17,6 +16,7 @@ use rand::SeedableRng;
 
 /// Runs the theory-vs-measurement comparison.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let cluster = ClusterConfig::new(
         16.min(*scale.machine_counts.last().unwrap_or(&16)),
@@ -76,7 +76,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let k = 30;
     for &ps in &[1.0, 0.7, 0.4, 0.1] {
         for &iterations in &[4usize, 6] {
-            let report = run_frogwild_on(
+            let report = run_frogwild(
                 &pg,
                 &FrogWildConfig {
                     num_walkers: scale.walkers,
@@ -84,6 +84,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                     sync_probability: ps,
                     ..FrogWildConfig::default()
                 },
+                &exec,
+                &off,
             )
             .expect("valid figure configuration");
             let m = mass_captured(&report.estimate, &workload.truth, k);

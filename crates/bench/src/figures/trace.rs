@@ -14,7 +14,6 @@
 //! estimate must match an untraced run of the same configuration exactly.
 
 use crate::workloads::{twitter_workload, Scale};
-use frogwild::driver::{run_frogwild_traced, run_frogwild_with};
 use frogwild::obs::{TraceConfig, Tracer};
 use frogwild::prelude::*;
 use frogwild::report::{fmt_f64, Table};
@@ -25,6 +24,7 @@ const SLOWEST: usize = 8;
 
 /// Runs the traced workload and renders the phase-breakdown tables.
 pub fn run(scale: &Scale) -> Vec<Table> {
+    let off = Tracer::disabled();
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
     let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
@@ -39,8 +39,9 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 
     let tracer = Tracer::new(TraceConfig::enabled());
     let traced =
-        run_frogwild_traced(&pg, &config, &execution, &tracer).expect("valid figure configuration");
-    let untraced = run_frogwild_with(&pg, &config, &execution).expect("valid figure configuration");
+        run_frogwild(&pg, &config, &execution, &tracer).expect("valid figure configuration");
+    let untraced =
+        run_frogwild(&pg, &config, &execution, &off).expect("valid figure configuration");
     assert_eq!(
         traced.estimate, untraced.estimate,
         "tracing must not change results"

@@ -99,9 +99,9 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             fmt_f64(seconds),
             fmt_f64(1e3 * seconds / QUERIES as f64),
             fmt_f64(mean_overlap),
-            stats.total_walk_hops.to_string(),
-            stats.total_index_hits.to_string(),
-            stats.total_index_misses.to_string(),
+            stats.totals.walk_hops.to_string(),
+            stats.totals.index_hits.to_string(),
+            stats.totals.index_misses.to_string(),
         ]);
         if let Some(report) = session.walk_index_report() {
             amortize.push_row(vec![

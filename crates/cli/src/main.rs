@@ -433,12 +433,11 @@ fn session_over<'g>(args: &Args, graph: &'g DiGraph, allow_index: bool) -> Resul
 fn print_response_header(session: &Session<'_>, response: &Response) {
     println!("# algorithm: {}", response.algorithm);
     println!(
-        "# machines: {}, supersteps: {}, network bytes: {}, simulated time: {:.4}s, repartitioned: {}",
+        "# machines: {}, supersteps: {}, network bytes: {}, simulated time: {:.4}s",
         session.num_machines(),
         response.cost.supersteps,
         response.cost.network_bytes,
         response.cost.simulated_seconds,
-        response.cost.repartitioned,
     );
 }
 

@@ -14,11 +14,14 @@
 //! caller can audit what the tuner decided and how much the pilot cost.
 
 use frogwild_engine::PartitionedGraph;
+use frogwild_obs::Tracer;
 use serde::{Deserialize, Serialize};
 
 use crate::confidence::{plan_walkers, WalkerPlan};
-use crate::config::{in_half_open_unit_interval, in_open_unit_interval, FrogWildConfig};
-use crate::driver::{run_frogwild_on, RunReport};
+use crate::config::{
+    in_half_open_unit_interval, in_open_unit_interval, ExecutionConfig, FrogWildConfig,
+};
+use crate::driver::{run_frogwild, RunReport};
 use crate::error::Error;
 use crate::theory::recommended_iterations;
 
@@ -137,20 +140,23 @@ impl AutoTuneReport {
     }
 }
 
-/// Runs the pilot → plan → run pipeline on an already partitioned graph.
+/// Runs the pilot → plan → run pipeline on an already partitioned graph; both engine
+/// runs execute under `execution` and record their spans into `tracer`, exactly like
+/// a direct [`run_frogwild`] call.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when the configuration fails
-/// [`AutoTuneConfig::validate`].
+/// Returns [`Error::InvalidConfig`] when either configuration fails validation.
 pub fn auto_topk_on(
     pg: &PartitionedGraph,
     config: &AutoTuneConfig,
+    execution: &ExecutionConfig,
+    tracer: &Tracer,
 ) -> Result<AutoTuneReport, Error> {
     config.validate()?;
 
     // ------------------------------------------------------------------ 1. pilot
-    let pilot = run_frogwild_on(
+    let pilot = run_frogwild(
         pg,
         &FrogWildConfig {
             num_walkers: config.pilot_walkers,
@@ -159,6 +165,8 @@ pub fn auto_topk_on(
             seed: config.seed ^ 0x9107,
             ..FrogWildConfig::default()
         },
+        execution,
+        tracer,
     )?;
     let pilot_top = pilot.top_k(config.k);
     let estimated_topk_mass: f64 = pilot_top
@@ -184,7 +192,7 @@ pub fn auto_topk_on(
         .clamp(config.pilot_iterations, config.max_iterations);
 
     // ------------------------------------------------------------------ 3. run
-    let run = run_frogwild_on(
+    let run = run_frogwild(
         pg,
         &FrogWildConfig {
             num_walkers: planned_walkers,
@@ -193,6 +201,8 @@ pub fn auto_topk_on(
             seed: config.seed,
             ..FrogWildConfig::default()
         },
+        execution,
+        tracer,
     )?;
 
     Ok(AutoTuneReport {
@@ -272,6 +282,7 @@ mod tests {
 
     #[test]
     fn auto_topk_improves_on_the_pilot_and_hits_the_target() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let graph = test_graph(600);
         let truth = exact_pagerank(&graph, 0.15, 200, 1e-12);
         let cluster = ClusterConfig::new(8, 3);
@@ -282,7 +293,8 @@ mod tests {
             mass_loss_target: 0.05,
             ..AutoTuneConfig::default()
         };
-        let report = auto_topk_on(&partition_graph(&graph, &cluster), &config).unwrap();
+        let report =
+            auto_topk_on(&partition_graph(&graph, &cluster), &config, &exec, &off).unwrap();
 
         assert!(report.planned_walkers >= config.pilot_walkers);
         assert!(report.planned_walkers <= config.max_walkers);
@@ -309,6 +321,7 @@ mod tests {
 
     #[test]
     fn caps_are_respected_when_the_pilot_sees_tiny_mass() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         // A near-uniform graph: the top-k mass is tiny, so the un-capped plan would ask
         // for far more walkers than max_walkers.
         let graph = frogwild_graph::generators::simple::cycle(2_000);
@@ -320,7 +333,8 @@ mod tests {
             max_iterations: 5,
             ..AutoTuneConfig::default()
         };
-        let report = auto_topk_on(&partition_graph(&graph, &cluster), &config).unwrap();
+        let report =
+            auto_topk_on(&partition_graph(&graph, &cluster), &config, &exec, &off).unwrap();
         assert_eq!(report.planned_walkers, 50_000);
         assert!(report.planned_iterations <= 5);
     }

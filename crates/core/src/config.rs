@@ -122,41 +122,12 @@ impl FrogWildConfig {
     }
 }
 
-/// Worker-pool scheduling knobs for the delta-gated executor, threaded through the
-/// drivers and [`SessionBuilder`](crate::session::SessionBuilder) into
-/// [`EngineConfig`](frogwild_engine::EngineConfig). The defaults (`0`, `0`) let the
-/// engine size everything automatically; none of the values change results, only how
-/// the work is spread over host threads.
-///
-/// Superseded by [`ExecutionConfig`], which carries the same two knobs plus the
-/// execution-semantics knobs (`tolerance`, `staleness`) behind one builder; every
-/// `Scheduling` converts losslessly via `ExecutionConfig::from`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Scheduling {
-    /// Worker threads serving phase work batches when parallel execution is on
-    /// (`0` = derive from the host's available parallelism).
-    pub workers: usize,
-    /// Tasks per work batch — one contiguous key range of one simulated machine's
-    /// task list (`0` = built-in default).
-    pub batch_size: usize,
-}
-
-impl Scheduling {
-    /// Scheduling with an explicit worker count and the default batch size.
-    pub fn with_workers(workers: usize) -> Self {
-        Scheduling {
-            workers,
-            batch_size: 0,
-        }
-    }
-}
-
 /// Unified execution configuration for the engine: worker-pool scheduling
 /// (`workers`, `batch_size`), the executor's delta-gating `tolerance` override, and
 /// the bounded-`staleness` asynchrony knob — one builder threaded through
 /// [`SessionBuilder::execution`](crate::session::SessionBuilder::execution) and the
-/// `*_with` drivers ([`run_frogwild_with`](crate::driver::run_frogwild_with),
-/// [`run_graphlab_pr_with`](crate::driver::run_graphlab_pr_with)).
+/// drivers ([`run_frogwild`](crate::driver::run_frogwild),
+/// [`run_graphlab_pr`](crate::driver::run_graphlab_pr)).
 ///
 /// # Determinism contract
 ///
@@ -167,15 +138,6 @@ impl Scheduling {
 /// the synchronous executor bit-for-bit. `tolerance` overrides the algorithm
 /// config's delta-gating threshold when set; leaving it unset (`None`) defers to
 /// [`FrogWildConfig::tolerance`] / [`PageRankConfig::tolerance`].
-///
-/// # Migrating from [`Scheduling`]
-///
-/// `Scheduling { workers, batch_size }` maps to
-/// `ExecutionConfig::new().workers(workers).batch_size(batch_size)`; a plain
-/// `ExecutionConfig::from(scheduling)` performs the same conversion. Code that used
-/// `SessionBuilder::scheduling(s)` should move to
-/// `SessionBuilder::execution(ExecutionConfig::from(s))` — the deprecated wrapper
-/// remains for one release.
 ///
 /// ```
 /// use frogwild::config::ExecutionConfig;
@@ -258,14 +220,6 @@ impl ExecutionConfig {
             }
         }
         Ok(())
-    }
-}
-
-impl From<Scheduling> for ExecutionConfig {
-    fn from(scheduling: Scheduling) -> Self {
-        ExecutionConfig::new()
-            .workers(scheduling.workers)
-            .batch_size(scheduling.batch_size)
     }
 }
 
@@ -407,15 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_defaults_to_auto() {
-        let s = Scheduling::default();
-        assert_eq!(s.workers, 0);
-        assert_eq!(s.batch_size, 0);
-        assert_eq!(Scheduling::with_workers(4).workers, 4);
-        assert_eq!(Scheduling::with_workers(4).batch_size, 0);
-    }
-
-    #[test]
     fn execution_config_builder_and_conversion() {
         let exec = ExecutionConfig::new()
             .workers(3)
@@ -430,14 +375,10 @@ mod tests {
         assert_eq!(exec.effective_tolerance(0.5), 1e-3);
         assert_eq!(ExecutionConfig::new().effective_tolerance(0.5), 0.5);
 
-        let from = ExecutionConfig::from(Scheduling {
-            workers: 7,
-            batch_size: 19,
-        });
-        assert_eq!(from.workers, 7);
-        assert_eq!(from.batch_size, 19);
-        assert_eq!(from.tolerance, None);
-        assert_eq!(from.staleness, 0);
+        // The defaults size everything automatically and run synchronously.
+        let auto = ExecutionConfig::new();
+        assert_eq!((auto.workers, auto.batch_size, auto.staleness), (0, 0, 0));
+        assert_eq!(auto.tolerance, None);
 
         assert!(ExecutionConfig::new().tolerance(-1.0).validate().is_err());
         assert!(ExecutionConfig::new()

@@ -1,19 +1,19 @@
 //! Experiment drivers: the low-level layer underneath [`crate::session`].
 //!
-//! These functions wire together graph partitioning, the engine, and the vertex
-//! programs, and return a [`RunReport`] holding both the PageRank estimate and the cost
-//! metrics (simulated time, network bytes, CPU work) that the paper's figures plot.
+//! There is one way to run each algorithm: [`run_frogwild`] and [`run_graphlab_pr`]
+//! take an already partitioned graph (see [`partition_graph`]; reuse it across a
+//! sweep), the algorithm's configuration, the [`ExecutionConfig`] to run under and a
+//! [`Tracer`] to record engine spans into (`&ExecutionConfig::default()` and
+//! `&Tracer::disabled()` when neither matters). They return a typed [`Error`] instead
+//! of panicking, or a [`RunReport`]: the PageRank estimate, the raw per-superstep
+//! engine metrics, and the [`QueryCost`] (simulated time, network bytes, CPU work)
+//! that the paper's figures plot.
 //!
-//! For parameter sweeps that reuse one cluster layout (e.g. sweeping `p_s` at a fixed
-//! machine count), partition once with [`partition_graph`] and call the fallible `*_on`
-//! variants; they validate the configuration and return a typed [`Error`] instead of
-//! panicking. Applications that serve a *query stream* should use
+//! Applications that serve a *query stream* should use
 //! [`Session`](crate::session::Session) instead, which owns the partitioned layout,
-//! answers [`Query`](crate::session::Query) values, and tracks cumulative amortized
-//! cost. (The 0.1-era one-shot `run_frogwild` / `run_graphlab_pr` free functions that
-//! re-partitioned per call were deprecated in 0.2 and have been removed;
-//! [`run_sparsified_pr`] remains one-shot because sparsification changes the edge set
-//! and therefore genuinely needs its own partitioning.)
+//! answers queries through these same two functions, and tracks cumulative amortized
+//! cost. [`run_sparsified_pr`] is one-shot because sparsification changes the edge set
+//! and therefore genuinely needs its own partitioning.
 
 use frogwild_engine::{
     ClusterConfig, CostModel, Engine, EngineConfig, InitialActivation, ObliviousPartitioner,
@@ -24,76 +24,12 @@ use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::Tracer;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig, Scheduling};
+use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
+use crate::cost::QueryCost;
 use crate::error::Error;
 use crate::programs::{FrogWildProgram, PageRankProgram};
 use crate::topk::normalize;
-
-/// Headline cost numbers derived from the engine metrics — one row of the paper's
-/// Figure 1 per run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct CostSummary {
-    /// Total simulated wall-clock seconds (Figure 1b / "Total time").
-    pub simulated_total_seconds: f64,
-    /// Mean simulated seconds per superstep (Figure 1a / "Time per iteration").
-    pub simulated_seconds_per_iteration: f64,
-    /// Total simulated CPU seconds summed over machines (Figure 1d / "CPU usage").
-    pub simulated_cpu_seconds: f64,
-    /// Total bytes crossing machine boundaries (Figure 1c / "Network sent").
-    pub network_bytes: u64,
-    /// Total cross-machine messages after combining.
-    pub network_messages: u64,
-    /// Real (host) seconds the simulator spent executing.
-    pub host_seconds: f64,
-    /// Number of supersteps executed.
-    pub supersteps: usize,
-    /// Replication factor of the vertex-cut used.
-    pub replication_factor: f64,
-    /// Mirror synchronizations skipped by partial synchronization.
-    pub skipped_syncs: u64,
-    /// Active vertices that scheduled no scatter (structural `needs_scatter` plus
-    /// delta gating).
-    pub skipped_scatters: u64,
-    /// Messages delivered to master inboxes after combining, local deliveries
-    /// included.
-    pub routed_messages: u64,
-    /// Sum of per-superstep frontier sizes.
-    pub active_vertices: u64,
-    /// Total delivery lag (supersteps late versus synchronous delivery) accumulated
-    /// by drained messages under bounded-staleness execution. 0 for synchronous runs.
-    pub staleness_lag: u64,
-    /// Deepest staging-inbox backlog observed at the end of any superstep. 0 for
-    /// synchronous runs.
-    pub max_inbox_depth: u64,
-    /// Simulated barrier-wait seconds avoided by bounded-staleness overlap. 0 for
-    /// synchronous runs.
-    pub barrier_wait_avoided_seconds: f64,
-}
-
-impl CostSummary {
-    /// Derives the summary from raw engine metrics under the given cost model.
-    pub fn from_metrics(metrics: &RunMetrics, model: &CostModel) -> Self {
-        CostSummary {
-            simulated_total_seconds: metrics.total_simulated_seconds(),
-            simulated_seconds_per_iteration: metrics.seconds_per_superstep(),
-            simulated_cpu_seconds: metrics.total_cpu_seconds(model),
-            network_bytes: metrics.total_bytes(),
-            network_messages: metrics.total_messages(),
-            host_seconds: metrics.total_host_seconds(),
-            supersteps: metrics.num_supersteps(),
-            replication_factor: metrics.replication_factor,
-            skipped_syncs: metrics.total_skipped_syncs(),
-            skipped_scatters: metrics.total_skipped_scatters(),
-            routed_messages: metrics.total_routed_messages(),
-            active_vertices: metrics.total_active_vertices(),
-            staleness_lag: metrics.total_staleness_lag(),
-            max_inbox_depth: metrics.max_inbox_depth(),
-            barrier_wait_avoided_seconds: metrics.total_barrier_wait_avoided_seconds(),
-        }
-    }
-}
 
 /// Result of one algorithm run on the simulated cluster.
 #[derive(Clone, Debug)]
@@ -105,11 +41,28 @@ pub struct RunReport {
     pub estimate: Vec<f64>,
     /// Raw per-superstep engine metrics.
     pub metrics: RunMetrics,
-    /// Derived headline cost numbers.
-    pub cost: CostSummary,
+    /// Headline cost numbers derived from `metrics` — one row of the paper's Figure 1.
+    pub cost: QueryCost,
 }
 
 impl RunReport {
+    /// Normalises `estimate` and prices `metrics` under `model`.
+    fn new(
+        algorithm: String,
+        mut estimate: Vec<f64>,
+        metrics: RunMetrics,
+        model: &CostModel,
+    ) -> Self {
+        normalize(&mut estimate);
+        let cost = QueryCost::from_metrics(&metrics, model);
+        RunReport {
+            algorithm,
+            estimate,
+            metrics,
+            cost,
+        }
+    }
+
     /// The top-`k` vertices of the estimate.
     pub fn top_k(&self, k: usize) -> Vec<VertexId> {
         crate::topk::top_k(&self.estimate, k)
@@ -127,77 +80,66 @@ pub fn partition_graph(graph: &DiGraph, cluster: &ClusterConfig) -> PartitionedG
     )
 }
 
-/// Runs FrogWild on an already partitioned graph (reuse the layout across sweeps).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when the configuration fails
-/// [`FrogWildConfig::validate`].
-pub fn run_frogwild_on(pg: &PartitionedGraph, config: &FrogWildConfig) -> Result<RunReport, Error> {
-    run_frogwild_scheduled(pg, config, &Scheduling::default())
+/// What an algorithm's own configuration decides about its engine run; the rest of
+/// the [`EngineConfig`] comes from the [`ExecutionConfig`] and the tracer.
+struct AlgorithmKnobs {
+    sync_policy: SyncPolicy,
+    max_supersteps: usize,
+    seed: u64,
+    parallel: bool,
+    tolerance: f64,
 }
 
-/// Runs FrogWild with explicit worker-pool [`Scheduling`] knobs — a thin wrapper
-/// over [`run_frogwild_with`] for callers that have not adopted
-/// [`ExecutionConfig`] yet. The knobs only change how the work is spread over host
-/// threads; the estimate and all counted costs are identical to [`run_frogwild_on`].
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when the configuration fails
-/// [`FrogWildConfig::validate`].
-pub fn run_frogwild_scheduled(
-    pg: &PartitionedGraph,
-    config: &FrogWildConfig,
-    scheduling: &Scheduling,
-) -> Result<RunReport, Error> {
-    run_frogwild_with(pg, config, &ExecutionConfig::from(*scheduling))
-}
-
-/// Runs FrogWild under a unified [`ExecutionConfig`]: worker-pool scheduling, an
-/// optional tolerance override, and bounded-staleness asynchrony. `workers` and
-/// `batch_size` never change results; `staleness > 0` changes them
-/// deterministically (bit-identical across worker counts for a fixed bound), and
-/// `staleness = 0` reproduces [`run_frogwild_on`] bit-for-bit.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation.
-pub fn run_frogwild_with(
-    pg: &PartitionedGraph,
-    config: &FrogWildConfig,
+/// The one place an [`EngineConfig`] is built.
+fn engine_config(
+    knobs: AlgorithmKnobs,
     execution: &ExecutionConfig,
-) -> Result<RunReport, Error> {
-    run_frogwild_traced(pg, config, execution, &Tracer::disabled())
+    tracer: &Tracer,
+) -> Result<EngineConfig, Error> {
+    execution.validate()?;
+    Ok(EngineConfig {
+        sync_policy: knobs.sync_policy,
+        cost_model: CostModel::default(),
+        max_supersteps: knobs.max_supersteps,
+        seed: knobs.seed,
+        parallel: knobs.parallel,
+        tolerance: execution.effective_tolerance(knobs.tolerance),
+        workers: execution.workers,
+        batch_size: execution.batch_size,
+        staleness: execution.staleness,
+        tracer: tracer.clone(),
+    })
 }
 
-/// [`run_frogwild_with`] plus a tracing handle: the engine records per-phase,
-/// per-batch spans into `tracer` (see [`crate::obs`]). Tracing only observes — the
-/// estimate and every counted cost are bit-identical to the untraced run.
+/// Runs FrogWild on an already partitioned graph under `execution`, recording
+/// per-phase, per-batch engine spans into `tracer` (see [`crate::obs`]).
+///
+/// `workers` and `batch_size` never change results; `staleness > 0` changes them
+/// deterministically (bit-identical across worker counts for a fixed bound), and
+/// `staleness = 0` is the synchronous executor. Tracing only observes — the estimate
+/// and every counted cost are bit-identical with it on or off.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidConfig`] when either configuration fails validation.
-pub fn run_frogwild_traced(
+pub fn run_frogwild(
     pg: &PartitionedGraph,
     config: &FrogWildConfig,
     execution: &ExecutionConfig,
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
-    execution.validate()?;
+    let engine_config = engine_config(
+        AlgorithmKnobs {
+            sync_policy: config.sync_policy(),
+            max_supersteps: config.iterations,
+            seed: config.seed,
+            parallel: config.parallel,
+            tolerance: config.tolerance,
+        },
+        execution,
+        tracer,
+    )?;
     let program = FrogWildProgram::new(config)?;
-    let engine_config = EngineConfig {
-        sync_policy: config.sync_policy(),
-        cost_model: CostModel::default(),
-        max_supersteps: config.iterations,
-        seed: config.seed,
-        parallel: config.parallel,
-        tolerance: execution.effective_tolerance(config.tolerance),
-        workers: execution.workers,
-        batch_size: execution.batch_size,
-        staleness: execution.staleness,
-        tracer: tracer.clone(),
-    };
     let cost_model = engine_config.cost_model;
     let engine = Engine::new(pg, program, engine_config)?;
 
@@ -222,117 +164,66 @@ pub fn run_frogwild_traced(
     // Estimator of Definition 5: the fraction of walkers that ended on each vertex.
     // (`live` is non-zero only if the engine stopped early; counting it keeps the
     // estimator a distribution in every case.)
-    let mut estimate: Vec<f64> = output
+    let estimate = output
         .states
         .iter()
         .map(|s| (s.stopped + s.live) as f64 / config.num_walkers as f64)
         .collect();
-    normalize(&mut estimate);
-
-    let cost = CostSummary::from_metrics(&output.metrics, &cost_model);
-    Ok(RunReport {
-        algorithm: format!(
+    Ok(RunReport::new(
+        format!(
             "FrogWild ps={} iters={} walkers={}",
             config.sync_probability, config.iterations, config.num_walkers
         ),
         estimate,
-        metrics: output.metrics,
-        cost,
-    })
+        output.metrics,
+        &cost_model,
+    ))
 }
 
-/// Runs the baseline PageRank on an already partitioned graph.
+/// Runs the baseline PageRank on an already partitioned graph under `execution`,
+/// recording engine spans into `tracer`.
 ///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when the configuration fails
-/// [`PageRankConfig::validate`].
-pub fn run_graphlab_pr_on(
-    pg: &PartitionedGraph,
-    config: &PageRankConfig,
-) -> Result<RunReport, Error> {
-    run_graphlab_pr_scheduled(pg, config, &Scheduling::default())
-}
-
-/// Runs the baseline PageRank with explicit worker-pool [`Scheduling`] knobs — a
-/// thin wrapper over [`run_graphlab_pr_with`] for callers that have not adopted
-/// [`ExecutionConfig`] yet. The scheduling knobs never change results.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when the configuration fails
-/// [`PageRankConfig::validate`].
-pub fn run_graphlab_pr_scheduled(
-    pg: &PartitionedGraph,
-    config: &PageRankConfig,
-    scheduling: &Scheduling,
-) -> Result<RunReport, Error> {
-    run_graphlab_pr_with(pg, config, &ExecutionConfig::from(*scheduling))
-}
-
-/// Runs the baseline PageRank under a unified [`ExecutionConfig`]. The configured
-/// [`PageRankConfig::tolerance`] becomes the executor's delta-gating threshold
-/// (GraphLab's dynamic scheduling) unless the execution config overrides it;
-/// `staleness > 0` delays activation signals deterministically, and `staleness = 0`
-/// reproduces [`run_graphlab_pr_on`] bit-for-bit.
+/// The configured [`PageRankConfig::tolerance`] becomes the executor's delta-gating
+/// threshold (GraphLab's dynamic scheduling) unless `execution` overrides it;
+/// `staleness > 0` delays activation signals deterministically. The worker-pool
+/// knobs and tracing never change the estimate or the counted costs.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidConfig`] when either configuration fails validation.
-pub fn run_graphlab_pr_with(
-    pg: &PartitionedGraph,
-    config: &PageRankConfig,
-    execution: &ExecutionConfig,
-) -> Result<RunReport, Error> {
-    run_graphlab_pr_traced(pg, config, execution, &Tracer::disabled())
-}
-
-/// [`run_graphlab_pr_with`] plus a tracing handle: the engine records per-phase,
-/// per-batch spans into `tracer` (see [`crate::obs`]). Tracing only observes — it
-/// never changes the estimate or the counted costs.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation.
-pub fn run_graphlab_pr_traced(
+pub fn run_graphlab_pr(
     pg: &PartitionedGraph,
     config: &PageRankConfig,
     execution: &ExecutionConfig,
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
-    execution.validate()?;
+    let engine_config = engine_config(
+        AlgorithmKnobs {
+            sync_policy: SyncPolicy::Full,
+            max_supersteps: config.max_iterations,
+            seed: config.seed,
+            parallel: config.parallel,
+            tolerance: config.tolerance,
+        },
+        execution,
+        tracer,
+    )?;
     let program = PageRankProgram::new(config)?;
-    let engine_config = EngineConfig {
-        sync_policy: SyncPolicy::Full,
-        cost_model: CostModel::default(),
-        max_supersteps: config.max_iterations,
-        seed: config.seed,
-        parallel: config.parallel,
-        tolerance: execution.effective_tolerance(config.tolerance),
-        workers: execution.workers,
-        batch_size: execution.batch_size,
-        staleness: execution.staleness,
-        tracer: tracer.clone(),
-    };
     let cost_model = engine_config.cost_model;
     let engine = Engine::new(pg, program, engine_config)?;
     let output = engine.run(InitialActivation::AllVertices);
 
-    let mut estimate: Vec<f64> = output.states.iter().map(|s| s.rank).collect();
-    normalize(&mut estimate);
-
-    let cost = CostSummary::from_metrics(&output.metrics, &cost_model);
     let label = if config.max_iterations >= 50 {
         "GraphLab PR exact".to_string()
     } else {
         format!("GraphLab PR {} iters", config.max_iterations)
     };
-    Ok(RunReport {
-        algorithm: label,
-        estimate,
-        metrics: output.metrics,
-        cost,
-    })
+    Ok(RunReport::new(
+        label,
+        output.states.iter().map(|s| s.rank).collect(),
+        output.metrics,
+        &cost_model,
+    ))
 }
 
 /// The Figure 5 baseline: uniformly sparsify the graph (keep each edge with probability
@@ -364,7 +255,12 @@ pub fn run_sparsified_pr(
         &mut rng,
     );
     let pg = partition_graph(&sparsified, cluster);
-    let mut report = run_graphlab_pr_on(&pg, config)?;
+    let mut report = run_graphlab_pr(
+        &pg,
+        config,
+        &ExecutionConfig::default(),
+        &Tracer::disabled(),
+    )?;
     report.algorithm = format!(
         "Sparsified PR q={} {} iters",
         keep_probability, config.max_iterations
@@ -391,13 +287,15 @@ mod tests {
 
     #[test]
     fn frogwild_estimate_is_a_distribution() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(300);
         let config = FrogWildConfig {
             num_walkers: 30_000,
             iterations: 4,
             ..FrogWildConfig::default()
         };
-        let report = run_frogwild_on(&partition_graph(&g, &small_cluster()), &config).unwrap();
+        let report =
+            run_frogwild(&partition_graph(&g, &small_cluster()), &config, &exec, &off).unwrap();
         let total: f64 = report.estimate.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert_eq!(report.cost.supersteps, 4);
@@ -407,18 +305,21 @@ mod tests {
 
     #[test]
     fn frogwild_finds_the_star_hub() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = star(500);
         let config = FrogWildConfig {
             num_walkers: 20_000,
             iterations: 4,
             ..FrogWildConfig::default()
         };
-        let report = run_frogwild_on(&partition_graph(&g, &small_cluster()), &config).unwrap();
+        let report =
+            run_frogwild(&partition_graph(&g, &small_cluster()), &config, &exec, &off).unwrap();
         assert_eq!(report.top_k(1), vec![0]);
     }
 
     #[test]
     fn frogwild_accuracy_against_exact_pagerank() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(500);
         let exact = exact_pagerank(&g, 0.15, 100, 1e-10);
         let config = FrogWildConfig {
@@ -426,13 +327,15 @@ mod tests {
             iterations: 5,
             ..FrogWildConfig::default()
         };
-        let report = run_frogwild_on(&partition_graph(&g, &small_cluster()), &config).unwrap();
+        let report =
+            run_frogwild(&partition_graph(&g, &small_cluster()), &config, &exec, &off).unwrap();
         let m = mass_captured(&report.estimate, &exact.scores, 30);
         assert!(m.normalized() > 0.85, "captured {}", m.normalized());
     }
 
     #[test]
     fn partial_sync_reduces_network_but_keeps_accuracy_reasonable() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(500);
         let exact = exact_pagerank(&g, 0.15, 100, 1e-10);
         let cluster = ClusterConfig::new(8, 3);
@@ -442,13 +345,15 @@ mod tests {
             iterations: 4,
             ..FrogWildConfig::default()
         };
-        let full = run_frogwild_on(&pg, &base).unwrap();
-        let partial = run_frogwild_on(
+        let full = run_frogwild(&pg, &base, &exec, &off).unwrap();
+        let partial = run_frogwild(
             &pg,
             &FrogWildConfig {
                 sync_probability: 0.2,
                 ..base
             },
+            &exec,
+            &off,
         )
         .unwrap();
         assert!(
@@ -464,11 +369,14 @@ mod tests {
 
     #[test]
     fn graphlab_pr_converges_to_exact_pagerank() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(300);
         let exact = exact_pagerank(&g, 0.15, 200, 1e-12);
-        let report = run_graphlab_pr_on(
+        let report = run_graphlab_pr(
             &partition_graph(&g, &small_cluster()),
             &PageRankConfig::exact(),
+            &exec,
+            &off,
         )
         .unwrap();
         let m = mass_captured(&report.estimate, &exact.scores, 30);
@@ -480,12 +388,13 @@ mod tests {
 
     #[test]
     fn truncated_pr_is_less_accurate_than_exact() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(400);
         let exact = exact_pagerank(&g, 0.15, 200, 1e-12);
         let cluster = small_cluster();
         let pg = partition_graph(&g, &cluster);
-        let one = run_graphlab_pr_on(&pg, &PageRankConfig::truncated(1)).unwrap();
-        let two = run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2)).unwrap();
+        let one = run_graphlab_pr(&pg, &PageRankConfig::truncated(1), &exec, &off).unwrap();
+        let two = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off).unwrap();
         let m1 = mass_captured(&one.estimate, &exact.scores, 30).normalized();
         let m2 = mass_captured(&two.estimate, &exact.scores, 30).normalized();
         assert!(
@@ -499,10 +408,11 @@ mod tests {
 
     #[test]
     fn frogwild_uses_less_network_than_exact_pr() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(600);
         let cluster = ClusterConfig::new(8, 5);
         let pg = partition_graph(&g, &cluster);
-        let fw = run_frogwild_on(
+        let fw = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 50_000,
@@ -510,15 +420,19 @@ mod tests {
                 sync_probability: 0.4,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
-        let pr = run_graphlab_pr_on(
+        let pr = run_graphlab_pr(
             &pg,
             &PageRankConfig {
                 max_iterations: 20,
                 tolerance: 1e-9,
                 ..PageRankConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         assert!(
@@ -528,10 +442,10 @@ mod tests {
             pr.cost.network_bytes
         );
         assert!(
-            fw.cost.simulated_total_seconds < pr.cost.simulated_total_seconds,
+            fw.cost.simulated_seconds < pr.cost.simulated_seconds,
             "FrogWild {}s vs PR {}s",
-            fw.cost.simulated_total_seconds,
-            pr.cost.simulated_total_seconds
+            fw.cost.simulated_seconds,
+            pr.cost.simulated_seconds
         );
     }
 
@@ -549,6 +463,7 @@ mod tests {
 
     #[test]
     fn binomial_scatter_variant_also_works() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(300);
         let exact = exact_pagerank(&g, 0.15, 100, 1e-10);
         let config = FrogWildConfig {
@@ -558,13 +473,15 @@ mod tests {
             sync_probability: 0.7,
             ..FrogWildConfig::default()
         };
-        let report = run_frogwild_on(&partition_graph(&g, &small_cluster()), &config).unwrap();
+        let report =
+            run_frogwild(&partition_graph(&g, &small_cluster()), &config, &exec, &off).unwrap();
         let m = mass_captured(&report.estimate, &exact.scores, 30);
         assert!(m.normalized() > 0.75, "captured {}", m.normalized());
     }
 
     #[test]
     fn parallel_execution_matches_serial() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(300);
         let cluster = small_cluster();
         let pg = partition_graph(&g, &cluster);
@@ -574,13 +491,15 @@ mod tests {
             sync_probability: 0.4,
             ..FrogWildConfig::default()
         };
-        let serial = run_frogwild_on(&pg, &base).unwrap();
-        let parallel = run_frogwild_on(
+        let serial = run_frogwild(&pg, &base, &exec, &off).unwrap();
+        let parallel = run_frogwild(
             &pg,
             &FrogWildConfig {
                 parallel: true,
                 ..base
             },
+            &exec,
+            &off,
         )
         .unwrap();
         assert_eq!(serial.estimate, parallel.estimate);
@@ -589,6 +508,7 @@ mod tests {
 
     #[test]
     fn scheduling_knobs_never_change_results() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(300);
         let pg = partition_graph(&g, &small_cluster());
         let base = FrogWildConfig {
@@ -598,51 +518,33 @@ mod tests {
             parallel: true,
             ..FrogWildConfig::default()
         };
-        let reference = run_frogwild_on(&pg, &base).unwrap();
-        for scheduling in [
-            Scheduling::with_workers(2),
-            Scheduling::with_workers(7),
-            Scheduling {
-                workers: 3,
-                batch_size: 17,
-            },
-            Scheduling {
-                workers: 0,
-                batch_size: 1,
-            },
+        let reference = run_frogwild(&pg, &base, &exec, &off).unwrap();
+        for execution in [
+            ExecutionConfig::new().workers(2),
+            ExecutionConfig::new().workers(7),
+            ExecutionConfig::new().workers(3).batch_size(17),
+            ExecutionConfig::new().batch_size(1),
         ] {
-            let run = run_frogwild_scheduled(&pg, &base, &scheduling).unwrap();
-            assert_eq!(reference.estimate, run.estimate, "{scheduling:?}");
-            assert_eq!(reference.cost.network_bytes, run.cost.network_bytes);
-            assert_eq!(reference.cost.routed_messages, run.cost.routed_messages);
+            let run = run_frogwild(&pg, &base, &execution, &off).unwrap();
+            assert!(
+                reference
+                    .estimate
+                    .iter()
+                    .zip(&run.estimate)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{execution:?}"
+            );
+            assert_eq!(reference.cost, run.cost, "{execution:?}");
+            // Synchronous execution reports no staleness at all.
+            assert_eq!(run.cost.staleness_lag, 0);
+            assert_eq!(run.cost.max_inbox_depth, 0);
+            assert_eq!(run.cost.barrier_wait_avoided_seconds, 0.0);
         }
     }
 
     #[test]
-    fn execution_config_at_staleness_zero_matches_the_scheduled_driver_bit_for_bit() {
-        let g = test_graph(300);
-        let pg = partition_graph(&g, &small_cluster());
-        let config = FrogWildConfig {
-            num_walkers: 20_000,
-            iterations: 4,
-            sync_probability: 0.7,
-            ..FrogWildConfig::default()
-        };
-        let scheduled = run_frogwild_scheduled(&pg, &config, &Scheduling::with_workers(2)).unwrap();
-        let unified = run_frogwild_with(&pg, &config, &ExecutionConfig::new().workers(2)).unwrap();
-        assert!(scheduled
-            .estimate
-            .iter()
-            .zip(&unified.estimate)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(scheduled.cost.network_bytes, unified.cost.network_bytes);
-        assert_eq!(unified.cost.staleness_lag, 0);
-        assert_eq!(unified.cost.max_inbox_depth, 0);
-        assert_eq!(unified.cost.barrier_wait_avoided_seconds, 0.0);
-    }
-
-    #[test]
     fn stale_frogwild_keeps_a_distribution_and_reports_staleness_metrics() {
+        let off = Tracer::disabled();
         let g = test_graph(400);
         let pg = partition_graph(&g, &ClusterConfig::new(8, 3));
         let config = FrogWildConfig {
@@ -652,13 +554,13 @@ mod tests {
             ..FrogWildConfig::default()
         };
         let exec = ExecutionConfig::new().staleness(2);
-        let stale = run_frogwild_with(&pg, &config, &exec).unwrap();
+        let stale = run_frogwild(&pg, &config, &exec, &off).unwrap();
         let total: f64 = stale.estimate.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "walkers lost: sum {total}");
         assert!(stale.cost.staleness_lag > 0);
         assert!(stale.cost.barrier_wait_avoided_seconds > 0.0);
         // Deterministic: the same configuration reproduces itself bit-for-bit.
-        let again = run_frogwild_with(&pg, &config, &exec).unwrap();
+        let again = run_frogwild(&pg, &config, &exec, &off).unwrap();
         assert!(stale
             .estimate
             .iter()
@@ -669,6 +571,7 @@ mod tests {
 
     #[test]
     fn execution_tolerance_override_gates_like_the_config_tolerance() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(500);
         let pg = partition_graph(&g, &ClusterConfig::new(8, 3));
         let base = FrogWildConfig {
@@ -676,16 +579,18 @@ mod tests {
             iterations: 6,
             ..FrogWildConfig::default()
         };
-        let via_config = run_frogwild_on(
+        let via_config = run_frogwild(
             &pg,
             &FrogWildConfig {
                 tolerance: 2.0,
                 ..base
             },
+            &exec,
+            &off,
         )
         .unwrap();
         let via_exec =
-            run_frogwild_with(&pg, &base, &ExecutionConfig::new().tolerance(2.0)).unwrap();
+            run_frogwild(&pg, &base, &ExecutionConfig::new().tolerance(2.0), &off).unwrap();
         assert!(via_config
             .estimate
             .iter()
@@ -696,11 +601,12 @@ mod tests {
             via_exec.cost.skipped_scatters
         );
         // An invalid override is rejected up front.
-        assert!(run_frogwild_with(&pg, &base, &ExecutionConfig::new().tolerance(-1.0)).is_err());
+        assert!(run_frogwild(&pg, &base, &ExecutionConfig::new().tolerance(-1.0), &off).is_err());
     }
 
     #[test]
     fn frogwild_tolerance_gates_scatter_work() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(500);
         let pg = partition_graph(&g, &ClusterConfig::new(8, 3));
         let base = FrogWildConfig {
@@ -708,13 +614,15 @@ mod tests {
             iterations: 6,
             ..FrogWildConfig::default()
         };
-        let ungated = run_frogwild_on(&pg, &base).unwrap();
-        let gated = run_frogwild_on(
+        let ungated = run_frogwild(&pg, &base, &exec, &off).unwrap();
+        let gated = run_frogwild(
             &pg,
             &FrogWildConfig {
                 tolerance: 2.0,
                 ..base
             },
+            &exec,
+            &off,
         )
         .unwrap();
         assert!(

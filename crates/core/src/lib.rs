@@ -43,7 +43,7 @@
 //! };
 //! let response = session.query(&Query::TopK { k: 20, config })?;
 //! assert_eq!(response.ranking.len(), 20);
-//! assert_eq!(response.cost.partition_seconds, 0.0); // amortized at build()
+//! assert!(response.cost.network_bytes > 0); // the simulated cluster's traffic
 //!
 //! // Compare the estimate against exact PageRank.
 //! let exact = exact_pagerank(&graph, 0.15, 100, 1e-12);
@@ -92,31 +92,17 @@
 //!   bit-identical responses. Entered via `Session::serve`.
 //! * [`driver`] — the low-level experiment drivers underneath the session; they return
 //!   a [`driver::RunReport`] with raw engine metrics for the benchmark harness.
+//! * [`cost`] — [`cost::QueryCost`], the one cost record drivers, responses and
+//!   session totals all report in.
 //! * [`report`] — tiny CSV/markdown writers for the figure harness.
 //! * [`obs`] — structured tracing (re-exported `frogwild_obs`): span guards with
 //!   static callsite metadata recorded into one deterministic timeline, exportable as
 //!   Chrome trace-event JSON or CSV. Wired through `SessionBuilder::tracing`; a
 //!   disabled tracer (the default) costs nothing.
 //!
-//! ## Migrating from the 0.1 free functions
-//!
-//! The 0.1-era one-shot functions (`run_frogwild`, `run_graphlab_pr`, `auto_topk`)
-//! partitioned the graph on every call and panicked on invalid configurations. They
-//! were deprecated in 0.2 and are now removed. Replace them with a session:
-//!
-//! ```text
-//! // before (removed):
-//! let report = run_frogwild(&graph, &ClusterConfig::new(8, 42), &config);
-//! // after:
-//! let mut session = Session::builder(&graph).machines(8).seed(42).build()?;
-//! let response = session.query(&Query::TopK { k, config })?;
-//! ```
-//!
-//! `run_graphlab_pr` maps to `Query::Pagerank`, `auto_topk` to `Query::AutotunedTopK`,
-//! and the `frogwild::ppr` helpers are served as `Query::Ppr`. For parameter sweeps
-//! that need raw [`driver::RunReport`] metrics, the fallible `driver::*_on` functions
-//! (over an explicit [`driver::partition_graph`] layout) remain the supported
-//! low-level layer.
+//! Parameter sweeps that need raw [`driver::RunReport`] metrics call
+//! [`driver::run_frogwild`] and [`driver::run_graphlab_pr`] directly, over an explicit
+//! [`driver::partition_graph`] layout — the same two functions the session runs on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -124,6 +110,7 @@
 pub mod autotune;
 pub mod confidence;
 pub mod config;
+pub mod cost;
 pub mod dist;
 pub mod driver;
 pub mod erasure;
@@ -151,11 +138,10 @@ pub use frogwild_obs as obs;
 pub mod prelude {
     pub use crate::autotune::{auto_topk_on, AutoTuneConfig, AutoTuneReport};
     pub use crate::confidence::{plan_walkers, wilson_interval, WalkerPlan};
-    pub use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig, Scheduling};
+    pub use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
+    pub use crate::cost::QueryCost;
     pub use crate::driver::{
-        partition_graph, run_frogwild_on, run_frogwild_scheduled, run_frogwild_traced,
-        run_frogwild_with, run_graphlab_pr_on, run_graphlab_pr_scheduled, run_graphlab_pr_traced,
-        run_graphlab_pr_with, run_sparsified_pr, RunReport,
+        partition_graph, run_frogwild, run_graphlab_pr, run_sparsified_pr, RunReport,
     };
     pub use crate::error::{Error, Result};
     pub use crate::metrics::{exact_identification, mass_captured, MassCaptured};
@@ -168,7 +154,7 @@ pub mod prelude {
         ServeHandle, ServeReport, WorkerStats,
     };
     pub use crate::session::{
-        serve_ppr, PprMethod, Query, QueryCost, Response, ResponseDetail, Session, SessionBuilder,
+        serve_ppr, PprMethod, Query, Response, ResponseDetail, Session, SessionBuilder,
         SessionStats,
     };
     pub use crate::theory::{intersection_probability_bound, theorem1_epsilon};
@@ -178,7 +164,7 @@ pub mod prelude {
     pub use frogwild_graph::{DiGraph, GraphBuilder, VertexId};
 }
 
-pub use config::{ExecutionConfig, FrogWildConfig, PageRankConfig, Scheduling};
+pub use config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
 pub use error::{Error, Result};
 pub use metrics::{exact_identification, mass_captured, MassCaptured};
 pub use reference::{exact_pagerank, serial_random_walk_pagerank, PageRankResult};

@@ -66,7 +66,7 @@ impl PageRankProgram {
 
 impl VertexProgram for PageRankProgram {
     type State = RankState;
-    /// Scheduling signal; carries no payload (GraphLab signals are empty messages).
+    /// Activation signal; carries no payload (GraphLab signals are empty messages).
     type Message = ();
     /// Partial sum of `rank / out_degree` over locally-owned in-edges.
     type Accum = f64;

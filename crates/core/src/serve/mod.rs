@@ -499,8 +499,8 @@ mod tests {
         }
         // Both sessions saw the same stream and accumulated the same totals.
         assert_eq!(
-            serial_session.stats().total_walk_hops,
-            pool_session.stats().total_walk_hops
+            serial_session.stats().totals.walk_hops,
+            pool_session.stats().totals.walk_hops
         );
         assert_eq!(pool_session.stats().queries_served, 8);
         assert_eq!(pool_session.stats().latency.count(), 8);

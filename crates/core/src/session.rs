@@ -8,8 +8,8 @@
 //! 1. build it once from a graph via [`Session::builder`] — partitioning (the expensive,
 //!    `O(|E|)` ingress step) happens a single time at [`SessionBuilder::build`];
 //! 2. issue any number of [`Query`] values through [`Session::query`]; every query
-//!    reuses the vertex-cut, so its [`QueryCost`] reports **zero** partitioning cost
-//!    and the session's (reused) replication factor;
+//!    reuses the vertex-cut, so its [`QueryCost`] holds no partitioning cost at all,
+//!    only the session's (reused) replication factor;
 //! 3. read the cumulative, amortized economics of the stream from
 //!    [`Session::stats`].
 //!
@@ -46,7 +46,8 @@
 //! };
 //! let response = session.query(&Query::TopK { k: 20, config })?;
 //! assert_eq!(response.ranking.len(), 20);
-//! assert_eq!(response.cost.partition_seconds, 0.0); // layout reused, not rebuilt
+//! // The layout was reused, not rebuilt: partitioning is the session's cost.
+//! assert_eq!(response.cost.replication_factor, session.replication_factor());
 //! # Ok::<(), frogwild::Error>(())
 //! ```
 
@@ -57,10 +58,9 @@ use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, TraceConfig, Tracer};
 
 use crate::autotune::{auto_topk_on, AutoTuneConfig};
-use crate::config::{
-    in_open_unit_interval, ExecutionConfig, FrogWildConfig, PageRankConfig, Scheduling,
-};
-use crate::driver::{run_frogwild_traced, run_graphlab_pr_traced, RunReport};
+use crate::config::{in_open_unit_interval, ExecutionConfig, FrogWildConfig, PageRankConfig};
+use crate::cost::QueryCost;
+use crate::driver::{run_frogwild, run_graphlab_pr, RunReport};
 use crate::error::{Error, Result};
 use crate::ppr::{
     forward_push_ppr, monte_carlo_ppr_counted, personalized_pagerank, single_source_restart,
@@ -121,23 +121,6 @@ impl<'g> SessionBuilder<'g> {
     /// [`ExecutionConfig`]); `staleness == 0` is the synchronous executor.
     pub fn execution(mut self, execution: ExecutionConfig) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Worker-pool [`Scheduling`] knobs every engine-served query runs under.
-    ///
-    /// Thin wrapper over [`execution`](SessionBuilder::execution): sets only the
-    /// `workers` and `batch_size` fields of the session's [`ExecutionConfig`],
-    /// leaving tolerance and staleness untouched.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `execution` with an `ExecutionConfig` instead"
-    )]
-    pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.execution = self
-            .execution
-            .workers(scheduling.workers)
-            .batch_size(scheduling.batch_size);
         self
     }
 
@@ -240,21 +223,11 @@ impl<'g> SessionBuilder<'g> {
                 replication_factor,
                 index_build_seconds,
                 index_served_queries: 0,
-                total_network_bytes: 0,
-                total_simulated_seconds: 0.0,
-                total_cpu_seconds: 0.0,
-                total_host_seconds: 0.0,
+                totals: QueryCost {
+                    replication_factor,
+                    ..QueryCost::default()
+                },
                 total_wall_seconds: 0.0,
-                total_push_ops: 0,
-                total_walk_hops: 0,
-                total_index_hits: 0,
-                total_index_misses: 0,
-                total_active_vertices: 0,
-                total_skipped_scatters: 0,
-                total_routed_messages: 0,
-                total_staleness_lag: 0,
-                max_inbox_depth: 0,
-                total_barrier_wait_avoided_seconds: 0.0,
                 latency: LatencyStats::default(),
             },
         })
@@ -401,180 +374,6 @@ impl Query {
     }
 }
 
-/// Cost of answering one query, with the partitioning economics made explicit.
-///
-/// `partition_seconds` is always `0.0` and `repartitioned` always `false` for session
-/// queries: the vertex-cut was paid for once at [`SessionBuilder::build`] and is reused
-/// — that is the amortization the session exists to provide. `replication_factor` is
-/// the session layout's (reused) factor.
-///
-/// The work-unit fields make the serving paths comparable: `push_ops` and `walk_hops`
-/// count the local-push and walk-sampling work of serial queries, and the `index_*`
-/// fields report the cached-segment economics when a [walk index](crate::walkindex)
-/// answered the query.
-///
-/// Equality ignores `host_seconds`: host time is wall-clock measurement noise, while
-/// every other field is a deterministic function of the query and the session seed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueryCost {
-    /// Seconds spent partitioning for this query — zero, the layout is reused.
-    pub partition_seconds: f64,
-    /// Whether this query rebuilt the vertex-cut — `false` for session queries.
-    pub repartitioned: bool,
-    /// Replication factor of the (reused) session layout.
-    pub replication_factor: f64,
-    /// Engine supersteps executed (zero for serial and index-served queries).
-    pub supersteps: usize,
-    /// Simulated bytes crossing machine boundaries.
-    pub network_bytes: u64,
-    /// Simulated cross-machine messages after combining.
-    pub network_messages: u64,
-    /// Simulated cluster wall-clock seconds.
-    pub simulated_seconds: f64,
-    /// Simulated CPU seconds summed over machines.
-    pub simulated_cpu_seconds: f64,
-    /// Forward-push operations performed (serial PPR and index-served queries).
-    pub push_ops: u64,
-    /// Walk hops covered, freshly sampled or stitched from the index.
-    pub walk_hops: u64,
-    /// Walk segments served straight from the session's walk index.
-    pub index_hits: u64,
-    /// Segment requests the index could not serve (fresh hops were resampled).
-    pub index_misses: u64,
-    /// Whether the session's walk index answered this query.
-    pub index_served: bool,
-    /// Frontier sizes summed over supersteps (engine-served queries only).
-    pub active_vertices: u64,
-    /// Scatters the executor's delta gate suppressed (engine-served queries only).
-    pub skipped_scatters: u64,
-    /// Post-combining message deliveries routed between scatter and the next gather,
-    /// including machine-local ones (engine-served queries only).
-    pub routed_messages: u64,
-    /// Summed delivery lag (in supersteps) of messages the bounded-staleness
-    /// executor deferred — zero for synchronous (`staleness == 0`) runs.
-    pub staleness_lag: u64,
-    /// Deepest staging inbox observed over the run's supersteps (messages staged
-    /// beyond the next superstep's drain point) — zero for synchronous runs.
-    pub max_inbox_depth: u64,
-    /// Simulated seconds of barrier wait the staleness window overlapped away,
-    /// relative to fully barriered supersteps — zero for synchronous runs.
-    pub barrier_wait_avoided_seconds: f64,
-    /// Real (host) seconds spent answering the query. Excluded from equality.
-    pub host_seconds: f64,
-}
-
-impl PartialEq for QueryCost {
-    fn eq(&self, other: &Self) -> bool {
-        self.partition_seconds == other.partition_seconds
-            && self.repartitioned == other.repartitioned
-            && self.replication_factor == other.replication_factor
-            && self.supersteps == other.supersteps
-            && self.network_bytes == other.network_bytes
-            && self.network_messages == other.network_messages
-            && self.simulated_seconds == other.simulated_seconds
-            && self.simulated_cpu_seconds == other.simulated_cpu_seconds
-            && self.push_ops == other.push_ops
-            && self.walk_hops == other.walk_hops
-            && self.index_hits == other.index_hits
-            && self.index_misses == other.index_misses
-            && self.index_served == other.index_served
-            && self.active_vertices == other.active_vertices
-            && self.skipped_scatters == other.skipped_scatters
-            && self.routed_messages == other.routed_messages
-            && self.staleness_lag == other.staleness_lag
-            && self.max_inbox_depth == other.max_inbox_depth
-            && self.barrier_wait_avoided_seconds == other.barrier_wait_avoided_seconds
-    }
-}
-
-impl QueryCost {
-    fn from_run(report: &RunReport, host_seconds: f64) -> Self {
-        QueryCost {
-            partition_seconds: 0.0,
-            repartitioned: false,
-            replication_factor: report.cost.replication_factor,
-            supersteps: report.cost.supersteps,
-            network_bytes: report.cost.network_bytes,
-            network_messages: report.cost.network_messages,
-            simulated_seconds: report.cost.simulated_total_seconds,
-            simulated_cpu_seconds: report.cost.simulated_cpu_seconds,
-            active_vertices: report.cost.active_vertices,
-            skipped_scatters: report.cost.skipped_scatters,
-            routed_messages: report.cost.routed_messages,
-            staleness_lag: report.cost.staleness_lag,
-            max_inbox_depth: report.cost.max_inbox_depth,
-            barrier_wait_avoided_seconds: report.cost.barrier_wait_avoided_seconds,
-            host_seconds,
-            ..QueryCost::default()
-        }
-    }
-
-    fn from_index_serve(
-        stats: &IndexServeStats,
-        replication_factor: f64,
-        started: Instant,
-    ) -> Self {
-        QueryCost {
-            replication_factor,
-            push_ops: stats.pushes as u64,
-            walk_hops: stats.walk_hops,
-            index_hits: stats.segment_hits,
-            index_misses: stats.segment_misses,
-            index_served: true,
-            host_seconds: started.elapsed().as_secs_f64(),
-            ..QueryCost::default()
-        }
-    }
-
-    /// Which path answered the query: `"index"`, `"engine"` or `"serial"`.
-    pub fn served_by(&self) -> &'static str {
-        if self.index_served {
-            "index"
-        } else if self.supersteps > 0 {
-            "engine"
-        } else {
-            "serial"
-        }
-    }
-}
-
-impl std::fmt::Display for QueryCost {
-    /// A compact per-query cost audit, mirroring the cumulative
-    /// [`SessionStats`] display at single-query granularity.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cost: {}-served, {:.3}ms host",
-            self.served_by(),
-            self.host_seconds * 1e3
-        )?;
-        writeln!(
-            f,
-            "  work: {} push ops, {} walk hops, {} index hits / {} misses",
-            self.push_ops, self.walk_hops, self.index_hits, self.index_misses
-        )?;
-        writeln!(
-            f,
-            "  engine: {} supersteps, {} active vertices, {} skipped scatters, \
-             {} routed messages",
-            self.supersteps, self.active_vertices, self.skipped_scatters, self.routed_messages
-        )?;
-        writeln!(
-            f,
-            "  async: {} staleness lag, inbox depth {}, {:.4}s barrier wait avoided",
-            self.staleness_lag, self.max_inbox_depth, self.barrier_wait_avoided_seconds
-        )?;
-        write!(
-            f,
-            "  network: {} bytes, {} messages; simulated {:.4}s wall, {:.4}s cpu",
-            self.network_bytes,
-            self.network_messages,
-            self.simulated_seconds,
-            self.simulated_cpu_seconds
-        )
-    }
-}
-
 /// Variant-specific details of a [`Response`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum ResponseDetail {
@@ -670,43 +469,18 @@ pub struct SessionStats {
     pub index_build_seconds: f64,
     /// Queries the walk index answered.
     pub index_served_queries: u64,
-    /// Total simulated network bytes over all queries.
-    pub total_network_bytes: u64,
-    /// Total simulated cluster seconds over all queries.
-    pub total_simulated_seconds: f64,
-    /// Total simulated CPU seconds over all queries.
-    pub total_cpu_seconds: f64,
-    /// Total host seconds spent answering queries, summed **per query** (excludes
-    /// partitioning). When queries complete concurrently this exceeds the real
-    /// elapsed time — that is service time, not wall time; see
+    /// Everything the served queries cost, summed with [`QueryCost::absorb`].
+    /// `totals.host_seconds` is summed **per query** (it excludes partitioning): when
+    /// queries complete concurrently it exceeds the real elapsed time — that is
+    /// service time, not wall time; see
     /// [`total_wall_seconds`](SessionStats::total_wall_seconds).
-    pub total_host_seconds: f64,
+    pub totals: QueryCost,
     /// Real elapsed wall-clock seconds spent inside [`Session::query`] and
     /// [`Session::serve`] streams. For serial queries this tracks
-    /// `total_host_seconds`; for concurrent streams it is the stream's elapsed
-    /// time, so `total_host_seconds / total_wall_seconds` is the pool's effective
+    /// `totals.host_seconds`; for concurrent streams it is the stream's elapsed
+    /// time, so `totals.host_seconds / total_wall_seconds` is the pool's effective
     /// concurrency.
     pub total_wall_seconds: f64,
-    /// Total forward-push operations over all queries.
-    pub total_push_ops: u64,
-    /// Total walk hops (fresh or stitched) over all queries.
-    pub total_walk_hops: u64,
-    /// Total walk segments served from the index.
-    pub total_index_hits: u64,
-    /// Total segment requests the index could not serve.
-    pub total_index_misses: u64,
-    /// Total frontier sizes summed over every engine superstep served.
-    pub total_active_vertices: u64,
-    /// Total scatters the executor's delta gate suppressed.
-    pub total_skipped_scatters: u64,
-    /// Total post-combining message deliveries routed by the engine.
-    pub total_routed_messages: u64,
-    /// Total summed delivery lag (supersteps) of staleness-deferred messages.
-    pub total_staleness_lag: u64,
-    /// Deepest staging inbox observed over every engine-served query.
-    pub max_inbox_depth: u64,
-    /// Total simulated barrier-wait seconds the staleness window overlapped away.
-    pub total_barrier_wait_avoided_seconds: f64,
     /// Per-query-kind latency histograms (service time) with p50/p95/p99, fed by
     /// every served query — serial or pooled.
     pub latency: LatencyStats,
@@ -737,7 +511,7 @@ impl SessionStats {
     /// and 0 before anything was served.
     pub fn effective_concurrency(&self) -> f64 {
         if self.total_wall_seconds > 0.0 {
-            self.total_host_seconds / self.total_wall_seconds
+            self.totals.host_seconds / self.total_wall_seconds
         } else {
             0.0
         }
@@ -746,20 +520,21 @@ impl SessionStats {
     /// Fraction of all segment requests served from the index (1.0 when no segment
     /// was ever requested).
     pub fn index_hit_rate(&self) -> f64 {
-        let total = self.total_index_hits + self.total_index_misses;
+        let total = self.totals.index_hits + self.totals.index_misses;
         if total == 0 {
             1.0
         } else {
-            self.total_index_hits as f64 / total as f64
+            self.totals.index_hits as f64 / total as f64
         }
     }
 }
 
 impl std::fmt::Display for SessionStats {
     /// A compact human-readable audit of the session's amortized economics, including
-    /// the executor's frontier counters (active vertices, delta-skipped scatters,
-    /// routed messages).
+    /// the executor's frontier counters (active vertices, skipped mirror syncs,
+    /// delta-skipped scatters, routed messages).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let t = &self.totals;
         writeln!(
             f,
             "session: {} queries served ({} index-served), {} rejected by admission control",
@@ -779,36 +554,35 @@ impl std::fmt::Display for SessionStats {
                 "  index: built in {:.3}s, hit rate {:.1}%, {} hits / {} misses",
                 self.index_build_seconds,
                 self.index_hit_rate() * 100.0,
-                self.total_index_hits,
-                self.total_index_misses
+                t.index_hits,
+                t.index_misses
             )?;
         }
         writeln!(
             f,
             "  engine: {} active vertices over all supersteps, \
+             {} mirror syncs skipped by partial sync, \
              {} scatters skipped by the delta gate, {} messages routed",
-            self.total_active_vertices, self.total_skipped_scatters, self.total_routed_messages
+            t.active_vertices, t.skipped_syncs, t.skipped_scatters, t.routed_messages
         )?;
-        if self.total_staleness_lag > 0 || self.total_barrier_wait_avoided_seconds > 0.0 {
+        if t.staleness_lag > 0 || t.barrier_wait_avoided_seconds > 0.0 {
             writeln!(
                 f,
                 "  async: {} staleness lag, max inbox depth {}, \
                  {:.4}s barrier wait avoided",
-                self.total_staleness_lag,
-                self.max_inbox_depth,
-                self.total_barrier_wait_avoided_seconds
+                t.staleness_lag, t.max_inbox_depth, t.barrier_wait_avoided_seconds
             )?;
         }
         writeln!(
             f,
             "  totals: {} network bytes, {:.4}s simulated, {:.4}s simulated CPU, \
              {:.4}s host, {} push ops, {} walk hops",
-            self.total_network_bytes,
-            self.total_simulated_seconds,
-            self.total_cpu_seconds,
-            self.total_host_seconds,
-            self.total_push_ops,
-            self.total_walk_hops
+            t.network_bytes,
+            t.simulated_seconds,
+            t.simulated_cpu_seconds,
+            t.host_seconds,
+            t.push_ops,
+            t.walk_hops
         )?;
         writeln!(
             f,
@@ -873,9 +647,9 @@ impl<'g> Session<'g> {
 
     /// Answers one query against the session's partitioned layout.
     ///
-    /// The layout is never rebuilt: the returned [`QueryCost`] always reports
-    /// `partition_seconds == 0.0` and `repartitioned == false`, and cumulative
-    /// [`stats`](Session::stats) are updated.
+    /// The layout is never rebuilt (`execute_at` only borrows it), so the returned
+    /// [`QueryCost`] holds no partitioning cost; cumulative [`stats`](Session::stats)
+    /// are updated.
     ///
     /// # Errors
     ///
@@ -943,14 +717,12 @@ impl<'g> Session<'g> {
                     self.indexed_response(algorithm, served, *k, ResponseDetail::TopK, started)
                 }
                 None => {
-                    let report =
-                        run_frogwild_traced(&self.pg, config, &self.execution, &self.tracer)?;
+                    let report = run_frogwild(&self.pg, config, &self.execution, &self.tracer)?;
                     self.engine_response(report, *k, ResponseDetail::TopK, started)
                 }
             },
             Query::Pagerank { k, config } => {
-                let report =
-                    run_graphlab_pr_traced(&self.pg, config, &self.execution, &self.tracer)?;
+                let report = run_graphlab_pr(&self.pg, config, &self.execution, &self.tracer)?;
                 self.engine_response(report, *k, ResponseDetail::Pagerank, started)
             }
             Query::Ppr {
@@ -960,7 +732,7 @@ impl<'g> Session<'g> {
                 method,
             } => self.ppr_response(seq, *source, *k, *teleport_probability, *method, started)?,
             Query::AutotunedTopK { config } => {
-                let report = auto_topk_on(&self.pg, config)?;
+                let report = auto_topk_on(&self.pg, config, &self.execution, &self.tracer)?;
                 let detail = ResponseDetail::AutotunedTopK {
                     estimated_topk_mass: report.estimated_topk_mass,
                     planned_walkers: report.planned_walkers,
@@ -969,57 +741,20 @@ impl<'g> Session<'g> {
                 };
                 // The response carries the final run's estimate, but the pilot's
                 // traffic is real cost of answering this query — fold it in.
-                let mut response = self.engine_response(report.run, config.k, detail, started);
-                let cost = &mut response.cost;
-                let pilot = &report.pilot.cost;
-                cost.network_bytes = cost.network_bytes.saturating_add(pilot.network_bytes);
-                cost.network_messages =
-                    cost.network_messages.saturating_add(pilot.network_messages);
-                cost.simulated_seconds += pilot.simulated_total_seconds;
-                cost.simulated_cpu_seconds += pilot.simulated_cpu_seconds;
-                cost.supersteps = cost.supersteps.saturating_add(pilot.supersteps);
-                cost.active_vertices = cost.active_vertices.saturating_add(pilot.active_vertices);
-                cost.skipped_scatters =
-                    cost.skipped_scatters.saturating_add(pilot.skipped_scatters);
-                cost.routed_messages = cost.routed_messages.saturating_add(pilot.routed_messages);
-                cost.staleness_lag = cost.staleness_lag.saturating_add(pilot.staleness_lag);
-                response.cost.max_inbox_depth = response
-                    .cost
-                    .max_inbox_depth
-                    .max(report.pilot.cost.max_inbox_depth);
-                response.cost.barrier_wait_avoided_seconds +=
-                    report.pilot.cost.barrier_wait_avoided_seconds;
-                response
+                let mut run = report.run;
+                run.cost.absorb(&report.pilot.cost);
+                self.engine_response(run, config.k, detail, started)
             }
         };
         Ok(response)
     }
 
     /// Folds one served response into the cumulative stats.
-    ///
-    /// All work-unit totals accumulate with saturating arithmetic: a long-lived
-    /// serving session must degrade to a pinned counter, never wrap around (or, in
-    /// debug builds, panic) mid-stream.
     pub(crate) fn record_response(&mut self, response: &Response) {
         let cost = &response.cost;
         let s = &mut self.stats;
         s.queries_served = s.queries_served.saturating_add(1);
-        s.total_network_bytes = s.total_network_bytes.saturating_add(cost.network_bytes);
-        s.total_simulated_seconds += cost.simulated_seconds;
-        s.total_cpu_seconds += cost.simulated_cpu_seconds;
-        s.total_host_seconds += cost.host_seconds;
-        s.total_push_ops = s.total_push_ops.saturating_add(cost.push_ops);
-        s.total_walk_hops = s.total_walk_hops.saturating_add(cost.walk_hops);
-        s.total_index_hits = s.total_index_hits.saturating_add(cost.index_hits);
-        s.total_index_misses = s.total_index_misses.saturating_add(cost.index_misses);
-        s.total_active_vertices = s.total_active_vertices.saturating_add(cost.active_vertices);
-        s.total_skipped_scatters = s
-            .total_skipped_scatters
-            .saturating_add(cost.skipped_scatters);
-        s.total_routed_messages = s.total_routed_messages.saturating_add(cost.routed_messages);
-        s.total_staleness_lag = s.total_staleness_lag.saturating_add(cost.staleness_lag);
-        s.max_inbox_depth = s.max_inbox_depth.max(cost.max_inbox_depth);
-        s.total_barrier_wait_avoided_seconds += cost.barrier_wait_avoided_seconds;
+        s.totals.absorb(cost);
         s.latency.record(response.kind(), cost.host_seconds);
         if cost.index_served {
             s.index_served_queries = s.index_served_queries.saturating_add(1);
@@ -1046,8 +781,11 @@ impl<'g> Session<'g> {
         detail: ResponseDetail,
         started: Instant,
     ) -> Response {
-        let cost =
-            QueryCost::from_index_serve(&served.stats, self.stats.replication_factor, started);
+        let cost = QueryCost::from_index_serve(
+            &served.stats,
+            self.stats.replication_factor,
+            started.elapsed().as_secs_f64(),
+        );
         let ranking = crate::topk::top_k(&served.estimate, k)
             .into_iter()
             // lint:allow(indexing, vertex ids come from top_k over this same estimate vector)
@@ -1069,7 +807,11 @@ impl<'g> Session<'g> {
         detail: ResponseDetail,
         started: Instant,
     ) -> Response {
-        let cost = QueryCost::from_run(&report, started.elapsed().as_secs_f64());
+        // The whole query's host time, not just the engine's share of it.
+        let cost = QueryCost {
+            host_seconds: started.elapsed().as_secs_f64(),
+            ..report.cost
+        };
         let ranking = report
             .top_k(k)
             .into_iter()
@@ -1174,18 +916,6 @@ impl<'g> Session<'g> {
     /// The [`ExecutionConfig`] engine-served queries run under.
     pub fn execution(&self) -> ExecutionConfig {
         self.execution
-    }
-
-    /// The worker-pool scheduling knobs engine-served queries run under.
-    ///
-    /// Thin wrapper over [`execution`](Session::execution), reporting only its
-    /// `workers` and `batch_size` fields.
-    #[deprecated(since = "0.6.0", note = "use `execution` instead")]
-    pub fn scheduling(&self) -> Scheduling {
-        Scheduling {
-            workers: self.execution.workers,
-            batch_size: self.execution.batch_size,
-        }
     }
 
     /// Name of the partitioner that produced the layout (e.g. `"oblivious"`).
@@ -1439,6 +1169,15 @@ mod tests {
         rmat(n, RmatParams::default(), &mut rng)
     }
 
+    fn autotune_config() -> AutoTuneConfig {
+        AutoTuneConfig {
+            k: 10,
+            pilot_walkers: 1_000,
+            max_walkers: 20_000,
+            ..AutoTuneConfig::default()
+        }
+    }
+
     fn fw_config() -> FrogWildConfig {
         FrogWildConfig {
             num_walkers: 20_000,
@@ -1509,28 +1248,19 @@ mod tests {
                 teleport_probability: 0.15,
                 method: PprMethod::ForwardPush { epsilon: 1e-5 },
             },
-            Query::AutotunedTopK {
-                config: AutoTuneConfig {
-                    k: 10,
-                    pilot_walkers: 1_000,
-                    max_walkers: 20_000,
-                    ..AutoTuneConfig::default()
-                },
-            },
+            Query::autotuned(autotune_config()),
         ];
         let mut bytes = 0u64;
         for q in &queries {
             let r = session.query(q).unwrap();
             assert_eq!(r.ranking.len(), 10);
             assert_eq!(r.estimate.len(), g.num_vertices());
-            assert_eq!(r.cost.partition_seconds, 0.0);
-            assert!(!r.cost.repartitioned);
             bytes += r.cost.network_bytes;
         }
         let stats = session.stats();
         assert_eq!(stats.queries_served, 4);
-        assert_eq!(stats.total_network_bytes, bytes);
-        assert!(stats.total_host_seconds > 0.0);
+        assert_eq!(stats.totals.network_bytes, bytes);
+        assert!(stats.totals.host_seconds > 0.0);
         assert!(stats.amortized_partition_seconds() <= stats.partition_seconds);
     }
 
@@ -1563,35 +1293,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_scheduling_wrapper_maps_onto_execution() {
-        let g = test_graph(300);
-        let q = Query::top_k_with(15, fw_config());
-        let scheduling = Scheduling {
-            workers: 3,
-            batch_size: 17,
-        };
-        let mut via_wrapper = Session::builder(&g)
-            .machines(4)
-            .seed(11)
-            .scheduling(scheduling)
-            .build()
-            .unwrap();
-        assert_eq!(via_wrapper.scheduling(), scheduling);
-        assert_eq!(via_wrapper.execution(), ExecutionConfig::from(scheduling));
-        let mut via_execution = Session::builder(&g)
-            .machines(4)
-            .seed(11)
-            .execution(ExecutionConfig::new().workers(3).batch_size(17))
-            .build()
-            .unwrap();
-        assert_eq!(
-            via_wrapper.query(&q).unwrap(),
-            via_execution.query(&q).unwrap()
-        );
-    }
-
-    #[test]
     fn stale_sessions_keep_serving_and_report_async_stats() {
         let g = test_graph(400);
         let q = Query::top_k_with(
@@ -1614,10 +1315,13 @@ mod tests {
         assert!(first.cost.staleness_lag > 0);
         assert!(first.cost.barrier_wait_avoided_seconds > 0.0);
         let stats = stale.stats();
-        assert_eq!(stats.total_staleness_lag, 2 * first.cost.staleness_lag);
-        assert_eq!(stats.max_inbox_depth, first.cost.max_inbox_depth);
-        assert!(stats.total_barrier_wait_avoided_seconds > 0.0);
+        assert_eq!(stats.totals.staleness_lag, 2 * first.cost.staleness_lag);
+        assert_eq!(stats.totals.max_inbox_depth, first.cost.max_inbox_depth);
+        assert!(stats.totals.barrier_wait_avoided_seconds > 0.0);
         assert!(stale.stats().to_string().contains("barrier wait avoided"));
+        // An autotuned query runs under the same execution config as a plain one.
+        let tuned = stale.query(&Query::autotuned(autotune_config())).unwrap();
+        assert!(tuned.cost.staleness_lag > 0);
         // An invalid execution config is rejected at build time.
         assert!(matches!(
             Session::builder(&g)
@@ -1631,24 +1335,78 @@ mod tests {
     }
 
     #[test]
+    fn autotuned_queries_run_under_the_session_execution_config_and_tracer() {
+        let g = test_graph(400);
+        let q = Query::autotuned(autotune_config());
+        let build = |tracing| {
+            Session::builder(&g)
+                .machines(8)
+                .seed(11)
+                .tracing(tracing)
+                .build()
+                .unwrap()
+        };
+        // Under the default execution config the answer is the drivers' own: the
+        // final run's estimate, costed as run + pilot.
+        let mut plain = build(TraceConfig::disabled());
+        let response = plain.query(&q).unwrap();
+        let direct = auto_topk_on(
+            plain.partitioned_graph(),
+            &autotune_config(),
+            &ExecutionConfig::default(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        let mut expected = direct.run.cost;
+        expected.absorb(&direct.pilot.cost);
+        assert_eq!(response.estimate, direct.run.estimate);
+        assert_eq!(response.cost, expected);
+        // On a traced session both engine runs land in the session's timeline, and
+        // tracing only observes.
+        let mut traced = build(TraceConfig::logical());
+        assert_eq!(traced.query(&q).unwrap(), response);
+        let timeline = traced.tracer().finish();
+        let supersteps = timeline
+            .entries()
+            .iter()
+            .filter(|e| e.name == "superstep")
+            .count();
+        assert_eq!(supersteps, response.cost.supersteps);
+    }
+
+    #[test]
     fn stats_display_surfaces_the_engine_frontier_counters() {
         let g = test_graph(300);
         let mut session = Session::builder(&g).machines(4).seed(3).build().unwrap();
-        session
-            .query(&Query::TopK {
-                k: 10,
-                config: fw_config(),
-            })
-            .unwrap();
+        // Partial synchronization is what skips mirror syncs: none at p_s = 1.
+        let at = |sync_probability| {
+            Query::top_k_with(
+                10,
+                FrogWildConfig {
+                    sync_probability,
+                    ..fw_config()
+                },
+            )
+        };
+        let full = session.query(&at(1.0)).unwrap();
+        assert_eq!(full.cost.skipped_syncs, 0);
+        let partial = session.query(&at(0.1)).unwrap();
+        assert!(partial.cost.skipped_syncs > 0);
+        assert!(partial.cost.to_string().contains("skipped syncs"));
         let stats = session.stats();
-        assert!(stats.total_active_vertices > 0);
-        assert!(stats.total_routed_messages > 0);
+        assert_eq!(stats.totals.skipped_syncs, partial.cost.skipped_syncs);
+        assert!(stats.totals.active_vertices > 0);
+        assert!(stats.totals.routed_messages > 0);
         let rendered = stats.to_string();
-        assert!(rendered.contains("1 queries served"));
+        assert!(rendered.contains("2 queries served"));
         assert!(rendered.contains("active vertices"));
+        assert!(rendered.contains(&format!(
+            "{} mirror syncs skipped by partial sync",
+            stats.totals.skipped_syncs
+        )));
         assert!(rendered.contains("scatters skipped by the delta gate"));
         assert!(rendered.contains("messages routed"));
-        assert!(rendered.contains(&format!("{} messages", stats.total_routed_messages)));
+        assert!(rendered.contains(&format!("{} messages", stats.totals.routed_messages)));
     }
 
     #[test]
@@ -1827,7 +1585,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.queries_served, 3);
         assert_eq!(stats.index_served_queries, 2);
-        assert!(stats.total_index_hits > 0);
+        assert!(stats.totals.index_hits > 0);
         assert!(stats.amortized_index_build_seconds() < stats.index_build_seconds);
         assert!(stats.index_hit_rate() > 0.0);
     }

@@ -25,7 +25,7 @@
 //! The subsystem plugs into the query service via
 //! [`SessionBuilder::walk_index`](crate::session::SessionBuilder::walk_index):
 //! `Query::Ppr` and `Query::TopK` are then served from the index transparently, and
-//! [`QueryCost`](crate::session::QueryCost) / [`SessionStats`](crate::session::SessionStats)
+//! [`QueryCost`](crate::cost::QueryCost) / [`SessionStats`](crate::session::SessionStats)
 //! report segment hits/misses and the amortized build cost.
 //!
 //! ```

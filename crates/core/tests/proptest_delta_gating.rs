@@ -39,8 +39,9 @@ proptest! {
             parallel,
             ..PageRankConfig::default()
         };
-        let a = run_graphlab_pr_on(&pg, &config).unwrap();
-        let b = run_graphlab_pr_scheduled(&pg, &config, &Scheduling::with_workers(3)).unwrap();
+        let off = Tracer::disabled();
+        let a = run_graphlab_pr(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        let b = run_graphlab_pr(&pg, &config, &ExecutionConfig::new().workers(3), &off).unwrap();
         // Bit-for-bit: same f64 bit patterns, same deterministic counters.
         prop_assert_eq!(&a.estimate, &b.estimate);
         prop_assert!(a.estimate.iter().zip(&b.estimate).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -69,11 +70,13 @@ proptest! {
             tolerance: 0.0,
             ..FrogWildConfig::default()
         };
-        let a = run_frogwild_on(&pg, &config).unwrap();
-        let b = run_frogwild_scheduled(
+        let off = Tracer::disabled();
+        let a = run_frogwild(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        let b = run_frogwild(
             &pg,
             &FrogWildConfig { parallel: true, ..config },
-            &Scheduling { workers: 2, batch_size: 19 },
+            &ExecutionConfig::new().workers(2).batch_size(19),
+            &off,
         )
         .unwrap();
         prop_assert!(a.estimate.iter().zip(&b.estimate).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -98,8 +101,10 @@ proptest! {
             teleport_probability: teleport,
             ..PageRankConfig::default()
         };
-        let ungated = run_graphlab_pr_on(&pg, &PageRankConfig { tolerance: 0.0, ..base }).unwrap();
-        let gated = run_graphlab_pr_on(&pg, &PageRankConfig { tolerance, ..base }).unwrap();
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
+        let ungated =
+            run_graphlab_pr(&pg, &PageRankConfig { tolerance: 0.0, ..base }, &exec, &off).unwrap();
+        let gated = run_graphlab_pr(&pg, &PageRankConfig { tolerance, ..base }, &exec, &off).unwrap();
 
         // Both normalized distributions.
         prop_assert!((gated.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -136,11 +141,12 @@ proptest! {
             seed: walker_seed,
             ..FrogWildConfig::default()
         };
-        let gated = run_frogwild_on(&pg, &FrogWildConfig { tolerance, ..base }).unwrap();
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
+        let gated = run_frogwild(&pg, &FrogWildConfig { tolerance, ..base }, &exec, &off).unwrap();
         // Parked walkers still count toward the estimator: the estimate remains a
         // distribution over the full vertex set, and the run is reproducible.
         prop_assert!((gated.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let again = run_frogwild_on(&pg, &FrogWildConfig { tolerance, ..base }).unwrap();
+        let again = run_frogwild(&pg, &FrogWildConfig { tolerance, ..base }, &exec, &off).unwrap();
         prop_assert!(gated.estimate.iter().zip(&again.estimate).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

@@ -106,12 +106,12 @@ proptest! {
         }
         // Both sessions accumulated the same deterministic counters.
         prop_assert_eq!(
-            serial_session.stats().total_walk_hops,
-            pool_session.stats().total_walk_hops
+            serial_session.stats().totals.walk_hops,
+            pool_session.stats().totals.walk_hops
         );
         prop_assert_eq!(
-            serial_session.stats().total_push_ops,
-            pool_session.stats().total_push_ops
+            serial_session.stats().totals.push_ops,
+            pool_session.stats().totals.push_ops
         );
     }
 

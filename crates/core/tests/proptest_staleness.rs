@@ -43,11 +43,13 @@ proptest! {
             seed: walker_seed,
             ..FrogWildConfig::default()
         };
-        let sync = run_frogwild_on(&pg, &config).unwrap();
-        let unified = run_frogwild_with(
+        let off = Tracer::disabled();
+        let sync = run_frogwild(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        let unified = run_frogwild(
             &pg,
             &config,
             &ExecutionConfig::new().workers(workers).staleness(0),
+            &off,
         )
         .unwrap();
         prop_assert!(sync.estimate.iter().zip(&unified.estimate)
@@ -55,8 +57,8 @@ proptest! {
         prop_assert_eq!(sync.cost.network_bytes, unified.cost.network_bytes);
         prop_assert_eq!(sync.cost.routed_messages, unified.cost.routed_messages);
         prop_assert_eq!(sync.cost.active_vertices, unified.cost.active_vertices);
-        prop_assert_eq!(sync.cost.simulated_total_seconds.to_bits(),
-            unified.cost.simulated_total_seconds.to_bits());
+        prop_assert_eq!(sync.cost.simulated_seconds.to_bits(),
+            unified.cost.simulated_seconds.to_bits());
         // The synchronous path reports no staleness telemetry.
         prop_assert_eq!(unified.cost.staleness_lag, 0);
         prop_assert_eq!(unified.cost.max_inbox_depth, 0);
@@ -78,11 +80,13 @@ proptest! {
             teleport_probability: teleport,
             ..PageRankConfig::default()
         };
-        let sync = run_graphlab_pr_on(&pg, &config).unwrap();
-        let unified = run_graphlab_pr_with(
+        let off = Tracer::disabled();
+        let sync = run_graphlab_pr(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        let unified = run_graphlab_pr(
             &pg,
             &config,
             &ExecutionConfig::new().workers(workers).staleness(0),
+            &off,
         )
         .unwrap();
         prop_assert!(sync.estimate.iter().zip(&unified.estimate)
@@ -101,6 +105,7 @@ proptest! {
         staleness in 1usize..4,
         walker_seed in any::<u64>(),
     ) {
+        let off = Tracer::disabled();
         let graph = graph_of(vertices, graph_seed);
         let pg = partition_graph(&graph, &ClusterConfig::new(machines, 3));
         let config = FrogWildConfig {
@@ -111,10 +116,11 @@ proptest! {
             parallel: true,
             ..FrogWildConfig::default()
         };
-        let serial = run_frogwild_with(
+        let serial = run_frogwild(
             &pg,
             &FrogWildConfig { parallel: false, ..config },
             &ExecutionConfig::new().staleness(staleness),
+            &off,
         )
         .unwrap();
         // The walker count stays conserved under any staleness window.
@@ -123,7 +129,7 @@ proptest! {
             ExecutionConfig::new().workers(2).staleness(staleness),
             ExecutionConfig::new().workers(5).batch_size(17).staleness(staleness),
         ] {
-            let pooled = run_frogwild_with(&pg, &config, &execution).unwrap();
+            let pooled = run_frogwild(&pg, &config, &execution, &off).unwrap();
             prop_assert!(serial.estimate.iter().zip(&pooled.estimate)
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
             prop_assert_eq!(serial.cost.network_bytes, pooled.cost.network_bytes);
@@ -155,22 +161,14 @@ proptest! {
             tolerance,
             ..PageRankConfig::default()
         };
-        let sync = run_graphlab_pr_on(&pg, &config).unwrap();
-        let stale = run_graphlab_pr_with(
-            &pg,
-            &config,
-            &ExecutionConfig::new().staleness(staleness),
-        )
-        .unwrap();
+        let off = Tracer::disabled();
+        let stale_exec = ExecutionConfig::new().staleness(staleness);
+        let sync = run_graphlab_pr(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        let stale = run_graphlab_pr(&pg, &config, &stale_exec, &off).unwrap();
 
         // Still a normalized distribution, and reproducible.
         prop_assert!((stale.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let again = run_graphlab_pr_with(
-            &pg,
-            &config,
-            &ExecutionConfig::new().staleness(staleness),
-        )
-        .unwrap();
+        let again = run_graphlab_pr(&pg, &config, &stale_exec, &off).unwrap();
         prop_assert!(stale.estimate.iter().zip(&again.estimate)
             .all(|(x, y)| x.to_bits() == y.to_bits()));
 

@@ -315,15 +315,6 @@ impl RunMetrics {
         self.supersteps.iter().map(|s| s.host_seconds).sum()
     }
 
-    /// Mean simulated seconds per superstep ("time per iteration" in Figure 1a).
-    pub fn seconds_per_superstep(&self) -> f64 {
-        if self.supersteps.is_empty() {
-            0.0
-        } else {
-            self.total_simulated_seconds() / self.supersteps.len() as f64
-        }
-    }
-
     /// Number of supersteps executed.
     pub fn num_supersteps(&self) -> usize {
         self.supersteps.len()
@@ -577,7 +568,6 @@ mod tests {
         assert_eq!(run.max_inbox_depth(), 5);
         assert!((run.total_barrier_wait_avoided_seconds() - 1.5).abs() < 1e-12);
         assert!(run.total_simulated_seconds() > 0.0);
-        assert!(run.seconds_per_superstep() > 0.0);
         assert!(run.total_cpu_seconds(&model) > 0.0);
     }
 
@@ -585,7 +575,6 @@ mod tests {
     fn empty_run_metrics() {
         let run = RunMetrics::default();
         assert_eq!(run.total_bytes(), 0);
-        assert_eq!(run.seconds_per_superstep(), 0.0);
         assert_eq!(run.work_imbalance(), 1.0);
         assert_eq!(run.total_staleness_lag(), 0);
         assert_eq!(run.max_inbox_depth(), 0);

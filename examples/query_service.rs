@@ -5,8 +5,8 @@
 //! FrogWild: a synthetic Twitter-shaped follower graph is partitioned **once** at
 //! session build, and the session then answers a mixed stream of global top-k and
 //! personalized-PageRank queries. At the end it replays the same engine queries the
-//! *one-shot* way — re-partitioning per call, what the deprecated `run_frogwild` free
-//! function did — and prints the measured amortization win.
+//! *one-shot* way — re-partitioning before every call — and prints the measured
+//! amortization win.
 //!
 //! Run with:
 //!
@@ -142,9 +142,9 @@ fn main() -> Result<()> {
     println!(
         "\nsession totals: {} queries, {} net bytes, {:.4}s simulated, {:.4}s host",
         stats.queries_served,
-        stats.total_network_bytes,
-        stats.total_simulated_seconds,
-        stats.total_host_seconds,
+        stats.totals.network_bytes,
+        stats.totals.simulated_seconds,
+        stats.totals.host_seconds,
     );
     println!(
         "partitioning paid once: {:.4}s, amortized {:.4}s/query",
@@ -155,6 +155,7 @@ fn main() -> Result<()> {
     // ------------------------------------------------------------ one-shot baseline
     // Replay the engine-backed queries the pre-session way: partition per call.
     let cluster = ClusterConfig::new(16, 9);
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let baseline_started = Instant::now();
     let mut baseline_partition_seconds = 0.0;
     for (_, query) in &stream {
@@ -162,7 +163,7 @@ fn main() -> Result<()> {
             let partition_started = Instant::now();
             let pg = partition_graph(&graph, &cluster); // re-partition, every time
             baseline_partition_seconds += partition_started.elapsed().as_secs_f64();
-            let _ = run_frogwild_on(&pg, config)?;
+            let _ = run_frogwild(&pg, config, &exec, &off)?;
         }
     }
     let baseline_seconds = baseline_started.elapsed().as_secs_f64();

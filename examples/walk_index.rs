@@ -132,13 +132,13 @@ fn main() -> Result<()> {
         report.segment_length,
         report.arena_bytes as f64 / (1024.0 * 1024.0),
         100.0 * stats.index_hit_rate(),
-        stats.total_index_hits + stats.total_index_misses,
+        stats.totals.index_hits + stats.totals.index_misses,
     );
     println!(
         "  work: fresh sampled {} hops; indexed covered {} hops with only {} sampled fresh",
-        fresh.stats().total_walk_hops,
-        stats.total_walk_hops,
-        stats.total_index_misses,
+        fresh.stats().totals.walk_hops,
+        stats.totals.walk_hops,
+        stats.totals.index_misses,
     );
 
     assert!(

@@ -51,6 +51,7 @@ fn twitter_layout() -> frogwild_engine::PartitionedGraph {
 
 #[test]
 fn staleness_zero_reproduces_the_synchronous_golden_fingerprints() {
+    let off = Tracer::disabled();
     let pg = twitter_layout();
     for execution in [
         ExecutionConfig::default(),
@@ -60,13 +61,14 @@ fn staleness_zero_reproduces_the_synchronous_golden_fingerprints() {
             .batch_size(33)
             .staleness(0),
     ] {
-        let report = run_frogwild_with(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 parallel: execution.workers != 0,
                 ..frogwild_base()
             },
             &execution,
+            &off,
         )
         .unwrap();
         assert_eq!(
@@ -84,6 +86,7 @@ fn staleness_zero_reproduces_the_synchronous_golden_fingerprints() {
 
 #[test]
 fn fixed_staleness_is_deterministic_across_worker_counts() {
+    let off = Tracer::disabled();
     let pg = twitter_layout();
     let config = FrogWildConfig {
         iterations: 6,
@@ -91,23 +94,25 @@ fn fixed_staleness_is_deterministic_across_worker_counts() {
         ..frogwild_base()
     };
     for staleness in [1usize, 2, 4] {
-        let serial = run_frogwild_with(
+        let serial = run_frogwild(
             &pg,
             &FrogWildConfig {
                 parallel: false,
                 ..config
             },
             &ExecutionConfig::new().staleness(staleness),
+            &off,
         )
         .unwrap();
         // Walkers are conserved: delayed messages are delivered late, never dropped.
         assert!((serial.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(serial.cost.staleness_lag > 0, "s={staleness}");
         for workers in [2usize, 5, 8] {
-            let pooled = run_frogwild_with(
+            let pooled = run_frogwild(
                 &pg,
                 &config,
                 &ExecutionConfig::new().workers(workers).staleness(staleness),
+                &off,
             )
             .unwrap();
             assert_eq!(
@@ -128,6 +133,7 @@ fn fixed_staleness_is_deterministic_across_worker_counts() {
 
 #[test]
 fn staleness_cuts_simulated_wall_time_at_matched_topk_accuracy() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // ~100k-edge power-law graph (102,410 edges).
     let mut rng = SmallRng::seed_from_u64(42);
     let graph = twitter_like(3_000, &mut rng);
@@ -140,20 +146,25 @@ fn staleness_cuts_simulated_wall_time_at_matched_topk_accuracy() {
         ..FrogWildConfig::default()
     };
 
-    let sync = run_frogwild_with(&pg, &config, &ExecutionConfig::default()).unwrap();
+    let sync = run_frogwild(&pg, &config, &exec, &off).unwrap();
     let exact = exact_pagerank(&graph, 0.15, 200, 1e-13);
     let k = 20;
     let sync_mass = mass_captured(&sync.estimate, &exact.scores, k).normalized();
 
     for staleness in [1usize, 2] {
-        let stale =
-            run_frogwild_with(&pg, &config, &ExecutionConfig::new().staleness(staleness)).unwrap();
+        let stale = run_frogwild(
+            &pg,
+            &config,
+            &ExecutionConfig::new().staleness(staleness),
+            &off,
+        )
+        .unwrap();
         // Measurably less simulated barrier wall-time...
         assert!(
-            stale.cost.simulated_total_seconds < sync.cost.simulated_total_seconds,
+            stale.cost.simulated_seconds < sync.cost.simulated_seconds,
             "s={staleness}: {} vs sync {}",
-            stale.cost.simulated_total_seconds,
-            sync.cost.simulated_total_seconds
+            stale.cost.simulated_seconds,
+            sync.cost.simulated_seconds
         );
         assert!(
             stale.cost.barrier_wait_avoided_seconds > 0.0,
@@ -196,7 +207,7 @@ fn stale_sessions_surface_the_async_telemetry() {
     assert!(response.cost.staleness_lag > 0);
     assert!(response.cost.barrier_wait_avoided_seconds > 0.0);
     let stats = session.stats();
-    assert_eq!(stats.total_staleness_lag, response.cost.staleness_lag);
-    assert!(stats.total_barrier_wait_avoided_seconds > 0.0);
+    assert_eq!(stats.totals.staleness_lag, response.cost.staleness_lag);
+    assert!(stats.totals.barrier_wait_avoided_seconds > 0.0);
     assert!(stats.to_string().contains("barrier wait avoided"));
 }

@@ -53,10 +53,10 @@ fn sparsified_pagerank_accuracy_is_comparable_but_cost_is_higher_than_frogwild()
         assert!(mass > 0.75, "sparsified q={q} accuracy {mass}");
         // …but higher per-iteration time, CPU and network than FrogWild.
         assert!(
-            baseline.cost.simulated_seconds_per_iteration
+            baseline.cost.seconds_per_iteration()
                 > fw.cost.simulated_seconds / fw.cost.supersteps.max(1) as f64,
             "q={q}: sparsified {}s/iter vs FrogWild {}s/iter",
-            baseline.cost.simulated_seconds_per_iteration,
+            baseline.cost.seconds_per_iteration(),
             fw.cost.simulated_seconds / fw.cost.supersteps.max(1) as f64
         );
         assert!(
@@ -76,14 +76,17 @@ fn sparsified_pagerank_accuracy_is_comparable_but_cost_is_higher_than_frogwild()
 
 #[test]
 fn sparsification_reduces_pagerank_cost_but_not_below_frogwild() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Sanity on the baseline itself: lower q means fewer edges and less per-iteration
     // work than the full-graph PR.
     let graph = test_graph(2_000, 3);
     let cluster = ClusterConfig::new(12, 4);
 
-    let full = frogwild::driver::run_graphlab_pr_on(
+    let full = run_graphlab_pr(
         &frogwild::driver::partition_graph(&graph, &cluster),
         &PageRankConfig::truncated(2),
+        &exec,
+        &off,
     )
     .unwrap();
     let sparsified =
@@ -117,22 +120,25 @@ fn paper_sweep_configs_are_usable_end_to_end() {
 
 #[test]
 fn exact_pagerank_baseline_dominates_accuracy_but_not_cost() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(1_500, 7);
     let truth = exact_pagerank(&graph, 0.15, 200, 1e-12);
     let cluster = ClusterConfig::new(12, 8);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
-    let exact = frogwild::driver::run_graphlab_pr_on(
+    let exact = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: 40,
             tolerance: 1e-10,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let one = frogwild::driver::run_graphlab_pr_on(&pg, &PageRankConfig::truncated(1)).unwrap();
-    let fw = frogwild::driver::run_frogwild_on(
+    let one = run_graphlab_pr(&pg, &PageRankConfig::truncated(1), &exec, &off).unwrap();
+    let fw = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 100_000,
@@ -140,6 +146,8 @@ fn exact_pagerank_baseline_dominates_accuracy_but_not_cost() {
             sync_probability: 0.7,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
 
@@ -160,5 +168,5 @@ fn exact_pagerank_baseline_dominates_accuracy_but_not_cost() {
     // Cost ordering: exact costs the most by far.
     assert!(exact.cost.network_bytes > fw.cost.network_bytes);
     assert!(exact.cost.network_bytes > one.cost.network_bytes);
-    assert!(exact.cost.simulated_total_seconds > fw.cost.simulated_total_seconds);
+    assert!(exact.cost.simulated_seconds > fw.cost.simulated_seconds);
 }

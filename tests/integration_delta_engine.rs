@@ -14,7 +14,6 @@
 //! power-law graph, gated PageRank does less than half the superstep work (scatter
 //! ops + routed messages) of the ungated run at matched top-20 accuracy.
 
-use frogwild::driver::RunReport;
 use frogwild::prelude::*;
 use frogwild_graph::generators::{livejournal_like, twitter_like};
 use rand::rngs::SmallRng;
@@ -59,9 +58,10 @@ fn twitter_layout() -> frogwild_engine::PartitionedGraph {
 
 #[test]
 fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let pg = twitter_layout();
 
-    let ps07 = run_frogwild_on(&pg, &frogwild_base()).unwrap();
+    let ps07 = run_frogwild(&pg, &frogwild_base(), &exec, &off).unwrap();
     assert_eq!(fingerprint(&ps07.estimate), 0xc498_2688_7c36_ed28);
     assert_eq!(ps07.cost.network_bytes, 1_192_472);
     assert_eq!(ps07.cost.network_messages, 49_012);
@@ -69,12 +69,14 @@ fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
     assert_eq!(ps07.metrics.total_scatter_ops(), 374_192);
     assert_eq!(ps07.cost.supersteps, 4);
 
-    let ps10 = run_frogwild_on(
+    let ps10 = run_frogwild(
         &pg,
         &FrogWildConfig {
             sync_probability: 1.0,
             ..frogwild_base()
         },
+        &exec,
+        &off,
     )
     .unwrap();
     assert_eq!(fingerprint(&ps10.estimate), 0x0ae2_b17a_bc8e_9a4d);
@@ -85,28 +87,23 @@ fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
 
 #[test]
 fn worker_pool_scheduling_reproduces_the_golden_fingerprints() {
+    let off = Tracer::disabled();
     let pg = twitter_layout();
     let parallel = FrogWildConfig {
         parallel: true,
         ..frogwild_base()
     };
-    for scheduling in [
-        Scheduling::default(),
-        Scheduling::with_workers(2),
-        Scheduling {
-            workers: 3,
-            batch_size: 33,
-        },
-        Scheduling {
-            workers: 8,
-            batch_size: 1,
-        },
+    for execution in [
+        ExecutionConfig::default(),
+        ExecutionConfig::new().workers(2),
+        ExecutionConfig::new().workers(3).batch_size(33),
+        ExecutionConfig::new().workers(8).batch_size(1),
     ] {
-        let report = run_frogwild_scheduled(&pg, &parallel, &scheduling).unwrap();
+        let report = run_frogwild(&pg, &parallel, &execution, &off).unwrap();
         assert_eq!(
             fingerprint(&report.estimate),
             0xc498_2688_7c36_ed28,
-            "{scheduling:?}"
+            "{execution:?}"
         );
         assert_eq!(report.cost.network_bytes, 1_192_472);
         assert_eq!(report.cost.network_messages, 49_012);
@@ -115,19 +112,22 @@ fn worker_pool_scheduling_reproduces_the_golden_fingerprints() {
 
 #[test]
 fn pagerank_golden_pins_hold_under_executor_gating() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let mut rng = SmallRng::seed_from_u64(7);
     let graph = livejournal_like(3_000, &mut rng);
     let pg = partition_graph(&graph, &ClusterConfig::new(8, 11));
 
     // Positive tolerance: the executor's `delta <= tolerance` gate must make exactly
     // the decisions the old program-level `needs_scatter` made with the same 1e-3.
-    let gated = run_graphlab_pr_on(
+    let gated = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: 25,
             tolerance: 1e-3,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
     assert_eq!(fingerprint(&gated.estimate), 0x361f_a0c0_da1e_e8ba);
@@ -139,7 +139,7 @@ fn pagerank_golden_pins_hold_under_executor_gating() {
     assert!(gated.cost.skipped_scatters > 0);
 
     // Zero tolerance (the truncated preset): no gating at all.
-    let truncated = run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2)).unwrap();
+    let truncated = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off).unwrap();
     assert_eq!(fingerprint(&truncated.estimate), 0x8575_973d_04cf_b9c2);
     assert_eq!(truncated.cost.network_bytes, 477_916);
     assert_eq!(truncated.cost.network_messages, 27_367);
@@ -149,6 +149,7 @@ fn pagerank_golden_pins_hold_under_executor_gating() {
 
 #[test]
 fn delta_gating_halves_superstep_work_at_matched_topk_accuracy() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // ~100k-edge power-law graph (102,410 edges).
     let mut rng = SmallRng::seed_from_u64(42);
     let graph = twitter_like(3_000, &mut rng);
@@ -156,22 +157,26 @@ fn delta_gating_halves_superstep_work_at_matched_topk_accuracy() {
     let pg = partition_graph(&graph, &ClusterConfig::new(16, 9));
 
     let iterations = 30;
-    let ungated = run_graphlab_pr_on(
+    let ungated = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: iterations,
             tolerance: 0.0,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let gated = run_graphlab_pr_on(
+    let gated = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: iterations,
             tolerance: 1e-3,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
 

@@ -23,6 +23,7 @@ fn workload(n: usize, seed: u64) -> Workload {
 
 #[test]
 fn figure1_shape_frogwild_dominates_cost_across_cluster_sizes() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Fig 1(a)-(d): at every cluster size, FrogWild beats exact PR on per-iteration
     // time, total time, network and CPU; lowering ps reduces per-iteration time.
     let w = workload(1_500, 1);
@@ -30,7 +31,7 @@ fn figure1_shape_frogwild_dominates_cost_across_cluster_sizes() {
         let cluster = ClusterConfig::new(machines, 2);
         let pg = frogwild::driver::partition_graph(&w.graph, &cluster);
 
-        let fw_full = frogwild::driver::run_frogwild_on(
+        let fw_full = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 40_000,
@@ -38,9 +39,11 @@ fn figure1_shape_frogwild_dominates_cost_across_cluster_sizes() {
                 sync_probability: 1.0,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
-        let fw_low = frogwild::driver::run_frogwild_on(
+        let fw_low = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 40_000,
@@ -48,29 +51,31 @@ fn figure1_shape_frogwild_dominates_cost_across_cluster_sizes() {
                 sync_probability: 0.1,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
-        let pr_exact = frogwild::driver::run_graphlab_pr_on(
+        let pr_exact = run_graphlab_pr(
             &pg,
             &PageRankConfig {
                 max_iterations: 30,
                 tolerance: 1e-9,
                 ..PageRankConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
 
         assert!(
-            fw_full.cost.simulated_seconds_per_iteration
-                < pr_exact.cost.simulated_seconds_per_iteration,
+            fw_full.cost.seconds_per_iteration() < pr_exact.cost.seconds_per_iteration(),
             "machines={machines}"
         );
         assert!(
-            fw_low.cost.simulated_seconds_per_iteration
-                <= fw_full.cost.simulated_seconds_per_iteration,
+            fw_low.cost.seconds_per_iteration() <= fw_full.cost.seconds_per_iteration(),
             "machines={machines}: ps=0.1 should not be slower per iteration"
         );
-        assert!(fw_full.cost.simulated_total_seconds < pr_exact.cost.simulated_total_seconds);
+        assert!(fw_full.cost.simulated_seconds < pr_exact.cost.simulated_seconds);
         assert!(fw_full.cost.network_bytes < pr_exact.cost.network_bytes);
         assert!(fw_full.cost.simulated_cpu_seconds < pr_exact.cost.simulated_cpu_seconds);
     }
@@ -78,13 +83,14 @@ fn figure1_shape_frogwild_dominates_cost_across_cluster_sizes() {
 
 #[test]
 fn figure2_shape_accuracy_ordering_across_k() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Fig 2: for every k, FrogWild at ps >= 0.7 beats 1-iteration PR; exact PR (the
     // reference itself) is an upper bound by construction.
     let w = workload(2_000, 3);
     let cluster = ClusterConfig::new(16, 4);
     let pg = frogwild::driver::partition_graph(&w.graph, &cluster);
 
-    let fw = frogwild::driver::run_frogwild_on(
+    let fw = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 200_000,
@@ -92,10 +98,12 @@ fn figure2_shape_accuracy_ordering_across_k() {
             sync_probability: 0.7,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let pr1 = frogwild::driver::run_graphlab_pr_on(&pg, &PageRankConfig::truncated(1)).unwrap();
-    let pr2 = frogwild::driver::run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2)).unwrap();
+    let pr1 = run_graphlab_pr(&pg, &PageRankConfig::truncated(1), &exec, &off).unwrap();
+    let pr2 = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off).unwrap();
 
     for k in [30usize, 100, 300] {
         let fw_mass = mass_captured(&fw.estimate, &w.truth, k).normalized();
@@ -117,6 +125,7 @@ fn figure2_shape_accuracy_ordering_across_k() {
 
 #[test]
 fn figure3_shape_accuracy_cost_tradeoff() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Fig 3/4: within the FrogWild family, spending more network (higher ps) buys more
     // accuracy; exact PR sits at the high-cost high-accuracy corner.
     let w = workload(1_500, 5);
@@ -126,7 +135,7 @@ fn figure3_shape_accuracy_cost_tradeoff() {
 
     let mut points: Vec<(f64, u64)> = Vec::new(); // (accuracy, bytes) for increasing ps
     for ps in [0.1, 0.4, 1.0] {
-        let report = frogwild::driver::run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 150_000,
@@ -134,6 +143,8 @@ fn figure3_shape_accuracy_cost_tradeoff() {
                 sync_probability: ps,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         points.push((
@@ -146,13 +157,15 @@ fn figure3_shape_accuracy_cost_tradeoff() {
     // accuracy does not get worse (up to small noise) as ps rises
     assert!(points[2].0 >= points[0].0 - 0.03);
 
-    let pr_exact = frogwild::driver::run_graphlab_pr_on(
+    let pr_exact = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: 30,
             tolerance: 1e-9,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
     let exact_mass = mass_captured(&pr_exact.estimate, &w.truth, k).normalized();
@@ -162,6 +175,7 @@ fn figure3_shape_accuracy_cost_tradeoff() {
 
 #[test]
 fn figure6_shape_livejournal_walker_and_iteration_sweeps() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Fig 6: on the LiveJournal-shaped graph, accuracy improves (weakly) with more
     // walkers and more iterations, while total time grows with both.
     let mut rng = SmallRng::seed_from_u64(7);
@@ -172,7 +186,7 @@ fn figure6_shape_livejournal_walker_and_iteration_sweeps() {
     let k = 100;
 
     let run = |walkers: u64, iterations: usize| {
-        let r = frogwild::driver::run_frogwild_on(
+        let r = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: walkers,
@@ -180,11 +194,13 @@ fn figure6_shape_livejournal_walker_and_iteration_sweeps() {
                 sync_probability: 0.7,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         (
             mass_captured(&r.estimate, &truth, k).normalized(),
-            r.cost.simulated_total_seconds,
+            r.cost.simulated_seconds,
         )
     };
 
@@ -204,13 +220,14 @@ fn figure6_shape_livejournal_walker_and_iteration_sweeps() {
 
 #[test]
 fn figure8_shape_network_grows_linearly_with_walkers() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let mut rng = SmallRng::seed_from_u64(9);
     let graph = frogwild_graph::generators::livejournal_like(3_000, &mut rng);
     let cluster = ClusterConfig::new(20, 10);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
     let bytes = |walkers: u64| {
-        frogwild::driver::run_frogwild_on(
+        run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: walkers,
@@ -218,6 +235,8 @@ fn figure8_shape_network_grows_linearly_with_walkers() {
                 sync_probability: 1.0,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap()
         .cost

@@ -45,6 +45,7 @@ fn frogwild_captures_most_topk_mass_at_full_sync() {
 
 #[test]
 fn accuracy_degrades_gracefully_as_ps_decreases() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 2(a): accuracy at ps = 0.4 is still high, at ps = 0.1 still reasonable,
     // and accuracy is (weakly) monotone in ps up to Monte-Carlo noise.
     let graph = twitter_like_graph(2_000, 3);
@@ -54,7 +55,7 @@ fn accuracy_degrades_gracefully_as_ps_decreases() {
     let k = 100;
 
     let run = |ps: f64| {
-        let report = frogwild::driver::run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 200_000,
@@ -62,6 +63,8 @@ fn accuracy_degrades_gracefully_as_ps_decreases() {
                 sync_probability: ps,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         mass_captured(&report.estimate, &truth.scores, k).normalized()
@@ -85,6 +88,7 @@ fn accuracy_degrades_gracefully_as_ps_decreases() {
 
 #[test]
 fn more_walkers_and_more_iterations_improve_accuracy() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 6(a)/(b): accuracy grows with the number of walkers and with the number of
     // iterations (up to noise).
     let graph = twitter_like_graph(1_500, 5);
@@ -94,7 +98,7 @@ fn more_walkers_and_more_iterations_improve_accuracy() {
     let k = 100;
 
     let run = |walkers: u64, iterations: usize| {
-        let report = frogwild::driver::run_frogwild_on(
+        let report = run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: walkers,
@@ -102,6 +106,8 @@ fn more_walkers_and_more_iterations_improve_accuracy() {
                 sync_probability: 0.7,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap();
         mass_captured(&report.estimate, &truth.scores, k).normalized()
@@ -167,6 +173,7 @@ fn measured_loss_stays_within_theorem1_envelope() {
 
 #[test]
 fn frogwild_matches_or_beats_one_iteration_pagerank_on_accuracy() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 2: FrogWild with ps >= 0.7 outperforms 1-iteration GraphLab PR on the real
     // Twitter graph. On the R-MAT stand-in the 1-iteration baseline is artificially
     // strong (PageRank is heavily in-degree-correlated — see EXPERIMENTS.md), so the
@@ -176,7 +183,7 @@ fn frogwild_matches_or_beats_one_iteration_pagerank_on_accuracy() {
     let cluster = ClusterConfig::new(16, 10);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
-    let fw = frogwild::driver::run_frogwild_on(
+    let fw = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 200_000,
@@ -184,9 +191,11 @@ fn frogwild_matches_or_beats_one_iteration_pagerank_on_accuracy() {
             sync_probability: 0.7,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let pr1 = frogwild::driver::run_graphlab_pr_on(&pg, &PageRankConfig::truncated(1)).unwrap();
+    let pr1 = run_graphlab_pr(&pg, &PageRankConfig::truncated(1), &exec, &off).unwrap();
 
     let k = 100;
     let fw_mass = mass_captured(&fw.estimate, &truth.scores, k).normalized();

@@ -12,13 +12,14 @@ fn test_graph(n: usize, seed: u64) -> DiGraph {
 
 #[test]
 fn frogwild_network_traffic_scales_down_with_ps() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 1(c) / 3(b): lowering ps lowers bytes sent, roughly proportionally.
     let graph = test_graph(2_000, 1);
     let cluster = ClusterConfig::new(16, 2);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
     let bytes = |ps: f64| {
-        frogwild::driver::run_frogwild_on(
+        run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 100_000,
@@ -26,6 +27,8 @@ fn frogwild_network_traffic_scales_down_with_ps() {
                 sync_probability: ps,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap()
         .cost
@@ -49,12 +52,13 @@ fn frogwild_network_traffic_scales_down_with_ps() {
 
 #[test]
 fn frogwild_uses_far_less_network_and_time_than_exact_pagerank() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 1: exact PR sends orders of magnitude more bytes and takes much longer.
     let graph = test_graph(2_000, 3);
     let cluster = ClusterConfig::new(16, 4);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
-    let fw = frogwild::driver::run_frogwild_on(
+    let fw = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 50_000,
@@ -62,30 +66,33 @@ fn frogwild_uses_far_less_network_and_time_than_exact_pagerank() {
             sync_probability: 0.4,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let pr_exact = frogwild::driver::run_graphlab_pr_on(
+    let pr_exact = run_graphlab_pr(
         &pg,
         &PageRankConfig {
             max_iterations: 30,
             tolerance: 1e-9,
             ..PageRankConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let pr_two = frogwild::driver::run_graphlab_pr_on(&pg, &PageRankConfig::truncated(2)).unwrap();
+    let pr_two = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off).unwrap();
 
     assert!(fw.cost.network_bytes * 5 < pr_exact.cost.network_bytes);
     assert!(fw.cost.network_bytes < pr_two.cost.network_bytes);
-    assert!(fw.cost.simulated_total_seconds < pr_exact.cost.simulated_total_seconds);
+    assert!(fw.cost.simulated_seconds < pr_exact.cost.simulated_seconds);
     assert!(fw.cost.simulated_cpu_seconds < pr_exact.cost.simulated_cpu_seconds);
-    assert!(
-        fw.cost.simulated_seconds_per_iteration < pr_exact.cost.simulated_seconds_per_iteration
-    );
+    assert!(fw.cost.seconds_per_iteration() < pr_exact.cost.seconds_per_iteration());
 }
 
 #[test]
 fn network_traffic_scales_with_number_of_walkers() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 8: bytes sent grow roughly linearly in the number of initial walkers when
     // walkers are sparse on the graph.
     let graph = test_graph(3_000, 5);
@@ -93,7 +100,7 @@ fn network_traffic_scales_with_number_of_walkers() {
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
 
     let bytes = |walkers: u64| {
-        frogwild::driver::run_frogwild_on(
+        run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: walkers,
@@ -101,6 +108,8 @@ fn network_traffic_scales_with_number_of_walkers() {
                 sync_probability: 1.0,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap()
         .cost
@@ -118,15 +127,18 @@ fn network_traffic_scales_with_number_of_walkers() {
 
 #[test]
 fn per_machine_network_is_reported_and_consistent() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(1_500, 7);
     let cluster = ClusterConfig::new(12, 8);
-    let report = frogwild::driver::run_frogwild_on(
+    let report = run_frogwild(
         &frogwild::driver::partition_graph(&graph, &cluster),
         &FrogWildConfig {
             num_walkers: 50_000,
             iterations: 4,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
     let per_machine_total: u64 = report
@@ -167,16 +179,17 @@ fn single_machine_cluster_sends_nothing() {
         })
         .unwrap();
     assert_eq!(pr.cost.network_bytes, 0);
-    assert_eq!(session.stats().total_network_bytes, 0);
+    assert_eq!(session.stats().totals.network_bytes, 0);
 }
 
 #[test]
 fn skipped_synchronizations_grow_as_ps_drops() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(1_500, 11);
     let cluster = ClusterConfig::new(16, 12);
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
     let skipped = |ps: f64| {
-        frogwild::driver::run_frogwild_on(
+        run_frogwild(
             &pg,
             &FrogWildConfig {
                 num_walkers: 50_000,
@@ -184,6 +197,8 @@ fn skipped_synchronizations_grow_as_ps_drops() {
                 sync_probability: ps,
                 ..FrogWildConfig::default()
             },
+            &exec,
+            &off,
         )
         .unwrap()
         .cost

@@ -48,6 +48,7 @@ fn every_partitioner_produces_a_valid_partitioned_graph() {
 
 #[test]
 fn pagerank_result_is_independent_of_the_partitioner() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // The data layout must never change the numbers the engine computes — only the
     // traffic needed to compute them. Exact PageRank is deterministic, so the estimates
     // across partitioners must agree to floating-point noise.
@@ -61,7 +62,7 @@ fn pagerank_result_is_independent_of_the_partitioner() {
     let mut estimates = Vec::new();
     for (name, partitioner) in all_partitioners() {
         let pg = PartitionedGraph::build(&graph, 12, partitioner.as_ref(), 9);
-        let report = frogwild::driver::run_graphlab_pr_on(&pg, &config).unwrap();
+        let report = run_graphlab_pr(&pg, &config, &exec, &off).unwrap();
         let mass = mass_captured(&report.estimate, &truth.scores, 50).normalized();
         assert!(mass > 0.99, "{name}: mass {mass}");
         estimates.push((name, report.estimate));
@@ -78,6 +79,7 @@ fn pagerank_result_is_independent_of_the_partitioner() {
 
 #[test]
 fn frogwild_accuracy_holds_across_partitioners_and_costs_track_replication() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(2_000, 13);
     let truth = exact_pagerank(&graph, 0.15, 200, 1e-12);
     let k = 50;
@@ -91,7 +93,7 @@ fn frogwild_accuracy_holds_across_partitioners_and_costs_track_replication() {
     let mut by_name = Vec::new();
     for (name, partitioner) in all_partitioners() {
         let pg = PartitionedGraph::build(&graph, 16, partitioner.as_ref(), 21);
-        let report = frogwild::driver::run_frogwild_on(&pg, &config).unwrap();
+        let report = run_frogwild(&pg, &config, &exec, &off).unwrap();
         let mass = mass_captured(&report.estimate, &truth.scores, k).normalized();
         // High-replication layouts (random, hybrid sources) lose more accuracy under
         // partial synchronization because the even-split scatter divides walkers across
@@ -129,6 +131,7 @@ fn frogwild_accuracy_holds_across_partitioners_and_costs_track_replication() {
 
 #[test]
 fn partial_sync_saves_traffic_under_every_partitioner() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(1_500, 17);
     for (name, partitioner) in all_partitioners() {
         let pg = PartitionedGraph::build(&graph, 12, partitioner.as_ref(), 31);
@@ -137,13 +140,15 @@ fn partial_sync_saves_traffic_under_every_partitioner() {
             iterations: 4,
             ..FrogWildConfig::default()
         };
-        let full = frogwild::driver::run_frogwild_on(&pg, &base).unwrap();
-        let partial = frogwild::driver::run_frogwild_on(
+        let full = run_frogwild(&pg, &base, &exec, &off).unwrap();
+        let partial = run_frogwild(
             &pg,
             &FrogWildConfig {
                 sync_probability: 0.1,
                 ..base
             },
+            &exec,
+            &off,
         )
         .unwrap();
         assert!(

@@ -150,6 +150,7 @@ fn planned_walker_budget_achieves_the_planned_accuracy() {
 
 #[test]
 fn rank_metrics_track_the_papers_metrics_on_engine_output() {
+    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // On a real engine run, the order-sensitive metrics must tell the same qualitative
     // story as the paper's metrics: more walkers ⇒ no worse on every metric.
     let graph = test_graph(1_500, 53);
@@ -158,22 +159,26 @@ fn rank_metrics_track_the_papers_metrics_on_engine_output() {
     let pg = frogwild::driver::partition_graph(&graph, &cluster);
     let k = 50;
 
-    let small = frogwild::driver::run_frogwild_on(
+    let small = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 2_000,
             iterations: 4,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
-    let large = frogwild::driver::run_frogwild_on(
+    let large = run_frogwild(
         &pg,
         &FrogWildConfig {
             num_walkers: 200_000,
             iterations: 4,
             ..FrogWildConfig::default()
         },
+        &exec,
+        &off,
     )
     .unwrap();
 

@@ -105,12 +105,12 @@ fn every_worker_count_is_bit_identical_to_the_serial_path() {
         }
         // The two sessions also agree on every deterministic cumulative counter.
         assert_eq!(
-            serial_session.stats().total_walk_hops,
-            session.stats().total_walk_hops
+            serial_session.stats().totals.walk_hops,
+            session.stats().totals.walk_hops
         );
         assert_eq!(
-            serial_session.stats().total_push_ops,
-            session.stats().total_push_ops
+            serial_session.stats().totals.push_ops,
+            session.stats().totals.push_ops
         );
     }
 }
@@ -217,7 +217,7 @@ fn latency_and_wall_telemetry_flow_into_session_stats() {
     // Host time (per-query sum) and wall time (elapsed) are recorded separately;
     // under concurrency they legitimately differ.
     let stats = session.stats();
-    assert!(stats.total_host_seconds > 0.0);
+    assert!(stats.totals.host_seconds > 0.0);
     assert!(stats.total_wall_seconds > 0.0);
     assert!(stats.effective_concurrency() > 0.0);
     assert_eq!(stats.latency.count(), 12);

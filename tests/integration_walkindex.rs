@@ -119,13 +119,13 @@ fn index_served_stream_is_5x_faster_at_matched_accuracy() {
     // independent of machine load.
     let stats = indexed.stats();
     assert!(
-        stats.total_index_misses * 10 <= fresh.stats().total_walk_hops,
+        stats.totals.index_misses * 10 <= fresh.stats().totals.walk_hops,
         "indexed sampling work {} should be well under a tenth of fresh {}",
-        stats.total_index_misses,
-        fresh.stats().total_walk_hops
+        stats.totals.index_misses,
+        fresh.stats().totals.walk_hops
     );
     assert!(stats.index_served_queries >= QUERIES as u64);
-    assert!(stats.total_index_hits > 0);
+    assert!(stats.totals.index_hits > 0);
     assert!(stats.index_build_seconds > 0.0);
     assert!(stats.amortized_index_build_seconds() <= stats.index_build_seconds / 10.0);
     for response in &indexed_responses {
