@@ -44,7 +44,9 @@ pub struct FrogWildConfig {
     pub binomial_scatter: bool,
     /// Seed for walker placement and all engine randomness.
     pub seed: u64,
-    /// Serve the engine's work batches from a multi-threaded worker pool.
+    /// Serve the engine's work batches from a worker pool of
+    /// [`ExecutionConfig::workers`] threads instead of the calling thread. Results are
+    /// bit-identical either way.
     pub parallel: bool,
     /// Delta-gating threshold: a vertex whose live-walker count after apply is at or
     /// below this value skips synchronization and scatter and drops out of the
@@ -150,8 +152,9 @@ impl FrogWildConfig {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
-    /// Worker threads serving phase work batches when parallel execution is on
-    /// (`0` = derive from the host's available parallelism).
+    /// Worker threads serving phase work batches when the algorithm config's
+    /// `parallel` flag is on (`0` = derive from the host's available parallelism);
+    /// without that flag the engine runs on the calling thread.
     pub workers: usize,
     /// Tasks per work batch — one contiguous key range of one simulated machine's
     /// task list (`0` = built-in default).
@@ -237,7 +240,9 @@ pub struct PageRankConfig {
     /// Seed for engine randomness (partitioning-related only; PageRank itself is
     /// deterministic).
     pub seed: u64,
-    /// Run the per-machine engine phases on one thread per simulated machine.
+    /// Serve the engine's work batches from a worker pool of
+    /// [`ExecutionConfig::workers`] threads (independent of the simulated machine
+    /// count) instead of the calling thread. Results are bit-identical either way.
     pub parallel: bool,
 }
 
@@ -292,10 +297,13 @@ impl PageRankConfig {
                 ),
             ));
         }
-        if self.tolerance < 0.0 {
+        if !self.tolerance.is_finite() || self.tolerance < 0.0 {
             return Err(Error::config(
                 "PageRankConfig",
-                "tolerance must be non-negative",
+                format!(
+                    "tolerance must be finite and non-negative, got {}",
+                    self.tolerance
+                ),
             ));
         }
         Ok(())
@@ -405,8 +413,10 @@ mod tests {
         c.max_iterations = 0;
         assert!(c.validate().is_err());
         c.max_iterations = 5;
-        c.tolerance = -1.0;
-        assert!(c.validate().is_err());
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            c.tolerance = bad;
+            assert!(c.validate().is_err(), "tolerance {bad} accepted");
+        }
         c.tolerance = 0.0;
         c.teleport_probability = 1.5;
         assert!(c.validate().is_err());

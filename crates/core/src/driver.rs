@@ -102,9 +102,10 @@ fn engine_config(
         cost_model: CostModel::default(),
         max_supersteps: knobs.max_supersteps,
         seed: knobs.seed,
-        parallel: knobs.parallel,
         tolerance: execution.effective_tolerance(knobs.tolerance),
-        workers: execution.workers,
+        // The algorithm's `parallel` flag turns the pool on; `execution.workers`
+        // sizes it (`0` = from the host).
+        workers: if knobs.parallel { execution.workers } else { 1 },
         batch_size: execution.batch_size,
         staleness: execution.staleness,
         tracer: tracer.clone(),

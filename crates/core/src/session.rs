@@ -1465,20 +1465,32 @@ mod tests {
                 ..
             })
         ));
-        let bad_pr = PageRankConfig {
-            max_iterations: 0,
-            ..PageRankConfig::default()
-        };
-        assert!(matches!(
-            session.query(&Query::Pagerank {
-                k: 5,
-                config: bad_pr
-            }),
-            Err(Error::InvalidConfig {
-                context: "PageRankConfig",
-                ..
-            })
-        ));
+        let bad_prs = [
+            PageRankConfig {
+                max_iterations: 0,
+                ..PageRankConfig::default()
+            },
+            PageRankConfig {
+                tolerance: f64::NAN,
+                ..PageRankConfig::default()
+            },
+            PageRankConfig {
+                tolerance: f64::INFINITY,
+                ..PageRankConfig::default()
+            },
+        ];
+        for bad_pr in bad_prs {
+            assert!(matches!(
+                session.query(&Query::Pagerank {
+                    k: 5,
+                    config: bad_pr
+                }),
+                Err(Error::InvalidConfig {
+                    context: "PageRankConfig",
+                    ..
+                })
+            ));
+        }
         assert!(matches!(
             session.query(&Query::Ppr {
                 source: 0,

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use frogwild_engine::{generate_walk_segments_traced, ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{generate_walk_segments, ObliviousPartitioner, PartitionedGraph};
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::Tracer;
 
@@ -64,7 +64,7 @@ pub fn build_walk_index(
 
 /// [`build_walk_index`] with a tracing handle: each machine's segment generation is
 /// recorded as a `walk_segments` span with vertex/hop counters (see
-/// [`generate_walk_segments_traced`]). The built index is identical to the untraced
+/// [`generate_walk_segments`]). The built index is identical to the untraced
 /// build — the tracer only observes.
 ///
 /// # Errors
@@ -93,8 +93,7 @@ pub fn build_walk_index_traced(
     let l = config.segment_length;
 
     let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
-    let batches =
-        generate_walk_segments_traced(graph, pg, r, l, config.seed, config.parallel, tracer);
+    let batches = generate_walk_segments(graph, pg, r, l, config.seed, config.parallel, tracer);
 
     // Flatten the per-machine batches into vertex-major CSR form. First pass: collect
     // every segment length into global (vertex, segment) order and prefix-sum it into

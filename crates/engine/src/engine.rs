@@ -7,6 +7,14 @@
 //! is accounted in [`RunMetrics`]; the partial-synchronization policy decides which
 //! mirrors receive fresh state and may therefore participate in scatter.
 //!
+//! A vertex is addressed one way. Its *mail* — the combined incoming message and the
+//! combined gather accumulator — lives in two per-run arrays indexed by global vertex
+//! id (a vertex has one master, so nothing else is needed to address it), allocated
+//! once, occupied only where the frontier says and emptied by apply. Its *state* lives
+//! in per-machine replica caches, and the slot of every replica comes from the table
+//! [`VertexPlacement`](crate::placement::VertexPlacement) recorded when the graph was
+//! partitioned; nothing in a run searches for a vertex.
+//!
 //! Inter-machine messages flow through a **bounded-staleness staging inbox**: a
 //! message produced in superstep `t` on the channel from machine `a` to machine `b`
 //! becomes visible at superstep `t + 1 + d`, where the delay `d ∈ [0, staleness]` is
@@ -29,27 +37,27 @@
 //! gating scatter on `delta > tolerance`). `tolerance = 0` never gates a vertex that
 //! still changes, and reproduces the ungated engine bit-for-bit.
 //!
-//! Execution is scheduled as sharded work batches: each phase's per-machine task lists
-//! are cut into contiguous key ranges and served by a small worker pool whose size is
-//! independent of the simulated machine count ([`EngineConfig::workers`]). Workers only
-//! *read* shared state; every cache write happens in a serial commit step between
-//! phases, and batch results are re-assembled in canonical (machine, range) order. All
-//! random decisions go through counter-mode hashes of `(seed, superstep, vertex,
-//! machine)`, so any worker count, batch size, or serial execution produces identical
-//! results for identical configurations.
+//! Gather, apply and scatter run through one phase runner: the phase's per-machine
+//! task lists are cut into contiguous key ranges and served by a worker pool whose
+//! size ([`EngineConfig::workers`]) is independent of the simulated machine count.
+//! Workers only *read* shared state; every cache write happens in a serial commit step
+//! between phases, and batch results are re-assembled in canonical (machine, range)
+//! order. All random decisions go through counter-mode hashes of `(seed, superstep,
+//! vertex, machine)`, so any worker count and any batch size produce identical results
+//! for identical configurations.
 
-// lint:allow-file(indexing, hot path: every index derives from shard-local offsets validated at build time)
+// lint:allow-file(indexing, hot path: every index is a vertex id or a slot the placement table recorded at build time)
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use frogwild_graph::VertexId;
-use frogwild_obs::{span_meta, SpanKey, SpanSink, Tracer};
+use frogwild_obs::{span_meta, SpanKey, SpanMeta, SpanSink, Tracer};
 
 use crate::cluster::MachineId;
 use crate::metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, WorkStats};
-use crate::placement::{PartitionedGraph, Shard};
+use crate::placement::PartitionedGraph;
 use crate::program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 use crate::rng;
 use crate::sync::SyncPolicy;
@@ -61,9 +69,9 @@ const TAG_SCATTER: u64 = 0x5CA3;
 const TAG_FORCE: u64 = 0xF0C4;
 const TAG_STALE: u64 = 0x57A1;
 
-/// Per-machine superstep results: the (vertex, payload) pairs a machine produced,
-/// plus the number of work operations it performed.
-type PerMachine<T> = Vec<(Vec<(VertexId, T)>, u64)>;
+/// Per-machine phase results: what each machine's tasks produced, in task order, plus
+/// the number of work operations the machine performed.
+type PerMachine<T> = Vec<(Vec<T>, u64)>;
 
 /// Trace-timeline lanes (the `lane` component of [`SpanKey`]) for the engine's
 /// phases. Distinct lanes keep records of distinct sinks totally ordered even when
@@ -90,18 +98,15 @@ pub struct EngineConfig {
     pub max_supersteps: usize,
     /// Seed for all engine randomness.
     pub seed: u64,
-    /// If `true`, phase work batches are served by a multi-threaded worker pool;
-    /// if `false`, everything runs on the calling thread. Results are bit-identical
-    /// either way.
-    pub parallel: bool,
     /// Delta-gating threshold: after apply, a vertex whose `program.delta(old, new)`
     /// is `<= tolerance` skips synchronization and scatter and drops out of the
     /// frontier. `0.0` (the default) reproduces the ungated engine bit-for-bit for
     /// every shipped program.
     pub tolerance: f64,
-    /// Worker threads serving work batches when `parallel` is set. `0` (the default)
-    /// sizes the pool from the host's available parallelism; the thread count is
-    /// independent of the simulated machine count.
+    /// Threads serving each phase's work batches: `1` (the default) runs everything
+    /// on the calling thread, `n > 1` is a pool of `n`, and `0` sizes the pool from
+    /// the host's available parallelism. The thread count is independent of the
+    /// simulated machine count, and results are bit-identical for any value.
     pub workers: usize,
     /// Number of tasks per work batch (a contiguous key range of one machine's task
     /// list). `0` (the default) picks a built-in size. Smaller batches balance better;
@@ -133,9 +138,8 @@ impl Default for EngineConfig {
             cost_model: CostModel::default(),
             max_supersteps: 100,
             seed: 0xF20C,
-            parallel: false,
             tolerance: 0.0,
-            workers: 0,
+            workers: 1,
             batch_size: 0,
             staleness: 0,
             tracer: Tracer::disabled(),
@@ -199,24 +203,6 @@ struct BatchRange {
     end: usize,
 }
 
-/// Cuts per-machine task counts into batches of at most `batch_size` tasks.
-fn make_batches(counts: &[usize], batch_size: usize) -> Vec<BatchRange> {
-    let mut batches = Vec::new();
-    for (machine, &count) in counts.iter().enumerate() {
-        let mut start = 0;
-        while start < count {
-            let end = (start + batch_size).min(count);
-            batches.push(BatchRange {
-                machine,
-                start,
-                end,
-            });
-            start = end;
-        }
-    }
-    batches
-}
-
 /// How the first superstep's active set is formed.
 pub enum InitialActivation<M> {
     /// Every vertex is active in superstep 0 with no incoming message
@@ -237,15 +223,18 @@ pub struct EngineOutput<S> {
     pub metrics: RunMetrics,
 }
 
-/// Work prepared centrally for one machine's apply phase.
+/// One active vertex's apply, queued on its master's machine.
 struct ApplyTask<P: VertexProgram> {
+    /// Slot of the vertex in its master's cache.
     local: u32,
     vertex: VertexId,
+    /// Position of the vertex in the frontier, where its delta is written back.
+    position: usize,
     accum: Option<P::Accum>,
     message: Option<P::Message>,
 }
 
-/// Work prepared centrally for one machine's scatter phase.
+/// One synchronized replica's scatter, queued on the replica's machine.
 struct ScatterTask {
     local: u32,
     vertex: VertexId,
@@ -253,45 +242,52 @@ struct ScatterTask {
     num_participating: usize,
 }
 
-/// A state refresh a machine must apply to its mirror cache before scattering.
-struct SyncReceive<S> {
-    local: u32,
-    state: S,
-}
-
-/// One combined message leaving a superstep's routing phase, addressed to the master
-/// replica of its destination vertex. Routing emits these in canonical order —
-/// sending machine ascending, destination vertex ascending within a sender — which
-/// is also the order they are staged and later drained.
-struct RoutedMessage<M> {
-    /// Machine whose scatter produced the message.
-    sender: usize,
-    /// Machine mastering the destination vertex.
-    machine: usize,
-    /// Local index of the destination vertex on `machine`.
-    local: u32,
-    message: M,
-}
-
-/// A message waiting in the bounded-staleness staging inbox for its visibility
-/// superstep.
+/// A combined message waiting in the bounded-staleness staging inbox for its
+/// visibility superstep. Within one visibility superstep messages sit in production
+/// order — sending machine ascending, destination vertex ascending within a sender —
+/// which is also the order they are drained.
 struct StagedMessage<M> {
-    machine: usize,
-    local: u32,
+    vertex: VertexId,
     message: M,
     /// Supersteps of delay relative to synchronous (next-superstep) delivery.
     lag: u64,
 }
 
-/// Result of draining the staging inbox at the top of a superstep.
-struct DrainResult {
-    /// Vertices activated by newly delivered messages (unsorted).
-    activations: Vec<VertexId>,
-    /// Summed delivery lag of the drained messages, in supersteps.
-    lag: u64,
+/// Everything a run mutates, allocated once by [`Engine::run`].
+struct RunState<P: VertexProgram> {
+    /// Replica state caches: `caches[machine][slot]`.
+    caches: Vec<Vec<P::State>>,
+    /// The combined incoming message of every vertex, by vertex id. Occupied only for
+    /// vertices of the current frontier; apply takes it.
+    inbox: Vec<Option<P::Message>>,
+    /// The combined gather accumulator of every vertex, by vertex id. Filled by the
+    /// gather commit and taken by apply within one superstep.
+    accums: Vec<Option<P::Accum>>,
+    /// The bounded-staleness staging inbox: routed messages wait here keyed by the
+    /// superstep at which they become visible. The drain schedule is a pure function
+    /// of the configuration — worker counts and batch sizes never reorder it.
+    staged: BTreeMap<usize, Vec<StagedMessage<P::Message>>>,
 }
 
-/// The synchronous engine. Borrows the partitioned graph; owns the program and config.
+/// Puts `value` into `slot`, folding it into what is already there (`combine(old,
+/// value)`). Returns whether the slot was empty.
+fn deposit<T>(slot: &mut Option<T>, value: T, combine: impl FnOnce(T, T) -> T) -> bool {
+    match slot.take() {
+        Some(existing) => {
+            *slot = Some(combine(existing, value));
+            false
+        }
+        None => {
+            *slot = Some(value);
+            true
+        }
+    }
+}
+
+/// The engine: a superstep scheduler over a partitioned graph. Borrows the graph;
+/// owns the program and config. Each [`run`](Engine::run) allocates its replica
+/// caches and vertex-indexed mailboxes once and then drives supersteps off the
+/// frontier, synchronously or within the configured staleness bound.
 pub struct Engine<'g, P: VertexProgram> {
     graph: &'g PartitionedGraph,
     program: P,
@@ -329,55 +325,29 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let num_machines = self.graph.num_machines();
         let num_vertices = self.graph.num_vertices();
 
-        // Replica state caches: caches[machine][local index].
-        let mut caches: Vec<Vec<P::State>> = self
-            .graph
-            .shards()
-            .iter()
-            .map(|s| vec![P::State::default(); s.num_local_vertices()])
-            .collect();
-
-        // Message inboxes: inboxes[machine] maps local index (of a locally mastered
-        // vertex) to the combined incoming message.
-        let mut inboxes: Vec<BTreeMap<u32, P::Message>> =
-            (0..num_machines).map(|_| BTreeMap::new()).collect();
+        let mut state: RunState<P> = RunState {
+            caches: self
+                .graph
+                .shards()
+                .iter()
+                .map(|s| vec![P::State::default(); s.num_local_vertices()])
+                .collect(),
+            inbox: (0..num_vertices).map(|_| None).collect(),
+            accums: (0..num_vertices).map(|_| None).collect(),
+            staged: BTreeMap::new(),
+        };
 
         // Initial frontier.
         let mut frontier: Frontier = match initial {
             InitialActivation::AllVertices => Frontier::all(num_vertices),
             InitialActivation::Messages(messages) => {
-                let mut seen: Vec<(VertexId, P::Message)> = messages;
-                // Combine per destination, then deliver to masters locally.
-                seen.sort_by_key(|(v, _)| *v);
-                let mut active = Vec::new();
-                let mut iter = seen.into_iter();
-                let mut current: Option<(VertexId, P::Message)> = iter.next();
-                while let Some((v, msg)) = current.take() {
-                    let mut combined = msg;
-                    loop {
-                        match iter.next() {
-                            Some((v2, m2)) if v2 == v => {
-                                combined = self.program.combine_messages(combined, m2);
-                            }
-                            next => {
-                                current = next;
-                                break;
-                            }
-                        }
-                    }
-                    let master = self.graph.placement().master(v);
-                    let local = self
-                        .graph
-                        .shard(master)
-                        .local_index(v)
-                        .expect("master shard holds the vertex"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                    inboxes[master.index()].insert(local, combined);
-                    active.push(v);
-                    if current.is_none() {
-                        break;
-                    }
+                // Combine per destination, then deliver to the masters locally.
+                let mut vertices = Vec::new();
+                for (v, message) in self.combine_by_destination(messages) {
+                    state.inbox[v as usize] = Some(message);
+                    vertices.push(v);
                 }
-                Frontier::from_unsorted(active)
+                Frontier { vertices }
             }
         };
 
@@ -387,11 +357,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             ..RunMetrics::default()
         };
 
-        // The bounded-staleness staging inbox: routed messages wait here keyed by the
-        // superstep at which they become visible, in production order within a key.
-        // The drain schedule is a pure function of the configuration — worker counts
-        // and batch sizes never reorder it.
-        let mut staged: BTreeMap<usize, Vec<StagedMessage<P::Message>>> = BTreeMap::new();
         // Pipelined clock for staleness > 0: per-machine finish times plus the
         // history of global watermarks (the time by which *every* machine had
         // finished a given superstep) that gate how far ahead any machine may run.
@@ -409,17 +374,17 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 // Quiescent right now, but messages may still be in flight: jump to
                 // the earliest staged visibility instead of idling through empty
                 // supersteps. No staged work at all means the run is finished.
-                match staged.keys().next().copied() {
+                match state.staged.keys().next().copied() {
                     Some(next) if next < self.config.max_supersteps => superstep = next,
                     _ => break,
                 }
             }
-            // Drain everything due at this superstep into the machine inboxes; newly
-            // delivered messages activate their destination vertices.
-            let drained = self.drain_staged(superstep, &mut staged, &mut inboxes);
-            if !drained.activations.is_empty() {
+            // Drain everything due at this superstep into the inbox; newly delivered
+            // messages activate their destination vertices.
+            let (activations, lag) = self.drain_staged(superstep, &mut state);
+            if !activations.is_empty() {
                 let mut vertices = std::mem::take(&mut frontier.vertices);
-                vertices.extend(drained.activations);
+                vertices.extend(activations);
                 frontier = Frontier::from_unsorted(vertices);
             }
 
@@ -428,28 +393,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 SpanKey::new(superstep as u64, 0, 0, LANE_STEP),
             );
             let start = Instant::now(); // lint:allow(timing, host-seconds telemetry only; never feeds results)
-            let (mut step_metrics, routed) =
-                self.superstep(superstep, &frontier, &mut caches, &mut inboxes, &loop_sink);
+            let mut step_metrics = self.superstep(superstep, &frontier, &mut state, &loop_sink);
             step_metrics.host_seconds = start.elapsed().as_secs_f64();
-            step_metrics.staleness_lag = drained.lag;
-
-            // Stage this superstep's routed messages for delivery. Messages whose
-            // visibility lies past the superstep horizon can never be drained; they
-            // are dropped exactly like the synchronous engine drops messages routed
-            // by the final superstep.
-            for r in routed {
-                let visible = self.visibility(superstep, r.sender, r.machine);
-                if visible >= self.config.max_supersteps {
-                    continue;
-                }
-                staged.entry(visible).or_default().push(StagedMessage {
-                    machine: r.machine,
-                    local: r.local,
-                    message: r.message,
-                    lag: (visible - (superstep + 1)) as u64,
-                });
-            }
-            step_metrics.inbox_depth = staged
+            step_metrics.staleness_lag = lag;
+            step_metrics.inbox_depth = state
+                .staged
                 .range(superstep + 2..)
                 .map(|(_, batch)| batch.len() as u64)
                 .sum();
@@ -524,13 +472,32 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let placement = self.graph.placement();
         let states: Vec<P::State> = (0..num_vertices as VertexId)
             .map(|v| {
-                let m = placement.master(v);
-                let local = self.graph.shard(m).local_index(v).expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                caches[m.index()][local as usize].clone()
+                let (master, local) = placement.master_slot(v);
+                state.caches[master.index()][local as usize].clone()
             })
             .collect();
 
         EngineOutput { states, metrics }
+    }
+
+    /// Sorts `messages` by destination (stably) and folds every run of messages to
+    /// one vertex into a single message, left to right — walkers headed to the same
+    /// vertex travel as one message, the paper's first optimization.
+    fn combine_by_destination(
+        &self,
+        mut messages: Vec<(VertexId, P::Message)>,
+    ) -> Vec<(VertexId, P::Message)> {
+        messages.sort_by_key(|(v, _)| *v);
+        let mut merged: Vec<(VertexId, P::Message)> = Vec::with_capacity(messages.len());
+        for (v, message) in messages {
+            match merged.last_mut() {
+                Some((last, combined)) if *last == v => {
+                    *combined = self.program.combine_messages(combined.clone(), message);
+                }
+                _ => merged.push((v, message)),
+            }
+        }
+        merged
     }
 
     /// The superstep at which a message produced in `superstep` on the channel from
@@ -558,150 +525,92 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         (base + delay).min(self.config.max_supersteps - 1)
     }
 
-    /// Drains every staged message due at `superstep` into the machine inboxes, in
-    /// `(visibility superstep, production order)` order — the fixed drain schedule
-    /// that makes bounded-staleness runs deterministic. Returns the activated
-    /// vertices and the summed delivery lag.
-    fn drain_staged(
-        &self,
-        superstep: usize,
-        staged: &mut BTreeMap<usize, Vec<StagedMessage<P::Message>>>,
-        inboxes: &mut [BTreeMap<u32, P::Message>],
-    ) -> DrainResult {
+    /// Drains every staged message due at `superstep` into the inbox, in `(visibility
+    /// superstep, production order)` order — the fixed drain schedule that makes
+    /// bounded-staleness runs deterministic. Returns the vertices the deliveries
+    /// activated (unsorted) and the summed delivery lag in supersteps.
+    fn drain_staged(&self, superstep: usize, state: &mut RunState<P>) -> (Vec<VertexId>, u64) {
         let mut activations = Vec::new();
         let mut lag = 0u64;
-        while staged
+        while state
+            .staged
             .first_key_value()
             .is_some_and(|(&key, _)| key <= superstep)
         {
-            let Some((_, batch)) = staged.pop_first() else {
+            let Some((_, batch)) = state.staged.pop_first() else {
                 break;
             };
-            for staged_msg in batch {
-                lag += staged_msg.lag;
-                match inboxes[staged_msg.machine].entry(staged_msg.local) {
-                    btree_map::Entry::Occupied(mut e) => {
-                        let combined = self
-                            .program
-                            .combine_messages(e.get().clone(), staged_msg.message);
-                        e.insert(combined);
-                    }
-                    btree_map::Entry::Vacant(e) => {
-                        e.insert(staged_msg.message);
-                        let vertex = self
-                            .graph
-                            .shard(MachineId::from(staged_msg.machine))
-                            .global_id(staged_msg.local);
-                        activations.push(vertex);
-                    }
+            for staged in batch {
+                lag += staged.lag;
+                let slot = &mut state.inbox[staged.vertex as usize];
+                if deposit(slot, staged.message, |a, b| {
+                    self.program.combine_messages(a, b)
+                }) {
+                    activations.push(staged.vertex);
                 }
             }
         }
-        DrainResult { activations, lag }
+        (activations, lag)
     }
 
-    /// Executes one superstep; returns its metrics and the routed messages in
-    /// canonical production order, ready for staged delivery.
+    /// Executes one superstep: takes the frontier's mail, commits fresh states to
+    /// the caches and stages the routed messages (in canonical production order) for
+    /// delivery. Returns the superstep's metrics.
     fn superstep(
         &self,
         superstep: usize,
         frontier: &Frontier,
-        caches: &mut [Vec<P::State>],
-        inboxes: &mut [BTreeMap<u32, P::Message>],
+        state: &mut RunState<P>,
         sink: &SpanSink,
-    ) -> (SuperstepMetrics, Vec<RoutedMessage<P::Message>>) {
+    ) -> SuperstepMetrics {
+        let RunState {
+            caches,
+            inbox,
+            accums,
+            staged,
+        } = state;
         let num_machines = self.graph.num_machines();
         let placement = self.graph.placement();
         let mut net = NetworkStats::new(num_machines);
         let mut work = WorkStats::new(num_machines);
-        let batch_size = if self.config.batch_size > 0 {
-            self.config.batch_size
-        } else {
-            DEFAULT_BATCH_SIZE
-        };
+        let header_bytes = self.config.cost_model.message_header_bytes;
         let active = frontier.as_slice();
         let step = superstep as u64;
 
         // ------------------------------------------------------------------ gather --
         let mut gather_span =
             sink.span(span_meta!("gather"), SpanKey::new(step, 0, 0, LANE_GATHER));
-        let mut accums: Vec<BTreeMap<u32, P::Accum>> =
-            (0..num_machines).map(|_| BTreeMap::new()).collect();
         if self.program.gather_direction() == EdgeDirection::In {
-            // Which local vertices must gather on each machine.
+            // Which slots must gather on each machine.
             let mut gather_tasks: Vec<Vec<u32>> = vec![Vec::new(); num_machines];
             for &v in active {
-                for &m in placement.replicas(v) {
-                    if let Some(local) = self.graph.shard(m).local_index(v) {
-                        if self.graph.shard(m).local_in_degree(local) > 0 {
-                            gather_tasks[m.index()].push(local);
-                        }
+                for (m, local) in placement.replica_slots(v) {
+                    if self.graph.shard(m).local_in_degree(local) > 0 {
+                        gather_tasks[m.index()].push(local);
                     }
                 }
             }
-            // Read-only key-range batches; results re-assembled per machine in batch
-            // order, which is exactly the order a single pass over the task list
-            // would produce.
-            let counts: Vec<usize> = gather_tasks.iter().map(Vec::len).collect();
-            let batches = make_batches(&counts, batch_size);
-            let results: PerMachine<P::Accum> = {
-                let caches_ro: &[Vec<P::State>] = caches;
-                self.run_batched(&batches, |i, b| {
-                    let batch_sink = self.config.tracer.sink();
-                    let mut batch_span = batch_sink.span(
-                        span_meta!("gather_batch"),
-                        SpanKey::new(step, b.machine as u32 + 1, i as u32 + 1, LANE_GATHER),
-                    );
-                    let shard = self.graph.shard(MachineId::from(b.machine));
-                    let result = gather_machine(
-                        &self.program,
-                        self.graph,
-                        shard,
-                        &caches_ro[b.machine],
-                        &gather_tasks[b.machine][b.start..b.end],
-                    );
-                    batch_span.counter("tasks", (b.end - b.start) as u64);
-                    batch_span.counter("edge_ops", result.1);
-                    result
-                })
-            };
-            let mut per_machine: PerMachine<P::Accum> =
-                (0..num_machines).map(|_| (Vec::new(), 0)).collect();
-            for (b, (partials, ops)) in batches.iter().zip(results) {
-                per_machine[b.machine].0.extend(partials);
-                per_machine[b.machine].1 += ops;
-            }
-            for (machine, (partials, ops)) in per_machine.into_iter().enumerate() {
+            let gathered = self.run_phase(
+                step,
+                LANE_GATHER,
+                span_meta!("gather_batch"),
+                true,
+                &gather_tasks,
+                |machine, locals| self.gather_batch(machine, &caches[machine], locals),
+            );
+            for (machine, (partials, ops)) in gathered.into_iter().enumerate() {
                 work.gather_ops += ops;
                 work.ops_per_machine[machine] += ops;
                 for (vertex, accum) in partials {
-                    let master = placement.master(vertex);
-                    if master.index() != machine {
-                        net.record(
-                            machine,
-                            (self.program.accum_bytes()
-                                + self.config.cost_model.message_header_bytes)
-                                as u64,
-                        );
+                    if placement.master(vertex).index() != machine {
+                        net.record(machine, (self.program.accum_bytes() + header_bytes) as u64);
                     }
-                    let local = self
-                        .graph
-                        .shard(master)
-                        .local_index(vertex)
-                        .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                    match accums[master.index()].entry(local) {
-                        btree_map::Entry::Occupied(mut e) => {
-                            let combined = self.program.combine_accums(e.get().clone(), accum);
-                            e.insert(combined);
-                        }
-                        btree_map::Entry::Vacant(e) => {
-                            e.insert(accum);
-                        }
-                    }
+                    deposit(&mut accums[vertex as usize], accum, |a, b| {
+                        self.program.combine_accums(a, b)
+                    });
                 }
             }
         }
-
         gather_span.counter("edge_ops", work.gather_ops);
         drop(gather_span);
 
@@ -709,60 +618,37 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let mut apply_span = sink.span(span_meta!("apply"), SpanKey::new(step, 0, 0, LANE_APPLY));
         let mut apply_tasks: Vec<Vec<ApplyTask<P>>> =
             (0..num_machines).map(|_| Vec::new()).collect();
-        for &v in active {
-            let master = placement.master(v);
-            let local = self
-                .graph
-                .shard(master)
-                .local_index(v)
-                .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-            let accum = accums[master.index()].remove(&local);
-            let message = inboxes[master.index()].remove(&local);
+        for (position, &v) in active.iter().enumerate() {
+            let (master, local) = placement.master_slot(v);
             apply_tasks[master.index()].push(ApplyTask {
                 local,
                 vertex: v,
-                accum,
-                message,
+                position,
+                accum: accums[v as usize].take(),
+                message: inbox[v as usize].take(),
             });
         }
         // Workers compute fresh states (and their deltas) against the read-only
         // caches; the commit below writes them back serially, so any worker count
         // observes identical inputs.
-        let apply_counts: Vec<usize> = apply_tasks.iter().map(Vec::len).collect();
-        let apply_batches = make_batches(&apply_counts, batch_size);
-        let applied: Vec<Vec<(u32, P::State, f64)>> = {
-            let caches_ro: &[Vec<P::State>] = caches;
-            self.run_batched(&apply_batches, |i, b| {
-                let batch_sink = self.config.tracer.sink();
-                let mut batch_span = batch_sink.span(
-                    span_meta!("apply_batch"),
-                    SpanKey::new(step, b.machine as u32 + 1, i as u32 + 1, LANE_APPLY),
-                );
-                let result = apply_batch(
-                    &self.program,
-                    self.graph,
-                    &caches_ro[b.machine],
-                    &apply_tasks[b.machine][b.start..b.end],
-                    superstep,
-                    self.config.seed,
-                );
-                batch_span.counter("tasks", (b.end - b.start) as u64);
-                result
-            })
-        };
-        // Serial commit: write fresh states, record each vertex's delta in apply-task
-        // order (one task per active vertex, so the sync loop below can read them back
-        // with per-machine cursors).
-        let mut deltas: Vec<Vec<f64>> = (0..num_machines).map(|_| Vec::new()).collect();
-        for (b, results) in apply_batches.iter().zip(applied) {
-            for (local, state, delta) in results {
-                caches[b.machine][local as usize] = state;
-                deltas[b.machine].push(delta);
+        let applied = self.run_phase(
+            step,
+            LANE_APPLY,
+            span_meta!("apply_batch"),
+            false,
+            &apply_tasks,
+            |machine, tasks| self.apply_batch(&caches[machine], tasks, superstep),
+        );
+        // Serial commit: fresh states into the master slots, deltas by frontier
+        // position for the sync loop below.
+        let mut deltas = vec![0.0f64; active.len()];
+        for (machine, (results, ops)) in applied.into_iter().enumerate() {
+            work.apply_ops += ops;
+            work.ops_per_machine[machine] += ops;
+            for (task, (fresh, delta)) in apply_tasks[machine].iter().zip(results) {
+                caches[machine][task.local as usize] = fresh;
+                deltas[task.position] = delta;
             }
-        }
-        for (machine, &ops) in apply_counts.iter().enumerate() {
-            work.apply_ops += ops as u64;
-            work.ops_per_machine[machine] += ops as u64;
         }
         apply_span.counter("tasks", active.len() as u64);
         drop(apply_span);
@@ -771,25 +657,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let mut sync_span = sink.span(span_meta!("sync"), SpanKey::new(step, 0, 0, LANE_SYNC));
         let ps = self.config.sync_policy.probability();
         let tolerance = self.config.tolerance;
-        let mut sync_receives: Vec<Vec<SyncReceive<P::State>>> =
-            (0..num_machines).map(|_| Vec::new()).collect();
+        let state_bytes = (self.program.state_bytes() + header_bytes) as u64;
+        let has_out_edge =
+            |&(m, local): &(MachineId, u32)| self.graph.shard(m).local_out_degree(local) > 0;
         let mut scatter_tasks: Vec<Vec<ScatterTask>> =
             (0..num_machines).map(|_| Vec::new()).collect();
-        let mut delta_cursors = vec![0usize; num_machines];
 
-        for &v in active {
-            let master = placement.master(v);
-            let master_local = self
-                .graph
-                .shard(master)
-                .local_index(v)
-                .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-            let delta = {
-                let cursor = &mut delta_cursors[master.index()];
-                let d = deltas[master.index()][*cursor];
-                *cursor += 1;
-                d
-            };
+        for (&v, &delta) in active.iter().zip(&deltas) {
+            let (master, master_local) = placement.master_slot(v);
             let master_state = &caches[master.index()][master_local as usize];
             // The scatter gate: structurally quiet vertices and delta-gated
             // (converged) vertices schedule no synchronization and no scatter, so
@@ -799,125 +674,81 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 work.skipped_scatters += 1;
                 continue;
             }
-            let replicas = placement.replicas(v);
             // Decide which replicas are synchronized (and hence may scatter).
-            let mut participating: Vec<MachineId> = Vec::with_capacity(replicas.len());
-            for &r in replicas {
-                if r == master {
-                    participating.push(r);
+            let replicas = placement.replica_slots(v);
+            let mut participating: Vec<(MachineId, u32)> = Vec::with_capacity(replicas.len());
+            for replica in replicas.clone() {
+                let synced = replica.0 == master
+                    || match self.config.sync_policy {
+                        SyncPolicy::Full => true,
+                        SyncPolicy::Independent { .. } | SyncPolicy::AtLeastOneOutEdge { .. } => {
+                            rng::coin(
+                                ps,
+                                &[
+                                    self.config.seed,
+                                    superstep as u64,
+                                    v as u64,
+                                    replica.0.index() as u64,
+                                    TAG_SYNC,
+                                ],
+                            )
+                        }
+                    };
+                if !synced {
+                    work.skipped_syncs += 1;
                     continue;
                 }
-                let synced = match self.config.sync_policy {
-                    SyncPolicy::Full => true,
-                    SyncPolicy::Independent { .. } | SyncPolicy::AtLeastOneOutEdge { .. } => {
-                        rng::coin(
-                            ps,
-                            &[
-                                self.config.seed,
-                                superstep as u64,
-                                v as u64,
-                                r.index() as u64,
-                                TAG_SYNC,
-                            ],
-                        )
-                    }
-                };
-                if synced {
-                    participating.push(r);
+                participating.push(replica);
+                if replica.0 != master {
                     work.sync_ops += 1;
                     work.ops_per_machine[master.index()] += 1;
-                    net.record(
-                        master.index(),
-                        (self.program.state_bytes() + self.config.cost_model.message_header_bytes)
-                            as u64,
-                    );
-                } else {
-                    work.skipped_syncs += 1;
+                    net.record(master.index(), state_bytes);
                 }
             }
 
             // "At least one out-edge per node": if no participating replica owns an
             // out-edge while the vertex does have out-edges, force-sync one replica
             // that does.
-            if self.config.sync_policy.guarantees_out_edge() && self.graph.out_degree(v) > 0 {
-                let has_out = |m: MachineId| {
-                    let shard = self.graph.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l) > 0)
-                        .unwrap_or(false)
-                };
-                if !participating.iter().any(|&m| has_out(m)) {
-                    let candidates: Vec<MachineId> =
-                        replicas.iter().copied().filter(|&m| has_out(m)).collect();
-                    if !candidates.is_empty() {
-                        let pick = candidates[rng::pick_index(
-                            candidates.len(),
-                            &[self.config.seed, superstep as u64, v as u64, TAG_FORCE],
-                        )];
-                        participating.push(pick);
-                        if pick != master {
-                            work.sync_ops += 1;
-                            work.skipped_syncs = work.skipped_syncs.saturating_sub(1);
-                            work.ops_per_machine[master.index()] += 1;
-                            net.record(
-                                master.index(),
-                                (self.program.state_bytes()
-                                    + self.config.cost_model.message_header_bytes)
-                                    as u64,
-                            );
-                        }
-                        participating.sort_unstable();
+            if self.config.sync_policy.guarantees_out_edge()
+                && self.graph.out_degree(v) > 0
+                && !participating.iter().any(has_out_edge)
+            {
+                let candidates: Vec<(MachineId, u32)> = replicas.filter(has_out_edge).collect();
+                if !candidates.is_empty() {
+                    let pick = candidates[rng::pick_index(
+                        candidates.len(),
+                        &[self.config.seed, superstep as u64, v as u64, TAG_FORCE],
+                    )];
+                    participating.push(pick);
+                    if pick.0 != master {
+                        work.sync_ops += 1;
+                        work.skipped_syncs = work.skipped_syncs.saturating_sub(1);
+                        work.ops_per_machine[master.index()] += 1;
+                        net.record(master.index(), state_bytes);
                     }
+                    participating.sort_unstable();
                 }
             }
 
-            // Queue state refreshes for participating non-master machines.
-            for &m in &participating {
-                if m == master {
-                    continue;
+            // Refresh the synchronized mirrors. A mirror slot is never a slot this
+            // loop reads (it reads master slots only), so writing here is the same as
+            // committing every refresh after the loop.
+            for &(m, local) in &participating {
+                if m != master {
+                    let fresh = caches[master.index()][master_local as usize].clone();
+                    caches[m.index()][local as usize] = fresh;
                 }
-                let local = self
-                    .graph
-                    .shard(m)
-                    .local_index(v)
-                    .expect("replica exists on participating machine"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                sync_receives[m.index()].push(SyncReceive {
-                    local,
-                    state: master_state.clone(),
-                });
             }
 
             // Scatter tasks: participating replicas that own at least one out-edge.
-            let scatterers: Vec<MachineId> = participating
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    let shard = self.graph.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l) > 0)
-                        .unwrap_or(false)
-                })
-                .collect();
-            let num_participating = scatterers.len();
-            for (rank, &m) in scatterers.iter().enumerate() {
-                let local = self.graph.shard(m).local_index(v).expect("replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
+            participating.retain(has_out_edge);
+            for (rank, &(m, local)) in participating.iter().enumerate() {
                 scatter_tasks[m.index()].push(ScatterTask {
                     local,
                     vertex: v,
                     replica_rank: rank,
-                    num_participating,
+                    num_participating: participating.len(),
                 });
-            }
-        }
-
-        // ----------------------------------------------------- sync apply + scatter --
-        // Serial commit of the mirror refreshes (each targets a distinct local slot),
-        // then read-only scatter batches over the now-consistent caches.
-        for (machine, receives) in sync_receives.into_iter().enumerate() {
-            for recv in receives {
-                caches[machine][recv.local as usize] = recv.state;
             }
         }
         sync_span.counter("sync_ops", work.sync_ops);
@@ -925,126 +756,139 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         sync_span.counter("skipped_scatters", work.skipped_scatters);
         drop(sync_span);
 
+        // ----------------------------------------------------------------- scatter --
+        // Read-only scatter batches over the now-consistent caches.
         let mut scatter_span = sink.span(
             span_meta!("scatter"),
             SpanKey::new(step, 0, 0, LANE_SCATTER),
         );
-        let scatter_counts: Vec<usize> = scatter_tasks.iter().map(Vec::len).collect();
-        let scatter_batches = make_batches(&scatter_counts, batch_size);
-        let batch_results: PerMachine<P::Message> = {
-            let caches_ro: &[Vec<P::State>] = caches;
-            self.run_batched(&scatter_batches, |i, b| {
-                let batch_sink = self.config.tracer.sink();
-                let mut batch_span = batch_sink.span(
-                    span_meta!("scatter_batch"),
-                    SpanKey::new(step, b.machine as u32 + 1, i as u32 + 1, LANE_SCATTER),
-                );
-                let shard = self.graph.shard(MachineId::from(b.machine));
-                let result = scatter_batch(
-                    &self.program,
-                    self.graph,
-                    shard,
-                    &caches_ro[b.machine],
-                    &scatter_tasks[b.machine][b.start..b.end],
-                    superstep,
-                    self.config.seed,
-                    ps,
-                );
-                batch_span.counter("tasks", (b.end - b.start) as u64);
-                batch_span.counter("edge_ops", result.1);
-                result
-            })
-        };
-        let mut scatter_results: PerMachine<P::Message> =
-            (0..num_machines).map(|_| (Vec::new(), 0)).collect();
-        for (b, (emitted, ops)) in scatter_batches.iter().zip(batch_results) {
-            scatter_results[b.machine].0.extend(emitted);
-            scatter_results[b.machine].1 += ops;
-        }
-
+        let scattered = self.run_phase(
+            step,
+            LANE_SCATTER,
+            span_meta!("scatter_batch"),
+            true,
+            &scatter_tasks,
+            |machine, tasks| self.scatter_batch(machine, &caches[machine], tasks, superstep),
+        );
         scatter_span.counter(
             "tasks",
-            scatter_counts.iter().map(|&c| c as u64).sum::<u64>(),
+            scatter_tasks.iter().map(|t| t.len() as u64).sum::<u64>(),
         );
         drop(scatter_span);
 
         // ----------------------------------------------------------- route messages --
         let mut route_span = sink.span(span_meta!("route"), SpanKey::new(step, 0, 0, LANE_ROUTE));
-        let mut routed: Vec<RoutedMessage<P::Message>> = Vec::new();
-        for (machine, (outbox, ops)) in scatter_results.into_iter().enumerate() {
+        let message_bytes = (self.program.message_bytes() + header_bytes) as u64;
+        let mut routed_messages = 0u64;
+        for (machine, (outbox, ops)) in scattered.into_iter().enumerate() {
             work.scatter_ops += ops;
             work.ops_per_machine[machine] += ops;
-            // Combine per destination within the sending machine (walkers headed to the
-            // same vertex travel as one message — the paper's first optimization).
-            let mut combined: Vec<(VertexId, P::Message)> = outbox;
-            combined.sort_by_key(|(v, _)| *v);
-            let mut merged: Vec<(VertexId, P::Message)> = Vec::with_capacity(combined.len());
-            for (v, msg) in combined {
-                match merged.last_mut() {
-                    Some((lv, lm)) if *lv == v => {
-                        *lm = self.program.combine_messages(lm.clone(), msg);
-                    }
-                    _ => merged.push((v, msg)),
+            for (vertex, message) in self.combine_by_destination(outbox) {
+                let master = placement.master(vertex).index();
+                if master != machine {
+                    net.record(machine, message_bytes);
                 }
-            }
-            for (dst, msg) in merged {
-                let master = placement.master(dst);
-                if master.index() != machine {
-                    net.record(
-                        machine,
-                        (self.program.message_bytes() + self.config.cost_model.message_header_bytes)
-                            as u64,
-                    );
+                routed_messages += 1;
+                // A message whose visibility lies past the superstep horizon can
+                // never be drained; it is dropped exactly like the synchronous engine
+                // drops the messages routed by the final superstep.
+                let visible = self.visibility(superstep, machine, master);
+                if visible < self.config.max_supersteps {
+                    staged.entry(visible).or_default().push(StagedMessage {
+                        vertex,
+                        message,
+                        lag: (visible - (superstep + 1)) as u64,
+                    });
                 }
-                let local = self
-                    .graph
-                    .shard(master)
-                    .local_index(dst)
-                    .expect("master replica"); // lint:allow(panic, placement invariant: the shard indexes its vertex)
-                routed.push(RoutedMessage {
-                    sender: machine,
-                    machine: master.index(),
-                    local,
-                    message: msg,
-                });
             }
         }
-
-        route_span.counter("messages", routed.len() as u64);
+        route_span.counter("messages", routed_messages);
         drop(route_span);
 
         let simulated_seconds = self.config.cost_model.superstep_seconds(&work, &net);
-        let step_metrics = SuperstepMetrics {
+        SuperstepMetrics {
             superstep,
             active_vertices: frontier.len(),
-            routed_messages: routed.len() as u64,
+            routed_messages,
             network: net,
             work,
             simulated_seconds,
             ..SuperstepMetrics::default()
+        }
+    }
+
+    /// Runs one phase over its per-machine task lists: cuts each list into contiguous
+    /// key-range batches, serves the batches through the worker pool — each under a
+    /// `batch_span` keyed `(step, machine + 1, batch + 1, lane)` that counts its
+    /// tasks and, when `counts_edges`, the edge operations `work` reports — and
+    /// re-assembles what they produced per machine. Batches come back in canonical
+    /// (machine, range) order, so a machine's results are exactly what one pass over
+    /// its task list would produce.
+    fn run_phase<T, O, F>(
+        &self,
+        step: u64,
+        lane: u16,
+        batch_span: &'static SpanMeta,
+        counts_edges: bool,
+        tasks: &[Vec<T>],
+        work: F,
+    ) -> PerMachine<O>
+    where
+        T: Sync,
+        O: Send,
+        F: Fn(usize, &[T]) -> (Vec<O>, u64) + Sync,
+    {
+        let batch_size = match self.config.batch_size {
+            0 => DEFAULT_BATCH_SIZE,
+            size => size,
         };
-        (step_metrics, routed)
+        let mut batches = Vec::new();
+        for (machine, list) in tasks.iter().enumerate() {
+            for start in (0..list.len()).step_by(batch_size) {
+                batches.push(BatchRange {
+                    machine,
+                    start,
+                    end: (start + batch_size).min(list.len()),
+                });
+            }
+        }
+        let results = self.run_batched(&batches, |i, b| {
+            let batch_sink = self.config.tracer.sink();
+            let mut span = batch_sink.span(
+                batch_span,
+                SpanKey::new(step, b.machine as u32 + 1, i as u32 + 1, lane),
+            );
+            let result = work(b.machine, &tasks[b.machine][b.start..b.end]);
+            span.counter("tasks", (b.end - b.start) as u64);
+            if counts_edges {
+                span.counter("edge_ops", result.1);
+            }
+            result
+        });
+        let mut per_machine: PerMachine<O> = tasks.iter().map(|_| (Vec::new(), 0)).collect();
+        for (b, (produced, ops)) in batches.iter().zip(results) {
+            per_machine[b.machine].0.extend(produced);
+            per_machine[b.machine].1 += ops;
+        }
+        per_machine
     }
 
-    /// Number of worker threads serving work batches.
+    /// Number of threads serving work batches.
     fn worker_count(&self) -> usize {
-        if !self.config.parallel {
-            return 1;
+        match self.config.workers {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
+            workers => workers,
         }
-        if self.config.workers > 0 {
-            return self.config.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
     }
 
-    /// Executes `f` over every batch — serially, or on the worker pool with workers
-    /// pulling batches off a shared counter. `f` receives the batch's canonical index
-    /// (its position in `batches` — the deterministic identity trace spans key on,
-    /// never the OS thread) alongside the range. Results come back in batch order
-    /// regardless of which worker ran what, so scheduling never changes observable
-    /// output.
+    /// Executes `f` over every batch — on the calling thread, or on the worker pool
+    /// with workers pulling batches off a shared counter. `f` receives the batch's
+    /// canonical index (its position in `batches` — the deterministic identity trace
+    /// spans key on, never the OS thread) alongside the range. Results come back in
+    /// batch order regardless of which worker ran what, so scheduling never changes
+    /// observable output.
     fn run_batched<T, F>(&self, batches: &[BatchRange], f: F) -> Vec<T>
     where
         T: Send,
@@ -1081,132 +925,130 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         indexed.sort_unstable_by_key(|(i, _)| *i);
         indexed.into_iter().map(|(_, t)| t).collect()
     }
-}
 
-/// Per-machine gather: partial accumulations over locally-owned in-edges of the listed
-/// local vertices. Returns `(vertex, partial)` pairs plus the number of edge operations.
-fn gather_machine<P: VertexProgram>(
-    program: &P,
-    graph: &PartitionedGraph,
-    shard: &Shard,
-    cache: &[P::State],
-    locals: &[u32],
-) -> (Vec<(VertexId, P::Accum)>, u64) {
-    let mut out = Vec::new();
-    let mut ops = 0u64;
-    for &local in locals {
-        let vertex = shard.global_id(local);
-        let dst_state = &cache[local as usize];
-        let mut acc: Option<P::Accum> = None;
-        for &src_local in shard.local_in_neighbors(local) {
-            ops += 1;
-            let src = shard.global_id(src_local);
-            let src_state = &cache[src_local as usize];
-            if let Some(partial) =
-                program.gather_edge(src, vertex, src_state, dst_state, graph.out_degree(src))
-            {
-                acc = Some(match acc {
-                    None => partial,
-                    Some(existing) => program.combine_accums(existing, partial),
-                });
+    /// One gather batch on `machine`: partial accumulations over the locally-owned
+    /// in-edges of the listed slots. Returns `(vertex, partial)` pairs plus the number
+    /// of edge operations.
+    fn gather_batch(
+        &self,
+        machine: usize,
+        cache: &[P::State],
+        locals: &[u32],
+    ) -> (Vec<(VertexId, P::Accum)>, u64) {
+        let shard = self.graph.shard(MachineId::from(machine));
+        let mut out = Vec::new();
+        let mut ops = 0u64;
+        for &local in locals {
+            let vertex = shard.global_id(local);
+            let dst_state = &cache[local as usize];
+            let mut acc: Option<P::Accum> = None;
+            for &src_local in shard.local_in_neighbors(local) {
+                ops += 1;
+                let src = shard.global_id(src_local);
+                let src_state = &cache[src_local as usize];
+                let src_degree = self.graph.out_degree(src);
+                if let Some(partial) = self
+                    .program
+                    .gather_edge(src, vertex, src_state, dst_state, src_degree)
+                {
+                    deposit(&mut acc, partial, |a, b| self.program.combine_accums(a, b));
+                }
+            }
+            if let Some(acc) = acc {
+                out.push((vertex, acc));
             }
         }
-        if let Some(acc) = acc {
-            out.push((vertex, acc));
+        (out, ops)
+    }
+
+    /// One apply batch: runs `apply` for a range of one machine's mastered active
+    /// vertices against its read-only cache, producing one `(fresh state, delta)` pair
+    /// per task, in task order, for the serial commit, plus the task count as the
+    /// batch's operations. The delta is the program's convergence magnitude for the
+    /// executor's tolerance gate.
+    fn apply_batch(
+        &self,
+        cache: &[P::State],
+        tasks: &[ApplyTask<P>],
+        superstep: usize,
+    ) -> (Vec<(P::State, f64)>, u64) {
+        let mut out = Vec::with_capacity(tasks.len());
+        for task in tasks {
+            let old = &cache[task.local as usize];
+            let mut fresh = old.clone();
+            let mut task_rng = rng::derived_rng(&[
+                self.config.seed,
+                superstep as u64,
+                task.vertex as u64,
+                TAG_APPLY,
+            ]);
+            let mut ctx = ApplyContext {
+                superstep,
+                num_vertices: self.graph.num_vertices(),
+                out_degree: self.graph.out_degree(task.vertex),
+                rng: &mut task_rng,
+            };
+            self.program.apply(
+                &mut ctx,
+                task.vertex,
+                &mut fresh,
+                task.accum.clone(),
+                task.message.clone(),
+            );
+            let delta = self.program.delta(old, &fresh);
+            out.push((fresh, delta));
         }
+        (out, tasks.len() as u64)
     }
-    (out, ops)
-}
 
-/// One apply batch: runs `apply` for a range of locally-mastered active vertices
-/// against the read-only cache, producing `(local, fresh state, delta)` triples for
-/// the serial commit. The delta is the program's convergence magnitude for the
-/// executor's tolerance gate.
-fn apply_batch<P: VertexProgram>(
-    program: &P,
-    graph: &PartitionedGraph,
-    cache: &[P::State],
-    tasks: &[ApplyTask<P>],
-    superstep: usize,
-    seed: u64,
-) -> Vec<(u32, P::State, f64)> {
-    let mut out = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        let old = &cache[task.local as usize];
-        let mut fresh = old.clone();
-        let mut task_rng =
-            rng::derived_rng(&[seed, superstep as u64, task.vertex as u64, TAG_APPLY]);
-        let mut ctx = ApplyContext {
-            superstep,
-            num_vertices: graph.num_vertices(),
-            out_degree: graph.out_degree(task.vertex),
-            rng: &mut task_rng,
-        };
-        program.apply(
-            &mut ctx,
-            task.vertex,
-            &mut fresh,
-            task.accum.clone(),
-            task.message.clone(),
-        );
-        let delta = program.delta(old, &fresh);
-        out.push((task.local, fresh, delta));
+    /// One scatter batch on `machine`: runs `scatter_replica` for a range of scatter
+    /// tasks against the read-only cache (mirror refreshes are committed before scatter
+    /// starts). Returns the emitted messages and the number of edge operations
+    /// considered.
+    fn scatter_batch(
+        &self,
+        machine: usize,
+        cache: &[P::State],
+        tasks: &[ScatterTask],
+        superstep: usize,
+    ) -> (Vec<(VertexId, P::Message)>, u64) {
+        let shard = self.graph.shard(MachineId::from(machine));
+        let mut outbox: Vec<(VertexId, P::Message)> = Vec::new();
+        let mut ops = 0u64;
+        for task in tasks {
+            let local_neighbors: Vec<VertexId> = shard
+                .local_out_neighbors(task.local)
+                .iter()
+                .map(|&l| shard.global_id(l))
+                .collect();
+            ops += local_neighbors.len() as u64;
+            let mut task_rng = rng::derived_rng(&[
+                self.config.seed,
+                superstep as u64,
+                task.vertex as u64,
+                machine as u64,
+                TAG_SCATTER,
+            ]);
+            let mut ctx = ScatterContext {
+                superstep,
+                machine: shard.machine,
+                replica_rank: task.replica_rank,
+                num_participating: task.num_participating,
+                global_out_degree: self.graph.out_degree(task.vertex),
+                local_out_degree: local_neighbors.len(),
+                sync_probability: self.config.sync_policy.probability(),
+                rng: &mut task_rng,
+            };
+            self.program.scatter_replica(
+                &mut ctx,
+                task.vertex,
+                &cache[task.local as usize],
+                &local_neighbors,
+                &mut |dst, msg| outbox.push((dst, msg)),
+            );
+        }
+        (outbox, ops)
     }
-    out
-}
-
-/// One scatter batch: runs `scatter_replica` for a range of scatter tasks against the
-/// read-only cache (mirror refreshes are committed before scatter starts). Returns the
-/// emitted messages and the number of edge operations considered.
-#[allow(clippy::too_many_arguments)]
-fn scatter_batch<P: VertexProgram>(
-    program: &P,
-    graph: &PartitionedGraph,
-    shard: &Shard,
-    cache: &[P::State],
-    tasks: &[ScatterTask],
-    superstep: usize,
-    seed: u64,
-    sync_probability: f64,
-) -> (Vec<(VertexId, P::Message)>, u64) {
-    let mut outbox: Vec<(VertexId, P::Message)> = Vec::new();
-    let mut ops = 0u64;
-    for task in tasks {
-        let local_neighbors: Vec<VertexId> = shard
-            .local_out_neighbors(task.local)
-            .iter()
-            .map(|&l| shard.global_id(l))
-            .collect();
-        ops += local_neighbors.len() as u64;
-        let mut task_rng = rng::derived_rng(&[
-            seed,
-            superstep as u64,
-            task.vertex as u64,
-            shard.machine.index() as u64,
-            TAG_SCATTER,
-        ]);
-        let mut ctx = ScatterContext {
-            superstep,
-            machine: shard.machine,
-            replica_rank: task.replica_rank,
-            num_participating: task.num_participating,
-            global_out_degree: graph.out_degree(task.vertex),
-            local_out_degree: local_neighbors.len(),
-            sync_probability,
-            rng: &mut task_rng,
-        };
-        let state = &cache[task.local as usize];
-        program.scatter_replica(
-            &mut ctx,
-            task.vertex,
-            state,
-            &local_neighbors,
-            &mut |dst, msg| {
-                outbox.push((dst, msg));
-            },
-        );
-    }
-    (outbox, ops)
 }
 
 #[cfg(test)]
@@ -1431,13 +1273,13 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let graph = rmat(300, RmatParams::default(), &mut rng);
         let pg = partitioned(&graph, 4);
-        let run = |parallel: bool| {
+        let run = |workers: usize| {
             let engine = Engine::new(
                 &pg,
                 TokenForward { steps: 6 },
                 EngineConfig {
                     max_supersteps: 6,
-                    parallel,
+                    workers,
                     ..EngineConfig::default()
                 },
             )
@@ -1447,8 +1289,8 @@ mod tests {
                 (7u32, 300u64),
             ]))
         };
-        let serial = run(false);
-        let parallel = run(true);
+        let serial = run(1);
+        let parallel = run(0); // a pool sized from the host
         let serial_tokens: Vec<u64> = serial
             .states
             .iter()
@@ -1599,14 +1441,13 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(31);
         let graph = rmat(500, RmatParams::default(), &mut rng);
         let pg = partitioned(&graph, 6);
-        let run = |parallel: bool, workers: usize, batch_size: usize| {
+        let run = |workers: usize, batch_size: usize| {
             let engine = Engine::new(
                 &pg,
                 TokenForward { steps: 6 },
                 EngineConfig {
                     max_supersteps: 6,
                     sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
-                    parallel,
                     workers,
                     batch_size,
                     ..EngineConfig::default()
@@ -1618,17 +1459,15 @@ mod tests {
                 (3u32, 1_000u64),
             ]))
         };
-        let baseline = run(false, 0, 0);
+        let baseline = run(1, 0);
         let tokens = |out: &EngineOutput<TokenState>| {
             out.states
                 .iter()
                 .map(|s| (s.arrived, s.forwarding))
                 .collect::<Vec<_>>()
         };
-        for (parallel, workers, batch_size) in
-            [(true, 2, 7), (true, 3, 64), (true, 8, 1), (false, 0, 13)]
-        {
-            let other = run(parallel, workers, batch_size);
+        for (workers, batch_size) in [(2, 7), (3, 64), (8, 1), (1, 13)] {
+            let other = run(workers, batch_size);
             assert_eq!(
                 tokens(&baseline),
                 tokens(&other),
@@ -1719,7 +1558,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(37);
         let graph = rmat(500, RmatParams::default(), &mut rng);
         let pg = partitioned(&graph, 6);
-        let run = |parallel: bool, workers: usize, batch_size: usize| {
+        let run = |workers: usize, batch_size: usize| {
             let engine = Engine::new(
                 &pg,
                 TokenForward { steps: 7 },
@@ -1727,7 +1566,6 @@ mod tests {
                     max_supersteps: 7,
                     sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
                     staleness: 2,
-                    parallel,
                     workers,
                     batch_size,
                     ..EngineConfig::default()
@@ -1739,15 +1577,15 @@ mod tests {
                 (3u32, 1_000u64),
             ]))
         };
-        let baseline = run(false, 0, 0);
+        let baseline = run(1, 0);
         let tokens = |out: &EngineOutput<TokenState>| {
             out.states
                 .iter()
                 .map(|s| (s.arrived, s.forwarding))
                 .collect::<Vec<_>>()
         };
-        for (parallel, workers, batch_size) in [(true, 2, 7), (true, 3, 64), (true, 8, 1)] {
-            let other = run(parallel, workers, batch_size);
+        for (workers, batch_size) in [(2, 7), (3, 64), (8, 1)] {
+            let other = run(workers, batch_size);
             assert_eq!(
                 tokens(&baseline),
                 tokens(&other),
@@ -1763,6 +1601,89 @@ mod tests {
                 baseline.metrics.max_inbox_depth(),
                 other.metrics.max_inbox_depth()
             );
+        }
+    }
+
+    #[test]
+    fn mail_to_isolated_dangling_and_self_loop_vertices_is_conserved_and_deterministic() {
+        // 0 loops on itself and feeds the ring; 1 feeds the dangling vertex 2 and the
+        // ring, and nothing points at 1, so 2 is handed tokens once and keeps them;
+        // 3 is isolated, its only replica the hashed master; 4..24 is a chorded ring.
+        let mut edges = vec![(0u32, 0u32), (0, 4), (1, 2), (1, 4)];
+        for i in 0..20u32 {
+            edges.push((4 + i, 4 + (i + 1) % 20));
+            edges.push((4 + i, 4 + (i + 3) % 20));
+        }
+        let graph = DiGraph::from_edges(24, &edges);
+        let pg = partitioned(&graph, 4);
+        pg.validate().unwrap();
+        assert_eq!(pg.placement().replicas(3).len(), 1);
+        // Duplicate destinations, the isolated vertex among them.
+        let initial: Vec<(VertexId, u64)> = vec![
+            (3, 7),
+            (0, 100),
+            (1, 40),
+            (3, 5),
+            (4, 1000),
+            (0, 11),
+            (3, 1),
+            (1, 2),
+        ];
+        let injected: u64 = initial.iter().map(|&(_, tokens)| tokens).sum();
+        let run = |workers: usize, batch_size: usize, staleness: usize| {
+            let engine = Engine::new(
+                &pg,
+                TokenForward { steps: 6 },
+                EngineConfig {
+                    max_supersteps: 6,
+                    sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
+                    workers,
+                    batch_size,
+                    staleness,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            engine.run(InitialActivation::Messages(initial.clone()))
+        };
+        let tokens = |out: &EngineOutput<TokenState>| {
+            out.states
+                .iter()
+                .map(|s| (s.arrived, s.forwarding))
+                .collect::<Vec<_>>()
+        };
+        for staleness in [0usize, 2] {
+            let baseline = run(1, 0, staleness);
+            // Every token ends absorbed by the final superstep or parked on a vertex
+            // with no out-edge (2 and 3, each handed tokens exactly once).
+            let parked = baseline.states[2].forwarding + baseline.states[3].forwarding;
+            assert_eq!(
+                total_tokens(&baseline.states) + parked,
+                injected,
+                "staleness {staleness} lost tokens"
+            );
+            // The isolated vertex keeps the three parcels addressed to it.
+            assert_eq!(baseline.states[3].forwarding, 13);
+            assert!(baseline.states[2].arrived + baseline.states[2].forwarding > 0);
+            for (workers, batch_size) in [(1, 1), (3, 0), (3, 1)] {
+                let other = run(workers, batch_size, staleness);
+                let label = format!("staleness={staleness} workers={workers} batch={batch_size}");
+                assert_eq!(tokens(&baseline), tokens(&other), "{label}");
+                assert_eq!(
+                    baseline.metrics.num_supersteps(),
+                    other.metrics.num_supersteps(),
+                    "{label}"
+                );
+                for (a, b) in baseline
+                    .metrics
+                    .supersteps
+                    .iter()
+                    .zip(&other.metrics.supersteps)
+                {
+                    assert_eq!(a.work, b.work, "{label}");
+                    assert_eq!(a.network, b.network, "{label}");
+                }
+            }
         }
     }
 

@@ -21,9 +21,9 @@
 //!   per-machine work operations, replication factors, and a simulated cluster-time
 //!   model so experiments can report the same four panels as Figure 1 of the paper
 //!   (per-iteration time, total time, network bytes, CPU time).
-//! * **Execution** ([`engine`]) — a deterministic single-threaded executor and a
-//!   multi-threaded executor (one worker per simulated machine, synchronized at
-//!   superstep barriers) that produce identical results for the same seed.
+//! * **Execution** ([`engine`]) — a frontier-scheduled superstep executor whose phases
+//!   run as key-range batches on the calling thread or a worker pool, producing
+//!   identical results for the same seed at any worker count.
 //! * **Walk-segment generation** ([`walkgen`]) — parallel precomputation of per-vertex
 //!   random-walk segments (each machine generates for the vertices it masters), the
 //!   build phase of `frogwild`'s walk-index subsystem.
@@ -58,4 +58,4 @@ pub use partition::{
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 pub use sync::SyncPolicy;
-pub use walkgen::{generate_walk_segments, generate_walk_segments_traced, MachineSegments};
+pub use walkgen::{generate_walk_segments, MachineSegments};

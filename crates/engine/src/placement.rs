@@ -20,14 +20,20 @@ use crate::partition::{EdgeAssignment, Partitioner};
 use crate::rng;
 use frogwild_graph::{DiGraph, VertexId};
 
-/// Where each vertex's master lives and which machines hold replicas.
+/// Where every replica of every vertex lives: the machine holding it and its slot
+/// (local index) in that machine's [`Shard`]. This table is the one way the engine
+/// finds a vertex's state; [`Shard::local_index`] recovers the same slot by search.
 #[derive(Clone, Debug)]
 pub struct VertexPlacement {
-    /// Master machine of every vertex.
+    /// Master machine of every vertex, and the master replica's slot on it.
     master: Vec<MachineId>,
-    /// Sorted list of machines holding a replica of every vertex (always contains the
-    /// master's machine).
-    replicas: Vec<Vec<MachineId>>,
+    master_local: Vec<u32>,
+    /// The replica table in CSR form: the replicas of `v` are entries
+    /// `offsets[v]..offsets[v + 1]` of `machines` (ascending, always containing the
+    /// master's machine) and of `locals`, the slot of `v` on that machine.
+    offsets: Vec<usize>,
+    machines: Vec<MachineId>,
+    locals: Vec<u32>,
 }
 
 impl VertexPlacement {
@@ -37,16 +43,34 @@ impl VertexPlacement {
         self.master[v as usize]
     }
 
+    /// Master machine of `v` and the slot of `v` in that machine's shard.
+    #[inline]
+    pub fn master_slot(&self, v: VertexId) -> (MachineId, u32) {
+        (self.master[v as usize], self.master_local[v as usize])
+    }
+
     /// Machines holding a replica of `v` (sorted, includes the master's machine).
     #[inline]
     pub fn replicas(&self, v: VertexId) -> &[MachineId] {
-        &self.replicas[v as usize]
+        &self.machines[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// Every replica of `v` as `(machine, slot in that machine's shard)`, in
+    /// ascending machine order.
+    #[inline]
+    pub fn replica_slots(
+        &self,
+        v: VertexId,
+    ) -> impl ExactSizeIterator<Item = (MachineId, u32)> + Clone + '_ {
+        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        let machines = self.machines[range.clone()].iter().copied();
+        machines.zip(self.locals[range].iter().copied())
     }
 
     /// Mirror machines of `v` (replicas excluding the master's machine).
     pub fn mirrors(&self, v: VertexId) -> impl Iterator<Item = MachineId> + '_ {
         let master = self.master(v);
-        self.replicas[v as usize]
+        self.replicas(v)
             .iter()
             .copied()
             .filter(move |&m| m != master)
@@ -59,20 +83,16 @@ impl VertexPlacement {
 
     /// Average number of replicas per vertex — the key cost metric of a vertex-cut.
     pub fn replication_factor(&self) -> f64 {
-        if self.replicas.is_empty() {
+        if self.master.is_empty() {
             return 0.0;
         }
-        let total: usize = self.replicas.iter().map(|r| r.len()).sum();
-        total as f64 / self.replicas.len() as f64
+        self.machines.len() as f64 / self.master.len() as f64
     }
 
     /// Total number of mirror replicas (replicas minus masters), i.e. the number of
     /// master→mirror synchronization messages a full sync of every vertex would send.
     pub fn total_mirrors(&self) -> usize {
-        self.replicas
-            .iter()
-            .map(|r| r.len().saturating_sub(1))
-            .sum()
+        self.machines.len().saturating_sub(self.master.len())
     }
 }
 
@@ -105,7 +125,9 @@ impl Shard {
         self.out_targets_local.len()
     }
 
-    /// Local index of a global vertex id, if the vertex has a replica here.
+    /// Local index of a global vertex id, if the vertex has a replica here. A binary
+    /// search: edge localisation at build time and [`PartitionedGraph::validate`] use
+    /// it; a run reads the slots [`VertexPlacement`] recorded instead.
     #[inline]
     pub fn local_index(&self, v: VertexId) -> Option<u32> {
         // `vertices` is sorted ascending, so the local index is its rank.
@@ -226,27 +248,36 @@ impl PartitionedGraph {
             set.sort_unstable();
         }
 
-        // --- master assignment --------------------------------------------------
-        let master: Vec<MachineId> = (0..n)
-            .map(|v| {
-                let set = &replica_sets[v];
-                set[rng::pick_index(set.len(), &[seed, 0x4A57E2, v as u64])]
-            })
-            .collect();
-
-        let placement = VertexPlacement {
-            master,
-            replicas: replica_sets,
+        // --- masters, replica table and per-machine vertex tables ----------------
+        // Vertices are visited in ascending order, so a replica's slot is the length
+        // of its machine's vertex table at the moment the vertex joins it.
+        let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
+        let num_replicas: usize = replica_sets.iter().map(Vec::len).sum();
+        let mut placement = VertexPlacement {
+            master: Vec::with_capacity(n),
+            master_local: Vec::with_capacity(n),
+            offsets: Vec::with_capacity(n + 1),
+            machines: Vec::with_capacity(num_replicas),
+            locals: Vec::with_capacity(num_replicas),
         };
+        placement.offsets.push(0);
+        for (v, set) in replica_sets.into_iter().enumerate() {
+            let master = set[rng::pick_index(set.len(), &[seed, 0x4A57E2, v as u64])];
+            placement.master.push(master);
+            for m in set {
+                let members = &mut shard_vertices[m.index()];
+                let local = members.len() as u32;
+                if m == master {
+                    placement.master_local.push(local);
+                }
+                placement.machines.push(m);
+                placement.locals.push(local);
+                members.push(v as VertexId);
+            }
+            placement.offsets.push(placement.machines.len());
+        }
 
         // --- shards -------------------------------------------------------------
-        // Local vertex tables per machine.
-        let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
-        for v in 0..n as VertexId {
-            for &m in placement.replicas(v) {
-                shard_vertices[m.index()].push(v);
-            }
-        }
         let mut shards: Vec<Shard> = Vec::with_capacity(num_machines);
         for (m, vertices) in shard_vertices.into_iter().enumerate() {
             let is_master = vertices
@@ -346,7 +377,8 @@ impl PartitionedGraph {
 
     /// Consistency check used by tests: every edge appears on exactly one machine, every
     /// endpoint of a local edge has a local replica, local degree sums match global
-    /// degrees, and the master of every vertex is one of its replicas.
+    /// degrees, the master of every vertex is one of its replicas, and every slot the
+    /// placement table records is the vertex's local index on that machine.
     pub fn validate(&self) -> Result<(), frogwild_graph::Error> {
         let total_local_edges: usize = self.shards.iter().map(|s| s.num_local_edges()).sum();
         if total_local_edges != self.num_edges {
@@ -356,24 +388,26 @@ impl PartitionedGraph {
             )));
         }
         for v in 0..self.num_vertices as VertexId {
-            let master = self.placement.master(v);
-            if !self.placement.replicas(v).contains(&master) {
+            let master_slot = self.placement.master_slot(v);
+            if !self
+                .placement
+                .replica_slots(v)
+                .any(|slot| slot == master_slot)
+            {
                 return Err(frogwild_graph::Error::partition(format!(
                     "master of vertex {v} is not among its replicas"
                 )));
             }
-            let local_out_total: usize = self
-                .placement
-                .replicas(v)
-                .iter()
-                .map(|&m| {
-                    let shard = self.shard(m);
-                    shard
-                        .local_index(v)
-                        .map(|l| shard.local_out_degree(l))
-                        .unwrap_or(0)
-                })
-                .sum();
+            let mut local_out_total = 0usize;
+            for (m, local) in self.placement.replica_slots(v) {
+                let shard = self.shard(m);
+                if shard.local_index(v) != Some(local) {
+                    return Err(frogwild_graph::Error::partition(format!(
+                        "vertex {v}: recorded slot {local} on {m} is not its local index"
+                    )));
+                }
+                local_out_total += shard.local_out_degree(local);
+            }
             if local_out_total != self.out_degrees[v as usize] as usize {
                 return Err(frogwild_graph::Error::partition(format!(
                     "vertex {v}: local out-degrees sum to {local_out_total}, global is {}",

@@ -4,15 +4,15 @@
 //! small number of fixed-length random-walk *segments* that queries later stitch
 //! together PowerWalk-style instead of walking the graph afresh. Generating those
 //! segments is the expensive, embarrassingly parallel part of an index build, and the
-//! natural unit of parallelism is the engine's own work division: **each simulated
-//! machine generates the segments of the vertices it masters**, on its own worker
-//! thread when `parallel` is set — exactly how the engine splits gather/apply/scatter
-//! work in [`crate::engine`].
+//! natural unit of parallelism is the placement's own work division: **each simulated
+//! machine generates the segments of the vertices it masters**, on a thread of its own
+//! when `parallel` is set. (The engine in [`crate::engine`] schedules differently: a
+//! worker pool over key-range batches, sized independently of the machine count.)
 //!
 //! Every hop is drawn from a generator derived from `(seed, vertex, segment)` via
 //! [`crate::rng::derived_rng`], so the produced segments are identical regardless of
 //! the machine count, the partitioner, or whether the build ran parallel — the same
-//! determinism contract the engine's two executors obey.
+//! determinism contract the engine obeys across worker counts.
 
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, Tracer};
@@ -51,34 +51,13 @@ pub struct MachineSegments {
 /// walk length is also decided at query time, which keeps the index valid for any
 /// teleport probability.
 ///
-/// When `parallel` is set, one worker thread per simulated machine generates that
-/// machine's batch, mirroring the engine's execution model. The output is identical
-/// either way, and identical across machine counts and partitioners for a fixed
-/// `seed`.
+/// When `parallel` is set, one thread per simulated machine generates that machine's
+/// batch. The output is identical either way, and identical across machine counts and
+/// partitioners for a fixed `seed`.
+///
+/// Each machine's generation is recorded into `tracer` as a `walk_segments` span keyed
+/// `(0, machine, 0)`, carrying vertex and hop counters; the tracer only observes.
 pub fn generate_walk_segments(
-    graph: &DiGraph,
-    pg: &PartitionedGraph,
-    segments_per_vertex: usize,
-    segment_length: usize,
-    seed: u64,
-    parallel: bool,
-) -> Vec<MachineSegments> {
-    generate_walk_segments_traced(
-        graph,
-        pg,
-        segments_per_vertex,
-        segment_length,
-        seed,
-        parallel,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`generate_walk_segments`] with a tracing handle: each machine's segment
-/// generation is recorded as a `walk_segments` span keyed `(0, machine, 0)`,
-/// carrying vertex and hop counters. Output is identical to the untraced build —
-/// the tracer only observes.
-pub fn generate_walk_segments_traced(
     graph: &DiGraph,
     pg: &PartitionedGraph,
     segments_per_vertex: usize,
@@ -179,7 +158,7 @@ mod tests {
     fn every_vertex_is_generated_exactly_once() {
         let g = test_graph(300);
         let pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 7);
-        let batches = generate_walk_segments(&g, &pg, 3, 5, 11, false);
+        let batches = generate_walk_segments(&g, &pg, 3, 5, 11, false, &Tracer::disabled());
         let mut seen: Vec<VertexId> = batches
             .iter()
             .flat_map(|b| b.vertices.iter().copied())
@@ -203,7 +182,7 @@ mod tests {
         let r = 4;
         let l = 6;
         let table = by_vertex(
-            &generate_walk_segments(&g, &pg, r, l, 13, false),
+            &generate_walk_segments(&g, &pg, r, l, 13, false, &Tracer::disabled()),
             g.num_vertices(),
             r,
         );
@@ -240,6 +219,7 @@ mod tests {
                 l,
                 42,
                 false,
+                &Tracer::disabled(),
             ),
             g.num_vertices(),
             r,
@@ -252,7 +232,7 @@ mod tests {
                     PartitionedGraph::build(&g, machines, &RandomPartitioner, 9)
                 };
                 let other = by_vertex(
-                    &generate_walk_segments(&g, &pg, r, l, 42, parallel),
+                    &generate_walk_segments(&g, &pg, r, l, 42, parallel, &Tracer::disabled()),
                     g.num_vertices(),
                     r,
                 );
@@ -265,7 +245,11 @@ mod tests {
     fn cycle_segments_are_fully_determined() {
         let g = cycle(10);
         let pg = PartitionedGraph::build(&g, 2, &ObliviousPartitioner, 3);
-        let table = by_vertex(&generate_walk_segments(&g, &pg, 2, 4, 1, false), 10, 2);
+        let table = by_vertex(
+            &generate_walk_segments(&g, &pg, 2, 4, 1, false, &Tracer::disabled()),
+            10,
+            2,
+        );
         // On a cycle the walk has no choices: segment hops are v+1, v+2, ...
         for v in 0..10u32 {
             for seg in &table[v as usize] {
@@ -281,7 +265,11 @@ mod tests {
         // vertex is dangling; use a hand-built sink instead.
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let pg = PartitionedGraph::build(&g, 2, &ObliviousPartitioner, 3);
-        let table = by_vertex(&generate_walk_segments(&g, &pg, 2, 5, 1, false), 3, 2);
+        let table = by_vertex(
+            &generate_walk_segments(&g, &pg, 2, 5, 1, false, &Tracer::disabled()),
+            3,
+            2,
+        );
         // From vertex 0 the only walk is 1, 2 and then the sink stops it.
         for seg in &table[0] {
             assert_eq!(seg, &vec![1u32, 2u32]);
