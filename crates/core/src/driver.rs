@@ -90,12 +90,17 @@ struct AlgorithmKnobs {
     tolerance: f64,
 }
 
-/// The one place an [`EngineConfig`] is built.
+/// The one place an [`EngineConfig`] is built, and so the one place a run is refused
+/// a graph with no vertex to put a walker or a rank on.
 fn engine_config(
+    pg: &PartitionedGraph,
     knobs: AlgorithmKnobs,
     execution: &ExecutionConfig,
     tracer: &Tracer,
 ) -> Result<EngineConfig, Error> {
+    if pg.num_vertices() == 0 {
+        return Err(Error::graph("cannot run on an empty graph"));
+    }
     execution.validate()?;
     Ok(EngineConfig {
         sync_policy: knobs.sync_policy,
@@ -122,7 +127,8 @@ fn engine_config(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation.
+/// Returns [`Error::InvalidConfig`] when either configuration fails validation and
+/// [`Error::Graph`] when the graph has no vertices.
 pub fn run_frogwild(
     pg: &PartitionedGraph,
     config: &FrogWildConfig,
@@ -130,6 +136,7 @@ pub fn run_frogwild(
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
     let engine_config = engine_config(
+        pg,
         AlgorithmKnobs {
             sync_policy: config.sync_policy(),
             max_supersteps: config.iterations,
@@ -191,7 +198,8 @@ pub fn run_frogwild(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation.
+/// Returns [`Error::InvalidConfig`] when either configuration fails validation and
+/// [`Error::Graph`] when the graph has no vertices.
 pub fn run_graphlab_pr(
     pg: &PartitionedGraph,
     config: &PageRankConfig,
@@ -199,6 +207,7 @@ pub fn run_graphlab_pr(
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
     let engine_config = engine_config(
+        pg,
         AlgorithmKnobs {
             sync_policy: SyncPolicy::Full,
             max_supersteps: config.max_iterations,
@@ -235,7 +244,8 @@ pub fn run_graphlab_pr(
 /// # Errors
 ///
 /// Returns [`Error::InvalidConfig`] when the PageRank configuration is invalid or
-/// `keep_probability` lies outside `[0, 1]`.
+/// `keep_probability` lies outside `[0, 1]`, and [`Error::Graph`] when the graph has no
+/// vertices.
 pub fn run_sparsified_pr(
     graph: &DiGraph,
     cluster: &ClusterConfig,
@@ -460,6 +470,20 @@ mod tests {
         let m = mass_captured(&report.estimate, &exact.scores, 30);
         assert!(m.normalized() > 0.5, "captured {}", m.normalized());
         assert!(report.algorithm.contains("Sparsified"));
+    }
+
+    #[test]
+    fn zero_vertex_graphs_are_a_typed_error_never_a_panic() {
+        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
+        let empty = DiGraph::empty(0);
+        let pg = partition_graph(&empty, &small_cluster());
+        let fw = run_frogwild(&pg, &FrogWildConfig::default(), &exec, &off);
+        assert!(matches!(fw, Err(Error::Graph { .. })), "{fw:?}");
+        let pr = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off);
+        assert!(matches!(pr, Err(Error::Graph { .. })), "{pr:?}");
+        let sparse =
+            run_sparsified_pr(&empty, &small_cluster(), 0.5, &PageRankConfig::truncated(2));
+        assert!(matches!(sparse, Err(Error::Graph { .. })), "{sparse:?}");
     }
 
     #[test]

@@ -145,25 +145,31 @@ impl VertexProgram for FrogWildProgram {
             if share == 0 {
                 return;
             }
-            let degree = local_out_neighbors.len() as u64;
-            let per_edge = share / degree;
-            let remainder = (share % degree) as usize;
+            let len = local_out_neighbors.len();
+            let per_edge = share / len as u64;
+            let remainder = (share % len as u64) as usize;
             let offset = if remainder > 0 {
-                ctx.rng.gen_range(0..local_out_neighbors.len())
+                ctx.rng.gen_range(0..len)
             } else {
                 0
             };
+            // The `remainder` edges starting at the random offset, wrapping past the
+            // last edge, get one extra frog.
+            let end = offset + remainder;
+            let wrapped = end.saturating_sub(len);
+            if per_edge == 0 {
+                // Fewer frogs than edges (walkers ≪ vertices): only those edges emit,
+                // in edge order — the wrapped part first.
+                let head = local_out_neighbors.iter().take(wrapped);
+                let tail = local_out_neighbors.iter().skip(offset);
+                for &dst in head.chain(tail.take(remainder - wrapped)) {
+                    emit(dst, 1);
+                }
+                return;
+            }
             for (idx, &dst) in local_out_neighbors.iter().enumerate() {
-                let mut amount = per_edge;
-                // The `remainder` edges starting at the random offset get one extra frog.
-                let rotated =
-                    (idx + local_out_neighbors.len() - offset) % local_out_neighbors.len();
-                if rotated < remainder {
-                    amount += 1;
-                }
-                if amount > 0 {
-                    emit(dst, amount);
-                }
+                let extra = idx < wrapped || (offset..end).contains(&idx);
+                emit(dst, per_edge + u64::from(extra));
             }
         }
     }
@@ -184,6 +190,7 @@ mod tests {
     use super::*;
     use frogwild_engine::MachineId;
     use frogwild_engine::{ApplyContext, ScatterContext};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -320,6 +327,114 @@ mod tests {
         for &count in &per_dst {
             assert_eq!(count, 100);
         }
+    }
+
+    /// The deterministic split as a loop over every neighbour with a `%` per edge —
+    /// what `scatter_replica` ran before it short-circuited `share < local degree`.
+    /// Kept as the reference the proptest below compares against.
+    fn reference_split(
+        ctx: &mut ScatterContext<'_>,
+        live: u64,
+        neighbors: &[VertexId],
+    ) -> Vec<(VertexId, u64)> {
+        let mut out = Vec::new();
+        let share = dist::even_split(live, ctx.num_participating, ctx.replica_rank);
+        if share == 0 || neighbors.is_empty() {
+            return out;
+        }
+        let degree = neighbors.len() as u64;
+        let per_edge = share / degree;
+        let remainder = (share % degree) as usize;
+        let offset = if remainder > 0 {
+            ctx.rng.gen_range(0..neighbors.len())
+        } else {
+            0
+        };
+        for (idx, &dst) in neighbors.iter().enumerate() {
+            let rotated = (idx + neighbors.len() - offset) % neighbors.len();
+            let amount = per_edge + u64::from(rotated < remainder);
+            if amount > 0 {
+                out.push((dst, amount));
+            }
+        }
+        out
+    }
+
+    type Emissions = Vec<(VertexId, u64)>;
+
+    /// What `scatter_replica` emits and what the reference emits, from one rng seed.
+    fn split_both_ways(
+        live: u64,
+        rank: usize,
+        participating: usize,
+        neighbors: &[VertexId],
+        rng_seed: u64,
+    ) -> (Emissions, Emissions) {
+        let program = FrogWildProgram::new(&config(10)).unwrap();
+        let state = FrogState { live, stopped: 0 };
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let mut ctx = scatter_ctx(rank, participating, neighbors.len(), 64, 1.0, &mut rng);
+        let expected = reference_split(&mut ctx, live, neighbors);
+        let mut rng = SmallRng::seed_from_u64(rng_seed);
+        let mut ctx = scatter_ctx(rank, participating, neighbors.len(), 64, 1.0, &mut rng);
+        let mut emitted = Vec::new();
+        program.scatter_replica(&mut ctx, 0, &state, neighbors, &mut |dst, x| {
+            emitted.push((dst, x));
+        });
+        (emitted, expected)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn deterministic_split_matches_the_per_neighbour_reference(
+            // Three cases in four have fewer frogs than edges can carry (the
+            // short-circuit); the fourth has `share >= degree`.
+            few in 0u64..40,
+            many in 0u64..5_000,
+            pick in 0u8..4,
+            participating in 1usize..5,
+            rank_seed in any::<usize>(),
+            degree in 0usize..48,
+            rng_seed in any::<u64>(),
+        ) {
+            let live = if pick == 0 { many } else { few };
+            let rank = rank_seed % participating;
+            // Distinct destinations, so a sequence mismatch cannot hide.
+            let neighbors: Vec<VertexId> = (0..degree as VertexId).map(|i| 7 * i + 3).collect();
+            let (emitted, expected) =
+                split_both_ways(live, rank, participating, &neighbors, rng_seed);
+            prop_assert_eq!(&emitted, &expected);
+            let total: u64 = emitted.iter().map(|&(_, x)| x).sum();
+            let share = dist::even_split(live, participating, rank);
+            prop_assert_eq!(total, if degree == 0 { 0 } else { share });
+        }
+    }
+
+    #[test]
+    fn deterministic_split_wraps_past_the_last_edge() {
+        // Every remainder of a 5-edge replica under 200 rng seeds: splits whose extra
+        // frogs wrap past the last edge (`offset + remainder > 5`) must be among them,
+        // with and without a whole frog per edge.
+        let neighbors: Vec<VertexId> = vec![10, 11, 12, 13, 14];
+        let mut wrapped = [0usize; 2];
+        for seed in 0..200u64 {
+            for live in [1, 2, 3, 4, 6, 7, 8, 9u64] {
+                let (emitted, expected) = split_both_ways(live, 0, 1, &neighbors, seed);
+                assert_eq!(emitted, expected, "seed {seed} live {live}");
+                // Wrapped: the first and the last edge both carry an extra frog (fewer
+                // than 5 edges do, so one between them does not).
+                let extra = live / 5 + 1;
+                if emitted.first() == Some(&(10, extra)) && emitted.last() == Some(&(14, extra)) {
+                    wrapped[usize::from(live > 5)] += 1;
+                }
+            }
+        }
+        assert!(
+            wrapped[0] > 0 && wrapped[1] > 0,
+            "no wrap-around split: {wrapped:?}"
+        );
     }
 
     #[test]

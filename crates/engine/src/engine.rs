@@ -7,13 +7,21 @@
 //! is accounted in [`RunMetrics`]; the partial-synchronization policy decides which
 //! mirrors receive fresh state and may therefore participate in scatter.
 //!
-//! A vertex is addressed one way. Its *mail* — the combined incoming message and the
-//! combined gather accumulator — lives in two per-run arrays indexed by global vertex
-//! id (a vertex has one master, so nothing else is needed to address it), allocated
-//! once, occupied only where the frontier says and emptied by apply. Its *state* lives
-//! in per-machine replica caches, and the slot of every replica comes from the table
+//! A vertex is addressed one way. Its *mail* lives in three per-run arrays indexed by
+//! global vertex id (a vertex has one master, so nothing else is needed to address
+//! it), allocated once: the combined incoming message and the combined gather
+//! accumulator, occupied only where the frontier says and emptied by apply, and the
+//! combined *outgoing* message of the machine being routed. Its *state* lives in
+//! per-machine replica caches, and the slot of every replica comes from the table
 //! [`VertexPlacement`](crate::placement::VertexPlacement) recorded when the graph was
 //! partitioned; nothing in a run searches for a vertex.
+//!
+//! Walkers headed to the same vertex travel as one message (the paper's first
+//! optimization), and combining is a fold, not a sort: route takes each machine's
+//! outbox in production order — scatter task order, edge order within a task — and
+//! folds every emission into its destination's outgoing slot, `combine(so far, next)`.
+//! Only the *distinct* destinations are then sorted, so a machine's combined messages
+//! are staged, counted and charged to the network in ascending destination order.
 //!
 //! Inter-machine messages flow through a **bounded-staleness staging inbox**: a
 //! message produced in superstep `t` on the channel from machine `a` to machine `b`
@@ -23,8 +31,10 @@
 //! immediate. A machine may therefore begin gather/apply for superstep `t` once its
 //! inbox holds every message due by `t`, which by construction includes everything
 //! produced at or before `t − 1 − staleness`: the engine's per-machine progress
-//! watermark. Messages are drained in `(visibility superstep, production order)`
-//! order — production order being `(sending machine, destination key)` — so results
+//! watermark. The staging area is a ring of `staleness + 1` slots whose front is the
+//! next visibility superstep. Messages are drained in `(visibility superstep,
+//! production order)` order — production order being `(producing superstep, sending
+//! machine, destination key)` — and folded into the inbox the same way, so results
 //! are bit-identical across worker counts and batch sizes for any fixed staleness
 //! bound, and `staleness = 0` reproduces the synchronous engine bit-for-bit.
 //!
@@ -48,7 +58,7 @@
 
 // lint:allow-file(indexing, hot path: every index is a vertex id or a slot the placement table recorded at build time)
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -242,14 +252,12 @@ struct ScatterTask {
     num_participating: usize,
 }
 
-/// A combined message waiting in the bounded-staleness staging inbox for its
-/// visibility superstep. Within one visibility superstep messages sit in production
-/// order — sending machine ascending, destination vertex ascending within a sender —
-/// which is also the order they are drained.
-struct StagedMessage<M> {
-    vertex: VertexId,
-    message: M,
-    /// Supersteps of delay relative to synchronous (next-superstep) delivery.
+/// The combined messages staged for one visibility superstep, in production order —
+/// producing superstep, sending machine, destination vertex, each ascending — which is
+/// also the order they are drained.
+struct StagedSlot<M> {
+    messages: Vec<(VertexId, M)>,
+    /// Summed supersteps of delay relative to synchronous (next-superstep) delivery.
     lag: u64,
 }
 
@@ -263,10 +271,20 @@ struct RunState<P: VertexProgram> {
     /// The combined gather accumulator of every vertex, by vertex id. Filled by the
     /// gather commit and taken by apply within one superstep.
     accums: Vec<Option<P::Accum>>,
-    /// The bounded-staleness staging inbox: routed messages wait here keyed by the
-    /// superstep at which they become visible. The drain schedule is a pure function
-    /// of the configuration — worker counts and batch sizes never reorder it.
-    staged: BTreeMap<usize, Vec<StagedMessage<P::Message>>>,
+    /// The combined outgoing message of every vertex, by vertex id, and the slots
+    /// `touched`: what route folds one machine's outbox into, empty between machines.
+    outgoing: Vec<Option<P::Message>>,
+    touched: Vec<VertexId>,
+    /// The bounded-staleness staging inbox, a ring of `staleness + 1` slots whose
+    /// front becomes visible at the next superstep to run. The drain schedule is a pure
+    /// function of the configuration — worker counts and batch sizes never reorder it.
+    staged: VecDeque<StagedSlot<P::Message>>,
+    /// Per-machine task lists of the three phases and the sync loop's replica list:
+    /// cleared every superstep, never reallocated.
+    gather_tasks: Vec<Vec<u32>>,
+    apply_tasks: Vec<Vec<ApplyTask<P>>>,
+    scatter_tasks: Vec<Vec<ScatterTask>>,
+    participating: Vec<(MachineId, u32)>,
 }
 
 /// Puts `value` into `slot`, folding it into what is already there (`combine(old,
@@ -334,20 +352,28 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 .collect(),
             inbox: (0..num_vertices).map(|_| None).collect(),
             accums: (0..num_vertices).map(|_| None).collect(),
-            staged: BTreeMap::new(),
+            outgoing: (0..num_vertices).map(|_| None).collect(),
+            touched: Vec::new(),
+            staged: (0..=self.config.staleness)
+                .map(|_| StagedSlot {
+                    messages: Vec::new(),
+                    lag: 0,
+                })
+                .collect(),
+            gather_tasks: vec![Vec::new(); num_machines],
+            apply_tasks: (0..num_machines).map(|_| Vec::new()).collect(),
+            scatter_tasks: (0..num_machines).map(|_| Vec::new()).collect(),
+            participating: Vec::new(),
         };
 
         // Initial frontier.
         let mut frontier: Frontier = match initial {
             InitialActivation::AllVertices => Frontier::all(num_vertices),
             InitialActivation::Messages(messages) => {
-                // Combine per destination, then deliver to the masters locally.
+                // Combine per destination, delivering to the masters locally.
                 let mut vertices = Vec::new();
-                for (v, message) in self.combine_by_destination(messages) {
-                    state.inbox[v as usize] = Some(message);
-                    vertices.push(v);
-                }
-                Frontier { vertices }
+                self.fold_messages(&mut state.inbox, &mut vertices, messages);
+                Frontier::from_unsorted(vertices)
             }
         };
 
@@ -374,14 +400,17 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 // Quiescent right now, but messages may still be in flight: jump to
                 // the earliest staged visibility instead of idling through empty
                 // supersteps. No staged work at all means the run is finished.
-                match state.staged.keys().next().copied() {
-                    Some(next) if next < self.config.max_supersteps => superstep = next,
+                match state.staged.iter().position(|s| !s.messages.is_empty()) {
+                    Some(ahead) if superstep + ahead < self.config.max_supersteps => {
+                        state.staged.rotate_left(ahead);
+                        superstep += ahead;
+                    }
                     _ => break,
                 }
             }
             // Drain everything due at this superstep into the inbox; newly delivered
             // messages activate their destination vertices.
-            let (activations, lag) = self.drain_staged(superstep, &mut state);
+            let (activations, lag) = self.drain_staged(&mut state);
             if !activations.is_empty() {
                 let mut vertices = std::mem::take(&mut frontier.vertices);
                 vertices.extend(activations);
@@ -396,10 +425,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             let mut step_metrics = self.superstep(superstep, &frontier, &mut state, &loop_sink);
             step_metrics.host_seconds = start.elapsed().as_secs_f64();
             step_metrics.staleness_lag = lag;
-            step_metrics.inbox_depth = state
-                .staged
-                .range(superstep + 2..)
-                .map(|(_, batch)| batch.len() as u64)
+            // Everything staged past the next superstep (the ring's front).
+            step_metrics.inbox_depth = (state.staged.iter().skip(1))
+                .map(|slot| slot.messages.len() as u64)
                 .sum();
 
             // Simulated time. Synchronous runs keep the barriered cost model
@@ -480,24 +508,22 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         EngineOutput { states, metrics }
     }
 
-    /// Sorts `messages` by destination (stably) and folds every run of messages to
-    /// one vertex into a single message, left to right — walkers headed to the same
-    /// vertex travel as one message, the paper's first optimization.
-    fn combine_by_destination(
+    /// Folds `messages`, in the order given, into the vertex-indexed `slots` — walkers
+    /// headed to the same vertex travel as one message, the paper's first optimization
+    /// — and lists every vertex whose slot was empty on `touched`.
+    fn fold_messages(
         &self,
-        mut messages: Vec<(VertexId, P::Message)>,
-    ) -> Vec<(VertexId, P::Message)> {
-        messages.sort_by_key(|(v, _)| *v);
-        let mut merged: Vec<(VertexId, P::Message)> = Vec::with_capacity(messages.len());
-        for (v, message) in messages {
-            match merged.last_mut() {
-                Some((last, combined)) if *last == v => {
-                    *combined = self.program.combine_messages(combined.clone(), message);
-                }
-                _ => merged.push((v, message)),
+        slots: &mut [Option<P::Message>],
+        touched: &mut Vec<VertexId>,
+        messages: impl IntoIterator<Item = (VertexId, P::Message)>,
+    ) {
+        for (vertex, message) in messages {
+            if deposit(&mut slots[vertex as usize], message, |a, b| {
+                self.program.combine_messages(a, b)
+            }) {
+                touched.push(vertex);
             }
         }
-        merged
     }
 
     /// The superstep at which a message produced in `superstep` on the channel from
@@ -525,30 +551,19 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         (base + delay).min(self.config.max_supersteps - 1)
     }
 
-    /// Drains every staged message due at `superstep` into the inbox, in `(visibility
-    /// superstep, production order)` order — the fixed drain schedule that makes
-    /// bounded-staleness runs deterministic. Returns the vertices the deliveries
-    /// activated (unsorted) and the summed delivery lag in supersteps.
-    fn drain_staged(&self, superstep: usize, state: &mut RunState<P>) -> (Vec<VertexId>, u64) {
+    /// Drains the ring's front slot — every staged message due at the superstep about
+    /// to run — into the inbox, in production order: the fixed drain schedule that
+    /// makes bounded-staleness runs deterministic. The emptied slot goes round to the
+    /// back. Returns the vertices the deliveries activated (unsorted) and the summed
+    /// delivery lag in supersteps.
+    fn drain_staged(&self, state: &mut RunState<P>) -> (Vec<VertexId>, u64) {
         let mut activations = Vec::new();
         let mut lag = 0u64;
-        while state
-            .staged
-            .first_key_value()
-            .is_some_and(|(&key, _)| key <= superstep)
-        {
-            let Some((_, batch)) = state.staged.pop_first() else {
-                break;
-            };
-            for staged in batch {
-                lag += staged.lag;
-                let slot = &mut state.inbox[staged.vertex as usize];
-                if deposit(slot, staged.message, |a, b| {
-                    self.program.combine_messages(a, b)
-                }) {
-                    activations.push(staged.vertex);
-                }
-            }
+        state.staged.rotate_left(1);
+        if let Some(slot) = state.staged.back_mut() {
+            lag = std::mem::take(&mut slot.lag);
+            let due = slot.messages.drain(..);
+            self.fold_messages(&mut state.inbox, &mut activations, due);
         }
         (activations, lag)
     }
@@ -567,7 +582,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             caches,
             inbox,
             accums,
+            outgoing,
+            touched,
             staged,
+            gather_tasks,
+            apply_tasks,
+            scatter_tasks,
+            participating,
+            ..
         } = state;
         let num_machines = self.graph.num_machines();
         let placement = self.graph.placement();
@@ -582,7 +604,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             sink.span(span_meta!("gather"), SpanKey::new(step, 0, 0, LANE_GATHER));
         if self.program.gather_direction() == EdgeDirection::In {
             // Which slots must gather on each machine.
-            let mut gather_tasks: Vec<Vec<u32>> = vec![Vec::new(); num_machines];
+            gather_tasks.iter_mut().for_each(Vec::clear);
             for &v in active {
                 for (m, local) in placement.replica_slots(v) {
                     if self.graph.shard(m).local_in_degree(local) > 0 {
@@ -595,7 +617,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 LANE_GATHER,
                 span_meta!("gather_batch"),
                 true,
-                &gather_tasks,
+                gather_tasks,
                 |machine, locals| self.gather_batch(machine, &caches[machine], locals),
             );
             for (machine, (partials, ops)) in gathered.into_iter().enumerate() {
@@ -616,8 +638,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
         // ------------------------------------------------------------------- apply --
         let mut apply_span = sink.span(span_meta!("apply"), SpanKey::new(step, 0, 0, LANE_APPLY));
-        let mut apply_tasks: Vec<Vec<ApplyTask<P>>> =
-            (0..num_machines).map(|_| Vec::new()).collect();
+        apply_tasks.iter_mut().for_each(Vec::clear);
         for (position, &v) in active.iter().enumerate() {
             let (master, local) = placement.master_slot(v);
             apply_tasks[master.index()].push(ApplyTask {
@@ -636,7 +657,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             LANE_APPLY,
             span_meta!("apply_batch"),
             false,
-            &apply_tasks,
+            apply_tasks,
             |machine, tasks| self.apply_batch(&caches[machine], tasks, superstep),
         );
         // Serial commit: fresh states into the master slots, deltas by frontier
@@ -660,8 +681,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let state_bytes = (self.program.state_bytes() + header_bytes) as u64;
         let has_out_edge =
             |&(m, local): &(MachineId, u32)| self.graph.shard(m).local_out_degree(local) > 0;
-        let mut scatter_tasks: Vec<Vec<ScatterTask>> =
-            (0..num_machines).map(|_| Vec::new()).collect();
+        scatter_tasks.iter_mut().for_each(Vec::clear);
 
         for (&v, &delta) in active.iter().zip(&deltas) {
             let (master, master_local) = placement.master_slot(v);
@@ -676,7 +696,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             }
             // Decide which replicas are synchronized (and hence may scatter).
             let replicas = placement.replica_slots(v);
-            let mut participating: Vec<(MachineId, u32)> = Vec::with_capacity(replicas.len());
+            participating.clear();
             for replica in replicas.clone() {
                 let synced = replica.0 == master
                     || match self.config.sync_policy {
@@ -733,7 +753,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             // Refresh the synchronized mirrors. A mirror slot is never a slot this
             // loop reads (it reads master slots only), so writing here is the same as
             // committing every refresh after the loop.
-            for &(m, local) in &participating {
+            for &(m, local) in participating.iter() {
                 if m != master {
                     let fresh = caches[master.index()][master_local as usize].clone();
                     caches[m.index()][local as usize] = fresh;
@@ -767,7 +787,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             LANE_SCATTER,
             span_meta!("scatter_batch"),
             true,
-            &scatter_tasks,
+            scatter_tasks,
             |machine, tasks| self.scatter_batch(machine, &caches[machine], tasks, superstep),
         );
         scatter_span.counter(
@@ -783,7 +803,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         for (machine, (outbox, ops)) in scattered.into_iter().enumerate() {
             work.scatter_ops += ops;
             work.ops_per_machine[machine] += ops;
-            for (vertex, message) in self.combine_by_destination(outbox) {
+            // Fold in production order; stage the distinct destinations ascending.
+            self.fold_messages(outgoing, touched, outbox);
+            touched.sort_unstable();
+            let combined = |v: VertexId| Some((v, outgoing[v as usize].take()?));
+            for (vertex, message) in touched.drain(..).filter_map(combined) {
                 let master = placement.master(vertex).index();
                 if master != machine {
                     net.record(machine, message_bytes);
@@ -794,11 +818,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 // drops the messages routed by the final superstep.
                 let visible = self.visibility(superstep, machine, master);
                 if visible < self.config.max_supersteps {
-                    staged.entry(visible).or_default().push(StagedMessage {
-                        vertex,
-                        message,
-                        lag: (visible - (superstep + 1)) as u64,
-                    });
+                    // The ring's front is the next superstep, so the slot is the lag.
+                    let lag = visible - (superstep + 1);
+                    let slot = &mut staged[lag];
+                    slot.messages.push((vertex, message));
+                    slot.lag += lag as u64;
                 }
             }
         }
@@ -1016,11 +1040,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let mut outbox: Vec<(VertexId, P::Message)> = Vec::new();
         let mut ops = 0u64;
         for task in tasks {
-            let local_neighbors: Vec<VertexId> = shard
-                .local_out_neighbors(task.local)
-                .iter()
-                .map(|&l| shard.global_id(l))
-                .collect();
+            let local_neighbors = shard.local_out_neighbors(task.local);
             ops += local_neighbors.len() as u64;
             let mut task_rng = rng::derived_rng(&[
                 self.config.seed,
@@ -1043,7 +1063,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 &mut ctx,
                 task.vertex,
                 &cache[task.local as usize],
-                &local_neighbors,
+                local_neighbors,
                 &mut |dst, msg| outbox.push((dst, msg)),
             );
         }
@@ -1157,6 +1177,18 @@ mod tests {
 
     fn partitioned(graph: &DiGraph, machines: usize) -> PartitionedGraph {
         PartitionedGraph::build(graph, machines, &ObliviousPartitioner, 99)
+    }
+
+    /// Two runs went through the same supersteps with bit-identical work, traffic and
+    /// routed-message counts.
+    fn assert_same_supersteps(a: &RunMetrics, b: &RunMetrics, label: &str) {
+        assert_eq!(a.num_supersteps(), b.num_supersteps(), "{label}");
+        for (a, b) in a.supersteps.iter().zip(&b.supersteps) {
+            assert_eq!(a.superstep, b.superstep, "{label}");
+            assert_eq!(a.work, b.work, "{label}");
+            assert_eq!(a.network, b.network, "{label}");
+            assert_eq!(a.routed_messages, b.routed_messages, "{label}");
+        }
     }
 
     fn total_tokens(states: &[TokenState]) -> u64 {
@@ -1669,20 +1701,183 @@ mod tests {
                 let other = run(workers, batch_size, staleness);
                 let label = format!("staleness={staleness} workers={workers} batch={batch_size}");
                 assert_eq!(tokens(&baseline), tokens(&other), "{label}");
-                assert_eq!(
-                    baseline.metrics.num_supersteps(),
-                    other.metrics.num_supersteps(),
-                    "{label}"
-                );
-                for (a, b) in baseline
-                    .metrics
-                    .supersteps
-                    .iter()
-                    .zip(&other.metrics.supersteps)
-                {
-                    assert_eq!(a.work, b.work, "{label}");
-                    assert_eq!(a.network, b.network, "{label}");
+                assert_same_supersteps(&baseline.metrics, &other.metrics, &label);
+            }
+        }
+    }
+
+    /// A program whose message combine is order-*sensitive* (`a · 31 + b`, wrapping),
+    /// so the fold order of every destination's messages shows in the states. A vertex
+    /// chains what it receives into `value` and, until the last step, sends every
+    /// out-neighbour a message naming the edge.
+    struct OrderedMail {
+        steps: usize,
+    }
+
+    #[derive(Clone, Default, Debug, PartialEq)]
+    struct MailState {
+        value: u64,
+        forwards: bool,
+    }
+
+    fn ordered_combine(a: u64, b: u64) -> u64 {
+        a.wrapping_mul(31).wrapping_add(b)
+    }
+
+    fn ordered_apply(value: u64, message: u64) -> u64 {
+        value.wrapping_mul(131).wrapping_add(message)
+    }
+
+    fn ordered_message(value: u64, src: VertexId, dst: VertexId) -> u64 {
+        value ^ (u64::from(src) << 32 | u64::from(dst))
+    }
+
+    impl VertexProgram for OrderedMail {
+        type State = MailState;
+        type Message = u64;
+        type Accum = ();
+
+        fn combine_messages(&self, a: u64, b: u64) -> u64 {
+            ordered_combine(a, b)
+        }
+        fn combine_accums(&self, _a: (), _b: ()) {}
+
+        fn apply(
+            &self,
+            ctx: &mut ApplyContext<'_>,
+            _vertex: VertexId,
+            state: &mut MailState,
+            _accum: Option<()>,
+            message: Option<u64>,
+        ) {
+            state.value = ordered_apply(state.value, message.unwrap_or(0));
+            state.forwards = ctx.superstep + 1 < self.steps;
+        }
+
+        fn needs_scatter(&self, _vertex: VertexId, state: &MailState) -> bool {
+            state.forwards
+        }
+
+        fn scatter_replica(
+            &self,
+            _ctx: &mut ScatterContext<'_>,
+            vertex: VertexId,
+            state: &MailState,
+            local_out_neighbors: &[VertexId],
+            emit: &mut dyn FnMut(VertexId, u64),
+        ) {
+            for &dst in local_out_neighbors {
+                emit(dst, ordered_message(state.value, vertex, dst));
+            }
+        }
+    }
+
+    /// The synchronous full-sync run of [`OrderedMail`] worked out from the graph and
+    /// the edge assignment alone, combining the way the executor is specified to: per
+    /// sending machine a stable sort of its emissions by destination and a left fold
+    /// of each run, emissions in (source ascending, edge order) order; then the
+    /// machines' combined messages folded into the destination in machine order.
+    fn ordered_mail_reference(
+        graph: &DiGraph,
+        assignment: &crate::partition::EdgeAssignment,
+        initial: &[(VertexId, u64)],
+        steps: usize,
+    ) -> Vec<u64> {
+        let fold_by_destination = |mut emissions: Vec<(VertexId, u64)>| {
+            emissions.sort_by_key(|&(dst, _)| dst);
+            let mut folded: Vec<(VertexId, u64)> = Vec::new();
+            for (dst, message) in emissions {
+                match folded.last_mut() {
+                    Some((last, so_far)) if *last == dst => {
+                        *so_far = ordered_combine(*so_far, message);
+                    }
+                    _ => folded.push((dst, message)),
                 }
+            }
+            folded
+        };
+        let mut values = vec![0u64; graph.num_vertices()];
+        let mut inbox = fold_by_destination(initial.to_vec());
+        for step in 0..steps {
+            for &(v, message) in &inbox {
+                values[v as usize] = ordered_apply(values[v as usize], message);
+            }
+            if step + 1 == steps {
+                break;
+            }
+            let active: Vec<VertexId> = inbox.iter().map(|&(v, _)| v).collect();
+            let mut delivered: Vec<(VertexId, u64)> = Vec::new();
+            for machine in 0..assignment.num_machines {
+                let emissions = graph
+                    .edges()
+                    .zip(&assignment.machines)
+                    .filter(|&((src, _), m)| m.index() == machine && active.contains(&src))
+                    .map(|((src, dst), _)| (dst, ordered_message(values[src as usize], src, dst)))
+                    .collect();
+                delivered.extend(fold_by_destination(emissions));
+            }
+            // `delivered` is in (machine, destination) order, so the stable sort keeps
+            // each destination's messages in machine order.
+            inbox = fold_by_destination(delivered);
+        }
+        values
+    }
+
+    #[test]
+    fn order_sensitive_message_combine_is_folded_in_production_order() {
+        use crate::partition::Partitioner;
+        let mut rng = SmallRng::seed_from_u64(53);
+        let graph = rmat(120, RmatParams::default(), &mut rng);
+        let assignment = ObliviousPartitioner.assign(&graph, 5, 99);
+        let pg = PartitionedGraph::from_assignment(&graph, &assignment, "oblivious", 99);
+        pg.validate().unwrap();
+        // Duplicate destinations in the initial list; 0 and 1 are R-MAT hubs, so their
+        // mail fans in from every machine.
+        let initial: Vec<(VertexId, u64)> = vec![
+            (0, 5),
+            (17, 11),
+            (1, 7),
+            (0, 13),
+            (64, 3),
+            (17, 2),
+            (0, 19),
+            (1, 23),
+        ];
+        let steps = 5;
+        let run = |workers: usize, batch_size: usize, staleness: usize| {
+            let engine = Engine::new(
+                &pg,
+                OrderedMail { steps },
+                EngineConfig {
+                    max_supersteps: steps,
+                    workers,
+                    batch_size,
+                    staleness,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            engine.run(InitialActivation::Messages(initial.clone()))
+        };
+        for staleness in [0usize, 2] {
+            let baseline = run(1, 0, staleness);
+            if staleness == 0 {
+                let expected = ordered_mail_reference(&graph, &assignment, &initial, steps);
+                let values: Vec<u64> = baseline.states.iter().map(|s| s.value).collect();
+                assert_eq!(values, expected);
+                // The fan-in the test is about: some vertex's mail came from several
+                // machines, and some machine combined several messages for one vertex.
+                let last = &baseline.metrics.supersteps[steps - 2];
+                assert!(last.work.scatter_ops > last.routed_messages);
+                assert!(
+                    last.routed_messages > baseline.metrics.supersteps[steps - 1].work.apply_ops
+                );
+            }
+            for (workers, batch_size) in [(1, 1), (3, 0), (3, 1)] {
+                let other = run(workers, batch_size, staleness);
+                let label = format!("staleness={staleness} workers={workers} batch={batch_size}");
+                assert_eq!(baseline.states, other.states, "{label}");
+                assert_same_supersteps(&baseline.metrics, &other.metrics, &label);
             }
         }
     }

@@ -6,8 +6,8 @@
 //! * every vertex has a replica on each machine owning at least one of its edges;
 //! * exactly one replica is designated the **master** (it holds the authoritative vertex
 //!   state, runs `apply`, and pushes updates to the mirrors);
-//! * every machine holds a [`Shard`]: its local edges in CSR form over *local* vertex
-//!   indices, plus lookup tables between local and global ids.
+//! * every machine holds a [`Shard`]: its local edges in CSR form by *local* vertex
+//!   index, plus lookup tables between local and global ids.
 //!
 //! The replication factor reported by [`VertexPlacement::replication_factor`] is the
 //! quantity that drives the per-iteration network cost of the standard PageRank — the
@@ -96,7 +96,10 @@ impl VertexPlacement {
     }
 }
 
-/// The slice of the graph owned by one machine.
+/// The slice of the graph owned by one machine. Both edge tables are indexed by local
+/// vertex index; out-edge targets are stored as *global* ids, because scatter is their
+/// only reader and lends the stored slice to the program as message destinations, while
+/// in-edge sources stay local indices, which gather reads the replica cache through.
 #[derive(Clone, Debug)]
 pub struct Shard {
     /// The machine this shard belongs to.
@@ -106,9 +109,9 @@ pub struct Shard {
     pub vertices: Vec<VertexId>,
     /// `true` for local vertices whose master lives on this machine.
     pub is_master: Vec<bool>,
-    /// Local edges in CSR form by *source* local index (used by scatter).
+    /// Local edges in CSR form by *source* local index, global targets (used by scatter).
     out_offsets: Vec<usize>,
-    out_targets_local: Vec<u32>,
+    out_targets: Vec<VertexId>,
     /// Local edges in CSR form by *destination* local index (used by gather).
     in_offsets: Vec<usize>,
     in_sources_local: Vec<u32>,
@@ -122,7 +125,7 @@ impl Shard {
 
     /// Number of edges owned by this machine.
     pub fn num_local_edges(&self) -> usize {
-        self.out_targets_local.len()
+        self.out_targets.len()
     }
 
     /// Local index of a global vertex id, if the vertex has a replica here. A binary
@@ -140,11 +143,12 @@ impl Shard {
         self.vertices[local as usize]
     }
 
-    /// Local out-neighbors (as local indices) of the vertex with local index `local`.
+    /// Out-neighbors (as *global* ids, in edge order) of the vertex with local index
+    /// `local` over the out-edges this machine owns: the shard's own slice.
     #[inline]
-    pub fn local_out_neighbors(&self, local: u32) -> &[u32] {
+    pub fn local_out_neighbors(&self, local: u32) -> &[VertexId] {
         let l = local as usize;
-        &self.out_targets_local[self.out_offsets[l]..self.out_offsets[l + 1]]
+        &self.out_targets[self.out_offsets[l]..self.out_offsets[l + 1]]
     }
 
     /// Local in-neighbors (as local indices) of the vertex with local index `local`.
@@ -289,7 +293,7 @@ impl PartitionedGraph {
                 vertices,
                 is_master,
                 out_offsets: Vec::new(),
-                out_targets_local: Vec::new(),
+                out_targets: Vec::new(),
                 in_offsets: Vec::new(),
                 in_sources_local: Vec::new(),
             });
@@ -308,14 +312,14 @@ impl PartitionedGraph {
             local_edges[machine.index()].push((ls, ld));
         }
         for (m, edges) in local_edges.into_iter().enumerate() {
-            let num_local = shards[m].vertices.len();
-            let (out_offsets, out_targets_local) =
-                build_local_csr(num_local, edges.iter().map(|&(s, d)| (s, d)));
+            let vertices = &shards[m].vertices;
+            let out_edges = edges.iter().map(|&(s, d)| (s, vertices[d as usize]));
+            let (out_offsets, out_targets) = build_local_csr(vertices.len(), out_edges);
             let (in_offsets, in_sources_local) =
-                build_local_csr(num_local, edges.iter().map(|&(s, d)| (d, s)));
+                build_local_csr(vertices.len(), edges.iter().map(|&(s, d)| (d, s)));
             let shard = &mut shards[m];
             shard.out_offsets = out_offsets;
-            shard.out_targets_local = out_targets_local;
+            shard.out_targets = out_targets;
             shard.in_offsets = in_offsets;
             shard.in_sources_local = in_sources_local;
         }
@@ -377,8 +381,9 @@ impl PartitionedGraph {
 
     /// Consistency check used by tests: every edge appears on exactly one machine, every
     /// endpoint of a local edge has a local replica, local degree sums match global
-    /// degrees, the master of every vertex is one of its replicas, and every slot the
-    /// placement table records is the vertex's local index on that machine.
+    /// degrees, the master of every vertex is one of its replicas, every slot the
+    /// placement table records is the vertex's local index on that machine, and every
+    /// stored out-edge target is the global id of a vertex replicated on that shard.
     pub fn validate(&self) -> Result<(), frogwild_graph::Error> {
         let total_local_edges: usize = self.shards.iter().map(|s| s.num_local_edges()).sum();
         if total_local_edges != self.num_edges {
@@ -430,12 +435,20 @@ impl PartitionedGraph {
                     )));
                 }
             }
+            for &t in shard.out_targets.iter() {
+                if shard.local_index(t).is_none() {
+                    return Err(frogwild_graph::Error::partition(format!(
+                        "shard {}: out-edge target {t} is not the id of a local replica",
+                        shard.machine
+                    )));
+                }
+            }
         }
         Ok(())
     }
 }
 
-/// Counting-sort CSR over local indices.
+/// Counting-sort CSR by local row index; the column values are stored as given.
 fn build_local_csr(
     num_local: usize,
     edges: impl Iterator<Item = (u32, u32)> + Clone,
@@ -569,8 +582,8 @@ mod tests {
         for shard in pg.shards() {
             for local in 0..shard.num_local_vertices() as u32 {
                 let src = shard.global_id(local);
-                for &dst_local in shard.local_out_neighbors(local) {
-                    reconstructed.push((src, shard.global_id(dst_local)));
+                for &dst in shard.local_out_neighbors(local) {
+                    reconstructed.push((src, dst));
                 }
             }
         }
@@ -578,6 +591,22 @@ mod tests {
         let mut expected = g.edge_vec();
         expected.sort_unstable();
         assert_eq!(reconstructed, expected);
+    }
+
+    #[test]
+    fn validate_rejects_an_out_target_that_is_not_a_local_replicas_global_id() {
+        let g = small_rmat();
+        let mut pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 8);
+        pg.validate().unwrap();
+        // A local index where a global id belongs: some vertex of the graph, but (on a
+        // four-machine cut of 400 vertices) not one replicated on this shard.
+        let shard = &mut pg.shards[0];
+        let stray = (0..400).find(|&v| shard.local_index(v).is_none()).unwrap();
+        shard.out_targets[0] = stray;
+        assert!(matches!(
+            pg.validate(),
+            Err(frogwild_graph::Error::Partition { .. })
+        ));
     }
 
     #[test]

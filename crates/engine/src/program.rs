@@ -85,8 +85,8 @@ pub trait VertexProgram: Send + Sync {
     type Accum: Clone + Send + Sync;
 
     /// Combines two messages destined for the same vertex. Must be associative and
-    /// commutative (the engine combines in machine order, which is deterministic but
-    /// arbitrary).
+    /// commutative (the engine folds `combine(so far, next)` in production order —
+    /// sending machine, scatter task, edge — which is deterministic but arbitrary).
     fn combine_messages(&self, a: Self::Message, b: Self::Message) -> Self::Message;
 
     /// Combines two partial gather accumulations.
@@ -149,9 +149,11 @@ pub trait VertexProgram: Send + Sync {
     }
 
     /// Scatter executed once per participating replica of an active vertex.
-    /// `local_out_neighbors` lists the global ids of the out-neighbors reachable
-    /// through edges owned by the executing machine; `emit(dst, msg)` queues a signal
-    /// for `dst` (delivered to its master at the start of the next superstep).
+    /// `local_out_neighbors` is the shard's own slice, lent for the call: the global
+    /// ids of the out-neighbors reachable through the out-edges the executing machine
+    /// owns, in edge order. `emit(dst, msg)` queues a signal for `dst`, delivered to its
+    /// master at the start of the next superstep (or up to `staleness` later); signals
+    /// to one vertex are combined in the order they were emitted.
     fn scatter_replica(
         &self,
         ctx: &mut ScatterContext<'_>,

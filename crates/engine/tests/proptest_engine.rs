@@ -83,8 +83,8 @@ proptest! {
         for shard in pg.shards() {
             for local in 0..shard.num_local_vertices() as u32 {
                 let src = shard.global_id(local);
-                for &dst_local in shard.local_out_neighbors(local) {
-                    reconstructed.push((src, shard.global_id(dst_local)));
+                for &dst in shard.local_out_neighbors(local) {
+                    reconstructed.push((src, dst));
                 }
             }
         }
