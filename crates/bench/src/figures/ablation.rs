@@ -16,9 +16,9 @@
 //!    accuracy impact.
 
 use super::accuracy;
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{
     GridPartitioner, HdrfPartitioner, HybridPartitioner, ObliviousPartitioner, PartitionedGraph,
     Partitioner, RandomPartitioner,

@@ -18,13 +18,13 @@
 //!   where Remark 6 predicts the walker budget must grow, and the captured-mass gap
 //!   shows it.
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::metrics::{exact_identification, mass_captured};
 use frogwild::montecarlo::{complete_path_pagerank, walkers_per_vertex_pagerank};
 use frogwild::prelude::*;
 use frogwild::rank_metrics::{kendall_tau_top_k, ndcg_at_k};
 use frogwild::reference::{exact_pagerank, serial_random_walk_pagerank};
-use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
 use frogwild_graph::generators::watts_strogatz::{watts_strogatz, WattsStrogatzParams};
 use rand::rngs::SmallRng;

@@ -7,9 +7,9 @@
 //! use `p_s ∈ {1, 0.1}` exactly like the paper).
 
 use super::PS_SWEEP;
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 
 /// Runs the Figure 1 sweep and returns one table per panel.
 pub fn run(scale: &Scale) -> Vec<Table> {

@@ -7,9 +7,9 @@
 //! graph once and then serves the whole six-way algorithm sweep as a query stream.
 
 use super::PS_SWEEP;
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 
 /// The k values the paper sweeps.
 pub const K_SWEEP: [usize; 4] = [30, 100, 300, 1000];

@@ -7,9 +7,9 @@
 //! with the network bytes encoded as the circle area, so a single table covers both.
 
 use super::{accuracy, PS_SWEEP};
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 
 /// The FrogWild iteration counts the sweep covers.
 pub const ITERATION_SWEEP: [usize; 3] = [3, 4, 5];

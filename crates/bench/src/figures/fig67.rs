@@ -7,9 +7,9 @@
 //! iterations ∈ {3, 4, 5} × p_s ∈ {0.1, 0.4, 0.7, 1} plus the PR baselines.
 
 use super::{accuracy, PS_SWEEP};
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{livejournal_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 
 /// k used by the LiveJournal figures.
 pub const K: usize = 100;

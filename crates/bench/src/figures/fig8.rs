@@ -5,9 +5,9 @@
 //! reason FrogWild can afford far fewer walkers than the one-walker-per-vertex schemes
 //! in earlier Monte-Carlo PageRank work.
 
+use crate::report::Table;
 use crate::workloads::{livejournal_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::Table;
 
 /// Runs the Figure 8 sweep.
 pub fn run(scale: &Scale) -> Vec<Table> {

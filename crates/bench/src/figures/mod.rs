@@ -19,9 +19,9 @@ pub mod theory_check;
 pub mod trace;
 pub mod walkindex;
 
+use crate::report::fmt_f64;
 use frogwild::driver::RunReport;
 use frogwild::metrics::{exact_identification, mass_captured};
-use frogwild::report::fmt_f64;
 
 /// Accuracy of a run against a reference distribution, at top-`k`.
 pub(crate) fn accuracy(report: &RunReport, truth: &[f64], k: usize) -> (f64, f64) {

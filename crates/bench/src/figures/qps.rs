@@ -9,9 +9,9 @@
 //! to the serial path. The second table sweeps the bounded queue's depth under the
 //! load-shedding admission policy, showing rejection taking over as buffering shrinks.
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::Scale;
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild::serve::{Admission, ServeConfig, ServeReport};
 use frogwild::session::PprMethod;
 use frogwild_graph::generators::twitter_like;

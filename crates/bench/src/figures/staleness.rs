@@ -22,9 +22,9 @@
 //! avoided.
 
 use crate::figures::accuracy;
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
 
 /// The staleness windows swept, in supersteps. `0` is the synchronous baseline.

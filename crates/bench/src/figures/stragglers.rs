@@ -12,9 +12,9 @@
 //! slowdown factor of total simulated time when machine 0 runs 2× / 4× / 8× slower,
 //! for exact PageRank, 2-iteration PageRank and FrogWild at `p_s ∈ {1, 0.4}`.
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{CostModel, ObliviousPartitioner, PartitionedGraph};
 
 /// The straggler slowdown factors applied to machine 0.

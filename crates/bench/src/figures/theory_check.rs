@@ -6,10 +6,10 @@
 //! analytical envelope, which is the strongest end-to-end consistency check available
 //! for the partial-synchronization machinery.
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::metrics::mass_captured;
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild::theory;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

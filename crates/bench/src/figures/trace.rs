@@ -13,10 +13,10 @@
 //! The run also cross-checks the tracing bit-identity contract: the traced
 //! estimate must match an untraced run of the same configuration exactly.
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::obs::{TraceConfig, Tracer};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
 
 /// How many slowest spans the second table lists.

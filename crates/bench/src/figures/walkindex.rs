@@ -8,10 +8,10 @@
 
 use std::time::Instant;
 
+use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::ppr::{personalized_pagerank, single_source_restart};
 use frogwild::prelude::*;
-use frogwild::report::{fmt_f64, Table};
 use frogwild::session::PprMethod;
 
 /// Queries in the served stream.

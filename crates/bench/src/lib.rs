@@ -13,7 +13,7 @@
 //! FROGWILD_SCALE=medium cargo run -p frogwild-bench --release --bin figures -- fig1
 //! ```
 //!
-//! Each figure function returns [`frogwild::report::Table`]s; the binary prints them as
+//! Each figure function returns [`crate::report::Table`]s; the binary prints them as
 //! markdown and writes CSVs under `bench_results/`.
 //!
 //! The experiments run on synthetic graphs whose shape matches the paper's datasets
@@ -21,12 +21,13 @@
 //! whole suite finishes in minutes on a laptop at the default scale.
 
 pub mod figures;
+pub mod report;
 pub mod workloads;
 
 pub use workloads::Scale;
 
 /// Runs the selected figures and returns all produced tables, in order.
-pub fn run_figures(names: &[String], scale: &Scale) -> Vec<frogwild::report::Table> {
+pub fn run_figures(names: &[String], scale: &Scale) -> Vec<report::Table> {
     let mut tables = Vec::new();
     let wants = |name: &str| {
         names.is_empty()

@@ -255,7 +255,6 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
         memory_budget_bytes,
         seed: args.get_parsed("seed", 42, "an integer")?,
         parallel: args.has_flag("parallel"),
-        ..base
     })
 }
 
@@ -819,8 +818,7 @@ fn cmd_index(args: &Args) -> Result<()> {
     }
     let config = walk_index_values(args)?;
     let trace = trace_request(args)?;
-    // Partition explicitly (the same default ingress `build_walk_index_standalone`
-    // uses) so the build can run under the CLI's tracer: each machine's segment
+    // Build over an explicit layout, under the CLI's tracer: each machine's segment
     // generation then lands in the trace as a `walk_segments` span.
     let tracer = Tracer::new(
         trace

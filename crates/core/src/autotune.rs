@@ -38,15 +38,11 @@ pub struct AutoTuneConfig {
     pub failure_probability: f64,
     /// Walkers used by the pilot run.
     pub pilot_walkers: u64,
-    /// Supersteps used by the pilot run.
-    pub pilot_iterations: usize,
     /// Mirror-synchronization probability used for both runs.
     pub sync_probability: f64,
     /// Hard cap on the planned walker budget (protects against a pilot that estimates a
     /// vanishing top-k mass, which would make Remark 6 ask for an astronomical budget).
     pub max_walkers: u64,
-    /// Hard cap on the planned iteration count.
-    pub max_iterations: usize,
     /// Seed for the pilot and the final run.
     pub seed: u64,
 }
@@ -58,10 +54,8 @@ impl Default for AutoTuneConfig {
             mass_loss_target: 0.05,
             failure_probability: 0.1,
             pilot_walkers: 10_000,
-            pilot_iterations: 3,
             sync_probability: 0.7,
             max_walkers: 5_000_000,
-            max_iterations: 8,
             seed: 0xA070,
         }
     }
@@ -81,11 +75,8 @@ impl AutoTuneConfig {
         if !in_open_unit_interval(self.failure_probability) {
             return Err(Error::config(CTX, "failure_probability must be in (0, 1)"));
         }
-        if self.pilot_walkers == 0 || self.pilot_iterations == 0 {
-            return Err(Error::config(
-                CTX,
-                "pilot must use at least one walker and one iteration",
-            ));
+        if self.pilot_walkers == 0 {
+            return Err(Error::config(CTX, "pilot must use at least one walker"));
         }
         if !in_half_open_unit_interval(self.sync_probability) {
             return Err(Error::config(CTX, "sync_probability must be in (0, 1]"));
@@ -95,9 +86,6 @@ impl AutoTuneConfig {
                 CTX,
                 "max_walkers must be at least pilot_walkers",
             ));
-        }
-        if self.max_iterations == 0 {
-            return Err(Error::config(CTX, "max_iterations must be positive"));
         }
         Ok(())
     }
@@ -121,24 +109,10 @@ pub struct AutoTuneReport {
     pub run: RunReport,
 }
 
-impl AutoTuneReport {
-    /// Combined network bytes of the pilot and the final run — the full cost of the
-    /// self-tuned query.
-    pub fn total_network_bytes(&self) -> u64 {
-        self.pilot.cost.network_bytes + self.run.cost.network_bytes
-    }
-
-    /// Fraction of the total traffic spent on the pilot. Small values mean the tuning
-    /// overhead was negligible.
-    pub fn pilot_overhead(&self) -> f64 {
-        let total = self.total_network_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            self.pilot.cost.network_bytes as f64 / total as f64
-        }
-    }
-}
+/// Supersteps the pilot run uses, and the floor of the planned iteration count.
+const PILOT_ITERATIONS: usize = 3;
+/// Hard cap on the planned iteration count.
+const MAX_ITERATIONS: usize = 8;
 
 /// Runs the pilot → plan → run pipeline on an already partitioned graph; both engine
 /// runs execute under `execution` and record their spans into `tracer`, exactly like
@@ -160,7 +134,7 @@ pub fn auto_topk_on(
         pg,
         &FrogWildConfig {
             num_walkers: config.pilot_walkers,
-            iterations: config.pilot_iterations,
+            iterations: PILOT_ITERATIONS,
             sync_probability: config.sync_probability,
             seed: config.seed ^ 0x9107,
             ..FrogWildConfig::default()
@@ -188,8 +162,8 @@ pub fn auto_topk_on(
     let planned_walkers = plan
         .walkers_for_mass
         .clamp(config.pilot_walkers, config.max_walkers);
-    let planned_iterations = recommended_iterations(0.15, estimated_topk_mass)
-        .clamp(config.pilot_iterations, config.max_iterations);
+    let planned_iterations =
+        recommended_iterations(0.15, estimated_topk_mass).clamp(PILOT_ITERATIONS, MAX_ITERATIONS);
 
     // ------------------------------------------------------------------ 3. run
     let run = run_frogwild(
@@ -272,12 +246,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(AutoTuneConfig {
-            max_iterations: 0,
-            ..base
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -298,8 +266,7 @@ mod tests {
 
         assert!(report.planned_walkers >= config.pilot_walkers);
         assert!(report.planned_walkers <= config.max_walkers);
-        assert!(report.planned_iterations >= config.pilot_iterations);
-        assert!(report.planned_iterations <= config.max_iterations);
+        assert!((PILOT_ITERATIONS..=MAX_ITERATIONS).contains(&report.planned_iterations));
         assert!(report.estimated_topk_mass > 0.0 && report.estimated_topk_mass <= 1.0);
 
         let pilot_mass =
@@ -312,11 +279,6 @@ mod tests {
         assert!(final_mass > 0.9, "final mass {final_mass}");
         // The tuner spent more effort on the final run than on the pilot.
         assert!(report.run.cost.network_bytes >= report.pilot.cost.network_bytes);
-        assert!(report.pilot_overhead() <= 0.5);
-        assert_eq!(
-            report.total_network_bytes(),
-            report.pilot.cost.network_bytes + report.run.cost.network_bytes
-        );
     }
 
     #[test]
@@ -330,12 +292,11 @@ mod tests {
             k: 20,
             pilot_walkers: 1_000,
             max_walkers: 50_000,
-            max_iterations: 5,
             ..AutoTuneConfig::default()
         };
         let report =
             auto_topk_on(&partition_graph(&graph, &cluster), &config, &exec, &off).unwrap();
         assert_eq!(report.planned_walkers, 50_000);
-        assert!(report.planned_iterations <= 5);
+        assert_eq!(report.planned_iterations, MAX_ITERATIONS);
     }
 }

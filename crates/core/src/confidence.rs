@@ -49,6 +49,7 @@ impl Interval {
 /// # Panics
 ///
 /// Panics if `num_walkers` is zero or `failure_probability` is outside `(0, 1)`.
+// lint:allow(orphan-pub, oracle for planned_walker_budget_achieves_the_planned_accuracy)
 pub fn hoeffding_epsilon(num_walkers: u64, num_vertices: usize, failure_probability: f64) -> f64 {
     assert!(num_walkers > 0, "need at least one walker");
     assert!(

@@ -125,11 +125,14 @@ impl FrogWildConfig {
 }
 
 /// Unified execution configuration for the engine: worker-pool scheduling
-/// (`workers`, `batch_size`), the executor's delta-gating `tolerance` override, and
-/// the bounded-`staleness` asynchrony knob — one builder threaded through
+/// (`workers`, `batch_size`) and the bounded-`staleness` asynchrony knob — one
+/// builder threaded through
 /// [`SessionBuilder::execution`](crate::session::SessionBuilder::execution) and the
 /// drivers ([`run_frogwild`](crate::driver::run_frogwild),
-/// [`run_graphlab_pr`](crate::driver::run_graphlab_pr)).
+/// [`run_graphlab_pr`](crate::driver::run_graphlab_pr)). Every value of every field
+/// is meaningful, so there is nothing to validate. The delta-gating threshold is not
+/// here: it belongs to the algorithm ([`FrogWildConfig::tolerance`],
+/// [`PageRankConfig::tolerance`]).
 ///
 /// # Determinism contract
 ///
@@ -137,9 +140,7 @@ impl FrogWildConfig {
 /// host threads. `staleness` *does* change results (messages arrive late), but
 /// deterministically: for a fixed staleness bound the output is bit-identical across
 /// every worker count and batch size, and `staleness = 0` (the default) reproduces
-/// the synchronous executor bit-for-bit. `tolerance` overrides the algorithm
-/// config's delta-gating threshold when set; leaving it unset (`None`) defers to
-/// [`FrogWildConfig::tolerance`] / [`PageRankConfig::tolerance`].
+/// the synchronous executor bit-for-bit.
 ///
 /// ```
 /// use frogwild::config::ExecutionConfig;
@@ -147,7 +148,6 @@ impl FrogWildConfig {
 /// let exec = ExecutionConfig::new().workers(4).batch_size(256).staleness(1);
 /// assert_eq!(exec.workers, 4);
 /// assert_eq!(exec.staleness, 1);
-/// assert!(exec.validate().is_ok());
 /// ```
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -159,9 +159,6 @@ pub struct ExecutionConfig {
     /// Tasks per work batch — one contiguous key range of one simulated machine's
     /// task list (`0` = built-in default).
     pub batch_size: usize,
-    /// Session-level override of the executor's delta-gating threshold. `None` (the
-    /// default) defers to the per-algorithm config's tolerance.
-    pub tolerance: Option<f64>,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the
     /// default) is fully synchronous BSP; `s > 0` lets machines overlap supersteps
     /// up to `s` deep with deterministically delayed message delivery. See
@@ -170,8 +167,8 @@ pub struct ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// The default configuration: auto-sized workers and batches, no tolerance
-    /// override, synchronous execution.
+    /// The default configuration: auto-sized workers and batches, synchronous
+    /// execution.
     pub fn new() -> Self {
         ExecutionConfig::default()
     }
@@ -190,39 +187,11 @@ impl ExecutionConfig {
         self
     }
 
-    /// Overrides the executor's delta-gating tolerance for every query run under
-    /// this configuration.
-    #[must_use]
-    pub fn tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = Some(tolerance);
-        self
-    }
-
     /// Sets the bounded-staleness asynchrony level, in supersteps.
     #[must_use]
     pub fn staleness(mut self, staleness: usize) -> Self {
         self.staleness = staleness;
         self
-    }
-
-    /// The delta-gating tolerance to hand the engine, given the algorithm config's
-    /// own `default` threshold.
-    pub fn effective_tolerance(&self, default: f64) -> f64 {
-        self.tolerance.unwrap_or(default)
-    }
-
-    /// Validates the configuration, returning the first problem found as a typed
-    /// [`Error::InvalidConfig`].
-    pub fn validate(&self) -> Result<(), Error> {
-        if let Some(t) = self.tolerance {
-            if !t.is_finite() || t < 0.0 {
-                return Err(Error::config(
-                    "ExecutionConfig",
-                    format!("tolerance must be finite and non-negative, got {t}"),
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -373,26 +342,14 @@ mod tests {
         let exec = ExecutionConfig::new()
             .workers(3)
             .batch_size(128)
-            .tolerance(1e-3)
             .staleness(2);
         assert_eq!(exec.workers, 3);
         assert_eq!(exec.batch_size, 128);
-        assert_eq!(exec.tolerance, Some(1e-3));
         assert_eq!(exec.staleness, 2);
-        assert!(exec.validate().is_ok());
-        assert_eq!(exec.effective_tolerance(0.5), 1e-3);
-        assert_eq!(ExecutionConfig::new().effective_tolerance(0.5), 0.5);
 
         // The defaults size everything automatically and run synchronously.
         let auto = ExecutionConfig::new();
         assert_eq!((auto.workers, auto.batch_size, auto.staleness), (0, 0, 0));
-        assert_eq!(auto.tolerance, None);
-
-        assert!(ExecutionConfig::new().tolerance(-1.0).validate().is_err());
-        assert!(ExecutionConfig::new()
-            .tolerance(f64::NAN)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -121,31 +121,28 @@ impl QueryCost {
     /// The cost of one engine run, priced under `model`. `host_seconds` is the time
     /// the engine itself measured.
     pub(crate) fn from_metrics(metrics: &RunMetrics, model: &CostModel) -> Self {
+        let totals = metrics.totals();
         QueryCost {
             replication_factor: metrics.replication_factor,
-            supersteps: metrics.num_supersteps(),
-            network_bytes: metrics.total_bytes(),
-            network_messages: metrics.total_messages(),
-            simulated_seconds: metrics.total_simulated_seconds(),
+            supersteps: totals.superstep,
+            network_bytes: totals.network.bytes_sent,
+            network_messages: totals.network.messages_sent,
+            simulated_seconds: totals.simulated_seconds,
             simulated_cpu_seconds: metrics.total_cpu_seconds(model),
-            active_vertices: metrics.total_active_vertices(),
-            skipped_syncs: metrics.total_skipped_syncs(),
-            skipped_scatters: metrics.total_skipped_scatters(),
-            routed_messages: metrics.total_routed_messages(),
-            staleness_lag: metrics.total_staleness_lag(),
-            max_inbox_depth: metrics.max_inbox_depth(),
-            barrier_wait_avoided_seconds: metrics.total_barrier_wait_avoided_seconds(),
-            host_seconds: metrics.total_host_seconds(),
+            active_vertices: totals.active_vertices as u64,
+            skipped_syncs: totals.work.skipped_syncs,
+            skipped_scatters: totals.work.skipped_scatters,
+            routed_messages: totals.routed_messages,
+            staleness_lag: totals.staleness_lag,
+            max_inbox_depth: totals.inbox_depth,
+            barrier_wait_avoided_seconds: totals.barrier_wait_avoided_seconds,
+            host_seconds: totals.host_seconds,
             ..QueryCost::default()
         }
     }
 
     /// The cost of one index-served query on a layout with `replication_factor`.
-    pub(crate) fn from_index_serve(
-        stats: &IndexServeStats,
-        replication_factor: f64,
-        host_seconds: f64,
-    ) -> Self {
+    pub(crate) fn from_index_serve(stats: &IndexServeStats, replication_factor: f64) -> Self {
         QueryCost {
             replication_factor,
             push_ops: stats.pushes as u64,
@@ -153,7 +150,6 @@ impl QueryCost {
             index_hits: stats.segment_hits,
             index_misses: stats.segment_misses,
             index_served: true,
-            host_seconds,
             ..QueryCost::default()
         }
     }

@@ -101,13 +101,12 @@ fn engine_config(
     if pg.num_vertices() == 0 {
         return Err(Error::graph("cannot run on an empty graph"));
     }
-    execution.validate()?;
     Ok(EngineConfig {
         sync_policy: knobs.sync_policy,
         cost_model: CostModel::default(),
         max_supersteps: knobs.max_supersteps,
         seed: knobs.seed,
-        tolerance: execution.effective_tolerance(knobs.tolerance),
+        tolerance: knobs.tolerance,
         // The algorithm's `parallel` flag turns the pool on; `execution.workers`
         // sizes it (`0` = from the host).
         workers: if knobs.parallel { execution.workers } else { 1 },
@@ -127,7 +126,7 @@ fn engine_config(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation and
+/// Returns [`Error::InvalidConfig`] when `config` fails validation and
 /// [`Error::Graph`] when the graph has no vertices.
 pub fn run_frogwild(
     pg: &PartitionedGraph,
@@ -192,13 +191,13 @@ pub fn run_frogwild(
 /// recording engine spans into `tracer`.
 ///
 /// The configured [`PageRankConfig::tolerance`] becomes the executor's delta-gating
-/// threshold (GraphLab's dynamic scheduling) unless `execution` overrides it;
-/// `staleness > 0` delays activation signals deterministically. The worker-pool
-/// knobs and tracing never change the estimate or the counted costs.
+/// threshold (GraphLab's dynamic scheduling); `staleness > 0` delays activation
+/// signals deterministically. The worker-pool knobs and tracing never change the
+/// estimate or the counted costs.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when either configuration fails validation and
+/// Returns [`Error::InvalidConfig`] when `config` fails validation and
 /// [`Error::Graph`] when the graph has no vertices.
 pub fn run_graphlab_pr(
     pg: &PartitionedGraph,
@@ -592,41 +591,6 @@ mod tests {
             .zip(&again.estimate)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
         assert_eq!(stale.cost.staleness_lag, again.cost.staleness_lag);
-    }
-
-    #[test]
-    fn execution_tolerance_override_gates_like_the_config_tolerance() {
-        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-        let g = test_graph(500);
-        let pg = partition_graph(&g, &ClusterConfig::new(8, 3));
-        let base = FrogWildConfig {
-            num_walkers: 5_000,
-            iterations: 6,
-            ..FrogWildConfig::default()
-        };
-        let via_config = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                tolerance: 2.0,
-                ..base
-            },
-            &exec,
-            &off,
-        )
-        .unwrap();
-        let via_exec =
-            run_frogwild(&pg, &base, &ExecutionConfig::new().tolerance(2.0), &off).unwrap();
-        assert!(via_config
-            .estimate
-            .iter()
-            .zip(&via_exec.estimate)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(
-            via_config.cost.skipped_scatters,
-            via_exec.cost.skipped_scatters
-        );
-        // An invalid override is rejected up front.
-        assert!(run_frogwild(&pg, &base, &ExecutionConfig::new().tolerance(-1.0), &off).is_err());
     }
 
     #[test]

@@ -71,7 +71,6 @@
 //!   as executable functions, so the benchmarks can overlay bound vs measurement.
 //! * [`erasure`] — the Appendix-A edge-erasure models simulated serially, used to
 //!   validate the engine's partial-synchronization behaviour against the theory.
-//! * [`sparsify`] — the uniform-sparsification + PageRank baseline of Figure 5.
 //! * [`montecarlo`] — the complete-path Monte-Carlo estimators of Avrachenkov et al.,
 //!   the prior-work baseline Section 2.4 positions FrogWild against.
 //! * [`ppr`] — personalized PageRank (power iteration, forward push, Monte-Carlo), the
@@ -94,7 +93,6 @@
 //!   a [`driver::RunReport`] with raw engine metrics for the benchmark harness.
 //! * [`cost`] — [`cost::QueryCost`], the one cost record drivers, responses and
 //!   session totals all report in.
-//! * [`report`] — tiny CSV/markdown writers for the figure harness.
 //! * [`obs`] — structured tracing (re-exported `frogwild_obs`): span guards with
 //!   static callsite metadata recorded into one deterministic timeline, exportable as
 //!   Chrome trace-event JSON or CSV. Wired through `SessionBuilder::tracing`; a
@@ -121,10 +119,8 @@ pub mod ppr;
 pub mod programs;
 pub mod rank_metrics;
 pub mod reference;
-pub mod report;
 pub mod serve;
 pub mod session;
-pub mod sparsify;
 pub mod theory;
 pub mod topk;
 pub mod walkindex;

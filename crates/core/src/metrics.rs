@@ -83,19 +83,10 @@ pub fn exact_identification(estimate: &[f64], truth: &[f64], k: usize) -> f64 {
 
 /// The l1 distance `‖a - b‖₁` between two score vectors, used by the theory checks
 /// (Lemma 17 relates captured-mass loss to the l1 distance).
+// lint:allow(orphan-pub, oracle for engine_pagerank_matches_serial_reference_on_random_graph)
 pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vectors must have the same length");
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// The l2 distance `‖a - b‖₂`.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vectors must have the same length");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -165,8 +156,6 @@ mod tests {
         let a = vec![0.5, 0.5, 0.0];
         let b = vec![0.25, 0.25, 0.5];
         assert!((l1_distance(&a, &b) - 1.0).abs() < 1e-12);
-        let expected_l2 = (0.0625f64 + 0.0625 + 0.25).sqrt();
-        assert!((l2_distance(&a, &b) - expected_l2).abs() < 1e-12);
         assert_eq!(l1_distance(&a, &a), 0.0);
     }
 

@@ -10,7 +10,7 @@
 //! * [`forward_push_ppr`] — the Andersen–Chung–Lang local-push approximation, which only
 //!   touches the neighbourhood of the source and is the standard serial baseline for
 //!   top-k PPR queries;
-//! * [`monte_carlo_ppr`] — walkers released from the source with geometric lifespans,
+//! * [`monte_carlo_ppr_counted`] — walkers released from the source with geometric lifespans,
 //!   i.e. exactly the FrogWild estimator restricted to a single start vertex.
 //!
 //! Global PageRank is the special case where the restart distribution is uniform; the
@@ -211,31 +211,12 @@ pub fn forward_push_ppr(
 /// Monte-Carlo single-source PPR: `num_walkers` walkers start at `source`, take a
 /// `Geometric(p_T)` number of steps (truncated at `max_steps`), and the empirical
 /// distribution of their final positions estimates the PPR vector of `source`.
+/// Returned with it: the total hops walked — the per-hop sampling work the estimator
+/// actually performed, used by the query service's cost accounting (and the number
+/// the walk-index subsystem exists to avoid re-paying).
 ///
 /// Walkers stranded on a dangling vertex restart from `source`, mirroring the mass
 /// convention of [`personalized_pagerank`].
-pub fn monte_carlo_ppr<R: Rng + ?Sized>(
-    graph: &DiGraph,
-    source: VertexId,
-    num_walkers: u64,
-    max_steps: usize,
-    teleport_probability: f64,
-    rng: &mut R,
-) -> Vec<f64> {
-    monte_carlo_ppr_counted(
-        graph,
-        source,
-        num_walkers,
-        max_steps,
-        teleport_probability,
-        rng,
-    )
-    .0
-}
-
-/// [`monte_carlo_ppr`] that also reports the total hops walked — the per-hop sampling
-/// work the estimator actually performed, used by the query service's cost accounting
-/// (and the number the walk-index subsystem exists to avoid re-paying).
 pub fn monte_carlo_ppr_counted<R: Rng + ?Sized>(
     graph: &DiGraph,
     source: VertexId,
@@ -402,7 +383,7 @@ mod tests {
             1e-12,
         );
         let mut rng = SmallRng::seed_from_u64(99);
-        let mc = monte_carlo_ppr(&g, source, 60_000, 40, 0.15, &mut rng);
+        let (mc, _) = monte_carlo_ppr_counted(&g, source, 60_000, 40, 0.15, &mut rng);
         let total: f64 = mc.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         let m = mass_captured(&mc, &exact.scores, 10);
@@ -413,7 +394,7 @@ mod tests {
     fn monte_carlo_ppr_zero_walkers() {
         let g = star(10);
         let mut rng = SmallRng::seed_from_u64(1);
-        let mc = monte_carlo_ppr(&g, 0, 0, 10, 0.15, &mut rng);
+        let (mc, _) = monte_carlo_ppr_counted(&g, 0, 0, 10, 0.15, &mut rng);
         assert_eq!(mc, vec![0.0; 10]);
     }
 

@@ -9,15 +9,10 @@
 //!
 //! * [`kendall_tau_top_k`] — pairwise agreement between the two orderings of the true
 //!   top-k vertices;
-//! * [`spearman_footrule_top_k`] — normalised total rank displacement;
 //! * [`ndcg_at_k`] — discounted cumulative gain with the true PageRank as relevance,
-//!   the metric search evaluation would apply to a top-k PageRank service;
-//! * [`precision_at_k_curve`] — exact identification swept over a list of `k` values in
-//!   one pass.
+//!   the metric search evaluation would apply to a top-k PageRank service.
 
 // lint:allow-file(indexing, rankings index dense score vectors over the same vertex universe)
-
-use frogwild_graph::VertexId;
 
 use crate::topk::top_k;
 
@@ -63,42 +58,6 @@ pub fn kendall_tau_top_k(estimate: &[f64], truth: &[f64], k: usize) -> f64 {
     (concordant - discordant) as f64 / pairs
 }
 
-/// Normalised Spearman footrule distance between the estimate's and the truth's ranking
-/// of the **true top-k** vertices, mapped to a similarity in `[0, 1]`:
-/// 1 means identical ranks for every top-k vertex, 0 means maximal total displacement.
-///
-/// Vertices of the true top-k that fall outside the estimate's top-k are treated as if
-/// the estimate ranked them at position `k` (the standard "location parameter"
-/// truncation of Fagin, Kumar & Sivakumar).
-///
-/// # Panics
-///
-/// Panics if the vectors differ in length or `k == 0`.
-pub fn spearman_footrule_top_k(estimate: &[f64], truth: &[f64], k: usize) -> f64 {
-    assert_eq!(
-        estimate.len(),
-        truth.len(),
-        "vectors must cover the same vertex set"
-    );
-    assert!(k > 0, "k must be positive");
-    let true_order = top_k(truth, k);
-    let est_order = top_k(estimate, k);
-    let k_eff = true_order.len();
-    if k_eff == 0 {
-        return 1.0;
-    }
-    // Rank of each vertex in the estimate's top-k list (position index), if present.
-    let rank_of = |v: VertexId| est_order.iter().position(|&u| u == v).unwrap_or(k_eff);
-    let displacement: usize = true_order
-        .iter()
-        .enumerate()
-        .map(|(true_rank, &v)| rank_of(v).abs_diff(true_rank))
-        .sum();
-    // Maximum possible displacement: every vertex displaced by k positions.
-    let max_displacement = (k_eff * k_eff) as f64;
-    1.0 - displacement as f64 / max_displacement
-}
-
 /// Normalised discounted cumulative gain at `k`, using the true PageRank values as
 /// graded relevance. 1 means the estimate's top-k list presents the heaviest vertices
 /// first in the ideal order; lower values penalise both missing heavy vertices and
@@ -132,26 +91,6 @@ pub fn ndcg_at_k(estimate: &[f64], truth: &[f64], k: usize) -> f64 {
     }
 }
 
-/// Exact-identification (precision) values for several `k` cut-offs in one pass:
-/// `result[i]` is `|top_{ks[i]}(estimate) ∩ top_{ks[i]}(truth)| / ks[i]`.
-///
-/// # Panics
-///
-/// Panics if the vectors differ in length or any requested `k` is zero.
-pub fn precision_at_k_curve(estimate: &[f64], truth: &[f64], ks: &[usize]) -> Vec<f64> {
-    assert_eq!(
-        estimate.len(),
-        truth.len(),
-        "vectors must cover the same vertex set"
-    );
-    ks.iter()
-        .map(|&k| {
-            assert!(k > 0, "k must be positive");
-            crate::metrics::exact_identification(estimate, truth, k)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,12 +103,7 @@ mod tests {
     fn perfect_estimate_scores_one_everywhere() {
         let t = truth();
         assert_eq!(kendall_tau_top_k(&t, &t, 5), 1.0);
-        assert_eq!(spearman_footrule_top_k(&t, &t, 5), 1.0);
         assert!((ndcg_at_k(&t, &t, 5) - 1.0).abs() < 1e-12);
-        assert_eq!(
-            precision_at_k_curve(&t, &t, &[1, 3, 5]),
-            vec![1.0, 1.0, 1.0]
-        );
     }
 
     #[test]
@@ -177,7 +111,6 @@ mod tests {
         let t = truth();
         let reversed: Vec<f64> = t.iter().map(|&x| 1.0 - x).collect();
         assert_eq!(kendall_tau_top_k(&reversed, &t, 5), -1.0);
-        assert!(spearman_footrule_top_k(&reversed, &t, 8) < 0.6);
     }
 
     #[test]
@@ -189,9 +122,6 @@ mod tests {
         let tau = kendall_tau_top_k(&est, &t, 5);
         // one discordant pair out of 10
         assert!((tau - 0.8).abs() < 1e-12, "tau {tau}");
-        let foot = spearman_footrule_top_k(&est, &t, 5);
-        // two vertices displaced by one position each out of a max of 25
-        assert!((foot - (1.0 - 2.0 / 25.0)).abs() < 1e-12, "footrule {foot}");
     }
 
     #[test]
@@ -210,21 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn precision_curve_is_consistent_with_single_calls() {
-        let t = truth();
-        let mut est = t.clone();
-        est.swap(0, 7); // push the heaviest vertex to the bottom
-        let curve = precision_at_k_curve(&est, &t, &[1, 2, 4]);
-        assert_eq!(curve.len(), 3);
-        assert_eq!(curve[0], crate::metrics::exact_identification(&est, &t, 1));
-        assert_eq!(curve[2], crate::metrics::exact_identification(&est, &t, 4));
-    }
-
-    #[test]
     fn k_larger_than_n_is_well_defined() {
         let t = truth();
         assert_eq!(kendall_tau_top_k(&t, &t, 100), 1.0);
-        assert_eq!(spearman_footrule_top_k(&t, &t, 100), 1.0);
         assert!((ndcg_at_k(&t, &t, 100) - 1.0).abs() < 1e-12);
     }
 

@@ -154,8 +154,7 @@ impl ServeConfig {
 ///
 /// The enum is `#[non_exhaustive]`: future outcomes (e.g. a deadline-expired
 /// variant) may be added without a breaking change, so foreign matches need a
-/// wildcard arm. Prefer [`QueryOutcome::response`] / [`QueryOutcome::is_rejected`]
-/// over exhaustive matching.
+/// wildcard arm. Prefer [`QueryOutcome::response`] over exhaustive matching.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum QueryOutcome {
@@ -175,11 +174,6 @@ impl QueryOutcome {
             QueryOutcome::Served(response) => Some(response),
             _ => None,
         }
-    }
-
-    /// `true` for [`QueryOutcome::Rejected`].
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, QueryOutcome::Rejected)
     }
 }
 
@@ -545,7 +539,11 @@ mod tests {
         assert_eq!(report.outcomes.len(), 12);
         assert_eq!(report.served + report.rejected + report.failed, 12);
         assert_eq!(
-            report.outcomes.iter().filter(|o| o.is_rejected()).count() as u64,
+            report
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o, QueryOutcome::Rejected))
+                .count() as u64,
             report.rejected
         );
         assert_eq!(session.stats().queries_rejected, report.rejected);

@@ -14,8 +14,7 @@ use std::time::Instant;
 
 use frogwild_obs::{span_meta, SpanKey, SpanMeta};
 
-use crate::error::Result;
-use crate::session::{Query, Response, Session};
+use crate::session::{Query, Session};
 
 use super::latency::{LatencyStats, QueryKind};
 use super::queue::{AdmitError, Bounded};
@@ -51,6 +50,56 @@ struct Batch {
     items: Vec<(usize, u64, Query)>,
 }
 
+/// Serves the query with sequence id `seq` and returns its queue wait and outcome —
+/// the one per-query path of the pool's workers and of the serial reference, so the
+/// two agree by construction: re-seed from `(session seed, seq)`, open the execute
+/// span carrying `queue_wait_us`, run [`Session::execute_at`], count busy time.
+///
+/// `submitted` is when the query's batch entered the queue; `None` on the serial
+/// path, which has no queue (no `dequeue` event, a queue wait of zero).
+fn serve_one(
+    session: &Session<'_>,
+    seq: u64,
+    query: &Query,
+    submitted: Option<Instant>,
+    stats: &mut WorkerStats,
+) -> (f64, QueryOutcome) {
+    let seeded = reseeded(query, seed_for(session.cluster().seed, seq));
+    // One sink per query keeps record ordinals a function of the query alone, not of
+    // worker scheduling.
+    let sink = session.tracer().sink();
+    let key = SpanKey::new(seq, 0, 0, LANE_EXECUTE);
+    // Queue wait runs from submission to the start of this query's execution, so
+    // time spent behind earlier queries of the same batch counts as waiting too.
+    let wait = submitted.map_or(0.0, |at| {
+        let wait = at.elapsed().as_secs_f64();
+        sink.event_with(
+            span_meta!("dequeue"),
+            key,
+            &[("queue_wait_us", as_micros(wait))],
+        );
+        wait
+    });
+    stats.queue_wait_seconds += wait;
+    let mut exec_span = sink.span(execute_meta(seeded.kind()), key);
+    exec_span.counter("queue_wait_us", as_micros(wait));
+    let busy = Instant::now(); // lint:allow(timing, host wall-clock telemetry; results never read it)
+    let result = session.execute_at(seq, &seeded);
+    stats.busy_seconds += busy.elapsed().as_secs_f64();
+    drop(exec_span);
+    let outcome = match result {
+        Ok(response) => {
+            stats.served = stats.served.saturating_add(1);
+            QueryOutcome::from(response)
+        }
+        Err(error) => {
+            stats.failed = stats.failed.saturating_add(1);
+            QueryOutcome::Failed(error)
+        }
+    };
+    (wait, outcome)
+}
+
 /// Runs `queries` through a fixed worker pool over `session` and collects every
 /// outcome in submission order.
 ///
@@ -66,11 +115,10 @@ pub(super) fn run_stream(
     start_seq: u64,
     queries: &[Query],
 ) -> ServeReport {
-    let session_seed = session.cluster().seed;
     let workers = config.effective_workers();
     let tracer = session.tracer();
     let queue: Bounded<Batch> = Bounded::new(config.queue_depth);
-    let (result_tx, result_rx) = mpsc::channel::<(usize, f64, Result<Response>)>();
+    let (result_tx, result_rx) = mpsc::channel::<(usize, f64, QueryOutcome)>();
     let mut outcomes: Vec<Option<QueryOutcome>> = Vec::with_capacity(queries.len());
     outcomes.resize_with(queries.len(), || None);
     let mut waits = vec![0.0f64; queries.len()];
@@ -89,35 +137,12 @@ pub(super) fn run_stream(
                     while let Some(batch) = queue.pop() {
                         stats.batches = stats.batches.saturating_add(1);
                         for (position, seq, query) in batch.items {
-                            let seeded = reseeded(&query, seed_for(session_seed, seq));
-                            // Queue wait runs from submission to the start of this
-                            // query's execution, so time spent behind earlier
-                            // queries of the same batch counts as waiting too.
-                            let wait = batch.submitted.elapsed().as_secs_f64(); // lint:allow(timing, queue-wait telemetry only)
-                            stats.queue_wait_seconds += wait;
-                            // One sink per query keeps record ordinals a function
-                            // of the query alone, not of worker scheduling.
-                            let sink = tracer.sink();
-                            let key = SpanKey::new(seq, 0, 0, LANE_EXECUTE);
-                            sink.event_with(
-                                span_meta!("dequeue"),
-                                key,
-                                &[("queue_wait_us", as_micros(wait))],
-                            );
-                            let mut exec_span = sink.span(execute_meta(seeded.kind()), key);
-                            exec_span.counter("queue_wait_us", as_micros(wait));
-                            let busy = Instant::now(); // lint:allow(timing, host wall-clock telemetry; results never read it)
-                            let result = session.execute_at(seq, &seeded);
-                            stats.busy_seconds += busy.elapsed().as_secs_f64();
-                            drop(exec_span);
-                            match &result {
-                                Ok(_) => stats.served = stats.served.saturating_add(1),
-                                Err(_) => stats.failed = stats.failed.saturating_add(1),
-                            }
+                            let (wait, outcome) =
+                                serve_one(session, seq, &query, Some(batch.submitted), &mut stats);
                             // The receiver outlives every worker; a send can only
                             // fail if the collector already gave up, in which case
                             // dropping the result is the right thing.
-                            let _ = tx.send((position, wait, result));
+                            let _ = tx.send((position, wait, outcome));
                         }
                     }
                     stats
@@ -163,14 +188,11 @@ pub(super) fn run_stream(
 
         // Collect results while workers finish draining; the channel ends once the
         // last worker drops its sender.
-        for (position, wait, result) in result_rx {
+        for (position, wait, outcome) in result_rx {
             // lint:allow(indexing, position < queries.len() by construction)
             waits[position] = wait;
             // lint:allow(indexing, position < queries.len() by construction)
-            outcomes[position] = Some(match result {
-                Ok(response) => QueryOutcome::from(response),
-                Err(error) => QueryOutcome::Failed(error),
-            });
+            outcomes[position] = Some(outcome);
         }
         handles
             .into_iter()
@@ -191,8 +213,6 @@ pub(super) fn run_stream(
 /// `(session seed, sequence id)` seeding as the pool — the serial reference path the
 /// concurrent results are pinned against.
 pub(super) fn run_serial(session: &Session<'_>, start_seq: u64, queries: &[Query]) -> ServeReport {
-    let session_seed = session.cluster().seed;
-    let tracer = session.tracer();
     let started = Instant::now(); // lint:allow(timing, host wall-clock telemetry; results never read it)
     let mut stats = WorkerStats::default();
     let outcomes: Vec<QueryOutcome> = queries
@@ -200,26 +220,7 @@ pub(super) fn run_serial(session: &Session<'_>, start_seq: u64, queries: &[Query
         .enumerate()
         .map(|(position, query)| {
             let seq = start_seq + position as u64;
-            let seeded = reseeded(query, seed_for(session_seed, seq));
-            let sink = tracer.sink();
-            let key = SpanKey::new(seq, 0, 0, LANE_EXECUTE);
-            let mut exec_span = sink.span(execute_meta(seeded.kind()), key);
-            // The serial path has no queue, so its queue wait is identically zero.
-            exec_span.counter("queue_wait_us", 0);
-            let busy = Instant::now(); // lint:allow(timing, host wall-clock telemetry; results never read it)
-            let result = session.execute_at(seq, &seeded);
-            stats.busy_seconds += busy.elapsed().as_secs_f64();
-            drop(exec_span);
-            match result {
-                Ok(response) => {
-                    stats.served = stats.served.saturating_add(1);
-                    QueryOutcome::from(response)
-                }
-                Err(error) => {
-                    stats.failed = stats.failed.saturating_add(1);
-                    QueryOutcome::Failed(error)
-                }
-            }
+            serve_one(session, seq, query, None, &mut stats).1
         })
         .collect();
     stats.batches = queries.len() as u64;

@@ -113,7 +113,8 @@ impl<'g> SessionBuilder<'g> {
     }
 
     /// The [`ExecutionConfig`] every engine-served query runs under: worker pool,
-    /// batch size, an optional tolerance override, and the bounded-staleness window.
+    /// batch size and the bounded-staleness window. Every value is accepted —
+    /// there is nothing in it for [`build`](SessionBuilder::build) to reject.
     ///
     /// The worker/batch knobs decide only how work batches are spread over host
     /// threads — results are bit-identical for every setting. `staleness` changes the
@@ -187,7 +188,6 @@ impl<'g> SessionBuilder<'g> {
         if self.graph.num_vertices() == 0 {
             return Err(Error::graph("cannot build a session over an empty graph"));
         }
-        self.execution.validate()?;
         self.serve.validate()?;
         let cluster = ClusterConfig::new(self.machines, self.seed);
         let tracer = Tracer::new(self.tracing);
@@ -272,8 +272,8 @@ pub enum PprMethod {
 ///
 /// The enum is `#[non_exhaustive]`: future query kinds (e.g. a FAST-PPR-style pair
 /// query) can be added without a breaking release, so downstream `match`es need a
-/// wildcard arm. Prefer the constructor helpers ([`Query::top_k`], [`Query::ppr`], …)
-/// over spelling out variant literals.
+/// wildcard arm. [`Query::top_k`] and [`Query::ppr`] build the two common queries
+/// under their default configurations; every variant is a public struct literal.
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Query {
@@ -319,25 +319,6 @@ impl Query {
         }
     }
 
-    /// A [`Query::TopK`] under an explicit [`FrogWildConfig`].
-    pub fn top_k_with(k: usize, config: FrogWildConfig) -> Self {
-        Query::TopK { k, config }
-    }
-
-    /// A [`Query::Pagerank`] (the GraphLab-style baseline) under the default
-    /// [`PageRankConfig`].
-    pub fn pagerank(k: usize) -> Self {
-        Query::Pagerank {
-            k,
-            config: PageRankConfig::default(),
-        }
-    }
-
-    /// A [`Query::Pagerank`] under an explicit [`PageRankConfig`].
-    pub fn pagerank_with(k: usize, config: PageRankConfig) -> Self {
-        Query::Pagerank { k, config }
-    }
-
     /// A [`Query::Ppr`] from `source`: top-20 under the conventional 0.15 teleport
     /// probability, evaluated with forward push at `ε = 1e-6` (the cheap serving
     /// path). Spell out the variant for a different `k`, teleport or method.
@@ -348,11 +329,6 @@ impl Query {
             teleport_probability: 0.15,
             method: PprMethod::ForwardPush { epsilon: 1e-6 },
         }
-    }
-
-    /// A [`Query::AutotunedTopK`] under the given pilot/plan configuration.
-    pub fn autotuned(config: AutoTuneConfig) -> Self {
-        Query::AutotunedTopK { config }
     }
 
     /// The `k` this query ranks.
@@ -718,12 +694,12 @@ impl<'g> Session<'g> {
                 }
                 None => {
                     let report = run_frogwild(&self.pg, config, &self.execution, &self.tracer)?;
-                    self.engine_response(report, *k, ResponseDetail::TopK, started)
+                    engine_response(report, *k, ResponseDetail::TopK, started)
                 }
             },
             Query::Pagerank { k, config } => {
                 let report = run_graphlab_pr(&self.pg, config, &self.execution, &self.tracer)?;
-                self.engine_response(report, *k, ResponseDetail::Pagerank, started)
+                engine_response(report, *k, ResponseDetail::Pagerank, started)
             }
             Query::Ppr {
                 source,
@@ -743,7 +719,7 @@ impl<'g> Session<'g> {
                 // traffic is real cost of answering this query — fold it in.
                 let mut run = report.run;
                 run.cost.absorb(&report.pilot.cost);
-                self.engine_response(run, config.k, detail, started)
+                engine_response(run, config.k, detail, started)
             }
         };
         Ok(response)
@@ -781,50 +757,8 @@ impl<'g> Session<'g> {
         detail: ResponseDetail,
         started: Instant,
     ) -> Response {
-        let cost = QueryCost::from_index_serve(
-            &served.stats,
-            self.stats.replication_factor,
-            started.elapsed().as_secs_f64(),
-        );
-        let ranking = crate::topk::top_k(&served.estimate, k)
-            .into_iter()
-            // lint:allow(indexing, vertex ids come from top_k over this same estimate vector)
-            .map(|v| (v, served.estimate[v as usize]))
-            .collect();
-        Response {
-            algorithm,
-            ranking,
-            estimate: served.estimate,
-            cost,
-            detail,
-        }
-    }
-
-    fn engine_response(
-        &self,
-        report: RunReport,
-        k: usize,
-        detail: ResponseDetail,
-        started: Instant,
-    ) -> Response {
-        // The whole query's host time, not just the engine's share of it.
-        let cost = QueryCost {
-            host_seconds: started.elapsed().as_secs_f64(),
-            ..report.cost
-        };
-        let ranking = report
-            .top_k(k)
-            .into_iter()
-            // lint:allow(indexing, vertex ids come from top_k over this same estimate vector)
-            .map(|v| (v, report.estimate[v as usize]))
-            .collect();
-        Response {
-            algorithm: report.algorithm,
-            ranking,
-            estimate: report.estimate,
-            cost,
-            detail,
-        }
+        let cost = QueryCost::from_index_serve(&served.stats, self.stats.replication_factor);
+        assemble_response(algorithm, served.estimate, k, cost, detail, started)
     }
 
     fn ppr_response(
@@ -896,11 +830,6 @@ impl<'g> Session<'g> {
     /// The graph this session serves.
     pub fn graph(&self) -> &'g DiGraph {
         self.graph
-    }
-
-    /// The partitioned layout built once at [`SessionBuilder::build`].
-    pub fn partitioned_graph(&self) -> &PartitionedGraph {
-        &self.pg
     }
 
     /// The simulated cluster description.
@@ -1137,24 +1066,60 @@ fn ppr_response_over(
             )
         }
     };
+    let cost = QueryCost {
+        replication_factor,
+        push_ops,
+        walk_hops,
+        ..QueryCost::default()
+    };
+    Ok(assemble_response(
+        algorithm, estimate, k, cost, detail, started,
+    ))
+}
+
+fn engine_response(
+    report: RunReport,
+    k: usize,
+    detail: ResponseDetail,
+    started: Instant,
+) -> Response {
+    assemble_response(
+        report.algorithm,
+        report.estimate,
+        k,
+        report.cost,
+        detail,
+        started,
+    )
+}
+
+/// The one place a [`Response`] is assembled. `estimate` arrives by value and moves
+/// into the response — no path copies the dense vector; its top `k` become the
+/// ranking, and `cost.host_seconds` is stamped last, so it is the whole query's host
+/// time (ranking included), not just the share of whichever layer answered.
+fn assemble_response(
+    algorithm: String,
+    estimate: Vec<f64>,
+    k: usize,
+    cost: QueryCost,
+    detail: ResponseDetail,
+    started: Instant,
+) -> Response {
     let ranking = crate::topk::top_k(&estimate, k)
         .into_iter()
         // lint:allow(indexing, vertex ids come from top_k over this same estimate vector)
         .map(|v| (v, estimate[v as usize]))
         .collect();
-    Ok(Response {
+    Response {
         algorithm,
         ranking,
         estimate,
         cost: QueryCost {
-            replication_factor,
-            push_ops,
-            walk_hops,
             host_seconds: started.elapsed().as_secs_f64(),
-            ..QueryCost::default()
+            ..cost
         },
         detail,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -1248,7 +1213,9 @@ mod tests {
                 teleport_probability: 0.15,
                 method: PprMethod::ForwardPush { epsilon: 1e-5 },
             },
-            Query::autotuned(autotune_config()),
+            Query::AutotunedTopK {
+                config: autotune_config(),
+            },
         ];
         let mut bytes = 0u64;
         for q in &queries {
@@ -1295,13 +1262,13 @@ mod tests {
     #[test]
     fn stale_sessions_keep_serving_and_report_async_stats() {
         let g = test_graph(400);
-        let q = Query::top_k_with(
-            15,
-            FrogWildConfig {
+        let q = Query::TopK {
+            k: 15,
+            config: FrogWildConfig {
                 iterations: 6,
                 ..fw_config()
             },
-        );
+        };
         let mut stale = Session::builder(&g)
             .machines(8)
             .seed(11)
@@ -1320,24 +1287,20 @@ mod tests {
         assert!(stats.totals.barrier_wait_avoided_seconds > 0.0);
         assert!(stale.stats().to_string().contains("barrier wait avoided"));
         // An autotuned query runs under the same execution config as a plain one.
-        let tuned = stale.query(&Query::autotuned(autotune_config())).unwrap();
-        assert!(tuned.cost.staleness_lag > 0);
-        // An invalid execution config is rejected at build time.
-        assert!(matches!(
-            Session::builder(&g)
-                .execution(ExecutionConfig::new().tolerance(-0.5))
-                .build(),
-            Err(Error::InvalidConfig {
-                context: "ExecutionConfig",
-                ..
+        let tuned = stale
+            .query(&Query::AutotunedTopK {
+                config: autotune_config(),
             })
-        ));
+            .unwrap();
+        assert!(tuned.cost.staleness_lag > 0);
     }
 
     #[test]
     fn autotuned_queries_run_under_the_session_execution_config_and_tracer() {
         let g = test_graph(400);
-        let q = Query::autotuned(autotune_config());
+        let q = Query::AutotunedTopK {
+            config: autotune_config(),
+        };
         let build = |tracing| {
             Session::builder(&g)
                 .machines(8)
@@ -1351,7 +1314,7 @@ mod tests {
         let mut plain = build(TraceConfig::disabled());
         let response = plain.query(&q).unwrap();
         let direct = auto_topk_on(
-            plain.partitioned_graph(),
+            &plain.pg,
             &autotune_config(),
             &ExecutionConfig::default(),
             &Tracer::disabled(),
@@ -1379,14 +1342,12 @@ mod tests {
         let g = test_graph(300);
         let mut session = Session::builder(&g).machines(4).seed(3).build().unwrap();
         // Partial synchronization is what skips mirror syncs: none at p_s = 1.
-        let at = |sync_probability| {
-            Query::top_k_with(
-                10,
-                FrogWildConfig {
-                    sync_probability,
-                    ..fw_config()
-                },
-            )
+        let at = |sync_probability| Query::TopK {
+            k: 10,
+            config: FrogWildConfig {
+                sync_probability,
+                ..fw_config()
+            },
         };
         let full = session.query(&at(1.0)).unwrap();
         assert_eq!(full.cost.skipped_syncs, 0);

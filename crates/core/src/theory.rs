@@ -14,15 +14,11 @@
 //!   exponent θ, `‖π‖_∞ ≤ n^{-γ}` with probability at least `1 - c·n^{γ - 1/(θ-1)}`.
 //! * [`empirical_intersection_probability`] — a Monte-Carlo estimate of `p_∩(t)` used
 //!   to check the Theorem 2 bound experimentally.
-//! * [`mixing_profile`] — the exact l1 distance `‖Qᵗu − π‖₁` per step, used to overlay
-//!   Lemma 14's geometric-decay bound against the chain's real mixing behaviour.
 
 // lint:allow-file(indexing, dense tables are sized by the same loop bounds that index them)
 
 use frogwild_graph::{DiGraph, VertexId};
 use rand::Rng;
-
-use crate::dist;
 
 /// Lemma 17: upper bound on the captured-mass loss caused by stopping every walk after
 /// at most `t` steps instead of waiting for exact mixing.
@@ -200,79 +196,6 @@ fn pagerank_step<R: Rng + ?Sized>(
     }
 }
 
-/// Draws a single truncated-geometric walk length (`min(Geom(p_T), t)`), exposed for
-/// the theory benchmarks that compare Process 11 and Process 15 empirically (Lemma 16).
-pub fn truncated_geometric_length<R: Rng + ?Sized>(
-    teleport_probability: f64,
-    max_steps: usize,
-    rng: &mut R,
-) -> usize {
-    dist::geometric(teleport_probability, rng).min(max_steps as u64) as usize
-}
-
-/// The empirical mixing profile of the PageRank chain: `result[t]` is the l1 distance
-/// `‖Qᵗ u − π‖₁` between the distribution of a uniformly-started walk after `t` exact
-/// (dense) steps and the stationary PageRank vector `pi`.
-///
-/// Lemma 14 bounds the χ²-contrast of the same quantity by `((1 − p_T)/p_T)(1 − p_T)ᵗ`;
-/// via Cauchy–Schwarz the l1 distance is bounded by the square root of that, so the
-/// profile must decay at least as fast as `(1 − p_T)^{t/2}`. The theory benchmark and
-/// the tests overlay the two curves.
-///
-/// Cost is `O(steps · |E|)`; intended for the benchmark-scale graphs, not the full
-/// datasets.
-///
-/// # Panics
-///
-/// Panics if `pi` does not cover the vertex set or `teleport_probability` is outside
-/// `(0, 1)`.
-pub fn mixing_profile(
-    graph: &DiGraph,
-    pi: &[f64],
-    teleport_probability: f64,
-    steps: usize,
-) -> Vec<f64> {
-    assert!(
-        teleport_probability > 0.0 && teleport_probability < 1.0,
-        "teleport probability must be in (0, 1)"
-    );
-    let n = graph.num_vertices();
-    assert_eq!(pi.len(), n, "pi must cover the vertex set");
-    if n == 0 {
-        return vec![0.0; steps + 1];
-    }
-    let uniform = 1.0 / n as f64;
-    let mut current = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    let mut profile = Vec::with_capacity(steps + 1);
-    profile.push(crate::metrics::l1_distance(&current, pi));
-    for _ in 0..steps {
-        // One exact application of Q = (1 - p_T) P + (p_T / n) 11ᵀ, with dangling mass
-        // redistributed uniformly (the same convention as `reference::exact_pagerank`).
-        let dangling_mass: f64 = graph
-            .vertices()
-            .filter(|&v| graph.out_degree(v) == 0)
-            .map(|v| current[v as usize])
-            .sum();
-        let base =
-            teleport_probability * uniform + (1.0 - teleport_probability) * dangling_mass * uniform;
-        next.iter_mut().for_each(|x| *x = base);
-        for v in graph.vertices() {
-            let deg = graph.out_degree(v);
-            if deg == 0 {
-                continue;
-            }
-            let share = (1.0 - teleport_probability) * current[v as usize] / deg as f64;
-            for &dst in graph.out_neighbors(v) {
-                next[dst as usize] += share;
-            }
-        }
-        std::mem::swap(&mut current, &mut next);
-        profile.push(crate::metrics::l1_distance(&current, pi));
-    }
-    profile
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,14 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_geometric_respects_cutoff() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        for _ in 0..1_000 {
-            assert!(truncated_geometric_length(0.15, 5, &mut rng) <= 5);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "teleport probability")]
     fn mixing_loss_rejects_bad_pt() {
         let _ = mixing_loss_bound(0.0, 3);
@@ -399,43 +314,5 @@ mod tests {
     #[should_panic(expected = "failure probability")]
     fn sampling_loss_rejects_bad_delta() {
         let _ = sampling_loss_bound(10, 0.0, 100, 1.0, 0.0);
-    }
-
-    #[test]
-    fn mixing_profile_decays_and_respects_the_lemma14_bound() {
-        let mut rng = SmallRng::seed_from_u64(17);
-        let g = rmat(400, RmatParams::default(), &mut rng);
-        let pi = crate::reference::exact_pagerank(&g, 0.15, 300, 1e-13).scores;
-        let steps = 12;
-        let profile = mixing_profile(&g, &pi, 0.15, steps);
-        assert_eq!(profile.len(), steps + 1);
-        // Monotone decay (up to numerical noise) towards zero.
-        for w in profile.windows(2) {
-            assert!(w[1] <= w[0] + 1e-9, "profile not decaying: {profile:?}");
-        }
-        assert!(
-            profile[steps] < 0.05,
-            "after {steps} steps distance {}",
-            profile[steps]
-        );
-        // Lemma 14 + Cauchy–Schwarz: ‖Qᵗu − π‖₁ ≤ √(χ²) ≤ √(((1−p_T)/p_T)(1−p_T)ᵗ),
-        // which is exactly mixing_loss_bound(p_T, t-1) rescaled; check at a few t.
-        for (t, &distance) in profile.iter().enumerate().skip(1) {
-            let chi_bound = ((1.0 - 0.15f64) / 0.15 * (1.0 - 0.15f64).powi(t as i32)).sqrt();
-            assert!(
-                distance <= chi_bound + 1e-9,
-                "t={t}: distance {distance} exceeds bound {chi_bound}"
-            );
-        }
-    }
-
-    #[test]
-    fn mixing_profile_starts_at_uniform_distance() {
-        let g = frogwild_graph::generators::simple::star(40);
-        let pi = crate::reference::exact_pagerank(&g, 0.15, 300, 1e-13).scores;
-        let profile = mixing_profile(&g, &pi, 0.15, 0);
-        assert_eq!(profile.len(), 1);
-        let uniform = vec![1.0 / 40.0; 40];
-        assert!((profile[0] - crate::metrics::l1_distance(&uniform, &pi)).abs() < 1e-12);
     }
 }

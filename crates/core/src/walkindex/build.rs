@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use frogwild_engine::{generate_walk_segments, ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{generate_walk_segments, PartitionedGraph};
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::Tracer;
 
@@ -139,33 +139,11 @@ pub fn build_walk_index_traced(
     Ok((index, report))
 }
 
-/// Builds a [`WalkIndex`] without an existing layout: partitions `graph` over
-/// `machines` simulated machines with the default (oblivious) ingress first, then
-/// builds as [`build_walk_index`]. Convenience for index-only tools (the CLI `index`
-/// subcommand, benchmarks); sessions reuse their own layout instead.
-///
-/// # Errors
-///
-/// The same errors as [`build_walk_index`], plus [`Error::InvalidConfig`] when
-/// `machines` is zero.
-pub fn build_walk_index_standalone(
-    graph: &DiGraph,
-    machines: usize,
-    config: &WalkIndexConfig,
-) -> Result<(WalkIndex, WalkIndexBuildReport)> {
-    if machines == 0 {
-        return Err(Error::config(
-            "build_walk_index_standalone",
-            "machines must be at least 1",
-        ));
-    }
-    let pg = PartitionedGraph::build(graph, machines, &ObliviousPartitioner, config.seed);
-    build_walk_index(graph, &pg, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::partition_graph;
+    use frogwild_engine::ClusterConfig;
     use frogwild_graph::generators::{rmat, RmatParams};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -173,6 +151,15 @@ mod tests {
     fn test_graph(n: usize) -> DiGraph {
         let mut rng = SmallRng::seed_from_u64(77);
         rmat(n, RmatParams::default(), &mut rng)
+    }
+
+    fn build_over(
+        g: &DiGraph,
+        machines: usize,
+        cfg: &WalkIndexConfig,
+    ) -> Result<(WalkIndex, WalkIndexBuildReport)> {
+        let pg = partition_graph(g, &ClusterConfig::new(machines, cfg.seed));
+        build_walk_index(g, &pg, cfg)
     }
 
     #[test]
@@ -184,7 +171,7 @@ mod tests {
             seed: 21,
             ..WalkIndexConfig::default()
         };
-        let (index, report) = build_walk_index_standalone(&g, 4, &cfg).unwrap();
+        let (index, report) = build_over(&g, 4, &cfg).unwrap();
         assert_eq!(index.num_vertices(), g.num_vertices());
         assert_eq!(index.segments_per_vertex(), 3);
         assert_eq!(report.effective_segments, 3);
@@ -217,12 +204,11 @@ mod tests {
             seed: 5,
             ..WalkIndexConfig::default()
         };
-        let (reference, _) = build_walk_index_standalone(&g, 1, &cfg).unwrap();
+        let (reference, _) = build_over(&g, 1, &cfg).unwrap();
         for machines in [3usize, 8] {
             for parallel in [false, true] {
                 let (other, _) =
-                    build_walk_index_standalone(&g, machines, &WalkIndexConfig { parallel, ..cfg })
-                        .unwrap();
+                    build_over(&g, machines, &WalkIndexConfig { parallel, ..cfg }).unwrap();
                 assert_eq!(reference, other, "machines={machines} parallel={parallel}");
             }
         }
@@ -241,7 +227,7 @@ mod tests {
             memory_budget_bytes: full.estimated_bytes(g.num_vertices(), 2),
             ..full
         };
-        let (index, report) = build_walk_index_standalone(&g, 2, &budgeted).unwrap();
+        let (index, report) = build_over(&g, 2, &budgeted).unwrap();
         assert_eq!(report.requested_segments, 8);
         assert_eq!(report.effective_segments, 2);
         assert_eq!(index.segments_per_vertex(), 2);
@@ -253,11 +239,7 @@ mod tests {
         let g = test_graph(100);
         let cfg = WalkIndexConfig::default();
         assert!(matches!(
-            build_walk_index_standalone(&g, 0, &cfg),
-            Err(Error::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            build_walk_index_standalone(&DiGraph::empty(0), 2, &cfg),
+            build_over(&DiGraph::empty(0), 2, &cfg),
             Err(Error::Graph { .. })
         ));
         let bad = WalkIndexConfig {
@@ -265,7 +247,7 @@ mod tests {
             ..cfg
         };
         assert!(matches!(
-            build_walk_index_standalone(&g, 2, &bad),
+            build_over(&g, 2, &bad),
             Err(Error::InvalidConfig { .. })
         ));
     }

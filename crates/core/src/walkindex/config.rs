@@ -2,6 +2,9 @@
 
 use crate::error::Error;
 
+/// Bytes per entry of the arena's offset table.
+const WORD: usize = std::mem::size_of::<usize>();
+
 /// Configuration of a [`WalkIndex`](super::WalkIndex) build and of the queries served
 /// from it.
 ///
@@ -27,12 +30,6 @@ pub struct WalkIndexConfig {
     /// Stitched walks spent per unit of residual mass when serving a PPR query; the
     /// main accuracy/latency dial of index serving.
     pub walks_per_unit_residual: u64,
-    /// Hard cap on the hop count of any single stitched walk. A walk's undeposited
-    /// geometric tail `(1 - p_T)^cap` lands at the truncation point, so the cap trades
-    /// a small, bounded placement bias (~2% of walk mass at the default, `p_T = 0.15`)
-    /// for proportionally less per-walk work — the same role `max_steps` plays for
-    /// [`monte_carlo_ppr`](crate::ppr::monte_carlo_ppr).
-    pub max_walk_hops: usize,
     /// Upper bound on the index arena size in bytes (offsets + hop array).
     /// `usize::MAX` (the default) means unbounded.
     pub memory_budget_bytes: usize,
@@ -49,7 +46,6 @@ impl Default for WalkIndexConfig {
             segment_length: 8,
             frontier_epsilon: 1e-4,
             walks_per_unit_residual: 3_000,
-            max_walk_hops: 24,
             memory_budget_bytes: usize::MAX,
             seed: 0x1DE7,
             parallel: false,
@@ -83,9 +79,6 @@ impl WalkIndexConfig {
                 "walks_per_unit_residual must be positive",
             ));
         }
-        if self.max_walk_hops == 0 {
-            return Err(Error::config(CTX, "max_walk_hops must be positive"));
-        }
         if self.memory_budget_bytes == 0 {
             return Err(Error::config(CTX, "memory_budget_bytes must be positive"));
         }
@@ -93,11 +86,21 @@ impl WalkIndexConfig {
     }
 
     /// Worst-case arena bytes for `num_vertices` vertices at `segments` segments per
-    /// vertex: the CSR offset table plus a full-length hop array.
+    /// vertex: the CSR offset table plus a full-length hop array. Saturates at
+    /// `usize::MAX` when the product does not fit.
     pub fn estimated_bytes(&self, num_vertices: usize, segments: usize) -> usize {
-        let offsets = (num_vertices * segments + 1) * std::mem::size_of::<usize>();
-        let hops = num_vertices * segments * self.segment_length * std::mem::size_of::<u32>();
-        offsets + hops
+        self.checked_bytes(num_vertices, segments)
+            .unwrap_or(usize::MAX)
+    }
+
+    /// [`estimated_bytes`](Self::estimated_bytes), `None` on overflow.
+    fn checked_bytes(&self, num_vertices: usize, segments: usize) -> Option<usize> {
+        let stored = num_vertices.checked_mul(segments)?;
+        let offsets = stored.checked_add(1)?.checked_mul(WORD)?;
+        let hops = stored
+            .checked_mul(self.segment_length)?
+            .checked_mul(std::mem::size_of::<u32>())?;
+        offsets.checked_add(hops)
     }
 
     /// The per-vertex segment count the memory budget allows: the largest
@@ -106,24 +109,41 @@ impl WalkIndexConfig {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when even a single segment per vertex does not fit.
+    /// [`Error::InvalidConfig`] when even a single segment per vertex does not fit,
+    /// or when the requested index is too large to size at all.
     pub fn effective_segments(&self, num_vertices: usize) -> Result<usize, Error> {
-        for r in (1..=self.segments_per_vertex).rev() {
-            if self.estimated_bytes(num_vertices, r) <= self.memory_budget_bytes {
-                return Ok(r);
-            }
+        const CTX: &str = "WalkIndexConfig";
+        let Some(requested) = self.checked_bytes(num_vertices, self.segments_per_vertex) else {
+            return Err(Error::config(
+                CTX,
+                format!(
+                    "{} length-{} segments for each of {} vertices overflow the address space",
+                    self.segments_per_vertex, self.segment_length, num_vertices
+                ),
+            ));
+        };
+        if requested <= self.memory_budget_bytes {
+            return Ok(self.segments_per_vertex);
         }
-        Err(Error::config(
-            "WalkIndexConfig",
-            format!(
-                "memory budget of {} bytes cannot hold even one length-{} segment for each of \
-                 the {} vertices ({} bytes needed)",
-                self.memory_budget_bytes,
-                self.segment_length,
-                num_vertices,
-                self.estimated_bytes(num_vertices, 1),
-            ),
-        ))
+        // The arena is one offset word plus a fixed cost per stored segment, so the
+        // largest count that fits is a division, not a search.
+        let one = self.estimated_bytes(num_vertices, 1);
+        let fits = self
+            .memory_budget_bytes
+            .saturating_sub(WORD)
+            .checked_div(one - WORD)
+            .unwrap_or(0);
+        if fits == 0 {
+            return Err(Error::config(
+                CTX,
+                format!(
+                    "memory budget of {} bytes cannot hold even one length-{} segment for each \
+                     of the {} vertices ({one} bytes needed)",
+                    self.memory_budget_bytes, self.segment_length, num_vertices,
+                ),
+            ));
+        }
+        Ok(fits)
     }
 }
 
@@ -158,10 +178,6 @@ mod tests {
             },
             WalkIndexConfig {
                 walks_per_unit_residual: 0,
-                ..base
-            },
-            WalkIndexConfig {
-                max_walk_hops: 0,
                 ..base
             },
             WalkIndexConfig {
@@ -207,6 +223,36 @@ mod tests {
             tiny.effective_segments(n),
             Err(Error::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn absurd_segment_counts_are_sized_without_overflow_or_a_search() {
+        let n = 1_000;
+        // Too large to size at all: a typed error, not a multiply overflow.
+        let unsizable = WalkIndexConfig {
+            segments_per_vertex: usize::MAX,
+            ..WalkIndexConfig::default()
+        };
+        assert!(unsizable.validate().is_ok());
+        assert_eq!(unsizable.estimated_bytes(n, usize::MAX), usize::MAX);
+        assert!(matches!(
+            unsizable.effective_segments(n),
+            Err(Error::InvalidConfig {
+                context: "WalkIndexConfig",
+                ..
+            })
+        ));
+        // Sizable but far over budget: the answer is a division away, however
+        // many counts lie between the request and what fits.
+        let over_budget = WalkIndexConfig {
+            segments_per_vertex: 2_000_000_000,
+            memory_budget_bytes: 1 << 20,
+            ..WalkIndexConfig::default()
+        };
+        let r = over_budget.effective_segments(n).unwrap();
+        assert_eq!(r, 26);
+        assert!(over_budget.estimated_bytes(n, r) <= 1 << 20);
+        assert!(over_budget.estimated_bytes(n, r + 1) > 1 << 20);
     }
 
     #[test]

@@ -29,15 +29,19 @@
 //! report segment hits/misses and the amortized build cost.
 //!
 //! ```
-//! use frogwild::walkindex::{build_walk_index_standalone, indexed_ppr, WalkIndexConfig};
+//! use frogwild::driver::partition_graph;
+//! use frogwild::walkindex::{build_walk_index, indexed_ppr, WalkIndexConfig};
+//! use frogwild_engine::ClusterConfig;
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = SmallRng::seed_from_u64(1);
 //! let graph = frogwild_graph::generators::livejournal_like(2_000, &mut rng);
 //!
+//! // Partition once (a session reuses its own layout), then build over the layout.
+//! let pg = partition_graph(&graph, &ClusterConfig::new(4, 9));
 //! let cfg = WalkIndexConfig::default();
-//! let (index, report) = build_walk_index_standalone(&graph, 4, &cfg)?;
+//! let (index, report) = build_walk_index(&graph, &pg, &cfg)?;
 //! assert!(report.arena_bytes <= cfg.memory_budget_bytes);
 //!
 //! let served = indexed_ppr(&graph, &index, &cfg, 7, 0.15)?;
@@ -50,9 +54,7 @@ mod config;
 mod serve;
 mod storage;
 
-pub use build::{
-    build_walk_index, build_walk_index_standalone, build_walk_index_traced, WalkIndexBuildReport,
-};
+pub use build::{build_walk_index, build_walk_index_traced, WalkIndexBuildReport};
 pub use config::WalkIndexConfig;
 pub use serve::{indexed_pagerank, indexed_ppr, IndexServeStats, IndexedEstimate, TAIL_FLOOR};
 pub use storage::WalkIndex;

@@ -49,7 +49,7 @@ proptest! {
         prop_assert_eq!(a.cost.routed_messages, b.cost.routed_messages);
         prop_assert_eq!(a.cost.skipped_scatters, b.cost.skipped_scatters);
         prop_assert_eq!(a.cost.active_vertices, b.cost.active_vertices);
-        prop_assert_eq!(a.metrics.total_ops(), b.metrics.total_ops());
+        prop_assert_eq!(a.metrics.totals().work.total_ops(), b.metrics.totals().work.total_ops());
     }
 
     #[test]

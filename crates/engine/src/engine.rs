@@ -1182,7 +1182,7 @@ mod tests {
     /// Two runs went through the same supersteps with bit-identical work, traffic and
     /// routed-message counts.
     fn assert_same_supersteps(a: &RunMetrics, b: &RunMetrics, label: &str) {
-        assert_eq!(a.num_supersteps(), b.num_supersteps(), "{label}");
+        assert_eq!(a.supersteps.len(), b.supersteps.len(), "{label}");
         for (a, b) in a.supersteps.iter().zip(&b.supersteps) {
             assert_eq!(a.superstep, b.superstep, "{label}");
             assert_eq!(a.work, b.work, "{label}");
@@ -1211,7 +1211,7 @@ mod tests {
         let initial = vec![(0u32, 1000u64), (25u32, 500u64)];
         let out = engine.run(InitialActivation::Messages(initial));
         assert_eq!(total_tokens(&out.states), 1500);
-        assert_eq!(out.metrics.num_supersteps(), 10);
+        assert_eq!(out.metrics.supersteps.len(), 10);
     }
 
     #[test]
@@ -1250,7 +1250,7 @@ mod tests {
         let out = engine.run(InitialActivation::Messages(vec![(0u32, 5u64)]));
         // steps=2 means the program stops scattering after superstep 1; one more
         // superstep delivers the final messages and then the engine finds no work.
-        assert!(out.metrics.num_supersteps() <= 3);
+        assert!(out.metrics.supersteps.len() <= 3);
     }
 
     #[test]
@@ -1259,7 +1259,7 @@ mod tests {
         let pg = partitioned(&graph, 2);
         let engine = Engine::new(&pg, TokenForward { steps: 5 }, EngineConfig::default()).unwrap();
         let out = engine.run(InitialActivation::Messages(vec![]));
-        assert_eq!(out.metrics.num_supersteps(), 0);
+        assert_eq!(out.metrics.supersteps.len(), 0);
         assert_eq!(total_tokens(&out.states), 0);
     }
 
@@ -1277,7 +1277,7 @@ mod tests {
         )
         .unwrap();
         let out = engine.run(InitialActivation::Messages(vec![(0u32, 100u64)]));
-        assert_eq!(out.metrics.total_bytes(), 0);
+        assert_eq!(out.metrics.totals().network.bytes_sent, 0);
         assert_eq!(total_tokens(&out.states), 100);
     }
 
@@ -1295,9 +1295,9 @@ mod tests {
         )
         .unwrap();
         let out = engine.run(InitialActivation::Messages(vec![(0u32, 100u64)]));
-        assert!(out.metrics.total_bytes() > 0);
-        assert!(out.metrics.total_messages() > 0);
-        assert!(out.metrics.total_simulated_seconds() > 0.0);
+        assert!(out.metrics.totals().network.bytes_sent > 0);
+        assert!(out.metrics.totals().network.messages_sent > 0);
+        assert!(out.metrics.totals().simulated_seconds > 0.0);
     }
 
     #[test]
@@ -1334,8 +1334,14 @@ mod tests {
             .map(|s| s.arrived + s.forwarding)
             .collect();
         assert_eq!(serial_tokens, parallel_tokens);
-        assert_eq!(serial.metrics.total_bytes(), parallel.metrics.total_bytes());
-        assert_eq!(serial.metrics.total_ops(), parallel.metrics.total_ops());
+        assert_eq!(
+            serial.metrics.totals().network.bytes_sent,
+            parallel.metrics.totals().network.bytes_sent
+        );
+        assert_eq!(
+            serial.metrics.totals().work.total_ops(),
+            parallel.metrics.totals().work.total_ops()
+        );
     }
 
     #[test]
@@ -1357,10 +1363,12 @@ mod tests {
         };
         let full = run(SyncPolicy::Full);
         let partial = run(SyncPolicy::AtLeastOneOutEdge { ps: 0.1 });
-        assert!(partial.metrics.total_syncs() < full.metrics.total_syncs());
-        assert!(partial.metrics.total_bytes() < full.metrics.total_bytes());
-        assert_eq!(full.metrics.total_skipped_syncs(), 0);
-        assert!(partial.metrics.total_skipped_syncs() > 0);
+        assert!(partial.metrics.totals().work.sync_ops < full.metrics.totals().work.sync_ops);
+        assert!(
+            partial.metrics.totals().network.bytes_sent < full.metrics.totals().network.bytes_sent
+        );
+        assert_eq!(full.metrics.totals().work.skipped_syncs, 0);
+        assert!(partial.metrics.totals().work.skipped_syncs > 0);
         // tokens are conserved regardless of the sync policy
         assert_eq!(total_tokens(&full.states), 10_000);
         assert_eq!(total_tokens(&partial.states), 10_000);
@@ -1423,11 +1431,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(tokens(&gated), tokens(&baseline));
-        assert_eq!(gated.metrics.total_bytes(), baseline.metrics.total_bytes());
-        assert_eq!(gated.metrics.total_ops(), baseline.metrics.total_ops());
         assert_eq!(
-            gated.metrics.total_routed_messages(),
-            baseline.metrics.total_routed_messages()
+            gated.metrics.totals().network.bytes_sent,
+            baseline.metrics.totals().network.bytes_sent
+        );
+        assert_eq!(
+            gated.metrics.totals().work.total_ops(),
+            baseline.metrics.totals().work.total_ops()
+        );
+        assert_eq!(
+            gated.metrics.totals().routed_messages,
+            baseline.metrics.totals().routed_messages
         );
     }
 
@@ -1452,16 +1466,19 @@ mod tests {
         let ungated = run(0.0);
         let gated = run(3.0); // vertices forwarding <= 3 tokens go quiet
         assert!(
-            gated.metrics.total_skipped_scatters() > ungated.metrics.total_skipped_scatters(),
+            gated.metrics.totals().work.skipped_scatters
+                > ungated.metrics.totals().work.skipped_scatters,
             "gated {} vs ungated {}",
-            gated.metrics.total_skipped_scatters(),
-            ungated.metrics.total_skipped_scatters()
+            gated.metrics.totals().work.skipped_scatters,
+            ungated.metrics.totals().work.skipped_scatters
         );
-        assert!(gated.metrics.total_scatter_ops() < ungated.metrics.total_scatter_ops());
-        assert!(gated.metrics.total_routed_messages() < ungated.metrics.total_routed_messages());
+        assert!(
+            gated.metrics.totals().work.scatter_ops < ungated.metrics.totals().work.scatter_ops
+        );
+        assert!(gated.metrics.totals().routed_messages < ungated.metrics.totals().routed_messages);
         // Gated vertices can still be re-activated by messages from elsewhere, so the
         // frontier never grows but need not shrink strictly on a dense graph.
-        assert!(gated.metrics.total_active_vertices() <= ungated.metrics.total_active_vertices());
+        assert!(gated.metrics.totals().active_vertices <= ungated.metrics.totals().active_vertices);
         // A positive tolerance is an approximation knob: small parcels stop moving,
         // so the gated run delivers at most what the ungated run delivers.
         assert!(total_tokens(&gated.states) <= total_tokens(&ungated.states));
@@ -1505,11 +1522,17 @@ mod tests {
                 tokens(&other),
                 "workers={workers} batch={batch_size}"
             );
-            assert_eq!(baseline.metrics.total_bytes(), other.metrics.total_bytes());
-            assert_eq!(baseline.metrics.total_ops(), other.metrics.total_ops());
             assert_eq!(
-                baseline.metrics.total_routed_messages(),
-                other.metrics.total_routed_messages()
+                baseline.metrics.totals().network.bytes_sent,
+                other.metrics.totals().network.bytes_sent
+            );
+            assert_eq!(
+                baseline.metrics.totals().work.total_ops(),
+                other.metrics.totals().work.total_ops()
+            );
+            assert_eq!(
+                baseline.metrics.totals().routed_messages,
+                other.metrics.totals().routed_messages
             );
         }
     }
@@ -1542,10 +1565,13 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(tokens(&sync), tokens(&explicit));
-        assert_eq!(sync.metrics.total_bytes(), explicit.metrics.total_bytes());
-        assert_eq!(sync.metrics.total_staleness_lag(), 0);
-        assert_eq!(sync.metrics.max_inbox_depth(), 0);
-        assert_eq!(sync.metrics.total_barrier_wait_avoided_seconds(), 0.0);
+        assert_eq!(
+            sync.metrics.totals().network.bytes_sent,
+            explicit.metrics.totals().network.bytes_sent
+        );
+        assert_eq!(sync.metrics.totals().staleness_lag, 0);
+        assert_eq!(sync.metrics.totals().inbox_depth, 0);
+        assert_eq!(sync.metrics.totals().barrier_wait_avoided_seconds, 0.0);
     }
 
     #[test]
@@ -1623,15 +1649,21 @@ mod tests {
                 tokens(&other),
                 "workers={workers} batch={batch_size}"
             );
-            assert_eq!(baseline.metrics.total_bytes(), other.metrics.total_bytes());
-            assert_eq!(baseline.metrics.total_ops(), other.metrics.total_ops());
             assert_eq!(
-                baseline.metrics.total_staleness_lag(),
-                other.metrics.total_staleness_lag()
+                baseline.metrics.totals().network.bytes_sent,
+                other.metrics.totals().network.bytes_sent
             );
             assert_eq!(
-                baseline.metrics.max_inbox_depth(),
-                other.metrics.max_inbox_depth()
+                baseline.metrics.totals().work.total_ops(),
+                other.metrics.totals().work.total_ops()
+            );
+            assert_eq!(
+                baseline.metrics.totals().staleness_lag,
+                other.metrics.totals().staleness_lag
+            );
+            assert_eq!(
+                baseline.metrics.totals().inbox_depth,
+                other.metrics.totals().inbox_depth
             );
         }
     }
@@ -1902,10 +1934,10 @@ mod tests {
         };
         let stale = run(2);
         // With eight machines and two supersteps of slack, some channel is delayed…
-        assert!(stale.metrics.total_staleness_lag() > 0);
-        assert!(stale.metrics.max_inbox_depth() > 0);
+        assert!(stale.metrics.totals().staleness_lag > 0);
+        assert!(stale.metrics.totals().inbox_depth > 0);
         // …and the pipelined clock beats the barriered one on at least part of the run.
-        assert!(stale.metrics.total_barrier_wait_avoided_seconds() > 0.0);
+        assert!(stale.metrics.totals().barrier_wait_avoided_seconds > 0.0);
         // The per-superstep simulated times are watermark increments: non-negative,
         // summing to the run's makespan.
         assert!(stale

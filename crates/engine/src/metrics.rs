@@ -279,105 +279,35 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Total bytes sent over the whole run.
-    pub fn total_bytes(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.network.bytes_sent).sum()
+    /// The whole run folded into one [`SuperstepMetrics`]: `network` and `work`
+    /// merged (saturating, like every counter here), `routed_messages`,
+    /// `active_vertices` and `staleness_lag` summed (saturating), each `f64` field
+    /// added up in superstep order, `inbox_depth` the deepest backlog any superstep
+    /// ended with, and `superstep` the number of supersteps executed.
+    pub fn totals(&self) -> SuperstepMetrics {
+        let mut totals = SuperstepMetrics {
+            superstep: self.supersteps.len(),
+            ..SuperstepMetrics::default()
+        };
+        for step in &self.supersteps {
+            totals.active_vertices = totals.active_vertices.saturating_add(step.active_vertices);
+            totals.routed_messages = totals.routed_messages.saturating_add(step.routed_messages);
+            totals.network.merge(&step.network);
+            totals.work.merge(&step.work);
+            totals.simulated_seconds += step.simulated_seconds;
+            totals.host_seconds += step.host_seconds;
+            totals.inbox_depth = totals.inbox_depth.max(step.inbox_depth);
+            totals.staleness_lag = totals.staleness_lag.saturating_add(step.staleness_lag);
+            totals.barrier_wait_avoided_seconds += step.barrier_wait_avoided_seconds;
+        }
+        totals
     }
 
-    /// Total messages sent over the whole run.
-    pub fn total_messages(&self) -> u64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.network.messages_sent)
-            .sum()
-    }
-
-    /// Total work operations over the whole run.
-    pub fn total_ops(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.work.total_ops()).sum()
-    }
-
-    /// Total simulated wall-clock seconds.
-    pub fn total_simulated_seconds(&self) -> f64 {
-        self.supersteps.iter().map(|s| s.simulated_seconds).sum()
-    }
-
-    /// Total simulated CPU seconds under `model`.
+    /// Total simulated CPU seconds under `model`, priced superstep by superstep.
     pub fn total_cpu_seconds(&self, model: &CostModel) -> f64 {
         self.supersteps
             .iter()
             .map(|s| model.cpu_seconds(&s.work))
-            .sum()
-    }
-
-    /// Total real (host) seconds spent executing.
-    pub fn total_host_seconds(&self) -> f64 {
-        self.supersteps.iter().map(|s| s.host_seconds).sum()
-    }
-
-    /// Number of supersteps executed.
-    pub fn num_supersteps(&self) -> usize {
-        self.supersteps.len()
-    }
-
-    /// Total mirror synchronizations skipped thanks to partial synchronization.
-    pub fn total_skipped_syncs(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.work.skipped_syncs).sum()
-    }
-
-    /// Total mirror synchronizations performed.
-    pub fn total_syncs(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.work.sync_ops).sum()
-    }
-
-    /// Total scatter operations over the whole run.
-    pub fn total_scatter_ops(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.work.scatter_ops).sum()
-    }
-
-    /// Total scatters skipped (structural `needs_scatter` plus delta gating).
-    pub fn total_skipped_scatters(&self) -> u64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.work.skipped_scatters)
-            .sum()
-    }
-
-    /// Total messages routed to master inboxes, local deliveries included.
-    pub fn total_routed_messages(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.routed_messages).sum()
-    }
-
-    /// Sum of per-superstep frontier sizes (active vertices processed over the run).
-    pub fn total_active_vertices(&self) -> u64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.active_vertices as u64)
-            .sum()
-    }
-
-    /// Total delivery lag (supersteps late versus synchronous delivery) accumulated
-    /// by all drained messages over the run. 0 for synchronous runs.
-    pub fn total_staleness_lag(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.staleness_lag).sum()
-    }
-
-    /// Deepest staging-inbox backlog observed at the end of any superstep. 0 for
-    /// synchronous runs.
-    pub fn max_inbox_depth(&self) -> u64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.inbox_depth)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total simulated barrier-wait seconds avoided by bounded-staleness overlap
-    /// over the run. 0 for synchronous runs.
-    pub fn total_barrier_wait_avoided_seconds(&self) -> f64 {
-        self.supersteps
-            .iter()
-            .map(|s| s.barrier_wait_avoided_seconds)
             .sum()
     }
 
@@ -399,14 +329,11 @@ impl RunMetrics {
         if self.num_machines == 0 {
             return 1.0;
         }
-        let mut per_machine = vec![0u64; self.num_machines];
-        for step in &self.supersteps {
-            for (acc, &ops) in per_machine.iter_mut().zip(&step.work.ops_per_machine) {
-                *acc = acc.saturating_add(ops);
-            }
-        }
+        let per_machine = self.totals().work.ops_per_machine;
         let max = per_machine.iter().copied().max().unwrap_or(0) as f64;
-        let total: u64 = per_machine.iter().sum();
+        let total = per_machine
+            .iter()
+            .fold(0u64, |sum, &ops| sum.saturating_add(ops));
         let mean = total as f64 / self.num_machines as f64;
         if mean == 0.0 {
             1.0
@@ -497,14 +424,34 @@ mod tests {
             ..RunMetrics::default()
         };
         run.supersteps.push(SuperstepMetrics {
+            network: net.clone(),
             work: w.clone(),
             ..SuperstepMetrics::default()
         });
         run.supersteps.push(SuperstepMetrics {
-            work: w,
+            network: net,
+            work: w.clone(),
             ..SuperstepMetrics::default()
         });
         assert!((run.work_imbalance() - 1.0).abs() < 1e-12);
+        // The run totals pin at the ceiling like the counters they fold.
+        let totals = run.totals();
+        assert_eq!(totals.network.bytes_sent, u64::MAX);
+        assert_eq!(totals.network.messages_sent, u64::MAX);
+        assert_eq!(totals.work.total_ops(), u64::MAX);
+
+        // Two machines pinned at the ceiling: the cross-machine sum saturates too
+        // (max = u64::MAX, mean = u64::MAX / 2).
+        w.ops_per_machine = vec![u64::MAX, u64::MAX];
+        let two = RunMetrics {
+            num_machines: 2,
+            supersteps: vec![SuperstepMetrics {
+                work: w,
+                ..SuperstepMetrics::default()
+            }],
+            ..RunMetrics::default()
+        };
+        assert!((two.work_imbalance() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -548,37 +495,61 @@ mod tests {
                 network: net,
                 work,
                 simulated_seconds: simulated,
+                host_seconds: 0.25,
                 inbox_depth: 3 + i as u64,
                 staleness_lag: 2,
                 barrier_wait_avoided_seconds: 0.5,
-                ..SuperstepMetrics::default()
             });
         }
-        assert_eq!(run.total_bytes(), 3000);
-        assert_eq!(run.total_messages(), 3);
-        assert_eq!(run.total_ops(), 51);
-        assert_eq!(run.num_supersteps(), 3);
-        assert_eq!(run.total_syncs(), 12);
-        assert_eq!(run.total_skipped_syncs(), 18);
-        assert_eq!(run.total_scatter_ops(), 21);
-        assert_eq!(run.total_skipped_scatters(), 6);
-        assert_eq!(run.total_routed_messages(), 15);
-        assert_eq!(run.total_active_vertices(), 30);
-        assert_eq!(run.total_staleness_lag(), 6);
-        assert_eq!(run.max_inbox_depth(), 5);
-        assert!((run.total_barrier_wait_avoided_seconds() - 1.5).abs() < 1e-12);
-        assert!(run.total_simulated_seconds() > 0.0);
+        let totals = run.totals();
+        assert_eq!(totals.superstep, 3);
+        assert_eq!(totals.active_vertices, 30);
+        assert_eq!(totals.routed_messages, 15);
+        assert_eq!(totals.network.bytes_sent, 3000);
+        assert_eq!(totals.network.messages_sent, 3);
+        assert_eq!(totals.network.bytes_per_machine, vec![3000, 0]);
+        assert_eq!(totals.work.total_ops(), 51);
+        assert_eq!(totals.work.gather_ops, 0);
+        assert_eq!(totals.work.apply_ops, 30);
+        assert_eq!(totals.work.scatter_ops, 21);
+        assert_eq!(totals.work.sync_ops, 12);
+        assert_eq!(totals.work.skipped_syncs, 18);
+        assert_eq!(totals.work.skipped_scatters, 6);
+        assert_eq!(totals.work.ops_per_machine, vec![30, 0]);
+        assert_eq!(totals.staleness_lag, 6);
+        // The deepest backlog, not the sum.
+        assert_eq!(totals.inbox_depth, 5);
+        // Floats are added from 0.0 in superstep order: equal to the last bit.
+        let in_order = |field: fn(&SuperstepMetrics) -> f64| {
+            let mut sum = 0.0;
+            for step in &run.supersteps {
+                sum += field(step);
+            }
+            sum
+        };
+        assert!(totals.simulated_seconds > 0.0);
+        assert_eq!(totals.simulated_seconds, in_order(|s| s.simulated_seconds));
+        assert_eq!(totals.host_seconds, in_order(|s| s.host_seconds));
+        assert_eq!(totals.host_seconds, 0.75);
+        assert_eq!(
+            totals.barrier_wait_avoided_seconds,
+            in_order(|s| s.barrier_wait_avoided_seconds)
+        );
+        assert_eq!(totals.barrier_wait_avoided_seconds, 1.5);
         assert!(run.total_cpu_seconds(&model) > 0.0);
     }
 
     #[test]
     fn empty_run_metrics() {
         let run = RunMetrics::default();
-        assert_eq!(run.total_bytes(), 0);
+        let totals = run.totals();
+        assert_eq!(totals.superstep, 0);
+        assert_eq!(totals.network, NetworkStats::default());
+        assert_eq!(totals.work, WorkStats::default());
+        assert_eq!(totals.staleness_lag, 0);
+        assert_eq!(totals.inbox_depth, 0);
+        assert_eq!(totals.barrier_wait_avoided_seconds, 0.0);
         assert_eq!(run.work_imbalance(), 1.0);
-        assert_eq!(run.total_staleness_lag(), 0);
-        assert_eq!(run.max_inbox_depth(), 0);
-        assert_eq!(run.total_barrier_wait_avoided_seconds(), 0.0);
     }
 
     #[test]
@@ -665,7 +636,7 @@ mod tests {
         // max = 200, mean = 150
         assert!((run.work_imbalance() - 200.0 / 150.0).abs() < 1e-12);
         let nominal = run.total_simulated_seconds_hetero(&model, &[1.0, 1.0]);
-        assert!((nominal - run.total_simulated_seconds()).abs() < 1e-12);
+        assert!((nominal - run.totals().simulated_seconds).abs() < 1e-12);
         let slowed = run.total_simulated_seconds_hetero(&model, &[10.0, 1.0]);
         assert!(slowed > nominal);
     }

@@ -67,15 +67,6 @@ impl VertexPlacement {
         machines.zip(self.locals[range].iter().copied())
     }
 
-    /// Mirror machines of `v` (replicas excluding the master's machine).
-    pub fn mirrors(&self, v: VertexId) -> impl Iterator<Item = MachineId> + '_ {
-        let master = self.master(v);
-        self.replicas(v)
-            .iter()
-            .copied()
-            .filter(move |&m| m != master)
-    }
-
     /// Number of vertices placed.
     pub fn num_vertices(&self) -> usize {
         self.master.len()
@@ -87,12 +78,6 @@ impl VertexPlacement {
             return 0.0;
         }
         self.machines.len() as f64 / self.master.len() as f64
-    }
-
-    /// Total number of mirror replicas (replicas minus masters), i.e. the number of
-    /// master→mirror synchronization messages a full sync of every vertex would send.
-    pub fn total_mirrors(&self) -> usize {
-        self.machines.len().saturating_sub(self.master.len())
     }
 }
 
@@ -514,9 +499,8 @@ mod tests {
         let g = cycle(20);
         let pg = PartitionedGraph::build(&g, 1, &ObliviousPartitioner, 1);
         assert!((pg.placement().replication_factor() - 1.0).abs() < 1e-12);
-        assert_eq!(pg.placement().total_mirrors(), 0);
         for v in g.vertices() {
-            assert_eq!(pg.placement().mirrors(v).count(), 0);
+            assert_eq!(pg.placement().replicas(v), [pg.placement().master(v)]);
         }
     }
 

@@ -103,6 +103,7 @@ impl DiGraph {
 
     /// Predecessors of `v`, sorted ascending.
     #[inline]
+    // lint:allow(orphan-pub, oracle for one_iteration_pagerank_ranks_by_weighted_in_degree)
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
         &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
@@ -138,6 +139,7 @@ impl DiGraph {
     }
 
     /// `true` if every vertex has at least one outgoing edge.
+    // lint:allow(orphan-pub, oracle for builder_selfloop_policy_always_eliminates_dangling)
     pub fn has_no_dangling(&self) -> bool {
         self.vertices().all(|v| self.out_degree(v) > 0)
     }
@@ -148,16 +150,6 @@ impl DiGraph {
             + self.in_offsets.len() * std::mem::size_of::<usize>()
             + self.out_targets.len() * std::mem::size_of::<VertexId>()
             + self.in_sources.len() * std::mem::size_of::<VertexId>()
-    }
-
-    /// The reverse graph (every edge flipped). `O(|V| + |E|)`, reuses the existing arrays.
-    pub fn reverse(&self) -> DiGraph {
-        DiGraph {
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
-        }
     }
 
     /// Collects the full edge list. Mostly useful for tests and re-building transformed graphs.
@@ -357,18 +349,6 @@ mod tests {
         assert!(!g.has_no_dangling());
         let g2 = diamond();
         assert!(g2.has_no_dangling());
-    }
-
-    #[test]
-    fn reverse_swaps_directions() {
-        let g = diamond();
-        let r = g.reverse();
-        assert_eq!(r.num_edges(), g.num_edges());
-        assert_eq!(r.out_neighbors(3), g.in_neighbors(3));
-        assert_eq!(r.in_neighbors(3), g.out_neighbors(3));
-        assert!(r.has_edge(1, 0));
-        assert!(!r.has_edge(0, 1));
-        assert!(r.validate().is_ok());
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! * [`stats`] — degree statistics and a power-law tail-exponent estimator
 //!   (the paper's analysis assumes the PageRank tail follows a power law with θ ≈ 2.2).
 //! * [`sparsify`] — the uniform edge-deletion sparsifier used as a baseline in Figure 5.
-//! * [`transform`] — dangling-vertex fix-up, graph reversal and other whole-graph
-//!   transforms.
 //!
 //! All randomized constructions take an explicit [`rand::Rng`] so every experiment in
 //! the workspace is reproducible from a seed.
@@ -31,10 +29,8 @@ mod csr;
 pub mod error;
 pub mod generators;
 pub mod io;
-pub mod snapshot;
 pub mod sparsify;
 pub mod stats;
-pub mod transform;
 
 pub use builder::{DanglingPolicy, GraphBuilder};
 pub use csr::{DiGraph, EdgeIter, VertexId};

@@ -2,11 +2,10 @@
 //!
 //! The FrogWild analysis (Proposition 7) relies on the PageRank vector's tail following
 //! a power law with exponent θ ≈ 2.2. This module provides the degree-side diagnostics
-//! used by the theory benchmarks: degree summaries, log-binned histograms and a Hill
-//! estimator for the tail exponent, applicable both to degree sequences and to PageRank
-//! score vectors.
+//! used by the theory benchmarks: degree summaries and a Hill estimator for the tail
+//! exponent, applicable both to degree sequences and to PageRank score vectors.
 
-// lint:allow-file(indexing, histograms are sized from the maximum observed value before indexing)
+// lint:allow-file(indexing, sorted vectors are checked non-empty and k is clamped below their length before indexing)
 
 use crate::csr::DiGraph;
 
@@ -63,30 +62,6 @@ pub fn degree_summary(graph: &DiGraph, direction: Direction) -> DegreeSummary {
     }
 }
 
-/// Degree histogram with logarithmic binning: bin `i` counts vertices whose degree lies
-/// in `[2^i, 2^(i+1))`. Degree-zero vertices are reported separately in the first
-/// element of the returned tuple.
-pub fn log_degree_histogram(graph: &DiGraph, direction: Direction) -> (usize, Vec<usize>) {
-    let mut zero = 0usize;
-    let mut bins: Vec<usize> = Vec::new();
-    for v in graph.vertices() {
-        let d = match direction {
-            Direction::Out => graph.out_degree(v),
-            Direction::In => graph.in_degree(v),
-        };
-        if d == 0 {
-            zero += 1;
-            continue;
-        }
-        let bin = (usize::BITS - 1 - d.leading_zeros()) as usize;
-        if bin >= bins.len() {
-            bins.resize(bin + 1, 0);
-        }
-        bins[bin] += 1;
-    }
-    (zero, bins)
-}
-
 /// Hill estimator of the power-law tail exponent θ for a sequence of positive values.
 ///
 /// Uses the `k` largest values. For a distribution with density `∝ x^{-θ}` the estimator
@@ -121,28 +96,6 @@ pub fn in_degree_tail_exponent(graph: &DiGraph, fraction: f64) -> Option<f64> {
         .collect();
     let k = ((values.len() as f64 * fraction).ceil() as usize).max(2);
     hill_tail_exponent(&values, k)
-}
-
-/// The Gini coefficient of a non-negative value vector — a scale-free measure of how
-/// concentrated the values are (0 = perfectly uniform, →1 = all mass on one element).
-/// Used in EXPERIMENTS.md to document how skewed the synthetic PageRank vectors are.
-pub fn gini_coefficient(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-    let n = sorted.len() as f64;
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (i as f64 + 1.0) * v)
-        .sum();
-    (2.0 * weighted) / (n * total) - (n + 1.0) / n
 }
 
 #[cfg(test)]
@@ -180,23 +133,6 @@ mod tests {
         let s = degree_summary(&g, Direction::Out);
         assert_eq!(s.max, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn log_histogram_buckets_correctly() {
-        // degrees: hub 10 -> bin 3 ([8,16)), leaves 1 -> bin 0
-        let g = star(11);
-        let (zero, bins) = log_degree_histogram(&g, Direction::Out);
-        assert_eq!(zero, 0);
-        assert_eq!(bins[0], 10);
-        assert_eq!(bins[3], 1);
-    }
-
-    #[test]
-    fn log_histogram_counts_zero_degree() {
-        let g = DiGraph::from_edges(3, &[(0, 1)]);
-        let (zero, _) = log_degree_histogram(&g, Direction::Out);
-        assert_eq!(zero, 2);
     }
 
     #[test]
@@ -240,25 +176,5 @@ mod tests {
         let est = in_degree_tail_exponent(&g, 0.02).unwrap();
         // Social graphs live roughly in 1.5..3.5; we only need "heavy-tailed".
         assert!(est > 1.2 && est < 4.5, "estimated {est}");
-    }
-
-    #[test]
-    fn gini_uniform_is_zero() {
-        let g = gini_coefficient(&[3.0, 3.0, 3.0, 3.0]);
-        assert!(g.abs() < 1e-12);
-    }
-
-    #[test]
-    fn gini_concentrated_is_high() {
-        let mut values = vec![0.0; 99];
-        values.push(100.0);
-        let g = gini_coefficient(&values);
-        assert!(g > 0.95);
-    }
-
-    #[test]
-    fn gini_empty_and_zero_vectors() {
-        assert_eq!(gini_coefficient(&[]), 0.0);
-        assert_eq!(gini_coefficient(&[0.0, 0.0]), 0.0);
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests for the graph substrate: CSR invariants, builder behaviour,
-//! I/O and snapshot round trips hold for arbitrary edge lists.
+//! and I/O round trips hold for arbitrary edge lists.
 
 use frogwild_graph::generators::power_law_weights;
 use frogwild_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
-use frogwild_graph::snapshot::{read_snapshot, write_snapshot};
 use frogwild_graph::sparsify::{uniform_sparsify, SparsifyMode};
 use frogwild_graph::{DanglingPolicy, DiGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -43,22 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn reverse_twice_is_identity((n, edges) in arb_graph_input()) {
-        let g = DiGraph::from_edges(n, &edges);
-        prop_assert_eq!(g.reverse().reverse(), g);
-    }
-
-    #[test]
-    fn reverse_swaps_degrees((n, edges) in arb_graph_input()) {
-        let g = DiGraph::from_edges(n, &edges);
-        let r = g.reverse();
-        for v in g.vertices() {
-            prop_assert_eq!(g.out_degree(v), r.in_degree(v));
-            prop_assert_eq!(g.in_degree(v), r.out_degree(v));
-        }
-    }
-
-    #[test]
     fn builder_selfloop_policy_always_eliminates_dangling((n, edges) in arb_graph_input()) {
         let mut b = GraphBuilder::new(n);
         b.extend_edges(edges).unwrap();
@@ -77,15 +60,6 @@ proptest! {
         let once = build(&edges);
         let twice = build(&once.edge_vec());
         prop_assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn snapshot_round_trip((n, edges) in arb_graph_input()) {
-        let g = DiGraph::from_edges(n, &edges);
-        let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        let restored = read_snapshot(buf.as_slice()).unwrap();
-        prop_assert_eq!(g, restored);
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub struct Token {
 pub struct AllowDirective {
     /// Rule name inside the parentheses.
     pub rule: String,
+    /// The written justification (surrounding quotes trimmed).
+    pub reason: String,
     /// `lint:allow-file` (whole file) vs `lint:allow` (same or next line).
     pub file_level: bool,
     /// Line the comment sits on.
@@ -274,6 +276,7 @@ fn parse_allow(body: &str, line: u32, out: &mut LexOutput) {
     }
     out.allows.push(AllowDirective {
         rule: rule.to_string(),
+        reason: reason.to_string(),
         file_level,
         line,
     });

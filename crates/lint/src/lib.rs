@@ -14,7 +14,9 @@
 //! * **overflow hygiene** — stat-counter accumulators use `saturating_*` and
 //!   never narrow with `as`;
 //! * **API hygiene** — every `#[non_exhaustive]` pub type in `crates/core`
-//!   keeps a public constructor helper.
+//!   keeps a public constructor helper, and every `pub` item of the library
+//!   crates has a caller outside tests (`orphan-pub`: the public surface is the
+//!   called surface).
 //!
 //! The analysis is a hand-rolled lexer ([`lexer`]) plus shallow token-pattern
 //! rules ([`rules`]) — no external dependencies, no type information. That
@@ -25,8 +27,8 @@
 pub mod lexer;
 pub mod rules;
 
-use rules::{analyze_file, finish_ctor_rule, Finding, Scope};
-use std::collections::BTreeMap;
+use rules::{analyze_file, finish_ctor_rule, finish_orphan_rule, Finding, Scope};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -37,6 +39,9 @@ pub struct Config {
     pub allow_rules: Vec<String>,
     /// Baseline entries to subtract (grandfathered findings).
     pub baseline: Vec<BaselineEntry>,
+    /// Report findings in these files only (`--changed-since`). Every file is still
+    /// analyzed: the cross-file joins need the whole scan set as evidence.
+    pub only_paths: Option<Vec<String>>,
 }
 
 /// One grandfathered finding: `rule <TAB> path <TAB> line` in the baseline file.
@@ -58,13 +63,15 @@ pub struct Report {
 
 /// Scans `files` (path, source) pairs. Paths must be workspace-relative with
 /// forward slashes; the crate-level constructor join groups files by their
-/// `crates/<name>/` prefix.
+/// `crates/<name>/` prefix, the `orphan-pub` join spans every file given.
 pub fn run_on_sources(files: &[(String, String)], config: &Config) -> Report {
     let mut findings = Vec::new();
     // Constructor-rule state grouped per crate (fixture/scratch files outside
     // `crates/` join a shared "" group, so a fixture pair still links up).
     let mut decls: BTreeMap<String, Vec<rules::TypeDecl>> = BTreeMap::new();
     let mut evidence: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut pub_decls = Vec::new();
+    let mut referenced = BTreeSet::new();
 
     for (path, src) in files {
         let scope = Scope::classify(path);
@@ -79,13 +86,19 @@ pub fn run_on_sources(files: &[(String, String)], config: &Config) -> Report {
             .entry(group)
             .or_default()
             .extend(report.ctor_evidence);
+        pub_decls.extend(report.pub_decls);
+        referenced.extend(report.referenced);
     }
     for (group, d) in &decls {
         let e = evidence.get(group).map(Vec::as_slice).unwrap_or(&[]);
         findings.extend(finish_ctor_rule(d, e));
     }
+    findings.extend(finish_orphan_rule(&pub_decls, &referenced));
 
     findings.retain(|f| !config.allow_rules.iter().any(|r| r == f.rule));
+    if let Some(only) = &config.only_paths {
+        findings.retain(|f| only.contains(&f.path));
+    }
     findings.retain(|f| {
         !config
             .baseline
@@ -108,9 +121,11 @@ fn crate_group(path: &str) -> String {
         .to_string()
 }
 
-/// Collects the `.rs` files the workspace pass scans: `crates/*/src` and the
-/// root `src/`, relative to `root`. Test trees (`crates/*/tests`, `tests/`,
-/// `examples/`, `benches/`) hold test code by definition and are skipped.
+/// Collects the `.rs` files the workspace pass scans: `crates/*/src`, the root
+/// `src/`, and `examples/` (no rule runs on an example; it is read as evidence
+/// that a library item is called), relative to `root`. Test trees
+/// (`crates/*/tests`, `tests/`, `benches/`) hold test code by definition and are
+/// skipped.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
@@ -127,9 +142,11 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             }
         }
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs(&root_src, &mut out)?;
+    for dir in ["src", "examples"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut out)?;
+        }
     }
     out.sort();
     Ok(out)
@@ -248,7 +265,7 @@ pub fn render_report(report: &Report, format: Format) -> String {
 }
 
 /// Files touched since `rev`, per `git diff --name-only <rev>` plus untracked
-/// files — the `--changed-since` scan set.
+/// files — the `--changed-since` report set.
 pub fn changed_since(root: &Path, rev: &str) -> Result<Vec<String>, String> {
     let diff = git_lines(root, &["diff", "--name-only", rev])?;
     let untracked = git_lines(root, &["ls-files", "--others", "--exclude-standard"])?;
@@ -366,6 +383,7 @@ mod tests {
             &sources(&[
                 ("crates/core/src/a.rs", "#[non_exhaustive]\npub struct T;"),
                 ("crates/core/src/b.rs", "impl T { pub fn new() -> T { T } }"),
+                ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
             ]),
             &Config::default(),
         );
@@ -378,11 +396,58 @@ mod tests {
                     "crates/graph/src/b.rs",
                     "impl T { pub fn new() -> T { T } }",
                 ),
+                ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
             ]),
             &Config::default(),
         );
         assert_eq!(unlinked.findings.len(), 1);
         assert_eq!(unlinked.findings[0].rule, "non-exhaustive-ctor");
+    }
+
+    #[test]
+    fn orphan_join_spans_the_workspace_and_skips_test_regions_and_tool_crates() {
+        let lonely = ("crates/engine/src/a.rs", "pub fn lonely() {}");
+        let rules = |extra: &[(&str, &str)]| -> Vec<&'static str> {
+            let mut files = vec![lonely];
+            files.extend_from_slice(extra);
+            let report = run_on_sources(&sources(&files), &Config::default());
+            report.findings.iter().map(|f| f.rule).collect()
+        };
+        assert_eq!(rules(&[]), ["orphan-pub"]);
+        // A caller in any crate, or in an example, is a caller.
+        assert!(rules(&[("crates/cli/src/main.rs", "fn main() { lonely(); }")]).is_empty());
+        assert!(rules(&[("examples/demo.rs", "fn main() { lonely(); }")]).is_empty());
+        // A test is not.
+        let test_only = "#[cfg(test)]\nmod tests { fn t() { lonely(); } }";
+        assert_eq!(
+            rules(&[("crates/core/src/b.rs", test_only)]),
+            ["orphan-pub"]
+        );
+        // Binaries and dev tooling own no public surface to police.
+        assert_eq!(
+            rules(&[("crates/bench/src/x.rs", "pub fn unused() {}")]),
+            ["orphan-pub"]
+        );
+    }
+
+    #[test]
+    fn only_paths_limits_the_report_not_the_evidence() {
+        let files = sources(&[
+            (
+                "crates/core/src/a.rs",
+                "pub fn used() {}\npub fn unused() {}",
+            ),
+            ("crates/core/src/b.rs", "fn f() { used(); x.unwrap(); }"),
+        ]);
+        let config = Config {
+            only_paths: Some(vec!["crates/core/src/a.rs".to_string()]),
+            ..Config::default()
+        };
+        let report = run_on_sources(&files, &config);
+        // b.rs still vouches for `used`, but its own unwrap is out of the report.
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].rule, "orphan-pub");
+        assert_eq!(report.findings[0].line, 2);
     }
 
     #[test]

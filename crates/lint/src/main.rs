@@ -17,10 +17,12 @@ frogwild-lint — workspace determinism & panic-freedom static analysis
 USAGE:
     frogwild-lint [OPTIONS] [PATHS...]
 
-By default the workspace sources (crates/*/src, src/) under the workspace root
-are scanned and findings are *reported* without failing. CI runs `--deny-all`.
-Explicit PATHS (files or directories) replace the default scan set; paths
-outside crates/ get the strictest (library) rule scope.
+By default the workspace sources (crates/*/src, src/, and examples/ as caller
+evidence) under the workspace root are scanned and findings are *reported*
+without failing. CI runs `--deny-all`. Explicit PATHS (files or directories)
+replace the default scan set — the cross-file rules (non-exhaustive-ctor,
+orphan-pub) then see only those files; paths outside crates/ get the strictest
+(library) rule scope.
 
 OPTIONS:
     --deny-all             Exit non-zero when any finding survives allows and
@@ -30,8 +32,8 @@ OPTIONS:
                            (default: <root>/crates/lint/baseline.lint)
     --write-baseline       Rewrite the baseline file from this run's findings
     --format <human|csv>   Output format (default: human)
-    --changed-since <rev>  Only scan files `git diff --name-only <rev>` (plus
-                           untracked files) reports as touched
+    --changed-since <rev>  Only report findings in files `git diff --name-only
+                           <rev>` (plus untracked files) reports as touched
     --root <dir>           Workspace root (default: nearest ancestor of the
                            current directory containing Cargo.toml)
     --list-rules           Print the rule table and exit
@@ -141,8 +143,8 @@ fn list_rules() {
 }
 
 fn gather_files(args: &Args, root: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut files = if args.paths.is_empty() {
-        workspace_files(root).map_err(|e| format!("scanning workspace sources: {e}"))?
+    if args.paths.is_empty() {
+        workspace_files(root).map_err(|e| format!("scanning workspace sources: {e}"))
     } else {
         let mut out = Vec::new();
         for p in &args.paths {
@@ -155,13 +157,8 @@ fn gather_files(args: &Args, root: &Path) -> Result<Vec<PathBuf>, String> {
             }
         }
         out.sort();
-        out
-    };
-    if let Some(rev) = &args.changed_since {
-        let changed = changed_since(root, rev)?;
-        files.retain(|f| changed.contains(&relative_path(root, f)));
+        Ok(out)
     }
-    Ok(files)
 }
 
 fn collect_dir(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -206,6 +203,10 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let files = gather_files(&args, &root)?;
+    let only_paths = match &args.changed_since {
+        Some(rev) => Some(changed_since(&root, rev)?),
+        None => None,
+    };
     let mut sources = Vec::with_capacity(files.len());
     for file in &files {
         let text = std::fs::read_to_string(file)
@@ -219,6 +220,7 @@ fn run() -> Result<ExitCode, String> {
         let config = Config {
             allow_rules: args.allow.clone(),
             baseline: Vec::new(),
+            only_paths,
         };
         let report = run_on_sources(&sources, &config);
         std::fs::write(&baseline_path, render_baseline(&report.findings))
@@ -239,6 +241,7 @@ fn run() -> Result<ExitCode, String> {
     let config = Config {
         allow_rules: args.allow.clone(),
         baseline,
+        only_paths,
     };
     let report = run_on_sources(&sources, &config);
     print!("{}", render_report(&report, args.format));

@@ -7,6 +7,7 @@
 //! `// lint:allow-file(rule, reason)` anywhere in the file.
 
 use crate::lexer::{lex, LexOutput, Token, TokenKind};
+use std::collections::BTreeSet;
 
 /// Machine name + one-line doc for one rule.
 pub struct RuleInfo {
@@ -54,8 +55,16 @@ pub const RULES: &[RuleInfo] = &[
               constructor helper (pub fn returning Self, or Default/From/FromStr impl)",
     },
     RuleInfo {
+        name: "orphan-pub",
+        doc: "a pub fn/struct/enum/trait/type/const in crates/{graph,engine,obs,core}/src \
+              whose name occurs nowhere else in non-test code of crates/*/src or examples/: \
+              delete it, or — when a test uses it to check other code — mark it \
+              `lint:allow(orphan-pub, oracle for <test name>)`",
+    },
+    RuleInfo {
         name: "allow-syntax",
-        doc: "malformed lint:allow comment (missing reason) or one naming an unknown rule",
+        doc: "malformed lint:allow comment (missing reason), one naming an unknown rule, \
+              or an orphan-pub allow whose reason is not `oracle for <test name>`",
     },
 ];
 
@@ -78,6 +87,9 @@ pub enum Scope {
     /// `crates/cli`, `crates/bench`, `crates/lint`, the root umbrella crate:
     /// binaries and dev tooling, exempt from the library rules.
     Tool,
+    /// `examples/` — no rule runs here; the files are read only as evidence that
+    /// a library item has a caller (`orphan-pub`).
+    Example,
     /// Anything else (scratch files, fixtures): treated like `Core`, the
     /// strictest scope, so seeding a violation anywhere trips the lint.
     Unknown,
@@ -100,6 +112,8 @@ impl Scope {
             || path.starts_with("src/")
         {
             Scope::Tool
+        } else if path.starts_with("examples/") {
+            Scope::Example
         } else {
             Scope::Unknown
         }
@@ -137,6 +151,18 @@ pub struct TypeDecl {
     pub allowed: bool,
 }
 
+/// A `pub` item declared in library code, pending the workspace-level
+/// `orphan-pub` join.
+#[derive(Clone, Debug)]
+pub struct PubDecl {
+    pub name: String,
+    pub path: String,
+    pub line: u32,
+    pub col: u32,
+    /// Suppressed by a lint:allow at the declaration.
+    pub allowed: bool,
+}
+
 /// Everything one file's analysis produces.
 #[derive(Debug, Default)]
 pub struct FileReport {
@@ -145,6 +171,11 @@ pub struct FileReport {
     pub non_exhaustive: Vec<TypeDecl>,
     /// Type names this file provides public-constructor evidence for.
     pub ctor_evidence: Vec<String>,
+    /// Declarations feeding the workspace-level `orphan-pub` join.
+    pub pub_decls: Vec<PubDecl>,
+    /// Every identifier this file uses outside test regions, the names its own
+    /// `pub_decls` declare excepted: the `orphan-pub` evidence.
+    pub referenced: BTreeSet<String>,
 }
 
 /// Keywords that may directly precede `[` without forming an index expression.
@@ -179,6 +210,10 @@ pub fn is_accumulator_file(path: &str) -> bool {
 pub fn analyze_file(path: &str, scope: Scope, src: &str) -> FileReport {
     let lexed = lex(src);
     let mut report = FileReport::default();
+    if scope == Scope::Example {
+        collect_references(path, scope, &lexed, &mut report);
+        return report;
+    }
 
     for bad in &lexed.bad_allows {
         report.findings.push(Finding {
@@ -190,15 +225,22 @@ pub fn analyze_file(path: &str, scope: Scope, src: &str) -> FileReport {
         });
     }
     for allow in &lexed.allows {
-        if !known_rule(&allow.rule) {
-            report.findings.push(Finding {
-                rule: "allow-syntax",
-                path: path.to_string(),
-                line: allow.line,
-                col: 1,
-                message: format!("lint:allow names unknown rule `{}`", allow.rule),
-            });
-        }
+        let problem = if !known_rule(&allow.rule) {
+            format!("lint:allow names unknown rule `{}`", allow.rule)
+        } else if allow.rule == "orphan-pub" && !allow.reason.starts_with("oracle for ") {
+            "an orphan-pub allow names the test that needs the item: \
+             `lint:allow(orphan-pub, oracle for <test name>)`"
+                .to_string()
+        } else {
+            continue;
+        };
+        report.findings.push(Finding {
+            rule: "allow-syntax",
+            path: path.to_string(),
+            line: allow.line,
+            col: 1,
+            message: problem,
+        });
     }
 
     if scope.library() {
@@ -219,6 +261,7 @@ pub fn analyze_file(path: &str, scope: Scope, src: &str) -> FileReport {
         collect_non_exhaustive(path, &lexed, &mut report);
     }
     collect_ctor_evidence(&lexed, &mut report);
+    collect_references(path, scope, &lexed, &mut report);
 
     // Apply lint:allow suppression (except to allow-syntax itself).
     report.findings.retain(|f| {
@@ -244,6 +287,27 @@ pub fn finish_ctor_rule(decls: &[TypeDecl], evidence: &[String]) -> Vec<Finding>
             message: format!(
                 "#[non_exhaustive] pub type `{}` has no public constructor helper \
                  (pub fn returning Self, or a Default/From/FromStr impl)",
+                d.name
+            ),
+        })
+        .collect()
+}
+
+/// Workspace-level join for `orphan-pub`: a declared name must be used somewhere —
+/// in any scanned file, outside test regions, other than where it is declared.
+/// Name-based on purpose: two items sharing a name vouch for each other.
+pub fn finish_orphan_rule(decls: &[PubDecl], referenced: &BTreeSet<String>) -> Vec<Finding> {
+    decls
+        .iter()
+        .filter(|d| !d.allowed && !referenced.contains(&d.name))
+        .map(|d| Finding {
+            rule: "orphan-pub",
+            path: d.path.clone(),
+            line: d.line,
+            col: d.col,
+            message: format!(
+                "pub item `{}` has no non-test caller in crates/*/src or examples/: delete \
+                 it, or mark a test oracle `lint:allow(orphan-pub, oracle for <test name>)`",
                 d.name
             ),
         })
@@ -537,6 +601,53 @@ fn collect_non_exhaustive(path: &str, lexed: &LexOutput, report: &mut FileReport
             line: tok.span.line,
             allowed,
         });
+    }
+}
+
+/// The `orphan-pub` inputs of one file: its `pub fn|struct|enum|trait|type|const`
+/// declarations (library scopes only; `pub(crate)` and friends are not public) and
+/// every other identifier it uses outside test regions.
+fn collect_references(path: &str, scope: Scope, lexed: &LexOutput, report: &mut FileReport) {
+    let toks = &lexed.tokens;
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut declared_at = BTreeSet::new();
+    if scope.library() {
+        for (i, tok) in live(lexed) {
+            if tok.kind != TokenKind::Ident || tok.text != "pub" {
+                continue;
+            }
+            let mut j = i + 1;
+            while matches!(text(j), "const" | "async" | "unsafe")
+                && matches!(text(j + 1), "fn" | "async" | "unsafe")
+            {
+                j += 1;
+            }
+            if !matches!(
+                text(j),
+                "fn" | "struct" | "enum" | "trait" | "type" | "const"
+            ) {
+                continue;
+            }
+            let Some(name) = toks.get(j + 1).filter(|t| t.kind == TokenKind::Ident) else {
+                continue;
+            };
+            declared_at.insert(j + 1);
+            report.pub_decls.push(PubDecl {
+                name: name.text.clone(),
+                path: path.to_string(),
+                line: tok.span.line,
+                col: tok.span.col,
+                allowed: lexed.allows.iter().any(|a| {
+                    a.rule == "orphan-pub"
+                        && (a.file_level || a.line == tok.span.line || a.line + 1 == tok.span.line)
+                }),
+            });
+        }
+    }
+    for (i, tok) in live(lexed) {
+        if tok.kind == TokenKind::Ident && !declared_at.contains(&i) {
+            report.referenced.insert(tok.text.clone());
+        }
     }
 }
 
@@ -921,6 +1032,56 @@ mod tests {
     }
 
     #[test]
+    fn orphan_rule_collects_pub_items_of_every_kind_but_not_restricted_ones() {
+        let src = "pub fn a() {}\npub const fn b() {}\npub struct S;\npub enum E {}\n\
+                   pub trait T {}\npub type Y = u8;\npub const C: u8 = 0;\n\
+                   pub(crate) fn hidden() {}\npub mod m {}\npub use x::z;\nfn private() {}\n\
+                   #[cfg(test)]\nmod tests { pub fn helper() {} }";
+        let r = analyze_file("crates/graph/src/x.rs", Scope::Graph, src);
+        let names: Vec<&str> = r.pub_decls.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "S", "E", "T", "Y", "C"]);
+        assert_eq!(r.pub_decls[1].line, 2);
+        // A declaration does not vouch for itself; every other use does.
+        assert!(!r.referenced.contains("a"));
+        assert!(r.referenced.contains("hidden") && r.referenced.contains("z"));
+        assert!(!r.referenced.contains("helper"));
+        // Tool crates declare nothing, but still supply evidence.
+        let tool = analyze_file("crates/cli/src/x.rs", Scope::Tool, "pub fn run() { a(); }");
+        assert!(tool.pub_decls.is_empty());
+        assert!(tool.referenced.contains("a") && tool.referenced.contains("run"));
+    }
+
+    #[test]
+    fn orphan_rule_flags_unreferenced_names_and_honours_oracle_allows() {
+        let src = "pub fn used() {}\npub fn unused() {}\n\
+                   // lint:allow(orphan-pub, oracle for some_test)\npub fn oracle() {}\n\
+                   fn f() { used(); }";
+        let r = analyze_file("crates/core/src/x.rs", Scope::Core, src);
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        let f = finish_orphan_rule(&r.pub_decls, &r.referenced);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line, f[0].col), ("orphan-pub", 2, 1));
+        assert!(f[0].message.contains("`unused`"));
+    }
+
+    #[test]
+    fn orphan_allow_without_an_oracle_is_malformed() {
+        let src = "// lint:allow(orphan-pub, might be handy later)\npub fn spare() {}";
+        let f = findings("crates/core/src/x.rs", Scope::Core, src);
+        assert_eq!(rules_of(&f), ["allow-syntax"]);
+        assert!(f[0].message.contains("oracle for"));
+    }
+
+    #[test]
+    fn examples_are_evidence_only() {
+        let src = "fn main() { let h = HashMap::new(); x.unwrap(); let _ = s.span(M, k); }";
+        let r = analyze_file("examples/demo.rs", Scope::Example, src);
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert!(r.pub_decls.is_empty());
+        assert!(r.referenced.contains("unwrap"));
+    }
+
+    #[test]
     fn allow_same_line_and_previous_line_suppress() {
         let src = "fn f() {\n\
                    x.unwrap(); // lint:allow(panic, poisoning implies a prior panic)\n\
@@ -971,6 +1132,7 @@ mod tests {
         assert_eq!(Scope::classify("crates/cli/src/main.rs"), Scope::Tool);
         assert_eq!(Scope::classify("crates/lint/src/rules.rs"), Scope::Tool);
         assert_eq!(Scope::classify("src/lib.rs"), Scope::Tool);
+        assert_eq!(Scope::classify("examples/quickstart.rs"), Scope::Example);
         assert_eq!(Scope::classify("scratch/evil.rs"), Scope::Unknown);
     }
 }

@@ -8,3 +8,4 @@ pub fn g(xs: &[u32]) -> u32 {
 pub fn h(x: Option<u32>) -> u32 {
     x.unwrap() // lint:allow(panic)
 }
+// lint:allow-file(orphan-pub, oracle for fixture_tree_produces_exactly_the_expected_findings)

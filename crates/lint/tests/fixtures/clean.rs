@@ -1,7 +1,11 @@
-// Fixture: clean library code — saturating arithmetic, no panics, and test-only
-// unwraps that the scanner must skip.
+// Fixture: clean library code — saturating arithmetic, no panics, a caller for its
+// one pub item, and test-only unwraps that the scanner must skip.
 pub fn add(a: u64, b: u64) -> u64 {
     a.saturating_add(b)
+}
+
+fn total(xs: &[u64]) -> u64 {
+    xs.iter().fold(0, |sum, &x| add(sum, x))
 }
 
 #[cfg(test)]

@@ -4,3 +4,4 @@
 pub struct Widget {
     pub id: u32,
 }
+// lint:allow-file(orphan-pub, oracle for fixture_tree_produces_exactly_the_expected_findings)

@@ -10,3 +10,4 @@ impl Stats {
         let _small = n as u32;
     }
 }
+// lint:allow-file(orphan-pub, oracle for fixture_tree_produces_exactly_the_expected_findings)

@@ -7,3 +7,4 @@ pub fn f(xs: &[u32]) -> u32 {
     }
     a + b
 }
+// lint:allow-file(orphan-pub, oracle for fixture_tree_produces_exactly_the_expected_findings)

@@ -4,3 +4,4 @@ pub fn traced(sink: &SpanSink, key: SpanKey) -> u64 {
     let _ = sink.span(META, key);
     expensive_work()
 }
+// lint:allow-file(orphan-pub, oracle for fixture_tree_produces_exactly_the_expected_findings)

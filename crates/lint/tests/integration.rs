@@ -88,6 +88,7 @@ fn fixture_tree_produces_exactly_the_expected_findings() {
             10,
             24,
         ),
+        ("orphan-pub", "tests/fixtures/violations/orphan.rs", 3, 1),
         ("panic", "tests/fixtures/violations/panics.rs", 3, 25),
         ("indexing", "tests/fixtures/violations/panics.rs", 4, 15),
         ("panic", "tests/fixtures/violations/panics.rs", 6, 9),
@@ -119,6 +120,50 @@ fn well_formed_allow_suppresses_and_reasonless_allow_does_not() {
     // malformed-allow finding and the unsuppressed panic finding.
     assert_eq!(rules, ["allow-syntax", "panic"]);
     assert!(report.findings.iter().all(|f| f.line == 9));
+}
+
+fn orphan_fixture() -> (String, String) {
+    fixture_sources()
+        .into_iter()
+        .find(|(p, _)| p.ends_with("violations/orphan.rs"))
+        .expect("orphan fixture")
+}
+
+#[test]
+fn orphan_pub_flags_the_uncalled_item_and_honours_the_oracle_allow() {
+    let report = run_on_sources(&[orphan_fixture()], &Config::default());
+    let got: Vec<(&str, u32, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.line, f.message.as_str()))
+        .collect();
+    // `orphaned` is called by a test only; `closed_form` is allowed as an oracle;
+    // `called` has a non-test caller.
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!((got[0].0, got[0].1), ("orphan-pub", 3));
+    assert!(got[0].2.contains("`orphaned`"), "{got:?}");
+}
+
+#[test]
+fn orphan_pub_reads_an_example_as_a_caller_and_runs_no_rule_on_it() {
+    let example = (
+        "examples/demo.rs".to_string(),
+        "fn main() { let xs = [1u64]; println!(\"{}\", orphaned(xs[0])); }".to_string(),
+    );
+    let report = run_on_sources(&[orphan_fixture(), example], &Config::default());
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+}
+
+#[test]
+fn orphan_pub_allow_must_name_the_oracle_test() {
+    let (path, src) = orphan_fixture();
+    let vague = src.replace(
+        "oracle for estimator_matches_the_closed_form",
+        "tests use it",
+    );
+    let report = run_on_sources(&[(path, vague)], &Config::default());
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["orphan-pub", "allow-syntax"]);
 }
 
 #[test]
@@ -157,6 +202,7 @@ fn deny_all_fails_on_each_seeded_violation_class_and_passes_on_clean() {
         "violations/metrics.rs",
         "violations/ctor.rs",
         "violations/spans.rs",
+        "violations/orphan.rs",
     ] {
         let out = lint_cmd()
             .arg("--deny-all")
@@ -247,6 +293,7 @@ fn list_rules_names_every_rule() {
         "indexing",
         "counter-arith",
         "non-exhaustive-ctor",
+        "orphan-pub",
         "allow-syntax",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");

@@ -193,15 +193,15 @@ fn stale_sessions_surface_the_async_telemetry() {
         .build()
         .unwrap();
     let response = session
-        .query(&Query::top_k_with(
-            20,
-            FrogWildConfig {
+        .query(&Query::TopK {
+            k: 20,
+            config: FrogWildConfig {
                 num_walkers: 20_000,
                 iterations: 6,
                 sync_probability: 0.7,
                 ..FrogWildConfig::default()
             },
-        ))
+        })
         .unwrap();
     assert_eq!(response.ranking.len(), 20);
     assert!(response.cost.staleness_lag > 0);

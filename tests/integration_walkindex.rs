@@ -14,6 +14,7 @@
 use frogwild::ppr::{personalized_pagerank, single_source_restart};
 use frogwild::prelude::*;
 use frogwild::session::PprMethod;
+use frogwild::walkindex::build_walk_index;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -201,15 +202,13 @@ fn index_builds_are_deterministic_and_respect_the_memory_budget() {
         seed: 42,
         ..WalkIndexConfig::default()
     };
-    let (reference, _) =
-        frogwild::walkindex::build_walk_index_standalone(&graph, 1, &base).unwrap();
+    let build = |machines: usize, config: &WalkIndexConfig| {
+        let pg = partition_graph(&graph, &ClusterConfig::new(machines, config.seed));
+        build_walk_index(&graph, &pg, config).unwrap()
+    };
+    let (reference, _) = build(1, &base);
     for (machines, parallel) in [(4usize, false), (8, true)] {
-        let (other, report) = frogwild::walkindex::build_walk_index_standalone(
-            &graph,
-            machines,
-            &WalkIndexConfig { parallel, ..base },
-        )
-        .unwrap();
+        let (other, report) = build(machines, &WalkIndexConfig { parallel, ..base });
         assert_eq!(reference, other, "machines={machines} parallel={parallel}");
         assert_eq!(report.machines, machines);
     }
@@ -219,8 +218,7 @@ fn index_builds_are_deterministic_and_respect_the_memory_budget() {
         memory_budget_bytes: base.estimated_bytes(graph.num_vertices(), 3),
         ..base
     };
-    let (index, report) =
-        frogwild::walkindex::build_walk_index_standalone(&graph, 4, &budgeted).unwrap();
+    let (index, report) = build(4, &budgeted);
     assert_eq!(report.effective_segments, 3);
     assert_eq!(index.segment_length(), 5);
     assert!(index.memory_bytes() <= budgeted.memory_budget_bytes);
