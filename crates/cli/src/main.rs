@@ -24,7 +24,8 @@
 //!     generate   write a synthetic Twitter-/LiveJournal-shaped graph as an edge list
 //!
 //! COMMON OPTIONS (session setup):
-//!     --graph <path>        SNAP-style edge list (whitespace separated, # comments)
+//!     --graph <path>        SNAP-style edge list (whitespace separated, # comments);
+//!                           vertex ids printed and accepted are the file's own
 //!     --synthetic <kind>    use a generated graph instead: twitter | livejournal
 //!     --vertices <n>        size of the synthetic graph             [default: 100000]
 //!     --machines <n>        simulated cluster size                  [default: 16]
@@ -92,7 +93,7 @@
 //!                          scatter (overrides the preset's tolerance)
 //!
 //! PPR OPTIONS:
-//!     --source <v>         source vertex id (required)
+//!     --source <v>         source vertex id (required; the file's id under --graph)
 //!     --method <m>         push | exact | mc                        [default: push]
 //!     --epsilon <e>        forward-push threshold                   [default: 1e-7]
 //!     --walkers <n>        mc walk count                            [default: 100000]
@@ -191,18 +192,33 @@ fn print_usage() {
     );
 }
 
+/// A graph and the vertex ids of whatever it was loaded from.
+struct Loaded {
+    graph: DiGraph,
+    /// `labels[v]` is the id the `--graph` file uses for dense vertex `v`; empty for a
+    /// `--synthetic` graph, whose dense ids are the only ones it has.
+    labels: Vec<u64>,
+}
+
+impl Loaded {
+    /// The id to print for dense vertex `v`.
+    fn label(&self, v: VertexId) -> u64 {
+        self.labels.get(v as usize).copied().unwrap_or(v as u64)
+    }
+}
+
 /// Loads the graph named by `--graph`, or generates one per `--synthetic`.
-fn load_graph(args: &Args) -> Result<DiGraph> {
+fn load_graph(args: &Args) -> Result<Loaded> {
     let seed: u64 = args.get_parsed("seed", 42, "an integer")?;
     if let Some(path) = args.get("graph") {
-        let (graph, _) = read_edge_list_file(path, &EdgeListOptions::default())
+        let (graph, labels) = read_edge_list_file(path, &EdgeListOptions::default())
             .map_err(|e| Error::graph(format!("could not load {path}: {e}")))?;
         eprintln!(
             "loaded {path}: {} vertices, {} edges",
             graph.num_vertices(),
             graph.num_edges()
         );
-        return Ok(graph);
+        return Ok(Loaded { graph, labels });
     }
     let vertices: usize = args.get_parsed("vertices", 100_000, "an integer")?;
     let kind = args.get("synthetic").unwrap_or("twitter");
@@ -222,7 +238,10 @@ fn load_graph(args: &Args) -> Result<DiGraph> {
         graph.num_vertices(),
         graph.num_edges()
     );
-    Ok(graph)
+    Ok(Loaded {
+        graph,
+        labels: Vec::new(),
+    })
 }
 
 /// The `--walk-index-*` options parsed into a config (defaults where absent).
@@ -448,10 +467,11 @@ fn print_verbose_cost(args: &Args, response: &Response) {
     }
 }
 
-fn print_ranking(response: &Response, score_label: &str) {
+/// The one place a vertex is printed: under the id its source gave it.
+fn print_ranking(response: &Response, loaded: &Loaded, score_label: &str) {
     println!("rank,vertex,{score_label}");
     for (rank, (v, score)) in response.ranking.iter().enumerate() {
-        println!("{},{},{:.8}", rank + 1, v, score);
+        println!("{},{},{:.8}", rank + 1, loaded.label(*v), score);
     }
 }
 
@@ -495,8 +515,8 @@ fn cmd_topk(args: &Args) -> Result<()> {
         return Err(Error::config("command line", "--repeat must be at least 1"));
     }
 
-    let graph = load_graph(args)?;
-    let mut session = session_over(args, &graph, true)?;
+    let loaded = load_graph(args)?;
+    let mut session = session_over(args, &loaded.graph, true)?;
     let mut last = None;
     for _ in 0..repeat {
         last = Some(session.query(&Query::TopK { k, config })?);
@@ -504,7 +524,7 @@ fn cmd_topk(args: &Args) -> Result<()> {
     let response = last.expect("repeat >= 1");
     print_response_header(&session, &response);
     print_verbose_cost(args, &response);
-    print_ranking(&response, "estimated_mass");
+    print_ranking(&response, &loaded, "estimated_mass");
     print_session_stats(&session);
     if let Some(request) = trace_request(args)? {
         write_trace(session.tracer(), &request)?;
@@ -513,8 +533,8 @@ fn cmd_topk(args: &Args) -> Result<()> {
 }
 
 fn cmd_pagerank(args: &Args) -> Result<()> {
-    let graph = load_graph(args)?;
-    let mut session = session_over(args, &graph, false)?;
+    let loaded = load_graph(args)?;
+    let mut session = session_over(args, &loaded.graph, false)?;
     let mut config = if args.has_flag("exact") {
         PageRankConfig::exact()
     } else {
@@ -530,7 +550,7 @@ fn cmd_pagerank(args: &Args) -> Result<()> {
     let response = session.query(&Query::Pagerank { k, config })?;
     print_response_header(&session, &response);
     print_verbose_cost(args, &response);
-    print_ranking(&response, "score");
+    print_ranking(&response, &loaded, "score");
     print_session_stats(&session);
     if let Some(request) = trace_request(args)? {
         write_trace(session.tracer(), &request)?;
@@ -552,8 +572,8 @@ fn cmd_autotune(args: &Args) -> Result<()> {
     // Fail fast on a bad configuration before the (expensive) graph load + partition.
     config.validate()?;
 
-    let graph = load_graph(args)?;
-    let mut session = session_over(args, &graph, false)?;
+    let loaded = load_graph(args)?;
+    let mut session = session_over(args, &loaded.graph, false)?;
     let response = session.query(&Query::AutotunedTopK { config })?;
     if let ResponseDetail::AutotunedTopK {
         estimated_topk_mass,
@@ -568,7 +588,7 @@ fn cmd_autotune(args: &Args) -> Result<()> {
     }
     print_response_header(&session, &response);
     print_verbose_cost(args, &response);
-    print_ranking(&response, "estimated_mass");
+    print_ranking(&response, &loaded, "estimated_mass");
     print_session_stats(&session);
     if let Some(request) = trace_request(args)? {
         write_trace(session.tracer(), &request)?;
@@ -621,7 +641,17 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         }
     }
 
-    let graph = load_graph(args)?;
+    let loaded = load_graph(args)?;
+    let graph = &loaded.graph;
+    // `--source` names a vertex the way the graph's origin does: by the file's own id
+    // when there is a file.
+    let source = match args.get("graph") {
+        Some(path) => {
+            let v = loaded.labels.iter().position(|&label| label == source);
+            v.ok_or_else(|| Error::query(format!("no vertex with id {source} in {path}")))? as u64
+        }
+        None => source,
+    };
     // Range-check on the raw u64 before narrowing: `--source` values past u32::MAX
     // must not silently wrap onto a valid vertex id.
     if source >= graph.num_vertices() as u64 {
@@ -640,7 +670,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         walk_index_config(args)?.is_some() && !matches!(method, PprMethod::PowerIteration { .. });
     let trace = trace_request(args)?;
     let response = if wants_index {
-        let mut session = session_over(args, &graph, true)?;
+        let mut session = session_over(args, graph, true)?;
         let response = session.query(&Query::Ppr {
             source: source as VertexId,
             k,
@@ -663,7 +693,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         );
         let sink = tracer.sink();
         let mut span = sink.span(span_meta!("serve_ppr"), SpanKey::new(0, 0, 0, LANE_CLI));
-        let response = frogwild::session::serve_ppr(&graph, source as VertexId, k, 0.15, method)?;
+        let response = frogwild::session::serve_ppr(graph, source as VertexId, k, 0.15, method)?;
         if let ResponseDetail::Ppr { pushes, .. } = &response.detail {
             span.counter("pushes", *pushes as u64);
         }
@@ -691,9 +721,12 @@ fn cmd_ppr(args: &Args) -> Result<()> {
             response.cost.index_misses,
         );
     }
-    println!("# {}", response.algorithm);
+    // The library names the source by its dense id; the user named it by the file's.
+    let dense = format!("src={source}");
+    let named = format!("src={}", loaded.label(source as VertexId));
+    println!("# {}", response.algorithm.replacen(&dense, &named, 1));
     print_verbose_cost(args, &response);
-    print_ranking(&response, "ppr");
+    print_ranking(&response, &loaded, "ppr");
     Ok(())
 }
 
@@ -743,7 +776,7 @@ fn serve_stream(args: &Args, graph: &DiGraph) -> Result<Vec<Query>> {
 }
 
 fn cmd_serve(args: &Args) -> Result<()> {
-    let graph = load_graph(args)?;
+    let graph = load_graph(args)?.graph;
     let queries = serve_stream(args, &graph)?;
     let mut session = session_over(args, &graph, true)?;
     let mut handle = session.serve();
@@ -808,7 +841,7 @@ fn cmd_serve(args: &Args) -> Result<()> {
 }
 
 fn cmd_index(args: &Args) -> Result<()> {
-    let graph = load_graph(args)?;
+    let graph = load_graph(args)?.graph;
     let machines: usize = args.get_parsed("machines", 16, "an integer")?;
     if machines == 0 {
         return Err(Error::config(
@@ -925,7 +958,7 @@ fn cmd_plan(args: &Args) -> Result<()> {
 }
 
 fn cmd_stats(args: &Args) -> Result<()> {
-    let graph = load_graph(args)?;
+    let graph = load_graph(args)?.graph;
     let out = degree_summary(&graph, Direction::Out);
     let inn = degree_summary(&graph, Direction::In);
     println!("vertices,{}", graph.num_vertices());
@@ -947,7 +980,7 @@ fn cmd_stats(args: &Args) -> Result<()> {
 
 fn cmd_generate(args: &Args) -> Result<()> {
     let out = args.require("out")?.to_string();
-    let graph = load_graph(args)?;
+    let graph = load_graph(args)?.graph;
     write_edge_list_file(&graph, &out)
         .map_err(|e| Error::graph(format!("could not write {out}: {e}")))?;
     eprintln!("wrote {out}");

@@ -74,6 +74,18 @@ impl EdgeAssignment {
     }
 }
 
+/// The indices of the set bits of a multi-word mask (bit `i` of word `w` is index
+/// `64 w + i`), ascending: how a replica set kept as a bitmask is walked.
+pub(crate) fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            let lowest = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            word &= word - 1;
+            Some(64 * w + lowest)
+        })
+    })
+}
+
 /// A vertex-cut ingress strategy.
 pub trait Partitioner {
     /// Human-readable name used in reports.

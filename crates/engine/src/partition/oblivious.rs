@@ -2,7 +2,7 @@
 
 // lint:allow-file(indexing, per-machine load tables indexed by machine ids below num_machines)
 
-use super::{EdgeAssignment, Partitioner};
+use super::{set_bits, EdgeAssignment, Partitioner};
 use crate::cluster::MachineId;
 use crate::rng;
 use frogwild_graph::DiGraph;
@@ -19,8 +19,10 @@ use frogwild_graph::DiGraph;
 /// 3. else if exactly one set is non-empty, use its least-loaded machine;
 /// 4. else place the edge on the globally least-loaded machine.
 ///
-/// Ties are broken deterministically by a seed-derived hash so that the assignment is a
-/// pure function of `(graph, num_machines, seed)`.
+/// The sets are bitmasks, so a rule's candidates are walked by set bit and rules 2 and 3
+/// are one union. Ties in load are broken deterministically by a seed-derived hash —
+/// computed for the tied candidates only — so that the assignment is a pure function of
+/// `(graph, num_machines, seed)`.
 ///
 /// In addition a **load-balance cap** is enforced, as production ingress
 /// implementations do: if the greedy choice is already carrying more than
@@ -48,75 +50,38 @@ impl Partitioner for ObliviousPartitioner {
     fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
         assert!(num_machines > 0, "need at least one machine");
         let n = graph.num_vertices();
-        // Replica bitsets as u64 words; clusters in this workspace are ≤ 64 machines,
-        // fall back to multiple words if ever needed.
+        // Replica sets as bitmasks, `words` u64 words a vertex (one up to 64 machines).
         let words = num_machines.div_ceil(64);
         let mut replicas = vec![0u64; n * words];
         let mut load = vec![0usize; num_machines];
-
-        let best_in =
-            |mask_of: &dyn Fn(usize) -> u64, load: &[usize], tie_seed: u64| -> Option<usize> {
-                let mut best: Option<usize> = None;
-                for m in 0..num_machines {
-                    let word = m / 64;
-                    let bit = m % 64;
-                    if mask_of(word) & (1u64 << bit) == 0 {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => m,
-                        Some(b) => {
-                            if load[m] < load[b]
-                                || (load[m] == load[b]
-                                    && rng::mix(&[tie_seed, m as u64])
-                                        < rng::mix(&[tie_seed, b as u64]))
-                            {
-                                m
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                best
-            };
+        // The mask of the whole cluster: rule 4's candidates, and the balance fallback's.
+        let everywhere: Vec<u64> = (0..words)
+            .map(|w| u64::MAX >> (64 - (num_machines - 64 * w).min(64)))
+            .collect();
 
         let mut machines = Vec::with_capacity(graph.num_edges());
         for (idx, (u, v)) in graph.edges().enumerate() {
             let ui = u as usize * words;
             let vi = v as usize * words;
-            let tie_seed = rng::mix(&[seed, idx as u64]);
-
-            let inter = |w: usize| replicas[ui + w] & replicas[vi + w];
-            let union = |w: usize| replicas[ui + w] | replicas[vi + w];
-            let u_only = |w: usize| replicas[ui + w];
-            let v_only = |w: usize| replicas[vi + w];
-            let all = |_w: usize| u64::MAX;
-
-            let has_u = (0..words).any(|w| replicas[ui + w] != 0);
-            let has_v = (0..words).any(|w| replicas[vi + w] != 0);
-            let has_inter = (0..words).any(|w| replicas[ui + w] & replicas[vi + w] != 0);
-
-            let mut chosen = if has_inter {
-                best_in(&inter, &load, tie_seed)
-            } else if has_u && has_v {
-                best_in(&union, &load, tie_seed)
-            } else if has_u {
-                best_in(&u_only, &load, tie_seed)
-            } else if has_v {
-                best_in(&v_only, &load, tie_seed)
-            } else {
-                best_in(&all, &load, tie_seed)
-            }
-            // lint:allow(panic, the candidate set always contains every machine as a fallback)
-            .expect("at least one machine is always available");
+            let a_u = &replicas[ui..ui + words];
+            let a_v = &replicas[vi..vi + words];
+            let shared = a_u.iter().zip(a_v).map(|(a, b)| a & b);
+            // Rules 2 and 3 are one: the union of two sets of which one may be empty.
+            let either = a_u.iter().zip(a_v).map(|(a, b)| a | b);
+            let anywhere = || {
+                least_loaded(everywhere.iter().copied(), &load, seed, idx)
+                    // lint:allow(panic, `everywhere` has a bit for each of the num_machines > 0 machines)
+                    .expect("a cluster has at least one machine")
+            };
+            let mut chosen = least_loaded(shared, &load, seed, idx)
+                .or_else(|| least_loaded(either, &load, seed, idx))
+                .unwrap_or_else(anywhere);
 
             // Balance cap: if the greedy pick is already overloaded relative to the
             // average, fall back to the globally least-loaded machine.
             let average = (idx as f64 + 1.0) / num_machines as f64;
             if load[chosen] as f64 > BALANCE_SLACK * average + 1.0 {
-                // lint:allow(panic, a cluster has at least one machine by construction)
-                chosen = best_in(&all, &load, tie_seed).expect("cluster is non-empty");
+                chosen = anywhere();
             }
 
             load[chosen] += 1;
@@ -132,6 +97,35 @@ impl Partitioner for ObliviousPartitioner {
             num_machines,
         }
     }
+}
+
+/// The least-loaded machine among the set bits of `mask`, `None` if it has none. Only a
+/// tie in load is hashed: it goes to the machine with the smaller hash of
+/// `(seed, edge, machine)`, as if every candidate of every edge had drawn one.
+fn least_loaded(
+    mask: impl Iterator<Item = u64>,
+    load: &[usize],
+    seed: u64,
+    edge: usize,
+) -> Option<usize> {
+    let tie_hash = |m: usize| rng::mix(&[rng::mix(&[seed, edge as u64]), m as u64]);
+    let mut best: Option<(usize, Option<u64>)> = None;
+    for m in set_bits(mask) {
+        best = Some(match best {
+            Some((b, _)) if load[m] < load[b] => (m, None),
+            Some((b, hash)) if load[m] == load[b] => {
+                let (hash_b, hash_m) = (hash.unwrap_or_else(|| tie_hash(b)), tie_hash(m));
+                if hash_m < hash_b {
+                    (m, Some(hash_m))
+                } else {
+                    (b, Some(hash_b))
+                }
+            }
+            Some(keep) => keep,
+            None => (m, None),
+        });
+    }
+    best.map(|(m, _)| m)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 // lint:allow-file(indexing, build-time CSR assembly; every local index is created by the counting pass right above its use)
 
 use crate::cluster::MachineId;
-use crate::partition::{EdgeAssignment, Partitioner};
+use crate::partition::{set_bits, EdgeAssignment, Partitioner};
 use crate::rng;
 use frogwild_graph::{DiGraph, VertexId};
 
@@ -114,8 +114,9 @@ impl Shard {
     }
 
     /// Local index of a global vertex id, if the vertex has a replica here. A binary
-    /// search: edge localisation at build time and [`PartitionedGraph::validate`] use
-    /// it; a run reads the slots [`VertexPlacement`] recorded instead.
+    /// search, for [`PartitionedGraph::validate`] and tests to check the recorded slots
+    /// against: building the layout and running on it both read the slots
+    /// [`VertexPlacement`] holds instead.
     #[inline]
     pub fn local_index(&self, v: VertexId) -> Option<u32> {
         // `vertices` is sorted ascending, so the local index is its rank.
@@ -198,7 +199,11 @@ impl PartitionedGraph {
         Self::from_assignment(graph, &assignment, partitioner.name(), seed)
     }
 
-    /// Builds the partitioned layout from an explicit edge assignment.
+    /// Builds the partitioned layout from an explicit edge assignment, in three passes
+    /// that search for nothing: replica sets are gathered as one bitmask a vertex; an
+    /// ascending sweep over the vertices reads machines off the masks in bit order,
+    /// picking masters and filling the placement table and the shards' vertex lists
+    /// together; edges are then localised through the slots that sweep recorded.
     pub fn from_assignment(
         graph: &DiGraph,
         assignment: &EdgeAssignment,
@@ -214,34 +219,34 @@ impl PartitionedGraph {
         );
 
         // --- replica sets -------------------------------------------------------
-        let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); n];
-        let add_replica = |v: VertexId, m: MachineId, sets: &mut Vec<Vec<MachineId>>| {
-            let set = &mut sets[v as usize];
-            if !set.contains(&m) {
-                set.push(m);
-            }
-        };
+        // Bit `m` of vertex `v`'s `words`-word mask: machine `m` owns an edge of `v`.
+        // (At least one word, so that an empty graph over no machine still chunks.)
+        let words = num_machines.div_ceil(64).max(1);
+        let mut masks = vec![0u64; n * words];
+        let word_and_bit = |v: VertexId, m: usize| (v as usize * words + m / 64, 1u64 << (m % 64));
         for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
-            add_replica(src, machine, &mut replica_sets);
-            add_replica(dst, machine, &mut replica_sets);
-        }
-        // Isolated vertices (no edges at all) still need a home for their master.
-        for (v, set) in replica_sets.iter_mut().enumerate() {
-            if set.is_empty() {
-                let m =
-                    MachineId::from(rng::pick_index(num_machines, &[seed, 0x150AA7ED, v as u64]));
-                set.push(m);
+            for v in [src, dst] {
+                let (word, bit) = word_and_bit(v, machine.index());
+                masks[word] |= bit;
             }
-        }
-        for set in &mut replica_sets {
-            set.sort_unstable();
         }
 
         // --- masters, replica table and per-machine vertex tables ----------------
         // Vertices are visited in ascending order, so a replica's slot is the length
         // of its machine's vertex table at the moment the vertex joins it.
-        let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
-        let num_replicas: usize = replica_sets.iter().map(Vec::len).sum();
+        let mut shards: Vec<Shard> = (0..num_machines)
+            .map(|m| Shard {
+                machine: MachineId::from(m),
+                vertices: Vec::new(),
+                is_master: Vec::new(),
+                out_offsets: Vec::new(),
+                out_targets: Vec::new(),
+                in_offsets: Vec::new(),
+                in_sources_local: Vec::new(),
+            })
+            .collect();
+        // Short only of the isolated vertices, which are given a home below.
+        let num_replicas: usize = masks.iter().map(|w| w.count_ones() as usize).sum();
         let mut placement = VertexPlacement {
             master: Vec::with_capacity(n),
             master_local: Vec::with_capacity(n),
@@ -250,52 +255,54 @@ impl PartitionedGraph {
             locals: Vec::with_capacity(num_replicas),
         };
         placement.offsets.push(0);
-        for (v, set) in replica_sets.into_iter().enumerate() {
-            let master = set[rng::pick_index(set.len(), &[seed, 0x4A57E2, v as u64])];
-            placement.master.push(master);
-            for m in set {
-                let members = &mut shard_vertices[m.index()];
-                let local = members.len() as u32;
-                if m == master {
+        for (v, mask) in masks.chunks_exact_mut(words).enumerate() {
+            let mut replicas = mask.iter().map(|w| w.count_ones() as usize).sum();
+            if replicas == 0 {
+                // Isolated vertices (no edges at all) still need a home for their master.
+                let m = rng::pick_index(num_machines, &[seed, 0x150AA7ED, v as u64]);
+                mask[m / 64] |= 1u64 << (m % 64);
+                replicas = 1;
+            }
+            let master = rng::pick_index(replicas, &[seed, 0x4A57E2, v as u64]);
+            for (rank, m) in set_bits(mask.iter().copied()).enumerate() {
+                let shard = &mut shards[m];
+                let local = shard.vertices.len() as u32;
+                shard.vertices.push(v as VertexId);
+                shard.is_master.push(rank == master);
+                if rank == master {
+                    placement.master.push(shard.machine);
                     placement.master_local.push(local);
                 }
-                placement.machines.push(m);
+                placement.machines.push(shard.machine);
                 placement.locals.push(local);
-                members.push(v as VertexId);
             }
             placement.offsets.push(placement.machines.len());
         }
 
         // --- shards -------------------------------------------------------------
-        let mut shards: Vec<Shard> = Vec::with_capacity(num_machines);
-        for (m, vertices) in shard_vertices.into_iter().enumerate() {
-            let is_master = vertices
+        // Local edges per machine, in local-index terms. Replicas are tabled in bit
+        // order, so the slot of `v` on machine `m` is the table entry as far into `v`'s
+        // as `v`'s mask has bits below `m`.
+        let slot = |v: VertexId, m: usize| {
+            let (word, bit) = word_and_bit(v, m);
+            let below: u32 = masks[v as usize * words..word]
                 .iter()
-                .map(|&v| placement.master(v).index() == m)
-                .collect();
-            shards.push(Shard {
-                machine: MachineId::from(m),
-                vertices,
-                is_master,
-                out_offsets: Vec::new(),
-                out_targets: Vec::new(),
-                in_offsets: Vec::new(),
-                in_sources_local: Vec::new(),
-            });
-        }
-
-        // Local edges per machine, in local-index terms.
-        let mut local_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_machines];
+                .map(|w| w.count_ones())
+                .sum();
+            let rank = below + (masks[word] & (bit - 1)).count_ones();
+            placement.locals[placement.offsets[v as usize] + rank as usize]
+        };
+        let mut local_edges: Vec<Vec<(u32, u32)>> = assignment
+            .edges_per_machine()
+            .into_iter()
+            .map(Vec::with_capacity)
+            .collect();
         for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
-            let shard = &shards[machine.index()];
-            // lint:allow(panic, placement invariant: edge endpoints are replicated where the edge lives)
-            let ls = shard.local_index(src).expect("source must have a replica");
-            let ld = shard
-                .local_index(dst)
-                // lint:allow(panic, placement invariant: edge endpoints are replicated where the edge lives)
-                .expect("destination must have a replica");
-            local_edges[machine.index()].push((ls, ld));
+            let m = machine.index();
+            local_edges[m].push((slot(src, m), slot(dst, m)));
         }
+        // The masks have done their work, and what follows is the build's memory peak.
+        drop(masks);
         for (m, edges) in local_edges.into_iter().enumerate() {
             let vertices = &shards[m].vertices;
             let out_edges = edges.iter().map(|&(s, d)| (s, vertices[d as usize]));

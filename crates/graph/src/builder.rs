@@ -101,7 +101,15 @@ impl GraphBuilder {
         self.edges.push((src, dst));
     }
 
+    /// Adds `src -> dst` and widens the vertex count to cover both ends, for the
+    /// edge-list reader, which learns how many vertices a file names only at its end.
+    pub(crate) fn add_edge_growing(&mut self, src: VertexId, dst: VertexId) {
+        self.num_vertices = self.num_vertices.max(src.max(dst) as usize + 1);
+        self.edges.push((src, dst));
+    }
+
     /// Adds many edges at once.
+    // lint:allow(orphan-pub, oracle for byte_reader_agrees_with_the_line_reader)
     pub fn extend_edges(
         &mut self,
         edges: impl IntoIterator<Item = (VertexId, VertexId)>,
@@ -133,56 +141,21 @@ impl GraphBuilder {
     }
 
     /// Freezes the accumulated edges into an immutable [`DiGraph`].
+    ///
+    /// Hands the one edge vector to the row-wise CSR constructor [`DiGraph::from_edges`]
+    /// also uses: edges are bounds-checked (one added through
+    /// [`add_edge_unchecked`](Self::add_edge_unchecked) fails here, with
+    /// [`GraphError::VertexOutOfBounds`]), self-loops dropped if asked, rows sorted and
+    /// deduplicated if asked, and the [`DanglingPolicy`] applied to the vertices left
+    /// without a successor — reporting the lowest one under [`DanglingPolicy::Error`].
     pub fn build(self) -> Result<DiGraph> {
-        let GraphBuilder {
-            num_vertices,
-            mut edges,
-            dedup,
-            remove_self_loops,
-            dangling,
-        } = self;
-
-        for &(s, d) in &edges {
-            if (s as usize) >= num_vertices || (d as usize) >= num_vertices {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: s.max(d) as u64,
-                    num_vertices: num_vertices as u64,
-                });
-            }
-        }
-        if remove_self_loops {
-            edges.retain(|&(s, d)| s != d);
-        }
-        if dedup {
-            edges.sort_unstable();
-            edges.dedup();
-        }
-
-        // Apply the dangling policy.
-        let mut has_out = vec![false; num_vertices];
-        for &(s, _) in &edges {
-            // lint:allow(indexing, edge endpoints were validated against num_vertices)
-            has_out[s as usize] = true;
-        }
-        match dangling {
-            DanglingPolicy::SelfLoop => {
-                for (v, &out) in has_out.iter().enumerate() {
-                    if !out {
-                        edges.push((v as VertexId, v as VertexId));
-                    }
-                }
-            }
-            DanglingPolicy::Error => {
-                if let Some(v) = has_out.iter().position(|&b| !b) {
-                    return Err(GraphError::DanglingVertex {
-                        vertex: v as VertexId,
-                    });
-                }
-            }
-            DanglingPolicy::Keep => {}
-        }
-
-        Ok(DiGraph::from_edges(num_vertices, &edges))
+        DiGraph::from_edge_rows(
+            self.num_vertices,
+            &self.edges,
+            self.dedup,
+            self.remove_self_loops,
+            self.dangling,
+        )
     }
 }
 

@@ -8,6 +8,7 @@
 
 // lint:allow-file(indexing, CSR invariants - monotone offsets and ids below n - are validated at build and load)
 
+use crate::{DanglingPolicy, GraphError};
 use serde::{Deserialize, Serialize};
 
 /// Dense vertex identifier. Graphs in the paper's evaluation have up to 41.6M vertices,
@@ -28,34 +29,132 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
-    /// Builds a graph from a vertex count and an edge list.
+    /// Builds a graph from a vertex count and an edge list, keeping every edge.
     ///
     /// Edges may appear in any order and may contain duplicates; duplicates are kept
     /// (multi-edges are legal and treated as parallel edges by the random walk, matching
-    /// the weight they would receive in the transition matrix). Use
-    /// [`GraphBuilder`](crate::GraphBuilder) for deduplication and dangling-vertex
-    /// handling.
+    /// the weight they would receive in the transition matrix) and dangling vertices are
+    /// left as they are. This is [`GraphBuilder::build`](crate::GraphBuilder::build)'s
+    /// constructor with every policy off; use the builder for deduplication,
+    /// dangling-vertex handling and a checked construction path.
     ///
     /// # Panics
     ///
-    /// Panics if an edge references a vertex `>= num_vertices`. Use
-    /// [`GraphBuilder`](crate::GraphBuilder) for a checked construction path.
+    /// Panics if an edge references a vertex `>= num_vertices`.
+    // lint:allow(orphan-pub, oracle for builder_policies_match_from_edges_applied_naively)
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        for &(s, d) in edges {
-            assert!(
-                (s as usize) < num_vertices && (d as usize) < num_vertices,
-                "edge ({s}, {d}) out of bounds for {num_vertices} vertices"
-            );
+        match Self::from_edge_rows(num_vertices, edges, false, false, DanglingPolicy::Keep) {
+            Ok(graph) => graph,
+            // lint:allow(panic, the documented contract of the unchecked constructor)
+            Err(e) => panic!("{e}"),
         }
-        let (out_offsets, out_targets) =
-            build_csr(num_vertices, edges.iter().map(|&(s, d)| (s, d)));
-        let (in_offsets, in_sources) = build_csr(num_vertices, edges.iter().map(|&(s, d)| (d, s)));
-        DiGraph {
+    }
+
+    /// The one CSR constructor. Each edge is read twice and written once per direction:
+    /// a pass that bounds-checks and counts out-degrees, a counting-sort scatter into
+    /// rows, then one sweep that sorts (and, when asked, deduplicates) each row where it
+    /// lies. The in-direction is filled from the finished out-rows in source order, so
+    /// its rows come out sorted without being sorted.
+    ///
+    /// `remove_self_loops` drops `v -> v` edges before anything else; `dangling` then
+    /// applies to the vertices left without a successor (deduplication cannot empty a
+    /// row). An out-of-bounds edge is reported before a dangling vertex, the first such
+    /// edge in `edges` order and the lowest such vertex respectively.
+    pub(crate) fn from_edge_rows(
+        num_vertices: usize,
+        edges: &[(VertexId, VertexId)],
+        dedup: bool,
+        remove_self_loops: bool,
+        dangling: DanglingPolicy,
+    ) -> crate::Result<Self> {
+        let n = num_vertices;
+        let dropped = |s: VertexId, d: VertexId| remove_self_loops && s == d;
+
+        // One vertex-indexed scratch vector, in turn the out-degrees, the out-rows'
+        // write cursors, the in-degrees and the in-rows' cursors.
+        let mut degrees = vec![0usize; n];
+        for &(s, d) in edges {
+            if s as usize >= n || d as usize >= n {
+                return Err(GraphError::VertexOutOfBounds {
+                    vertex: s.max(d) as u64,
+                    num_vertices: n as u64,
+                });
+            }
+            degrees[s as usize] += usize::from(!dropped(s, d));
+        }
+        match dangling {
+            DanglingPolicy::Keep => {}
+            DanglingPolicy::Error => {
+                if let Some(v) = degrees.iter().position(|&d| d == 0) {
+                    return Err(GraphError::DanglingVertex {
+                        vertex: v as VertexId,
+                    });
+                }
+            }
+            // A one-slot row the scatter below leaves unfilled; the sweep writes `v` in.
+            DanglingPolicy::SelfLoop => degrees.iter_mut().for_each(|d| *d = (*d).max(1)),
+        }
+
+        let mut out_offsets = prefix_sums(&degrees);
+        let mut out_targets = vec![0 as VertexId; out_offsets[n]];
+        let mut cursor = degrees;
+        cursor.copy_from_slice(&out_offsets[..n]);
+        for &(s, d) in edges.iter().filter(|&&(s, d)| !dropped(s, d)) {
+            let c = &mut cursor[s as usize];
+            out_targets[*c] = d;
+            *c += 1;
+        }
+
+        // Sorted rows let neighbor queries binary search and make iteration order
+        // independent of input edge order. Deduplication compacts the rows leftwards in
+        // the same sweep: `write` never passes the row being read.
+        let mut write = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = out_offsets[v + 1];
+            if cursor[v] < end {
+                out_targets[start] = v as VertexId;
+            }
+            out_targets[start..end].sort_unstable();
+            if dedup {
+                out_offsets[v] = write;
+                for i in start..end {
+                    if i == start || out_targets[i] != out_targets[i - 1] {
+                        out_targets[write] = out_targets[i];
+                        write += 1;
+                    }
+                }
+            }
+            start = end;
+        }
+        if dedup {
+            out_offsets[n] = write;
+            out_targets.truncate(write);
+        }
+
+        let mut in_degrees = cursor;
+        in_degrees.fill(0);
+        for &d in &out_targets {
+            in_degrees[d as usize] += 1;
+        }
+        let in_offsets = prefix_sums(&in_degrees);
+        let mut in_sources = vec![0 as VertexId; out_targets.len()];
+        let mut cursor = in_degrees;
+        cursor.copy_from_slice(&in_offsets[..n]);
+        for v in 0..n {
+            for &d in &out_targets[out_offsets[v]..out_offsets[v + 1]] {
+                let c = &mut cursor[d as usize];
+                in_sources[*c] = v as VertexId;
+                *c += 1;
+            }
+        }
+
+        Ok(DiGraph {
             out_offsets,
             out_targets,
             in_offsets,
             in_sources,
-        }
+        })
     }
 
     /// An empty graph with `num_vertices` isolated vertices.
@@ -243,37 +342,16 @@ impl<'a> Iterator for EdgeIter<'a> {
 
 impl<'a> ExactSizeIterator for EdgeIter<'a> {}
 
-/// Counting-sort construction of one CSR direction. `O(|V| + |E|)`.
-fn build_csr(
-    num_vertices: usize,
-    edges: impl Iterator<Item = (VertexId, VertexId)> + Clone,
-) -> (Vec<usize>, Vec<VertexId>) {
-    let mut degrees = vec![0usize; num_vertices];
-    let mut num_edges = 0usize;
-    for (s, _) in edges.clone() {
-        degrees[s as usize] += 1;
-        num_edges += 1;
-    }
-    let mut offsets = Vec::with_capacity(num_vertices + 1);
-    offsets.push(0usize);
+/// `offsets[v]..offsets[v + 1]` spans `counts[v]` entries; the last offset is the total.
+fn prefix_sums(counts: &[usize]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0usize;
-    for &d in &degrees {
-        acc += d;
+    offsets.push(acc);
+    for &c in counts {
+        acc += c;
         offsets.push(acc);
     }
-    let mut targets = vec![0 as VertexId; num_edges];
-    let mut cursor = offsets[..num_vertices].to_vec();
-    for (s, d) in edges {
-        let c = &mut cursor[s as usize];
-        targets[*c] = d;
-        *c += 1;
-    }
-    // Sort each adjacency list so neighbor queries can binary search and iteration order
-    // is deterministic regardless of input edge order.
-    for v in 0..num_vertices {
-        targets[offsets[v]..offsets[v + 1]].sort_unstable();
-    }
-    (offsets, targets)
+    offsets
 }
 
 #[cfg(test)]

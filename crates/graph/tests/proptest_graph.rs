@@ -4,7 +4,7 @@
 use frogwild_graph::generators::power_law_weights;
 use frogwild_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
 use frogwild_graph::sparsify::{uniform_sparsify, SparsifyMode};
-use frogwild_graph::{DanglingPolicy, DiGraph, GraphBuilder, VertexId};
+use frogwild_graph::{DanglingPolicy, DiGraph, GraphBuilder, GraphError, VertexId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,7 +17,101 @@ fn arb_graph_input() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)
     })
 }
 
+/// `GraphBuilder`'s policies spelled out one after the other on the edge list, with
+/// `DiGraph::from_edges` — every policy off — as the only constructor.
+fn build_naively(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+    dedup: bool,
+    remove_self_loops: bool,
+    dangling: DanglingPolicy,
+) -> Result<DiGraph, GraphError> {
+    if let Some(&(s, d)) = edges
+        .iter()
+        .find(|&&(s, d)| s as usize >= n || d as usize >= n)
+    {
+        return Err(GraphError::VertexOutOfBounds {
+            vertex: s.max(d) as u64,
+            num_vertices: n as u64,
+        });
+    }
+    let mut edges = edges.to_vec();
+    if remove_self_loops {
+        edges.retain(|&(s, d)| s != d);
+    }
+    if dedup {
+        edges.sort_unstable();
+        edges.dedup();
+    }
+    let dangling_vertices: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&v| edges.iter().all(|&(s, _)| s != v))
+        .collect();
+    match dangling {
+        DanglingPolicy::SelfLoop => edges.extend(dangling_vertices.iter().map(|&v| (v, v))),
+        DanglingPolicy::Error => {
+            if let Some(&vertex) = dangling_vertices.first() {
+                return Err(GraphError::DanglingVertex { vertex });
+            }
+        }
+        DanglingPolicy::Keep => {}
+    }
+    Ok(DiGraph::from_edges(n, &edges))
+}
+
+/// Every `dedup` × `remove_self_loops` × `DanglingPolicy` setting of the builder.
+fn policy_combinations() -> Vec<(bool, bool, DanglingPolicy)> {
+    let mut combinations = Vec::new();
+    for dedup in [false, true] {
+        for remove_self_loops in [false, true] {
+            for dangling in [
+                DanglingPolicy::SelfLoop,
+                DanglingPolicy::Error,
+                DanglingPolicy::Keep,
+            ] {
+                combinations.push((dedup, remove_self_loops, dangling));
+            }
+        }
+    }
+    combinations
+}
+
 proptest! {
+    #[test]
+    fn builder_policies_match_from_edges_applied_naively(
+        (n, mut edges) in arb_graph_input(),
+        stray in 0usize..6,
+        at in any::<usize>(),
+    ) {
+        // One input in six has an edge that overshoots the vertex count.
+        if stray == 0 && !edges.is_empty() {
+            let at = at % edges.len();
+            edges[at].1 += n as VertexId;
+        }
+        for (dedup, remove_self_loops, dangling) in policy_combinations() {
+            let mut b = GraphBuilder::new(n);
+            let built = b.extend_edges(edges.iter().copied()).and_then(|()| {
+                b.dedup(dedup)
+                    .remove_self_loops(remove_self_loops)
+                    .dangling_policy(dangling)
+                    .build()
+            });
+            let expected = build_naively(n, &edges, dedup, remove_self_loops, dangling);
+            let case = format!("dedup {dedup}, remove_self_loops {remove_self_loops}, {dangling:?}");
+            match (built, expected) {
+                (Ok(built), Ok(expected)) => prop_assert_eq!(built, expected, "{}", case),
+                (
+                    Err(GraphError::DanglingVertex { vertex: built }),
+                    Err(GraphError::DanglingVertex { vertex: expected }),
+                ) => prop_assert_eq!(built, expected, "{}", case),
+                (
+                    Err(GraphError::VertexOutOfBounds { vertex: bv, num_vertices: bn }),
+                    Err(GraphError::VertexOutOfBounds { vertex: ev, num_vertices: en }),
+                ) => prop_assert_eq!((bv, bn), (ev, en), "{}", case),
+                (built, expected) => panic!("{case}: built {built:?}, expected {expected:?}"),
+            }
+        }
+    }
+
     #[test]
     fn csr_invariants_hold_for_arbitrary_edges((n, edges) in arb_graph_input()) {
         let g = DiGraph::from_edges(n, &edges);
