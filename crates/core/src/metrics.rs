@@ -94,6 +94,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_nan_in_the_estimate_ranks_last_instead_of_panicking() {
+        // One NaN used to make `top_k`'s order inconsistent, which `sort_unstable_by`
+        // is allowed to answer with a panic. It now ranks below every number.
+        let truth = vec![0.4, 0.3, 0.2, 0.1];
+        let estimate = vec![f64::NAN, 0.3, 0.2, 0.1];
+        // Sort path (k >= n / 2): the top two are vertices 1 and 2.
+        let m = mass_captured(&estimate, &truth, 2);
+        assert!((m.captured - 0.5).abs() < 1e-12);
+        assert!((m.optimal - 0.7).abs() < 1e-12);
+        // Selection path (k < n / 2), NaN every seventh entry of a long estimate.
+        let truth: Vec<f64> = (0..2_000).map(|i| ((i * 7919) % 1000) as f64).collect();
+        let estimate: Vec<f64> = (truth.iter().enumerate())
+            .map(|(i, &x)| if i % 7 == 0 { f64::NAN } else { x })
+            .collect();
+        let m = mass_captured(&estimate, &truth, 50);
+        assert!(m.captured.is_finite() && m.captured > 0.0);
+        assert!(m.captured <= m.optimal);
+        assert!(top_k(&estimate, 50).iter().all(|&v| v % 7 != 0));
+    }
+
+    #[test]
     fn perfect_estimate_captures_optimal_mass() {
         let truth = vec![0.4, 0.3, 0.2, 0.1];
         let m = mass_captured(&truth.clone(), &truth, 2);

@@ -123,6 +123,9 @@ pub struct ForwardPushResult {
     /// Residual mass left at each vertex; the exact PPR of vertex `v` lies within
     /// `[estimate[v], estimate[v] + Σ_u residual[u] · ppr_u(v)]`.
     pub residual: Vec<f64>,
+    /// The residual frontier — exactly the vertices with `residual[v] > 0`, ascending —
+    /// so whoever continues from the push need not scan `residual` for them.
+    pub frontier: Vec<VertexId>,
     /// Number of individual push operations performed (the work measure the local-push
     /// literature reports).
     pub pushes: usize,
@@ -130,9 +133,11 @@ pub struct ForwardPushResult {
 
 impl ForwardPushResult {
     /// Total residual mass not yet converted into estimates; at most
-    /// `epsilon · Σ_v d_out(v)` by the push termination rule.
+    /// `epsilon · Σ_v d_out(v)` by the push termination rule. Summed over the frontier,
+    /// ascending from `+0.0`: bit for bit the sum over all of `residual`, whose other
+    /// entries are exact zeros.
     pub fn residual_mass(&self) -> f64 {
-        self.residual.iter().sum()
+        (self.frontier.iter()).fold(0.0, |mass, &v| mass + self.residual[v as usize])
     }
 }
 
@@ -166,6 +171,9 @@ pub fn forward_push_ppr(
     let mut estimate = vec![0.0f64; n];
     let mut residual = vec![0.0f64; n];
     residual[source as usize] = 1.0;
+    // One bit per vertex residual ever reached: the only places the frontier can be.
+    let mut reached = vec![0u64; n.div_ceil(64)];
+    reached[source as usize / 64] |= 1 << (source % 64);
     // Queue of vertices whose residual exceeds the push threshold. `queued` avoids
     // duplicate entries; a vertex is re-examined when new residual arrives.
     let mut queue: Vec<VertexId> = vec![source];
@@ -193,6 +201,7 @@ pub fn forward_push_ppr(
         let share = (1.0 - teleport_probability) * r / deg as f64;
         for &v in graph.out_neighbors(u) {
             residual[v as usize] += share;
+            reached[v as usize / 64] |= 1 << (v % 64);
             let vdeg = graph.out_degree(v).max(1);
             if !queued[v as usize] && residual[v as usize] >= epsilon * vdeg as f64 {
                 queued[v as usize] = true;
@@ -201,9 +210,22 @@ pub fn forward_push_ppr(
         }
     }
 
+    // One pass over the n / 64 words, lowest bit first, yields the frontier ascending.
+    let mut frontier = Vec::new();
+    for (word, mut bits) in reached.into_iter().enumerate() {
+        while bits != 0 {
+            let v = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if residual[v] > 0.0 {
+                frontier.push(v as VertexId);
+            }
+        }
+    }
+
     ForwardPushResult {
         estimate,
         residual,
+        frontier,
         pushes,
     }
 }
@@ -346,6 +368,75 @@ mod tests {
         // With a tight epsilon the heavy vertices are identified correctly.
         let m = mass_captured(&push.estimate, &exact.scores, 10);
         assert!(m.normalized() > 0.9, "captured {}", m.normalized());
+    }
+
+    /// FNV-1a over the push count and the bits of every estimate and residual entry.
+    fn push_digest(push: &ForwardPushResult) -> u64 {
+        let words = std::iter::once(push.pushes as u64)
+            .chain(push.estimate.iter().map(|x| x.to_bits()))
+            .chain(push.residual.iter().map(|x| x.to_bits()));
+        words.fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+            (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A graph in which three vertices in ten are sinks.
+    fn sink_bearing_graph(n: u32) -> DiGraph {
+        let edges: Vec<(VertexId, VertexId)> = (0..n)
+            .filter(|v| v % 10 >= 3)
+            .flat_map(|v| {
+                [
+                    (v, (v * 7 + 1) % n),
+                    (v, (v * 13 + 5) % n),
+                    (v, (v + 1) % n),
+                ]
+            })
+            .collect();
+        DiGraph::from_edges(n as usize, &edges)
+    }
+
+    #[test]
+    fn recording_the_frontier_changes_nothing_the_push_computed() {
+        // Digests of (pushes, estimate, residual) taken on the commit before the push
+        // recorded its frontier: the hand-over is bookkeeping beside the same arithmetic.
+        let pinned = [
+            (
+                test_graph(400, 9),
+                11,
+                0.15,
+                1e-4,
+                0xf3c9_9c86_ec67_f8de_u64,
+            ),
+            (test_graph(1_000, 21), 3, 0.2, 1e-6, 0x9c65_92bb_504c_52d2),
+            (
+                sink_bearing_graph(500),
+                4,
+                0.15,
+                1e-5,
+                0x14af_3355_5a40_f604,
+            ),
+        ];
+        for (g, source, teleport, epsilon, digest) in pinned {
+            let push = forward_push_ppr(&g, source, teleport, epsilon);
+            assert!(push.pushes > 0);
+            assert_eq!(push_digest(&push), digest, "source {source} eps {epsilon}");
+        }
+    }
+
+    #[test]
+    fn a_sink_source_settles_at_once_and_leaves_an_empty_frontier() {
+        // The general property — frontier == {v : residual[v] > 0}, mass bit-equal to
+        // the dense sum — is `push_frontier_is_the_residual_support` in the proptests;
+        // this is the one case they cannot promise to draw.
+        let g = sink_bearing_graph(500);
+        assert_eq!(g.out_degree(0), 0);
+        let push = forward_push_ppr(&g, 0, 0.15, 1e-3);
+        assert!(push.frontier.is_empty());
+        assert_eq!(push.pushes, 0);
+        assert_eq!(push.estimate[0], 1.0);
+        let dense: f64 = push.residual.iter().sum();
+        assert_eq!(push.residual_mass().to_bits(), dense.to_bits());
+        assert_eq!(push.residual_mass().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Building a [`WalkIndex`]: parallel segment generation + arena assembly.
+//! Building a [`WalkIndex`]: validation, the memory budget, and the in-place fill.
 //!
 //! The expensive half of an index build — generating `n · R` random-walk segments — is
 //! delegated to the engine's [`generate_walk_segments`], which splits the work across
 //! the simulated machines by master assignment (one worker thread per machine when the
-//! config asks for parallelism). This module owns the cheap half: validating the
-//! configuration, applying the memory budget, and flattening the per-machine batches
-//! into the CSR-style arena of [`WalkIndex`].
-
-// lint:allow-file(indexing, CSR assembly; offsets come from a counting pass over the same segments)
+//! config asks for parallelism) and has every machine write its hops straight into the
+//! fixed-stride arena. This module owns the cheap half: validating the configuration and
+//! the graph, applying the memory budget, and wrapping the filled arena as a
+//! [`WalkIndex`] — there is no assembly pass, because a segment's address is known before
+//! it is generated.
 
 use std::time::Instant;
 
+use frogwild_engine::walkgen::NO_HOP;
 use frogwild_engine::{generate_walk_segments, PartitionedGraph};
-use frogwild_graph::{DiGraph, VertexId};
+use frogwild_graph::DiGraph;
 use frogwild_obs::Tracer;
 
 use crate::error::{Error, Result};
@@ -31,21 +32,22 @@ pub struct WalkIndexBuildReport {
     pub segment_length: usize,
     /// Simulated machines the generation was split across.
     pub machines: usize,
-    /// Bytes the finished arena occupies.
+    /// Bytes the finished arena occupies: exactly
+    /// [`estimated_bytes`](WalkIndexConfig::estimated_bytes) at `effective_segments`.
     pub arena_bytes: usize,
-    /// Total hops stored.
+    /// Total real hops stored (sentinel padding not counted).
     pub total_hops: usize,
     /// Segments that stopped early at a dangling vertex.
     pub truncated_segments: usize,
-    /// Host seconds the build took (generation + assembly).
+    /// Host seconds the build took.
     pub build_seconds: f64,
 }
 
 /// Builds a [`WalkIndex`] for `graph` over an existing partitioned layout.
 ///
 /// Each simulated machine of `pg` generates the segments of the vertices it masters
-/// (in parallel when `config.parallel` is set); the batches are then flattened into
-/// one contiguous arena. The result is identical for any machine count, partitioner,
+/// (in parallel when `config.parallel` is set), writing them in place into the one
+/// fixed-stride arena. The result is identical for any machine count, partitioner,
 /// or threading mode — only the build-time work division changes.
 ///
 /// # Errors
@@ -53,7 +55,8 @@ pub struct WalkIndexBuildReport {
 /// * [`Error::InvalidConfig`] when the configuration fails
 ///   [`WalkIndexConfig::validate`] or the memory budget cannot hold even one segment
 ///   per vertex;
-/// * [`Error::Graph`] when the graph is empty or does not match `pg`.
+/// * [`Error::Graph`] when the graph is empty, does not match `pg`, or has a vertex id
+///   equal to the arena's padding sentinel (`VertexId::MAX`).
 pub fn build_walk_index(
     graph: &DiGraph,
     pg: &PartitionedGraph,
@@ -78,54 +81,13 @@ pub fn build_walk_index_traced(
 ) -> Result<(WalkIndex, WalkIndexBuildReport)> {
     config.validate()?;
     let n = graph.num_vertices();
-    if n == 0 {
-        return Err(Error::graph(
-            "cannot build a walk index over an empty graph",
-        ));
-    }
-    if pg.num_vertices() != n {
-        return Err(Error::graph(format!(
-            "partitioned layout covers {} vertices but the graph has {n}",
-            pg.num_vertices()
-        )));
-    }
+    check_coverable(n, pg.num_vertices())?;
     let r = config.effective_segments(n)?;
     let l = config.segment_length;
 
     let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
-    let batches = generate_walk_segments(graph, pg, r, l, config.seed, config.parallel, tracer);
-
-    // Flatten the per-machine batches into vertex-major CSR form. First pass: collect
-    // every segment length into global (vertex, segment) order and prefix-sum it into
-    // the offset table; second pass: copy each batch's hops to its arena position.
-    let mut lens = vec![0u32; n * r];
-    for batch in &batches {
-        for (i, &v) in batch.vertices.iter().enumerate() {
-            lens[v as usize * r..(v as usize + 1) * r]
-                .copy_from_slice(&batch.lens[i * r..(i + 1) * r]);
-        }
-    }
-    let mut offsets = Vec::with_capacity(n * r + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for &len in &lens {
-        acc += len as usize;
-        offsets.push(acc);
-    }
-    let mut hops = vec![0 as VertexId; acc];
-    for batch in &batches {
-        let mut cursor = 0usize;
-        for (i, &v) in batch.vertices.iter().enumerate() {
-            for j in 0..r {
-                let len = batch.lens[i * r + j] as usize;
-                let at = offsets[v as usize * r + j];
-                hops[at..at + len].copy_from_slice(&batch.hops[cursor..cursor + len]);
-                cursor += len;
-            }
-        }
-    }
-
-    let index = WalkIndex::from_parts(n, graph.num_edges(), r, l, config.seed, offsets, hops);
+    let hops = generate_walk_segments(graph, pg, r, l, config.seed, config.parallel, tracer);
+    let index = WalkIndex::from_arena(n, graph.num_edges(), r, l, config.seed, hops);
     let report = WalkIndexBuildReport {
         requested_segments: config.segments_per_vertex,
         effective_segments: r,
@@ -137,6 +99,27 @@ pub fn build_walk_index_traced(
         build_seconds: started.elapsed().as_secs_f64(),
     };
     Ok((index, report))
+}
+
+/// A graph of `n` vertices, laid out over `layout_vertices`, can be indexed: it is not
+/// empty, the layout is its own, and no vertex id collides with [`NO_HOP`].
+fn check_coverable(n: usize, layout_vertices: usize) -> Result<()> {
+    if n == 0 {
+        return Err(Error::graph(
+            "cannot build a walk index over an empty graph",
+        ));
+    }
+    if layout_vertices != n {
+        return Err(Error::graph(format!(
+            "partitioned layout covers {layout_vertices} vertices but the graph has {n}"
+        )));
+    }
+    if n > NO_HOP as usize {
+        return Err(Error::graph(format!(
+            "a graph of {n} vertices uses vertex id {NO_HOP}, the walk arena's padding sentinel"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -232,6 +215,70 @@ mod tests {
         assert_eq!(report.effective_segments, 2);
         assert_eq!(index.segments_per_vertex(), 2);
         assert!(index.memory_bytes() <= budgeted.memory_budget_bytes);
+    }
+
+    #[test]
+    fn arena_bytes_are_exactly_what_the_config_estimates() {
+        // With sinks (every third vertex of a ring of chords has no out-edge) and
+        // without; under a budget that shrinks R and without one.
+        let n = 90;
+        let sinky: Vec<(u32, u32)> = (0..n as u32)
+            .filter(|v| v % 3 != 0)
+            .flat_map(|v| [(v, (v + 1) % n as u32), (v, (v * 7 + 2) % n as u32)])
+            .collect();
+        let with_sinks = DiGraph::from_edges(n, &sinky);
+        assert_eq!(
+            with_sinks
+                .vertices()
+                .filter(|&v| with_sinks.out_degree(v) == 0)
+                .count(),
+            n / 3
+        );
+        for (g, has_sinks) in [(with_sinks, true), (test_graph(150), false)] {
+            let n = g.num_vertices();
+            for (r, l, budget) in [
+                (4, 6, usize::MAX),
+                (1, 1, usize::MAX),
+                (16, 8, n * 5 * 8 * 4 + 17),
+            ] {
+                let cfg = WalkIndexConfig {
+                    segments_per_vertex: r,
+                    segment_length: l,
+                    memory_budget_bytes: budget,
+                    ..WalkIndexConfig::default()
+                };
+                let (index, report) = build_over(&g, 3, &cfg).unwrap();
+                assert_eq!(
+                    report.arena_bytes,
+                    cfg.estimated_bytes(n, report.effective_segments)
+                );
+                assert_eq!(report.arena_bytes, index.memory_bytes());
+                let fits = if budget == usize::MAX { r } else { 5 };
+                assert_eq!(report.effective_segments, fits);
+                assert!(report.arena_bytes <= budget);
+                assert_eq!(report.truncated_segments > 0, has_sinks);
+                // Padding is not a hop: a truncated arena holds fewer than n · R · L.
+                let slots = n * report.effective_segments * l;
+                assert_eq!(report.total_hops < slots, has_sinks);
+                let by_segment: usize = (g.vertices())
+                    .flat_map(|v| (0..report.effective_segments).map(move |j| (v, j)))
+                    .map(|(v, j)| index.segment(v, j).len())
+                    .sum();
+                assert_eq!(report.total_hops, by_segment);
+            }
+        }
+    }
+
+    #[test]
+    fn a_graph_must_be_non_empty_laid_out_as_itself_and_below_the_sentinel() {
+        assert!(check_coverable(1, 1).is_ok());
+        assert!(check_coverable(NO_HOP as usize, NO_HOP as usize).is_ok());
+        for (n, layout) in [(0, 0), (5, 4), (NO_HOP as usize + 1, NO_HOP as usize + 1)] {
+            assert!(
+                matches!(check_coverable(n, layout), Err(Error::Graph { .. })),
+                "n={n} layout={layout}"
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Configuration of a precomputed walk index.
 
-use crate::error::Error;
+use frogwild_graph::VertexId;
 
-/// Bytes per entry of the arena's offset table.
-const WORD: usize = std::mem::size_of::<usize>();
+use crate::error::Error;
 
 /// Configuration of a [`WalkIndex`](super::WalkIndex) build and of the queries served
 /// from it.
 ///
 /// The two structural knobs are `segments_per_vertex` (`R`) and `segment_length` (`L`):
-/// the index stores up to `R` pure random-walk segments of `L` hops from every vertex.
-/// More segments mean lower estimator variance; longer segments mean fewer stitches per
-/// walk. `memory_budget_bytes` caps the arena size by shrinking `R` (never `L`), so one
-/// number bounds the index footprint regardless of graph size.
+/// the index stores `R` pure random-walk segments of `L` hops from every vertex, in a
+/// fixed-stride arena of exactly `n · R · L` four-byte slots (a segment that reached a
+/// sink early is padded, not packed). More segments mean lower estimator variance;
+/// longer segments mean fewer stitches per walk. `memory_budget_bytes` caps the arena
+/// size by shrinking `R` (never `L`), so one number bounds the index footprint
+/// regardless of graph size.
 ///
 /// The two accuracy knobs for serving are `frontier_epsilon` — how far the forward-push
 /// phase localizes a PPR query before walks take over — and `walks_per_unit_residual` —
@@ -30,7 +31,7 @@ pub struct WalkIndexConfig {
     /// Stitched walks spent per unit of residual mass when serving a PPR query; the
     /// main accuracy/latency dial of index serving.
     pub walks_per_unit_residual: u64,
-    /// Upper bound on the index arena size in bytes (offsets + hop array).
+    /// Upper bound on the index arena size in bytes (`n · R · L · 4`).
     /// `usize::MAX` (the default) means unbounded.
     pub memory_budget_bytes: usize,
     /// Seed for segment generation and query-time stitching decisions.
@@ -85,8 +86,9 @@ impl WalkIndexConfig {
         Ok(())
     }
 
-    /// Worst-case arena bytes for `num_vertices` vertices at `segments` segments per
-    /// vertex: the CSR offset table plus a full-length hop array. Saturates at
+    /// The arena's size in bytes for `num_vertices` vertices at `segments` segments per
+    /// vertex — exact, not a bound: the arena is `num_vertices · segments ·
+    /// segment_length` slots of four bytes whatever the graph looks like. Saturates at
     /// `usize::MAX` when the product does not fit.
     pub fn estimated_bytes(&self, num_vertices: usize, segments: usize) -> usize {
         self.checked_bytes(num_vertices, segments)
@@ -95,17 +97,14 @@ impl WalkIndexConfig {
 
     /// [`estimated_bytes`](Self::estimated_bytes), `None` on overflow.
     fn checked_bytes(&self, num_vertices: usize, segments: usize) -> Option<usize> {
-        let stored = num_vertices.checked_mul(segments)?;
-        let offsets = stored.checked_add(1)?.checked_mul(WORD)?;
-        let hops = stored
+        num_vertices
+            .checked_mul(segments)?
             .checked_mul(self.segment_length)?
-            .checked_mul(std::mem::size_of::<u32>())?;
-        offsets.checked_add(hops)
+            .checked_mul(std::mem::size_of::<VertexId>())
     }
 
     /// The per-vertex segment count the memory budget allows: the largest
-    /// `r <= segments_per_vertex` whose worst-case arena fits in
-    /// `memory_budget_bytes`.
+    /// `r <= segments_per_vertex` whose arena fits in `memory_budget_bytes`.
     ///
     /// # Errors
     ///
@@ -125,14 +124,10 @@ impl WalkIndexConfig {
         if requested <= self.memory_budget_bytes {
             return Ok(self.segments_per_vertex);
         }
-        // The arena is one offset word plus a fixed cost per stored segment, so the
-        // largest count that fits is a division, not a search.
+        // The arena is a fixed number of bytes per segment count, so the largest count
+        // that fits is a division, not a search.
         let one = self.estimated_bytes(num_vertices, 1);
-        let fits = self
-            .memory_budget_bytes
-            .saturating_sub(WORD)
-            .checked_div(one - WORD)
-            .unwrap_or(0);
+        let fits = self.memory_budget_bytes.checked_div(one).unwrap_or(0);
         if fits == 0 {
             return Err(Error::config(
                 CTX,
@@ -223,6 +218,26 @@ mod tests {
             tiny.effective_segments(n),
             Err(Error::InvalidConfig { .. })
         ));
+        // The arithmetic is exact: one byte short of a single segment per vertex is
+        // still an error, and that byte is all it takes.
+        let one = cfg.estimated_bytes(n, 1);
+        assert_eq!(one, n * 10 * 4);
+        let short = WalkIndexConfig {
+            memory_budget_bytes: one - 1,
+            ..cfg
+        };
+        assert!(matches!(
+            short.effective_segments(n),
+            Err(Error::InvalidConfig {
+                context: "WalkIndexConfig",
+                ..
+            })
+        ));
+        let exact = WalkIndexConfig {
+            memory_budget_bytes: one,
+            ..cfg
+        };
+        assert_eq!(exact.effective_segments(n).unwrap(), 1);
     }
 
     #[test]
@@ -249,8 +264,9 @@ mod tests {
             memory_budget_bytes: 1 << 20,
             ..WalkIndexConfig::default()
         };
+        // 1 MiB over 1 000 vertices · 8 hops · 4 bytes = 32 000 bytes per segment count.
         let r = over_budget.effective_segments(n).unwrap();
-        assert_eq!(r, 26);
+        assert_eq!(r, 32);
         assert!(over_budget.estimated_bytes(n, r) <= 1 << 20);
         assert!(over_budget.estimated_bytes(n, r + 1) > 1 << 20);
     }

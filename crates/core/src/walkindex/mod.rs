@@ -10,17 +10,25 @@
 //! * [`WalkIndexConfig`] — the build/serve knobs: `R` segments of `L` hops per vertex,
 //!   a memory budget that bounds the arena regardless of graph size, and the serving
 //!   accuracy dials (`frontier_epsilon`, `walks_per_unit_residual`).
-//! * [`WalkIndex`] — the immutable flat arena (CSR-style offsets + one contiguous hop
-//!   array). Segments carry no teleportation, so one index serves any teleport
-//!   probability.
+//! * [`WalkIndex`] — the immutable fixed-stride arena: one array of exactly `n · R · L`
+//!   four-byte slots, segment `j` of vertex `v` at `(v · R + j) · L`, so a segment is
+//!   one dependent load away from its `(v, j)` and there is no delimiter table. A
+//!   segment that reached a sink before `L` hops is padded with the sentinel
+//!   `VertexId::MAX`; a sink's own segments are all padding. Padding costs a sink
+//!   `R · L · 4` bytes where a delimiter table would cost every vertex `R · 8`, so the
+//!   fixed stride is the smaller format unless more than `2 / L` of the vertices are
+//!   sinks — and graphs built under the default `DanglingPolicy::SelfLoop` have none.
+//!   Segments carry no teleportation, so one index serves any teleport probability.
 //! * [`build_walk_index`] — the parallel build: each simulated machine of a
 //!   [`PartitionedGraph`](frogwild_engine::PartitionedGraph) generates the segments of
-//!   the vertices it masters (see [`frogwild_engine::walkgen`]), and the batches are
-//!   flattened into the arena. Deterministic for a fixed seed across machine counts,
+//!   the vertices it masters (see [`frogwild_engine::walkgen`]) and writes them in place
+//!   into its chunks of the arena — every address is known up front, so nothing is
+//!   batched and copied. Deterministic for a fixed seed across machine counts,
 //!   partitioners, and threading.
 //! * [`indexed_ppr`] / [`indexed_pagerank`] — PowerWalk-style serving: forward-push to
-//!   a residual frontier, then stitched walks that consume whole cached segments in
-//!   O(1) each, resampling fresh hops only on segment exhaustion.
+//!   a residual frontier (which the push hands over as a list), then stitched walks
+//!   that consume whole cached segments in O(1) each — the slot itself says whether the
+//!   vertex is a sink — resampling fresh hops only on segment exhaustion.
 //!
 //! The subsystem plugs into the query service via
 //! [`SessionBuilder::walk_index`](crate::session::SessionBuilder::walk_index):

@@ -37,9 +37,10 @@
 //! query seed, and the source, so the same query against the same index always returns
 //! the same response.
 
-// lint:allow-file(indexing, hot path; segment offsets were validated when the index was built)
+// lint:allow-file(indexing, hot path; the arena's n·R·L shape was checked when the index was built)
 
 use frogwild_engine::rng::derived_rng;
+use frogwild_engine::walkgen::NO_HOP;
 use frogwild_graph::{DiGraph, VertexId};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -144,6 +145,10 @@ impl<'a> Stitcher<'a> {
     /// stops — the hop cap or the [`TAIL_FLOOR`] truncation. Walks stranded on a
     /// dangling vertex recycle to their start, mirroring `monte_carlo_ppr_counted`'s
     /// convention. Exactly `share` is deposited in total.
+    ///
+    /// Everything the walk needs to know about `v` is in `v`'s next arena slot, one
+    /// dependent load behind the cursor: a sentinel in position 0 says `v` is a sink,
+    /// anything else is the segment to consume. The graph itself is read only on a miss.
     fn walk_spread(
         &mut self,
         start: VertexId,
@@ -159,42 +164,48 @@ impl<'a> Stitcher<'a> {
         let mut v = start;
         let mut tail = share;
         let mut hops = 0u64;
-        estimate[v as usize] += tail * teleport_probability;
-        tail *= decay;
+        // Arriving at `v` deposits the teleport-death mass of that hop.
+        let mut arrive = |v: VertexId, tail: &mut f64| {
+            estimate[v as usize] += *tail * teleport_probability;
+            *tail *= decay;
+        };
+        arrive(v, &mut tail);
         'walk: while hops < cap && tail >= floor {
-            if self.graph.out_degree(v) == 0 {
-                // A stranded walk recycles to its start — the same dangling-vertex
-                // convention as `monte_carlo_ppr_counted`, costing one hop and no sampling.
-                v = start;
-                hops += 1;
-                estimate[v as usize] += tail * teleport_probability;
-                tail *= decay;
-                continue;
-            }
             let cursor = self.cursors[v as usize];
-            if cursor < r {
-                self.cursors[v as usize] = cursor + 1;
-                self.segment_hits += 1;
-                for &hop in self.index.segment(v, cursor as usize) {
-                    v = hop;
-                    hops += 1;
-                    estimate[v as usize] += tail * teleport_probability;
-                    tail *= decay;
-                    if hops >= cap || tail < floor {
-                        break 'walk;
-                    }
-                }
-            } else {
+            if cursor >= r {
                 // Budget exhausted at this vertex: resample a single fresh hop. The
                 // walk then re-enters the index at the neighbour, whose own segment
                 // pool is typically untouched — exhaustion at a hot vertex costs one
-                // hop, not a whole segment's worth.
+                // hop, not a whole segment's worth. (A sink never gets here: its
+                // cursor stays at zero.)
                 self.segment_misses += 1;
                 let neighbors = self.graph.out_neighbors(v);
                 v = neighbors[rng.gen_range(0..neighbors.len())];
                 hops += 1;
-                estimate[v as usize] += tail * teleport_probability;
-                tail *= decay;
+                arrive(v, &mut tail);
+                continue;
+            }
+            let slots = self.index.slots(v, cursor as usize);
+            if slots[0] == NO_HOP {
+                // A stranded walk recycles to its start — the same dangling-vertex
+                // convention as `monte_carlo_ppr_counted`, costing one hop and no sampling.
+                v = start;
+                hops += 1;
+                arrive(v, &mut tail);
+                continue;
+            }
+            self.cursors[v as usize] = cursor + 1;
+            self.segment_hits += 1;
+            for &hop in slots {
+                if hop == NO_HOP {
+                    break;
+                }
+                v = hop;
+                hops += 1;
+                arrive(v, &mut tail);
+                if hops >= cap || tail < floor {
+                    break 'walk;
+                }
             }
         }
         estimate[v as usize] += tail;
@@ -261,28 +272,22 @@ pub fn indexed_ppr(
 
     // Phase 1: localize.
     let push = forward_push_ppr(graph, source, teleport_probability, config.frontier_epsilon);
-    let residual_mass = push.residual_mass();
-    let mut estimate = push.estimate;
 
-    // Phase 2: stitch walks for the residual mixture Σ_u r(u) · π_u.
+    // Phase 2: stitch walks for the residual mixture Σ_u r(u) · π_u, starting each from
+    // a frontier vertex drawn by residual. The push hands its frontier over, ascending,
+    // so the running sum ends on exactly `push.residual_mass()`.
+    let mut residual_mass = 0.0;
+    let cumulative: Vec<f64> = (push.frontier.iter())
+        .map(|&v| {
+            residual_mass += push.residual[v as usize];
+            residual_mass
+        })
+        .collect();
+    let frontier = push.frontier;
+    let mut estimate = push.estimate;
     let mut stitcher = Stitcher::new(graph, index);
     let mut stitched_walks = 0;
-    let mut frontier_vertices = 0u64;
     if residual_mass > 0.0 {
-        let frontier: Vec<(VertexId, f64)> = {
-            let mut acc = 0.0;
-            push.residual
-                .iter()
-                .enumerate()
-                .filter(|(_, &r)| r > 0.0)
-                .map(|(v, &r)| {
-                    acc += r;
-                    (v as VertexId, acc)
-                })
-                .collect()
-        };
-        frontier_vertices = frontier.len() as u64;
-        let total = frontier.last().map(|&(_, c)| c).unwrap_or(0.0);
         let walks = ((residual_mass * config.walks_per_unit_residual as f64).ceil() as u64).max(1);
         let share = residual_mass / walks as f64;
         let mut rng = derived_rng(&[
@@ -293,12 +298,12 @@ pub fn indexed_ppr(
             TAG_SERVE_PPR,
         ]);
         for _ in 0..walks {
-            let target = rng.gen::<f64>() * total;
-            let at = frontier
-                .partition_point(|&(_, c)| c <= target)
+            let target = rng.gen::<f64>() * residual_mass;
+            let at = cumulative
+                .partition_point(|&c| c <= target)
                 .min(frontier.len() - 1);
             stitcher.walk_spread(
-                frontier[at].0,
+                frontier[at],
                 share,
                 teleport_probability,
                 MAX_WALK_HOPS,
@@ -313,7 +318,7 @@ pub fn indexed_ppr(
     stats.pushes = push.pushes;
     stats.residual_mass = residual_mass;
     stats.stitched_walks = stitched_walks;
-    stats.frontier_vertices = frontier_vertices;
+    stats.frontier_vertices = frontier.len() as u64;
     Ok(IndexedEstimate { estimate, stats })
 }
 
@@ -501,6 +506,249 @@ mod tests {
             indexed_pagerank(&g, &index, &bad_fw),
             Err(Error::InvalidConfig { .. })
         ));
+    }
+
+    impl Stitcher<'_> {
+        /// The stitcher as it was before the arena had a fixed stride, kept as the
+        /// oracle of `sink_bearing_graphs_are_served_exactly_as_the_reference_serves_them`:
+        /// it asks the graph whether `v` is a sink and reads hops through the trimmed
+        /// `segment()` view, never seeing a sentinel.
+        fn reference_walk_spread(
+            &mut self,
+            start: VertexId,
+            share: f64,
+            teleport_probability: f64,
+            cap: u64,
+            estimate: &mut [f64],
+            rng: &mut SmallRng,
+        ) {
+            let r = self.index.segments_per_vertex() as u32;
+            let decay = 1.0 - teleport_probability;
+            let floor = share * TAIL_FLOOR;
+            let mut v = start;
+            let mut tail = share;
+            let mut hops = 0u64;
+            estimate[v as usize] += tail * teleport_probability;
+            tail *= decay;
+            'walk: while hops < cap && tail >= floor {
+                if self.graph.out_degree(v) == 0 {
+                    v = start;
+                    hops += 1;
+                    estimate[v as usize] += tail * teleport_probability;
+                    tail *= decay;
+                    continue;
+                }
+                let cursor = self.cursors[v as usize];
+                if cursor < r {
+                    self.cursors[v as usize] = cursor + 1;
+                    self.segment_hits += 1;
+                    for &hop in self.index.segment(v, cursor as usize) {
+                        v = hop;
+                        hops += 1;
+                        estimate[v as usize] += tail * teleport_probability;
+                        tail *= decay;
+                        if hops >= cap || tail < floor {
+                            break 'walk;
+                        }
+                    }
+                } else {
+                    self.segment_misses += 1;
+                    let neighbors = self.graph.out_neighbors(v);
+                    v = neighbors[rng.gen_range(0..neighbors.len())];
+                    hops += 1;
+                    estimate[v as usize] += tail * teleport_probability;
+                    tail *= decay;
+                }
+            }
+            estimate[v as usize] += tail;
+            self.walk_hops += hops;
+        }
+    }
+
+    /// `indexed_ppr` as it was: dense passes over `residual` for the mass and the
+    /// frontier, the reference stitcher for the walks.
+    fn reference_indexed_ppr(
+        graph: &DiGraph,
+        index: &WalkIndex,
+        config: &WalkIndexConfig,
+        source: VertexId,
+        teleport_probability: f64,
+    ) -> IndexedEstimate {
+        let push = forward_push_ppr(graph, source, teleport_probability, config.frontier_epsilon);
+        let residual_mass: f64 = push.residual.iter().sum();
+        let mut estimate = push.estimate;
+        let mut stitcher = Stitcher::new(graph, index);
+        let mut stitched_walks = 0;
+        let mut frontier_vertices = 0;
+        if residual_mass > 0.0 {
+            let mut acc = 0.0;
+            let frontier: Vec<(VertexId, f64)> = (push.residual.iter().enumerate())
+                .filter(|(_, &r)| r > 0.0)
+                .map(|(v, &r)| {
+                    acc += r;
+                    (v as VertexId, acc)
+                })
+                .collect();
+            frontier_vertices = frontier.len() as u64;
+            let walks =
+                ((residual_mass * config.walks_per_unit_residual as f64).ceil() as u64).max(1);
+            let share = residual_mass / walks as f64;
+            let mut rng = derived_rng(&[
+                index.seed(),
+                config.seed,
+                source as u64,
+                teleport_probability.to_bits(),
+                TAG_SERVE_PPR,
+            ]);
+            for _ in 0..walks {
+                let target = rng.gen::<f64>() * acc;
+                let at = frontier
+                    .partition_point(|&(_, c)| c <= target)
+                    .min(frontier.len() - 1);
+                stitcher.reference_walk_spread(
+                    frontier[at].0,
+                    share,
+                    teleport_probability,
+                    MAX_WALK_HOPS,
+                    &mut estimate,
+                    &mut rng,
+                );
+            }
+            stitched_walks = walks;
+        }
+        let stats = IndexServeStats {
+            pushes: push.pushes,
+            residual_mass,
+            stitched_walks,
+            frontier_vertices,
+            ..stitcher.into_stats()
+        };
+        IndexedEstimate { estimate, stats }
+    }
+
+    /// `indexed_pagerank` over the reference stitcher.
+    fn reference_indexed_pagerank(
+        graph: &DiGraph,
+        index: &WalkIndex,
+        fw: &FrogWildConfig,
+    ) -> IndexedEstimate {
+        let n = graph.num_vertices();
+        let mut estimate = vec![0.0f64; n];
+        let share = 1.0 / fw.num_walkers as f64;
+        let mut stitcher = Stitcher::new(graph, index);
+        let mut rng = derived_rng(&[index.seed(), fw.seed, TAG_SERVE_GLOBAL]);
+        for _ in 0..fw.num_walkers {
+            let start = rng.gen_range(0..n) as VertexId;
+            stitcher.reference_walk_spread(
+                start,
+                share,
+                fw.teleport_probability,
+                fw.iterations as u64,
+                &mut estimate,
+                &mut rng,
+            );
+        }
+        let stats = IndexServeStats {
+            stitched_walks: fw.num_walkers,
+            ..stitcher.into_stats()
+        };
+        IndexedEstimate { estimate, stats }
+    }
+
+    /// Graphs that have sinks — which nothing the builder, the reader or the generators
+    /// produce does — each with the sources worth asking about.
+    fn sink_bearing_graphs() -> Vec<(&'static str, DiGraph, Vec<VertexId>)> {
+        // Leaves point at a hub that points nowhere; and the mirror image, a hub whose
+        // every out-neighbour is a sink.
+        let in_star: Vec<(VertexId, VertexId)> = (1..6).map(|leaf| (leaf, 0)).collect();
+        let out_star: Vec<(VertexId, VertexId)> = (1..6).map(|leaf| (0, leaf)).collect();
+        // 60 vertices, three in ten of them sinks, the rest with one to four out-edges.
+        let mut rng = SmallRng::seed_from_u64(0x51_4B);
+        let mut mixed = Vec::new();
+        for v in 0..60 {
+            if v % 10 < 3 {
+                continue;
+            }
+            for _ in 0..rng.gen_range(1..5) {
+                mixed.push((v, rng.gen_range(0..60)));
+            }
+        }
+        vec![
+            ("in-star", DiGraph::from_edges(6, &in_star), vec![0, 3]),
+            ("out-star", DiGraph::from_edges(6, &out_star), vec![0, 4]),
+            (
+                "path",
+                DiGraph::from_edges(3, &[(0, 1), (1, 2)]),
+                vec![0, 1, 2],
+            ),
+            ("mixed", DiGraph::from_edges(60, &mixed), vec![0, 3, 11, 47]),
+        ]
+    }
+
+    #[test]
+    fn sink_bearing_graphs_are_served_exactly_as_the_reference_serves_them() {
+        let bits =
+            |estimate: &[f64]| -> Vec<u64> { estimate.iter().map(|x| x.to_bits()).collect() };
+        let mut sink_sources = 0;
+        let mut missed_with_sinks_visited = 0;
+        for (name, g, sources) in sink_bearing_graphs() {
+            let sinks = g.vertices().filter(|&v| g.out_degree(v) == 0).count();
+            assert!(sinks > 0, "{name} has no sink");
+            for r in [1usize, 3] {
+                for l in [1usize, 4, 8] {
+                    // A coarse push and a heavy walk budget: far more visits than R at
+                    // sinks and non-sinks alike.
+                    let cfg = WalkIndexConfig {
+                        segments_per_vertex: r,
+                        segment_length: l,
+                        frontier_epsilon: 0.05,
+                        walks_per_unit_residual: 400,
+                        seed: 0xD1FF + (r * 10 + l) as u64,
+                        ..WalkIndexConfig::default()
+                    };
+                    let index = test_index(&g, &cfg);
+                    assert!(index.truncated_segments() >= sinks * r);
+                    let what = format!("{name} R={r} L={l}");
+
+                    for &source in &sources {
+                        let got = indexed_ppr(&g, &index, &cfg, source, 0.15).unwrap();
+                        let want = reference_indexed_ppr(&g, &index, &cfg, source, 0.15);
+                        assert_eq!(
+                            bits(&got.estimate),
+                            bits(&want.estimate),
+                            "{what} src={source}"
+                        );
+                        assert_eq!(got.stats, want.stats, "{what} src={source}");
+                        let total: f64 = got.estimate.iter().sum();
+                        assert!((total - 1.0).abs() < 1e-12, "{what} src={source}: {total}");
+                        if g.out_degree(source) == 0 {
+                            // A sink source settles at once: nothing is left to walk.
+                            assert_eq!(got.stats.stitched_walks, 0);
+                            sink_sources += 1;
+                        } else if got.stats.segment_misses > 0 {
+                            missed_with_sinks_visited += 1;
+                        }
+                    }
+
+                    let fw = FrogWildConfig {
+                        num_walkers: 300,
+                        iterations: 6,
+                        seed: cfg.seed,
+                        ..FrogWildConfig::default()
+                    };
+                    let got = indexed_pagerank(&g, &index, &fw).unwrap();
+                    let want = reference_indexed_pagerank(&g, &index, &fw);
+                    assert_eq!(bits(&got.estimate), bits(&want.estimate), "{what} global");
+                    assert_eq!(got.stats, want.stats, "{what} global");
+                    let total: f64 = got.estimate.iter().sum();
+                    assert!((total - 1.0).abs() < 1e-12, "{what} global: {total}");
+                    // 300 walks over at most 60 vertices with at most 3 segments each:
+                    // cursors run out, and walks starting on sinks recycle.
+                    assert!(got.stats.segment_misses > 0, "{what} global");
+                }
+            }
+        }
+        assert!(sink_sources > 0 && missed_with_sinks_visited > 0);
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! Flat arena storage of precomputed walk segments.
+//! Fixed-stride arena storage of precomputed walk segments.
 //!
-//! A [`WalkIndex`] stores `R` walk segments for each of `n` vertices in two contiguous
-//! arrays, CSR-style: `offsets` has `n · R + 1` entries delimiting the segments, and
-//! `hops` concatenates every hop of every segment in `(vertex, segment)`-major order.
-//! Segment `j` of vertex `v` is the slice `hops[offsets[v·R + j] .. offsets[v·R + j + 1]]`
-//! — one bounds check and two loads away from any query, with no per-vertex allocation
-//! anywhere. Segments are at most `L` hops long and shorter only when the walk reached a
-//! dangling vertex (a sink) early.
+//! A [`WalkIndex`] stores `R` walk segments for each of `n` vertices in one contiguous
+//! array of exactly `n · R · L` slots, segment `j` of vertex `v` at `(v · R + j) · L`:
+//! a segment's address is arithmetic on `(v, j)`, so a query reaches its hops with one
+//! dependent load, and the builder knows where every segment goes before generating it.
+//!
+//! A walk that reached a dangling vertex (a sink) before `L` hops leaves the rest of
+//! its slots holding the sentinel [`NO_HOP`] (`VertexId::MAX`): a segment's real hops
+//! are the prefix before the first sentinel, and a sink's own segments are all-sentinel.
+//! That padding costs a sink `R · L · 4` bytes, where a delimiter table would cost
+//! *every* vertex `R · 8`, so the fixed stride is the smaller arena unless more than
+//! `2 / L` of the vertices are sinks — and graphs built under the default
+//! `DanglingPolicy::SelfLoop` have none.
 
-// lint:allow-file(indexing, segment offsets are validated on construction)
+// lint:allow-file(indexing, the arena holds exactly n·R·L slots, checked on construction)
 
+use frogwild_engine::walkgen::NO_HOP;
 use frogwild_graph::VertexId;
 
 /// A precomputed, immutable arena of random-walk segments over one graph.
@@ -27,34 +33,32 @@ pub struct WalkIndex {
     segments_per_vertex: usize,
     segment_length: usize,
     seed: u64,
-    /// `num_vertices * segments_per_vertex + 1` delimiters into `hops`.
-    offsets: Vec<usize>,
-    /// Every hop of every segment, concatenated.
+    /// `n · R · L` slots; each segment is its real hops, then [`NO_HOP`] padding.
     hops: Vec<VertexId>,
 }
 
 impl WalkIndex {
-    /// Assembles an index from its raw parts. `offsets` must have
-    /// `num_vertices * segments_per_vertex + 1` monotone entries ending at
-    /// `hops.len()`; the builder is the only intended caller.
-    pub(crate) fn from_parts(
+    /// Wraps a filled arena of exactly `n · R · L` slots; the builder is the only
+    /// intended caller.
+    pub(crate) fn from_arena(
         num_vertices: usize,
         num_edges: usize,
         segments_per_vertex: usize,
         segment_length: usize,
         seed: u64,
-        offsets: Vec<usize>,
         hops: Vec<VertexId>,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), num_vertices * segments_per_vertex + 1);
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), hops.len());
+        assert_eq!(
+            hops.len(),
+            num_vertices * segments_per_vertex * segment_length,
+            "walk arena must hold n * R * L slots"
+        );
         WalkIndex {
             num_vertices,
             num_edges,
             segments_per_vertex,
             segment_length,
             seed,
-            offsets,
             hops,
         }
     }
@@ -85,6 +89,14 @@ impl WalkIndex {
         self.seed
     }
 
+    /// The `L` raw slots of segment `j` of vertex `v`: its real hops, then [`NO_HOP`]
+    /// padding. What the stitcher reads; [`segment`](Self::segment) is the trimmed view.
+    #[inline]
+    pub(crate) fn slots(&self, v: VertexId, j: usize) -> &[VertexId] {
+        let at = (v as usize * self.segments_per_vertex + j) * self.segment_length;
+        &self.hops[at..at + self.segment_length]
+    }
+
     /// Segment `j` (`0 <= j < R`) of vertex `v`, as the slice of vertices the walk
     /// visits after leaving `v`. Empty when `v` is dangling; shorter than
     /// [`segment_length`](Self::segment_length) when the walk hit a sink early.
@@ -92,33 +104,34 @@ impl WalkIndex {
     /// # Panics
     ///
     /// Panics when `v` or `j` is out of range.
-    #[inline]
+    // lint:allow(orphan-pub, oracle for sink_bearing_graphs_are_served_exactly_as_the_reference_serves_them)
     pub fn segment(&self, v: VertexId, j: usize) -> &[VertexId] {
         assert!(
             j < self.segments_per_vertex,
             "segment index {j} out of range"
         );
-        let slot = v as usize * self.segments_per_vertex + j;
-        &self.hops[self.offsets[slot]..self.offsets[slot + 1]]
+        let slots = self.slots(v, j);
+        let len = slots.iter().position(|&hop| hop == NO_HOP);
+        &slots[..len.unwrap_or(slots.len())]
     }
 
-    /// Total hops stored across all segments.
+    /// Total real hops stored across all segments (sentinel padding not counted).
     pub fn total_hops(&self) -> usize {
-        self.hops.len()
+        self.hops.iter().filter(|&&hop| hop != NO_HOP).count()
     }
 
     /// Number of segments that stopped short of the full length (they reached a sink).
     pub fn truncated_segments(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .filter(|w| w[1] - w[0] < self.segment_length)
+        // Padding is a suffix, so a segment is short exactly when its last slot is padding.
+        self.hops
+            .chunks_exact(self.segment_length)
+            .filter(|slots| slots.last() == Some(&NO_HOP))
             .count()
     }
 
-    /// Bytes held by the arena (offset table plus hop array).
+    /// Bytes held by the arena: exactly `n · R · L` slots of four bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.hops.len() * std::mem::size_of::<VertexId>()
+        self.hops.len() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -130,13 +143,16 @@ mod tests {
         // 2 vertices, 2 segments each, L = 3.
         // v0: [1, 0, 1], [1]  (second segment hit a sink early — synthetic)
         // v1: [], [0, 1, 0]
-        let offsets = vec![0, 3, 4, 4, 7];
-        let hops = vec![1, 0, 1, 1, 0, 1, 0];
-        WalkIndex::from_parts(2, 4, 2, 3, 9, offsets, hops)
+        #[rustfmt::skip]
+        let hops = vec![
+            1, 0, 1,            1, NO_HOP, NO_HOP,
+            NO_HOP, NO_HOP, NO_HOP,  0, 1, 0,
+        ];
+        WalkIndex::from_arena(2, 4, 2, 3, 9, hops)
     }
 
     #[test]
-    fn segment_slices_follow_the_offsets() {
+    fn segment_slices_follow_the_stride() {
         let idx = tiny_index();
         assert_eq!(idx.segment(0, 0), &[1, 0, 1]);
         assert_eq!(idx.segment(0, 1), &[1]);
@@ -151,20 +167,39 @@ mod tests {
     }
 
     #[test]
+    fn slots_keep_the_padding_that_segment_trims() {
+        let idx = tiny_index();
+        assert_eq!(idx.slots(0, 0), &[1, 0, 1]);
+        assert_eq!(idx.slots(0, 1), &[1, NO_HOP, NO_HOP]);
+        // An all-sentinel chunk is an empty segment.
+        assert_eq!(idx.slots(1, 0), &[NO_HOP; 3]);
+        assert!(idx.segment(1, 0).is_empty());
+    }
+
+    #[test]
     fn truncated_segments_counts_short_ones() {
         assert_eq!(tiny_index().truncated_segments(), 2);
     }
 
     #[test]
-    fn memory_bytes_covers_both_arrays() {
+    fn memory_bytes_is_exactly_the_slots() {
+        // n · R · L slots, padding included, and nothing else.
         let idx = tiny_index();
-        let expected = 5 * std::mem::size_of::<usize>() + 7 * std::mem::size_of::<VertexId>();
-        assert_eq!(idx.memory_bytes(), expected);
+        assert_eq!(
+            idx.memory_bytes(),
+            2 * 2 * 3 * std::mem::size_of::<VertexId>()
+        );
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn segment_index_is_range_checked() {
         let _ = tiny_index().segment(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "n * R * L")]
+    fn a_short_arena_is_refused() {
+        let _ = WalkIndex::from_arena(2, 4, 2, 3, 9, vec![0; 11]);
     }
 }

@@ -8,14 +8,51 @@ use frogwild::theory;
 use frogwild::topk::{normalize, set_mass, top_k};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a non-negative score vector of length 1..80.
 fn arb_scores() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..1.0, 1..80)
 }
 
+/// Strategy: a score vector shaped like a PPR estimate — 80 to 99 % exact zeros, the
+/// positives drawn from five repeated values — so nearly every comparison is a tie.
+fn arb_tie_heavy_scores() -> impl Strategy<Value = Vec<f64>> {
+    (40usize..400, 80u32..100, any::<u64>()).prop_map(|(n, zero_percent, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                if rng.gen_range(0u32..100) < zero_percent {
+                    0.0
+                } else {
+                    rng.gen_range(1..6) as f64 / 8.0
+                }
+            })
+            .collect()
+    })
+}
+
 proptest! {
+    #[test]
+    fn top_k_matches_a_full_sort_on_tie_heavy_vectors(scores in arb_tie_heavy_scores()) {
+        let n = scores.len();
+        // A stable sort by descending score keeps ascending ids inside every tie.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| scores[b as usize].partial_cmp(&scores[a as usize]).unwrap());
+        let positives = scores.iter().filter(|&&x| x > 0.0).count();
+        // Both sides of the selection/sort switch at n / 2, and k around a typical 20.
+        for k in [1, 19, 20, n / 2 - 1, n / 2, n] {
+            let got = top_k(&scores, k);
+            prop_assert_eq!(&got[..], &order[..k], "k={} n={}", k, n);
+            if k > positives {
+                // Zero-score ids fill the tail, lowest ids first.
+                let tail = &got[positives..];
+                prop_assert!(tail.iter().all(|&v| scores[v as usize] == 0.0));
+                prop_assert!(tail.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+    }
+
     #[test]
     fn top_k_matches_naive_selection(scores in arb_scores(), k in 0usize..100) {
         let fast = top_k(&scores, k);

@@ -12,7 +12,7 @@ use frogwild_graph::generators::{rmat, RmatParams};
 use frogwild_graph::DiGraph;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a non-negative score vector of length 2..60.
 fn arb_scores() -> impl Strategy<Value = Vec<f64>> {
@@ -29,7 +29,56 @@ fn arb_graph_and_source() -> impl Strategy<Value = (DiGraph, u32)> {
     })
 }
 
+/// Strategy: a graph in which about a quarter of the vertices are sinks — which no
+/// generator produces — plus an in-range source that is sometimes one of them.
+fn arb_sink_bearing_graph_and_source() -> impl Strategy<Value = (DiGraph, u32)> {
+    (20u32..150, any::<u64>()).prop_map(|(n, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for v in 0..n {
+            if rng.gen_range(0..4) == 0 {
+                continue;
+            }
+            for _ in 0..rng.gen_range(1..5) {
+                edges.push((v, rng.gen_range(0..n)));
+            }
+        }
+        (
+            DiGraph::from_edges(n as usize, &edges),
+            (seed % n as u64) as u32,
+        )
+    })
+}
+
+/// What `forward_push_ppr` promises about the frontier it hands over.
+fn assert_frontier_is_the_residual_support(graph: &DiGraph, source: u32, epsilon: f64) {
+    let push = forward_push_ppr(graph, source, 0.15, epsilon);
+    // Exactly {v : residual[v] > 0}, ascending, so without a duplicate.
+    let support: Vec<u32> = (graph.vertices())
+        .filter(|&v| push.residual[v as usize] > 0.0)
+        .collect();
+    assert_eq!(push.frontier, support);
+    // Summing the frontier is summing everything: the other entries are exact zeros.
+    let dense: f64 = push.residual.iter().sum();
+    assert_eq!(push.residual_mass().to_bits(), dense.to_bits());
+    if push.frontier.is_empty() {
+        assert_eq!(push.residual_mass().to_bits(), 0.0f64.to_bits());
+    }
+}
+
 proptest! {
+    // ------------------------------------------------------------- push hand-over
+    #[test]
+    fn push_frontier_is_the_residual_support(
+        (graph, source) in arb_graph_and_source(),
+        (sinky, sinky_source) in arb_sink_bearing_graph_and_source(),
+        eps_exp in 1i32..7,
+    ) {
+        let epsilon = 10f64.powi(-eps_exp);
+        assert_frontier_is_the_residual_support(&graph, source, epsilon);
+        assert_frontier_is_the_residual_support(&sinky, sinky_source, epsilon);
+    }
+
     // ------------------------------------------------------------- rank metrics
     #[test]
     fn rank_metrics_are_bounded_and_maximised_by_truth(

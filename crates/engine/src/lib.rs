@@ -58,4 +58,4 @@ pub use partition::{
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 pub use sync::SyncPolicy;
-pub use walkgen::{generate_walk_segments, MachineSegments};
+pub use walkgen::generate_walk_segments;

@@ -157,15 +157,6 @@ impl Shard {
         let l = local as usize;
         self.in_offsets[l + 1] - self.in_offsets[l]
     }
-
-    /// Iterates local masters as `(local_index, global_id)` pairs.
-    pub fn masters(&self) -> impl Iterator<Item = (u32, VertexId)> + '_ {
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(move |&(i, _)| self.is_master[i])
-            .map(|(i, &v)| (i as u32, v))
-    }
 }
 
 /// A graph partitioned across a simulated cluster: per-machine shards plus the global

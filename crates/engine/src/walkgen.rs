@@ -9,41 +9,37 @@
 //! when `parallel` is set. (The engine in [`crate::engine`] schedules differently: a
 //! worker pool over key-range batches, sized independently of the machine count.)
 //!
+//! Segments are generated **in place**. The arena has a fixed stride — segment `j` of
+//! vertex `v` occupies the `L` slots starting at `(v · R + j) · L` — so every segment's
+//! address is known before a single hop is drawn: the arena is allocated once, filled
+//! with the padding sentinel [`NO_HOP`], cut into one `R · L` chunk per vertex, and each
+//! chunk is handed to the machine that masters the vertex. Nothing is generated into a
+//! per-machine buffer and copied afterwards. A walk that reaches a dangling vertex
+//! before `L` hops simply stops writing, leaving the rest of its slots as padding.
+//!
 //! Every hop is drawn from a generator derived from `(seed, vertex, segment)` via
-//! [`crate::rng::derived_rng`], so the produced segments are identical regardless of
-//! the machine count, the partitioner, or whether the build ran parallel — the same
+//! [`crate::rng::derived_rng`], so the produced arena is identical regardless of the
+//! machine count, the partitioner, or whether the build ran parallel — the same
 //! determinism contract the engine obeys across worker counts.
 
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, Tracer};
 use rand::Rng;
 
-use crate::cluster::MachineId;
 use crate::placement::PartitionedGraph;
 
 /// Domain-separation tag for segment-generation randomness.
 const TAG_SEGMENT: u64 = 0x5E91;
 
-/// The segments one machine generated for the vertices it masters.
-///
-/// Storage is flat: `lens[i * segments_per_vertex + j]` is the hop count of segment
-/// `j` of `vertices[i]`, and `hops` concatenates all segments in that order.
-#[derive(Clone, Debug)]
-pub struct MachineSegments {
-    /// The machine that produced this batch.
-    pub machine: MachineId,
-    /// The vertices this machine masters, ascending.
-    pub vertices: Vec<VertexId>,
-    /// Hop count of each `(vertex, segment)` pair, `vertices.len() * segments_per_vertex`
-    /// entries in vertex-major order.
-    pub lens: Vec<u32>,
-    /// All hops, concatenated in the same order `lens` describes.
-    pub hops: Vec<VertexId>,
-}
+/// The slot value that is not a hop: padding after a segment that reached a sink
+/// early. A graph served from a walk arena must keep every vertex id below it.
+pub const NO_HOP: VertexId = VertexId::MAX;
 
 /// Generates `segments_per_vertex` random-walk segments of (at most) `segment_length`
 /// hops from every vertex of `graph`, split across the machines of `pg` by master
-/// assignment.
+/// assignment, and returns them as one arena of exactly
+/// `n · segments_per_vertex · segment_length` slots: segment `j` of vertex `v` starts at
+/// `(v · segments_per_vertex + j) · segment_length`, real hops first, [`NO_HOP`] after.
 ///
 /// A segment follows out-edges uniformly at random and stops early only when it
 /// reaches a dangling vertex (a walk stuck at a sink can go nowhere; how a stranded
@@ -51,12 +47,17 @@ pub struct MachineSegments {
 /// walk length is also decided at query time, which keeps the index valid for any
 /// teleport probability.
 ///
-/// When `parallel` is set, one thread per simulated machine generates that machine's
-/// batch. The output is identical either way, and identical across machine counts and
+/// When `parallel` is set, one thread per simulated machine fills that machine's
+/// chunks. The output is identical either way, and identical across machine counts and
 /// partitioners for a fixed `seed`.
 ///
 /// Each machine's generation is recorded into `tracer` as a `walk_segments` span keyed
-/// `(0, machine, 0)`, carrying vertex and hop counters; the tracer only observes.
+/// `(0, machine, 0)`, carrying vertex and (real) hop counters; the tracer only observes.
+///
+/// # Panics
+///
+/// Panics when `segments_per_vertex` or `segment_length` is zero, or when `pg` was not
+/// built from `graph`.
 pub fn generate_walk_segments(
     graph: &DiGraph,
     pg: &PartitionedGraph,
@@ -65,61 +66,65 @@ pub fn generate_walk_segments(
     seed: u64,
     parallel: bool,
     tracer: &Tracer,
-) -> Vec<MachineSegments> {
-    let generate_for = |machine: usize| -> MachineSegments {
+) -> Vec<VertexId> {
+    let num_machines = pg.num_machines();
+    let stride = segments_per_vertex * segment_length;
+    let mut arena = vec![NO_HOP; graph.num_vertices() * stride];
+
+    // Each vertex's chunk goes to the machine mastering it, in ascending vertex order.
+    let mut work: Vec<Vec<(VertexId, &mut [VertexId])>> =
+        (0..num_machines).map(|_| Vec::new()).collect();
+    for (v, chunk) in arena.chunks_mut(stride).enumerate() {
+        let v = v as VertexId;
+        // lint:allow(indexing, a master is one of the layout's machines)
+        work[pg.placement().master(v).index()].push((v, chunk));
+    }
+
+    let fill = |machine: usize, chunks: Vec<(VertexId, &mut [VertexId])>| {
         let sink = tracer.sink();
         let mut span = sink.span(
             span_meta!("walk_segments"),
             SpanKey::new(0, machine as u32 + 1, 0, 0),
         );
-        let shard = pg.shard(MachineId::from(machine));
-        let vertices: Vec<VertexId> = shard.masters().map(|(_, v)| v).collect();
-        let mut lens = Vec::with_capacity(vertices.len() * segments_per_vertex);
-        // The common case walks the full length; reserve for it.
-        let mut hops = Vec::with_capacity(vertices.len() * segments_per_vertex * segment_length);
-        for &v in &vertices {
-            for j in 0..segments_per_vertex {
-                let start = hops.len();
+        span.counter("vertices", chunks.len() as u64);
+        let mut hops = 0u64;
+        for (v, chunk) in chunks {
+            for (j, slots) in chunk.chunks_mut(segment_length).enumerate() {
                 let mut rng = crate::rng::derived_rng(&[seed, v as u64, j as u64, TAG_SEGMENT]);
                 let mut position = v;
-                for _ in 0..segment_length {
+                for slot in slots {
                     let neighbors = graph.out_neighbors(position);
                     if neighbors.is_empty() {
                         break;
                     }
                     // lint:allow(indexing, gen_range is bounded by the neighbor count)
                     position = neighbors[rng.gen_range(0..neighbors.len())];
-                    hops.push(position);
+                    *slot = position;
+                    hops += 1;
                 }
-                lens.push((hops.len() - start) as u32);
             }
         }
-        span.counter("vertices", vertices.len() as u64);
-        span.counter("hops", hops.len() as u64);
-        drop(span);
-        MachineSegments {
-            machine: MachineId::from(machine),
-            vertices,
-            lens,
-            hops,
-        }
+        span.counter("hops", hops);
     };
 
-    let num_machines = pg.num_machines();
     if parallel && num_machines > 1 {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_machines)
-                .map(|m| scope.spawn(move || generate_for(m)))
-                .collect();
-            handles
+            let handles: Vec<_> = work
                 .into_iter()
+                .enumerate()
+                .map(|(machine, chunks)| scope.spawn(move || fill(machine, chunks)))
+                .collect();
+            for handle in handles {
                 // lint:allow(panic, re-raises a worker thread panic)
-                .map(|h| h.join().expect("segment generation worker panicked"))
-                .collect()
-        })
+                handle.join().expect("segment generation worker panicked");
+            }
+        });
     } else {
-        (0..num_machines).map(generate_for).collect()
+        for (machine, chunks) in work.into_iter().enumerate() {
+            fill(machine, chunks);
+        }
     }
+    arena
 }
 
 #[cfg(test)]
@@ -136,43 +141,50 @@ mod tests {
         rmat(n, RmatParams::default(), &mut rng)
     }
 
-    /// Flattens per-machine batches into a vertex-indexed segment table.
-    fn by_vertex(batches: &[MachineSegments], n: usize, r: usize) -> Vec<Vec<Vec<VertexId>>> {
-        let mut table = vec![Vec::new(); n];
-        for batch in batches {
-            let mut cursor = 0usize;
-            for (i, &v) in batch.vertices.iter().enumerate() {
-                let mut segs = Vec::with_capacity(r);
-                for j in 0..r {
-                    let len = batch.lens[i * r + j] as usize;
-                    segs.push(batch.hops[cursor..cursor + len].to_vec());
-                    cursor += len;
-                }
-                table[v as usize] = segs;
-            }
-        }
-        table
+    /// Reads an arena back as a vertex-indexed table of segments, padding trimmed.
+    fn by_vertex(arena: &[VertexId], n: usize, r: usize, l: usize) -> Vec<Vec<Vec<VertexId>>> {
+        assert_eq!(arena.len(), n * r * l);
+        arena
+            .chunks(r * l)
+            .map(|chunk| {
+                chunk
+                    .chunks(l)
+                    .map(|slots| {
+                        let len = slots.iter().position(|&hop| hop == NO_HOP).unwrap_or(l);
+                        // Padding is a suffix: nothing real follows the first sentinel.
+                        assert!(slots[len..].iter().all(|&hop| hop == NO_HOP));
+                        slots[..len].to_vec()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn every_vertex_is_generated_exactly_once() {
         let g = test_graph(300);
+        let n = g.num_vertices();
         let pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 7);
-        let batches = generate_walk_segments(&g, &pg, 3, 5, 11, false, &Tracer::disabled());
-        let mut seen: Vec<VertexId> = batches
-            .iter()
-            .flat_map(|b| b.vertices.iter().copied())
-            .collect();
-        seen.sort_unstable();
-        let expected: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-        assert_eq!(seen, expected);
-        for batch in &batches {
-            assert_eq!(batch.lens.len(), batch.vertices.len() * 3);
-            assert_eq!(
-                batch.hops.len(),
-                batch.lens.iter().map(|&l| l as usize).sum::<usize>()
-            );
+        let tracer = Tracer::new(frogwild_obs::TraceConfig::logical());
+        let arena = generate_walk_segments(&g, &pg, 3, 5, 11, false, &tracer);
+        // One chunk per vertex; a vertex's chunk is filled exactly when it has an
+        // out-edge, so no chunk was skipped by the hand-out to the machines.
+        for (v, segs) in by_vertex(&arena, n, 3, 5).iter().enumerate() {
+            assert_eq!(segs.len(), 3);
+            for seg in segs {
+                assert_eq!(seg.is_empty(), g.out_degree(v as VertexId) == 0);
+            }
         }
+        // The four machines' spans account for every vertex and every real hop once.
+        let timeline = tracer.finish();
+        let total = |name: &str| -> u64 {
+            let counters = timeline.entries().iter().flat_map(|e| e.counters.iter());
+            counters.filter(|(c, _)| *c == name).map(|(_, x)| x).sum()
+        };
+        assert_eq!(timeline.entries().len(), 4);
+        assert_eq!(total("vertices"), n as u64);
+        let real_hops = arena.iter().filter(|&&hop| hop != NO_HOP).count();
+        assert_eq!(total("hops"), real_hops as u64);
     }
 
     #[test]
@@ -185,6 +197,7 @@ mod tests {
             &generate_walk_segments(&g, &pg, r, l, 13, false, &Tracer::disabled()),
             g.num_vertices(),
             r,
+            l,
         );
         for v in g.vertices() {
             assert_eq!(table[v as usize].len(), r);
@@ -211,18 +224,14 @@ mod tests {
         let g = test_graph(250);
         let r = 3;
         let l = 5;
-        let reference = by_vertex(
-            &generate_walk_segments(
-                &g,
-                &PartitionedGraph::build(&g, 1, &ObliviousPartitioner, 9),
-                r,
-                l,
-                42,
-                false,
-                &Tracer::disabled(),
-            ),
-            g.num_vertices(),
+        let reference = generate_walk_segments(
+            &g,
+            &PartitionedGraph::build(&g, 1, &ObliviousPartitioner, 9),
             r,
+            l,
+            42,
+            false,
+            &Tracer::disabled(),
         );
         for (machines, parallel) in [(4usize, false), (4, true), (8, true)] {
             for partitioner in [true, false] {
@@ -231,11 +240,8 @@ mod tests {
                 } else {
                     PartitionedGraph::build(&g, machines, &RandomPartitioner, 9)
                 };
-                let other = by_vertex(
-                    &generate_walk_segments(&g, &pg, r, l, 42, parallel, &Tracer::disabled()),
-                    g.num_vertices(),
-                    r,
-                );
+                let other =
+                    generate_walk_segments(&g, &pg, r, l, 42, parallel, &Tracer::disabled());
                 assert_eq!(reference, other, "machines={machines} parallel={parallel}");
             }
         }
@@ -249,6 +255,7 @@ mod tests {
             &generate_walk_segments(&g, &pg, 2, 4, 1, false, &Tracer::disabled()),
             10,
             2,
+            4,
         );
         // On a cycle the walk has no choices: segment hops are v+1, v+2, ...
         for v in 0..10u32 {
@@ -265,18 +272,16 @@ mod tests {
         // vertex is dangling; use a hand-built sink instead.
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let pg = PartitionedGraph::build(&g, 2, &ObliviousPartitioner, 3);
-        let table = by_vertex(
-            &generate_walk_segments(&g, &pg, 2, 5, 1, false, &Tracer::disabled()),
-            3,
-            2,
-        );
+        let arena = generate_walk_segments(&g, &pg, 2, 5, 1, false, &Tracer::disabled());
+        let table = by_vertex(&arena, 3, 2, 5);
         // From vertex 0 the only walk is 1, 2 and then the sink stops it.
         for seg in &table[0] {
             assert_eq!(seg, &vec![1u32, 2u32]);
         }
-        // Vertex 2 is a sink: its segments are empty.
+        // Vertex 2 is a sink: its segments are empty — its whole chunk is padding.
         for seg in &table[2] {
             assert!(seg.is_empty());
         }
+        assert_eq!(&arena[2 * 2 * 5..], &[NO_HOP; 10]);
     }
 }
