@@ -2,9 +2,7 @@
 //! replication factor drive everything else in the engine).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use frogwild_engine::{
-    GridPartitioner, ObliviousPartitioner, PartitionedGraph, Partitioner, RandomPartitioner,
-};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 use frogwild_graph::generators::twitter_like;
 use frogwild_graph::DiGraph;
 use rand::rngs::SmallRng;
@@ -23,13 +21,8 @@ fn bench_partitioners(c: &mut Criterion) {
     let mut group = c.benchmark_group("partitioning");
     group.sample_size(10);
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
-    let partitioners: Vec<(&str, Box<dyn Partitioner>)> = vec![
-        ("random", Box::new(RandomPartitioner)),
-        ("grid", Box::new(GridPartitioner)),
-        ("oblivious", Box::new(ObliviousPartitioner)),
-    ];
-    for (name, partitioner) in &partitioners {
-        group.bench_function(format!("assign_{name}"), |b| {
+    for partitioner in PartitionerKind::ALL {
+        group.bench_function(format!("assign_{partitioner}"), |b| {
             b.iter(|| black_box(partitioner.assign(&graph, MACHINES, 3)))
         });
     }
@@ -38,7 +31,7 @@ fn bench_partitioners(c: &mut Criterion) {
             black_box(PartitionedGraph::build(
                 &graph,
                 MACHINES,
-                &ObliviousPartitioner,
+                PartitionerKind::Oblivious,
                 3,
             ))
         })

@@ -44,7 +44,7 @@ fn bench_superstep(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("frogwild_4_supersteps_pool4_batch256", |b| {
+    group.bench_function("frogwild_4_supersteps_pool4", |b| {
         b.iter(|| {
             black_box(
                 run_frogwild(
@@ -53,7 +53,7 @@ fn bench_superstep(c: &mut Criterion) {
                         parallel: true,
                         ..config
                     },
-                    &ExecutionConfig::new().workers(4).batch_size(256),
+                    &ExecutionConfig::new().workers(4),
                     &off,
                 )
                 .unwrap(),

@@ -19,10 +19,7 @@ use super::accuracy;
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild_engine::{
-    GridPartitioner, HdrfPartitioner, HybridPartitioner, ObliviousPartitioner, PartitionedGraph,
-    Partitioner, RandomPartitioner,
-};
+use frogwild_engine::PartitionedGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -47,16 +44,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             "frogwild_mass_k100",
         ],
     );
-    let hdrf = HdrfPartitioner::default();
-    let hybrid = HybridPartitioner::default();
-    let partitioners: [(&str, &dyn Partitioner); 5] = [
-        ("random", &RandomPartitioner),
-        ("grid", &GridPartitioner),
-        ("oblivious", &ObliviousPartitioner),
-        ("hdrf", &hdrf),
-        ("hybrid", &hybrid),
-    ];
-    for (name, partitioner) in partitioners {
+    for partitioner in PartitionerKind::ALL {
         let pg = PartitionedGraph::build(&workload.graph, machines, partitioner, scale.seed);
         let pr = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
             .expect("valid figure configuration");
@@ -74,7 +62,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         .expect("valid figure configuration");
         let (mass, _) = accuracy(&fw, &workload.truth, k);
         partitioner_table.push_row(vec![
-            name.to_string(),
+            partitioner.to_string(),
             fmt_f64(pg.placement().replication_factor()),
             pr.cost.network_bytes.to_string(),
             fw.cost.network_bytes.to_string(),
@@ -83,7 +71,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     }
 
     // ------------------------------------------------------- scatter-mode ablation
-    let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
+    let pg = PartitionedGraph::build(
+        &workload.graph,
+        machines,
+        PartitionerKind::Oblivious,
+        scale.seed,
+    );
     let mut scatter_table = Table::new(
         "Ablation B: deterministic even-split scatter vs idealized binomial scatter",
         &[

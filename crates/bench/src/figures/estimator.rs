@@ -25,7 +25,7 @@ use frogwild::montecarlo::{complete_path_pagerank, walkers_per_vertex_pagerank};
 use frogwild::prelude::*;
 use frogwild::rank_metrics::{kendall_tau_top_k, ndcg_at_k};
 use frogwild::reference::{exact_pagerank, serial_random_walk_pagerank};
-use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 use frogwild_graph::generators::watts_strogatz::{watts_strogatz, WattsStrogatzParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -64,7 +64,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ]);
     };
 
-    let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
+    let pg = PartitionedGraph::build(
+        &workload.graph,
+        machines,
+        PartitionerKind::Oblivious,
+        scale.seed,
+    );
     for &ps in &[1.0, 0.4] {
         let report = run_frogwild(
             &pg,
@@ -129,7 +134,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ("watts-strogatz (flat)", &small_world, &small_world_truth),
     ];
     for (name, graph, truth) in families {
-        let pg = PartitionedGraph::build(graph, machines, &ObliviousPartitioner, scale.seed);
+        let pg = PartitionedGraph::build(graph, machines, PartitionerKind::Oblivious, scale.seed);
         let report = run_frogwild(
             &pg,
             &FrogWildConfig {

@@ -25,7 +25,7 @@ use crate::figures::accuracy;
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 
 /// The staleness windows swept, in supersteps. `0` is the synchronous baseline.
 const STALENESS_SWEEP: [usize; 4] = [0, 1, 2, 4];
@@ -35,7 +35,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let off = Tracer::disabled();
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
+    let pg = PartitionedGraph::build(
+        &workload.graph,
+        machines,
+        PartitionerKind::Oblivious,
+        scale.seed,
+    );
     let config = FrogWildConfig {
         num_walkers: scale.walkers,
         iterations: 6,

@@ -15,7 +15,7 @@
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::prelude::*;
-use frogwild_engine::{CostModel, ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{CostModel, PartitionedGraph, PartitionerKind};
 
 /// The straggler slowdown factors applied to machine 0.
 const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
@@ -25,7 +25,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
+    let pg = PartitionedGraph::build(
+        &workload.graph,
+        machines,
+        PartitionerKind::Oblivious,
+        scale.seed,
+    );
     let model = CostModel::default();
 
     let mut table = Table::new(

@@ -17,7 +17,7 @@ use crate::report::{fmt_f64, Table};
 use crate::workloads::{twitter_workload, Scale};
 use frogwild::obs::{TraceConfig, Tracer};
 use frogwild::prelude::*;
-use frogwild_engine::{ObliviousPartitioner, PartitionedGraph};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 
 /// How many slowest spans the second table lists.
 const SLOWEST: usize = 8;
@@ -27,7 +27,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let off = Tracer::disabled();
     let workload = twitter_workload(scale);
     let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let pg = PartitionedGraph::build(&workload.graph, machines, &ObliviousPartitioner, scale.seed);
+    let pg = PartitionedGraph::build(
+        &workload.graph,
+        machines,
+        PartitionerKind::Oblivious,
+        scale.seed,
+    );
     let config = FrogWildConfig {
         num_walkers: scale.walkers,
         iterations: 6,

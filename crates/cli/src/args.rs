@@ -1,10 +1,67 @@
-//! Minimal hand-rolled argument parsing (`--flag value` pairs after a subcommand).
+//! Minimal hand-rolled argument parsing (`--option value` pairs and bare `--switch`es
+//! after a subcommand).
 //!
 //! Kept dependency-free on purpose: the workspace restricts itself to the crates the
 //! library itself needs, and the option surface is small enough that a hand-written
 //! parser stays readable and fully unit-tested.
+//!
+//! The parser knows every name the binary reads ([`VALUE_OPTIONS`], [`SWITCHES`]), so a
+//! mistyped option is an error instead of a default silently used in its place, and a
+//! switch never swallows the token after it.
 
 use std::collections::HashMap;
+
+/// Every `--name <value>` option some subcommand reads.
+const VALUE_OPTIONS: &[&str] = &[
+    "graph",
+    "synthetic",
+    "vertices",
+    "machines",
+    "partitioner",
+    "seed",
+    "workers",
+    "staleness",
+    "serve-workers",
+    "queue-depth",
+    "serve-batch",
+    "admission",
+    "admission-timeout-ms",
+    "queries",
+    "trace",
+    "trace-format",
+    "walk-index-segments",
+    "walk-index-length",
+    "walk-index-epsilon",
+    "walk-index-walks",
+    "walk-index-budget-mb",
+    "k",
+    "walkers",
+    "iterations",
+    "ps",
+    "repeat",
+    "tolerance",
+    "pilot-walkers",
+    "source",
+    "method",
+    "epsilon",
+    "max-steps",
+    "probe",
+    "mass",
+    "loss",
+    "delta",
+    "kind",
+    "out",
+];
+
+/// Every bare `--name` switch some subcommand reads.
+const SWITCHES: &[&str] = &[
+    "parallel",
+    "exact",
+    "serial",
+    "verbose",
+    "walk-index",
+    "trace-logical",
+];
 
 /// A parsed command line: the subcommand and its `--key value` options.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -24,6 +81,10 @@ pub enum ArgError {
     MissingCommand,
     /// A required option is absent.
     MissingOption(String),
+    /// A `--name` no subcommand reads.
+    UnknownOption(String),
+    /// A value option with nothing after it to be its value.
+    MissingValue(String),
     /// An option's value could not be parsed into the requested type.
     InvalidValue {
         /// Option name.
@@ -40,6 +101,8 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::MissingOption(name) => write!(f, "missing required option --{name}"),
+            ArgError::UnknownOption(name) => write!(f, "unknown option --{name}"),
+            ArgError::MissingValue(name) => write!(f, "option --{name} needs a value"),
             ArgError::InvalidValue {
                 option,
                 value,
@@ -68,17 +131,21 @@ impl Args {
         let mut options = HashMap::new();
         let mut flags = Vec::new();
         while let Some(token) = iter.next() {
-            let name = token.trim_start_matches('-').to_string();
-            if !token.starts_with("--") {
+            let Some(name) = token.strip_prefix("--") else {
                 // Positional tokens are treated as the graph path shorthand.
                 options.insert("graph".to_string(), token.clone());
                 continue;
-            }
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    options.insert(name, iter.next().cloned().unwrap());
-                }
-                _ => flags.push(name),
+            };
+            if SWITCHES.contains(&name) {
+                flags.push(name.to_string());
+            } else if VALUE_OPTIONS.contains(&name) {
+                // The next token is the value unless it is itself an option.
+                let value = iter
+                    .next_if(|next| !next.starts_with("--"))
+                    .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
+                options.insert(name.to_string(), value.clone());
+            } else {
+                return Err(ArgError::UnknownOption(name.to_string()));
             }
         }
         Ok(Args {
@@ -156,6 +223,31 @@ mod tests {
     }
 
     #[test]
+    fn a_switch_never_consumes_the_token_after_it() {
+        let args = Args::parse(&to_vec(&["topk", "--parallel", "ids.txt", "--k", "2"])).unwrap();
+        assert!(args.has_flag("parallel"));
+        assert_eq!(args.get("graph"), Some("ids.txt"));
+        assert_eq!(args.get("k"), Some("2"));
+    }
+
+    #[test]
+    fn unknown_names_and_missing_values_are_errors() {
+        let parse = |parts: &[&str]| Args::parse(&to_vec(parts)).unwrap_err();
+        assert_eq!(
+            parse(&["topk", "--walker", "100"]),
+            ArgError::UnknownOption("walker".into())
+        );
+        assert_eq!(parse(&["topk", "--k"]), ArgError::MissingValue("k".into()));
+        assert_eq!(
+            parse(&["topk", "--k", "--parallel"]),
+            ArgError::MissingValue("k".into())
+        );
+        // A negative number is a value, not an option.
+        let args = Args::parse(&to_vec(&["topk", "--tolerance", "-1"])).unwrap();
+        assert_eq!(args.get("tolerance"), Some("-1"));
+    }
+
+    #[test]
     fn missing_command_and_options_are_errors() {
         assert_eq!(Args::parse(&[]).unwrap_err(), ArgError::MissingCommand);
         let args = Args::parse(&to_vec(&["topk"])).unwrap();
@@ -181,5 +273,12 @@ mod tests {
         assert!(ArgError::MissingOption("graph".into())
             .to_string()
             .contains("--graph"));
+        assert_eq!(
+            ArgError::UnknownOption("walker".into()).to_string(),
+            "unknown option --walker"
+        );
+        assert!(ArgError::MissingValue("k".into())
+            .to_string()
+            .contains("--k"));
     }
 }

@@ -6,7 +6,8 @@
 //! served directly from the raw graph (no partitioning) unless the `--walk-index-*`
 //! options ask for an index-serving session. `index` builds a walk index standalone
 //! and reports its economics. Errors are `frogwild::Error` values printed to stderr;
-//! nothing panics on a bad configuration.
+//! nothing panics on a bad configuration, and a mistyped option is an error (`unknown
+//! option --walker`), never a default silently used in its place.
 //!
 //! ```text
 //! USAGE:
@@ -34,18 +35,22 @@
 //!     --verbose             print the per-query cost audit (QueryCost) to stderr
 //!
 //! EXECUTION OPTIONS (engine-served queries: topk, pagerank, autotune, serve):
-//!     --workers <n>         engine worker threads per query (0 = auto)   [default: 0]
+//!     --workers <n>         size of the engine pool `topk --parallel` turns on
+//!                           (0 = auto)                                   [default: 0]
 //!     --staleness <s>       bounded-staleness window, in supersteps      [default: 0]
 //!
-//!   The two worker pools compose and are deliberately distinct flags: `--workers`
-//!   sizes the engine's batch pool *inside* one query (results are bit-identical for
-//!   every setting), while `--serve-workers` (below) sizes the serving front-end's
-//!   query pool across concurrent queries. `--staleness 0` is the synchronous
-//!   barriered executor; `s > 0` lets each machine run up to `s` supersteps ahead of
-//!   its peers' messages under a deterministic delivery schedule — results stay
-//!   reproducible for a fixed `s` but differ from the synchronous ones. Serial and
-//!   index-served paths (`ppr`, `--walk-index` topk) ignore both engine options and
-//!   say so.
+//!   `--workers` sizes the engine's batch pool *inside* one query (results are
+//!   bit-identical for every setting), but the pool exists only where `--parallel`
+//!   turns it on, and only `topk` has `--parallel`: `pagerank`, `autotune` and
+//!   `serve`'s engine queries run on the calling thread whatever `--workers` says, and
+//!   say so. (Folding `--parallel` into `--workers` is the cure; it waits for a
+//!   `[benchmark]` PR, because the benchmark names the flag it would remove.)
+//!   `--serve-workers` (below) is a different pool: the serving front-end's, across
+//!   concurrent queries. `--staleness 0` is the synchronous barriered executor; `s > 0`
+//!   lets each machine run up to `s` supersteps ahead of its peers' messages under a
+//!   deterministic delivery schedule — results stay reproducible for a fixed `s` but
+//!   differ from the synchronous ones. Serial and index-served paths (`ppr`,
+//!   `--walk-index` topk) ignore both engine options and say so.
 //!
 //! SERVING OPTIONS (serve subcommand; also honoured by topk --repeat sessions):
 //!     --serve-workers <n>   worker threads in the serving pool (0 = auto) [default: 0]
@@ -132,15 +137,17 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    let args = match Args::parse(&raw) {
-        Ok(args) => args,
+    match Args::parse(&raw).map_err(Error::from).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let result = match args.command.as_str() {
+    }
+}
+
+fn run(args: Args) -> Result<()> {
+    match args.command.as_str() {
         "topk" => cmd_topk(&args),
         "autotune" => cmd_autotune(&args),
         "pagerank" => cmd_pagerank(&args),
@@ -151,13 +158,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(&args),
         "generate" => cmd_generate(&args),
         other => Err(Error::query(format!("unknown command {other:?}"))),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -175,7 +175,8 @@ fn print_usage() {
          \u{20}          --machines N --partitioner random|grid|oblivious|hdrf|hybrid --seed N\n\
          \u{20}          [--walk-index] [--walk-index-segments R] [--walk-index-length L]\n\
          \u{20}          [--walk-index-epsilon E] [--walk-index-walks N] [--walk-index-budget-mb M]\n\
-         \u{20}          [--workers N] [--staleness S]  (engine execution; see --help)\n\
+         \u{20}          [--staleness S] [--workers N]  (N sizes the pool topk --parallel turns\n\
+         \u{20}          on; pagerank, autotune and serve run engine queries on one thread)\n\
          \u{20}          [--trace <path>] [--trace-format chrome|csv] [--trace-logical]\n\
          topk:     --k N --walkers N --iterations N --ps P [--repeat N] [--parallel]\n\
          \u{20}          [--tolerance T]\n\
@@ -221,7 +222,14 @@ fn load_graph(args: &Args) -> Result<Loaded> {
         return Ok(Loaded { graph, labels });
     }
     let vertices: usize = args.get_parsed("vertices", 100_000, "an integer")?;
-    let kind = args.get("synthetic").unwrap_or("twitter");
+    if vertices == 0 {
+        return Err(Error::config(
+            "command line",
+            "--vertices must be at least 1",
+        ));
+    }
+    // `generate` calls the shape `--kind`.
+    let kind = (args.get("synthetic").or(args.get("kind"))).unwrap_or("twitter");
     let mut rng = SmallRng::seed_from_u64(seed);
     let graph = match kind {
         "twitter" => frogwild_graph::generators::twitter_like(vertices, &mut rng),
@@ -420,12 +428,20 @@ fn session_over<'g>(args: &Args, graph: &'g DiGraph, allow_index: bool) -> Resul
     if let Some(request) = trace_request(args)? {
         builder = builder.tracing(request.config);
     }
-    if let Some(config) = walk_index_config(args)? {
-        if allow_index {
-            builder = builder.walk_index(config);
-        } else {
-            eprintln!("note: --walk-index is ignored here (this query always runs on the engine)");
-        }
+    let index = walk_index_config(args)?;
+    if let Some(config) = index.filter(|_| allow_index) {
+        builder = builder.walk_index(config);
+    } else if index.is_some() {
+        eprintln!("note: --walk-index is ignored here (this query always runs on the engine)");
+    }
+    // Index-serving commands say on their own that no engine option reaches them.
+    let pooled = args.command == "topk" && args.has_flag("parallel");
+    if args.get("workers").is_some() && !pooled && !(allow_index && index.is_some()) {
+        eprintln!(
+            "warning: --workers sizes the engine pool that --parallel turns on, and only topk \
+             has --parallel; {}'s engine queries run on the calling thread",
+            args.command
+        );
     }
     let session = builder.build()?;
     eprintln!(
@@ -861,7 +877,7 @@ fn cmd_index(args: &Args) -> Result<()> {
     let pg = frogwild_engine::PartitionedGraph::build(
         &graph,
         machines,
-        &frogwild_engine::ObliviousPartitioner,
+        PartitionerKind::Oblivious,
         config.seed,
     );
     let (index, report) =

@@ -1,6 +1,5 @@
 //! Experiment configuration types.
 
-use frogwild_engine::SyncPolicy;
 use serde::{Deserialize, Serialize};
 
 use crate::error::Error;
@@ -34,7 +33,8 @@ pub struct FrogWildConfig {
     /// Teleportation probability `p_T`; each walker dies with this probability at every
     /// step, reproducing the uniform jump of the PageRank chain.
     pub teleport_probability: f64,
-    /// Mirror synchronization probability `p_s` (1.0 = unmodified engine).
+    /// Mirror synchronization probability `p_s` (1.0 = unmodified engine; below it, the
+    /// at-least-one-out-edge erasure model the paper's experiments run).
     pub sync_probability: f64,
     /// Use the binomial per-edge scatter described in the paper's vertex program
     /// (`x ~ Bin(K(i), 1/(d_out(i) p_s))`). When `false` (the default, matching the
@@ -72,12 +72,6 @@ impl Default for FrogWildConfig {
 }
 
 impl FrogWildConfig {
-    /// The [`SyncPolicy`] this configuration implies (the paper's implementation uses
-    /// the at-least-one-out-edge erasure model).
-    pub fn sync_policy(&self) -> SyncPolicy {
-        SyncPolicy::frogwild(self.sync_probability)
-    }
-
     /// Validates the configuration, returning the first problem found as a typed
     /// [`Error::InvalidConfig`].
     pub fn validate(&self) -> Result<(), Error> {
@@ -124,9 +118,9 @@ impl FrogWildConfig {
     }
 }
 
-/// Unified execution configuration for the engine: worker-pool scheduling
-/// (`workers`, `batch_size`) and the bounded-`staleness` asynchrony knob — one
-/// builder threaded through
+/// Unified execution configuration for the engine: the size of the worker pool
+/// (`workers`) and the bounded-`staleness` asynchrony knob — one builder threaded
+/// through
 /// [`SessionBuilder::execution`](crate::session::SessionBuilder::execution) and the
 /// drivers ([`run_frogwild`](crate::driver::run_frogwild),
 /// [`run_graphlab_pr`](crate::driver::run_graphlab_pr)). Every value of every field
@@ -136,16 +130,15 @@ impl FrogWildConfig {
 ///
 /// # Determinism contract
 ///
-/// `workers` and `batch_size` never change results — only how the work spreads over
-/// host threads. `staleness` *does* change results (messages arrive late), but
-/// deterministically: for a fixed staleness bound the output is bit-identical across
-/// every worker count and batch size, and `staleness = 0` (the default) reproduces
-/// the synchronous executor bit-for-bit.
+/// `workers` never changes results — only how the work spreads over host threads.
+/// `staleness` *does* change results (messages arrive late), but deterministically:
+/// for a fixed staleness bound the output is bit-identical across every worker count,
+/// and `staleness = 0` (the default) reproduces the synchronous executor bit-for-bit.
 ///
 /// ```
 /// use frogwild::config::ExecutionConfig;
 ///
-/// let exec = ExecutionConfig::new().workers(4).batch_size(256).staleness(1);
+/// let exec = ExecutionConfig::new().workers(4).staleness(1);
 /// assert_eq!(exec.workers, 4);
 /// assert_eq!(exec.staleness, 1);
 /// ```
@@ -156,9 +149,6 @@ pub struct ExecutionConfig {
     /// `parallel` flag is on (`0` = derive from the host's available parallelism);
     /// without that flag the engine runs on the calling thread.
     pub workers: usize,
-    /// Tasks per work batch — one contiguous key range of one simulated machine's
-    /// task list (`0` = built-in default).
-    pub batch_size: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the
     /// default) is fully synchronous BSP; `s > 0` lets machines overlap supersteps
     /// up to `s` deep with deterministically delayed message delivery. See
@@ -167,8 +157,7 @@ pub struct ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// The default configuration: auto-sized workers and batches, synchronous
-    /// execution.
+    /// The default configuration: an auto-sized worker pool, synchronous execution.
     pub fn new() -> Self {
         ExecutionConfig::default()
     }
@@ -177,13 +166,6 @@ impl ExecutionConfig {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the work-batch size (`0` = built-in default).
-    #[must_use]
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 
@@ -282,7 +264,6 @@ impl PageRankConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frogwild_engine::SyncPolicy;
 
     #[test]
     fn defaults_match_paper_headline_setting() {
@@ -292,20 +273,6 @@ mod tests {
         assert_eq!(c.teleport_probability, 0.15);
         assert_eq!(c.sync_probability, 1.0);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn sync_policy_mapping() {
-        let full = FrogWildConfig::default();
-        assert_eq!(full.sync_policy(), SyncPolicy::Full);
-        let partial = FrogWildConfig {
-            sync_probability: 0.4,
-            ..FrogWildConfig::default()
-        };
-        assert_eq!(
-            partial.sync_policy(),
-            SyncPolicy::AtLeastOneOutEdge { ps: 0.4 }
-        );
     }
 
     #[test]
@@ -339,17 +306,13 @@ mod tests {
 
     #[test]
     fn execution_config_builder_and_conversion() {
-        let exec = ExecutionConfig::new()
-            .workers(3)
-            .batch_size(128)
-            .staleness(2);
+        let exec = ExecutionConfig::new().workers(3).staleness(2);
         assert_eq!(exec.workers, 3);
-        assert_eq!(exec.batch_size, 128);
         assert_eq!(exec.staleness, 2);
 
-        // The defaults size everything automatically and run synchronously.
+        // The defaults size the pool automatically and run synchronously.
         let auto = ExecutionConfig::new();
-        assert_eq!((auto.workers, auto.batch_size, auto.staleness), (0, 0, 0));
+        assert_eq!((auto.workers, auto.staleness), (0, 0));
     }
 
     #[test]

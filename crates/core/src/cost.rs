@@ -118,9 +118,9 @@ impl PartialEq for QueryCost {
 }
 
 impl QueryCost {
-    /// The cost of one engine run, priced under `model`. `host_seconds` is the time
-    /// the engine itself measured.
-    pub(crate) fn from_metrics(metrics: &RunMetrics, model: &CostModel) -> Self {
+    /// The cost of one engine run, priced under the model the engine itself prices
+    /// with. `host_seconds` is the time the engine itself measured.
+    pub(crate) fn from_metrics(metrics: &RunMetrics) -> Self {
         let totals = metrics.totals();
         QueryCost {
             replication_factor: metrics.replication_factor,
@@ -128,7 +128,7 @@ impl QueryCost {
             network_bytes: totals.network.bytes_sent,
             network_messages: totals.network.messages_sent,
             simulated_seconds: totals.simulated_seconds,
-            simulated_cpu_seconds: metrics.total_cpu_seconds(model),
+            simulated_cpu_seconds: metrics.total_cpu_seconds(&CostModel::default()),
             active_vertices: totals.active_vertices as u64,
             skipped_syncs: totals.work.skipped_syncs,
             skipped_scatters: totals.work.skipped_scatters,

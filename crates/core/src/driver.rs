@@ -16,8 +16,8 @@
 //! and therefore genuinely needs its own partitioning.
 
 use frogwild_engine::{
-    ClusterConfig, CostModel, Engine, EngineConfig, InitialActivation, ObliviousPartitioner,
-    PartitionedGraph, RunMetrics, SyncPolicy,
+    ClusterConfig, Engine, EngineConfig, InitialActivation, PartitionedGraph, PartitionerKind,
+    RunMetrics,
 };
 use frogwild_graph::sparsify::{uniform_sparsify, SparsifyMode};
 use frogwild_graph::{DiGraph, VertexId};
@@ -46,15 +46,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Normalises `estimate` and prices `metrics` under `model`.
-    fn new(
-        algorithm: String,
-        mut estimate: Vec<f64>,
-        metrics: RunMetrics,
-        model: &CostModel,
-    ) -> Self {
+    /// Normalises `estimate` and prices `metrics`.
+    fn new(algorithm: String, mut estimate: Vec<f64>, metrics: RunMetrics) -> Self {
         normalize(&mut estimate);
-        let cost = QueryCost::from_metrics(&metrics, model);
+        let cost = QueryCost::from_metrics(&metrics);
         RunReport {
             algorithm,
             estimate,
@@ -75,51 +70,23 @@ pub fn partition_graph(graph: &DiGraph, cluster: &ClusterConfig) -> PartitionedG
     PartitionedGraph::build(
         graph,
         cluster.num_machines,
-        &ObliviousPartitioner,
+        PartitionerKind::Oblivious,
         cluster.seed,
     )
 }
 
-/// What an algorithm's own configuration decides about its engine run; the rest of
-/// the [`EngineConfig`] comes from the [`ExecutionConfig`] and the tracer.
-struct AlgorithmKnobs {
-    sync_policy: SyncPolicy,
-    max_supersteps: usize,
-    seed: u64,
-    parallel: bool,
-    tolerance: f64,
-}
-
-/// The one place an [`EngineConfig`] is built, and so the one place a run is refused
-/// a graph with no vertex to put a walker or a rank on.
-fn engine_config(
-    pg: &PartitionedGraph,
-    knobs: AlgorithmKnobs,
-    execution: &ExecutionConfig,
-    tracer: &Tracer,
-) -> Result<EngineConfig, Error> {
+/// Where a run is refused a graph with no vertex to put a walker or a rank on.
+fn require_a_vertex(pg: &PartitionedGraph) -> Result<(), Error> {
     if pg.num_vertices() == 0 {
         return Err(Error::graph("cannot run on an empty graph"));
     }
-    Ok(EngineConfig {
-        sync_policy: knobs.sync_policy,
-        cost_model: CostModel::default(),
-        max_supersteps: knobs.max_supersteps,
-        seed: knobs.seed,
-        tolerance: knobs.tolerance,
-        // The algorithm's `parallel` flag turns the pool on; `execution.workers`
-        // sizes it (`0` = from the host).
-        workers: if knobs.parallel { execution.workers } else { 1 },
-        batch_size: execution.batch_size,
-        staleness: execution.staleness,
-        tracer: tracer.clone(),
-    })
+    Ok(())
 }
 
 /// Runs FrogWild on an already partitioned graph under `execution`, recording
 /// per-phase, per-batch engine spans into `tracer` (see [`crate::obs`]).
 ///
-/// `workers` and `batch_size` never change results; `staleness > 0` changes them
+/// `workers` never changes results; `staleness > 0` changes them
 /// deterministically (bit-identical across worker counts for a fixed bound), and
 /// `staleness = 0` is the synchronous executor. Tracing only observes — the estimate
 /// and every counted cost are bit-identical with it on or off.
@@ -134,21 +101,22 @@ pub fn run_frogwild(
     execution: &ExecutionConfig,
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
-    let engine_config = engine_config(
-        pg,
-        AlgorithmKnobs {
-            sync_policy: config.sync_policy(),
-            max_supersteps: config.iterations,
-            seed: config.seed,
-            parallel: config.parallel,
-            tolerance: config.tolerance,
+    require_a_vertex(pg)?;
+    let engine_config = EngineConfig {
+        sync_probability: config.sync_probability,
+        max_supersteps: config.iterations,
+        seed: config.seed,
+        tolerance: config.tolerance,
+        // The `parallel` flag turns the pool on; `execution.workers` sizes it.
+        workers: if config.parallel {
+            execution.workers
+        } else {
+            1
         },
-        execution,
-        tracer,
-    )?;
-    let program = FrogWildProgram::new(config)?;
-    let cost_model = engine_config.cost_model;
-    let engine = Engine::new(pg, program, engine_config)?;
+        staleness: execution.staleness,
+        tracer: tracer.clone(),
+    };
+    let engine = Engine::new(pg, FrogWildProgram::new(config)?, engine_config)?;
 
     // Walkers are born on uniformly random vertices; each machine creates its own share
     // locally, so the initial placement costs no network traffic.
@@ -183,7 +151,6 @@ pub fn run_frogwild(
         ),
         estimate,
         output.metrics,
-        &cost_model,
     ))
 }
 
@@ -205,21 +172,22 @@ pub fn run_graphlab_pr(
     execution: &ExecutionConfig,
     tracer: &Tracer,
 ) -> Result<RunReport, Error> {
-    let engine_config = engine_config(
-        pg,
-        AlgorithmKnobs {
-            sync_policy: SyncPolicy::Full,
-            max_supersteps: config.max_iterations,
-            seed: config.seed,
-            parallel: config.parallel,
-            tolerance: config.tolerance,
+    require_a_vertex(pg)?;
+    let engine_config = EngineConfig {
+        sync_probability: 1.0,
+        max_supersteps: config.max_iterations,
+        seed: config.seed,
+        tolerance: config.tolerance,
+        // The `parallel` flag turns the pool on; `execution.workers` sizes it.
+        workers: if config.parallel {
+            execution.workers
+        } else {
+            1
         },
-        execution,
-        tracer,
-    )?;
-    let program = PageRankProgram::new(config)?;
-    let cost_model = engine_config.cost_model;
-    let engine = Engine::new(pg, program, engine_config)?;
+        staleness: execution.staleness,
+        tracer: tracer.clone(),
+    };
+    let engine = Engine::new(pg, PageRankProgram::new(config)?, engine_config)?;
     let output = engine.run(InitialActivation::AllVertices);
 
     let label = if config.max_iterations >= 50 {
@@ -231,7 +199,6 @@ pub fn run_graphlab_pr(
         label,
         output.states.iter().map(|s| s.rank).collect(),
         output.metrics,
-        &cost_model,
     ))
 }
 
@@ -545,9 +512,8 @@ mod tests {
         let reference = run_frogwild(&pg, &base, &exec, &off).unwrap();
         for execution in [
             ExecutionConfig::new().workers(2),
+            ExecutionConfig::new().workers(3),
             ExecutionConfig::new().workers(7),
-            ExecutionConfig::new().workers(3).batch_size(17),
-            ExecutionConfig::new().batch_size(1),
         ] {
             let run = run_frogwild(&pg, &base, &execution, &off).unwrap();
             assert!(

@@ -156,7 +156,7 @@ pub mod prelude {
     pub use crate::theory::{intersection_probability_bound, theorem1_epsilon};
     pub use crate::topk::top_k;
     pub use crate::walkindex::{WalkIndex, WalkIndexBuildReport, WalkIndexConfig};
-    pub use frogwild_engine::{ClusterConfig, PartitionerKind, SyncPolicy};
+    pub use frogwild_engine::{ClusterConfig, PartitionerKind};
     pub use frogwild_graph::{DiGraph, GraphBuilder, VertexId};
 }
 

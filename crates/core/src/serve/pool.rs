@@ -115,7 +115,9 @@ pub(super) fn run_stream(
     start_seq: u64,
     queries: &[Query],
 ) -> ServeReport {
-    let workers = config.effective_workers();
+    // A worker beyond the number of batches would never pop one.
+    let batches = queries.len().div_ceil(config.batch.max(1));
+    let workers = config.effective_workers().min(batches).max(1);
     let tracer = session.tracer();
     let queue: Bounded<Batch> = Bounded::new(config.queue_depth);
     let (result_tx, result_rx) = mpsc::channel::<(usize, f64, QueryOutcome)>();

@@ -53,7 +53,7 @@
 
 use std::time::Instant;
 
-use frogwild_engine::{ClusterConfig, PartitionedGraph, Partitioner, PartitionerKind};
+use frogwild_engine::{ClusterConfig, PartitionedGraph, PartitionerKind};
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, TraceConfig, Tracer};
 
@@ -112,12 +112,12 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// The [`ExecutionConfig`] every engine-served query runs under: worker pool,
-    /// batch size and the bounded-staleness window. Every value is accepted —
-    /// there is nothing in it for [`build`](SessionBuilder::build) to reject.
+    /// The [`ExecutionConfig`] every engine-served query runs under: the worker pool
+    /// and the bounded-staleness window. Every value is accepted — there is nothing
+    /// in it for [`build`](SessionBuilder::build) to reject.
     ///
-    /// The worker/batch knobs decide only how work batches are spread over host
-    /// threads — results are bit-identical for every setting. `staleness` changes the
+    /// `workers` decides only how work batches are spread over host threads —
+    /// results are bit-identical for every setting. `staleness` changes the
     /// executor's message-visibility schedule (still deterministically — see
     /// [`ExecutionConfig`]); `staleness == 0` is the synchronous executor.
     pub fn execution(mut self, execution: ExecutionConfig) -> Self {
@@ -192,7 +192,7 @@ impl<'g> SessionBuilder<'g> {
         let cluster = ClusterConfig::new(self.machines, self.seed);
         let tracer = Tracer::new(self.tracing);
         let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
-        let pg = PartitionedGraph::build(self.graph, self.machines, &self.partitioner, self.seed);
+        let pg = PartitionedGraph::build(self.graph, self.machines, self.partitioner, self.seed);
         let partition_seconds = started.elapsed().as_secs_f64();
         let replication_factor = pg.placement().replication_factor();
         let index = match self.walk_index {
@@ -1245,7 +1245,7 @@ mod tests {
         let expected = baseline.query(&q).unwrap();
         for execution in [
             ExecutionConfig::new().workers(2),
-            ExecutionConfig::new().workers(5).batch_size(9),
+            ExecutionConfig::new().workers(5),
         ] {
             let mut session = Session::builder(&g)
                 .machines(4)

@@ -75,7 +75,7 @@ proptest! {
         let b = run_frogwild(
             &pg,
             &FrogWildConfig { parallel: true, ..config },
-            &ExecutionConfig::new().workers(2).batch_size(19),
+            &ExecutionConfig::new().workers(2),
             &off,
         )
         .unwrap();

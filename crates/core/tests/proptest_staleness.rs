@@ -3,7 +3,7 @@
 //!
 //! * `staleness = 0` reproduces the synchronous executor **bit-for-bit** (estimates
 //!   and every deterministic cost counter),
-//! * a fixed `staleness > 0` is bit-identical across worker counts and batch sizes
+//! * a fixed `staleness > 0` is bit-identical across worker counts
 //!   (the drain schedule, not the host thread pool, decides delivery order), and
 //! * stale gated PageRank stays inside the delta gate's accumulated-error envelope
 //!   relative to its own synchronous gated run — staleness delays deliveries but
@@ -127,7 +127,7 @@ proptest! {
         prop_assert!((serial.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         for execution in [
             ExecutionConfig::new().workers(2).staleness(staleness),
-            ExecutionConfig::new().workers(5).batch_size(17).staleness(staleness),
+            ExecutionConfig::new().workers(5).staleness(staleness),
         ] {
             let pooled = run_frogwild(&pg, &config, &execution, &off).unwrap();
             prop_assert!(serial.estimate.iter().zip(&pooled.estimate)

@@ -4,8 +4,9 @@
 //!
 //! Each superstep proceeds through the phases described in [`crate::program`]:
 //! gather → apply → sync → scatter → message routing. All cross-machine data movement
-//! is accounted in [`RunMetrics`]; the partial-synchronization policy decides which
-//! mirrors receive fresh state and may therefore participate in scatter.
+//! is accounted in [`RunMetrics`]; [`EngineConfig::sync_probability`] — the paper's
+//! `p_s` — decides which mirrors receive fresh state and may therefore participate in
+//! scatter.
 //!
 //! A vertex is addressed one way. Its *mail* lives in three per-run arrays indexed by
 //! global vertex id (a vertex has one master, so nothing else is needed to address
@@ -35,10 +36,10 @@
 //! next visibility superstep. Messages are drained in `(visibility superstep,
 //! production order)` order — production order being `(producing superstep, sending
 //! machine, destination key)` — and folded into the inbox the same way, so results
-//! are bit-identical across worker counts and batch sizes for any fixed staleness
-//! bound, and `staleness = 0` reproduces the synchronous engine bit-for-bit.
+//! are bit-identical across worker counts for any fixed staleness bound, and
+//! `staleness = 0` reproduces the synchronous engine bit-for-bit.
 //!
-//! The superstep operates on an explicit [`Frontier`] — the sorted set of vertices
+//! The superstep operates on an explicit frontier — the sorted set of vertices
 //! activated by last superstep's messages. Two mechanisms shrink it: programs can
 //! decline scatter structurally via `needs_scatter`, and the executor *delta-gates*
 //! convergence — after apply it asks the program for `delta(old, new)` and drops any
@@ -48,13 +49,14 @@
 //! still changes, and reproduces the ungated engine bit-for-bit.
 //!
 //! Gather, apply and scatter run through one phase runner: the phase's per-machine
-//! task lists are cut into contiguous key ranges and served by a worker pool whose
-//! size ([`EngineConfig::workers`]) is independent of the simulated machine count.
+//! task lists are cut into contiguous key ranges of `BATCH_SIZE` tasks and served by a
+//! worker pool whose size ([`EngineConfig::workers`]) is independent of the simulated
+//! machine count.
 //! Workers only *read* shared state; every cache write happens in a serial commit step
 //! between phases, and batch results are re-assembled in canonical (machine, range)
 //! order. All random decisions go through counter-mode hashes of `(seed, superstep,
-//! vertex, machine)`, so any worker count and any batch size produce identical results
-//! for identical configurations.
+//! vertex, machine)`, so any worker count produces identical results for identical
+//! configurations.
 
 // lint:allow-file(indexing, hot path: every index is a vertex id or a slot the placement table recorded at build time)
 
@@ -70,7 +72,6 @@ use crate::metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, Work
 use crate::placement::PartitionedGraph;
 use crate::program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 use crate::rng;
-use crate::sync::SyncPolicy;
 
 /// Domain-separation tags for the deterministic randomness streams.
 const TAG_APPLY: u64 = 0xA111;
@@ -94,16 +95,23 @@ const LANE_SCATTER: u16 = 4;
 const LANE_ROUTE: u16 = 5;
 const LANE_WATERMARK: u16 = 6;
 
-/// Default number of tasks per work batch when [`EngineConfig::batch_size`] is 0.
-const DEFAULT_BATCH_SIZE: usize = 512;
+/// Tasks per work batch: one contiguous key range of one machine's task list.
+const BATCH_SIZE: usize = 512;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Mirror synchronization policy (the paper's `p_s`).
-    pub sync_policy: SyncPolicy,
-    /// Cost model converting counted work and traffic into simulated time.
-    pub cost_model: CostModel,
+    /// The paper's `p_s`, in `[0, 1]`: after apply, each mirror of an active vertex is
+    /// synchronized — and may scatter — with this probability, independently, by a
+    /// coin hashed from `(seed, superstep, vertex, machine)`. `1.0` (the default) is
+    /// the unmodified engine: every mirror is synchronized and no coin is flipped.
+    /// Below `1.0` the erasure model is the one the paper's experiments run, "at least
+    /// one out-edge per node" (Appendix A, Example 10): when no synchronized replica of
+    /// a vertex with out-edges owns one, one that does is force-synchronized, so
+    /// walkers are never stranded. It thins *which* mirrors see an update;
+    /// [`staleness`](EngineConfig::staleness) delays *when* a message is seen, and the
+    /// two compose.
+    pub sync_probability: f64,
     /// Maximum number of supersteps to execute.
     pub max_supersteps: usize,
     /// Seed for all engine randomness.
@@ -118,11 +126,6 @@ pub struct EngineConfig {
     /// the host's available parallelism. The thread count is independent of the
     /// simulated machine count, and results are bit-identical for any value.
     pub workers: usize,
-    /// Number of tasks per work batch (a contiguous key range of one machine's task
-    /// list). `0` (the default) picks a built-in size. Smaller batches balance better;
-    /// larger batches have less scheduling overhead. The result is identical for any
-    /// value.
-    pub batch_size: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the default)
     /// is fully synchronous BSP: every message produced in superstep `t` is visible
     /// at `t + 1`, bit-for-bit identical to the barriered executor. With `staleness =
@@ -130,9 +133,9 @@ pub struct EngineConfig {
     /// deterministically delayed superstep in `[t + 1, t + 1 + s]` (hash of `(seed,
     /// t, sender, receiver)`), machines overlap supersteps up to `s` deep, and
     /// simulated time switches to a pipelined per-machine watermark model. Results
-    /// remain bit-identical across worker counts and batch sizes for any fixed `s`.
-    /// Delays near the superstep horizon are clamped so late messages are still
-    /// delivered in the final superstep rather than lost.
+    /// remain bit-identical across worker counts for any fixed `s`. Delays near the
+    /// superstep horizon are clamped so late messages are still delivered in the final
+    /// superstep rather than lost, so any `s` is meaningful, however large.
     pub staleness: usize,
     /// Structured-tracing handle. The default ([`Tracer::disabled`]) records nothing
     /// and costs nothing; an enabled tracer records per-phase spans keyed by
@@ -144,63 +147,26 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            sync_policy: SyncPolicy::Full,
-            cost_model: CostModel::default(),
+            sync_probability: 1.0,
             max_supersteps: 100,
             seed: 0xF20C,
             tolerance: 0.0,
             workers: 1,
-            batch_size: 0,
             staleness: 0,
             tracer: Tracer::disabled(),
         }
     }
 }
 
-/// The engine's active set for one superstep: a sorted, deduplicated list of vertices
-/// that received a message (or were explicitly activated) and will run apply this
-/// superstep. The frontier shrinks as vertices go quiet — structurally via
-/// `needs_scatter`, or through delta gating when their state stops changing — which is
-/// what makes later supersteps cheaper than the first.
-#[derive(Clone, Debug, Default)]
-pub struct Frontier {
-    vertices: Vec<VertexId>,
-}
-
-impl Frontier {
-    /// A frontier containing every vertex of an `num_vertices`-vertex graph.
-    pub fn all(num_vertices: usize) -> Self {
-        Frontier {
-            vertices: (0..num_vertices as VertexId).collect(),
-        }
-    }
-
-    /// Builds a frontier from an arbitrary list of vertices, sorting and deduplicating.
-    pub fn from_unsorted(mut vertices: Vec<VertexId>) -> Self {
-        vertices.sort_unstable();
-        vertices.dedup();
-        Frontier { vertices }
-    }
-
-    /// Number of active vertices.
-    pub fn len(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// Whether the frontier is empty (the engine is quiescent).
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
-    }
-
-    /// The active vertices in ascending order.
-    pub fn as_slice(&self) -> &[VertexId] {
-        &self.vertices
-    }
-
-    /// Iterates the active vertices in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices.iter().copied()
-    }
+/// The engine's active set for one superstep, from an arbitrary list of vertices: sorted
+/// and deduplicated. It holds the vertices that received a message (or were explicitly
+/// activated) and will run apply this superstep, and shrinks as vertices go quiet —
+/// structurally via `needs_scatter`, or through delta gating when their state stops
+/// changing — which is what makes later supersteps cheaper than the first.
+fn frontier_of(mut vertices: Vec<VertexId>) -> Vec<VertexId> {
+    vertices.sort_unstable();
+    vertices.dedup();
+    vertices
 }
 
 /// A contiguous range of one machine's phase task list, executed as a unit by the
@@ -275,9 +241,10 @@ struct RunState<P: VertexProgram> {
     /// `touched`: what route folds one machine's outbox into, empty between machines.
     outgoing: Vec<Option<P::Message>>,
     touched: Vec<VertexId>,
-    /// The bounded-staleness staging inbox, a ring of `staleness + 1` slots whose
-    /// front becomes visible at the next superstep to run. The drain schedule is a pure
-    /// function of the configuration — worker counts and batch sizes never reorder it.
+    /// The bounded-staleness staging inbox, a ring whose front becomes visible at the
+    /// next superstep to run: one slot per possible delay, and no delay outlasts the
+    /// superstep horizon. The drain schedule is a pure function of the configuration —
+    /// worker counts never reorder it.
     staged: VecDeque<StagedSlot<P::Message>>,
     /// Per-machine task lists of the three phases and the sync loop's replica list:
     /// cleared every superstep, never reallocated.
@@ -310,6 +277,8 @@ pub struct Engine<'g, P: VertexProgram> {
     graph: &'g PartitionedGraph,
     program: P,
     config: EngineConfig,
+    /// What the engine prices work and traffic with: always the default model.
+    cost_model: CostModel,
 }
 
 impl<'g, P: VertexProgram> Engine<'g, P> {
@@ -317,24 +286,26 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`](frogwild_graph::Error::InvalidConfig) when the
-    /// configured synchronization policy carries a probability outside `[0, 1]`.
+    /// Returns [`Error::InvalidConfig`](frogwild_graph::Error::InvalidConfig) when
+    /// [`EngineConfig::sync_probability`] is not a number in `[0, 1]`.
     pub fn new(
         graph: &'g PartitionedGraph,
         program: P,
         config: EngineConfig,
     ) -> Result<Self, frogwild_graph::Error> {
-        config.sync_policy.validate()?;
+        let ps = config.sync_probability;
+        if !(0.0..=1.0).contains(&ps) {
+            return Err(frogwild_graph::Error::config(
+                "EngineConfig",
+                format!("synchronization probability {ps} outside [0, 1]"),
+            ));
+        }
         Ok(Engine {
             graph,
             program,
             config,
+            cost_model: CostModel::default(),
         })
-    }
-
-    /// Access to the program (e.g. to read configuration back out).
-    pub fn program(&self) -> &P {
-        &self.program
     }
 
     /// Runs the program to completion (quiescence or `max_supersteps`) and returns the
@@ -354,7 +325,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             accums: (0..num_vertices).map(|_| None).collect(),
             outgoing: (0..num_vertices).map(|_| None).collect(),
             touched: Vec::new(),
-            staged: (0..=self.config.staleness)
+            // `visibility` clamps every delivery to the superstep horizon, so a window
+            // wider than the run needs no more slots than the run has supersteps.
+            staged: (0..=self.config.staleness.min(self.config.max_supersteps))
                 .map(|_| StagedSlot {
                     messages: Vec::new(),
                     lag: 0,
@@ -367,13 +340,13 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         };
 
         // Initial frontier.
-        let mut frontier: Frontier = match initial {
-            InitialActivation::AllVertices => Frontier::all(num_vertices),
+        let mut frontier: Vec<VertexId> = match initial {
+            InitialActivation::AllVertices => (0..num_vertices as VertexId).collect(),
             InitialActivation::Messages(messages) => {
                 // Combine per destination, delivering to the masters locally.
                 let mut vertices = Vec::new();
                 self.fold_messages(&mut state.inbox, &mut vertices, messages);
-                Frontier::from_unsorted(vertices)
+                frontier_of(vertices)
             }
         };
 
@@ -412,9 +385,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             // messages activate their destination vertices.
             let (activations, lag) = self.drain_staged(&mut state);
             if !activations.is_empty() {
-                let mut vertices = std::mem::take(&mut frontier.vertices);
-                vertices.extend(activations);
-                frontier = Frontier::from_unsorted(vertices);
+                frontier.extend(activations);
+                frontier = frontier_of(frontier);
             }
 
             let mut step_span = loop_sink.span(
@@ -441,12 +413,12 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 let gate = watermarks
                     .iter()
                     .rev()
-                    .find(|(step, _)| step + 1 + self.config.staleness <= superstep)
+                    .find(|(step, _)| (step + 1).saturating_add(self.config.staleness) <= superstep)
                     .map(|&(_, w)| w)
                     .unwrap_or(0.0);
                 let mut new_watermark = 0.0f64;
                 for (m, finish) in finish_times.iter_mut().enumerate() {
-                    let own = self.config.cost_model.machine_superstep_seconds(
+                    let own = self.cost_model.machine_superstep_seconds(
                         step_metrics.work.ops_per_machine[m],
                         step_metrics.network.bytes_per_machine[m],
                     );
@@ -486,7 +458,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             drop(step_span);
 
             metrics.supersteps.push(step_metrics);
-            frontier = Frontier::default();
+            frontier = Vec::new();
             superstep += 1;
         }
         if self.config.staleness > 0 {
@@ -539,7 +511,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             return base;
         }
         let delay = rng::pick_index(
-            staleness + 1,
+            staleness.saturating_add(1),
             &[
                 self.config.seed,
                 superstep as u64,
@@ -548,7 +520,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 TAG_STALE,
             ],
         );
-        (base + delay).min(self.config.max_supersteps - 1)
+        base.saturating_add(delay)
+            .min(self.config.max_supersteps - 1)
     }
 
     /// Drains the ring's front slot — every staged message due at the superstep about
@@ -574,7 +547,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
     fn superstep(
         &self,
         superstep: usize,
-        frontier: &Frontier,
+        active: &[VertexId],
         state: &mut RunState<P>,
         sink: &SpanSink,
     ) -> SuperstepMetrics {
@@ -595,8 +568,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let placement = self.graph.placement();
         let mut net = NetworkStats::new(num_machines);
         let mut work = WorkStats::new(num_machines);
-        let header_bytes = self.config.cost_model.message_header_bytes;
-        let active = frontier.as_slice();
+        let header_bytes = self.cost_model.message_header_bytes;
         let step = superstep as u64;
 
         // ------------------------------------------------------------------ gather --
@@ -676,7 +648,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
         // ----------------------------------------------------- sync decision (central) --
         let mut sync_span = sink.span(span_meta!("sync"), SpanKey::new(step, 0, 0, LANE_SYNC));
-        let ps = self.config.sync_policy.probability();
+        let ps = self.config.sync_probability;
         let tolerance = self.config.tolerance;
         let state_bytes = (self.program.state_bytes() + header_bytes) as u64;
         let has_out_edge =
@@ -698,22 +670,18 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             let replicas = placement.replica_slots(v);
             participating.clear();
             for replica in replicas.clone() {
+                // At `p_s = 1` the coin is heads without a hash: every mirror is synchronized.
                 let synced = replica.0 == master
-                    || match self.config.sync_policy {
-                        SyncPolicy::Full => true,
-                        SyncPolicy::Independent { .. } | SyncPolicy::AtLeastOneOutEdge { .. } => {
-                            rng::coin(
-                                ps,
-                                &[
-                                    self.config.seed,
-                                    superstep as u64,
-                                    v as u64,
-                                    replica.0.index() as u64,
-                                    TAG_SYNC,
-                                ],
-                            )
-                        }
-                    };
+                    || rng::coin(
+                        ps,
+                        &[
+                            self.config.seed,
+                            superstep as u64,
+                            v as u64,
+                            replica.0.index() as u64,
+                            TAG_SYNC,
+                        ],
+                    );
                 if !synced {
                     work.skipped_syncs += 1;
                     continue;
@@ -729,10 +697,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             // "At least one out-edge per node": if no participating replica owns an
             // out-edge while the vertex does have out-edges, force-sync one replica
             // that does.
-            if self.config.sync_policy.guarantees_out_edge()
-                && self.graph.out_degree(v) > 0
-                && !participating.iter().any(has_out_edge)
-            {
+            if self.graph.out_degree(v) > 0 && !participating.iter().any(has_out_edge) {
                 let candidates: Vec<(MachineId, u32)> = replicas.filter(has_out_edge).collect();
                 if !candidates.is_empty() {
                     let pick = candidates[rng::pick_index(
@@ -829,10 +794,10 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         route_span.counter("messages", routed_messages);
         drop(route_span);
 
-        let simulated_seconds = self.config.cost_model.superstep_seconds(&work, &net);
+        let simulated_seconds = self.cost_model.superstep_seconds(&work, &net);
         SuperstepMetrics {
             superstep,
-            active_vertices: frontier.len(),
+            active_vertices: active.len(),
             routed_messages,
             network: net,
             work,
@@ -862,17 +827,13 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         O: Send,
         F: Fn(usize, &[T]) -> (Vec<O>, u64) + Sync,
     {
-        let batch_size = match self.config.batch_size {
-            0 => DEFAULT_BATCH_SIZE,
-            size => size,
-        };
         let mut batches = Vec::new();
         for (machine, list) in tasks.iter().enumerate() {
-            for start in (0..list.len()).step_by(batch_size) {
+            for start in (0..list.len()).step_by(BATCH_SIZE) {
                 batches.push(BatchRange {
                     machine,
                     start,
-                    end: (start + batch_size).min(list.len()),
+                    end: (start + BATCH_SIZE).min(list.len()),
                 });
             }
         }
@@ -1056,7 +1017,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 num_participating: task.num_participating,
                 global_out_degree: self.graph.out_degree(task.vertex),
                 local_out_degree: local_neighbors.len(),
-                sync_probability: self.config.sync_policy.probability(),
+                sync_probability: self.config.sync_probability,
                 rng: &mut task_rng,
             };
             self.program.scatter_replica(
@@ -1074,10 +1035,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::ObliviousPartitioner;
+    use crate::partition::PartitionerKind;
     use frogwild_graph::generators::simple::{cycle, star};
     use frogwild_graph::generators::{rmat, RmatParams};
     use frogwild_graph::DiGraph;
+    use frogwild_obs::TraceConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1090,7 +1052,7 @@ mod tests {
         steps: usize,
     }
 
-    #[derive(Clone, Default)]
+    #[derive(Clone, Default, Debug, PartialEq)]
     struct TokenState {
         /// Tokens this vertex will forward during the current superstep's scatter.
         forwarding: u64,
@@ -1175,8 +1137,94 @@ mod tests {
         base + if (index as u64) < extra { 1 } else { 0 }
     }
 
+    /// `P` with a gather phase: every in-edge of an active vertex contributes a value
+    /// naming the edge, combined order-*sensitively* and chained into a digest kept
+    /// beside `P`'s state, so a gather batch that is dropped, repeated or re-assembled
+    /// out of place shows in the states. `P` itself runs unchanged.
+    struct Gathering<P>(P);
+
+    #[derive(Clone, Default, Debug, PartialEq)]
+    struct Gathered<S> {
+        inner: S,
+        digest: u64,
+    }
+
+    impl<P: VertexProgram> VertexProgram for Gathering<P> {
+        type State = Gathered<P::State>;
+        type Message = P::Message;
+        type Accum = u64;
+
+        fn combine_messages(&self, a: P::Message, b: P::Message) -> P::Message {
+            self.0.combine_messages(a, b)
+        }
+        fn combine_accums(&self, a: u64, b: u64) -> u64 {
+            ordered_combine(a, b)
+        }
+        fn gather_direction(&self) -> EdgeDirection {
+            EdgeDirection::In
+        }
+        fn gather_edge(
+            &self,
+            src: VertexId,
+            dst: VertexId,
+            _src_state: &Self::State,
+            _dst_state: &Self::State,
+            _src_out_degree: u32,
+        ) -> Option<u64> {
+            Some(u64::from(src) << 32 | u64::from(dst))
+        }
+        fn apply(
+            &self,
+            ctx: &mut ApplyContext<'_>,
+            vertex: VertexId,
+            state: &mut Self::State,
+            accum: Option<u64>,
+            message: Option<P::Message>,
+        ) {
+            state.digest = ordered_apply(state.digest, accum.unwrap_or(0));
+            self.0.apply(ctx, vertex, &mut state.inner, None, message);
+        }
+        fn needs_scatter(&self, vertex: VertexId, state: &Self::State) -> bool {
+            self.0.needs_scatter(vertex, &state.inner)
+        }
+        fn delta(&self, old: &Self::State, new: &Self::State) -> f64 {
+            self.0.delta(&old.inner, &new.inner)
+        }
+        fn scatter_replica(
+            &self,
+            ctx: &mut ScatterContext<'_>,
+            vertex: VertexId,
+            state: &Self::State,
+            local_out_neighbors: &[VertexId],
+            emit: &mut dyn FnMut(VertexId, P::Message),
+        ) {
+            self.0
+                .scatter_replica(ctx, vertex, &state.inner, local_out_neighbors, emit);
+        }
+    }
+
+    /// What gives a sweep over worker counts something to re-assemble under the fixed
+    /// batch size: in the run `tracer` recorded, some machine's task list of some
+    /// superstep was cut into at least three batches, in each of gather, apply and
+    /// scatter.
+    fn assert_every_phase_spans_three_batches(tracer: &Tracer) {
+        let timeline = tracer.finish();
+        for phase in ["gather_batch", "apply_batch", "scatter_batch"] {
+            // Batch spans are keyed (superstep, machine + 1, batch + 1).
+            let mut batches = std::collections::BTreeMap::<(u64, u32), usize>::new();
+            for entry in timeline.entries().iter().filter(|e| e.name == phase) {
+                *batches.entry((entry.key.seq, entry.key.pid)).or_default() += 1;
+            }
+            let most = batches.values().copied().max().unwrap_or(0);
+            assert!(
+                most >= 3,
+                "{phase}: no task list spans more than {most} batches"
+            );
+        }
+    }
+
     fn partitioned(graph: &DiGraph, machines: usize) -> PartitionedGraph {
-        PartitionedGraph::build(graph, machines, &ObliviousPartitioner, 99)
+        PartitionedGraph::build(graph, machines, PartitionerKind::Oblivious, 99)
     }
 
     /// Two runs went through the same supersteps with bit-identical work, traffic and
@@ -1190,6 +1238,11 @@ mod tests {
             assert_eq!(a.routed_messages, b.routed_messages, "{label}");
         }
     }
+
+    /// Vertices of the R-MAT graphs the worker-count sweeps run on: enough that, over
+    /// five or six machines, what those tests inject keeps more than two full batches
+    /// of vertices a machine busy in every phase.
+    const N_BATCHED: usize = 12_000;
 
     fn total_tokens(states: &[TokenState]) -> u64 {
         states.iter().map(|s| s.arrived).sum()
@@ -1348,30 +1401,94 @@ mod tests {
     fn partial_sync_reduces_synchronizations_and_traffic() {
         let graph = star(400);
         let pg = partitioned(&graph, 8);
-        let run = |policy: SyncPolicy| {
+        let run = |sync_probability: f64| {
             let engine = Engine::new(
                 &pg,
                 TokenForward { steps: 4 },
                 EngineConfig {
                     max_supersteps: 4,
-                    sync_policy: policy,
+                    sync_probability,
                     ..EngineConfig::default()
                 },
             )
             .unwrap();
             engine.run(InitialActivation::Messages(vec![(0u32, 10_000u64)]))
         };
-        let full = run(SyncPolicy::Full);
-        let partial = run(SyncPolicy::AtLeastOneOutEdge { ps: 0.1 });
+        let full = run(1.0);
+        let partial = run(0.1);
         assert!(partial.metrics.totals().work.sync_ops < full.metrics.totals().work.sync_ops);
         assert!(
             partial.metrics.totals().network.bytes_sent < full.metrics.totals().network.bytes_sent
         );
         assert_eq!(full.metrics.totals().work.skipped_syncs, 0);
         assert!(partial.metrics.totals().work.skipped_syncs > 0);
-        // tokens are conserved regardless of the sync policy
+        // tokens are conserved regardless of the sync probability
         assert_eq!(total_tokens(&full.states), 10_000);
         assert_eq!(total_tokens(&partial.states), 10_000);
+    }
+
+    #[test]
+    fn full_sync_flips_no_coin_and_just_below_it_matches_the_at_least_one_out_edge_model() {
+        let mut rng = SmallRng::seed_from_u64(61);
+        let graph = rmat(600, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 8);
+        let run = |sync_probability: f64| {
+            let engine = Engine::new(
+                &pg,
+                TokenForward { steps: 5 },
+                EngineConfig {
+                    max_supersteps: 5,
+                    sync_probability,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let out = engine.run(InitialActivation::Messages(vec![
+                (0u32, 50_000u64),
+                (3u32, 1_000u64),
+            ]));
+            assert_eq!(total_tokens(&out.states), 51_000);
+            let totals = out.metrics.totals();
+            (
+                totals.work.sync_ops,
+                totals.work.skipped_syncs,
+                totals.network.bytes_sent,
+                totals.network.messages_sent,
+                totals.routed_messages,
+                totals.work.scatter_ops,
+            )
+        };
+        // Pinned on the commit before `SyncPolicy` was deleted, from `SyncPolicy::Full`
+        // and `SyncPolicy::AtLeastOneOutEdge { ps: 0.999 }`. At 1.0 every mirror is
+        // synchronized, so no sync is skipped; at 0.999 four coins of 2 694 come up
+        // tails, and every walker still finds an out-edge.
+        assert_eq!(run(1.0), (2_694, 0, 130_572, 5_451, 4_171, 28_161));
+        assert_eq!(run(0.999), (2_690, 4, 130_460, 5_447, 4_171, 28_145));
+    }
+
+    #[test]
+    fn sync_probabilities_that_are_not_probabilities_are_a_typed_error() {
+        let pg = partitioned(&cycle(6), 2);
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let config = EngineConfig {
+                sync_probability: bad,
+                ..EngineConfig::default()
+            };
+            assert!(
+                matches!(
+                    Engine::new(&pg, TokenForward { steps: 1 }, config),
+                    Err(frogwild_graph::Error::InvalidConfig { .. })
+                ),
+                "sync_probability {bad} accepted"
+            );
+        }
+        for good in [0.0, 0.5, 1.0] {
+            let config = EngineConfig {
+                sync_probability: good,
+                ..EngineConfig::default()
+            };
+            assert!(Engine::new(&pg, TokenForward { steps: 1 }, config).is_ok());
+        }
     }
 
     #[test]
@@ -1394,14 +1511,10 @@ mod tests {
 
     #[test]
     fn frontier_sorts_dedups_and_reports_size() {
-        let f = Frontier::from_unsorted(vec![5, 1, 3, 1, 5]);
-        assert_eq!(f.as_slice(), &[1, 3, 5]);
+        let f = frontier_of(vec![5, 1, 3, 1, 5]);
+        assert_eq!(f, [1, 3, 5]);
         assert_eq!(f.len(), 3);
-        assert!(!f.is_empty());
-        assert_eq!(f.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
-        let all = Frontier::all(4);
-        assert_eq!(all.as_slice(), &[0, 1, 2, 3]);
-        assert!(Frontier::from_unsorted(Vec::new()).is_empty());
+        assert!(frontier_of(Vec::new()).is_empty());
     }
 
     #[test]
@@ -1488,40 +1601,32 @@ mod tests {
     #[test]
     fn worker_pool_and_batch_size_never_change_results() {
         let mut rng = SmallRng::seed_from_u64(31);
-        let graph = rmat(500, RmatParams::default(), &mut rng);
+        let graph = rmat(N_BATCHED, RmatParams::default(), &mut rng);
         let pg = partitioned(&graph, 6);
-        let run = |workers: usize, batch_size: usize| {
+        let run = |workers: usize, tracer: Tracer| {
             let engine = Engine::new(
                 &pg,
-                TokenForward { steps: 6 },
+                Gathering(TokenForward { steps: 6 }),
                 EngineConfig {
                     max_supersteps: 6,
-                    sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
+                    sync_probability: 0.5,
                     workers,
-                    batch_size,
+                    tracer,
                     ..EngineConfig::default()
                 },
             )
             .unwrap();
             engine.run(InitialActivation::Messages(vec![
-                (0u32, 40_000u64),
-                (3u32, 1_000u64),
+                (0u32, 400_000u64),
+                (3u32, 10_000u64),
             ]))
         };
-        let baseline = run(1, 0);
-        let tokens = |out: &EngineOutput<TokenState>| {
-            out.states
-                .iter()
-                .map(|s| (s.arrived, s.forwarding))
-                .collect::<Vec<_>>()
-        };
-        for (workers, batch_size) in [(2, 7), (3, 64), (8, 1), (1, 13)] {
-            let other = run(workers, batch_size);
-            assert_eq!(
-                tokens(&baseline),
-                tokens(&other),
-                "workers={workers} batch={batch_size}"
-            );
+        let tracer = Tracer::new(TraceConfig::enabled());
+        let baseline = run(1, tracer.clone());
+        assert_every_phase_spans_three_batches(&tracer);
+        for workers in [2, 3, 8] {
+            let other = run(workers, Tracer::disabled());
+            assert_eq!(baseline.states, other.states, "workers={workers}");
             assert_eq!(
                 baseline.metrics.totals().network.bytes_sent,
                 other.metrics.totals().network.bytes_sent
@@ -1548,7 +1653,7 @@ mod tests {
                 TokenForward { steps: 6 },
                 EngineConfig {
                     max_supersteps: 6,
-                    sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.6 },
+                    sync_probability: 0.6,
                     staleness,
                     ..EngineConfig::default()
                 },
@@ -1612,43 +1717,65 @@ mod tests {
     }
 
     #[test]
-    fn fixed_staleness_is_bit_identical_across_worker_counts() {
-        let mut rng = SmallRng::seed_from_u64(37);
-        let graph = rmat(500, RmatParams::default(), &mut rng);
+    fn a_staleness_window_wider_than_the_run_allocates_for_the_run_only() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let graph = rmat(350, RmatParams::default(), &mut rng);
         let pg = partitioned(&graph, 6);
-        let run = |workers: usize, batch_size: usize| {
+        let run = |workers: usize, staleness: usize| {
             let engine = Engine::new(
                 &pg,
-                TokenForward { steps: 7 },
+                TokenForward { steps: 4 },
                 EngineConfig {
-                    max_supersteps: 7,
-                    sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
-                    staleness: 2,
+                    max_supersteps: 4,
+                    staleness,
                     workers,
-                    batch_size,
                     ..EngineConfig::default()
                 },
             )
             .unwrap();
             engine.run(InitialActivation::Messages(vec![
-                (0u32, 40_000u64),
-                (3u32, 1_000u64),
+                (0u32, 10_000u64),
+                (9u32, 500u64),
             ]))
         };
-        let baseline = run(1, 0);
-        let tokens = |out: &EngineOutput<TokenState>| {
-            out.states
-                .iter()
-                .map(|s| (s.arrived, s.forwarding))
-                .collect::<Vec<_>>()
+        let widest = run(1, usize::MAX);
+        assert_eq!(total_tokens(&widest.states), 10_500);
+        assert!(widest.metrics.totals().staleness_lag > 0);
+        let pooled = run(3, usize::MAX);
+        assert_eq!(widest.states, pooled.states);
+        assert_same_supersteps(&widest.metrics, &pooled.metrics, "workers 1 vs 3");
+    }
+
+    #[test]
+    fn fixed_staleness_is_bit_identical_across_worker_counts() {
+        let mut rng = SmallRng::seed_from_u64(37);
+        let graph = rmat(N_BATCHED, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 6);
+        let run = |workers: usize, tracer: Tracer| {
+            let engine = Engine::new(
+                &pg,
+                Gathering(TokenForward { steps: 7 }),
+                EngineConfig {
+                    max_supersteps: 7,
+                    sync_probability: 0.5,
+                    staleness: 2,
+                    workers,
+                    tracer,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            engine.run(InitialActivation::Messages(vec![
+                (0u32, 400_000u64),
+                (3u32, 10_000u64),
+            ]))
         };
-        for (workers, batch_size) in [(2, 7), (3, 64), (8, 1)] {
-            let other = run(workers, batch_size);
-            assert_eq!(
-                tokens(&baseline),
-                tokens(&other),
-                "workers={workers} batch={batch_size}"
-            );
+        let tracer = Tracer::new(TraceConfig::enabled());
+        let baseline = run(1, tracer.clone());
+        assert_every_phase_spans_three_batches(&tracer);
+        for workers in [2, 3, 8] {
+            let other = run(workers, Tracer::disabled());
+            assert_eq!(baseline.states, other.states, "workers={workers}");
             assert_eq!(
                 baseline.metrics.totals().network.bytes_sent,
                 other.metrics.totals().network.bytes_sent
@@ -1672,18 +1799,21 @@ mod tests {
     fn mail_to_isolated_dangling_and_self_loop_vertices_is_conserved_and_deterministic() {
         // 0 loops on itself and feeds the ring; 1 feeds the dangling vertex 2 and the
         // ring, and nothing points at 1, so 2 is handed tokens once and keeps them;
-        // 3 is isolated, its only replica the hashed master; 4..24 is a chorded ring.
+        // 3 is isolated, its only replica the hashed master; from 4 on is a chorded
+        // ring, long enough that a machine's share of it spans several batches.
+        const RING: u32 = 6_000;
         let mut edges = vec![(0u32, 0u32), (0, 4), (1, 2), (1, 4)];
-        for i in 0..20u32 {
-            edges.push((4 + i, 4 + (i + 1) % 20));
-            edges.push((4 + i, 4 + (i + 3) % 20));
+        for i in 0..RING {
+            edges.push((4 + i, 4 + (i + 1) % RING));
+            edges.push((4 + i, 4 + (i + 3) % RING));
         }
-        let graph = DiGraph::from_edges(24, &edges);
+        let graph = DiGraph::from_edges(4 + RING as usize, &edges);
         let pg = partitioned(&graph, 4);
         pg.validate().unwrap();
         assert_eq!(pg.placement().replicas(3).len(), 1);
-        // Duplicate destinations, the isolated vertex among them.
-        let initial: Vec<(VertexId, u64)> = vec![
+        // Duplicate destinations, the isolated vertex among them; then three tokens on
+        // every ring vertex, which keeps the whole ring active.
+        let mut initial: Vec<(VertexId, u64)> = vec![
             (3, 7),
             (0, 100),
             (1, 40),
@@ -1693,46 +1823,44 @@ mod tests {
             (3, 1),
             (1, 2),
         ];
+        initial.extend((0..RING).map(|i| (4 + i, 3)));
         let injected: u64 = initial.iter().map(|&(_, tokens)| tokens).sum();
-        let run = |workers: usize, batch_size: usize, staleness: usize| {
+        let run = |workers: usize, staleness: usize, tracer: Tracer| {
             let engine = Engine::new(
                 &pg,
-                TokenForward { steps: 6 },
+                Gathering(TokenForward { steps: 6 }),
                 EngineConfig {
                     max_supersteps: 6,
-                    sync_policy: SyncPolicy::AtLeastOneOutEdge { ps: 0.5 },
+                    sync_probability: 0.5,
                     workers,
-                    batch_size,
                     staleness,
+                    tracer,
                     ..EngineConfig::default()
                 },
             )
             .unwrap();
             engine.run(InitialActivation::Messages(initial.clone()))
         };
-        let tokens = |out: &EngineOutput<TokenState>| {
-            out.states
-                .iter()
-                .map(|s| (s.arrived, s.forwarding))
-                .collect::<Vec<_>>()
-        };
         for staleness in [0usize, 2] {
-            let baseline = run(1, 0, staleness);
+            let tracer = Tracer::new(TraceConfig::enabled());
+            let baseline = run(1, staleness, tracer.clone());
+            assert_every_phase_spans_three_batches(&tracer);
+            let tokens: Vec<TokenState> = baseline.states.iter().map(|s| s.inner.clone()).collect();
             // Every token ends absorbed by the final superstep or parked on a vertex
             // with no out-edge (2 and 3, each handed tokens exactly once).
-            let parked = baseline.states[2].forwarding + baseline.states[3].forwarding;
+            let parked = tokens[2].forwarding + tokens[3].forwarding;
             assert_eq!(
-                total_tokens(&baseline.states) + parked,
+                total_tokens(&tokens) + parked,
                 injected,
                 "staleness {staleness} lost tokens"
             );
             // The isolated vertex keeps the three parcels addressed to it.
-            assert_eq!(baseline.states[3].forwarding, 13);
-            assert!(baseline.states[2].arrived + baseline.states[2].forwarding > 0);
-            for (workers, batch_size) in [(1, 1), (3, 0), (3, 1)] {
-                let other = run(workers, batch_size, staleness);
-                let label = format!("staleness={staleness} workers={workers} batch={batch_size}");
-                assert_eq!(tokens(&baseline), tokens(&other), "{label}");
+            assert_eq!(tokens[3].forwarding, 13);
+            assert!(tokens[2].arrived + tokens[2].forwarding > 0);
+            for workers in [2, 3, 8] {
+                let other = run(workers, staleness, Tracer::disabled());
+                let label = format!("staleness={staleness} workers={workers}");
+                assert_eq!(baseline.states, other.states, "{label}");
                 assert_same_supersteps(&baseline.metrics, &other.metrics, &label);
             }
         }
@@ -1837,13 +1965,16 @@ mod tests {
             if step + 1 == steps {
                 break;
             }
-            let active: Vec<VertexId> = inbox.iter().map(|&(v, _)| v).collect();
+            let mut active = vec![false; graph.num_vertices()];
+            for &(v, _) in &inbox {
+                active[v as usize] = true;
+            }
             let mut delivered: Vec<(VertexId, u64)> = Vec::new();
             for machine in 0..assignment.num_machines {
                 let emissions = graph
                     .edges()
                     .zip(&assignment.machines)
-                    .filter(|&((src, _), m)| m.index() == machine && active.contains(&src))
+                    .filter(|&((src, _), m)| m.index() == machine && active[src as usize])
                     .map(|((src, dst), _)| (dst, ordered_message(values[src as usize], src, dst)))
                     .collect();
                 delivered.extend(fold_by_destination(emissions));
@@ -1857,11 +1988,10 @@ mod tests {
 
     #[test]
     fn order_sensitive_message_combine_is_folded_in_production_order() {
-        use crate::partition::Partitioner;
         let mut rng = SmallRng::seed_from_u64(53);
-        let graph = rmat(120, RmatParams::default(), &mut rng);
-        let assignment = ObliviousPartitioner.assign(&graph, 5, 99);
-        let pg = PartitionedGraph::from_assignment(&graph, &assignment, "oblivious", 99);
+        let graph = rmat(N_BATCHED, RmatParams::default(), &mut rng);
+        let assignment = PartitionerKind::Oblivious.assign(&graph, 5, 99);
+        let pg = PartitionedGraph::from_assignment(&graph, &assignment, 99);
         pg.validate().unwrap();
         // Duplicate destinations in the initial list; 0 and 1 are R-MAT hubs, so their
         // mail fans in from every machine.
@@ -1876,15 +2006,15 @@ mod tests {
             (1, 23),
         ];
         let steps = 5;
-        let run = |workers: usize, batch_size: usize, staleness: usize| {
+        let run = |workers: usize, staleness: usize, tracer: Tracer| {
             let engine = Engine::new(
                 &pg,
-                OrderedMail { steps },
+                Gathering(OrderedMail { steps }),
                 EngineConfig {
                     max_supersteps: steps,
                     workers,
-                    batch_size,
                     staleness,
+                    tracer,
                     ..EngineConfig::default()
                 },
             )
@@ -1892,10 +2022,12 @@ mod tests {
             engine.run(InitialActivation::Messages(initial.clone()))
         };
         for staleness in [0usize, 2] {
-            let baseline = run(1, 0, staleness);
+            let tracer = Tracer::new(TraceConfig::enabled());
+            let baseline = run(1, staleness, tracer.clone());
+            assert_every_phase_spans_three_batches(&tracer);
             if staleness == 0 {
                 let expected = ordered_mail_reference(&graph, &assignment, &initial, steps);
-                let values: Vec<u64> = baseline.states.iter().map(|s| s.value).collect();
+                let values: Vec<u64> = baseline.states.iter().map(|s| s.inner.value).collect();
                 assert_eq!(values, expected);
                 // The fan-in the test is about: some vertex's mail came from several
                 // machines, and some machine combined several messages for one vertex.
@@ -1905,9 +2037,9 @@ mod tests {
                     last.routed_messages > baseline.metrics.supersteps[steps - 1].work.apply_ops
                 );
             }
-            for (workers, batch_size) in [(1, 1), (3, 0), (3, 1)] {
-                let other = run(workers, batch_size, staleness);
-                let label = format!("staleness={staleness} workers={workers} batch={batch_size}");
+            for workers in [2, 3, 8] {
+                let other = run(workers, staleness, Tracer::disabled());
+                let label = format!("staleness={staleness} workers={workers}");
                 assert_eq!(baseline.states, other.states, "{label}");
                 assert_same_supersteps(&baseline.metrics, &other.metrics, &label);
             }

@@ -14,9 +14,10 @@
 //! * **GAS vertex programs** ([`program`]) — the gather / apply / scatter abstraction,
 //!   expressed so that gather runs on the machine owning each edge, apply runs at the
 //!   master, and scatter runs on every *participating* replica.
-//! * **Partial synchronization** ([`sync`]) — the paper's `p_s` knob: after apply, each
-//!   mirror of an active vertex is synchronized only with probability `p_s`. The
-//!   "at least one out-edge per node" variant from Appendix A is included.
+//! * **Partial synchronization** ([`EngineConfig::sync_probability`]) — the paper's `p_s`:
+//!   after apply, each mirror of an active vertex is synchronized only with probability
+//!   `p_s`, under the "at least one out-edge per node" model of Appendix A that the
+//!   paper's experiments run.
 //! * **Cost accounting** ([`metrics`]) — bytes and messages crossing machine boundaries,
 //!   per-machine work operations, replication factors, and a simulated cluster-time
 //!   model so experiments can report the same four panels as Figure 1 of the paper
@@ -44,18 +45,13 @@ pub mod partition;
 pub mod placement;
 pub mod program;
 pub mod rng;
-pub mod sync;
 pub mod walkgen;
 
 pub use cluster::{ClusterConfig, MachineId};
-pub use engine::{Engine, EngineConfig, EngineOutput, Frontier, InitialActivation};
+pub use engine::{Engine, EngineConfig, EngineOutput, InitialActivation};
 pub use frogwild_graph::Error;
 pub use metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, WorkStats};
-pub use partition::{
-    GridPartitioner, HdrfPartitioner, HybridPartitioner, ObliviousPartitioner, Partitioner,
-    PartitionerKind, RandomPartitioner,
-};
+pub use partition::PartitionerKind;
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
-pub use sync::SyncPolicy;
 pub use walkgen::generate_walk_segments;

@@ -15,79 +15,61 @@
 //! keeping hub edges spread out — the partitioner-ablation benchmark compares it against
 //! random, oblivious and HDRF placement under both full and partial synchronization.
 
-use super::{EdgeAssignment, Partitioner};
+use super::EdgeAssignment;
 use crate::cluster::MachineId;
 use crate::rng;
 use frogwild_graph::DiGraph;
 
-/// The hybrid-cut partitioner.
-#[derive(Clone, Copy, Debug)]
-pub struct HybridPartitioner {
-    /// In-degree above which a destination vertex is treated as a hub and its in-edges
-    /// are scattered by source hash. PowerLyra's default is 100; the synthetic graphs
-    /// used here are smaller, so the default threshold is lower.
-    pub degree_threshold: usize,
-}
+/// In-degree above which a destination vertex is treated as a hub and its in-edges are
+/// scattered by source hash. PowerLyra's default is 100; the synthetic graphs used here
+/// are smaller, so the threshold is lower.
+const DEGREE_THRESHOLD: usize = 48;
 
-impl Default for HybridPartitioner {
-    fn default() -> Self {
-        HybridPartitioner {
-            degree_threshold: 48,
-        }
-    }
-}
-
-impl Partitioner for HybridPartitioner {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
-        assert!(num_machines > 0, "need at least one machine");
-        let machines = graph
-            .edges()
-            .map(|(src, dst)| {
-                let hub = graph.in_degree(dst) > self.degree_threshold;
-                let h = if hub {
-                    // High-degree destination: spread its in-edges by source.
-                    rng::mix(&[seed, 0x48_55_42, src as u64])
-                } else {
-                    // Low-degree destination: co-locate all of its in-edges.
-                    rng::mix(&[seed, 0x4C_4F_57, dst as u64])
-                };
-                MachineId::from((h % num_machines as u64) as usize)
-            })
-            .collect();
-        EdgeAssignment {
-            machines,
-            num_machines,
-        }
+/// The hybrid cut: an edge into a hub goes where its source hashes, any other edge where
+/// its destination hashes.
+pub(super) fn assign(graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
+    let machines = graph
+        .edges()
+        .map(|(src, dst)| {
+            let hub = graph.in_degree(dst) > DEGREE_THRESHOLD;
+            let h = if hub {
+                // High-degree destination: spread its in-edges by source.
+                rng::mix(&[seed, 0x48_55_42, src as u64])
+            } else {
+                // Low-degree destination: co-locate all of its in-edges.
+                rng::mix(&[seed, 0x4C_4F_57, dst as u64])
+            };
+            MachineId::from((h % num_machines as u64) as usize)
+        })
+        .collect();
+    EdgeAssignment {
+        machines,
+        num_machines,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{check_partitioner_contract, test_graph};
-    use super::super::RandomPartitioner;
+    use super::super::PartitionerKind;
     use super::*;
     use crate::placement::PartitionedGraph;
 
     #[test]
     fn satisfies_partitioner_contract() {
-        check_partitioner_contract(&HybridPartitioner::default(), 8);
-        check_partitioner_contract(&HybridPartitioner::default(), 24);
+        check_partitioner_contract(PartitionerKind::Hybrid, 8);
+        check_partitioner_contract(PartitionerKind::Hybrid, 24);
     }
 
     #[test]
     fn low_degree_vertices_keep_their_in_edges_together() {
         let g = test_graph();
-        let p = HybridPartitioner::default();
-        let a = p.assign(&g, 16, 7);
+        let a = assign(&g, 16, 7);
         // Collect, for every low-degree destination, the set of machines its in-edges
         // landed on; the hybrid rule forces that set to a single machine.
         let mut owner: Vec<Option<MachineId>> = vec![None; g.num_vertices()];
         for ((_, dst), &machine) in g.edges().zip(a.machines.iter()) {
-            if g.in_degree(dst) > p.degree_threshold {
+            if g.in_degree(dst) > DEGREE_THRESHOLD {
                 continue;
             }
             match owner[dst as usize] {
@@ -103,8 +85,8 @@ mod tests {
     #[test]
     fn replication_is_lower_than_random_on_power_law_graphs() {
         let g = test_graph();
-        let hybrid = PartitionedGraph::build(&g, 16, &HybridPartitioner::default(), 3);
-        let random = PartitionedGraph::build(&g, 16, &RandomPartitioner, 3);
+        let hybrid = PartitionedGraph::build(&g, 16, PartitionerKind::Hybrid, 3);
+        let random = PartitionedGraph::build(&g, 16, PartitionerKind::Random, 3);
         assert!(
             hybrid.placement().replication_factor() < random.placement().replication_factor(),
             "hybrid {} vs random {}",
@@ -114,50 +96,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_threshold_degenerates_to_source_hashing() {
-        let g = test_graph();
-        let all_hubs = HybridPartitioner {
-            degree_threshold: 0,
-        }
-        .assign(&g, 8, 5);
-        // Every destination counts as a hub, so all edges of one source land together.
-        let mut owner: Vec<Option<MachineId>> = vec![None; g.num_vertices()];
-        for ((src, _), &machine) in g.edges().zip(all_hubs.machines.iter()) {
-            match owner[src as usize] {
-                None => owner[src as usize] = Some(machine),
-                Some(prev) => assert_eq!(prev, machine),
-            }
-        }
-    }
-
-    #[test]
-    fn huge_threshold_degenerates_to_destination_hashing() {
-        let g = test_graph();
-        let all_low = HybridPartitioner {
-            degree_threshold: usize::MAX,
-        }
-        .assign(&g, 8, 5);
-        let mut owner: Vec<Option<MachineId>> = vec![None; g.num_vertices()];
-        for ((_, dst), &machine) in g.edges().zip(all_low.machines.iter()) {
-            match owner[dst as usize] {
-                None => owner[dst as usize] = Some(machine),
-                Some(prev) => assert_eq!(prev, machine),
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_in_seed_and_sensitive_to_it() {
         let g = test_graph();
-        let p = HybridPartitioner::default();
-        assert_eq!(p.assign(&g, 8, 1), p.assign(&g, 8, 1));
-        assert_ne!(p.assign(&g, 8, 1), p.assign(&g, 8, 2));
+        assert_eq!(assign(&g, 8, 1), assign(&g, 8, 1));
+        assert_ne!(assign(&g, 8, 1), assign(&g, 8, 2));
     }
 
     #[test]
     fn single_machine_case() {
         let g = test_graph();
-        let a = HybridPartitioner::default().assign(&g, 1, 3);
+        let a = assign(&g, 1, 3);
         assert!(a.machines.iter().all(|m| m.index() == 0));
     }
 }

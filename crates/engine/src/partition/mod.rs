@@ -7,22 +7,25 @@
 //! traffic every superstep generates (precisely the traffic the paper's `p_s` knob
 //! attacks).
 //!
-//! Five ingress strategies are provided. The first three mirror the options PowerGraph
-//! ships; the last two are the strongest published streaming heuristics and are used by
-//! the partitioner-ablation benchmark:
+//! Five ingress strategies are provided, named by [`PartitionerKind`] and run by
+//! [`PartitionerKind::assign`]; each lives in a module of its own as one `assign`
+//! function. The first three mirror the options PowerGraph ships; the last two are the
+//! strongest published streaming heuristics and are used by the partitioner-ablation
+//! benchmark:
 //!
-//! * [`RandomPartitioner`] — hash each edge to a machine. Simple, highest replication.
-//! * [`GridPartitioner`] — constrain each vertex's replicas to a row+column of a
+//! * [`PartitionerKind::Random`] — hash each edge to a machine. Simple, highest
+//!   replication.
+//! * [`PartitionerKind::Grid`] — constrain each vertex's replicas to a row+column of a
 //!   machine grid, bounding the replication factor by `2√M`.
-//! * [`ObliviousPartitioner`] — the greedy heuristic from the PowerGraph paper: place
-//!   each edge on a machine that already hosts its endpoints when possible, breaking
-//!   ties by load. Used by GraphLab's default ingress and therefore the default for the
-//!   experiments here.
-//! * [`HdrfPartitioner`] — High-Degree Replicated First (Petroni et al.): prefer
-//!   splitting the hub endpoint of each edge, keeping the long tail of low-degree
-//!   vertices whole.
-//! * [`HybridPartitioner`] — PowerLyra-style hybrid cut: co-locate the in-edges of
-//!   low-degree vertices, scatter only the hubs.
+//! * [`PartitionerKind::Oblivious`] — the greedy heuristic from the PowerGraph paper:
+//!   place each edge on a machine that already hosts its endpoints when possible,
+//!   breaking ties by load. Used by GraphLab's default ingress and therefore the default
+//!   for the experiments here.
+//! * [`PartitionerKind::Hdrf`] — High-Degree Replicated First (Petroni et al.), at its
+//!   recommended `λ = 1.1`: prefer splitting the hub endpoint of each edge, keeping the
+//!   long tail of low-degree vertices whole.
+//! * [`PartitionerKind::Hybrid`] — PowerLyra-style hybrid cut: co-locate the in-edges of
+//!   vertices of in-degree at most 48, scatter only the hubs.
 
 mod grid;
 mod hdrf;
@@ -30,11 +33,7 @@ mod hybrid;
 mod oblivious;
 mod random;
 
-pub use grid::GridPartitioner;
-pub use hdrf::HdrfPartitioner;
-pub use hybrid::HybridPartitioner;
-pub use oblivious::ObliviousPartitioner;
-pub use random::{expected_random_replication, RandomPartitioner};
+pub use random::expected_random_replication;
 
 use crate::cluster::MachineId;
 use frogwild_graph::DiGraph;
@@ -86,43 +85,27 @@ pub(crate) fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item =
     })
 }
 
-/// A vertex-cut ingress strategy.
-pub trait Partitioner {
-    /// Human-readable name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Assigns every edge of `graph` to one of `num_machines` machines.
-    ///
-    /// Implementations must be deterministic functions of `(graph, num_machines, seed)`.
-    fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment;
-}
-
-/// The five ingress strategies as a plain value, for builders and CLI flags.
-///
-/// Each variant maps to the correspondingly named [`Partitioner`] with its default
-/// parameters (`λ = 1.1` for HDRF, the default hub threshold for the hybrid cut). The
-/// enum itself implements [`Partitioner`] by delegation, so it can be passed anywhere a
-/// concrete strategy is expected — most notably
+/// The five ingress strategies: the one way to name a partitioner — in
+/// [`PartitionedGraph::build`](crate::PartitionedGraph::build),
 /// [`Session::builder(..).partitioner(..)`](https://docs.rs/frogwild) and the CLI's
-/// `--partitioner` option.
+/// `--partitioner` option — and, through [`assign`](PartitionerKind::assign), to run it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PartitionerKind {
-    /// Hash every edge to a machine ([`RandomPartitioner`]).
+    /// Hash every edge to a machine.
     Random,
-    /// Constrained 2D grid ingress ([`GridPartitioner`]).
+    /// Constrained 2D grid ingress.
     Grid,
-    /// PowerGraph's greedy default ([`ObliviousPartitioner`]) — also the default here.
+    /// PowerGraph's greedy default — also the default here.
     #[default]
     Oblivious,
-    /// High-Degree Replicated First ([`HdrfPartitioner`] with default `λ`).
+    /// High-Degree Replicated First.
     Hdrf,
-    /// PowerLyra-style hybrid cut ([`HybridPartitioner`] with default threshold).
+    /// PowerLyra-style hybrid cut.
     Hybrid,
 }
 
 impl PartitionerKind {
     /// All five strategies, in ablation order.
-    // lint:allow(orphan-pub, oracle for partitioner_choice_changes_layout_but_not_correctness)
     pub const ALL: [PartitionerKind; 5] = [
         PartitionerKind::Random,
         PartitionerKind::Grid,
@@ -130,29 +113,31 @@ impl PartitionerKind {
         PartitionerKind::Hdrf,
         PartitionerKind::Hybrid,
     ];
-}
 
-impl Partitioner for PartitionerKind {
-    fn name(&self) -> &'static str {
+    /// Human-readable name used in reports, and what [`FromStr`](std::str::FromStr)
+    /// parses back.
+    pub fn name(self) -> &'static str {
         match self {
-            PartitionerKind::Random => RandomPartitioner.name(),
-            PartitionerKind::Grid => GridPartitioner.name(),
-            PartitionerKind::Oblivious => ObliviousPartitioner.name(),
-            PartitionerKind::Hdrf => HdrfPartitioner::default().name(),
-            PartitionerKind::Hybrid => HybridPartitioner::default().name(),
+            PartitionerKind::Random => "random",
+            PartitionerKind::Grid => "grid",
+            PartitionerKind::Oblivious => "oblivious",
+            PartitionerKind::Hdrf => "hdrf",
+            PartitionerKind::Hybrid => "hybrid",
         }
     }
 
-    fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
-        match self {
-            PartitionerKind::Random => RandomPartitioner.assign(graph, num_machines, seed),
-            PartitionerKind::Grid => GridPartitioner.assign(graph, num_machines, seed),
-            PartitionerKind::Oblivious => ObliviousPartitioner.assign(graph, num_machines, seed),
-            PartitionerKind::Hdrf => HdrfPartitioner::default().assign(graph, num_machines, seed),
-            PartitionerKind::Hybrid => {
-                HybridPartitioner::default().assign(graph, num_machines, seed)
-            }
-        }
+    /// Assigns every edge of `graph` to one of `num_machines` machines: a deterministic
+    /// function of `(graph, num_machines, seed)`.
+    pub fn assign(self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
+        assert!(num_machines > 0, "need at least one machine");
+        let assign = match self {
+            PartitionerKind::Random => random::assign,
+            PartitionerKind::Grid => grid::assign,
+            PartitionerKind::Oblivious => oblivious::assign,
+            PartitionerKind::Hdrf => hdrf::assign,
+            PartitionerKind::Hybrid => hybrid::assign,
+        };
+        assign(graph, num_machines, seed)
     }
 }
 
@@ -194,7 +179,7 @@ pub(crate) mod test_support {
     }
 
     /// Asserts the basic contract every partitioner must satisfy.
-    pub fn check_partitioner_contract(p: &dyn Partitioner, machines: usize) {
+    pub fn check_partitioner_contract(p: PartitionerKind, machines: usize) {
         let g = test_graph();
         let a = p.assign(&g, machines, 7);
         assert_eq!(
@@ -252,11 +237,6 @@ mod tests {
         }
         assert!("nonsense".parse::<PartitionerKind>().is_err());
         assert_eq!(PartitionerKind::default(), PartitionerKind::Oblivious);
-
-        let g = test_support::test_graph();
-        let by_kind = PartitionerKind::Hdrf.assign(&g, 4, 7);
-        let direct = HdrfPartitioner::default().assign(&g, 4, 7);
-        assert_eq!(by_kind, direct);
     }
 
     #[test]

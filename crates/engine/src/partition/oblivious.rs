@@ -2,10 +2,14 @@
 
 // lint:allow-file(indexing, per-machine load tables indexed by machine ids below num_machines)
 
-use super::{set_bits, EdgeAssignment, Partitioner};
+use super::{set_bits, EdgeAssignment};
 use crate::cluster::MachineId;
 use crate::rng;
 use frogwild_graph::DiGraph;
+
+/// Maximum tolerated ratio between the chosen machine's load and the average load
+/// before the balance fallback kicks in.
+const BALANCE_SLACK: f64 = 1.25;
 
 /// Greedy vertex-cut placement following the PowerGraph heuristic:
 ///
@@ -35,67 +39,53 @@ use frogwild_graph::DiGraph;
 /// every experiment in the workspace; it yields the lowest replication factor of the
 /// three partitioners, which in turn sets the master↔mirror traffic that the paper's
 /// `p_s` parameter reduces.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ObliviousPartitioner;
+pub(super) fn assign(graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
+    let n = graph.num_vertices();
+    // Replica sets as bitmasks, `words` u64 words a vertex (one up to 64 machines).
+    let words = num_machines.div_ceil(64);
+    let mut replicas = vec![0u64; n * words];
+    let mut load = vec![0usize; num_machines];
+    // The mask of the whole cluster: rule 4's candidates, and the balance fallback's.
+    let everywhere: Vec<u64> = (0..words)
+        .map(|w| u64::MAX >> (64 - (num_machines - 64 * w).min(64)))
+        .collect();
 
-/// Maximum tolerated ratio between the chosen machine's load and the average load
-/// before the balance fallback kicks in.
-const BALANCE_SLACK: f64 = 1.25;
+    let mut machines = Vec::with_capacity(graph.num_edges());
+    for (idx, (u, v)) in graph.edges().enumerate() {
+        let ui = u as usize * words;
+        let vi = v as usize * words;
+        let a_u = &replicas[ui..ui + words];
+        let a_v = &replicas[vi..vi + words];
+        let shared = a_u.iter().zip(a_v).map(|(a, b)| a & b);
+        // Rules 2 and 3 are one: the union of two sets of which one may be empty.
+        let either = a_u.iter().zip(a_v).map(|(a, b)| a | b);
+        let anywhere = || {
+            least_loaded(everywhere.iter().copied(), &load, seed, idx)
+                // lint:allow(panic, `everywhere` has a bit for each of the num_machines > 0 machines)
+                .expect("a cluster has at least one machine")
+        };
+        let mut chosen = least_loaded(shared, &load, seed, idx)
+            .or_else(|| least_loaded(either, &load, seed, idx))
+            .unwrap_or_else(anywhere);
 
-impl Partitioner for ObliviousPartitioner {
-    fn name(&self) -> &'static str {
-        "oblivious"
+        // Balance cap: if the greedy pick is already overloaded relative to the
+        // average, fall back to the globally least-loaded machine.
+        let average = (idx as f64 + 1.0) / num_machines as f64;
+        if load[chosen] as f64 > BALANCE_SLACK * average + 1.0 {
+            chosen = anywhere();
+        }
+
+        load[chosen] += 1;
+        let word = chosen / 64;
+        let bit = chosen % 64;
+        replicas[ui + word] |= 1u64 << bit;
+        replicas[vi + word] |= 1u64 << bit;
+        machines.push(MachineId::from(chosen));
     }
 
-    fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
-        assert!(num_machines > 0, "need at least one machine");
-        let n = graph.num_vertices();
-        // Replica sets as bitmasks, `words` u64 words a vertex (one up to 64 machines).
-        let words = num_machines.div_ceil(64);
-        let mut replicas = vec![0u64; n * words];
-        let mut load = vec![0usize; num_machines];
-        // The mask of the whole cluster: rule 4's candidates, and the balance fallback's.
-        let everywhere: Vec<u64> = (0..words)
-            .map(|w| u64::MAX >> (64 - (num_machines - 64 * w).min(64)))
-            .collect();
-
-        let mut machines = Vec::with_capacity(graph.num_edges());
-        for (idx, (u, v)) in graph.edges().enumerate() {
-            let ui = u as usize * words;
-            let vi = v as usize * words;
-            let a_u = &replicas[ui..ui + words];
-            let a_v = &replicas[vi..vi + words];
-            let shared = a_u.iter().zip(a_v).map(|(a, b)| a & b);
-            // Rules 2 and 3 are one: the union of two sets of which one may be empty.
-            let either = a_u.iter().zip(a_v).map(|(a, b)| a | b);
-            let anywhere = || {
-                least_loaded(everywhere.iter().copied(), &load, seed, idx)
-                    // lint:allow(panic, `everywhere` has a bit for each of the num_machines > 0 machines)
-                    .expect("a cluster has at least one machine")
-            };
-            let mut chosen = least_loaded(shared, &load, seed, idx)
-                .or_else(|| least_loaded(either, &load, seed, idx))
-                .unwrap_or_else(anywhere);
-
-            // Balance cap: if the greedy pick is already overloaded relative to the
-            // average, fall back to the globally least-loaded machine.
-            let average = (idx as f64 + 1.0) / num_machines as f64;
-            if load[chosen] as f64 > BALANCE_SLACK * average + 1.0 {
-                chosen = anywhere();
-            }
-
-            load[chosen] += 1;
-            let word = chosen / 64;
-            let bit = chosen % 64;
-            replicas[ui + word] |= 1u64 << bit;
-            replicas[vi + word] |= 1u64 << bit;
-            machines.push(MachineId::from(chosen));
-        }
-
-        EdgeAssignment {
-            machines,
-            num_machines,
-        }
+    EdgeAssignment {
+        machines,
+        num_machines,
     }
 }
 
@@ -131,21 +121,21 @@ fn least_loaded(
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{check_partitioner_contract, test_graph};
-    use super::super::RandomPartitioner;
+    use super::super::PartitionerKind;
     use super::*;
     use crate::placement::PartitionedGraph;
 
     #[test]
     fn satisfies_partitioner_contract() {
-        check_partitioner_contract(&ObliviousPartitioner, 8);
-        check_partitioner_contract(&ObliviousPartitioner, 24);
+        check_partitioner_contract(PartitionerKind::Oblivious, 8);
+        check_partitioner_contract(PartitionerKind::Oblivious, 24);
     }
 
     #[test]
     fn replication_is_lower_than_random() {
         let g = test_graph();
-        let greedy = PartitionedGraph::build(&g, 16, &ObliviousPartitioner, 3);
-        let random = PartitionedGraph::build(&g, 16, &RandomPartitioner, 3);
+        let greedy = PartitionedGraph::build(&g, 16, PartitionerKind::Oblivious, 3);
+        let random = PartitionedGraph::build(&g, 16, PartitionerKind::Random, 3);
         assert!(
             greedy.placement().replication_factor() < random.placement().replication_factor(),
             "oblivious {} vs random {}",
@@ -157,7 +147,7 @@ mod tests {
     #[test]
     fn load_stays_balanced() {
         let g = test_graph();
-        let a = ObliviousPartitioner.assign(&g, 8, 3);
+        let a = assign(&g, 8, 3);
         assert!(a.imbalance() < 1.6, "imbalance {}", a.imbalance());
     }
 
@@ -165,7 +155,7 @@ mod tests {
     fn many_machines_still_work() {
         // more machines than 64-bit word boundary exercises the multi-word path
         let g = test_graph();
-        let a = ObliviousPartitioner.assign(&g, 96, 3);
+        let a = assign(&g, 96, 3);
         assert_eq!(a.num_machines, 96);
         assert!(a.machines.iter().all(|m| m.index() < 96));
     }
@@ -173,7 +163,7 @@ mod tests {
     #[test]
     fn single_machine_case() {
         let g = test_graph();
-        let a = ObliviousPartitioner.assign(&g, 1, 3);
+        let a = assign(&g, 1, 3);
         assert!(a.machines.iter().all(|m| m.index() == 0));
     }
 }

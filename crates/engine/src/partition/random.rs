@@ -1,6 +1,6 @@
 //! Random (hashed) edge placement.
 
-use super::{EdgeAssignment, Partitioner};
+use super::EdgeAssignment;
 use crate::cluster::MachineId;
 use crate::rng;
 use frogwild_graph::DiGraph;
@@ -11,30 +11,20 @@ use frogwild_graph::DiGraph;
 /// load-balanced in expectation, but with the highest replication factor of the
 /// available strategies (a vertex of degree `d` is expected to appear on
 /// `M(1 - (1 - 1/M)^d)` machines).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RandomPartitioner;
-
-impl Partitioner for RandomPartitioner {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn assign(&self, graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
-        assert!(num_machines > 0, "need at least one machine");
-        let machines = graph
-            .edges()
-            .enumerate()
-            .map(|(idx, (src, dst))| {
-                // Include the edge index so parallel (duplicate) edges can land on
-                // different machines, matching how a real ingress streams edges.
-                let h = rng::mix(&[seed, src as u64, dst as u64, idx as u64]);
-                MachineId::from((h % num_machines as u64) as usize)
-            })
-            .collect();
-        EdgeAssignment {
-            machines,
-            num_machines,
-        }
+pub(super) fn assign(graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAssignment {
+    let machines = graph
+        .edges()
+        .enumerate()
+        .map(|(idx, (src, dst))| {
+            // Include the edge index so parallel (duplicate) edges can land on
+            // different machines, matching how a real ingress streams edges.
+            let h = rng::mix(&[seed, src as u64, dst as u64, idx as u64]);
+            MachineId::from((h % num_machines as u64) as usize)
+        })
+        .collect();
+    EdgeAssignment {
+        machines,
+        num_machines,
     }
 }
 
@@ -62,33 +52,34 @@ pub fn expected_random_replication(graph: &DiGraph, num_machines: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{check_partitioner_contract, test_graph};
+    use super::super::PartitionerKind;
     use super::*;
 
     #[test]
     fn satisfies_partitioner_contract() {
-        check_partitioner_contract(&RandomPartitioner, 8);
-        check_partitioner_contract(&RandomPartitioner, 1);
+        check_partitioner_contract(PartitionerKind::Random, 8);
+        check_partitioner_contract(PartitionerKind::Random, 1);
     }
 
     #[test]
     fn different_seeds_give_different_assignments() {
         let g = test_graph();
-        let a = RandomPartitioner.assign(&g, 8, 1);
-        let b = RandomPartitioner.assign(&g, 8, 2);
+        let a = assign(&g, 8, 1);
+        let b = assign(&g, 8, 2);
         assert_ne!(a, b);
     }
 
     #[test]
     fn load_is_roughly_balanced() {
         let g = test_graph();
-        let a = RandomPartitioner.assign(&g, 8, 3);
+        let a = assign(&g, 8, 3);
         assert!(a.imbalance() < 1.25, "imbalance {}", a.imbalance());
     }
 
     #[test]
     fn single_machine_gets_everything() {
         let g = test_graph();
-        let a = RandomPartitioner.assign(&g, 1, 3);
+        let a = assign(&g, 1, 3);
         assert_eq!(a.edges_per_machine(), vec![g.num_edges()]);
     }
 

@@ -16,7 +16,7 @@
 // lint:allow-file(indexing, build-time CSR assembly; every local index is created by the counting pass right above its use)
 
 use crate::cluster::MachineId;
-use crate::partition::{set_bits, EdgeAssignment, Partitioner};
+use crate::partition::{set_bits, EdgeAssignment, PartitionerKind};
 use crate::rng;
 use frogwild_graph::{DiGraph, VertexId};
 
@@ -92,8 +92,6 @@ pub struct Shard {
     /// Global ids of the vertices with a replica on this machine, sorted ascending.
     /// Local vertex index `i` refers to `vertices[i]`.
     pub vertices: Vec<VertexId>,
-    /// `true` for local vertices whose master lives on this machine.
-    pub is_master: Vec<bool>,
     /// Local edges in CSR form by *source* local index, global targets (used by scatter).
     out_offsets: Vec<usize>,
     out_targets: Vec<VertexId>,
@@ -170,8 +168,6 @@ pub struct PartitionedGraph {
     /// Global out-degree of every vertex (the full graph's out-degree, which the random
     /// walk transition probabilities are defined over).
     out_degrees: Vec<u32>,
-    /// Name of the partitioner that produced this layout (for reports).
-    partitioner_name: &'static str,
 }
 
 impl PartitionedGraph {
@@ -183,11 +179,11 @@ impl PartitionedGraph {
     pub fn build(
         graph: &DiGraph,
         num_machines: usize,
-        partitioner: &dyn Partitioner,
+        partitioner: PartitionerKind,
         seed: u64,
     ) -> Self {
         let assignment = partitioner.assign(graph, num_machines, seed);
-        Self::from_assignment(graph, &assignment, partitioner.name(), seed)
+        Self::from_assignment(graph, &assignment, seed)
     }
 
     /// Builds the partitioned layout from an explicit edge assignment, in three passes
@@ -195,12 +191,7 @@ impl PartitionedGraph {
     /// ascending sweep over the vertices reads machines off the masks in bit order,
     /// picking masters and filling the placement table and the shards' vertex lists
     /// together; edges are then localised through the slots that sweep recorded.
-    pub fn from_assignment(
-        graph: &DiGraph,
-        assignment: &EdgeAssignment,
-        partitioner_name: &'static str,
-        seed: u64,
-    ) -> Self {
+    pub fn from_assignment(graph: &DiGraph, assignment: &EdgeAssignment, seed: u64) -> Self {
         let n = graph.num_vertices();
         let num_machines = assignment.num_machines;
         assert_eq!(
@@ -229,7 +220,6 @@ impl PartitionedGraph {
             .map(|m| Shard {
                 machine: MachineId::from(m),
                 vertices: Vec::new(),
-                is_master: Vec::new(),
                 out_offsets: Vec::new(),
                 out_targets: Vec::new(),
                 in_offsets: Vec::new(),
@@ -259,7 +249,6 @@ impl PartitionedGraph {
                 let shard = &mut shards[m];
                 let local = shard.vertices.len() as u32;
                 shard.vertices.push(v as VertexId);
-                shard.is_master.push(rank == master);
                 if rank == master {
                     placement.master.push(shard.machine);
                     placement.master_local.push(local);
@@ -317,7 +306,6 @@ impl PartitionedGraph {
             shards,
             placement,
             out_degrees,
-            partitioner_name,
         }
     }
 
@@ -355,11 +343,6 @@ impl PartitionedGraph {
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> u32 {
         self.out_degrees[v as usize]
-    }
-
-    /// Name of the partitioner that produced this layout.
-    pub fn partitioner_name(&self) -> &'static str {
-        self.partitioner_name
     }
 
     /// Consistency check used by tests: every edge appears on exactly one machine, every
@@ -404,12 +387,6 @@ impl PartitionedGraph {
             }
         }
         for shard in &self.shards {
-            if shard.vertices.len() != shard.is_master.len() {
-                return Err(frogwild_graph::Error::partition(format!(
-                    "shard {} vertex/master table length mismatch",
-                    shard.machine
-                )));
-            }
             for (i, &v) in shard.vertices.iter().enumerate() {
                 if shard.local_index(v) != Some(i as u32) {
                     return Err(frogwild_graph::Error::partition(format!(
@@ -461,7 +438,6 @@ fn build_local_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{ObliviousPartitioner, RandomPartitioner};
     use frogwild_graph::generators::simple::{complete, cycle, star};
     use frogwild_graph::generators::{rmat, RmatParams};
     use rand::rngs::SmallRng;
@@ -476,7 +452,7 @@ mod tests {
     fn partitioned_graph_is_consistent() {
         let g = small_rmat();
         for machines in [1usize, 4, 16] {
-            let pg = PartitionedGraph::build(&g, machines, &ObliviousPartitioner, 5);
+            let pg = PartitionedGraph::build(&g, machines, PartitionerKind::Oblivious, 5);
             assert_eq!(pg.num_machines(), machines);
             assert_eq!(pg.num_vertices(), g.num_vertices());
             assert_eq!(pg.num_edges(), g.num_edges());
@@ -487,15 +463,14 @@ mod tests {
     #[test]
     fn random_partition_is_consistent_too() {
         let g = small_rmat();
-        let pg = PartitionedGraph::build(&g, 8, &RandomPartitioner, 5);
+        let pg = PartitionedGraph::build(&g, 8, PartitionerKind::Random, 5);
         pg.validate().unwrap();
-        assert_eq!(pg.partitioner_name(), "random");
     }
 
     #[test]
     fn single_machine_has_no_mirrors() {
         let g = cycle(20);
-        let pg = PartitionedGraph::build(&g, 1, &ObliviousPartitioner, 1);
+        let pg = PartitionedGraph::build(&g, 1, PartitionerKind::Oblivious, 1);
         assert!((pg.placement().replication_factor() - 1.0).abs() < 1e-12);
         for v in g.vertices() {
             assert_eq!(pg.placement().replicas(v), [pg.placement().master(v)]);
@@ -505,7 +480,7 @@ mod tests {
     #[test]
     fn replication_factor_bounds() {
         let g = small_rmat();
-        let pg = PartitionedGraph::build(&g, 8, &RandomPartitioner, 2);
+        let pg = PartitionedGraph::build(&g, 8, PartitionerKind::Random, 2);
         let rf = pg.placement().replication_factor();
         assert!((1.0..=8.0).contains(&rf), "replication factor {rf}");
     }
@@ -513,7 +488,7 @@ mod tests {
     #[test]
     fn high_degree_hub_is_replicated_widely() {
         let g = star(200);
-        let pg = PartitionedGraph::build(&g, 8, &RandomPartitioner, 2);
+        let pg = PartitionedGraph::build(&g, 8, PartitionerKind::Random, 2);
         // the hub touches every edge so it should be on (almost) every machine
         assert!(pg.placement().replicas(0).len() >= 7);
         // leaves have degree 2, so at most 2 replicas
@@ -525,19 +500,16 @@ mod tests {
     #[test]
     fn masters_are_unique_and_on_replicas() {
         let g = small_rmat();
-        let pg = PartitionedGraph::build(&g, 6, &ObliviousPartitioner, 3);
+        let pg = PartitionedGraph::build(&g, 6, PartitionerKind::Oblivious, 3);
         for v in g.vertices() {
             let master = pg.placement().master(v);
             assert!(pg.placement().replicas(v).contains(&master));
-            // exactly one shard flags it as master
+            // exactly one shard holds it in the slot the placement calls the master's
+            let master_slot = pg.placement().master_slot(v);
             let master_count = pg
                 .shards()
                 .iter()
-                .filter(|s| {
-                    s.local_index(v)
-                        .map(|l| s.is_master[l as usize])
-                        .unwrap_or(false)
-                })
+                .filter(|s| s.local_index(v).map(|l| (s.machine, l)) == Some(master_slot))
                 .count();
             assert_eq!(master_count, 1, "vertex {v}");
         }
@@ -550,7 +522,7 @@ mod tests {
         edges.push((3, 2));
         // vertex 4 is isolated
         let g = DiGraph::from_edges(5, &edges);
-        let pg = PartitionedGraph::build(&g, 4, &RandomPartitioner, 9);
+        let pg = PartitionedGraph::build(&g, 4, PartitionerKind::Random, 9);
         assert_eq!(pg.placement().replicas(4).len(), 1);
         pg.validate().unwrap();
     }
@@ -558,7 +530,7 @@ mod tests {
     #[test]
     fn shard_local_edges_match_global_edges() {
         let g = complete(12);
-        let pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 8);
+        let pg = PartitionedGraph::build(&g, 4, PartitionerKind::Oblivious, 8);
         // reconstruct the multiset of global edges from the shards
         let mut reconstructed: Vec<(u32, u32)> = Vec::new();
         for shard in pg.shards() {
@@ -578,7 +550,7 @@ mod tests {
     #[test]
     fn validate_rejects_an_out_target_that_is_not_a_local_replicas_global_id() {
         let g = small_rmat();
-        let mut pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 8);
+        let mut pg = PartitionedGraph::build(&g, 4, PartitionerKind::Oblivious, 8);
         pg.validate().unwrap();
         // A local index where a global id belongs: some vertex of the graph, but (on a
         // four-machine cut of 400 vertices) not one replicated on this shard.
@@ -594,7 +566,7 @@ mod tests {
     #[test]
     fn local_in_and_out_edge_counts_agree() {
         let g = small_rmat();
-        let pg = PartitionedGraph::build(&g, 5, &ObliviousPartitioner, 8);
+        let pg = PartitionedGraph::build(&g, 5, PartitionerKind::Oblivious, 8);
         for shard in pg.shards() {
             let out_total: usize = (0..shard.num_local_vertices() as u32)
                 .map(|l| shard.local_out_degree(l))
@@ -610,8 +582,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let g = small_rmat();
-        let a = PartitionedGraph::build(&g, 8, &ObliviousPartitioner, 11);
-        let b = PartitionedGraph::build(&g, 8, &ObliviousPartitioner, 11);
+        let a = PartitionedGraph::build(&g, 8, PartitionerKind::Oblivious, 11);
+        let b = PartitionedGraph::build(&g, 8, PartitionerKind::Oblivious, 11);
         assert_eq!(
             a.placement().replication_factor(),
             b.placement().replication_factor()

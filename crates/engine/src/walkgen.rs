@@ -130,7 +130,7 @@ pub fn generate_walk_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{ObliviousPartitioner, RandomPartitioner};
+    use crate::partition::PartitionerKind;
     use frogwild_graph::generators::simple::cycle;
     use frogwild_graph::generators::{rmat, RmatParams};
     use rand::rngs::SmallRng;
@@ -164,7 +164,7 @@ mod tests {
     fn every_vertex_is_generated_exactly_once() {
         let g = test_graph(300);
         let n = g.num_vertices();
-        let pg = PartitionedGraph::build(&g, 4, &ObliviousPartitioner, 7);
+        let pg = PartitionedGraph::build(&g, 4, PartitionerKind::Oblivious, 7);
         let tracer = Tracer::new(frogwild_obs::TraceConfig::logical());
         let arena = generate_walk_segments(&g, &pg, 3, 5, 11, false, &tracer);
         // One chunk per vertex; a vertex's chunk is filled exactly when it has an
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn segments_follow_edges_and_respect_the_length_cap() {
         let g = test_graph(200);
-        let pg = PartitionedGraph::build(&g, 3, &ObliviousPartitioner, 5);
+        let pg = PartitionedGraph::build(&g, 3, PartitionerKind::Oblivious, 5);
         let r = 4;
         let l = 6;
         let table = by_vertex(
@@ -226,7 +226,7 @@ mod tests {
         let l = 5;
         let reference = generate_walk_segments(
             &g,
-            &PartitionedGraph::build(&g, 1, &ObliviousPartitioner, 9),
+            &PartitionedGraph::build(&g, 1, PartitionerKind::Oblivious, 9),
             r,
             l,
             42,
@@ -236,9 +236,9 @@ mod tests {
         for (machines, parallel) in [(4usize, false), (4, true), (8, true)] {
             for partitioner in [true, false] {
                 let pg = if partitioner {
-                    PartitionedGraph::build(&g, machines, &ObliviousPartitioner, 9)
+                    PartitionedGraph::build(&g, machines, PartitionerKind::Oblivious, 9)
                 } else {
-                    PartitionedGraph::build(&g, machines, &RandomPartitioner, 9)
+                    PartitionedGraph::build(&g, machines, PartitionerKind::Random, 9)
                 };
                 let other =
                     generate_walk_segments(&g, &pg, r, l, 42, parallel, &Tracer::disabled());
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn cycle_segments_are_fully_determined() {
         let g = cycle(10);
-        let pg = PartitionedGraph::build(&g, 2, &ObliviousPartitioner, 3);
+        let pg = PartitionedGraph::build(&g, 2, PartitionerKind::Oblivious, 3);
         let table = by_vertex(
             &generate_walk_segments(&g, &pg, 2, 4, 1, false, &Tracer::disabled()),
             10,
@@ -271,7 +271,7 @@ mod tests {
         // In the star generator leaves point at the hub and the hub points back, so no
         // vertex is dangling; use a hand-built sink instead.
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let pg = PartitionedGraph::build(&g, 2, &ObliviousPartitioner, 3);
+        let pg = PartitionedGraph::build(&g, 2, PartitionerKind::Oblivious, 3);
         let arena = generate_walk_segments(&g, &pg, 2, 5, 1, false, &Tracer::disabled());
         let table = by_vertex(&arena, 3, 2, 5);
         // From vertex 0 the only walk is 1, 2 and then the sink stops it.

@@ -6,7 +6,7 @@
 //! instead of surfacing as a changed `exact_digest` three layers up.
 
 use frogwild_engine::rng::mix;
-use frogwild_engine::{PartitionedGraph, Partitioner, PartitionerKind};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 use frogwild_graph::generators::simple::star;
 use frogwild_graph::generators::{rmat, RmatParams};
 use frogwild_graph::DiGraph;
@@ -30,7 +30,7 @@ fn fingerprint(graph: &DiGraph, kind: PartitionerKind, machines: usize) -> u64 {
         fold(&mut acc, m.index() as u64);
     }
 
-    let pg = PartitionedGraph::from_assignment(graph, &assignment, kind.name(), SEED);
+    let pg = PartitionedGraph::from_assignment(graph, &assignment, SEED);
     pg.validate().unwrap();
     let placement = pg.placement();
     for v in graph.vertices() {
@@ -46,7 +46,8 @@ fn fingerprint(graph: &DiGraph, kind: PartitionerKind, machines: usize) -> u64 {
     for shard in pg.shards() {
         fold(&mut acc, shard.machine.index() as u64);
         fold(&mut acc, shard.vertices.len() as u64);
-        for (local, (&v, &is_master)) in shard.vertices.iter().zip(&shard.is_master).enumerate() {
+        for (local, &v) in shard.vertices.iter().enumerate() {
+            let is_master = placement.master_slot(v) == (shard.machine, local as u32);
             fold(&mut acc, v as u64);
             fold(&mut acc, is_master as u64);
             let out = shard.local_out_neighbors(local as u32);

@@ -3,10 +3,7 @@
 //! randomness primitives behave like proper probabilities.
 
 use frogwild_engine::rng;
-use frogwild_engine::{
-    GridPartitioner, ObliviousPartitioner, PartitionedGraph, Partitioner, RandomPartitioner,
-    SyncPolicy,
-};
+use frogwild_engine::{PartitionedGraph, PartitionerKind};
 use frogwild_graph::{DiGraph, VertexId};
 use proptest::prelude::*;
 
@@ -19,14 +16,6 @@ fn arb_graph_input() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)
     })
 }
 
-fn partitioners() -> Vec<(&'static str, Box<dyn Partitioner>)> {
-    vec![
-        ("random", Box::new(RandomPartitioner)),
-        ("grid", Box::new(GridPartitioner)),
-        ("oblivious", Box::new(ObliviousPartitioner)),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -37,7 +26,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = DiGraph::from_edges(n, &edges);
-        for (name, partitioner) in partitioners() {
+        for partitioner in PartitionerKind::ALL {
+            let name = partitioner.name();
             let assignment = partitioner.assign(&graph, machines, seed);
             prop_assert_eq!(assignment.machines.len(), graph.num_edges(), "{}", name);
             prop_assert!(assignment.machines.iter().all(|m| m.index() < machines), "{}", name);
@@ -56,8 +46,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = DiGraph::from_edges(n, &edges);
-        for (name, partitioner) in partitioners() {
-            let pg = PartitionedGraph::build(&graph, machines, partitioner.as_ref(), seed);
+        for partitioner in PartitionerKind::ALL {
+            let name = partitioner.name();
+            let pg = PartitionedGraph::build(&graph, machines, partitioner, seed);
             prop_assert!(pg.validate().is_ok(), "{}: {:?}", name, pg.validate());
             let rf = pg.placement().replication_factor();
             prop_assert!(rf >= 1.0 - 1e-12, "{name}: rf {rf}");
@@ -78,7 +69,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = DiGraph::from_edges(n, &edges);
-        let pg = PartitionedGraph::build(&graph, machines, &ObliviousPartitioner, seed);
+        let pg = PartitionedGraph::build(&graph, machines, PartitionerKind::Oblivious, seed);
         let mut reconstructed: Vec<(VertexId, VertexId)> = Vec::new();
         for shard in pg.shards() {
             for local in 0..shard.num_local_vertices() as u32 {
@@ -114,14 +105,5 @@ proptest! {
         let a = rng::pick_index(n, &components);
         prop_assert!(a < n);
         prop_assert_eq!(a, rng::pick_index(n, &components));
-    }
-
-    #[test]
-    fn sync_policy_probability_is_consistent(ps in 0.0f64..=1.0) {
-        for policy in [SyncPolicy::Independent { ps }, SyncPolicy::AtLeastOneOutEdge { ps }] {
-            prop_assert!((policy.probability() - ps).abs() < 1e-15);
-            prop_assert!(policy.validate().is_ok());
-        }
-        prop_assert_eq!(SyncPolicy::frogwild(ps).probability(), if ps >= 1.0 { 1.0 } else { ps });
     }
 }

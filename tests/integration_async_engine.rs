@@ -56,10 +56,7 @@ fn staleness_zero_reproduces_the_synchronous_golden_fingerprints() {
     for execution in [
         ExecutionConfig::default(),
         ExecutionConfig::new().staleness(0),
-        ExecutionConfig::new()
-            .workers(3)
-            .batch_size(33)
-            .staleness(0),
+        ExecutionConfig::new().workers(3).staleness(0),
     ] {
         let report = run_frogwild(
             &pg,

@@ -96,8 +96,8 @@ fn worker_pool_scheduling_reproduces_the_golden_fingerprints() {
     for execution in [
         ExecutionConfig::default(),
         ExecutionConfig::new().workers(2),
-        ExecutionConfig::new().workers(3).batch_size(33),
-        ExecutionConfig::new().workers(8).batch_size(1),
+        ExecutionConfig::new().workers(3),
+        ExecutionConfig::new().workers(8),
     ] {
         let report = run_frogwild(&pg, &parallel, &execution, &off).unwrap();
         assert_eq!(

@@ -4,10 +4,7 @@
 use frogwild::metrics::{l1_distance, mass_captured};
 use frogwild::prelude::*;
 use frogwild::programs::PageRankProgram;
-use frogwild_engine::{
-    Engine, EngineConfig, GridPartitioner, InitialActivation, ObliviousPartitioner,
-    PartitionedGraph, RandomPartitioner, SyncPolicy,
-};
+use frogwild_engine::{Engine, EngineConfig, InitialActivation, PartitionedGraph};
 use frogwild_graph::generators::simple::{complete, cycle, star, two_communities};
 use frogwild_graph::generators::{livejournal_like, rmat, RmatParams};
 use rand::rngs::SmallRng;
@@ -68,15 +65,13 @@ fn engine_pagerank_is_invariant_to_partitioner_choice() {
     };
     let program = || PageRankProgram::new(&config).unwrap();
     let engine_config = EngineConfig {
-        sync_policy: SyncPolicy::Full,
+        sync_probability: 1.0,
         max_supersteps: config.max_iterations,
         ..EngineConfig::default()
     };
 
     let mut results = Vec::new();
-    let partitioners: [&dyn frogwild_engine::Partitioner; 3] =
-        [&RandomPartitioner, &GridPartitioner, &ObliviousPartitioner];
-    for partitioner in partitioners {
+    for partitioner in PartitionerKind::ALL {
         let pg = PartitionedGraph::build(&graph, 8, partitioner, 11);
         let engine = Engine::new(&pg, program(), engine_config.clone()).unwrap();
         let out = engine.run(InitialActivation::AllVertices);

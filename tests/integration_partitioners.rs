@@ -3,10 +3,7 @@
 //! which partitioner laid the data out — only the cost changes.
 
 use frogwild::prelude::*;
-use frogwild_engine::{
-    GridPartitioner, HdrfPartitioner, HybridPartitioner, ObliviousPartitioner, PartitionedGraph,
-    Partitioner, RandomPartitioner,
-};
+use frogwild_engine::PartitionedGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -15,23 +12,13 @@ fn test_graph(n: usize, seed: u64) -> DiGraph {
     frogwild_graph::generators::twitter_like(n, &mut rng)
 }
 
-/// All five ingress strategies under test, with stable labels.
-fn all_partitioners() -> Vec<(&'static str, Box<dyn Partitioner>)> {
-    vec![
-        ("random", Box::new(RandomPartitioner)),
-        ("grid", Box::new(GridPartitioner)),
-        ("oblivious", Box::new(ObliviousPartitioner)),
-        ("hdrf", Box::new(HdrfPartitioner::default())),
-        ("hybrid", Box::new(HybridPartitioner::default())),
-    ]
-}
-
 #[test]
 fn every_partitioner_produces_a_valid_partitioned_graph() {
     let graph = test_graph(1_500, 3);
     for machines in [4usize, 16] {
-        for (name, partitioner) in all_partitioners() {
-            let pg = PartitionedGraph::build(&graph, machines, partitioner.as_ref(), 7);
+        for partitioner in PartitionerKind::ALL {
+            let name = partitioner.name();
+            let pg = PartitionedGraph::build(&graph, machines, partitioner, 7);
             pg.validate()
                 .unwrap_or_else(|e| panic!("{name} on {machines} machines: {e}"));
             assert_eq!(pg.num_vertices(), graph.num_vertices());
@@ -60,8 +47,9 @@ fn pagerank_result_is_independent_of_the_partitioner() {
         ..PageRankConfig::default()
     };
     let mut estimates = Vec::new();
-    for (name, partitioner) in all_partitioners() {
-        let pg = PartitionedGraph::build(&graph, 12, partitioner.as_ref(), 9);
+    for partitioner in PartitionerKind::ALL {
+        let name = partitioner.name();
+        let pg = PartitionedGraph::build(&graph, 12, partitioner, 9);
         let report = run_graphlab_pr(&pg, &config, &exec, &off).unwrap();
         let mass = mass_captured(&report.estimate, &truth.scores, 50).normalized();
         assert!(mass > 0.99, "{name}: mass {mass}");
@@ -91,8 +79,9 @@ fn frogwild_accuracy_holds_across_partitioners_and_costs_track_replication() {
     };
 
     let mut by_name = Vec::new();
-    for (name, partitioner) in all_partitioners() {
-        let pg = PartitionedGraph::build(&graph, 16, partitioner.as_ref(), 21);
+    for partitioner in PartitionerKind::ALL {
+        let name = partitioner.name();
+        let pg = PartitionedGraph::build(&graph, 16, partitioner, 21);
         let report = run_frogwild(&pg, &config, &exec, &off).unwrap();
         let mass = mass_captured(&report.estimate, &truth.scores, k).normalized();
         // High-replication layouts (random, hybrid sources) lose more accuracy under
@@ -133,8 +122,9 @@ fn frogwild_accuracy_holds_across_partitioners_and_costs_track_replication() {
 fn partial_sync_saves_traffic_under_every_partitioner() {
     let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     let graph = test_graph(1_500, 17);
-    for (name, partitioner) in all_partitioners() {
-        let pg = PartitionedGraph::build(&graph, 12, partitioner.as_ref(), 31);
+    for partitioner in PartitionerKind::ALL {
+        let name = partitioner.name();
+        let pg = PartitionedGraph::build(&graph, 12, partitioner, 31);
         let base = FrogWildConfig {
             num_walkers: 30_000,
             iterations: 4,

@@ -235,6 +235,21 @@ fn latency_and_wall_telemetry_flow_into_session_stats() {
 }
 
 #[test]
+fn a_pool_larger_than_the_stream_spawns_a_worker_per_batch_at_most() {
+    let graph = small_graph();
+    let queries = mixed_stream(3, graph.num_vertices() as u64);
+    let mut session = session_over(&graph);
+    let config = ServeConfig::with_workers(usize::MAX);
+    let report = session
+        .serve_with(config)
+        .expect("valid test configuration")
+        .serve(&queries);
+    assert_eq!((report.served, report.rejected, report.failed), (3, 0, 0));
+    let batches = queries.len().div_ceil(config.batch);
+    assert!(report.workers.len() <= batches, "{}", report.workers.len());
+}
+
+#[test]
 fn eight_workers_beat_one_by_3x_on_parallel_hardware() {
     let parallelism = std::thread::available_parallelism()
         .map(|p| p.get())
