@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices the paper leaves implicit.
 //!
 //! Not a paper figure; these tables quantify how much each engineering decision
-//! contributes, which DESIGN.md calls out as the natural extension experiments:
+//! contributes:
 //!
 //! 1. **Ingress / partitioner ablation** — random vs grid vs greedy (oblivious) vs
 //!    HDRF vs PowerLyra-style hybrid vertex-cuts: replication factor, and the resulting

@@ -92,8 +92,8 @@ mod tests {
     #[test]
     fn fig2_values_are_valid_and_ordered_sanely() {
         // At tiny scale the walker budget is far too small for the paper's accuracy
-        // levels (see EXPERIMENTS.md caveats S1/S4); the meaningful structural checks
-        // are that every reported value is a valid fraction, that the 2-iteration
+        // levels; the meaningful structural checks are that every reported value is a
+        // valid fraction, that the 2-iteration
         // baseline does not trail the 1-iteration baseline, and that FrogWild's
         // full-sync accuracy is not worse than its most aggressive partial-sync
         // setting. The paper-level comparison against the 1-iteration baseline is

@@ -17,8 +17,9 @@
 //! markdown and writes CSVs under `bench_results/`.
 //!
 //! The experiments run on synthetic graphs whose shape matches the paper's datasets
-//! (see `DESIGN.md` §2); [`Scale`] controls the graph sizes and sweep ranges so the
-//! whole suite finishes in minutes on a laptop at the default scale.
+//! (see the `frogwild_graph::generators` module docs); [`Scale`] controls the graph
+//! sizes and sweep ranges so the whole suite finishes in minutes on a laptop at the
+//! default scale.
 
 pub mod figures;
 pub mod report;

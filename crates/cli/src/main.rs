@@ -4,125 +4,18 @@
 //! the graph is partitioned across the simulated cluster exactly once — and serve their
 //! queries through the typed `Query` → `Response` surface; `ppr` is serial and is
 //! served directly from the raw graph (no partitioning) unless the `--walk-index-*`
-//! options ask for an index-serving session. `index` builds a walk index standalone
-//! and reports its economics. Errors are `frogwild::Error` values printed to stderr;
-//! nothing panics on a bad configuration, and a mistyped option is an error (`unknown
-//! option --walker`), never a default silently used in its place.
+//! options ask for an index-serving session; `index` builds such a session and reports
+//! the economics of its walk index. Errors are `frogwild::Error` values printed to
+//! stderr; nothing panics on a bad configuration, and an option that is mistyped, or that
+//! the subcommand never reads, is an error (`unknown option --walker`, `option --ps does
+//! not apply to pagerank`), never a default silently used in its place.
 //!
-//! ```text
-//! USAGE:
-//!     frogwild <COMMAND> [OPTIONS]
-//!
-//! COMMANDS:
-//!     topk       estimate the top-k PageRank vertices of a graph with FrogWild
-//!     autotune   self-tuning top-k: pilot run → walker plan → full run
-//!     pagerank   run the GraphLab-style PageRank baseline on the simulated cluster
-//!     ppr        personalized PageRank from a source vertex (push / exact / mc)
-//!     serve      run a mixed query stream through the concurrent serving front-end
-//!     index      build a walk index and report its economics (optionally probe it)
-//!     plan       walker-budget planning for a target top-k accuracy
-//!     stats      print basic structural statistics of an edge-list graph
-//!     generate   write a synthetic Twitter-/LiveJournal-shaped graph as an edge list
-//!
-//! COMMON OPTIONS (session setup):
-//!     --graph <path>        SNAP-style edge list (whitespace separated, # comments);
-//!                           vertex ids printed and accepted are the file's own
-//!     --synthetic <kind>    use a generated graph instead: twitter | livejournal
-//!     --vertices <n>        size of the synthetic graph             [default: 100000]
-//!     --machines <n>        simulated cluster size                  [default: 16]
-//!     --partitioner <p>     random|grid|oblivious|hdrf|hybrid       [default: oblivious]
-//!     --seed <n>            random seed                             [default: 42]
-//!     --verbose             print the per-query cost audit (QueryCost) to stderr
-//!
-//! EXECUTION OPTIONS (engine-served queries: topk, pagerank, autotune, serve):
-//!     --workers <n>         size of the engine pool `topk --parallel` turns on
-//!                           (0 = auto)                                   [default: 0]
-//!     --staleness <s>       bounded-staleness window, in supersteps      [default: 0]
-//!
-//!   `--workers` sizes the engine's batch pool *inside* one query (results are
-//!   bit-identical for every setting), but the pool exists only where `--parallel`
-//!   turns it on, and only `topk` has `--parallel`: `pagerank`, `autotune` and
-//!   `serve`'s engine queries run on the calling thread whatever `--workers` says, and
-//!   say so. (Folding `--parallel` into `--workers` is the cure; it waits for a
-//!   `[benchmark]` PR, because the benchmark names the flag it would remove.)
-//!   `--serve-workers` (below) is a different pool: the serving front-end's, across
-//!   concurrent queries. `--staleness 0` is the synchronous barriered executor; `s > 0`
-//!   lets each machine run up to `s` supersteps ahead of its peers' messages under a
-//!   deterministic delivery schedule — results stay reproducible for a fixed `s` but
-//!   differ from the synchronous ones. Serial and index-served paths (`ppr`,
-//!   `--walk-index` topk) ignore both engine options and say so.
-//!
-//! SERVING OPTIONS (serve subcommand; also honoured by topk --repeat sessions):
-//!     --serve-workers <n>   worker threads in the serving pool (0 = auto) [default: 0]
-//!     --queue-depth <n>     bounded submission queue capacity, in batches [default: 64]
-//!     --serve-batch <n>     queries per submitted batch                   [default: 4]
-//!     --admission <p>       block | reject | timeout                      [default: block]
-//!     --admission-timeout-ms <n>  wait bound for --admission timeout      [default: 100]
-//!     --queries <n>         queries in the generated mixed stream (serve) [default: 100]
-//!     --serial              serve on the calling thread (reference path)
-//!
-//! TRACING OPTIONS (topk, pagerank, autotune, ppr, serve, index):
-//!     --trace <path>        export the run's structured trace to <path>
-//!     --trace-format <f>    chrome | csv                             [default: chrome]
-//!     --trace-logical       logical clock: byte-stable traces, diffable across runs
-//!                           (ordinal timestamps instead of wall-clock durations)
-//!
-//!   Tracing observes, never steers: responses are bit-identical with tracing on or
-//!   off. The chrome format loads in `chrome://tracing` / `ui.perfetto.dev` and is
-//!   validated before the file is written; either format also prints the
-//!   phase-breakdown summary (`TraceReport`) to stderr.
-//!
-//! WALK-INDEX OPTIONS (enable with --walk-index on topk/ppr; implicit for index):
-//!     --walk-index                     precompute a walk index at session build
-//!     --walk-index-segments <n>       segments per vertex (R)        [default: 16]
-//!     --walk-index-length <n>         hops per segment (L)           [default: 8]
-//!     --walk-index-epsilon <e>        serve-time push frontier       [default: 1e-4]
-//!     --walk-index-walks <n>          stitched walks per unit residual [default: 3000]
-//!     --walk-index-budget-mb <n>      arena memory budget in MiB     [default: unbounded]
-//!
-//! TOPK OPTIONS:
-//!     --k <n>              how many vertices to report              [default: 100]
-//!     --walkers <n>        number of random walkers                 [default: 800000]
-//!     --iterations <n>     engine supersteps                        [default: 4]
-//!     --ps <p>             mirror synchronization probability       [default: 0.7]
-//!     --repeat <n>         serve the query n times on one session   [default: 1]
-//!     --parallel           serve engine work batches from a worker pool
-//!                          (sized by --workers, see EXECUTION OPTIONS)
-//!     --tolerance <t>      delta gate: a vertex whose live-walker count after apply
-//!                          is <= t skips scatter and leaves the frontier [default: 0]
-//!
-//! PAGERANK OPTIONS:
-//!     --iterations <n>     number of iterations                     [default: 2]
-//!     --exact              run to convergence instead
-//!     --tolerance <t>      delta gate: a vertex whose rank changed by <= t skips
-//!                          scatter (overrides the preset's tolerance)
-//!
-//! PPR OPTIONS:
-//!     --source <v>         source vertex id (required; the file's id under --graph)
-//!     --method <m>         push | exact | mc                        [default: push]
-//!     --epsilon <e>        forward-push threshold                   [default: 1e-7]
-//!     --walkers <n>        mc walk count                            [default: 100000]
-//!     --max-steps <n>      mc walk-length truncation                [default: 64]
-//!     --k <n>              how many vertices to report              [default: 20]
-//!
-//! INDEX OPTIONS (plus the walk-index options above):
-//!     --probe <n>          serve n random PPR queries from the index [default: 0]
-//!
-//! PLAN OPTIONS:
-//!     --k <n>              target top-k size                        [default: 100]
-//!     --vertices <n>       graph size the query will run on         [default: 100000]
-//!     --mass <m>           expected true top-k mass                 [default: 0.1]
-//!     --loss <e>           tolerated captured-mass loss             [default: 0.02]
-//!     --delta <d>          tolerated failure probability            [default: 0.1]
-//!
-//! GENERATE OPTIONS:
-//!     --kind <k>           twitter | livejournal                    [default: twitter]
-//!     --out <path>         output edge-list path (required)
-//! ```
+//! `frogwild --help` lists the subcommands and every option with its default and the
+//! subcommands that read it; it is generated from the one table in [`args`].
 
 mod args;
 
-use args::Args;
+use args::{ArgError, Args, OPTIONS};
 use frogwild::obs::{span_meta, SpanKey};
 use frogwild::prelude::*;
 use frogwild_graph::io::{read_edge_list_file, write_edge_list_file, EdgeListOptions};
@@ -134,7 +27,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "-h" || raw[0] == "help" {
-        print_usage();
+        print!("{}", args::usage());
         return ExitCode::SUCCESS;
     }
     match Args::parse(&raw).map_err(Error::from).and_then(run) {
@@ -157,40 +50,8 @@ fn run(args: Args) -> Result<()> {
         "plan" => cmd_plan(&args),
         "stats" => cmd_stats(&args),
         "generate" => cmd_generate(&args),
-        other => Err(Error::query(format!("unknown command {other:?}"))),
+        other => Err(ArgError::UnknownCommand(other.to_string()).into()),
     }
-}
-
-fn print_usage() {
-    println!(
-        "frogwild — fast top-k PageRank approximation (FrogWild, VLDB 2015 reproduction)\n\n\
-         usage: frogwild <topk|autotune|pagerank|ppr|serve|index|plan|stats|generate> [options]\n\
-         \n\
-         Ranking commands build one Session (the graph is partitioned once) and serve\n\
-         typed queries against it; repeated queries amortize the partitioning cost.\n\
-         With --walk-index the session also precomputes per-vertex walk segments and\n\
-         serves topk/ppr by stitching them instead of fresh Monte-Carlo walks.\n\
-         \n\
-         session:  --graph <edge list> | --synthetic twitter|livejournal [--vertices N]\n\
-         \u{20}          --machines N --partitioner random|grid|oblivious|hdrf|hybrid --seed N\n\
-         \u{20}          [--walk-index] [--walk-index-segments R] [--walk-index-length L]\n\
-         \u{20}          [--walk-index-epsilon E] [--walk-index-walks N] [--walk-index-budget-mb M]\n\
-         \u{20}          [--staleness S] [--workers N]  (N sizes the pool topk --parallel turns\n\
-         \u{20}          on; pagerank, autotune and serve run engine queries on one thread)\n\
-         \u{20}          [--trace <path>] [--trace-format chrome|csv] [--trace-logical]\n\
-         topk:     --k N --walkers N --iterations N --ps P [--repeat N] [--parallel]\n\
-         \u{20}          [--tolerance T]\n\
-         autotune: --k N --loss E --delta D --ps P [--pilot-walkers N]\n\
-         pagerank: --iterations N | --exact [--tolerance T]\n\
-         ppr:      --source V [--method push|exact|mc] [--epsilon E] [--k N]\n\
-         serve:    --queries N --serve-workers N --queue-depth N --serve-batch N\n\
-         \u{20}          [--admission block|reject|timeout] [--admission-timeout-ms N] [--serial]\n\
-         index:    [--probe N] (walk-index options above; builds and reports the index)\n\
-         plan:     --k N --vertices N --mass M --loss E --delta D\n\
-         generate: --kind twitter|livejournal --vertices N --out <path>\n\
-         \n\
-         run `cargo doc --open -p frogwild` for the library documentation."
-    );
 }
 
 /// A graph and the vertex ids of whatever it was loaded from.
@@ -208,9 +69,14 @@ impl Loaded {
     }
 }
 
+/// `--seed`: the one seed of everything a run randomizes.
+fn seed_of(args: &Args) -> Result<u64> {
+    Ok(args.get_parsed("seed", 42, "an integer")?)
+}
+
 /// Loads the graph named by `--graph`, or generates one per `--synthetic`.
 fn load_graph(args: &Args) -> Result<Loaded> {
-    let seed: u64 = args.get_parsed("seed", 42, "an integer")?;
+    let seed = seed_of(args)?;
     if let Some(path) = args.get("graph") {
         let (graph, labels) = read_edge_list_file(path, &EdgeListOptions::default())
             .map_err(|e| Error::graph(format!("could not load {path}: {e}")))?;
@@ -280,7 +146,7 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
             "an integer",
         )?,
         memory_budget_bytes,
-        seed: args.get_parsed("seed", 42, "an integer")?,
+        seed: seed_of(args)?,
         parallel: args.has_flag("parallel"),
     })
 }
@@ -288,20 +154,19 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
 /// `Some(config)` when the command line opts into a walk index — via the bare
 /// `--walk-index` switch or any `--walk-index-*` value.
 fn walk_index_config(args: &Args) -> Result<Option<WalkIndexConfig>> {
-    let wants = args.has_flag("walk-index")
-        || [
-            "walk-index-segments",
-            "walk-index-length",
-            "walk-index-epsilon",
-            "walk-index-walks",
-            "walk-index-budget-mb",
-        ]
-        .iter()
-        .any(|name| args.get(name).is_some());
-    if !wants {
-        return Ok(None);
+    let mut named = OPTIONS.iter().filter(|o| o.name.starts_with("walk-index"));
+    if named.any(|o| args.has_flag(o.name)) {
+        walk_index_values(args).map(Some)
+    } else {
+        Ok(None)
     }
-    walk_index_values(args).map(Some)
+}
+
+/// Says so when an option the subcommand does read has no effect on this run of it.
+fn warn_no_effect(args: &Args, options: &[&str], why: &str) {
+    for name in options.iter().filter(|name| args.has_flag(name)) {
+        eprintln!("warning: --{name} has no effect here: {why}");
+    }
 }
 
 /// The `--serve-*` / `--admission*` options parsed into a [`ServeConfig`].
@@ -329,24 +194,17 @@ fn serve_config_from(args: &Args) -> Result<ServeConfig> {
     })
 }
 
-/// [`SpanKey::lane`] of CLI-level spans (the sessionless `ppr` command span and the
-/// `index` command's probe spans). Engine spans use lanes 0–6 and the serving stack
-/// lanes 8–10, so CLI spans never share a `(key)` with a library sink.
+/// [`SpanKey::lane`] of the one CLI-level span (the sessionless `ppr` command's). Engine
+/// spans use lanes 0–6 and the serving stack lanes 8–10, so it never shares a `(key)`
+/// with a library sink.
 const LANE_CLI: u16 = 11;
 
-/// How a `--trace` export is serialized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TraceFormat {
-    /// Chrome trace-event JSON — loads in `chrome://tracing` / `ui.perfetto.dev`.
-    Chrome,
-    /// Flat CSV, one row per timeline record.
-    Csv,
-}
-
-/// What `--trace <path>` asked for: where to write, in which format, on which clock.
+/// What `--trace <path>` asked for: where to write, in which format (chrome trace-event
+/// JSON, which loads in `chrome://tracing` / `ui.perfetto.dev`, or a flat CSV with one
+/// row per timeline record), on which clock.
 struct TraceRequest {
     path: String,
-    format: TraceFormat,
+    csv: bool,
     config: TraceConfig,
 }
 
@@ -357,9 +215,9 @@ fn trace_request(args: &Args) -> Result<Option<TraceRequest>> {
     let Some(path) = args.get("trace") else {
         return Ok(None);
     };
-    let format = match args.get("trace-format").unwrap_or("chrome") {
-        "chrome" => TraceFormat::Chrome,
-        "csv" => TraceFormat::Csv,
+    let csv = match args.get("trace-format").unwrap_or("chrome") {
+        "chrome" => false,
+        "csv" => true,
         other => {
             return Err(Error::config(
                 "command line",
@@ -374,26 +232,27 @@ fn trace_request(args: &Args) -> Result<Option<TraceRequest>> {
     };
     Ok(Some(TraceRequest {
         path: path.to_string(),
-        format,
+        csv,
         config,
     }))
 }
 
-/// Merges `tracer`'s records into the deterministic timeline, writes the requested
-/// export, and prints the phase-breakdown summary to stderr. Chrome output is run
-/// back through the in-repo validator *before* the file is written, so the
-/// `trace: wrote ...` confirmation line guarantees a loadable trace.
-fn write_trace(tracer: &Tracer, request: &TraceRequest) -> Result<()> {
+/// When `--trace` asked for one: merges `tracer`'s records into the deterministic
+/// timeline, writes the requested export, and prints the phase-breakdown summary to
+/// stderr. Chrome output is run back through the in-repo validator *before* the file is
+/// written, so the `trace: wrote ...` confirmation line guarantees a loadable trace.
+fn write_trace(args: &Args, tracer: &Tracer) -> Result<()> {
+    let Some(request) = trace_request(args)? else {
+        return Ok(());
+    };
     let timeline = tracer.finish();
-    let (data, label, records) = match request.format {
-        TraceFormat::Chrome => {
-            let json = timeline.to_chrome_json();
-            let events = frogwild::obs::validate_chrome_json(&json).map_err(|e| {
-                Error::query(format!("emitted chrome trace failed validation: {e}"))
-            })?;
-            (json, "chrome, validated", events)
-        }
-        TraceFormat::Csv => (timeline.to_csv(), "csv", timeline.entries().len()),
+    let (data, label, records) = if request.csv {
+        (timeline.to_csv(), "csv", timeline.entries().len())
+    } else {
+        let json = timeline.to_chrome_json();
+        let events = frogwild::obs::validate_chrome_json(&json)
+            .map_err(|e| Error::query(format!("emitted chrome trace failed validation: {e}")))?;
+        (json, "chrome, validated", events)
     };
     std::fs::write(&request.path, &data)
         .map_err(|e| Error::graph(format!("could not write {}: {e}", request.path)))?;
@@ -405,42 +264,37 @@ fn write_trace(tracer: &Tracer, request: &TraceRequest) -> Result<()> {
     Ok(())
 }
 
-/// Builds the session shared by all ranking subcommands. `allow_index` is set by the
-/// subcommands whose queries can actually be served from a walk index (topk, ppr);
-/// the engine-only subcommands skip the build and say so, instead of silently paying
-/// for an index their queries always bypass.
-fn session_over<'g>(args: &Args, graph: &'g DiGraph, allow_index: bool) -> Result<Session<'g>> {
-    let machines: usize = args.get_parsed("machines", 16, "an integer")?;
-    let seed: u64 = args.get_parsed("seed", 42, "an integer")?;
-    let partitioner: PartitionerKind = args.get_parsed(
-        "partitioner",
-        PartitionerKind::default(),
-        "a partitioner name",
-    )?;
-    let workers: usize = args.get_parsed("workers", 0usize, "an integer")?;
-    let staleness: usize = args.get_parsed("staleness", 0usize, "an integer")?;
+/// Builds the session shared by the ranking subcommands — over a walk index when the
+/// subcommand's queries can be served from one and the command line asked for it.
+fn session_over<'g>(
+    args: &Args,
+    graph: &'g DiGraph,
+    index: Option<WalkIndexConfig>,
+) -> Result<Session<'g>> {
+    let partitioner: PartitionerKind =
+        args.get_parsed("partitioner", Default::default(), "a partitioner name")?;
+    let execution = ExecutionConfig::new()
+        .workers(args.get_parsed("workers", 0usize, "an integer")?)
+        .staleness(args.get_parsed("staleness", 0usize, "an integer")?);
     let mut builder = Session::builder(graph)
-        .machines(machines)
+        .machines(args.get_parsed("machines", 16, "an integer")?)
         .partitioner(partitioner)
-        .seed(seed)
-        .execution(ExecutionConfig::new().workers(workers).staleness(staleness))
-        .serve_config(serve_config_from(args)?);
+        .seed(seed_of(args)?)
+        .execution(execution);
     if let Some(request) = trace_request(args)? {
         builder = builder.tracing(request.config);
     }
-    let index = walk_index_config(args)?;
-    if let Some(config) = index.filter(|_| allow_index) {
+    if let Some(config) = index {
         builder = builder.walk_index(config);
-    } else if index.is_some() {
-        eprintln!("note: --walk-index is ignored here (this query always runs on the engine)");
     }
     // Index-serving commands say on their own that no engine option reaches them.
     let pooled = args.command == "topk" && args.has_flag("parallel");
-    if args.get("workers").is_some() && !pooled && !(allow_index && index.is_some()) {
-        eprintln!(
-            "warning: --workers sizes the engine pool that --parallel turns on, and only topk \
-             has --parallel; {}'s engine queries run on the calling thread",
-            args.command
+    if !pooled && index.is_none() {
+        warn_no_effect(
+            args,
+            &["workers"],
+            "it sizes the engine pool that only topk --parallel turns on; engine queries \
+             run on the calling thread",
         );
     }
     let session = builder.build()?;
@@ -464,17 +318,6 @@ fn session_over<'g>(args: &Args, graph: &'g DiGraph, allow_index: bool) -> Resul
     Ok(session)
 }
 
-fn print_response_header(session: &Session<'_>, response: &Response) {
-    println!("# algorithm: {}", response.algorithm);
-    println!(
-        "# machines: {}, supersteps: {}, network bytes: {}, simulated time: {:.4}s",
-        session.num_machines(),
-        response.cost.supersteps,
-        response.cost.network_bytes,
-        response.cost.simulated_seconds,
-    );
-}
-
 /// Under `--verbose`, prints the per-query cost audit (`QueryCost`'s `Display`)
 /// to stderr so the stdout CSV stays machine-readable.
 fn print_verbose_cost(args: &Args, response: &Response) {
@@ -491,10 +334,28 @@ fn print_ranking(response: &Response, loaded: &Loaded, score_label: &str) {
     }
 }
 
-fn print_session_stats(session: &Session<'_>) {
-    // SessionStats implements Display with the full amortized-economics audit,
-    // including the executor's frontier counters.
+/// What `topk`, `pagerank` and `autotune` do once their query is answered: the run's
+/// header, the ranking, the session's amortized-economics audit (`SessionStats`'
+/// `Display`, to stderr) and the trace.
+fn finish_ranking(
+    args: &Args,
+    session: &Session<'_>,
+    response: &Response,
+    loaded: &Loaded,
+    score_label: &str,
+) -> Result<()> {
+    println!("# algorithm: {}", response.algorithm);
+    println!(
+        "# machines: {}, supersteps: {}, network bytes: {}, simulated time: {:.4}s",
+        session.num_machines(),
+        response.cost.supersteps,
+        response.cost.network_bytes,
+        response.cost.simulated_seconds,
+    );
+    print_verbose_cost(args, response);
+    print_ranking(response, loaded, score_label);
     eprintln!("{}", session.stats());
+    write_trace(args, session.tracer())
 }
 
 fn cmd_topk(args: &Args) -> Result<()> {
@@ -502,28 +363,20 @@ fn cmd_topk(args: &Args) -> Result<()> {
         num_walkers: args.get_parsed("walkers", 800_000u64, "an integer")?,
         iterations: args.get_parsed("iterations", 4usize, "an integer")?,
         sync_probability: args.get_parsed("ps", 0.7f64, "a probability in (0, 1]")?,
-        seed: args.get_parsed("seed", 42, "an integer")?,
+        seed: seed_of(args)?,
         parallel: args.has_flag("parallel"),
         tolerance: args.get_parsed("tolerance", 0.0f64, "a non-negative number")?,
         ..FrogWildConfig::default()
     };
     // Fail fast on a bad configuration before the (expensive) graph load + partition.
     config.validate()?;
-    if config.tolerance > 0.0 && walk_index_config(args)?.is_some() {
-        eprintln!(
-            "warning: --tolerance gates the engine's scatter phase, but --walk-index serves \
-             topk from precomputed segments; the tolerance has no effect on index-served queries"
+    let index = walk_index_config(args)?;
+    if index.is_some() {
+        warn_no_effect(
+            args,
+            &["tolerance", "workers", "staleness"],
+            "it configures the engine, but --walk-index serves topk from precomputed segments",
         );
-    }
-    if walk_index_config(args)?.is_some() {
-        for flag in ["workers", "staleness"] {
-            if args.get(flag).is_some() {
-                eprintln!(
-                    "warning: --{flag} configures the engine executor, but --walk-index serves \
-                     topk from precomputed segments; it has no effect on index-served queries"
-                );
-            }
-        }
     }
     let k: usize = args.get_parsed("k", 100, "an integer")?;
     let repeat: usize = args.get_parsed("repeat", 1usize, "an integer")?;
@@ -532,46 +385,29 @@ fn cmd_topk(args: &Args) -> Result<()> {
     }
 
     let loaded = load_graph(args)?;
-    let mut session = session_over(args, &loaded.graph, true)?;
+    let mut session = session_over(args, &loaded.graph, index)?;
     let mut last = None;
     for _ in 0..repeat {
         last = Some(session.query(&Query::TopK { k, config })?);
     }
     let response = last.expect("repeat >= 1");
-    print_response_header(&session, &response);
-    print_verbose_cost(args, &response);
-    print_ranking(&response, &loaded, "estimated_mass");
-    print_session_stats(&session);
-    if let Some(request) = trace_request(args)? {
-        write_trace(session.tracer(), &request)?;
-    }
-    Ok(())
+    finish_ranking(args, &session, &response, &loaded, "estimated_mass")
 }
 
 fn cmd_pagerank(args: &Args) -> Result<()> {
     let loaded = load_graph(args)?;
-    let mut session = session_over(args, &loaded.graph, false)?;
+    let mut session = session_over(args, &loaded.graph, None)?;
     let mut config = if args.has_flag("exact") {
         PageRankConfig::exact()
     } else {
         PageRankConfig::truncated(args.get_parsed("iterations", 2usize, "an integer")?)
     };
-    if args.get("tolerance").is_some() {
-        config.tolerance =
-            args.get_parsed("tolerance", config.tolerance, "a non-negative number")?;
-        config.validate()?;
-    }
+    config.tolerance = args.get_parsed("tolerance", config.tolerance, "a non-negative number")?;
+    config.validate()?;
     let k: usize = args.get_parsed("k", 100, "an integer")?;
 
     let response = session.query(&Query::Pagerank { k, config })?;
-    print_response_header(&session, &response);
-    print_verbose_cost(args, &response);
-    print_ranking(&response, &loaded, "score");
-    print_session_stats(&session);
-    if let Some(request) = trace_request(args)? {
-        write_trace(session.tracer(), &request)?;
-    }
-    Ok(())
+    finish_ranking(args, &session, &response, &loaded, "score")
 }
 
 fn cmd_autotune(args: &Args) -> Result<()> {
@@ -582,14 +418,14 @@ fn cmd_autotune(args: &Args) -> Result<()> {
         failure_probability: args.get_parsed("delta", 0.1, "a probability")?,
         sync_probability: args.get_parsed("ps", 0.7, "a probability in (0, 1]")?,
         pilot_walkers: args.get_parsed("pilot-walkers", 10_000u64, "an integer")?,
-        seed: args.get_parsed("seed", 42, "an integer")?,
+        seed: seed_of(args)?,
         ..AutoTuneConfig::default()
     };
     // Fail fast on a bad configuration before the (expensive) graph load + partition.
     config.validate()?;
 
     let loaded = load_graph(args)?;
-    let mut session = session_over(args, &loaded.graph, false)?;
+    let mut session = session_over(args, &loaded.graph, None)?;
     let response = session.query(&Query::AutotunedTopK { config })?;
     if let ResponseDetail::AutotunedTopK {
         estimated_topk_mass,
@@ -602,24 +438,12 @@ fn cmd_autotune(args: &Args) -> Result<()> {
             "# plan: estimated top-{k} mass {estimated_topk_mass:.4}, planned {planned_walkers} walkers / {planned_iterations} iterations (pilot cost {pilot_network_bytes} bytes)"
         );
     }
-    print_response_header(&session, &response);
-    print_verbose_cost(args, &response);
-    print_ranking(&response, &loaded, "estimated_mass");
-    print_session_stats(&session);
-    if let Some(request) = trace_request(args)? {
-        write_trace(session.tracer(), &request)?;
-    }
-    Ok(())
+    finish_ranking(args, &session, &response, &loaded, "estimated_mass")
 }
 
 fn cmd_ppr(args: &Args) -> Result<()> {
-    let source: u64 = args.get_parsed("source", u64::MAX, "a vertex id")?;
-    if source == u64::MAX {
-        return Err(Error::config(
-            "command line",
-            "--source is required for the ppr command",
-        ));
-    }
+    args.require("source")?;
+    let source: u64 = args.get_parsed("source", 0, "a vertex id")?;
     let k: usize = args.get_parsed("k", 20, "an integer")?;
     let method = match args.get("method").unwrap_or("push") {
         "push" => PprMethod::ForwardPush {
@@ -632,7 +456,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         "mc" => PprMethod::MonteCarlo {
             walkers: args.get_parsed("walkers", 100_000u64, "an integer")?,
             max_steps: args.get_parsed("max-steps", 64usize, "an integer")?,
-            seed: args.get_parsed("seed", 42, "an integer")?,
+            seed: seed_of(args)?,
         },
         other => {
             return Err(Error::config(
@@ -642,20 +466,11 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         }
     };
 
-    if args.get("tolerance").is_some() {
-        eprintln!(
-            "warning: --tolerance gates the engine's scatter phase; ppr is served serially \
-             or from the walk index and ignores it"
-        );
-    }
-    for flag in ["workers", "staleness"] {
-        if args.get(flag).is_some() {
-            eprintln!(
-                "warning: --{flag} configures the engine executor; ppr is served serially \
-                 or from the walk index and ignores it"
-            );
-        }
-    }
+    warn_no_effect(
+        args,
+        &["tolerance", "workers", "staleness"],
+        "it configures the engine, and ppr is served serially or from the walk index",
+    );
 
     let loaded = load_graph(args)?;
     let graph = &loaded.graph;
@@ -682,31 +497,25 @@ fn cmd_ppr(args: &Args) -> Result<()> {
     // partitioning) entirely. With `--walk-index-*` options a session is built so the
     // query is served by stitching precomputed segments — except for the exact method,
     // which always bypasses the index and must not pay for building one.
-    let wants_index =
-        walk_index_config(args)?.is_some() && !matches!(method, PprMethod::PowerIteration { .. });
-    let trace = trace_request(args)?;
-    let response = if wants_index {
-        let mut session = session_over(args, graph, true)?;
+    let index =
+        walk_index_config(args)?.filter(|_| !matches!(method, PprMethod::PowerIteration { .. }));
+    let response = if index.is_some() {
+        let mut session = session_over(args, graph, index)?;
         let response = session.query(&Query::Ppr {
             source: source as VertexId,
             k,
             teleport_probability: 0.15,
             method,
         })?;
-        print_session_stats(&session);
-        if let Some(request) = &trace {
-            write_trace(session.tracer(), request)?;
-        }
+        eprintln!("{}", session.stats());
+        write_trace(args, session.tracer())?;
         response
     } else {
         // The sessionless path has no library instrumentation to piggyback on, so the
         // CLI wraps the whole serve in one span of its own; the tracer stays disabled
         // (and the span free) unless --trace asked for it.
-        let tracer = Tracer::new(
-            trace
-                .as_ref()
-                .map_or_else(TraceConfig::disabled, |r| r.config),
-        );
+        let tracer =
+            Tracer::new(trace_request(args)?.map_or_else(TraceConfig::disabled, |r| r.config));
         let sink = tracer.sink();
         let mut span = sink.span(span_meta!("serve_ppr"), SpanKey::new(0, 0, 0, LANE_CLI));
         let response = frogwild::session::serve_ppr(graph, source as VertexId, k, 0.15, method)?;
@@ -716,9 +525,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         span.counter("walk_hops", response.cost.walk_hops);
         drop(span);
         drop(sink);
-        if let Some(request) = &trace {
-            write_trace(&tracer, request)?;
-        }
+        write_trace(args, &tracer)?;
         response
     };
     if let ResponseDetail::Ppr {
@@ -792,10 +599,11 @@ fn serve_stream(args: &Args, graph: &DiGraph) -> Result<Vec<Query>> {
 }
 
 fn cmd_serve(args: &Args) -> Result<()> {
+    let serve_config = serve_config_from(args)?;
     let graph = load_graph(args)?.graph;
     let queries = serve_stream(args, &graph)?;
-    let mut session = session_over(args, &graph, true)?;
-    let mut handle = session.serve();
+    let mut session = session_over(args, &graph, walk_index_config(args)?)?;
+    let mut handle = session.serve_with(serve_config)?;
     let report = if args.has_flag("serial") {
         handle.serve_serial(&queries)
     } else {
@@ -844,95 +652,64 @@ fn cmd_serve(args: &Args) -> Result<()> {
             w.worker, w.served, w.failed, w.batches, w.busy_seconds, w.queue_wait_seconds
         );
     }
-    if args.has_flag("verbose") {
-        if let Some(response) = report.responses().next() {
-            eprintln!("{}", response.cost);
-        }
+    if let Some(response) = report.responses().next() {
+        print_verbose_cost(args, response);
     }
-    print_session_stats(&session);
-    if let Some(request) = trace_request(args)? {
-        write_trace(session.tracer(), &request)?;
-    }
-    Ok(())
+    eprintln!("{}", session.stats());
+    write_trace(args, session.tracer())
 }
 
 fn cmd_index(args: &Args) -> Result<()> {
     let graph = load_graph(args)?.graph;
-    let machines: usize = args.get_parsed("machines", 16, "an integer")?;
-    if machines == 0 {
-        return Err(Error::config(
-            "command line",
-            "--machines must be at least 1",
-        ));
-    }
     let config = walk_index_values(args)?;
-    let trace = trace_request(args)?;
-    // Build over an explicit layout, under the CLI's tracer: each machine's segment
-    // generation then lands in the trace as a `walk_segments` span.
-    let tracer = Tracer::new(
-        trace
-            .as_ref()
-            .map_or_else(TraceConfig::disabled, |r| r.config),
-    );
-    let pg = frogwild_engine::PartitionedGraph::build(
-        &graph,
-        machines,
-        PartitionerKind::Oblivious,
-        config.seed,
-    );
-    let (index, report) =
-        frogwild::walkindex::build_walk_index_traced(&graph, &pg, &config, &tracer)?;
+    // A session over the walk index is the build — each machine's segment generation
+    // lands in the trace as a `walk_segments` span — and, below, the probes.
+    let mut builder = Session::builder(&graph)
+        .machines(args.get_parsed("machines", 16, "an integer")?)
+        .seed(config.seed)
+        .walk_index(config);
+    if let Some(request) = trace_request(args)? {
+        builder = builder.tracing(request.config);
+    }
+    let mut session = builder.build()?;
     println!("quantity,value");
-    println!("vertices,{}", index.num_vertices());
-    println!("requested_segments,{}", report.requested_segments);
-    println!("effective_segments,{}", report.effective_segments);
-    println!("segment_length,{}", report.segment_length);
-    println!("machines,{}", report.machines);
-    println!("arena_bytes,{}", report.arena_bytes);
-    println!("total_hops,{}", report.total_hops);
-    println!("truncated_segments,{}", report.truncated_segments);
-    println!("build_seconds,{:.6}", report.build_seconds);
+    println!("vertices,{}", graph.num_vertices());
+    if let Some(report) = session.walk_index_report() {
+        println!("requested_segments,{}", report.requested_segments);
+        println!("effective_segments,{}", report.effective_segments);
+        println!("segment_length,{}", report.segment_length);
+        println!("machines,{}", report.machines);
+        println!("arena_bytes,{}", report.arena_bytes);
+        println!("total_hops,{}", report.total_hops);
+        println!("truncated_segments,{}", report.truncated_segments);
+        println!("build_seconds,{:.6}", report.build_seconds);
+    }
 
     let probes: usize = args.get_parsed("probe", 0usize, "an integer")?;
     if probes > 0 {
-        let seed: u64 = args.get_parsed("seed", 42, "an integer")?;
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1DE7_0B5E);
-        let started = std::time::Instant::now();
-        let mut totals = frogwild::walkindex::IndexServeStats::default();
-        let sink = tracer.sink();
-        for probe in 0..probes {
-            let source = rng.gen_range(0..graph.num_vertices()) as VertexId;
-            let mut span = sink.span(
-                span_meta!("probe_ppr"),
-                SpanKey::new(probe as u64, 0, 0, LANE_CLI),
-            );
-            let served = frogwild::walkindex::indexed_ppr(&graph, &index, &config, source, 0.15)?;
-            span.counter("pushes", served.stats.pushes as u64);
-            span.counter("frontier", served.stats.frontier_vertices);
-            span.counter("segment_hits", served.stats.segment_hits);
-            span.counter("segment_misses", served.stats.segment_misses);
-            // Every miss resamples exactly one fresh hop.
-            span.counter("resamples", served.stats.segment_misses);
-            drop(span);
-            totals.segment_hits += served.stats.segment_hits;
-            totals.segment_misses += served.stats.segment_misses;
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x1DE7_0B5E);
+        for _ in 0..probes {
+            session.query(&Query::Ppr {
+                source: rng.gen_range(0..graph.num_vertices()) as VertexId,
+                k: 20,
+                teleport_probability: 0.15,
+                method: PprMethod::ForwardPush {
+                    epsilon: config.frontier_epsilon,
+                },
+            })?;
         }
-        drop(sink);
-        let serve_seconds = started.elapsed().as_secs_f64();
+        let stats = session.stats();
         println!("probe_queries,{probes}");
-        println!("probe_seconds,{serve_seconds:.6}");
-        println!("probe_segment_hits,{}", totals.segment_hits);
-        println!("probe_segment_misses,{}", totals.segment_misses);
-        println!("probe_hit_rate,{:.4}", totals.hit_rate());
+        println!("probe_seconds,{:.6}", stats.total_wall_seconds);
+        println!("probe_segment_hits,{}", stats.totals.index_hits);
+        println!("probe_segment_misses,{}", stats.totals.index_misses);
+        println!("probe_hit_rate,{:.4}", stats.index_hit_rate());
         println!(
             "amortized_build_seconds,{:.6}",
-            report.build_seconds / probes as f64
+            stats.amortized_index_build_seconds()
         );
     }
-    if let Some(request) = &trace {
-        write_trace(&tracer, request)?;
-    }
-    Ok(())
+    write_trace(args, session.tracer())
 }
 
 fn cmd_plan(args: &Args) -> Result<()> {

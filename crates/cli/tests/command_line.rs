@@ -1,6 +1,7 @@
 //! The `frogwild` binary never ranks a graph other than the one it was pointed at, and
-//! never panics on a value: a mistyped option, a value option with no value and an
-//! absurd number are each a typed error (exit 1, `error: ...`) or a run that works.
+//! never panics on a value: a mistyped option, an option the subcommand does not read, a
+//! value option with no value and an absurd number are each a typed error (exit 1,
+//! `error: ...`) or a run that works.
 
 mod common;
 
@@ -17,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 7] = [
+    let table: [Case<'_>; 13] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -55,6 +56,41 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             ],
             Ok(&[]),
         ),
+        // A correctly spelled option the subcommand never reads is not a default
+        // silently used in its place.
+        (
+            &["pagerank", "--graph", ids, "--ps", "0.1"],
+            Err("option --ps does not apply to pagerank (read by: topk, autotune, serve)"),
+        ),
+        (
+            &["topk", "--graph", ids, "--source", "3"],
+            Err("option --source does not apply to topk"),
+        ),
+        (
+            &[
+                "ppr",
+                "--graph",
+                ids,
+                "--source",
+                "200",
+                "--iterations",
+                "3",
+            ],
+            Err("option --iterations does not apply to ppr"),
+        ),
+        (
+            &["plan", "--graph", ids],
+            Err("option --graph does not apply to plan"),
+        ),
+        (
+            &["stats", "--graph", ids, "--machines", "4"],
+            Err("option --machines does not apply to stats"),
+        ),
+        // The subcommand is checked by the parser, before any of its options.
+        (
+            &["topkk", "--walker", "100"],
+            Err("error: invalid command line: unknown command \"topkk\""),
+        ),
     ];
     for (args, expected) in table {
         let output = frogwild(args);
@@ -73,4 +109,45 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             }
         }
     }
+}
+
+/// `index` is a session over a walk index, probed through `Session::query`; what it
+/// reports is what the standalone build and the direct `indexed_ppr` probes it replaced
+/// reported (pinned from the commit before), timings aside.
+#[test]
+fn index_reports_the_build_and_the_probes_of_its_session() {
+    let output = frogwild(&[
+        "index",
+        "--synthetic",
+        "twitter",
+        "--vertices",
+        "2000",
+        "--probe",
+        "20",
+        "--seed",
+        "7",
+    ]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|row| !row.contains("_seconds,"))
+        .collect();
+    let pinned = [
+        "quantity,value",
+        "vertices,2000",
+        "requested_segments,16",
+        "effective_segments,16",
+        "segment_length,8",
+        "machines,16",
+        "arena_bytes,1024000",
+        "total_hops,256000",
+        "truncated_segments,0",
+        "probe_queries,20",
+        "probe_segment_hits,94453",
+        "probe_segment_misses,74914",
+        "probe_hit_rate,0.5577",
+    ];
+    assert_eq!(rows, pinned, "{stdout}");
+    assert_eq!(stdout.lines().count(), pinned.len() + 3, "{stdout}");
 }

@@ -10,14 +10,14 @@
 //!    ([`crate::confidence::plan_walkers`], [`crate::theory::recommended_iterations`]);
 //! 3. the **planned** run executes with the derived budget.
 //!
-//! The [`AutoTuneReport`] keeps the pilot, the plan and the final run together so the
-//! caller can audit what the tuner decided and how much the pilot cost.
+//! The [`AutoTuneReport`] keeps the pilot, the planned budget and the final run
+//! together so the caller can audit what the tuner decided and how much the pilot cost.
 
 use frogwild_engine::PartitionedGraph;
 use frogwild_obs::Tracer;
 use serde::{Deserialize, Serialize};
 
-use crate::confidence::{plan_walkers, WalkerPlan};
+use crate::confidence::plan_walkers;
 use crate::config::{
     in_half_open_unit_interval, in_open_unit_interval, ExecutionConfig, FrogWildConfig,
 };
@@ -98,8 +98,6 @@ pub struct AutoTuneReport {
     pub pilot: RunReport,
     /// The top-k mass the pilot estimated (input to the planning rules).
     pub estimated_topk_mass: f64,
-    /// The walker-budget plan derived from the pilot.
-    pub plan: WalkerPlan,
     /// The walker budget actually used (the plan's Theorem-1 term, clamped to
     /// `[pilot_walkers, max_walkers]`).
     pub planned_walkers: u64,
@@ -182,7 +180,6 @@ pub fn auto_topk_on(
     Ok(AutoTuneReport {
         pilot,
         estimated_topk_mass,
-        plan,
         planned_walkers,
         planned_iterations,
         run,

@@ -51,8 +51,8 @@ pub struct QueryCost {
     /// Mirror synchronizations partial synchronization avoided — the paper's `p_s`
     /// mechanism at work (engine-served queries only; zero at `p_s = 1`).
     pub skipped_syncs: u64,
-    /// Active vertices that scheduled no scatter: structural `needs_scatter` plus the
-    /// executor's delta gate (engine-served queries only).
+    /// Active vertices that scheduled no scatter: the executor's delta gate, which
+    /// closes on quiet and on converged vertices alike (engine-served queries only).
     pub skipped_scatters: u64,
     /// Post-combining message deliveries routed between scatter and the next gather,
     /// including machine-local ones (engine-served queries only).

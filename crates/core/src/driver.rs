@@ -19,7 +19,7 @@ use frogwild_engine::{
     ClusterConfig, Engine, EngineConfig, InitialActivation, PartitionedGraph, PartitionerKind,
     RunMetrics,
 };
-use frogwild_graph::sparsify::{uniform_sparsify, SparsifyMode};
+use frogwild_graph::sparsify::uniform_sparsify;
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::Tracer;
 use rand::rngs::SmallRng;
@@ -225,12 +225,7 @@ pub fn run_sparsified_pr(
         ));
     }
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x5710_51F7);
-    let sparsified = uniform_sparsify(
-        graph,
-        keep_probability,
-        SparsifyMode::KeepAtLeastOne,
-        &mut rng,
-    );
+    let sparsified = uniform_sparsify(graph, keep_probability, &mut rng);
     let pg = partition_graph(&sparsified, cluster);
     let mut report = run_graphlab_pr(
         &pg,

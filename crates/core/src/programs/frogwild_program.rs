@@ -100,14 +100,10 @@ impl VertexProgram for FrogWildProgram {
         state.live = incoming - deaths;
     }
 
-    fn needs_scatter(&self, _vertex: VertexId, state: &FrogState) -> bool {
-        state.live > 0
-    }
-
-    // The convergence magnitude is the live-walker count: at the engine's default
-    // tolerance of 0 this gates exactly when `needs_scatter` declines (`live == 0`),
-    // and a positive tolerance additionally parks near-empty vertices (their walkers
-    // stay in `live` and still count toward the estimator).
+    // The gated magnitude is the live-walker count: a vertex with no frog left to
+    // forward (`live == 0`) is gated at every tolerance, the engine's default of 0
+    // included, and a positive tolerance additionally parks near-empty vertices (their
+    // walkers stay in `live` and still count toward the estimator).
     fn delta(&self, _old: &FrogState, new: &FrogState) -> f64 {
         new.live as f64
     }
@@ -188,7 +184,6 @@ impl VertexProgram for FrogWildProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frogwild_engine::MachineId;
     use frogwild_engine::{ApplyContext, ScatterContext};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -203,12 +198,7 @@ mod tests {
     }
 
     fn apply_ctx<'a>(superstep: usize, rng: &'a mut SmallRng) -> ApplyContext<'a> {
-        ApplyContext {
-            superstep,
-            num_vertices: 100,
-            out_degree: 5,
-            rng,
-        }
+        ApplyContext { superstep, rng }
     }
 
     #[test]
@@ -221,6 +211,11 @@ mod tests {
         assert_eq!(state.total(), 10_000);
         assert!(state.stopped > 0, "some frogs should die with p_T = 0.15");
         assert!(state.live > 0, "most frogs should survive");
+        // The survivors are what the executor's gate is asked about.
+        assert_eq!(
+            program.delta(&FrogState::default(), &state),
+            state.live as f64
+        );
     }
 
     #[test]
@@ -252,7 +247,8 @@ mod tests {
         program.apply(&mut ctx, 0, &mut state, None, Some(500));
         assert_eq!(state.live, 0);
         assert_eq!(state.stopped, 507);
-        assert!(!program.needs_scatter(0, &state));
+        // Nothing left to forward: gated at every tolerance.
+        assert_eq!(program.delta(&FrogState::default(), &state), 0.0);
     }
 
     #[test]
@@ -273,18 +269,14 @@ mod tests {
     fn scatter_ctx<'a>(
         rank: usize,
         participating: usize,
-        local_deg: usize,
         global_deg: u32,
         ps: f64,
         rng: &'a mut SmallRng,
     ) -> ScatterContext<'a> {
         ScatterContext {
-            superstep: 1,
-            machine: MachineId(0),
             replica_rank: rank,
             num_participating: participating,
             global_out_degree: global_deg,
-            local_out_degree: local_deg,
             sync_probability: ps,
             rng,
         }
@@ -301,7 +293,7 @@ mod tests {
         let neighbors: Vec<VertexId> = (10..17).collect();
         let mut total_sent = 0u64;
         for rank in 0..3 {
-            let mut ctx = scatter_ctx(rank, 3, neighbors.len(), 21, 1.0, &mut rng);
+            let mut ctx = scatter_ctx(rank, 3, 21, 1.0, &mut rng);
             program.scatter_replica(&mut ctx, 0, &state, &neighbors, &mut |_dst, x| {
                 total_sent += x;
             });
@@ -319,7 +311,7 @@ mod tests {
         };
         let neighbors: Vec<VertexId> = (0..7).collect();
         let mut per_dst = vec![0u64; 7];
-        let mut ctx = scatter_ctx(0, 1, 7, 7, 1.0, &mut rng);
+        let mut ctx = scatter_ctx(0, 1, 7, 1.0, &mut rng);
         program.scatter_replica(&mut ctx, 0, &state, &neighbors, &mut |dst, x| {
             per_dst[dst as usize] += x;
         });
@@ -373,10 +365,10 @@ mod tests {
         let program = FrogWildProgram::new(&config(10)).unwrap();
         let state = FrogState { live, stopped: 0 };
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let mut ctx = scatter_ctx(rank, participating, neighbors.len(), 64, 1.0, &mut rng);
+        let mut ctx = scatter_ctx(rank, participating, 64, 1.0, &mut rng);
         let expected = reference_split(&mut ctx, live, neighbors);
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        let mut ctx = scatter_ctx(rank, participating, neighbors.len(), 64, 1.0, &mut rng);
+        let mut ctx = scatter_ctx(rank, participating, 64, 1.0, &mut rng);
         let mut emitted = Vec::new();
         program.scatter_replica(&mut ctx, 0, &state, neighbors, &mut |dst, x| {
             emitted.push((dst, x));
@@ -456,7 +448,7 @@ mod tests {
         let mut grand_total = 0u64;
         for _ in 0..trials {
             for rank in 0..2 {
-                let mut ctx = scatter_ctx(rank, 2, 5, 10, 1.0, &mut rng);
+                let mut ctx = scatter_ctx(rank, 2, 10, 1.0, &mut rng);
                 program.scatter_replica(&mut ctx, 0, &state, &neighbors, &mut |_d, x| {
                     grand_total += x;
                 });
@@ -476,31 +468,11 @@ mod tests {
         let state = FrogState::default();
         let neighbors: Vec<VertexId> = vec![1, 2];
         let mut called = false;
-        let mut ctx = scatter_ctx(0, 1, 2, 2, 1.0, &mut rng);
+        let mut ctx = scatter_ctx(0, 1, 2, 1.0, &mut rng);
         program.scatter_replica(&mut ctx, 0, &state, &neighbors, &mut |_d, _x| {
             called = true;
         });
         assert!(!called);
-    }
-
-    #[test]
-    fn delta_is_the_live_count_and_agrees_with_needs_scatter_at_zero() {
-        let program = FrogWildProgram::new(&config(4)).unwrap();
-        let old = FrogState::default();
-        let quiet = FrogState {
-            live: 0,
-            stopped: 9,
-        };
-        let busy = FrogState {
-            live: 12,
-            stopped: 1,
-        };
-        // `delta <= 0` exactly when `needs_scatter` is false.
-        assert!(program.delta(&old, &quiet) <= 0.0);
-        assert!(!program.needs_scatter(0, &quiet));
-        assert!(program.delta(&old, &busy) > 0.0);
-        assert!(program.needs_scatter(0, &busy));
-        assert_eq!(program.delta(&old, &busy), 12.0);
     }
 
     #[test]

@@ -27,16 +27,11 @@ pub struct RankState {
     /// Current (unnormalised) rank. GraphLab convention: starts at 1.0, converges to
     /// `n · π(v)`.
     pub rank: f64,
-    /// Absolute change of the rank in the last apply; drives dynamic scheduling.
-    pub delta: f64,
 }
 
 impl Default for RankState {
     fn default() -> Self {
-        RankState {
-            rank: 1.0,
-            delta: f64::INFINITY,
-        }
+        RankState { rank: 1.0 }
     }
 }
 
@@ -101,9 +96,7 @@ impl VertexProgram for PageRankProgram {
         _message: Option<()>,
     ) {
         let gathered = accum.unwrap_or(0.0);
-        let new_rank = self.teleport_probability + (1.0 - self.teleport_probability) * gathered;
-        state.delta = (new_rank - state.rank).abs();
-        state.rank = new_rank;
+        state.rank = self.teleport_probability + (1.0 - self.teleport_probability) * gathered;
     }
 
     fn delta(&self, old: &RankState, new: &RankState) -> f64 {
@@ -152,16 +145,12 @@ mod tests {
     fn default_state_matches_graphlab_convention() {
         let s = RankState::default();
         assert_eq!(s.rank, 1.0);
-        assert!(s.delta.is_infinite());
     }
 
     #[test]
     fn gather_divides_by_out_degree() {
         let p = program();
-        let src = RankState {
-            rank: 2.0,
-            delta: 0.0,
-        };
+        let src = RankState { rank: 2.0 };
         let dst = RankState::default();
         assert_eq!(p.gather_edge(0, 1, &src, &dst, 4), Some(0.5));
         // degree 0 is clamped to avoid division by zero (cannot occur on fixed graphs)
@@ -175,14 +164,11 @@ mod tests {
         let mut state = RankState::default();
         let mut ctx = ApplyContext {
             superstep: 0,
-            num_vertices: 10,
-            out_degree: 2,
             rng: &mut rng,
         };
         p.apply(&mut ctx, 0, &mut state, Some(2.0), None);
         let expected = 0.15 + 0.85 * 2.0;
         assert!((state.rank - expected).abs() < 1e-12);
-        assert!((state.delta - (expected - 1.0).abs()).abs() < 1e-12);
     }
 
     #[test]
@@ -192,8 +178,6 @@ mod tests {
         let mut state = RankState::default();
         let mut ctx = ApplyContext {
             superstep: 0,
-            num_vertices: 10,
-            out_degree: 2,
             rng: &mut rng,
         };
         p.apply(&mut ctx, 0, &mut state, None, None);
@@ -203,22 +187,13 @@ mod tests {
     #[test]
     fn delta_reports_absolute_rank_change_for_the_executor_gate() {
         let p = program();
-        let old = RankState {
-            rank: 0.5,
-            delta: 1e-2,
-        };
-        let new = RankState {
-            rank: 0.4997,
-            delta: 3e-4,
-        };
+        let old = RankState { rank: 0.5 };
+        let new = RankState { rank: 0.4997 };
         let d = p.delta(&old, &new);
         assert!((d - 3e-4).abs() < 1e-12);
-        // The executor gates with `delta <= tolerance`, mirroring the old
-        // `needs_scatter = delta > tolerance` exactly.
+        // The executor gates with `delta <= tolerance`.
         assert!(d <= 1e-3);
         assert!(p.delta(&new, &old) > 1e-4);
-        // `needs_scatter` is structural only; PageRank never declines it.
-        assert!(p.needs_scatter(0, &old));
     }
 
     #[test]

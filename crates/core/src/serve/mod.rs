@@ -140,13 +140,7 @@ impl ServeConfig {
     /// The worker count actually used: `workers`, or the host's available
     /// parallelism when it is `0`.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        }
+        frogwild_engine::worker_threads(self.workers)
     }
 }
 

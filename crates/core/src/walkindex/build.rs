@@ -73,7 +73,7 @@ pub fn build_walk_index(
 /// # Errors
 ///
 /// The same errors as [`build_walk_index`].
-pub fn build_walk_index_traced(
+pub(crate) fn build_walk_index_traced(
     graph: &DiGraph,
     pg: &PartitionedGraph,
     config: &WalkIndexConfig,

@@ -62,7 +62,8 @@ mod config;
 mod serve;
 mod storage;
 
-pub use build::{build_walk_index, build_walk_index_traced, WalkIndexBuildReport};
+pub(crate) use build::build_walk_index_traced;
+pub use build::{build_walk_index, WalkIndexBuildReport};
 pub use config::WalkIndexConfig;
 pub use serve::{indexed_pagerank, indexed_ppr, IndexServeStats, IndexedEstimate, TAIL_FLOOR};
 pub use storage::WalkIndex;

@@ -90,19 +90,6 @@ pub struct IndexServeStats {
     pub frontier_vertices: u64,
 }
 
-impl IndexServeStats {
-    /// Fraction of segment requests served from the arena (1.0 when nothing missed;
-    /// 1.0 also for a query that needed no segments at all).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.segment_hits + self.segment_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.segment_hits as f64 / total as f64
-        }
-    }
-}
-
 /// An estimate served from the index, with its serving statistics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexedEstimate {
@@ -451,7 +438,6 @@ mod tests {
         let index = test_index(&g, &starved);
         let served = indexed_ppr(&g, &index, &starved, 5, 0.15).unwrap();
         assert!(served.stats.segment_misses > 0);
-        assert!(served.stats.hit_rate() < 1.0);
         // The estimate stays exact-mass regardless of misses.
         let total: f64 = served.estimate.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -749,10 +735,5 @@ mod tests {
             }
         }
         assert!(sink_sources > 0 && missed_with_sinks_visited > 0);
-    }
-
-    #[test]
-    fn hit_rate_of_an_idle_query_is_one() {
-        assert_eq!(IndexServeStats::default().hit_rate(), 1.0);
     }
 }

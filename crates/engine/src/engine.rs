@@ -40,12 +40,12 @@
 //! `staleness = 0` reproduces the synchronous engine bit-for-bit.
 //!
 //! The superstep operates on an explicit frontier — the sorted set of vertices
-//! activated by last superstep's messages. Two mechanisms shrink it: programs can
-//! decline scatter structurally via `needs_scatter`, and the executor *delta-gates*
-//! convergence — after apply it asks the program for `delta(old, new)` and drops any
-//! vertex whose delta is at or below [`EngineConfig::tolerance`] out of the frontier,
-//! skipping its synchronization and scatter entirely (the production PageRank idiom of
-//! gating scatter on `delta > tolerance`). `tolerance = 0` never gates a vertex that
+//! activated by last superstep's messages. One gate shrinks it: after apply the
+//! executor asks the program for `delta(old, new)` and drops any vertex whose delta is
+//! at or below [`EngineConfig::tolerance`] out of the frontier, skipping its
+//! synchronization and scatter entirely (the production PageRank idiom of gating
+//! scatter on `delta > tolerance`). A vertex with nothing left to send reports a delta
+//! of zero and is gated at every tolerance; `tolerance = 0` never gates a vertex that
 //! still changes, and reproduces the ungated engine bit-for-bit.
 //!
 //! Gather, apply and scatter run through one phase runner: the phase's per-machine
@@ -119,7 +119,7 @@ pub struct EngineConfig {
     /// Delta-gating threshold: after apply, a vertex whose `program.delta(old, new)`
     /// is `<= tolerance` skips synchronization and scatter and drops out of the
     /// frontier. `0.0` (the default) reproduces the ungated engine bit-for-bit for
-    /// every shipped program.
+    /// every shipped program. Must be a non-negative number.
     pub tolerance: f64,
     /// Threads serving each phase's work batches: `1` (the default) runs everything
     /// on the calling thread, `n > 1` is a pool of `n`, and `0` sizes the pool from
@@ -158,11 +158,20 @@ impl Default for EngineConfig {
     }
 }
 
+/// The thread count a `workers` setting stands for: itself, or — for `0` — the host's
+/// available parallelism (one thread when the host will not say).
+pub fn worker_threads(workers: usize) -> usize {
+    match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+}
+
 /// The engine's active set for one superstep, from an arbitrary list of vertices: sorted
 /// and deduplicated. It holds the vertices that received a message (or were explicitly
-/// activated) and will run apply this superstep, and shrinks as vertices go quiet —
-/// structurally via `needs_scatter`, or through delta gating when their state stops
-/// changing — which is what makes later supersteps cheaper than the first.
+/// activated) and will run apply this superstep, and shrinks as delta gating drops the
+/// vertices that have gone quiet — which is what makes later supersteps cheaper than
+/// the first.
 fn frontier_of(mut vertices: Vec<VertexId>) -> Vec<VertexId> {
     vertices.sort_unstable();
     vertices.dedup();
@@ -287,7 +296,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`](frogwild_graph::Error::InvalidConfig) when
-    /// [`EngineConfig::sync_probability`] is not a number in `[0, 1]`.
+    /// [`EngineConfig::sync_probability`] is not a number in `[0, 1]`, or
+    /// [`EngineConfig::tolerance`] is negative or not a number (the gate
+    /// `delta <= tolerance` would then never close, however converged the run).
     pub fn new(
         graph: &'g PartitionedGraph,
         program: P,
@@ -298,6 +309,13 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             return Err(frogwild_graph::Error::config(
                 "EngineConfig",
                 format!("synchronization probability {ps} outside [0, 1]"),
+            ));
+        }
+        let tolerance = config.tolerance;
+        if tolerance.is_nan() || tolerance < 0.0 {
+            return Err(frogwild_graph::Error::config(
+                "EngineConfig",
+                format!("tolerance {tolerance} is not a non-negative number"),
             ));
         }
         Ok(Engine {
@@ -656,16 +674,15 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         scatter_tasks.iter_mut().for_each(Vec::clear);
 
         for (&v, &delta) in active.iter().zip(&deltas) {
-            let (master, master_local) = placement.master_slot(v);
-            let master_state = &caches[master.index()][master_local as usize];
-            // The scatter gate: structurally quiet vertices and delta-gated
-            // (converged) vertices schedule no synchronization and no scatter, so
-            // they fall out of the frontier. A program that does not implement
-            // `delta` reports infinity, which no finite tolerance gates.
-            if !self.program.needs_scatter(v, master_state) || delta <= tolerance {
+            // The scatter gate: a vertex that is quiet or converged schedules no
+            // synchronization and no scatter, so it falls out of the frontier. A
+            // program that does not implement `delta` reports infinity, which no
+            // finite tolerance gates.
+            if delta <= tolerance {
                 work.skipped_scatters += 1;
                 continue;
             }
+            let (master, master_local) = placement.master_slot(v);
             // Decide which replicas are synchronized (and hence may scatter).
             let replicas = placement.replica_slots(v);
             participating.clear();
@@ -858,16 +875,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         per_machine
     }
 
-    /// Number of threads serving work batches.
-    fn worker_count(&self) -> usize {
-        match self.config.workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            workers => workers,
-        }
-    }
-
     /// Executes `f` over every batch — on the calling thread, or on the worker pool
     /// with workers pulling batches off a shared counter. `f` receives the batch's
     /// canonical index (its position in `batches` — the deterministic identity trace
@@ -879,7 +886,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         T: Send,
         F: Fn(usize, &BatchRange) -> T + Sync,
     {
-        let workers = self.worker_count().min(batches.len());
+        let workers = worker_threads(self.config.workers).min(batches.len());
         if workers <= 1 {
             return batches.iter().enumerate().map(|(i, b)| f(i, b)).collect();
         }
@@ -969,8 +976,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             ]);
             let mut ctx = ApplyContext {
                 superstep,
-                num_vertices: self.graph.num_vertices(),
-                out_degree: self.graph.out_degree(task.vertex),
                 rng: &mut task_rng,
             };
             self.program.apply(
@@ -1011,12 +1016,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 TAG_SCATTER,
             ]);
             let mut ctx = ScatterContext {
-                superstep,
-                machine: shard.machine,
                 replica_rank: task.replica_rank,
                 num_participating: task.num_participating,
                 global_out_degree: self.graph.out_degree(task.vertex),
-                local_out_degree: local_neighbors.len(),
                 sync_probability: self.config.sync_probability,
                 rng: &mut task_rng,
             };
@@ -1087,12 +1089,8 @@ mod tests {
             }
         }
 
-        fn needs_scatter(&self, _vertex: VertexId, state: &TokenState) -> bool {
-            state.forwarding > 0
-        }
-
-        // Equivalent to `needs_scatter` at tolerance 0 (`x as f64 <= 0` iff `x == 0`),
-        // and lets tests gate away low-token vertices with a positive tolerance.
+        // Gates a vertex with nothing to forward at tolerance 0 (`x as f64 <= 0` iff
+        // `x == 0`), and lets tests gate away low-token vertices with a positive one.
         fn delta(&self, _old: &TokenState, new: &TokenState) -> f64 {
             new.forwarding as f64
         }
@@ -1183,9 +1181,6 @@ mod tests {
         ) {
             state.digest = ordered_apply(state.digest, accum.unwrap_or(0));
             self.0.apply(ctx, vertex, &mut state.inner, None, message);
-        }
-        fn needs_scatter(&self, vertex: VertexId, state: &Self::State) -> bool {
-            self.0.needs_scatter(vertex, &state.inner)
         }
         fn delta(&self, old: &Self::State, new: &Self::State) -> f64 {
             self.0.delta(&old.inner, &new.inner)
@@ -1488,6 +1483,21 @@ mod tests {
                 ..EngineConfig::default()
             };
             assert!(Engine::new(&pg, TokenForward { steps: 1 }, config).is_ok());
+        }
+    }
+
+    #[test]
+    fn tolerances_the_gate_cannot_compare_against_are_a_typed_error() {
+        let pg = partitioned(&cycle(6), 2);
+        for (tolerance, valid) in [(f64::NAN, false), (-1.0, false), (0.0, true), (1e-3, true)] {
+            let config = EngineConfig {
+                tolerance,
+                ..EngineConfig::default()
+            };
+            let built = Engine::new(&pg, TokenForward { steps: 1 }, config);
+            assert_eq!(built.is_ok(), valid, "tolerance {tolerance}");
+            let typed = matches!(built, Err(frogwild_graph::Error::InvalidConfig { .. }));
+            assert!(valid || typed, "tolerance {tolerance}");
         }
     }
 
@@ -1914,8 +1924,12 @@ mod tests {
             state.forwards = ctx.superstep + 1 < self.steps;
         }
 
-        fn needs_scatter(&self, _vertex: VertexId, state: &MailState) -> bool {
-            state.forwards
+        fn delta(&self, _old: &MailState, new: &MailState) -> f64 {
+            if new.forwards {
+                f64::INFINITY
+            } else {
+                0.0
+            }
         }
 
         fn scatter_replica(

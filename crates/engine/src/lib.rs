@@ -32,8 +32,7 @@
 //! The engine is *simulated* in the sense that all "machines" live in one process and
 //! network transfer is accounted rather than performed; everything else — the data
 //! placement, the message flow, which replica knows what and when — follows the
-//! PowerGraph execution model. See `DESIGN.md` §2 for why this preserves the paper's
-//! claims.
+//! PowerGraph execution model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -48,7 +47,7 @@ pub mod rng;
 pub mod walkgen;
 
 pub use cluster::{ClusterConfig, MachineId};
-pub use engine::{Engine, EngineConfig, EngineOutput, InitialActivation};
+pub use engine::{worker_threads, Engine, EngineConfig, EngineOutput, InitialActivation};
 pub use frogwild_graph::Error;
 pub use metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, WorkStats};
 pub use partition::PartitionerKind;

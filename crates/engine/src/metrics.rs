@@ -80,9 +80,9 @@ pub struct WorkStats {
     pub sync_ops: u64,
     /// Mirror synchronizations *skipped* because of partial synchronization.
     pub skipped_syncs: u64,
-    /// Active vertices that scheduled no scatter this superstep, either because the
-    /// program's `needs_scatter` declined structurally or because the vertex's delta
-    /// fell at or below the executor's tolerance (delta gating).
+    /// Active vertices that scheduled no scatter this superstep because their delta
+    /// fell at or below the executor's tolerance (delta gating; a vertex with nothing
+    /// left to send reports zero).
     pub skipped_scatters: u64,
     /// Work operations per machine (gather + apply + scatter attributed to the machine
     /// that executed them).

@@ -33,8 +33,6 @@ mod hybrid;
 mod oblivious;
 mod random;
 
-pub use random::expected_random_replication;
-
 use crate::cluster::MachineId;
 use frogwild_graph::DiGraph;
 

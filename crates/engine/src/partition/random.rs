@@ -28,32 +28,32 @@ pub(super) fn assign(graph: &DiGraph, num_machines: usize, seed: u64) -> EdgeAss
     }
 }
 
-/// Expected replication factor for random edge placement on a graph with the given
-/// degree sequence: `E[replicas(v)] = M (1 - (1 - 1/M)^{deg(v)})`, summed over vertices
-/// and divided by `n`. Exposed so tests and reports can compare measured vs expected.
-pub fn expected_random_replication(graph: &DiGraph, num_machines: usize) -> f64 {
-    let m = num_machines as f64;
-    let n = graph.num_vertices().max(1) as f64;
-    let total: f64 = graph
-        .vertices()
-        .map(|v| {
-            let deg = (graph.out_degree(v) + graph.in_degree(v)) as f64;
-            if deg == 0.0 {
-                // isolated vertices still get a master replica
-                1.0
-            } else {
-                m * (1.0 - (1.0 - 1.0 / m).powf(deg))
-            }
-        })
-        .sum();
-    total / n
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{check_partitioner_contract, test_graph};
     use super::super::PartitionerKind;
     use super::*;
+
+    /// Expected replication factor for random edge placement on a graph with the given
+    /// degree sequence: `E[replicas(v)] = M (1 - (1 - 1/M)^{deg(v)})`, summed over vertices
+    /// and divided by `n`.
+    fn expected_random_replication(graph: &DiGraph, num_machines: usize) -> f64 {
+        let m = num_machines as f64;
+        let n = graph.num_vertices().max(1) as f64;
+        let total: f64 = graph
+            .vertices()
+            .map(|v| {
+                let deg = (graph.out_degree(v) + graph.in_degree(v)) as f64;
+                if deg == 0.0 {
+                    // isolated vertices still get a master replica
+                    1.0
+                } else {
+                    m * (1.0 - (1.0 - 1.0 / m).powf(deg))
+                }
+            })
+            .sum();
+        total / n
+    }
 
     #[test]
     fn satisfies_partitioner_contract() {

@@ -23,8 +23,6 @@
 use frogwild_graph::VertexId;
 use rand::rngs::SmallRng;
 
-use crate::cluster::MachineId;
-
 /// Which edges a phase of the program touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EdgeDirection {
@@ -32,18 +30,12 @@ pub enum EdgeDirection {
     None,
     /// The phase runs over in-edges.
     In,
-    /// The phase runs over out-edges.
-    Out,
 }
 
 /// Context available to [`VertexProgram::apply`], executed at the vertex's master.
 pub struct ApplyContext<'a> {
     /// Current superstep index (0-based).
     pub superstep: usize,
-    /// Total number of vertices in the graph.
-    pub num_vertices: usize,
-    /// Global out-degree of the vertex being applied.
-    pub out_degree: u32,
     /// Deterministic per-(vertex, superstep) random number generator.
     pub rng: &'a mut SmallRng,
 }
@@ -51,10 +43,6 @@ pub struct ApplyContext<'a> {
 /// Context available to [`VertexProgram::scatter_replica`], executed on every
 /// participating replica of an active vertex.
 pub struct ScatterContext<'a> {
-    /// Current superstep index (0-based).
-    pub superstep: usize,
-    /// Machine executing this scatter call.
-    pub machine: MachineId,
     /// Rank of this replica among the participating replicas of the vertex this
     /// superstep (0-based, in ascending machine order).
     pub replica_rank: usize,
@@ -63,8 +51,6 @@ pub struct ScatterContext<'a> {
     pub num_participating: usize,
     /// Global out-degree of the vertex (over the whole graph).
     pub global_out_degree: u32,
-    /// Number of out-edges of the vertex owned by this machine.
-    pub local_out_degree: usize,
     /// The synchronization probability currently in force (1.0 under full sync). The
     /// FrogWild binomial scatter uses it to keep the expected number of emitted frogs
     /// equal to the number of live frogs.
@@ -125,24 +111,16 @@ pub trait VertexProgram: Send + Sync {
         message: Option<Self::Message>,
     );
 
-    /// Whether the vertex should run scatter this superstep given its freshly applied
-    /// state. Returning `false` skips synchronization and scatter entirely for this
-    /// vertex (saving the associated network traffic). Use this for *structural*
-    /// conditions ("no live walkers left"); for convergence gating, implement
-    /// [`VertexProgram::delta`] and let the executor compare it against its tolerance.
-    #[allow(unused_variables)]
-    fn needs_scatter(&self, vertex: VertexId, state: &Self::State) -> bool {
-        true
-    }
-
-    /// How much the vertex state changed during the last apply, as a non-negative
+    /// How much the vertex has left to say after the last apply, as a non-negative
     /// magnitude the executor compares against its configured `tolerance`: a vertex
     /// whose delta is `<= tolerance` skips synchronization and scatter this superstep
-    /// and drops out of the frontier (the delta-gating idiom of production PageRank
-    /// implementations).
+    /// (saving the associated network traffic) and drops out of the frontier. It is
+    /// the one scatter gate, so it carries structural quiet ("no live walkers left" is
+    /// a delta of `0.0`, gated at every tolerance) as well as convergence (the
+    /// delta-gating idiom of production PageRank implementations).
     ///
     /// The default returns `f64::INFINITY`, which is never `<=` any finite tolerance,
-    /// so programs that do not opt in are never gated and behave exactly as before.
+    /// so programs that do not opt in are never gated.
     #[allow(unused_variables)]
     fn delta(&self, old: &Self::State, new: &Self::State) -> f64 {
         f64::INFINITY
@@ -235,7 +213,6 @@ mod tests {
         let p = Noop;
         assert_eq!(p.gather_direction(), EdgeDirection::None);
         assert!(p.gather_edge(0, 1, &0, &0, 3).is_none());
-        assert!(p.needs_scatter(0, &0));
     }
 
     #[test]

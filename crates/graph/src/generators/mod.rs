@@ -6,15 +6,11 @@
 //! properties the paper's analysis relies on: a heavy-tailed in-degree distribution
 //! (power-law exponent θ ≈ 2.2, see Proposition 7) and a strongly skewed PageRank vector.
 //!
-//! Four random families are provided:
+//! Two random families are provided:
 //!
 //! * [`rmat()`] — the recursive-matrix (Kronecker) generator behind Graph500, which is the
 //!   standard stand-in for social graphs in the graph-engine literature (it is the
 //!   generator the PowerGraph paper itself uses for synthetic scaling studies).
-//! * [`chung_lu()`] — the Chung–Lu configuration model with an explicit power-law expected
-//!   degree sequence, when direct control over the exponent is needed.
-//! * [`preferential_attachment()`] — Barabási–Albert growth, producing the age/degree
-//!   correlation real citation and follower graphs show.
 //! * [`watts_strogatz()`] — small-world graphs with a *flat* degree distribution, used as
 //!   the negative control in the ablation benchmarks (FrogWild's advantage shrinks when
 //!   the PageRank vector carries no heavy tail).
@@ -24,16 +20,10 @@
 //! The [`twitter_like`] and [`livejournal_like`] presets produce scaled-down graphs with
 //! the same average degree (≈ 34 and ≈ 14 respectively) and skew as the paper's datasets.
 
-pub mod chung_lu;
-pub mod erdos_renyi;
-pub mod preferential_attachment;
 pub mod rmat;
 pub mod simple;
 pub mod watts_strogatz;
 
-pub use chung_lu::{chung_lu, power_law_weights};
-pub use erdos_renyi::{gnm, gnp};
-pub use preferential_attachment::{preferential_attachment, PrefAttachParams};
 pub use rmat::{rmat, RmatParams};
 pub use simple::{complete, cycle, path, star, two_communities};
 pub use watts_strogatz::{watts_strogatz, WattsStrogatzParams};

@@ -5,7 +5,8 @@
 //! parameters (`a` ≫ `d`) this yields heavy-tailed in- and out-degree distributions very
 //! similar to web and social graphs, which is why Graph500 and the PowerGraph paper use
 //! it for synthetic scaling studies. We use it here to stand in for the Twitter and
-//! LiveJournal graphs of the paper's evaluation (see DESIGN.md §2).
+//! LiveJournal graphs of the paper's evaluation (the [`generators`](super) module docs
+//! say which of their properties the analysis relies on).
 
 use crate::builder::{DanglingPolicy, GraphBuilder};
 use crate::csr::{DiGraph, VertexId};

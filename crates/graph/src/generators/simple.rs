@@ -29,6 +29,7 @@ pub fn cycle(n: usize) -> DiGraph {
 /// A star with the hub at vertex `0`: every leaf points at the hub and the hub points at
 /// every leaf (so the hub accumulates PageRank mass — the canonical "one heavy vertex"
 /// test graph).
+// lint:allow(orphan-pub, oracle for engine_pagerank_matches_reference_on_structured_graphs)
 pub fn star(n: usize) -> DiGraph {
     assert!(n >= 2, "star requires at least two vertices");
     let mut b = GraphBuilder::new(n);
@@ -61,6 +62,7 @@ pub fn complete(n: usize) -> DiGraph {
 /// edge in each direction. Vertices `0..size` form community A, `size..2*size` community
 /// B. Useful for partitioning tests (a good vertex-cut should not split communities) and
 /// for checking that PageRank mass distributes across both communities.
+// lint:allow(orphan-pub, oracle for engine_pagerank_matches_reference_on_structured_graphs)
 pub fn two_communities(size: usize) -> DiGraph {
     assert!(size >= 2, "communities need at least two vertices each");
     let n = 2 * size;

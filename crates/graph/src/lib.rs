@@ -9,9 +9,9 @@
 //!   consumes.
 //! * [`GraphBuilder`] — a mutable edge accumulator that deduplicates, sorts and
 //!   validates edges before freezing them into a [`DiGraph`].
-//! * [`generators`] — synthetic graph generators (Erdős–Rényi, Chung–Lu power-law,
-//!   R-MAT/Kronecker, and small deterministic shapes) used to stand in for the paper's
-//!   Twitter and LiveJournal datasets.
+//! * [`generators`] — synthetic graph generators (R-MAT/Kronecker, Watts–Strogatz, and
+//!   small deterministic shapes) used to stand in for the paper's Twitter and
+//!   LiveJournal datasets.
 //! * [`io`] — SNAP-style edge-list reading and writing so the real datasets can be
 //!   dropped in unchanged.
 //! * [`stats`] — degree statistics and a power-law tail-exponent estimator

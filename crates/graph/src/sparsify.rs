@@ -10,32 +10,16 @@ use crate::builder::{DanglingPolicy, GraphBuilder};
 use crate::csr::DiGraph;
 use rand::Rng;
 
-/// How vertices that lose all their out-edges are handled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SparsifyMode {
-    /// If every out-edge of a vertex was deleted, re-enable one of them chosen uniformly
-    /// at random. This mirrors the paper's "At Least One Out-Edge Per Node" erasure
-    /// model (Example 10) and keeps the transition matrix well defined.
-    #[default]
-    KeepAtLeastOne,
-    /// Delete edges fully independently; vertices that end up dangling receive a
-    /// self-loop (mirroring Example 9, "Independent Erasures", plus the standard
-    /// dangling fix).
-    Independent,
-}
-
 /// Returns a sparsified copy of `graph` in which each edge is kept independently with
-/// probability `keep_probability` (the paper's `q = 1 - r`).
+/// probability `keep_probability` (the paper's `q = 1 - r`). A vertex whose every
+/// out-edge was deleted gets one of them back, chosen uniformly at random: the paper's
+/// "At Least One Out-Edge Per Node" erasure model (Example 10), which keeps the
+/// transition matrix well defined.
 ///
 /// # Panics
 ///
 /// Panics if `keep_probability` is outside `[0, 1]`.
-pub fn uniform_sparsify<R: Rng>(
-    graph: &DiGraph,
-    keep_probability: f64,
-    mode: SparsifyMode,
-    rng: &mut R,
-) -> DiGraph {
+pub fn uniform_sparsify<R: Rng>(graph: &DiGraph, keep_probability: f64, rng: &mut R) -> DiGraph {
     assert!(
         (0.0..=1.0).contains(&keep_probability),
         "keep_probability must be in [0, 1]"
@@ -55,18 +39,15 @@ pub fn uniform_sparsify<R: Rng>(
                 kept_any = true;
             }
         }
-        if !kept_any && mode == SparsifyMode::KeepAtLeastOne {
+        if !kept_any {
             // lint:allow(indexing, gen_range is bounded by the neighbor count)
             let pick = neighbors[rng.gen_range(0..neighbors.len())];
             b.add_edge_unchecked(v, pick);
         }
     }
-    let policy = match mode {
-        SparsifyMode::KeepAtLeastOne => DanglingPolicy::SelfLoop, // only isolated inputs remain
-        SparsifyMode::Independent => DanglingPolicy::SelfLoop,
-    };
+    // Only vertices that were isolated in the input are dangling here.
     // lint:allow(panic, builder input is a subset of an already-validated graph)
-    b.dangling_policy(policy).build().unwrap()
+    b.dangling_policy(DanglingPolicy::SelfLoop).build().unwrap()
 }
 
 #[cfg(test)]
@@ -81,7 +62,7 @@ mod tests {
     fn keep_probability_one_preserves_graph() {
         let g = complete(8);
         let mut rng = SmallRng::seed_from_u64(1);
-        let s = uniform_sparsify(&g, 1.0, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let s = uniform_sparsify(&g, 1.0, &mut rng);
         assert_eq!(g, s);
     }
 
@@ -89,7 +70,7 @@ mod tests {
     fn keep_probability_zero_keeps_one_edge_per_vertex() {
         let g = complete(8);
         let mut rng = SmallRng::seed_from_u64(2);
-        let s = uniform_sparsify(&g, 0.0, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let s = uniform_sparsify(&g, 0.0, &mut rng);
         assert_eq!(s.num_vertices(), 8);
         for v in s.vertices() {
             assert_eq!(s.out_degree(v), 1);
@@ -98,21 +79,11 @@ mod tests {
     }
 
     #[test]
-    fn keep_probability_zero_independent_gives_self_loops() {
-        let g = complete(8);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let s = uniform_sparsify(&g, 0.0, SparsifyMode::Independent, &mut rng);
-        for v in s.vertices() {
-            assert_eq!(s.out_neighbors(v), &[v]);
-        }
-    }
-
-    #[test]
     fn edge_count_scales_with_keep_probability() {
         let mut rng = SmallRng::seed_from_u64(3);
         let g = rmat(2_000, RmatParams::default(), &mut rng);
         let q = 0.4;
-        let s = uniform_sparsify(&g, q, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let s = uniform_sparsify(&g, q, &mut rng);
         let ratio = s.num_edges() as f64 / g.num_edges() as f64;
         assert!(
             (ratio - q).abs() < 0.08,
@@ -126,7 +97,7 @@ mod tests {
     fn sparsified_edges_are_subset_of_original() {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = rmat(500, RmatParams::default(), &mut rng);
-        let s = uniform_sparsify(&g, 0.5, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let s = uniform_sparsify(&g, 0.5, &mut rng);
         for (src, dst) in s.edges() {
             assert!(
                 g.has_edge(src, dst) || src == dst,
@@ -138,18 +109,8 @@ mod tests {
     #[test]
     fn reproducible_from_seed() {
         let g = complete(20);
-        let a = uniform_sparsify(
-            &g,
-            0.3,
-            SparsifyMode::KeepAtLeastOne,
-            &mut SmallRng::seed_from_u64(7),
-        );
-        let b = uniform_sparsify(
-            &g,
-            0.3,
-            SparsifyMode::KeepAtLeastOne,
-            &mut SmallRng::seed_from_u64(7),
-        );
+        let a = uniform_sparsify(&g, 0.3, &mut SmallRng::seed_from_u64(7));
+        let b = uniform_sparsify(&g, 0.3, &mut SmallRng::seed_from_u64(7));
         assert_eq!(a, b);
     }
 
@@ -158,6 +119,6 @@ mod tests {
     fn rejects_invalid_probability() {
         let g = complete(4);
         let mut rng = SmallRng::seed_from_u64(0);
-        let _ = uniform_sparsify(&g, 1.5, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let _ = uniform_sparsify(&g, 1.5, &mut rng);
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests for the graph substrate: CSR invariants, builder behaviour,
 //! and I/O round trips hold for arbitrary edge lists.
 
-use frogwild_graph::generators::power_law_weights;
 use frogwild_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
-use frogwild_graph::sparsify::{uniform_sparsify, SparsifyMode};
+use frogwild_graph::sparsify::uniform_sparsify;
 use frogwild_graph::{DanglingPolicy, DiGraph, GraphBuilder, GraphError, VertexId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -189,7 +188,7 @@ proptest! {
     ) {
         let g = DiGraph::from_edges(n, &edges);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let s = uniform_sparsify(&g, keep, SparsifyMode::KeepAtLeastOne, &mut rng);
+        let s = uniform_sparsify(&g, keep, &mut rng);
         prop_assert_eq!(s.num_vertices(), g.num_vertices());
         prop_assert!(s.validate().is_ok());
         // Every non-self-loop edge of the sparsified graph existed in the original.
@@ -200,19 +199,5 @@ proptest! {
         if keep == 1.0 {
             prop_assert!(s.num_edges() >= g.num_edges());
         }
-    }
-
-    #[test]
-    fn power_law_weights_are_positive_decreasing_and_normalised(
-        n in 2usize..500,
-        theta in 1.5f64..4.0,
-        avg in 0.5f64..50.0,
-    ) {
-        let w = power_law_weights(n, theta, avg);
-        prop_assert_eq!(w.len(), n);
-        prop_assert!(w.iter().all(|&x| x > 0.0));
-        prop_assert!(w.windows(2).all(|p| p[0] >= p[1]));
-        let mean = w.iter().sum::<f64>() / n as f64;
-        prop_assert!((mean - avg).abs() < 1e-6 * avg.max(1.0));
     }
 }

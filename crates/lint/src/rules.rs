@@ -57,8 +57,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "orphan-pub",
         doc: "a pub fn/struct/enum/trait/type/const in crates/{graph,engine,obs,core}/src \
-              whose name occurs nowhere else in non-test code of crates/*/src or examples/: \
-              delete it, or — when a test uses it to check other code — mark it \
+              whose name occurs nowhere else in non-test code of crates/*/src or examples/ \
+              (a `use` re-export or a `mod` line is not a caller): delete it, or — when a \
+              test uses it to check other code — mark it \
               `lint:allow(orphan-pub, oracle for <test name>)`",
     },
     RuleInfo {
@@ -606,7 +607,7 @@ fn collect_non_exhaustive(path: &str, lexed: &LexOutput, report: &mut FileReport
 
 /// The `orphan-pub` inputs of one file: its `pub fn|struct|enum|trait|type|const`
 /// declarations (library scopes only; `pub(crate)` and friends are not public) and
-/// every other identifier it uses outside test regions.
+/// every other identifier it uses outside test regions, `use` items and `mod` names.
 fn collect_references(path: &str, scope: Scope, lexed: &LexOutput, report: &mut FileReport) {
     let toks = &lexed.tokens;
     let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
@@ -644,8 +645,17 @@ fn collect_references(path: &str, scope: Scope, lexed: &LexOutput, report: &mut 
             });
         }
     }
+    // A `use …;` item and the name of a `mod` declaration say where an item lives,
+    // not that anything calls it: neither is evidence.
+    let mut in_use = false;
     for (i, tok) in live(lexed) {
-        if tok.kind == TokenKind::Ident && !declared_at.contains(&i) {
+        match tok.text.as_str() {
+            "use" if tok.kind == TokenKind::Ident => in_use = true,
+            ";" => in_use = false,
+            _ => {}
+        }
+        let names_a_module = i > 0 && text(i - 1) == "mod";
+        if tok.kind == TokenKind::Ident && !in_use && !names_a_module && !declared_at.contains(&i) {
             report.referenced.insert(tok.text.clone());
         }
     }
@@ -1041,9 +1051,13 @@ mod tests {
         let names: Vec<&str> = r.pub_decls.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["a", "b", "S", "E", "T", "Y", "C"]);
         assert_eq!(r.pub_decls[1].line, 2);
-        // A declaration does not vouch for itself; every other use does.
+        // A declaration does not vouch for itself, and neither a `use` item nor the
+        // name of a module vouches for anything; every other use does.
         assert!(!r.referenced.contains("a"));
-        assert!(r.referenced.contains("hidden") && r.referenced.contains("z"));
+        assert!(r.referenced.contains("hidden") && r.referenced.contains("private"));
+        assert!(["x", "z", "m", "tests"]
+            .iter()
+            .all(|n| !r.referenced.contains(*n)));
         assert!(!r.referenced.contains("helper"));
         // Tool crates declare nothing, but still supply evidence.
         let tool = analyze_file("crates/cli/src/x.rs", Scope::Tool, "pub fn run() { a(); }");

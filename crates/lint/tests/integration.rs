@@ -92,6 +92,7 @@ fn fixture_tree_produces_exactly_the_expected_findings() {
         ("panic", "tests/fixtures/violations/panics.rs", 3, 25),
         ("indexing", "tests/fixtures/violations/panics.rs", 4, 15),
         ("panic", "tests/fixtures/violations/panics.rs", 6, 9),
+        ("orphan-pub", "tests/fixtures/violations/reexport.rs", 6, 1),
         ("span-guard", "tests/fixtures/violations/spans.rs", 4, 5),
     ];
     assert_eq!(got, expected, "full findings: {:#?}", report.findings);
@@ -155,6 +156,26 @@ fn orphan_pub_reads_an_example_as_a_caller_and_runs_no_rule_on_it() {
 }
 
 #[test]
+fn orphan_pub_does_not_take_a_reexport_or_a_mod_line_for_a_caller() {
+    let reexport = fixture_sources()
+        .into_iter()
+        .find(|(p, _)| p.ends_with("violations/reexport.rs"))
+        .expect("reexport fixture");
+    let report = run_on_sources(std::slice::from_ref(&reexport), &Config::default());
+    let got: Vec<(&str, u32)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(got, [("orphan-pub", 6)], "{:?}", report.findings);
+    // A `use` in the caller's file is no call either; the call below it is.
+    let importer = |body: &str| {
+        let src = format!("use fixtures::reexported;\nfn main() {{ {body} }}");
+        ("examples/demo.rs".to_string(), src)
+    };
+    let uncalled = run_on_sources(&[reexport.clone(), importer("")], &Config::default());
+    assert_eq!(uncalled.findings.len(), 1, "{:?}", uncalled.findings);
+    let called = run_on_sources(&[reexport, importer("reexported(1);")], &Config::default());
+    assert!(called.findings.is_empty(), "{:?}", called.findings);
+}
+
+#[test]
 fn orphan_pub_allow_must_name_the_oracle_test() {
     let (path, src) = orphan_fixture();
     let vague = src.replace(
@@ -203,6 +224,7 @@ fn deny_all_fails_on_each_seeded_violation_class_and_passes_on_clean() {
         "violations/ctor.rs",
         "violations/spans.rs",
         "violations/orphan.rs",
+        "violations/reexport.rs",
     ] {
         let out = lint_cmd()
             .arg("--deny-all")

@@ -18,7 +18,7 @@ fn sparsified_pagerank_accuracy_is_comparable_but_cost_is_higher_than_frogwild()
     // currently host walkers. At integration-test scale the comparable quantities are
     // the per-iteration time, CPU work and network bytes (the paper's total-time gap
     // additionally needs per-superstep work to dominate the superstep barrier, which
-    // requires the harness-scale graphs — see EXPERIMENTS.md).
+    // requires the harness-scale graphs).
     let graph = test_graph(2_500, 1);
     let truth = exact_pagerank(&graph, 0.15, 200, 1e-12);
     let cluster = ClusterConfig::new(12, 2);
@@ -156,8 +156,7 @@ fn exact_pagerank_baseline_dominates_accuracy_but_not_cost() {
 
     // Accuracy ordering: exact >= FrogWild >= 1-iteration PR (up to a small tolerance:
     // on R-MAT stand-ins the 1-iteration baseline is stronger than on the real Twitter
-    // graph because synthetic PageRank correlates heavily with weighted in-degree —
-    // see EXPERIMENTS.md).
+    // graph because synthetic PageRank correlates heavily with weighted in-degree).
     assert!(exact_mass > 0.99);
     assert!(
         fw_mass > one_mass - 0.02,

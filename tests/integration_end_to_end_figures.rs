@@ -110,7 +110,7 @@ fn figure2_shape_accuracy_ordering_across_k() {
         let pr1_mass = mass_captured(&pr1.estimate, &w.truth, k).normalized();
         let pr2_mass = mass_captured(&pr2.estimate, &w.truth, k).normalized();
         // On the R-MAT stand-in the 1-iteration baseline is close to the true ranking
-        // (weighted in-degree ≈ PageRank), so allow a small tolerance (EXPERIMENTS.md).
+        // (weighted in-degree ≈ PageRank), so allow a small tolerance.
         assert!(
             fw_mass > pr1_mass - 0.03,
             "k={k}: FrogWild {fw_mass} vs 1-iter PR {pr1_mass}"

@@ -176,7 +176,7 @@ fn frogwild_matches_or_beats_one_iteration_pagerank_on_accuracy() {
     let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
     // Figure 2: FrogWild with ps >= 0.7 outperforms 1-iteration GraphLab PR on the real
     // Twitter graph. On the R-MAT stand-in the 1-iteration baseline is artificially
-    // strong (PageRank is heavily in-degree-correlated — see EXPERIMENTS.md), so the
+    // strong (PageRank is heavily in-degree-correlated), so the
     // assertion allows a small tolerance rather than requiring a strict win.
     let graph = twitter_like_graph(2_000, 9);
     let truth = exact_pagerank(&graph, 0.15, 200, 1e-12);
