@@ -109,7 +109,7 @@ pub const OPTIONS: &[OptionSpec] = &[
     opt("iterations", "n", "topk pagerank serve", "4; pagerank: 2; serve: 3", "engine supersteps (pagerank: iterations)"),
     opt("ps", "p", "topk autotune serve", "0.7", "mirror synchronization probability, in (0, 1]"),
     opt("repeat", "n", "topk", "1", "serve the query n times on one session"),
-    opt("parallel", "", INDEXED, "", "run topk's engine work batches, and any walk-index build, on a worker pool"),
+    opt("parallel", "", "topk", "", "run topk's engine work batches on a worker pool"),
     opt("tolerance", "t", "topk pagerank ppr", "0; pagerank: the preset's", "delta gate: a vertex whose live-walker count (pagerank: rank change) after apply is <= t skips scatter"),
     opt("exact", "", "pagerank", "", "run to convergence instead of a fixed number of iterations"),
     opt("pilot-walkers", "n", "autotune", "10000", "walkers of the pilot run"),

@@ -94,6 +94,15 @@ fn load_graph(args: &Args) -> Result<Loaded> {
             "--vertices must be at least 1",
         ));
     }
+    if vertices > VertexId::MAX as usize {
+        return Err(Error::config(
+            "command line",
+            format!(
+                "--vertices {vertices} is more than 32-bit vertex ids can name (at most {})",
+                VertexId::MAX
+            ),
+        ));
+    }
     // `generate` calls the shape `--kind`.
     let kind = (args.get("synthetic").or(args.get("kind"))).unwrap_or("twitter");
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -147,7 +156,6 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
         )?,
         memory_budget_bytes,
         seed: seed_of(args)?,
-        parallel: args.has_flag("parallel"),
     })
 }
 

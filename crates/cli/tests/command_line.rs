@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 13] = [
+    let table: [Case<'_>; 15] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -39,6 +39,37 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
         (
             &["generate", "--vertices", "0", "--out", out],
             Err("error: invalid command line: --vertices must be at least 1"),
+        ),
+        // Aborted on a 1.3 TB allocation; past 2^32 the ids would have wrapped.
+        (
+            &[
+                "generate",
+                "--synthetic",
+                "twitter",
+                "--vertices",
+                "5000000000",
+                "--out",
+                out,
+            ],
+            Err("error: invalid command line: --vertices 5000000000 is more than 32-bit vertex ids can name"),
+        ),
+        // The switch that asked an index build for a thread per simulated machine, and
+        // died spawning 40 000 of them, is topk's alone; the same line without it runs
+        // (and is pinned) in the test below.
+        (
+            &[
+                "index",
+                "--synthetic",
+                "twitter",
+                "--vertices",
+                "100",
+                "--machines",
+                "40000",
+                "--probe",
+                "2",
+                "--parallel",
+            ],
+            Err("option --parallel does not apply to index (read by: topk)"),
         ),
         (
             &["topk", "--graph", ids, "--k", "4", "--staleness", &max],
@@ -116,38 +147,55 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
 /// reported (pinned from the commit before), timings aside.
 #[test]
 fn index_reports_the_build_and_the_probes_of_its_session() {
-    let output = frogwild(&[
-        "index",
-        "--synthetic",
-        "twitter",
-        "--vertices",
-        "2000",
-        "--probe",
-        "20",
-        "--seed",
-        "7",
-    ]);
-    assert!(output.status.success(), "{output:?}");
-    let stdout = String::from_utf8(output.stdout).unwrap();
-    let rows: Vec<&str> = stdout
-        .lines()
-        .filter(|row| !row.contains("_seconds,"))
-        .collect();
-    let pinned = [
-        "quantity,value",
-        "vertices,2000",
-        "requested_segments,16",
-        "effective_segments,16",
-        "segment_length,8",
-        "machines,16",
-        "arena_bytes,1024000",
-        "total_hops,256000",
-        "truncated_segments,0",
-        "probe_queries,20",
-        "probe_segment_hits,94453",
-        "probe_segment_misses,74914",
-        "probe_hit_rate,0.5577",
+    let synthetic = ["index", "--synthetic", "twitter", "--vertices"];
+    let cases: [(&[&str], [&str; 12]); 2] = [
+        (
+            &["2000", "--probe", "20", "--seed", "7"],
+            [
+                "vertices,2000",
+                "requested_segments,16",
+                "effective_segments,16",
+                "segment_length,8",
+                "machines,16",
+                "arena_bytes,1024000",
+                "total_hops,256000",
+                "truncated_segments,0",
+                "probe_queries,20",
+                "probe_segment_hits,94453",
+                "probe_segment_misses,74914",
+                "probe_hit_rate,0.5577",
+            ],
+        ),
+        // More simulated machines than a process may have threads, sharing however
+        // many the host has: the rows the commit before printed from its serial build.
+        (
+            &["100", "--probe", "2", "--machines", "40000"],
+            [
+                "vertices,100",
+                "requested_segments,16",
+                "effective_segments,16",
+                "segment_length,8",
+                "machines,40000",
+                "arena_bytes,51200",
+                "total_hops,12800",
+                "truncated_segments,0",
+                "probe_queries,2",
+                "probe_segment_hits,2345",
+                "probe_segment_misses,5751",
+                "probe_hit_rate,0.2896",
+            ],
+        ),
     ];
-    assert_eq!(rows, pinned, "{stdout}");
-    assert_eq!(stdout.lines().count(), pinned.len() + 3, "{stdout}");
+    for (options, pinned) in cases {
+        let output = frogwild(&[&synthetic[..], options].concat());
+        assert!(output.status.success(), "{output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let rows: Vec<&str> = stdout
+            .lines()
+            .filter(|row| !row.contains("_seconds,"))
+            .collect();
+        assert_eq!(rows.first(), Some(&"quantity,value"), "{stdout}");
+        assert_eq!(rows.get(1..), Some(&pinned[..]), "{stdout}");
+        assert_eq!(stdout.lines().count(), 1 + pinned.len() + 3, "{stdout}");
+    }
 }

@@ -2,12 +2,11 @@
 //!
 //! The expensive half of an index build — generating `n · R` random-walk segments — is
 //! delegated to the engine's [`generate_walk_segments`], which splits the work across
-//! the simulated machines by master assignment (one worker thread per machine when the
-//! config asks for parallelism) and has every machine write its hops straight into the
-//! fixed-stride arena. This module owns the cheap half: validating the configuration and
-//! the graph, applying the memory budget, and wrapping the filled arena as a
-//! [`WalkIndex`] — there is no assembly pass, because a segment's address is known before
-//! it is generated.
+//! the simulated machines by master assignment (the machines share the host's threads)
+//! and has every machine write its hops straight into the fixed-stride arena. This
+//! module owns the cheap half: validating the configuration and the graph, applying the
+//! memory budget, and wrapping the filled arena as a [`WalkIndex`] — there is no assembly
+//! pass, because a segment's address is known before it is generated.
 
 use std::time::Instant;
 
@@ -46,9 +45,9 @@ pub struct WalkIndexBuildReport {
 /// Builds a [`WalkIndex`] for `graph` over an existing partitioned layout.
 ///
 /// Each simulated machine of `pg` generates the segments of the vertices it masters
-/// (in parallel when `config.parallel` is set), writing them in place into the one
-/// fixed-stride arena. The result is identical for any machine count, partitioner,
-/// or threading mode — only the build-time work division changes.
+/// (on the host's threads, a run of machines to each), writing them in place into the
+/// one fixed-stride arena. The result is identical for any machine count, partitioner,
+/// or number of host threads — only the build-time work division changes.
 ///
 /// # Errors
 ///
@@ -86,7 +85,7 @@ pub(crate) fn build_walk_index_traced(
     let l = config.segment_length;
 
     let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
-    let hops = generate_walk_segments(graph, pg, r, l, config.seed, config.parallel, tracer);
+    let hops = generate_walk_segments(graph, pg, r, l, config.seed, tracer);
     let index = WalkIndex::from_arena(n, graph.num_edges(), r, l, config.seed, hops);
     let report = WalkIndexBuildReport {
         requested_segments: config.segments_per_vertex,
@@ -180,6 +179,7 @@ mod tests {
 
     #[test]
     fn build_is_identical_across_machine_counts_and_threading() {
+        // One machine builds on one thread, more machines on as many as the host has.
         let g = test_graph(250);
         let cfg = WalkIndexConfig {
             segments_per_vertex: 2,
@@ -189,11 +189,8 @@ mod tests {
         };
         let (reference, _) = build_over(&g, 1, &cfg).unwrap();
         for machines in [3usize, 8] {
-            for parallel in [false, true] {
-                let (other, _) =
-                    build_over(&g, machines, &WalkIndexConfig { parallel, ..cfg }).unwrap();
-                assert_eq!(reference, other, "machines={machines} parallel={parallel}");
-            }
+            let (other, _) = build_over(&g, machines, &cfg).unwrap();
+            assert_eq!(reference, other, "machines={machines}");
         }
     }
 

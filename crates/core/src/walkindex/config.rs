@@ -36,8 +36,6 @@ pub struct WalkIndexConfig {
     pub memory_budget_bytes: usize,
     /// Seed for segment generation and query-time stitching decisions.
     pub seed: u64,
-    /// Generate segments on one worker thread per simulated machine.
-    pub parallel: bool,
 }
 
 impl Default for WalkIndexConfig {
@@ -49,7 +47,6 @@ impl Default for WalkIndexConfig {
             walks_per_unit_residual: 3_000,
             memory_budget_bytes: usize::MAX,
             seed: 0x1DE7,
-            parallel: false,
         }
     }
 }

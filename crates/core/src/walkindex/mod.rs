@@ -19,12 +19,12 @@
 //!   fixed stride is the smaller format unless more than `2 / L` of the vertices are
 //!   sinks — and graphs built under the default `DanglingPolicy::SelfLoop` have none.
 //!   Segments carry no teleportation, so one index serves any teleport probability.
-//! * [`build_walk_index`] — the parallel build: each simulated machine of a
+//! * [`build_walk_index`] — the build, on the host's threads: each simulated machine of a
 //!   [`PartitionedGraph`](frogwild_engine::PartitionedGraph) generates the segments of
 //!   the vertices it masters (see [`frogwild_engine::walkgen`]) and writes them in place
 //!   into its chunks of the arena — every address is known up front, so nothing is
 //!   batched and copied. Deterministic for a fixed seed across machine counts,
-//!   partitioners, and threading.
+//!   partitioners, and host thread counts.
 //! * [`indexed_ppr`] / [`indexed_pagerank`] — PowerWalk-style serving: forward-push to
 //!   a residual frontier (which the push hands over as a list), then stitched walks
 //!   that consume whole cached segments in O(1) each — the slot itself says whether the

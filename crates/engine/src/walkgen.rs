@@ -3,11 +3,13 @@
 //! The walk-index subsystem (`frogwild::walkindex`) precomputes, for every vertex, a
 //! small number of fixed-length random-walk *segments* that queries later stitch
 //! together PowerWalk-style instead of walking the graph afresh. Generating those
-//! segments is the expensive, embarrassingly parallel part of an index build, and the
-//! natural unit of parallelism is the placement's own work division: **each simulated
-//! machine generates the segments of the vertices it masters**, on a thread of its own
-//! when `parallel` is set. (The engine in [`crate::engine`] schedules differently: a
-//! worker pool over key-range batches, sized independently of the machine count.)
+//! segments is the expensive part of an index build, no segment depends on another, and
+//! the natural unit of work is the placement's own division: **each simulated machine
+//! generates the segments of the vertices it masters**. The machines are dealt out in
+//! contiguous runs to the host's threads — as many as [`worker_threads`]`(0)` reports,
+//! never more than there are machines — so a layout of forty thousand simulated machines
+//! still builds on a handful of threads. (The engine in [`crate::engine`] schedules
+//! differently: a worker pool over key-range batches.)
 //!
 //! Segments are generated **in place**. The arena has a fixed stride — segment `j` of
 //! vertex `v` occupies the `L` slots starting at `(v · R + j) · L` — so every segment's
@@ -19,13 +21,14 @@
 //!
 //! Every hop is drawn from a generator derived from `(seed, vertex, segment)` via
 //! [`crate::rng::derived_rng`], so the produced arena is identical regardless of the
-//! machine count, the partitioner, or whether the build ran parallel — the same
-//! determinism contract the engine obeys across worker counts.
+//! machine count, the partitioner, or how many threads the host lent the build — the
+//! same determinism contract the engine obeys across worker counts.
 
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, Tracer};
 use rand::Rng;
 
+use crate::engine::worker_threads;
 use crate::placement::PartitionedGraph;
 
 /// Domain-separation tag for segment-generation randomness.
@@ -47,9 +50,9 @@ pub const NO_HOP: VertexId = VertexId::MAX;
 /// walk length is also decided at query time, which keeps the index valid for any
 /// teleport probability.
 ///
-/// When `parallel` is set, one thread per simulated machine fills that machine's
-/// chunks. The output is identical either way, and identical across machine counts and
-/// partitioners for a fixed `seed`.
+/// The machines' chunks are filled on the host's threads, a contiguous run of machines
+/// to each. The output is identical for every thread count, and identical across machine
+/// counts and partitioners for a fixed `seed`.
 ///
 /// Each machine's generation is recorded into `tracer` as a `walk_segments` span keyed
 /// `(0, machine, 0)`, carrying vertex and (real) hop counters; the tracer only observes.
@@ -64,7 +67,6 @@ pub fn generate_walk_segments(
     segments_per_vertex: usize,
     segment_length: usize,
     seed: u64,
-    parallel: bool,
     tracer: &Tracer,
 ) -> Vec<VertexId> {
     let num_machines = pg.num_machines();
@@ -107,23 +109,25 @@ pub fn generate_walk_segments(
         span.counter("hops", hops);
     };
 
-    if parallel && num_machines > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .enumerate()
-                .map(|(machine, chunks)| scope.spawn(move || fill(machine, chunks)))
-                .collect();
-            for handle in handles {
-                // lint:allow(panic, re-raises a worker thread panic)
-                handle.join().expect("segment generation worker panicked");
-            }
-        });
-    } else {
-        for (machine, chunks) in work.into_iter().enumerate() {
-            fill(machine, chunks);
+    let threads = worker_threads(0).min(num_machines);
+    let run_len = num_machines.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .chunks_mut(run_len)
+            .enumerate()
+            .map(|(run, machines)| {
+                scope.spawn(move || {
+                    for (offset, chunks) in machines.iter_mut().enumerate() {
+                        fill(run * run_len + offset, std::mem::take(chunks));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            // lint:allow(panic, re-raises a worker thread panic)
+            handle.join().expect("segment generation worker panicked");
         }
-    }
+    });
     arena
 }
 
@@ -166,7 +170,7 @@ mod tests {
         let n = g.num_vertices();
         let pg = PartitionedGraph::build(&g, 4, PartitionerKind::Oblivious, 7);
         let tracer = Tracer::new(frogwild_obs::TraceConfig::logical());
-        let arena = generate_walk_segments(&g, &pg, 3, 5, 11, false, &tracer);
+        let arena = generate_walk_segments(&g, &pg, 3, 5, 11, &tracer);
         // One chunk per vertex; a vertex's chunk is filled exactly when it has an
         // out-edge, so no chunk was skipped by the hand-out to the machines.
         for (v, segs) in by_vertex(&arena, n, 3, 5).iter().enumerate() {
@@ -194,7 +198,7 @@ mod tests {
         let r = 4;
         let l = 6;
         let table = by_vertex(
-            &generate_walk_segments(&g, &pg, r, l, 13, false, &Tracer::disabled()),
+            &generate_walk_segments(&g, &pg, r, l, 13, &Tracer::disabled()),
             g.num_vertices(),
             r,
             l,
@@ -221,30 +225,41 @@ mod tests {
 
     #[test]
     fn output_is_identical_across_machine_counts_partitioners_and_threading() {
+        // The one-machine reference is filled by one thread, the others by as many as
+        // the host has.
         let g = test_graph(250);
         let r = 3;
         let l = 5;
-        let reference = generate_walk_segments(
-            &g,
-            &PartitionedGraph::build(&g, 1, PartitionerKind::Oblivious, 9),
-            r,
-            l,
-            42,
-            false,
-            &Tracer::disabled(),
-        );
-        for (machines, parallel) in [(4usize, false), (4, true), (8, true)] {
-            for partitioner in [true, false] {
-                let pg = if partitioner {
-                    PartitionedGraph::build(&g, machines, PartitionerKind::Oblivious, 9)
-                } else {
-                    PartitionedGraph::build(&g, machines, PartitionerKind::Random, 9)
-                };
-                let other =
-                    generate_walk_segments(&g, &pg, r, l, 42, parallel, &Tracer::disabled());
-                assert_eq!(reference, other, "machines={machines} parallel={parallel}");
+        let build = |machines: usize, partitioner: PartitionerKind| {
+            let pg = PartitionedGraph::build(&g, machines, partitioner, 9);
+            generate_walk_segments(&g, &pg, r, l, 42, &Tracer::disabled())
+        };
+        let reference = build(1, PartitionerKind::Oblivious);
+        for machines in [4usize, 8] {
+            for partitioner in [PartitionerKind::Oblivious, PartitionerKind::Random] {
+                let other = build(machines, partitioner);
+                assert_eq!(reference, other, "machines={machines} {partitioner:?}");
             }
         }
+    }
+
+    #[test]
+    fn more_machines_than_a_host_has_threads_build_the_same_arena() {
+        // One thread per simulated machine is what `frogwild index --machines 40000
+        // --parallel` died of (`failed to spawn thread`); machines now share the host's
+        // threads in runs, most of which master nothing on a graph this small.
+        let g = test_graph(400);
+        let build = |machines: usize| {
+            let pg = PartitionedGraph::build(&g, machines, PartitionerKind::Random, 5);
+            let tracer = Tracer::new(frogwild_obs::TraceConfig::logical());
+            let arena = generate_walk_segments(&g, &pg, 2, 6, 77, &tracer);
+            (arena, tracer.finish().entries().len())
+        };
+        let (few, few_spans) = build(4);
+        let (many, many_spans) = build(3_000);
+        assert_eq!(few, many);
+        // Still one span per machine, whichever thread it ran on.
+        assert_eq!((few_spans, many_spans), (4, 3_000));
     }
 
     #[test]
@@ -252,7 +267,7 @@ mod tests {
         let g = cycle(10);
         let pg = PartitionedGraph::build(&g, 2, PartitionerKind::Oblivious, 3);
         let table = by_vertex(
-            &generate_walk_segments(&g, &pg, 2, 4, 1, false, &Tracer::disabled()),
+            &generate_walk_segments(&g, &pg, 2, 4, 1, &Tracer::disabled()),
             10,
             2,
             4,
@@ -272,7 +287,7 @@ mod tests {
         // vertex is dangling; use a hand-built sink instead.
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let pg = PartitionedGraph::build(&g, 2, PartitionerKind::Oblivious, 3);
-        let arena = generate_walk_segments(&g, &pg, 2, 5, 1, false, &Tracer::disabled());
+        let arena = generate_walk_segments(&g, &pg, 2, 5, 1, &Tracer::disabled());
         let table = by_vertex(&arena, 3, 2, 5);
         // From vertex 0 the only walk is 1, 2 and then the sink stops it.
         for seg in &table[0] {

@@ -276,11 +276,39 @@ pub fn write_edge_list<W: Write>(graph: &DiGraph, writer: W) -> Result<()> {
         graph.num_edges()
     )?;
     writeln!(w, "# FromNodeId\tToNodeId")?;
+    // Spelled by hand: a `fmt` call per edge costs a tenth of a second per 3 M edges.
+    let mut line = [0u8; EDGE_LINE_BYTES];
     for (s, d) in graph.edges() {
-        writeln!(w, "{s}\t{d}")?;
+        w.write_all(spell_edge(&mut line, s, d))?;
     }
     w.flush()?;
     Ok(())
+}
+
+/// The longest edge line: two [`VertexId`]s of ten decimal digits, a tab, a newline.
+const EDGE_LINE_BYTES: usize = 22;
+
+/// Spells `src\tdst\n` in decimal, from its end backwards into the end of `line`, and
+/// returns the part of `line` it took.
+fn spell_edge(line: &mut [u8; EDGE_LINE_BYTES], src: VertexId, dst: VertexId) -> &[u8] {
+    let mut at = EDGE_LINE_BYTES;
+    for (id, after) in [(dst, b'\n'), (src, b'\t')] {
+        at -= 1;
+        // lint:allow(indexing, two ids and two separators fill at most EDGE_LINE_BYTES)
+        line[at] = after;
+        let mut rest = id;
+        loop {
+            at -= 1;
+            // lint:allow(indexing, two ids and two separators fill at most EDGE_LINE_BYTES)
+            line[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+    }
+    // lint:allow(indexing, `at` has only come down from the buffer's length)
+    &line[at..]
 }
 
 /// Writes the graph to a file path. See [`write_edge_list`].
@@ -740,6 +768,54 @@ mod tests {
             read_edge_list("# only comments\n".as_bytes(), &EdgeListOptions::default()).unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The `writeln!`-per-edge writer this module started with, kept as the oracle.
+    fn reference_write_edge_list<W: Write>(graph: &DiGraph, writer: W) -> Result<()> {
+        let mut w = BufWriter::new(writer);
+        writeln!(
+            w,
+            "# Directed graph: {} vertices, {} edges",
+            graph.num_vertices(),
+            graph.num_edges()
+        )?;
+        writeln!(w, "# FromNodeId\tToNodeId")?;
+        for (s, d) in graph.edges() {
+            writeln!(w, "{s}\t{d}")?;
+        }
+        w.flush()?;
+        Ok(())
+    }
+
+    #[test]
+    fn byte_writer_spells_what_the_formatter_spelled() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xED6E);
+        let graphs = [
+            DiGraph::from_edges(0, &[]),
+            DiGraph::from_edges(1, &[(0, 0)]),
+            crate::generators::simple::star(12),
+            crate::generators::twitter_like(700, &mut rng),
+            crate::generators::livejournal_like(1025, &mut rng),
+        ];
+        for graph in &graphs {
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            write_edge_list(graph, &mut new).unwrap();
+            reference_write_edge_list(graph, &mut old).unwrap();
+            assert!(new == old, "{} vertices", graph.num_vertices());
+        }
+        // Ids of one to ten digits in either column, the largest a vertex can have
+        // included. A graph holding them would take gigabytes of row offsets, so these
+        // go through the line speller alone.
+        let mut ids = vec![0, VertexId::MAX / 2, VertexId::MAX - 1, VertexId::MAX];
+        ids.extend((0..10).flat_map(|digits| [10u32.pow(digits), 10u32.pow(digits) * 2 - 1]));
+        let mut line = [0xAA; EDGE_LINE_BYTES];
+        for &s in &ids {
+            for &d in &ids {
+                let spelled = spell_edge(&mut line, s, d);
+                assert_eq!(spelled, format!("{s}\t{d}\n").as_bytes());
+            }
+        }
     }
 
     #[test]
