@@ -6,8 +6,9 @@
 //! a deployment cares about is how gracefully each algorithm degrades when one machine
 //! is slow (noisy neighbour, failing disk, background compaction…).
 //!
-//! The engine keeps per-machine work and traffic counters for every superstep, so one
-//! recorded run can be *re-priced* under any straggler scenario without re-executing
+//! Every superstep's record keeps its per-machine work and traffic
+//! ([`frogwild_engine::SuperstepMetrics`]), so one recorded run can be *re-priced*
+//! under any straggler scenario without re-executing
 //! ([`frogwild_engine::CostModel::superstep_seconds_hetero`]). The table reports the
 //! slowdown factor of total simulated time when machine 0 runs 2× / 4× / 8× slower,
 //! for exact PageRank, 2-iteration PageRank and FrogWild at `p_s ∈ {1, 0.4}`.

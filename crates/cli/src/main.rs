@@ -527,9 +527,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         let sink = tracer.sink();
         let mut span = sink.span(span_meta!("serve_ppr"), SpanKey::new(0, 0, 0, LANE_CLI));
         let response = frogwild::session::serve_ppr(graph, source as VertexId, k, 0.15, method)?;
-        if let ResponseDetail::Ppr { pushes, .. } = &response.detail {
-            span.counter("pushes", *pushes as u64);
-        }
+        span.counter("pushes", response.cost.push_ops);
         span.counter("walk_hops", response.cost.walk_hops);
         drop(span);
         drop(sink);
@@ -537,11 +535,11 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         response
     };
     if let ResponseDetail::Ppr {
-        pushes,
         iterations,
         residual,
     } = response.detail
     {
+        let pushes = response.cost.push_ops;
         eprintln!("ppr: {pushes} pushes, {iterations} power iterations, residual {residual:.3e}");
     }
     if response.cost.index_served {

@@ -17,7 +17,7 @@
 
 use frogwild_engine::{
     ClusterConfig, Engine, EngineConfig, InitialActivation, PartitionedGraph, PartitionerKind,
-    RunMetrics,
+    QueryCost, RunMetrics,
 };
 use frogwild_graph::sparsify::uniform_sparsify;
 use frogwild_graph::{DiGraph, VertexId};
@@ -26,7 +26,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
-use crate::cost::QueryCost;
 use crate::error::Error;
 use crate::programs::{FrogWildProgram, PageRankProgram};
 use crate::topk::normalize;
@@ -41,15 +40,16 @@ pub struct RunReport {
     pub estimate: Vec<f64>,
     /// Raw per-superstep engine metrics.
     pub metrics: RunMetrics,
-    /// Headline cost numbers derived from `metrics` — one row of the paper's Figure 1.
+    /// The run's cost, [`RunMetrics::totals`] of `metrics` — one row of the paper's
+    /// Figure 1.
     pub cost: QueryCost,
 }
 
 impl RunReport {
-    /// Normalises `estimate` and prices `metrics`.
+    /// Normalises `estimate` and totals `metrics`.
     fn new(algorithm: String, mut estimate: Vec<f64>, metrics: RunMetrics) -> Self {
         normalize(&mut estimate);
-        let cost = QueryCost::from_metrics(&metrics);
+        let cost = metrics.totals();
         RunReport {
             algorithm,
             estimate,

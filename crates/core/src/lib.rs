@@ -91,8 +91,10 @@
 //!   bit-identical responses. Entered via `Session::serve`.
 //! * [`driver`] — the low-level experiment drivers underneath the session; they return
 //!   a [`driver::RunReport`] with raw engine metrics for the benchmark harness.
-//! * [`cost`] — [`cost::QueryCost`], the one cost record drivers, responses and
-//!   session totals all report in.
+//! * [`QueryCost`](prelude::QueryCost) — the one cost record, re-exported from
+//!   [`frogwild_engine::metrics`]: an engine superstep, a driver run, a response and
+//!   the session totals all report in it, and every total is
+//!   [`absorb`](prelude::QueryCost::absorb).
 //! * [`obs`] — structured tracing (re-exported `frogwild_obs`): span guards with
 //!   static callsite metadata recorded into one deterministic timeline, exportable as
 //!   Chrome trace-event JSON or CSV. Wired through `SessionBuilder::tracing`; a
@@ -108,7 +110,6 @@
 pub mod autotune;
 pub mod confidence;
 pub mod config;
-pub mod cost;
 pub mod dist;
 pub mod driver;
 pub mod erasure;
@@ -135,7 +136,6 @@ pub mod prelude {
     pub use crate::autotune::{auto_topk_on, AutoTuneConfig, AutoTuneReport};
     pub use crate::confidence::{plan_walkers, wilson_interval, WalkerPlan};
     pub use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
-    pub use crate::cost::QueryCost;
     pub use crate::driver::{
         partition_graph, run_frogwild, run_graphlab_pr, run_sparsified_pr, RunReport,
     };
@@ -156,7 +156,7 @@ pub mod prelude {
     pub use crate::theory::{intersection_probability_bound, theorem1_epsilon};
     pub use crate::topk::top_k;
     pub use crate::walkindex::{WalkIndex, WalkIndexBuildReport, WalkIndexConfig};
-    pub use frogwild_engine::{ClusterConfig, PartitionerKind};
+    pub use frogwild_engine::{ClusterConfig, PartitionerKind, QueryCost};
     pub use frogwild_graph::{DiGraph, GraphBuilder, VertexId};
 }
 

@@ -38,11 +38,6 @@ fn execute_meta(kind: QueryKind) -> &'static SpanMeta {
     }
 }
 
-/// Seconds → whole microseconds, the unit trace counters carry.
-fn as_micros(seconds: f64) -> u64 {
-    (seconds.max(0.0) * 1e6) as u64
-}
-
 /// One unit of queue traffic: a contiguous run of `(position, sequence id, query)`
 /// triples, stamped with its submission instant so queue wait is measurable.
 struct Batch {
@@ -53,7 +48,7 @@ struct Batch {
 /// Serves the query with sequence id `seq` and returns its queue wait and outcome —
 /// the one per-query path of the pool's workers and of the serial reference, so the
 /// two agree by construction: re-seed from `(session seed, seq)`, open the execute
-/// span carrying `queue_wait_us`, run [`Session::execute_at`], count busy time.
+/// span carrying the queue wait, run [`Session::execute_at`], count busy time.
 ///
 /// `submitted` is when the query's batch entered the queue; `None` on the serial
 /// path, which has no queue (no `dequeue` event, a queue wait of zero).
@@ -72,17 +67,14 @@ fn serve_one(
     // Queue wait runs from submission to the start of this query's execution, so
     // time spent behind earlier queries of the same batch counts as waiting too.
     let wait = submitted.map_or(0.0, |at| {
-        let wait = at.elapsed().as_secs_f64();
-        sink.event_with(
-            span_meta!("dequeue"),
-            key,
-            &[("queue_wait_us", as_micros(wait))],
-        );
-        wait
+        sink.event(span_meta!("dequeue"), key);
+        at.elapsed().as_secs_f64()
     });
     stats.queue_wait_seconds += wait;
     let mut exec_span = sink.span(execute_meta(seeded.kind()), key);
-    exec_span.counter("queue_wait_us", as_micros(wait));
+    // Wall-clock: recorded under the host clock only, so logical traces stay
+    // byte-stable however long a query queued.
+    exec_span.wall_counter_seconds("queue_wait", wait);
     let busy = Instant::now(); // lint:allow(timing, host wall-clock telemetry; results never read it)
     let result = session.execute_at(seq, &seeded);
     stats.busy_seconds += busy.elapsed().as_secs_f64();

@@ -53,13 +53,12 @@
 
 use std::time::Instant;
 
-use frogwild_engine::{ClusterConfig, PartitionedGraph, PartitionerKind};
+use frogwild_engine::{ClusterConfig, PartitionedGraph, PartitionerKind, QueryCost};
 use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, TraceConfig, Tracer};
 
 use crate::autotune::{auto_topk_on, AutoTuneConfig};
 use crate::config::{in_open_unit_interval, ExecutionConfig, FrogWildConfig, PageRankConfig};
-use crate::cost::QueryCost;
 use crate::driver::{run_frogwild, run_graphlab_pr, RunReport};
 use crate::error::{Error, Result};
 use crate::ppr::{
@@ -220,7 +219,6 @@ impl<'g> SessionBuilder<'g> {
                 queries_served: 0,
                 queries_rejected: 0,
                 partition_seconds,
-                replication_factor,
                 index_build_seconds,
                 index_served_queries: 0,
                 totals: QueryCost {
@@ -359,9 +357,8 @@ pub enum ResponseDetail {
     Pagerank,
     /// A [`Query::Ppr`] answer.
     Ppr {
-        /// Push operations performed (forward push) — `0` for power iteration.
-        pushes: usize,
-        /// Power iterations performed — `0` for forward push.
+        /// Power iterations performed — `0` for forward push (whose push operations
+        /// are the response's `cost.push_ops`).
         iterations: usize,
         /// Residual mass (push) or final L1 residual (power iteration).
         residual: f64,
@@ -439,16 +436,15 @@ pub struct SessionStats {
     pub queries_rejected: u64,
     /// Host seconds the one-time partitioning took.
     pub partition_seconds: f64,
-    /// Replication factor of the session's vertex-cut.
-    pub replication_factor: f64,
     /// Host seconds the one-time walk-index build took (zero without an index).
     pub index_build_seconds: f64,
     /// Queries the walk index answered.
     pub index_served_queries: u64,
-    /// Everything the served queries cost, summed with [`QueryCost::absorb`].
-    /// `totals.host_seconds` is summed **per query** (it excludes partitioning): when
-    /// queries complete concurrently it exceeds the real elapsed time — that is
-    /// service time, not wall time; see
+    /// Everything the served queries cost, summed with [`QueryCost::absorb`] in the
+    /// order they were recorded; `totals.replication_factor` is the session's
+    /// vertex-cut. `totals.host_seconds` is summed **per query** (it excludes
+    /// partitioning): when queries complete concurrently it exceeds the real elapsed
+    /// time — that is service time, not wall time; see
     /// [`total_wall_seconds`](SessionStats::total_wall_seconds).
     pub totals: QueryCost,
     /// Real elapsed wall-clock seconds spent inside [`Session::query`] and
@@ -520,7 +516,7 @@ impl std::fmt::Display for SessionStats {
             f,
             "  layout: replication factor {:.3}, partitioned once in {:.3}s \
              ({:.4}s amortized per query)",
-            self.replication_factor,
+            t.replication_factor,
             self.partition_seconds,
             self.amortized_partition_seconds()
         )?;
@@ -674,11 +670,14 @@ impl<'g> Session<'g> {
         if query.k() == 0 {
             return Err(Error::query("k must be positive"));
         }
+        // Every record this query makes carries `seq`, so concurrent queries' engine
+        // spans, keyed alike, still merge in one order.
+        let tracer = self.tracer.for_query(seq);
         let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
         let response = match query {
             Query::TopK { k, config } => match &self.index {
                 Some(si) => {
-                    let sink = self.tracer.sink();
+                    let sink = tracer.sink();
                     let mut index_span = sink.span(
                         span_meta!("index_topk"),
                         SpanKey::new(seq, 0, 0, LANE_INDEX),
@@ -693,12 +692,12 @@ impl<'g> Session<'g> {
                     self.indexed_response(algorithm, served, *k, ResponseDetail::TopK, started)
                 }
                 None => {
-                    let report = run_frogwild(&self.pg, config, &self.execution, &self.tracer)?;
+                    let report = run_frogwild(&self.pg, config, &self.execution, &tracer)?;
                     engine_response(report, *k, ResponseDetail::TopK, started)
                 }
             },
             Query::Pagerank { k, config } => {
-                let report = run_graphlab_pr(&self.pg, config, &self.execution, &self.tracer)?;
+                let report = run_graphlab_pr(&self.pg, config, &self.execution, &tracer)?;
                 engine_response(report, *k, ResponseDetail::Pagerank, started)
             }
             Query::Ppr {
@@ -708,7 +707,7 @@ impl<'g> Session<'g> {
                 method,
             } => self.ppr_response(seq, *source, *k, *teleport_probability, *method, started)?,
             Query::AutotunedTopK { config } => {
-                let report = auto_topk_on(&self.pg, config, &self.execution, &self.tracer)?;
+                let report = auto_topk_on(&self.pg, config, &self.execution, &tracer)?;
                 let detail = ResponseDetail::AutotunedTopK {
                     estimated_topk_mass: report.estimated_topk_mass,
                     planned_walkers: report.planned_walkers,
@@ -757,7 +756,16 @@ impl<'g> Session<'g> {
         detail: ResponseDetail,
         started: Instant,
     ) -> Response {
-        let cost = QueryCost::from_index_serve(&served.stats, self.stats.replication_factor);
+        let stats = &served.stats;
+        let cost = QueryCost {
+            replication_factor: self.replication_factor(),
+            push_ops: stats.pushes as u64,
+            walk_hops: stats.walk_hops,
+            index_hits: stats.segment_hits,
+            index_misses: stats.segment_misses,
+            index_served: true,
+            ..QueryCost::default()
+        };
         assemble_response(algorithm, served.estimate, k, cost, detail, started)
     }
 
@@ -789,14 +797,13 @@ impl<'g> Session<'g> {
                 },
                 _ => si.config,
             };
-            let sink = self.tracer.sink();
+            let sink = self.tracer.for_query(seq).sink();
             let mut index_span =
                 sink.span(span_meta!("index_ppr"), SpanKey::new(seq, 0, 0, LANE_INDEX));
             let served = indexed_ppr(self.graph, &si.index, &config, source, teleport_probability)?;
             record_index_counters(&mut index_span, &served.stats);
             drop(index_span);
             let detail = ResponseDetail::Ppr {
-                pushes: served.stats.pushes,
                 iterations: 0,
                 residual: served.stats.residual_mass,
             };
@@ -812,7 +819,7 @@ impl<'g> Session<'g> {
             k,
             teleport_probability,
             method,
-            self.stats.replication_factor,
+            self.replication_factor(),
             started,
         )
     }
@@ -864,7 +871,7 @@ impl<'g> Session<'g> {
 
     /// Replication factor of the session's vertex-cut.
     pub fn replication_factor(&self) -> f64 {
-        self.stats.replication_factor
+        self.stats.totals.replication_factor
     }
 
     /// Cumulative cost of everything served so far.
@@ -1001,7 +1008,6 @@ fn ppr_response_over(
         PprMethod::ForwardPush { epsilon } => {
             let push = forward_push_ppr(graph, source, teleport_probability, epsilon);
             let detail = ResponseDetail::Ppr {
-                pushes: push.pushes,
                 iterations: 0,
                 residual: push.residual_mass(),
             };
@@ -1026,7 +1032,6 @@ fn ppr_response_over(
                 tolerance,
             );
             let detail = ResponseDetail::Ppr {
-                pushes: 0,
                 iterations: result.iterations,
                 residual: result.residual,
             };
@@ -1053,7 +1058,6 @@ fn ppr_response_over(
                 &mut rng,
             );
             let detail = ResponseDetail::Ppr {
-                pushes: 0,
                 iterations: 0,
                 residual: 0.0,
             };
@@ -1680,7 +1684,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(push.top_vertices()[0], exact.top_vertices()[0]);
-        assert!(matches!(push.detail, ResponseDetail::Ppr { pushes, .. } if pushes > 0));
+        assert!(push.cost.push_ops > 0);
         assert!(matches!(exact.detail, ResponseDetail::Ppr { iterations, .. } if iterations > 0));
     }
 }

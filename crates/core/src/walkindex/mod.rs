@@ -33,7 +33,7 @@
 //! The subsystem plugs into the query service via
 //! [`SessionBuilder::walk_index`](crate::session::SessionBuilder::walk_index):
 //! `Query::Ppr` and `Query::TopK` are then served from the index transparently, and
-//! [`QueryCost`](crate::cost::QueryCost) / [`SessionStats`](crate::session::SessionStats)
+//! [`QueryCost`](frogwild_engine::QueryCost) / [`SessionStats`](crate::session::SessionStats)
 //! report segment hits/misses and the amortized build cost.
 //!
 //! ```

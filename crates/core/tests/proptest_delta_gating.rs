@@ -49,7 +49,10 @@ proptest! {
         prop_assert_eq!(a.cost.routed_messages, b.cost.routed_messages);
         prop_assert_eq!(a.cost.skipped_scatters, b.cost.skipped_scatters);
         prop_assert_eq!(a.cost.active_vertices, b.cost.active_vertices);
-        prop_assert_eq!(a.metrics.totals().work.total_ops(), b.metrics.totals().work.total_ops());
+        prop_assert_eq!(
+            (a.cost.gather_ops, a.cost.apply_ops, a.cost.scatter_ops),
+            (b.cost.gather_ops, b.cost.apply_ops, b.cost.scatter_ops)
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ use frogwild_graph::VertexId;
 use frogwild_obs::{span_meta, SpanKey, SpanMeta, SpanSink, Tracer};
 
 use crate::cluster::MachineId;
-use crate::metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, WorkStats};
+use crate::metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
 use crate::placement::PartitionedGraph;
 use crate::program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 use crate::rng;
@@ -412,11 +412,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 SpanKey::new(superstep as u64, 0, 0, LANE_STEP),
             );
             let start = Instant::now(); // lint:allow(timing, host-seconds telemetry only; never feeds results)
-            let mut step_metrics = self.superstep(superstep, &frontier, &mut state, &loop_sink);
-            step_metrics.host_seconds = start.elapsed().as_secs_f64();
-            step_metrics.staleness_lag = lag;
+            let mut step = self.superstep(superstep, &frontier, &mut state, &loop_sink);
+            step.cost.host_seconds = start.elapsed().as_secs_f64();
+            step.cost.staleness_lag = lag;
             // Everything staged past the next superstep (the ring's front).
-            step_metrics.inbox_depth = (state.staged.iter().skip(1))
+            step.cost.max_inbox_depth = (state.staged.iter().skip(1))
                 .map(|slot| slot.messages.len() as u64)
                 .sum();
 
@@ -427,7 +427,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             // watermark's advance, so the per-superstep times still sum to the
             // run's makespan.
             if self.config.staleness > 0 {
-                let sync_seconds = step_metrics.simulated_seconds;
+                let sync_seconds = step.cost.simulated_seconds;
                 let gate = watermarks
                     .iter()
                     .rev()
@@ -437,8 +437,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 let mut new_watermark = 0.0f64;
                 for (m, finish) in finish_times.iter_mut().enumerate() {
                     let own = self.cost_model.machine_superstep_seconds(
-                        step_metrics.work.ops_per_machine[m],
-                        step_metrics.network.bytes_per_machine[m],
+                        step.ops_per_machine[m],
+                        step.bytes_per_machine[m],
                     );
                     *finish = finish.max(gate) + own;
                     new_watermark = new_watermark.max(*finish);
@@ -455,27 +455,26 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     }
                 }
                 let previous = watermarks.last().map(|&(_, w)| w).unwrap_or(0.0);
-                step_metrics.simulated_seconds = new_watermark - previous;
-                step_metrics.barrier_wait_avoided_seconds =
-                    (sync_seconds - step_metrics.simulated_seconds).max(0.0);
+                step.cost.simulated_seconds = new_watermark - previous;
+                step.cost.barrier_wait_avoided_seconds =
+                    (sync_seconds - step.cost.simulated_seconds).max(0.0);
                 watermarks.push((superstep, new_watermark));
             }
 
-            step_span.counter("frontier", step_metrics.active_vertices as u64);
-            step_span.counter("routed", step_metrics.routed_messages);
-            step_span.counter("inbox_depth", step_metrics.inbox_depth);
-            step_span.counter("staleness_lag", step_metrics.staleness_lag);
-            step_span.counter_seconds("simulated", step_metrics.simulated_seconds);
-            step_span.wall_counter_seconds("host", step_metrics.host_seconds);
+            let cost = &step.cost;
+            step_span.counter("frontier", cost.active_vertices);
+            step_span.counter("routed", cost.routed_messages);
+            step_span.counter("inbox_depth", cost.max_inbox_depth);
+            step_span.counter("staleness_lag", cost.staleness_lag);
+            step_span.counter_seconds("simulated", cost.simulated_seconds);
+            step_span.wall_counter_seconds("host", cost.host_seconds);
             if self.config.staleness > 0 {
-                step_span.counter_seconds(
-                    "barrier_wait_avoided",
-                    step_metrics.barrier_wait_avoided_seconds,
-                );
+                step_span
+                    .counter_seconds("barrier_wait_avoided", cost.barrier_wait_avoided_seconds);
             }
             drop(step_span);
 
-            metrics.supersteps.push(step_metrics);
+            metrics.supersteps.push(step);
             frontier = Vec::new();
             superstep += 1;
         }
@@ -561,7 +560,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
     /// Executes one superstep: takes the frontier's mail, commits fresh states to
     /// the caches and stages the routed messages (in canonical production order) for
-    /// delivery. Returns the superstep's metrics.
+    /// delivery. Returns the superstep's record, counted and priced; the caller adds
+    /// what only the run loop knows (host time, staleness lag, inbox depth).
     fn superstep(
         &self,
         superstep: usize,
@@ -584,8 +584,17 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         } = state;
         let num_machines = self.graph.num_machines();
         let placement = self.graph.placement();
-        let mut net = NetworkStats::new(num_machines);
-        let mut work = WorkStats::new(num_machines);
+        let mut record = SuperstepMetrics {
+            superstep,
+            cost: QueryCost {
+                replication_factor: placement.replication_factor(),
+                supersteps: 1,
+                active_vertices: active.len() as u64,
+                ..QueryCost::default()
+            },
+            ops_per_machine: vec![0; num_machines],
+            bytes_per_machine: vec![0; num_machines],
+        };
         let header_bytes = self.cost_model.message_header_bytes;
         let step = superstep as u64;
 
@@ -611,11 +620,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 |machine, locals| self.gather_batch(machine, &caches[machine], locals),
             );
             for (machine, (partials, ops)) in gathered.into_iter().enumerate() {
-                work.gather_ops += ops;
-                work.ops_per_machine[machine] += ops;
+                record.cost.gather_ops += ops;
+                record.ops_per_machine[machine] += ops;
                 for (vertex, accum) in partials {
                     if placement.master(vertex).index() != machine {
-                        net.record(machine, (self.program.accum_bytes() + header_bytes) as u64);
+                        record.send(machine, (self.program.accum_bytes() + header_bytes) as u64);
                     }
                     deposit(&mut accums[vertex as usize], accum, |a, b| {
                         self.program.combine_accums(a, b)
@@ -623,7 +632,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 }
             }
         }
-        gather_span.counter("edge_ops", work.gather_ops);
+        gather_span.counter("edge_ops", record.cost.gather_ops);
         drop(gather_span);
 
         // ------------------------------------------------------------------- apply --
@@ -654,8 +663,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         // position for the sync loop below.
         let mut deltas = vec![0.0f64; active.len()];
         for (machine, (results, ops)) in applied.into_iter().enumerate() {
-            work.apply_ops += ops;
-            work.ops_per_machine[machine] += ops;
+            record.cost.apply_ops += ops;
+            record.ops_per_machine[machine] += ops;
             for (task, (fresh, delta)) in apply_tasks[machine].iter().zip(results) {
                 caches[machine][task.local as usize] = fresh;
                 deltas[task.position] = delta;
@@ -679,7 +688,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             // program that does not implement `delta` reports infinity, which no
             // finite tolerance gates.
             if delta <= tolerance {
-                work.skipped_scatters += 1;
+                record.cost.skipped_scatters += 1;
                 continue;
             }
             let (master, master_local) = placement.master_slot(v);
@@ -700,14 +709,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                         ],
                     );
                 if !synced {
-                    work.skipped_syncs += 1;
+                    record.cost.skipped_syncs += 1;
                     continue;
                 }
                 participating.push(replica);
                 if replica.0 != master {
-                    work.sync_ops += 1;
-                    work.ops_per_machine[master.index()] += 1;
-                    net.record(master.index(), state_bytes);
+                    record.cost.sync_ops += 1;
+                    record.ops_per_machine[master.index()] += 1;
+                    record.send(master.index(), state_bytes);
                 }
             }
 
@@ -723,10 +732,10 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     )];
                     participating.push(pick);
                     if pick.0 != master {
-                        work.sync_ops += 1;
-                        work.skipped_syncs = work.skipped_syncs.saturating_sub(1);
-                        work.ops_per_machine[master.index()] += 1;
-                        net.record(master.index(), state_bytes);
+                        record.cost.sync_ops += 1;
+                        record.cost.skipped_syncs = record.cost.skipped_syncs.saturating_sub(1);
+                        record.ops_per_machine[master.index()] += 1;
+                        record.send(master.index(), state_bytes);
                     }
                     participating.sort_unstable();
                 }
@@ -753,9 +762,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 });
             }
         }
-        sync_span.counter("sync_ops", work.sync_ops);
-        sync_span.counter("skipped_syncs", work.skipped_syncs);
-        sync_span.counter("skipped_scatters", work.skipped_scatters);
+        sync_span.counter("sync_ops", record.cost.sync_ops);
+        sync_span.counter("skipped_syncs", record.cost.skipped_syncs);
+        sync_span.counter("skipped_scatters", record.cost.skipped_scatters);
         drop(sync_span);
 
         // ----------------------------------------------------------------- scatter --
@@ -781,10 +790,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         // ----------------------------------------------------------- route messages --
         let mut route_span = sink.span(span_meta!("route"), SpanKey::new(step, 0, 0, LANE_ROUTE));
         let message_bytes = (self.program.message_bytes() + header_bytes) as u64;
-        let mut routed_messages = 0u64;
         for (machine, (outbox, ops)) in scattered.into_iter().enumerate() {
-            work.scatter_ops += ops;
-            work.ops_per_machine[machine] += ops;
+            record.cost.scatter_ops += ops;
+            record.ops_per_machine[machine] += ops;
             // Fold in production order; stage the distinct destinations ascending.
             self.fold_messages(outgoing, touched, outbox);
             touched.sort_unstable();
@@ -792,9 +800,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             for (vertex, message) in touched.drain(..).filter_map(combined) {
                 let master = placement.master(vertex).index();
                 if master != machine {
-                    net.record(machine, message_bytes);
+                    record.send(machine, message_bytes);
                 }
-                routed_messages += 1;
+                record.cost.routed_messages += 1;
                 // A message whose visibility lies past the superstep horizon can
                 // never be drained; it is dropped exactly like the synchronous engine
                 // drops the messages routed by the final superstep.
@@ -808,19 +816,12 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 }
             }
         }
-        route_span.counter("messages", routed_messages);
+        route_span.counter("messages", record.cost.routed_messages);
         drop(route_span);
 
-        let simulated_seconds = self.cost_model.superstep_seconds(&work, &net);
-        SuperstepMetrics {
-            superstep,
-            active_vertices: active.len(),
-            routed_messages,
-            network: net,
-            work,
-            simulated_seconds,
-            ..SuperstepMetrics::default()
-        }
+        record.cost.simulated_seconds = self.cost_model.superstep_seconds(&record);
+        record.cost.simulated_cpu_seconds = self.cost_model.cpu_seconds(&record);
+        record
     }
 
     /// Runs one phase over its per-machine task lists: cuts each list into contiguous
@@ -1222,16 +1223,21 @@ mod tests {
         PartitionedGraph::build(graph, machines, PartitionerKind::Oblivious, 99)
     }
 
-    /// Two runs went through the same supersteps with bit-identical work, traffic and
-    /// routed-message counts.
+    /// Two runs went through the same supersteps with bit-identical records: every
+    /// counter and simulated second, and the per-machine work and traffic.
     fn assert_same_supersteps(a: &RunMetrics, b: &RunMetrics, label: &str) {
         assert_eq!(a.supersteps.len(), b.supersteps.len(), "{label}");
         for (a, b) in a.supersteps.iter().zip(&b.supersteps) {
             assert_eq!(a.superstep, b.superstep, "{label}");
-            assert_eq!(a.work, b.work, "{label}");
-            assert_eq!(a.network, b.network, "{label}");
-            assert_eq!(a.routed_messages, b.routed_messages, "{label}");
+            assert_eq!(a.cost, b.cost, "{label}");
+            assert_eq!(a.ops_per_machine, b.ops_per_machine, "{label}");
+            assert_eq!(a.bytes_per_machine, b.bytes_per_machine, "{label}");
         }
+    }
+
+    /// The operations the CPU model prices: gather + apply + scatter.
+    fn work_ops(cost: &QueryCost) -> u64 {
+        cost.gather_ops + cost.apply_ops + cost.scatter_ops
     }
 
     /// Vertices of the R-MAT graphs the worker-count sweeps run on: enough that, over
@@ -1325,7 +1331,7 @@ mod tests {
         )
         .unwrap();
         let out = engine.run(InitialActivation::Messages(vec![(0u32, 100u64)]));
-        assert_eq!(out.metrics.totals().network.bytes_sent, 0);
+        assert_eq!(out.metrics.totals().network_bytes, 0);
         assert_eq!(total_tokens(&out.states), 100);
     }
 
@@ -1343,8 +1349,8 @@ mod tests {
         )
         .unwrap();
         let out = engine.run(InitialActivation::Messages(vec![(0u32, 100u64)]));
-        assert!(out.metrics.totals().network.bytes_sent > 0);
-        assert!(out.metrics.totals().network.messages_sent > 0);
+        assert!(out.metrics.totals().network_bytes > 0);
+        assert!(out.metrics.totals().network_messages > 0);
         assert!(out.metrics.totals().simulated_seconds > 0.0);
     }
 
@@ -1383,12 +1389,12 @@ mod tests {
             .collect();
         assert_eq!(serial_tokens, parallel_tokens);
         assert_eq!(
-            serial.metrics.totals().network.bytes_sent,
-            parallel.metrics.totals().network.bytes_sent
+            serial.metrics.totals().network_bytes,
+            parallel.metrics.totals().network_bytes
         );
         assert_eq!(
-            serial.metrics.totals().work.total_ops(),
-            parallel.metrics.totals().work.total_ops()
+            work_ops(&serial.metrics.totals()),
+            work_ops(&parallel.metrics.totals())
         );
     }
 
@@ -1411,12 +1417,10 @@ mod tests {
         };
         let full = run(1.0);
         let partial = run(0.1);
-        assert!(partial.metrics.totals().work.sync_ops < full.metrics.totals().work.sync_ops);
-        assert!(
-            partial.metrics.totals().network.bytes_sent < full.metrics.totals().network.bytes_sent
-        );
-        assert_eq!(full.metrics.totals().work.skipped_syncs, 0);
-        assert!(partial.metrics.totals().work.skipped_syncs > 0);
+        assert!(partial.metrics.totals().sync_ops < full.metrics.totals().sync_ops);
+        assert!(partial.metrics.totals().network_bytes < full.metrics.totals().network_bytes);
+        assert_eq!(full.metrics.totals().skipped_syncs, 0);
+        assert!(partial.metrics.totals().skipped_syncs > 0);
         // tokens are conserved regardless of the sync probability
         assert_eq!(total_tokens(&full.states), 10_000);
         assert_eq!(total_tokens(&partial.states), 10_000);
@@ -1445,12 +1449,12 @@ mod tests {
             assert_eq!(total_tokens(&out.states), 51_000);
             let totals = out.metrics.totals();
             (
-                totals.work.sync_ops,
-                totals.work.skipped_syncs,
-                totals.network.bytes_sent,
-                totals.network.messages_sent,
+                totals.sync_ops,
+                totals.skipped_syncs,
+                totals.network_bytes,
+                totals.network_messages,
                 totals.routed_messages,
-                totals.work.scatter_ops,
+                totals.scatter_ops,
             )
         };
         // Pinned on the commit before `SyncPolicy` was deleted, from `SyncPolicy::Full`
@@ -1515,8 +1519,8 @@ mod tests {
         )
         .unwrap();
         let out = engine.run(InitialActivation::AllVertices);
-        assert_eq!(out.metrics.supersteps[0].active_vertices, 12);
-        assert_eq!(out.metrics.supersteps[0].work.apply_ops, 12);
+        assert_eq!(out.metrics.supersteps[0].cost.active_vertices, 12);
+        assert_eq!(out.metrics.supersteps[0].cost.apply_ops, 12);
     }
 
     #[test]
@@ -1555,12 +1559,12 @@ mod tests {
         };
         assert_eq!(tokens(&gated), tokens(&baseline));
         assert_eq!(
-            gated.metrics.totals().network.bytes_sent,
-            baseline.metrics.totals().network.bytes_sent
+            gated.metrics.totals().network_bytes,
+            baseline.metrics.totals().network_bytes
         );
         assert_eq!(
-            gated.metrics.totals().work.total_ops(),
-            baseline.metrics.totals().work.total_ops()
+            work_ops(&gated.metrics.totals()),
+            work_ops(&baseline.metrics.totals())
         );
         assert_eq!(
             gated.metrics.totals().routed_messages,
@@ -1589,15 +1593,12 @@ mod tests {
         let ungated = run(0.0);
         let gated = run(3.0); // vertices forwarding <= 3 tokens go quiet
         assert!(
-            gated.metrics.totals().work.skipped_scatters
-                > ungated.metrics.totals().work.skipped_scatters,
+            gated.metrics.totals().skipped_scatters > ungated.metrics.totals().skipped_scatters,
             "gated {} vs ungated {}",
-            gated.metrics.totals().work.skipped_scatters,
-            ungated.metrics.totals().work.skipped_scatters
+            gated.metrics.totals().skipped_scatters,
+            ungated.metrics.totals().skipped_scatters
         );
-        assert!(
-            gated.metrics.totals().work.scatter_ops < ungated.metrics.totals().work.scatter_ops
-        );
+        assert!(gated.metrics.totals().scatter_ops < ungated.metrics.totals().scatter_ops);
         assert!(gated.metrics.totals().routed_messages < ungated.metrics.totals().routed_messages);
         // Gated vertices can still be re-activated by messages from elsewhere, so the
         // frontier never grows but need not shrink strictly on a dense graph.
@@ -1638,12 +1639,12 @@ mod tests {
             let other = run(workers, Tracer::disabled());
             assert_eq!(baseline.states, other.states, "workers={workers}");
             assert_eq!(
-                baseline.metrics.totals().network.bytes_sent,
-                other.metrics.totals().network.bytes_sent
+                baseline.metrics.totals().network_bytes,
+                other.metrics.totals().network_bytes
             );
             assert_eq!(
-                baseline.metrics.totals().work.total_ops(),
-                other.metrics.totals().work.total_ops()
+                work_ops(&baseline.metrics.totals()),
+                work_ops(&other.metrics.totals())
             );
             assert_eq!(
                 baseline.metrics.totals().routed_messages,
@@ -1681,11 +1682,11 @@ mod tests {
         };
         assert_eq!(tokens(&sync), tokens(&explicit));
         assert_eq!(
-            sync.metrics.totals().network.bytes_sent,
-            explicit.metrics.totals().network.bytes_sent
+            sync.metrics.totals().network_bytes,
+            explicit.metrics.totals().network_bytes
         );
         assert_eq!(sync.metrics.totals().staleness_lag, 0);
-        assert_eq!(sync.metrics.totals().inbox_depth, 0);
+        assert_eq!(sync.metrics.totals().max_inbox_depth, 0);
         assert_eq!(sync.metrics.totals().barrier_wait_avoided_seconds, 0.0);
     }
 
@@ -1787,20 +1788,20 @@ mod tests {
             let other = run(workers, Tracer::disabled());
             assert_eq!(baseline.states, other.states, "workers={workers}");
             assert_eq!(
-                baseline.metrics.totals().network.bytes_sent,
-                other.metrics.totals().network.bytes_sent
+                baseline.metrics.totals().network_bytes,
+                other.metrics.totals().network_bytes
             );
             assert_eq!(
-                baseline.metrics.totals().work.total_ops(),
-                other.metrics.totals().work.total_ops()
+                work_ops(&baseline.metrics.totals()),
+                work_ops(&other.metrics.totals())
             );
             assert_eq!(
                 baseline.metrics.totals().staleness_lag,
                 other.metrics.totals().staleness_lag
             );
             assert_eq!(
-                baseline.metrics.totals().inbox_depth,
-                other.metrics.totals().inbox_depth
+                baseline.metrics.totals().max_inbox_depth,
+                other.metrics.totals().max_inbox_depth
             );
         }
     }
@@ -2046,9 +2047,10 @@ mod tests {
                 // The fan-in the test is about: some vertex's mail came from several
                 // machines, and some machine combined several messages for one vertex.
                 let last = &baseline.metrics.supersteps[steps - 2];
-                assert!(last.work.scatter_ops > last.routed_messages);
+                assert!(last.cost.scatter_ops > last.cost.routed_messages);
                 assert!(
-                    last.routed_messages > baseline.metrics.supersteps[steps - 1].work.apply_ops
+                    last.cost.routed_messages
+                        > baseline.metrics.supersteps[steps - 1].cost.apply_ops
                 );
             }
             for workers in [2, 3, 8] {
@@ -2081,7 +2083,7 @@ mod tests {
         let stale = run(2);
         // With eight machines and two supersteps of slack, some channel is delayed…
         assert!(stale.metrics.totals().staleness_lag > 0);
-        assert!(stale.metrics.totals().inbox_depth > 0);
+        assert!(stale.metrics.totals().max_inbox_depth > 0);
         // …and the pipelined clock beats the barriered one on at least part of the run.
         assert!(stale.metrics.totals().barrier_wait_avoided_seconds > 0.0);
         // The per-superstep simulated times are watermark increments: non-negative,
@@ -2090,7 +2092,41 @@ mod tests {
             .metrics
             .supersteps
             .iter()
-            .all(|s| s.simulated_seconds >= 0.0));
+            .all(|s| s.cost.simulated_seconds >= 0.0));
+    }
+
+    #[test]
+    fn every_operation_and_byte_of_a_superstep_is_charged_to_one_machine() {
+        let mut rng = SmallRng::seed_from_u64(47);
+        let graph = rmat(600, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 6);
+        let engine = Engine::new(
+            &pg,
+            Gathering(TokenForward { steps: 5 }),
+            EngineConfig {
+                max_supersteps: 5,
+                sync_probability: 0.5,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let out = engine.run(InitialActivation::Messages(vec![
+            (0u32, 20_000u64),
+            (5u32, 700u64),
+        ]));
+        assert_eq!(out.metrics.supersteps.len(), 5);
+        for step in &out.metrics.supersteps {
+            // A synchronised mirror is one operation on its master's count, but not CPU.
+            let c = &step.cost;
+            let ops = c.gather_ops + c.apply_ops + c.scatter_ops + c.sync_ops;
+            assert_eq!(step.ops_per_machine.iter().sum::<u64>(), ops);
+            assert_eq!(step.bytes_per_machine.iter().sum::<u64>(), c.network_bytes);
+            assert_eq!(c.supersteps, 1);
+        }
+        // Every kind of operation happened, so the identities above are not 0 = 0.
+        let totals = out.metrics.totals();
+        assert!(totals.gather_ops > 0 && totals.apply_ops > 0 && totals.scatter_ops > 0);
+        assert!(totals.sync_ops > 0 && totals.skipped_syncs > 0 && totals.network_bytes > 0);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!   after apply, each mirror of an active vertex is synchronized only with probability
 //!   `p_s`, under the "at least one out-edge per node" model of Appendix A that the
 //!   paper's experiments run.
-//! * **Cost accounting** ([`metrics`]) — bytes and messages crossing machine boundaries,
-//!   per-machine work operations, replication factors, and a simulated cluster-time
-//!   model so experiments can report the same four panels as Figure 1 of the paper
-//!   (per-iteration time, total time, network bytes, CPU time).
+//! * **Cost accounting** ([`metrics`]) — one cost record, [`QueryCost`]: each
+//!   superstep's bytes and messages crossing machine boundaries, work operations,
+//!   frontier and staleness counters, priced by a simulated cluster-time model so
+//!   experiments can report the same four panels as Figure 1 of the paper
+//!   (per-iteration time, total time, network bytes, CPU time). A run's cost is its
+//!   supersteps' records folded with [`QueryCost::absorb`].
 //! * **Execution** ([`engine`]) — a frontier-scheduled superstep executor whose phases
 //!   run as key-range batches on the calling thread or a worker pool, producing
 //!   identical results for the same seed at any worker count.
@@ -49,7 +51,7 @@ pub mod walkgen;
 pub use cluster::{ClusterConfig, MachineId};
 pub use engine::{worker_threads, Engine, EngineConfig, EngineOutput, InitialActivation};
 pub use frogwild_graph::Error;
-pub use metrics::{CostModel, NetworkStats, RunMetrics, SuperstepMetrics, WorkStats};
+pub use metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
 pub use partition::PartitionerKind;
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};

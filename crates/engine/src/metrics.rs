@@ -1,5 +1,5 @@
-//! Cost accounting: network traffic, per-machine work, and a simulated cluster-time
-//! model.
+//! Cost accounting: one cost record, a per-machine profile, and a simulated
+//! cluster-time model.
 //!
 //! The paper's Figure 1 reports four panels per configuration — time per iteration,
 //! total time, network bytes sent, and CPU time. Wall-clock on the real 24-node EC2
@@ -8,124 +8,267 @@
 //! and converts them to time through an explicit, documented [`CostModel`]. The *shape*
 //! of the paper's results (orderings, ratios, scaling trends) depends only on these
 //! counts, not on the absolute constants.
+//!
+//! Every cost number is a [`QueryCost`]. The engine writes each superstep's counters
+//! straight into the `cost` of a [`SuperstepMetrics`], next to the per-machine profile
+//! the cost model prices; [`RunMetrics::totals`] folds a run's records in superstep
+//! order with [`QueryCost::absorb`], the one place two cost records are summed. The
+//! `frogwild` crate reports the same type for a driver run, a session response and a
+//! session's running totals.
 
 use serde::{Deserialize, Serialize};
 
-/// Network traffic counters.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct NetworkStats {
-    /// Total bytes sent across machine boundaries.
-    pub bytes_sent: u64,
-    /// Total number of point-to-point messages sent across machine boundaries
-    /// (after per-machine combining).
-    pub messages_sent: u64,
-    /// Bytes sent by each machine.
-    pub bytes_per_machine: Vec<u64>,
-}
-
-impl NetworkStats {
-    /// Creates counters for a cluster of `num_machines`.
-    pub fn new(num_machines: usize) -> Self {
-        NetworkStats {
-            bytes_sent: 0,
-            messages_sent: 0,
-            bytes_per_machine: vec![0; num_machines],
-        }
-    }
-
-    /// Records `bytes` sent by `from_machine` to a different machine. Counters
-    /// saturate: a long-lived accumulation pins at the ceiling, never wraps.
-    pub fn record(&mut self, from_machine: usize, bytes: u64) {
-        debug_assert!(from_machine < self.bytes_per_machine.len());
-        self.bytes_sent = self.bytes_sent.saturating_add(bytes);
-        self.messages_sent = self.messages_sent.saturating_add(1);
-        if let Some(per) = self.bytes_per_machine.get_mut(from_machine) {
-            *per = per.saturating_add(bytes);
-        }
-    }
-
-    /// Merges another counter into this one (used when aggregating per-superstep stats).
-    pub fn merge(&mut self, other: &NetworkStats) {
-        self.bytes_sent = self.bytes_sent.saturating_add(other.bytes_sent);
-        self.messages_sent = self.messages_sent.saturating_add(other.messages_sent);
-        if self.bytes_per_machine.len() < other.bytes_per_machine.len() {
-            self.bytes_per_machine
-                .resize(other.bytes_per_machine.len(), 0);
-        }
-        for (a, b) in self
-            .bytes_per_machine
-            .iter_mut()
-            .zip(&other.bytes_per_machine)
-        {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// The largest per-machine byte count — the bottleneck link in a superstep.
-    pub fn max_machine_bytes(&self) -> u64 {
-        self.bytes_per_machine.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Per-machine computational work counters ("CPU usage" in the paper's terminology).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct WorkStats {
-    /// Edge gather operations executed.
+/// Cost of one superstep, one engine run, or one answered query.
+///
+/// The engine fields are one row of the paper's Figure 1 (total time, network sent,
+/// CPU usage; time per iteration is [`QueryCost::seconds_per_iteration`]) plus the
+/// executor's work, frontier and staleness counters. The work-unit fields make the
+/// serving paths comparable: `push_ops` and `walk_hops` count the local-push and
+/// walk-sampling work of serial queries, and the `index_*` fields report the
+/// cached-segment economics when a walk index answered the query. Partitioning never
+/// appears here: a session pays for its vertex-cut once and reports it beside its
+/// totals.
+///
+/// Equality ignores `host_seconds`: host time is wall-clock measurement noise, while
+/// every other field is a deterministic function of the query and the session seed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct QueryCost {
+    /// Replication factor of the vertex-cut the work ran on.
+    pub replication_factor: f64,
+    /// Engine supersteps executed: one in a superstep's record, zero for serial and
+    /// index-served queries.
+    pub supersteps: usize,
+    /// Simulated bytes crossing machine boundaries (Figure 1c / "Network sent"): a
+    /// gather partial sent to a remote master, a state copy pushed to a mirror, a
+    /// combined message routed to a remote master — each with its header.
+    pub network_bytes: u64,
+    /// Simulated cross-machine messages, one per send `network_bytes` counts.
+    pub network_messages: u64,
+    /// Simulated cluster wall-clock seconds (Figure 1b / "Total time").
+    pub simulated_seconds: f64,
+    /// Simulated CPU seconds summed over machines (Figure 1d / "CPU usage"), priced
+    /// from `gather_ops + apply_ops + scatter_ops`; `sync_ops` are not priced as CPU.
+    pub simulated_cpu_seconds: f64,
+    /// Gather operations: one per locally owned in-edge of a gathering replica.
     pub gather_ops: u64,
-    /// Vertex apply operations executed.
+    /// Apply operations: one per active vertex, run at its master.
     pub apply_ops: u64,
-    /// Edge scatter operations executed (per emitted or considered out-edge).
+    /// Scatter operations: one per local out-edge of a scattering replica, whether or
+    /// not a message went down it.
     pub scatter_ops: u64,
-    /// Mirror synchronizations performed (state copies pushed over the network).
+    /// Mirror synchronizations performed: state copies a master pushed to a mirror,
+    /// forced ones included.
     pub sync_ops: u64,
-    /// Mirror synchronizations *skipped* because of partial synchronization.
+    /// Forward-push operations performed (serial PPR and index-served queries).
+    pub push_ops: u64,
+    /// Walk hops covered, freshly sampled or stitched from the index.
+    pub walk_hops: u64,
+    /// Walk segments served straight from the session's walk index.
+    pub index_hits: u64,
+    /// Segment requests the index could not serve (fresh hops were resampled).
+    pub index_misses: u64,
+    /// Whether the session's walk index answered this query (for a sum: any of them).
+    pub index_served: bool,
+    /// Frontier sizes summed over supersteps (engine-served queries only).
+    pub active_vertices: u64,
+    /// Mirror synchronizations partial synchronization avoided — the paper's `p_s`
+    /// mechanism at work (engine-served queries only; zero at `p_s = 1`).
     pub skipped_syncs: u64,
-    /// Active vertices that scheduled no scatter this superstep because their delta
-    /// fell at or below the executor's tolerance (delta gating; a vertex with nothing
-    /// left to send reports zero).
+    /// Active vertices that scheduled no scatter: the executor's delta gate, which
+    /// closes on quiet and on converged vertices alike (engine-served queries only).
     pub skipped_scatters: u64,
-    /// Work operations per machine (gather + apply + scatter attributed to the machine
-    /// that executed them).
-    pub ops_per_machine: Vec<u64>,
+    /// Post-combining message deliveries routed between scatter and the next gather,
+    /// including machine-local ones (engine-served queries only).
+    pub routed_messages: u64,
+    /// Summed delivery lag (in supersteps) of messages the bounded-staleness
+    /// executor deferred — zero for synchronous (`staleness == 0`) runs.
+    pub staleness_lag: u64,
+    /// Deepest staging inbox a superstep ended with (messages staged beyond the next
+    /// superstep's drain point) — zero for synchronous runs.
+    pub max_inbox_depth: u64,
+    /// Simulated seconds of barrier wait the staleness window overlapped away,
+    /// relative to fully barriered supersteps — zero for synchronous runs.
+    pub barrier_wait_avoided_seconds: f64,
+    /// Real (host) seconds spent: the engine's own for a superstep or a driver run,
+    /// the whole query's for a session response. Excluded from equality.
+    pub host_seconds: f64,
 }
 
-impl WorkStats {
-    /// Creates counters for a cluster of `num_machines`.
-    pub fn new(num_machines: usize) -> Self {
-        WorkStats {
-            ops_per_machine: vec![0; num_machines],
-            ..WorkStats::default()
+impl PartialEq for QueryCost {
+    fn eq(&self, other: &Self) -> bool {
+        // Exhaustive on purpose: a new field does not compile until it is compared
+        // (or, like `host_seconds`, explicitly ignored) here.
+        let QueryCost {
+            replication_factor,
+            supersteps,
+            network_bytes,
+            network_messages,
+            simulated_seconds,
+            simulated_cpu_seconds,
+            gather_ops,
+            apply_ops,
+            scatter_ops,
+            sync_ops,
+            push_ops,
+            walk_hops,
+            index_hits,
+            index_misses,
+            index_served,
+            active_vertices,
+            skipped_syncs,
+            skipped_scatters,
+            routed_messages,
+            staleness_lag,
+            max_inbox_depth,
+            barrier_wait_avoided_seconds,
+            host_seconds: _,
+        } = *self;
+        replication_factor == other.replication_factor
+            && supersteps == other.supersteps
+            && network_bytes == other.network_bytes
+            && network_messages == other.network_messages
+            && simulated_seconds == other.simulated_seconds
+            && simulated_cpu_seconds == other.simulated_cpu_seconds
+            && gather_ops == other.gather_ops
+            && apply_ops == other.apply_ops
+            && scatter_ops == other.scatter_ops
+            && sync_ops == other.sync_ops
+            && push_ops == other.push_ops
+            && walk_hops == other.walk_hops
+            && index_hits == other.index_hits
+            && index_misses == other.index_misses
+            && index_served == other.index_served
+            && active_vertices == other.active_vertices
+            && skipped_syncs == other.skipped_syncs
+            && skipped_scatters == other.skipped_scatters
+            && routed_messages == other.routed_messages
+            && staleness_lag == other.staleness_lag
+            && max_inbox_depth == other.max_inbox_depth
+            && barrier_wait_avoided_seconds == other.barrier_wait_avoided_seconds
+    }
+}
+
+impl QueryCost {
+    /// Adds `other` into `self` — the one place two cost records are summed (a
+    /// run's supersteps, a session's running totals, an autotuned query's pilot).
+    ///
+    /// Integer counters saturate: a long-lived serving session must degrade to a
+    /// pinned counter, never wrap around (or, in debug builds, panic) mid-stream.
+    /// Seconds add, so a fold in superstep order reproduces a sum in that order to
+    /// the last bit; `max_inbox_depth` takes the maximum; `index_served` becomes
+    /// "any of them"; `replication_factor` describes the layout rather than work
+    /// done on it, so `self` keeps its own.
+    pub fn absorb(&mut self, other: &QueryCost) {
+        // Exhaustive on purpose: a new field does not compile until it is summed here.
+        let QueryCost {
+            replication_factor: _,
+            supersteps,
+            network_bytes,
+            network_messages,
+            simulated_seconds,
+            simulated_cpu_seconds,
+            gather_ops,
+            apply_ops,
+            scatter_ops,
+            sync_ops,
+            push_ops,
+            walk_hops,
+            index_hits,
+            index_misses,
+            index_served,
+            active_vertices,
+            skipped_syncs,
+            skipped_scatters,
+            routed_messages,
+            staleness_lag,
+            max_inbox_depth,
+            barrier_wait_avoided_seconds,
+            host_seconds,
+        } = self;
+        *supersteps = supersteps.saturating_add(other.supersteps);
+        *network_bytes = network_bytes.saturating_add(other.network_bytes);
+        *network_messages = network_messages.saturating_add(other.network_messages);
+        *simulated_seconds += other.simulated_seconds;
+        *simulated_cpu_seconds += other.simulated_cpu_seconds;
+        *gather_ops = gather_ops.saturating_add(other.gather_ops);
+        *apply_ops = apply_ops.saturating_add(other.apply_ops);
+        *scatter_ops = scatter_ops.saturating_add(other.scatter_ops);
+        *sync_ops = sync_ops.saturating_add(other.sync_ops);
+        *push_ops = push_ops.saturating_add(other.push_ops);
+        *walk_hops = walk_hops.saturating_add(other.walk_hops);
+        *index_hits = index_hits.saturating_add(other.index_hits);
+        *index_misses = index_misses.saturating_add(other.index_misses);
+        *index_served |= other.index_served;
+        *active_vertices = active_vertices.saturating_add(other.active_vertices);
+        *skipped_syncs = skipped_syncs.saturating_add(other.skipped_syncs);
+        *skipped_scatters = skipped_scatters.saturating_add(other.skipped_scatters);
+        *routed_messages = routed_messages.saturating_add(other.routed_messages);
+        *staleness_lag = staleness_lag.saturating_add(other.staleness_lag);
+        *max_inbox_depth = (*max_inbox_depth).max(other.max_inbox_depth);
+        *barrier_wait_avoided_seconds += other.barrier_wait_avoided_seconds;
+        *host_seconds += other.host_seconds;
+    }
+
+    /// Mean simulated seconds per superstep (Figure 1a / "Time per iteration"); zero
+    /// when no superstep ran.
+    pub fn seconds_per_iteration(&self) -> f64 {
+        if self.supersteps == 0 {
+            0.0
+        } else {
+            self.simulated_seconds / self.supersteps as f64
         }
     }
 
-    /// Total work operations across all machines. Saturating: three pinned
-    /// counters must not wrap back past zero when summed.
-    pub fn total_ops(&self) -> u64 {
-        self.gather_ops
-            .saturating_add(self.apply_ops)
-            .saturating_add(self.scatter_ops)
-    }
-
-    /// The busiest machine's operation count — the compute critical path of a superstep.
-    pub fn max_machine_ops(&self) -> u64 {
-        self.ops_per_machine.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Merges another counter into this one. Saturating, like
-    /// [`NetworkStats::merge`].
-    pub fn merge(&mut self, other: &WorkStats) {
-        self.gather_ops = self.gather_ops.saturating_add(other.gather_ops);
-        self.apply_ops = self.apply_ops.saturating_add(other.apply_ops);
-        self.scatter_ops = self.scatter_ops.saturating_add(other.scatter_ops);
-        self.sync_ops = self.sync_ops.saturating_add(other.sync_ops);
-        self.skipped_syncs = self.skipped_syncs.saturating_add(other.skipped_syncs);
-        self.skipped_scatters = self.skipped_scatters.saturating_add(other.skipped_scatters);
-        if self.ops_per_machine.len() < other.ops_per_machine.len() {
-            self.ops_per_machine.resize(other.ops_per_machine.len(), 0);
+    /// Which path answered the query: `"index"`, `"engine"` or `"serial"`.
+    pub fn served_by(&self) -> &'static str {
+        if self.index_served {
+            "index"
+        } else if self.supersteps > 0 {
+            "engine"
+        } else {
+            "serial"
         }
-        for (a, b) in self.ops_per_machine.iter_mut().zip(&other.ops_per_machine) {
-            *a = a.saturating_add(*b);
-        }
+    }
+}
+
+impl std::fmt::Display for QueryCost {
+    /// A compact per-query cost audit, mirroring the cumulative session display at
+    /// single-query granularity.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "cost: {}-served, {:.3}ms host",
+            self.served_by(),
+            self.host_seconds * 1e3
+        )?;
+        writeln!(
+            f,
+            "  work: {} push ops, {} walk hops, {} index hits / {} misses",
+            self.push_ops, self.walk_hops, self.index_hits, self.index_misses
+        )?;
+        writeln!(
+            f,
+            "  engine: {} supersteps, {} active vertices, {} skipped syncs, \
+             {} skipped scatters, {} routed messages",
+            self.supersteps,
+            self.active_vertices,
+            self.skipped_syncs,
+            self.skipped_scatters,
+            self.routed_messages
+        )?;
+        writeln!(
+            f,
+            "  async: {} staleness lag, inbox depth {}, {:.4}s barrier wait avoided",
+            self.staleness_lag, self.max_inbox_depth, self.barrier_wait_avoided_seconds
+        )?;
+        write!(
+            f,
+            "  network: {} bytes, {} messages; simulated {:.4}s wall, {:.4}s cpu",
+            self.network_bytes,
+            self.network_messages,
+            self.simulated_seconds,
+            self.simulated_cpu_seconds
+        )
     }
 }
 
@@ -159,21 +302,31 @@ impl Default for CostModel {
     }
 }
 
+/// The largest per-machine count: the critical path of a superstep.
+fn busiest(per_machine: &[u64]) -> u64 {
+    per_machine.iter().copied().max().unwrap_or(0)
+}
+
 impl CostModel {
     /// Simulated wall-clock seconds for one superstep: the busiest machine's compute
     /// time plus the bottleneck link's transfer time plus the barrier overhead.
     /// (Compute and communication are *not* overlapped, matching the synchronous
     /// engine the paper modifies.)
-    pub fn superstep_seconds(&self, work: &WorkStats, net: &NetworkStats) -> f64 {
-        let compute = work.max_machine_ops() as f64 * self.seconds_per_op;
-        let transfer = net.max_machine_bytes() as f64 / self.bytes_per_second;
+    pub fn superstep_seconds(&self, step: &SuperstepMetrics) -> f64 {
+        let compute = busiest(&step.ops_per_machine) as f64 * self.seconds_per_op;
+        let transfer = busiest(&step.bytes_per_machine) as f64 / self.bytes_per_second;
         compute + transfer + self.superstep_overhead
     }
 
-    /// Simulated aggregate CPU seconds (summed over machines, like the paper's
-    /// "CPU usage" panel which can exceed wall-clock time).
-    pub fn cpu_seconds(&self, work: &WorkStats) -> f64 {
-        work.total_ops() as f64 * self.seconds_per_op
+    /// Simulated aggregate CPU seconds of one superstep (summed over machines, like
+    /// the paper's "CPU usage" panel which can exceed wall-clock time): its gather,
+    /// apply and scatter operations. Saturating, so pinned counters never wrap.
+    pub fn cpu_seconds(&self, step: &SuperstepMetrics) -> f64 {
+        let cost = &step.cost;
+        let ops = (cost.gather_ops)
+            .saturating_add(cost.apply_ops)
+            .saturating_add(cost.scatter_ops);
+        ops as f64 * self.seconds_per_op
     }
 
     /// Simulated seconds a **single machine** spends on one superstep: its own
@@ -201,65 +354,53 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics if any provided speed factor is not strictly positive.
-    pub fn superstep_seconds_hetero(
-        &self,
-        work: &WorkStats,
-        net: &NetworkStats,
-        speed_factors: &[f64],
-    ) -> f64 {
+    pub fn superstep_seconds_hetero(&self, step: &SuperstepMetrics, speed_factors: &[f64]) -> f64 {
         assert!(
             speed_factors.iter().all(|&s| s > 0.0),
             "speed factors must be strictly positive"
         );
         let factor = |m: usize| speed_factors.get(m).copied().unwrap_or(1.0);
-        let compute = work
-            .ops_per_machine
-            .iter()
-            .enumerate()
+        let compute = (step.ops_per_machine.iter().enumerate())
             .map(|(m, &ops)| ops as f64 * self.seconds_per_op * factor(m))
             .fold(0.0f64, f64::max);
-        let transfer = net
-            .bytes_per_machine
-            .iter()
-            .enumerate()
+        let transfer = (step.bytes_per_machine.iter().enumerate())
             .map(|(m, &bytes)| bytes as f64 / self.bytes_per_second * factor(m))
             .fold(0.0f64, f64::max);
         compute + transfer + self.superstep_overhead
     }
 }
 
-/// Metrics for a single superstep.
+/// One superstep's record: its cost, and the per-machine profile the [`CostModel`]
+/// prices it from.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SuperstepMetrics {
     /// Superstep index (0-based).
     pub superstep: usize,
-    /// Number of active vertices at the start of the superstep (the frontier size).
-    pub active_vertices: usize,
-    /// Messages delivered to master inboxes at the end of the superstep, after
-    /// per-machine combining — local deliveries included, unlike
-    /// [`NetworkStats::messages_sent`] which counts only cross-machine traffic.
-    pub routed_messages: u64,
-    /// Network counters for the superstep.
-    pub network: NetworkStats,
-    /// Work counters for the superstep.
-    pub work: WorkStats,
-    /// Simulated wall-clock seconds for the superstep.
-    pub simulated_seconds: f64,
-    /// Real (host) seconds the simulator spent executing the superstep.
-    pub host_seconds: f64,
-    /// Messages sitting in the bounded-staleness staging inbox at the end of this
-    /// superstep whose delivery is deferred *past* the next superstep's drain point.
-    /// Always 0 under synchronous execution (`staleness = 0`), where every message
-    /// becomes visible exactly one superstep after it was produced.
-    pub inbox_depth: u64,
-    /// Summed delivery lag, in supersteps, of the messages drained at the start of
-    /// this superstep — how late each arrived relative to synchronous delivery.
-    /// Always 0 under synchronous execution.
-    pub staleness_lag: u64,
-    /// Simulated barrier-wait seconds this superstep avoided relative to the
-    /// synchronous cost model: the difference between the barriered superstep time
-    /// and the pipelined watermark advance. Always 0 under synchronous execution.
-    pub barrier_wait_avoided_seconds: f64,
+    /// The superstep's counters. `supersteps` is 1, `max_inbox_depth` is the backlog
+    /// this superstep ended with, and `staleness_lag` is the lag of the messages it
+    /// drained when it started.
+    pub cost: QueryCost,
+    /// Work operations per machine: the gather, apply and scatter operations each
+    /// machine executed, plus one per mirror synchronization, charged to the vertex's
+    /// master. Summed over machines it is `gather_ops + apply_ops + scatter_ops +
+    /// sync_ops`.
+    pub ops_per_machine: Vec<u64>,
+    /// Bytes each machine sent across machine boundaries; summed over machines it is
+    /// `cost.network_bytes`.
+    pub bytes_per_machine: Vec<u64>,
+}
+
+impl SuperstepMetrics {
+    /// Charges one message of `bytes` sent by `machine` to a different machine.
+    /// Saturating, like every sum of these counters.
+    pub(crate) fn send(&mut self, machine: usize, bytes: u64) {
+        let cost = &mut self.cost;
+        cost.network_bytes = cost.network_bytes.saturating_add(bytes);
+        cost.network_messages = cost.network_messages.saturating_add(1);
+        if let Some(sent) = self.bytes_per_machine.get_mut(machine) {
+            *sent = sent.saturating_add(bytes);
+        }
+    }
 }
 
 /// Aggregated metrics for a full run.
@@ -279,36 +420,19 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// The whole run folded into one [`SuperstepMetrics`]: `network` and `work`
-    /// merged (saturating, like every counter here), `routed_messages`,
-    /// `active_vertices` and `staleness_lag` summed (saturating), each `f64` field
-    /// added up in superstep order, `inbox_depth` the deepest backlog any superstep
-    /// ended with, and `superstep` the number of supersteps executed.
-    pub fn totals(&self) -> SuperstepMetrics {
-        let mut totals = SuperstepMetrics {
-            superstep: self.supersteps.len(),
-            ..SuperstepMetrics::default()
+    /// The run's cost: every superstep's record absorbed in superstep order into one
+    /// that carries the run's replication factor, so `supersteps` counts the
+    /// supersteps executed, `max_inbox_depth` is the deepest backlog any of them ended
+    /// with, and every `f64` is the in-order sum.
+    pub fn totals(&self) -> QueryCost {
+        let mut total = QueryCost {
+            replication_factor: self.replication_factor,
+            ..QueryCost::default()
         };
         for step in &self.supersteps {
-            totals.active_vertices = totals.active_vertices.saturating_add(step.active_vertices);
-            totals.routed_messages = totals.routed_messages.saturating_add(step.routed_messages);
-            totals.network.merge(&step.network);
-            totals.work.merge(&step.work);
-            totals.simulated_seconds += step.simulated_seconds;
-            totals.host_seconds += step.host_seconds;
-            totals.inbox_depth = totals.inbox_depth.max(step.inbox_depth);
-            totals.staleness_lag = totals.staleness_lag.saturating_add(step.staleness_lag);
-            totals.barrier_wait_avoided_seconds += step.barrier_wait_avoided_seconds;
+            total.absorb(&step.cost);
         }
-        totals
-    }
-
-    /// Total simulated CPU seconds under `model`, priced superstep by superstep.
-    pub fn total_cpu_seconds(&self, model: &CostModel) -> f64 {
-        self.supersteps
-            .iter()
-            .map(|s| model.cpu_seconds(&s.work))
-            .sum()
+        total
     }
 
     /// Re-prices the whole run on a heterogeneous cluster where machine `m` runs
@@ -319,7 +443,7 @@ impl RunMetrics {
     pub fn total_simulated_seconds_hetero(&self, model: &CostModel, speed_factors: &[f64]) -> f64 {
         self.supersteps
             .iter()
-            .map(|s| model.superstep_seconds_hetero(&s.work, &s.network, speed_factors))
+            .map(|s| model.superstep_seconds_hetero(s, speed_factors))
             .sum()
     }
 
@@ -329,8 +453,12 @@ impl RunMetrics {
         if self.num_machines == 0 {
             return 1.0;
         }
-        let per_machine = self.totals().work.ops_per_machine;
-        let max = per_machine.iter().copied().max().unwrap_or(0) as f64;
+        let mut per_machine = vec![0u64; self.num_machines];
+        for step in &self.supersteps {
+            for (sum, &ops) in per_machine.iter_mut().zip(&step.ops_per_machine) {
+                *sum = sum.saturating_add(ops);
+            }
+        }
         let total = per_machine
             .iter()
             .fold(0u64, |sum, &ops| sum.saturating_add(ops));
@@ -338,7 +466,7 @@ impl RunMetrics {
         if mean == 0.0 {
             1.0
         } else {
-            max / mean
+            busiest(&per_machine) as f64 / mean
         }
     }
 }
@@ -347,126 +475,114 @@ impl RunMetrics {
 mod tests {
     use super::*;
 
+    /// A superstep record with the given per-machine profile and nothing counted yet.
+    fn step(ops_per_machine: Vec<u64>, bytes_per_machine: Vec<u64>) -> SuperstepMetrics {
+        SuperstepMetrics {
+            cost: QueryCost {
+                supersteps: 1,
+                ..QueryCost::default()
+            },
+            ops_per_machine,
+            bytes_per_machine,
+            ..SuperstepMetrics::default()
+        }
+    }
+
+    fn run_of(num_machines: usize, supersteps: Vec<SuperstepMetrics>) -> RunMetrics {
+        RunMetrics {
+            supersteps,
+            num_machines,
+            ..RunMetrics::default()
+        }
+    }
+
     #[test]
     fn network_record_and_merge() {
-        let mut a = NetworkStats::new(2);
-        a.record(0, 100);
-        a.record(1, 50);
-        assert_eq!(a.bytes_sent, 150);
-        assert_eq!(a.messages_sent, 2);
+        let mut a = step(vec![0, 0], vec![0, 0]);
+        a.send(0, 100);
+        a.send(1, 50);
+        assert_eq!(a.cost.network_bytes, 150);
+        assert_eq!(a.cost.network_messages, 2);
         assert_eq!(a.bytes_per_machine, vec![100, 50]);
-        assert_eq!(a.max_machine_bytes(), 100);
 
-        let mut b = NetworkStats::new(2);
-        b.record(1, 25);
-        a.merge(&b);
-        assert_eq!(a.bytes_sent, 175);
-        assert_eq!(a.bytes_per_machine, vec![100, 75]);
+        let mut b = step(vec![0, 0], vec![0, 0]);
+        b.send(1, 25);
+        let totals = run_of(2, vec![a, b]).totals();
+        assert_eq!(totals.network_bytes, 175);
+        assert_eq!(totals.network_messages, 3);
     }
 
     #[test]
     fn work_totals_and_merge() {
-        let mut w = WorkStats::new(2);
-        w.gather_ops = 10;
-        w.apply_ops = 5;
-        w.scatter_ops = 20;
-        w.ops_per_machine = vec![30, 5];
-        assert_eq!(w.total_ops(), 35);
-        assert_eq!(w.max_machine_ops(), 30);
+        let mut w = step(vec![30, 5], vec![0, 0]);
+        w.cost.gather_ops = 10;
+        w.cost.apply_ops = 5;
+        w.cost.scatter_ops = 20;
+        // CPU prices gather + apply + scatter: 35 operations.
+        let model = CostModel::default();
+        assert_eq!(model.cpu_seconds(&w), 35.0 * model.seconds_per_op);
 
-        let mut other = WorkStats::new(2);
-        other.scatter_ops = 7;
-        other.skipped_syncs = 3;
-        other.skipped_scatters = 4;
-        other.ops_per_machine = vec![0, 7];
-        w.merge(&other);
-        assert_eq!(w.scatter_ops, 27);
-        assert_eq!(w.skipped_syncs, 3);
-        assert_eq!(w.skipped_scatters, 4);
-        assert_eq!(w.ops_per_machine, vec![30, 12]);
+        let mut other = step(vec![0, 7], vec![0, 0]);
+        other.cost.scatter_ops = 7;
+        other.cost.sync_ops = 2;
+        other.cost.skipped_syncs = 3;
+        other.cost.skipped_scatters = 4;
+        let totals = run_of(2, vec![w, other]).totals();
+        assert_eq!(totals.scatter_ops, 27);
+        assert_eq!(totals.sync_ops, 2);
+        assert_eq!(totals.skipped_syncs, 3);
+        assert_eq!(totals.skipped_scatters, 4);
     }
 
     #[test]
     fn counters_saturate_near_u64_max() {
         // A long-lived serving session must degrade to pinned counters, never
         // wrap (or panic in debug builds) mid-stream.
-        let mut net = NetworkStats::new(1);
-        net.bytes_sent = u64::MAX - 10;
-        net.bytes_per_machine[0] = u64::MAX - 10;
-        net.record(0, 100);
-        assert_eq!(net.bytes_sent, u64::MAX);
+        let mut net = step(vec![0], vec![u64::MAX - 10]);
+        net.cost.network_bytes = u64::MAX - 10;
+        net.send(0, 100);
+        assert_eq!(net.cost.network_bytes, u64::MAX);
         assert_eq!(net.bytes_per_machine[0], u64::MAX);
-        let mut other = NetworkStats::new(1);
-        other.bytes_sent = u64::MAX;
-        other.messages_sent = u64::MAX;
-        other.bytes_per_machine[0] = 7;
-        net.merge(&other);
-        assert_eq!(net.bytes_sent, u64::MAX);
-        assert_eq!(net.messages_sent, u64::MAX);
+        net.cost.network_messages = u64::MAX;
+        net.send(0, 7);
+        assert_eq!(net.cost.network_messages, u64::MAX);
         assert_eq!(net.bytes_per_machine[0], u64::MAX);
 
-        let mut w = WorkStats::new(1);
-        w.gather_ops = u64::MAX - 1;
-        w.scatter_ops = u64::MAX;
-        w.ops_per_machine[0] = u64::MAX - 2;
-        let mut o = WorkStats::new(1);
-        o.gather_ops = 5;
-        o.apply_ops = 3;
-        o.ops_per_machine = vec![100];
-        w.merge(&o);
-        assert_eq!(w.gather_ops, u64::MAX);
-        assert_eq!(w.ops_per_machine[0], u64::MAX);
-        // The pinned per-kind counters must not wrap when totalled either.
-        assert_eq!(w.total_ops(), u64::MAX);
+        let mut w = step(vec![u64::MAX - 2], vec![0]);
+        w.cost.gather_ops = u64::MAX - 1;
+        w.cost.scatter_ops = u64::MAX;
+        // The pinned per-kind counters must not wrap when priced either.
+        let model = CostModel::default();
+        assert_eq!(
+            model.cpu_seconds(&w),
+            u64::MAX as f64 * model.seconds_per_op
+        );
 
-        let mut run = RunMetrics {
-            num_machines: 1,
-            ..RunMetrics::default()
-        };
-        run.supersteps.push(SuperstepMetrics {
-            network: net.clone(),
-            work: w.clone(),
-            ..SuperstepMetrics::default()
-        });
-        run.supersteps.push(SuperstepMetrics {
-            network: net,
-            work: w.clone(),
-            ..SuperstepMetrics::default()
-        });
+        let run = run_of(1, vec![net.clone(), w.clone(), net, w.clone()]);
         assert!((run.work_imbalance() - 1.0).abs() < 1e-12);
         // The run totals pin at the ceiling like the counters they fold.
         let totals = run.totals();
-        assert_eq!(totals.network.bytes_sent, u64::MAX);
-        assert_eq!(totals.network.messages_sent, u64::MAX);
-        assert_eq!(totals.work.total_ops(), u64::MAX);
+        assert_eq!(totals.network_bytes, u64::MAX);
+        assert_eq!(totals.network_messages, u64::MAX);
+        assert_eq!(totals.gather_ops, u64::MAX);
+        assert_eq!(totals.scatter_ops, u64::MAX);
 
         // Two machines pinned at the ceiling: the cross-machine sum saturates too
         // (max = u64::MAX, mean = u64::MAX / 2).
         w.ops_per_machine = vec![u64::MAX, u64::MAX];
-        let two = RunMetrics {
-            num_machines: 2,
-            supersteps: vec![SuperstepMetrics {
-                work: w,
-                ..SuperstepMetrics::default()
-            }],
-            ..RunMetrics::default()
-        };
-        assert!((two.work_imbalance() - 2.0).abs() < 1e-12);
+        assert!((run_of(2, vec![w]).work_imbalance() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn cost_model_superstep_time_components() {
         let model = CostModel::default();
-        let mut work = WorkStats::new(1);
-        work.ops_per_machine = vec![1_000_000];
-        work.apply_ops = 1_000_000;
-        let mut net = NetworkStats::new(1);
-        net.bytes_per_machine = vec![125_000_000];
-        net.bytes_sent = 125_000_000;
-        let t = model.superstep_seconds(&work, &net);
+        let mut s = step(vec![1_000_000], vec![125_000_000]);
+        s.cost.apply_ops = 1_000_000;
+        s.cost.network_bytes = 125_000_000;
+        let t = model.superstep_seconds(&s);
         // 1e6 ops * 10ns = 0.01s; 125MB at 1Gbit/s = 1s; +1ms overhead
         assert!((t - (0.01 + 1.0 + 0.001)).abs() < 1e-9, "t = {t}");
-        assert!((model.cpu_seconds(&work) - 0.01).abs() < 1e-12);
+        assert!((model.cpu_seconds(&s) - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -478,76 +594,74 @@ mod tests {
             ..RunMetrics::default()
         };
         for i in 0..3 {
-            let mut net = NetworkStats::new(2);
-            net.record(0, 1000);
-            let mut work = WorkStats::new(2);
-            work.apply_ops = 10;
-            work.scatter_ops = 7;
-            work.sync_ops = 4;
-            work.skipped_syncs = 6;
-            work.skipped_scatters = 2;
-            work.ops_per_machine = vec![10, 0];
-            let simulated = model.superstep_seconds(&work, &net);
-            run.supersteps.push(SuperstepMetrics {
-                superstep: i,
-                active_vertices: 10,
-                routed_messages: 5,
-                network: net,
-                work,
-                simulated_seconds: simulated,
-                host_seconds: 0.25,
-                inbox_depth: 3 + i as u64,
-                staleness_lag: 2,
-                barrier_wait_avoided_seconds: 0.5,
-            });
+            let mut s = step(vec![10, 0], vec![0, 0]);
+            s.superstep = i;
+            s.send(0, 1000);
+            s.cost.apply_ops = 10;
+            s.cost.scatter_ops = 7;
+            s.cost.sync_ops = 4;
+            s.cost.skipped_syncs = 6;
+            s.cost.skipped_scatters = 2;
+            s.cost.active_vertices = 10;
+            s.cost.routed_messages = 5;
+            s.cost.simulated_seconds = model.superstep_seconds(&s);
+            s.cost.simulated_cpu_seconds = model.cpu_seconds(&s);
+            s.cost.host_seconds = 0.25;
+            s.cost.max_inbox_depth = 3 + i as u64;
+            s.cost.staleness_lag = 2;
+            s.cost.barrier_wait_avoided_seconds = 0.5;
+            run.supersteps.push(s);
         }
         let totals = run.totals();
-        assert_eq!(totals.superstep, 3);
+        assert_eq!(totals.supersteps, 3);
+        assert_eq!(totals.replication_factor, 1.5);
         assert_eq!(totals.active_vertices, 30);
         assert_eq!(totals.routed_messages, 15);
-        assert_eq!(totals.network.bytes_sent, 3000);
-        assert_eq!(totals.network.messages_sent, 3);
-        assert_eq!(totals.network.bytes_per_machine, vec![3000, 0]);
-        assert_eq!(totals.work.total_ops(), 51);
-        assert_eq!(totals.work.gather_ops, 0);
-        assert_eq!(totals.work.apply_ops, 30);
-        assert_eq!(totals.work.scatter_ops, 21);
-        assert_eq!(totals.work.sync_ops, 12);
-        assert_eq!(totals.work.skipped_syncs, 18);
-        assert_eq!(totals.work.skipped_scatters, 6);
-        assert_eq!(totals.work.ops_per_machine, vec![30, 0]);
+        assert_eq!(totals.network_bytes, 3000);
+        assert_eq!(totals.network_messages, 3);
+        assert_eq!(totals.gather_ops, 0);
+        assert_eq!(totals.apply_ops, 30);
+        assert_eq!(totals.scatter_ops, 21);
+        assert_eq!(totals.sync_ops, 12);
+        assert_eq!(totals.skipped_syncs, 18);
+        assert_eq!(totals.skipped_scatters, 6);
         assert_eq!(totals.staleness_lag, 6);
         // The deepest backlog, not the sum.
-        assert_eq!(totals.inbox_depth, 5);
+        assert_eq!(totals.max_inbox_depth, 5);
         // Floats are added from 0.0 in superstep order: equal to the last bit.
-        let in_order = |field: fn(&SuperstepMetrics) -> f64| {
+        let in_order = |field: fn(&QueryCost) -> f64| {
             let mut sum = 0.0;
             for step in &run.supersteps {
-                sum += field(step);
+                sum += field(&step.cost);
             }
             sum
         };
         assert!(totals.simulated_seconds > 0.0);
-        assert_eq!(totals.simulated_seconds, in_order(|s| s.simulated_seconds));
-        assert_eq!(totals.host_seconds, in_order(|s| s.host_seconds));
+        assert_eq!(totals.simulated_seconds, in_order(|c| c.simulated_seconds));
+        assert!(totals.simulated_cpu_seconds > 0.0);
+        assert_eq!(
+            totals.simulated_cpu_seconds,
+            in_order(|c| c.simulated_cpu_seconds)
+        );
+        assert_eq!(totals.host_seconds, in_order(|c| c.host_seconds));
         assert_eq!(totals.host_seconds, 0.75);
         assert_eq!(
             totals.barrier_wait_avoided_seconds,
-            in_order(|s| s.barrier_wait_avoided_seconds)
+            in_order(|c| c.barrier_wait_avoided_seconds)
         );
         assert_eq!(totals.barrier_wait_avoided_seconds, 1.5);
-        assert!(run.total_cpu_seconds(&model) > 0.0);
     }
 
     #[test]
     fn empty_run_metrics() {
         let run = RunMetrics::default();
         let totals = run.totals();
-        assert_eq!(totals.superstep, 0);
-        assert_eq!(totals.network, NetworkStats::default());
-        assert_eq!(totals.work, WorkStats::default());
+        assert_eq!(totals, QueryCost::default());
+        assert_eq!(totals.supersteps, 0);
+        assert_eq!(totals.network_bytes, 0);
+        assert_eq!(totals.simulated_cpu_seconds, 0.0);
         assert_eq!(totals.staleness_lag, 0);
-        assert_eq!(totals.inbox_depth, 0);
+        assert_eq!(totals.max_inbox_depth, 0);
         assert_eq!(totals.barrier_wait_avoided_seconds, 0.0);
         assert_eq!(run.work_imbalance(), 1.0);
     }
@@ -559,16 +673,10 @@ mod tests {
         // model charges max(ops) + max(bytes), the per-machine term charges each
         // machine its own combined cost, so every machine's clock advances by no
         // more than the barriered superstep time.
-        let mut work = WorkStats::new(2);
-        work.ops_per_machine = vec![1_000_000, 10_000];
-        work.apply_ops = 1_010_000;
-        let mut net = NetworkStats::new(2);
-        net.bytes_per_machine = vec![1_000, 125_000_000];
-        net.bytes_sent = 125_001_000;
-        let sync = model.superstep_seconds(&work, &net);
+        let s = step(vec![1_000_000, 10_000], vec![1_000, 125_000_000]);
+        let sync = model.superstep_seconds(&s);
         for m in 0..2 {
-            let own =
-                model.machine_superstep_seconds(work.ops_per_machine[m], net.bytes_per_machine[m]);
+            let own = model.machine_superstep_seconds(s.ops_per_machine[m], s.bytes_per_machine[m]);
             assert!(own <= sync, "machine {m}: {own} > {sync}");
         }
         // And the components reconcile: 1e6 ops * 10ns + 1kB at 1Gbit/s + 1ms.
@@ -579,25 +687,22 @@ mod tests {
     #[test]
     fn heterogeneous_superstep_time_is_set_by_the_straggler() {
         let model = CostModel::default();
-        let mut work = WorkStats::new(2);
-        work.ops_per_machine = vec![1_000_000, 1_000_000];
-        work.apply_ops = 2_000_000;
-        let net = NetworkStats::new(2);
+        let s = step(vec![1_000_000, 1_000_000], vec![0, 0]);
 
-        let uniform = model.superstep_seconds_hetero(&work, &net, &[1.0, 1.0]);
-        let homogeneous = model.superstep_seconds(&work, &net);
+        let uniform = model.superstep_seconds_hetero(&s, &[1.0, 1.0]);
+        let homogeneous = model.superstep_seconds(&s);
         assert!((uniform - homogeneous).abs() < 1e-12);
 
         // Slowing down one machine by 4x inflates the barrier-to-barrier time by ~4x
         // of the compute component, even though half the work is unaffected.
-        let straggler = model.superstep_seconds_hetero(&work, &net, &[1.0, 4.0]);
+        let straggler = model.superstep_seconds_hetero(&s, &[1.0, 4.0]);
         let expected = 1_000_000.0 * model.seconds_per_op * 4.0 + model.superstep_overhead;
         assert!(
             (straggler - expected).abs() < 1e-12,
             "straggler {straggler}"
         );
         // Missing entries default to nominal speed.
-        let partial = model.superstep_seconds_hetero(&work, &net, &[2.0]);
+        let partial = model.superstep_seconds_hetero(&s, &[2.0]);
         assert!(partial > uniform && partial < straggler);
     }
 
@@ -605,33 +710,20 @@ mod tests {
     #[should_panic(expected = "speed factors must be strictly positive")]
     fn heterogeneous_model_rejects_zero_speed() {
         let model = CostModel::default();
-        let work = WorkStats::new(1);
-        let net = NetworkStats::new(1);
-        let _ = model.superstep_seconds_hetero(&work, &net, &[0.0]);
+        let _ = model.superstep_seconds_hetero(&step(vec![0], vec![0]), &[0.0]);
     }
 
     #[test]
     fn run_metrics_hetero_and_imbalance() {
         let model = CostModel::default();
-        let mut run = RunMetrics {
-            num_machines: 2,
+        let mut s = step(vec![200, 100], vec![0, 0]);
+        s.cost.apply_ops = 300;
+        s.cost.active_vertices = 10;
+        s.cost.simulated_seconds = model.superstep_seconds(&s);
+        let run = RunMetrics {
             replication_factor: 1.0,
-            ..RunMetrics::default()
+            ..run_of(2, vec![s])
         };
-        let mut work = WorkStats::new(2);
-        work.apply_ops = 300;
-        work.ops_per_machine = vec![200, 100];
-        let net = NetworkStats::new(2);
-        let simulated = model.superstep_seconds(&work, &net);
-        run.supersteps.push(SuperstepMetrics {
-            superstep: 0,
-            active_vertices: 10,
-            routed_messages: 0,
-            network: net,
-            work,
-            simulated_seconds: simulated,
-            ..SuperstepMetrics::default()
-        });
 
         // max = 200, mean = 150
         assert!((run.work_imbalance() - 200.0 / 150.0).abs() < 1e-12);
@@ -639,5 +731,78 @@ mod tests {
         assert!((nominal - run.totals().simulated_seconds).abs() < 1e-12);
         let slowed = run.total_simulated_seconds_hetero(&model, &[10.0, 1.0]);
         assert!(slowed > nominal);
+    }
+
+    #[test]
+    fn absorb_saturates_counters_and_takes_the_max_inbox_depth() {
+        let mut total = QueryCost {
+            replication_factor: 2.5,
+            network_bytes: u64::MAX - 1,
+            supersteps: usize::MAX,
+            walk_hops: 5,
+            max_inbox_depth: 4,
+            ..QueryCost::default()
+        };
+        for (max_inbox_depth, index_served) in [(9, false), (6, true)] {
+            total.absorb(&QueryCost {
+                replication_factor: 1.0,
+                network_bytes: 10,
+                supersteps: 3,
+                walk_hops: 7,
+                simulated_seconds: 0.5,
+                max_inbox_depth,
+                index_served,
+                ..QueryCost::default()
+            });
+        }
+        // Pinned at the ceiling, not wrapped; everything else simply adds.
+        assert_eq!(total.network_bytes, u64::MAX);
+        assert_eq!(total.supersteps, usize::MAX);
+        assert_eq!(total.walk_hops, 19);
+        assert_eq!(total.simulated_seconds, 1.0);
+        assert_eq!(total.max_inbox_depth, 9);
+        assert!(total.index_served);
+        assert_eq!(total.replication_factor, 2.5);
+    }
+
+    #[test]
+    fn equality_ignores_host_seconds_only() {
+        let cost = QueryCost {
+            skipped_syncs: 3,
+            host_seconds: 0.25,
+            ..QueryCost::default()
+        };
+        assert_eq!(
+            cost,
+            QueryCost {
+                host_seconds: 9.0,
+                ..cost
+            }
+        );
+        assert_ne!(
+            cost,
+            QueryCost {
+                skipped_syncs: 4,
+                ..cost
+            }
+        );
+        assert_ne!(
+            cost,
+            QueryCost {
+                sync_ops: 1,
+                ..cost
+            }
+        );
+    }
+
+    #[test]
+    fn seconds_per_iteration_is_the_mean_and_zero_without_supersteps() {
+        let cost = QueryCost {
+            supersteps: 4,
+            simulated_seconds: 2.0,
+            ..QueryCost::default()
+        };
+        assert_eq!(cost.seconds_per_iteration(), 0.5);
+        assert_eq!(QueryCost::default().seconds_per_iteration(), 0.0);
     }
 }

@@ -198,13 +198,13 @@ fn timing_allowlisted(path: &str) -> bool {
 }
 
 /// Does the `counter-arith` rule apply to this file? The accumulator surface:
-/// the metrics modules, the cost record's one sum (`cost.rs`), the session stats,
-/// and the serving front-end (the `serve/` module directory — `walkindex/serve.rs`
-/// is walk math, not counter accumulation, and stays under the general library
-/// rules only).
+/// the metrics modules (the engine's holds the cost record and its one sum), the
+/// session stats, and the serving front-end (the `serve/` module directory —
+/// `walkindex/serve.rs` is walk math, not counter accumulation, and stays under the
+/// general library rules only).
 pub fn is_accumulator_file(path: &str) -> bool {
     let file = path.rsplit('/').next().unwrap_or(path);
-    matches!(file, "metrics.rs" | "cost.rs" | "session.rs") || path.contains("/serve/")
+    matches!(file, "metrics.rs" | "session.rs") || path.contains("/serve/")
 }
 
 /// Analyzes one file. `path` must be workspace-relative with forward slashes.
@@ -971,7 +971,10 @@ mod tests {
         // walkindex/serve.rs is walk math, not the serve/ accumulator module.
         let f = findings("crates/core/src/walkindex/serve.rs", Scope::Core, src);
         assert!(!rules_of(&f).contains(&"counter-arith"), "{f:?}");
-        for path in ["crates/core/src/serve/pool.rs", "crates/core/src/cost.rs"] {
+        for path in [
+            "crates/core/src/serve/pool.rs",
+            "crates/engine/src/metrics.rs",
+        ] {
             let f = findings(path, Scope::Core, src);
             assert!(rules_of(&f).contains(&"counter-arith"), "{path}: {f:?}");
         }

@@ -4,9 +4,10 @@
 //! timeline**: every record carries a logical [`SpanKey`] — `(seq, pid, tid, lane)`,
 //! e.g. `(superstep, machine, batch, phase)` in the engine or `(sequence id, 0, 0,
 //! stage)` in the serving front-end — and the merged order is a stable sort over that
-//! key plus a per-sink ordinal, **never** wall-clock order. Two runs with the same
-//! seed therefore produce the same record order (and, under [`ClockMode::Logical`],
-//! byte-identical exports), so traces are diffable across runs.
+//! key, the query it was recorded for ([`Tracer::for_query`]) and a per-sink ordinal,
+//! **never** wall-clock order. Two runs with the same seed therefore produce the same
+//! record order (and, under [`ClockMode::Logical`], byte-identical exports), so traces
+//! are diffable across runs.
 //!
 //! ## Shape
 //!
@@ -182,6 +183,7 @@ impl SpanKey {
 pub(crate) struct Record {
     pub(crate) meta: &'static SpanMeta,
     pub(crate) key: SpanKey,
+    pub(crate) query: Option<u64>,
     pub(crate) ordinal: u32,
     pub(crate) start_us: u64,
     pub(crate) dur_us: u64,
@@ -222,6 +224,7 @@ impl Inner {
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
+    query: Option<u64>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -237,7 +240,7 @@ impl Tracer {
     /// A tracer for `config` — disabled (zero-cost) when `config.enabled` is false.
     pub fn new(config: TraceConfig) -> Self {
         if !config.enabled {
-            return Tracer { inner: None };
+            return Tracer::disabled();
         }
         Tracer {
             inner: Some(Arc::new(Inner {
@@ -245,12 +248,25 @@ impl Tracer {
                 epoch: clock::Epoch::start(config.clock == ClockMode::Host),
                 records: Mutex::new(Vec::new()),
             })),
+            query: None,
         }
     }
 
     /// The zero-cost disabled tracer (same as `Tracer::default()`).
     pub fn disabled() -> Self {
-        Tracer { inner: None }
+        Tracer::default()
+    }
+
+    /// A handle onto the same buffer that stamps query `id` on every record its
+    /// sinks make. Queries that run concurrently key their engine spans alike —
+    /// `(superstep, machine, batch, phase)` — and the stamp is what orders such
+    /// records deterministically in the merged timeline, after the key; it is also
+    /// what [`TimelineEntry::query`] reads back.
+    pub fn for_query(&self, id: u64) -> Tracer {
+        Tracer {
+            inner: self.inner.clone(),
+            query: Some(id),
+        }
     }
 
     /// `true` when spans are being recorded.
@@ -262,7 +278,7 @@ impl Tracer {
     /// its records to the shared buffer when dropped. For a disabled tracer the sink
     /// is inert and allocation-free.
     pub fn sink(&self) -> SpanSink {
-        SpanSink::new(self.inner.clone())
+        SpanSink::new(self.inner.clone(), self.query)
     }
 
     /// Drains everything recorded so far into a merged, deterministically ordered
@@ -338,6 +354,19 @@ mod tests {
         let timeline = tracer.finish();
         let names: Vec<&str> = timeline.entries().iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["early", "late"]);
+    }
+
+    #[test]
+    fn a_key_tie_is_broken_by_the_query_stamp_not_by_flush_order() {
+        let tracer = Tracer::new(TraceConfig::logical());
+        let key = SpanKey::new(0, 1, 1, 2);
+        for id in [7, 3] {
+            let sink = tracer.for_query(id).sink();
+            let _s = sink.span(span_meta!("gather_batch"), key);
+        }
+        let timeline = tracer.finish();
+        let queries: Vec<Option<u64>> = timeline.entries().iter().map(|e| e.query).collect();
+        assert_eq!(queries, vec![Some(3), Some(7)]);
     }
 
     #[test]

@@ -14,6 +14,8 @@ use crate::{ClockMode, Inner, Record, SpanKey, SpanMeta};
 /// sink is inert: no buffer capacity is ever allocated and nothing is recorded.
 pub struct SpanSink {
     shared: Option<Arc<Inner>>,
+    /// The query stamp of the tracer this sink came from.
+    query: Option<u64>,
     buf: RefCell<Vec<Record>>,
     next_ordinal: Cell<u32>,
 }
@@ -30,9 +32,10 @@ impl std::fmt::Debug for SpanSink {
 }
 
 impl SpanSink {
-    pub(crate) fn new(shared: Option<Arc<Inner>>) -> Self {
+    pub(crate) fn new(shared: Option<Arc<Inner>>, query: Option<u64>) -> Self {
         SpanSink {
             shared,
+            query,
             buf: RefCell::new(Vec::new()),
             next_ordinal: Cell::new(0),
         }
@@ -96,6 +99,7 @@ impl SpanSink {
         self.push(Record {
             meta,
             key,
+            query: self.query,
             ordinal: self.take_ordinal(),
             start_us: at_us,
             dur_us: 0,
@@ -131,6 +135,7 @@ impl SpanSink {
         self.push(Record {
             meta,
             key,
+            query: self.query,
             ordinal: self.take_ordinal(),
             start_us,
             dur_us,

@@ -28,6 +28,9 @@ pub struct TimelineEntry {
     pub line: u32,
     /// The deterministic timeline position the record was keyed with.
     pub key: SpanKey,
+    /// The query the record was made for, when its tracer came from
+    /// [`Tracer::for_query`](crate::Tracer::for_query).
+    pub query: Option<u64>,
     /// The record's ordinal within its sink (breaks ties under equal keys).
     pub ordinal: u32,
     /// Start timestamp, microseconds (host time or logical index).
@@ -49,8 +52,8 @@ impl TimelineEntry {
 
 /// The merged, deterministically ordered trace from [`Tracer::finish`](crate::Tracer::finish).
 ///
-/// Entries are ordered by `(key, ordinal)` — a stable total order independent of
-/// which OS thread recorded what when — so two same-seed runs produce entries in
+/// Entries are ordered by `(key, query, ordinal)` — a stable total order independent
+/// of which OS thread recorded what when — so two same-seed runs produce entries in
 /// the same order (and byte-identical exports under [`ClockMode::Logical`]).
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
@@ -65,17 +68,19 @@ impl Timeline {
     }
 
     pub(crate) fn merge(mut records: Vec<Record>, clock: ClockMode) -> Self {
-        // The deterministic total order: key, then per-sink ordinal, then callsite.
+        // The deterministic total order: key, then the query stamp (concurrent
+        // queries key their engine spans alike), then per-sink ordinal, then callsite.
         // Wall-clock never participates. Callsite fields make the order total even
         // if two sinks (against the instrumentation contract) share a key+ordinal.
-        records.sort_by(|a, b| {
-            (a.key, a.ordinal, a.meta.name, a.meta.target, a.meta.line).cmp(&(
-                b.key,
-                b.ordinal,
-                b.meta.name,
-                b.meta.target,
-                b.meta.line,
-            ))
+        records.sort_by_key(|r| {
+            (
+                r.key,
+                r.query,
+                r.ordinal,
+                r.meta.name,
+                r.meta.target,
+                r.meta.line,
+            )
         });
         let entries = records
             .into_iter()
@@ -93,6 +98,7 @@ impl Timeline {
                     file: r.meta.file,
                     line: r.meta.line,
                     key: r.key,
+                    query: r.query,
                     ordinal: r.ordinal,
                     start_us,
                     dur_us,

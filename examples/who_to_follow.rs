@@ -70,13 +70,11 @@ fn main() -> Result<()> {
         teleport_probability: 0.15,
         method: PprMethod::ForwardPush { epsilon: 1e-6 },
     })?;
-    if let ResponseDetail::Ppr {
-        pushes, residual, ..
-    } = push.detail
-    {
+    if let ResponseDetail::Ppr { residual, .. } = push.detail {
         println!(
             "\npersonal \"because you follow…\" shelf for user {user} \
-             ({pushes} pushes, residual mass {residual:.4}):"
+             ({} pushes, residual mass {residual:.4}):",
+            push.cost.push_ops
         );
     }
     let mut recommended = 0usize;

@@ -38,7 +38,12 @@ fn fingerprint(estimate: &[f64]) -> u64 {
 
 /// Total superstep work the delta gate is meant to reduce.
 fn superstep_work(report: &RunReport) -> u64 {
-    report.metrics.totals().work.scatter_ops + report.cost.routed_messages
+    report.cost.scatter_ops + report.cost.routed_messages
+}
+
+/// The operations the CPU model prices: gather + apply + scatter.
+fn work_ops(cost: &QueryCost) -> u64 {
+    cost.gather_ops + cost.apply_ops + cost.scatter_ops
 }
 
 fn frogwild_base() -> FrogWildConfig {
@@ -65,8 +70,8 @@ fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
     assert_eq!(fingerprint(&ps07.estimate), 0xc498_2688_7c36_ed28);
     assert_eq!(ps07.cost.network_bytes, 1_192_472);
     assert_eq!(ps07.cost.network_messages, 49_012);
-    assert_eq!(ps07.metrics.totals().work.total_ops(), 390_050);
-    assert_eq!(ps07.metrics.totals().work.scatter_ops, 374_192);
+    assert_eq!(work_ops(&ps07.cost), 390_050);
+    assert_eq!(ps07.cost.scatter_ops, 374_192);
     assert_eq!(ps07.cost.supersteps, 4);
 
     let ps10 = run_frogwild(
@@ -82,7 +87,7 @@ fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
     assert_eq!(fingerprint(&ps10.estimate), 0x0ae2_b17a_bc8e_9a4d);
     assert_eq!(ps10.cost.network_bytes, 1_510_384);
     assert_eq!(ps10.cost.network_messages, 60_480);
-    assert_eq!(ps10.metrics.totals().work.total_ops(), 516_658);
+    assert_eq!(work_ops(&ps10.cost), 516_658);
 }
 
 #[test]
@@ -133,8 +138,8 @@ fn pagerank_golden_pins_hold_under_executor_gating() {
     assert_eq!(fingerprint(&gated.estimate), 0x361f_a0c0_da1e_e8ba);
     assert_eq!(gated.cost.network_bytes, 3_131_664);
     assert_eq!(gated.cost.network_messages, 180_574);
-    assert_eq!(gated.metrics.totals().work.total_ops(), 1_250_444);
-    assert_eq!(gated.metrics.totals().work.scatter_ops, 494_315);
+    assert_eq!(work_ops(&gated.cost), 1_250_444);
+    assert_eq!(gated.cost.scatter_ops, 494_315);
     assert_eq!(gated.cost.supersteps, 25);
     assert!(gated.cost.skipped_scatters > 0);
 
@@ -143,7 +148,7 @@ fn pagerank_golden_pins_hold_under_executor_gating() {
     assert_eq!(fingerprint(&truncated.estimate), 0x8575_973d_04cf_b9c2);
     assert_eq!(truncated.cost.network_bytes, 477_916);
     assert_eq!(truncated.cost.network_messages, 27_367);
-    assert_eq!(truncated.metrics.totals().work.total_ops(), 174_029);
+    assert_eq!(work_ops(&truncated.cost), 174_029);
     assert_eq!(truncated.cost.supersteps, 2);
 }
 

@@ -145,7 +145,7 @@ fn per_machine_network_is_reported_and_consistent() {
         .metrics
         .supersteps
         .iter()
-        .flat_map(|s| s.network.bytes_per_machine.iter())
+        .flat_map(|s| s.bytes_per_machine.iter())
         .sum();
     assert_eq!(per_machine_total, report.cost.network_bytes);
     assert_eq!(report.metrics.num_machines, 12);

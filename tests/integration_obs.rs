@@ -153,6 +153,39 @@ fn logical_trace_csv() -> String {
     session.tracer().finish().to_csv()
 }
 
+/// Engine and index queries through a two-worker pool, one query per batch. The
+/// engine queries come in pairs that run at once, and the pool re-seeds each, so the
+/// two share `(superstep, machine, batch, phase)` span keys but not span counters:
+/// only the query stamp puts their records in one order.
+fn pooled_logical_trace_csv() -> String {
+    let graph = test_graph();
+    let index = mixed_stream(2, graph.num_vertices() as u64);
+    let engine = Query::AutotunedTopK {
+        config: AutoTuneConfig {
+            k: K,
+            pilot_walkers: 2_000,
+            max_walkers: 10_000,
+            ..AutoTuneConfig::default()
+        },
+    };
+    let queries = [
+        &engine, &engine, &index[0], &engine, &engine, &index[1], &engine, &engine,
+    ]
+    .map(Query::clone);
+    let mut session = session_over(&graph, TraceConfig::logical(), 0);
+    let config = ServeConfig {
+        workers: 2,
+        batch: 1,
+        ..ServeConfig::default()
+    };
+    let report = session
+        .serve_with(config)
+        .expect("valid test configuration")
+        .serve(&queries);
+    assert_eq!(report.served, queries.len() as u64);
+    session.tracer().finish().to_csv()
+}
+
 #[test]
 fn logical_traces_are_byte_stable_across_runs() {
     assert_eq!(
@@ -160,6 +193,14 @@ fn logical_traces_are_byte_stable_across_runs() {
         logical_trace_csv(),
         "two identical logical-clock runs must merge to identical bytes"
     );
+    let first = pooled_logical_trace_csv();
+    for run in 1..8 {
+        assert_eq!(
+            pooled_logical_trace_csv(),
+            first,
+            "pooled run {run} merged to different bytes than run 0"
+        );
+    }
 }
 
 #[test]
