@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 15] = [
+    let table: [Case<'_>; 16] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -86,6 +86,26 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
                 "100000",
             ],
             Ok(&[]),
+        ),
+        // Asked for a hundred thousand engine threads, the pool takes the host's: it
+        // spent ten times the serial run's host time spawning one thread per batch,
+        // and would now allocate a lane per thread. The ids are the serial run's.
+        (
+            &[
+                "topk",
+                "--synthetic",
+                "twitter",
+                "--vertices",
+                "20000",
+                "--machines",
+                "4000",
+                "--parallel",
+                "--workers",
+                "100000",
+                "--k",
+                "3",
+            ],
+            Ok(&["0", "16384", "8192"]),
         ),
         // A correctly spelled option the subcommand never reads is not a default
         // silently used in its place.

@@ -44,9 +44,17 @@ pub struct FrogWildConfig {
     pub binomial_scatter: bool,
     /// Seed for walker placement and all engine randomness.
     pub seed: u64,
-    /// Serve the engine's work batches from a worker pool of
+    /// Serve the engine's work units from a worker pool of
     /// [`ExecutionConfig::workers`] threads instead of the calling thread. Results are
     /// bit-identical either way.
+    ///
+    /// Off by default because it does not pay at the paper's operating point, walkers
+    /// ≪ vertices: at 20 000 walkers on 100 000 vertices a frontier holds about
+    /// 12 000 vertices, too little work for a phase to earn back the threads it
+    /// starts. On two cores the `fw_topk_sweep` benchmark read 11.4–12.2 ms per
+    /// query serial against 10.9–11.5 ms pooled, inside its run-to-run spread: the
+    /// pool takes the traced scatter phase from 4.2 to 2.9 ms but apply from 1.6 to
+    /// 2.6 ms.
     pub parallel: bool,
     /// Delta-gating threshold: a vertex whose live-walker count after apply is at or
     /// below this value skips synchronization and scatter and drops out of the
@@ -145,9 +153,10 @@ impl FrogWildConfig {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
-    /// Worker threads serving phase work batches when the algorithm config's
-    /// `parallel` flag is on (`0` = derive from the host's available parallelism);
-    /// without that flag the engine runs on the calling thread.
+    /// Worker threads serving phase work units when the algorithm config's
+    /// `parallel` flag is on (`0` = derive from the host's available parallelism,
+    /// and no value makes the pool wider than that); without that flag the engine
+    /// runs on the calling thread.
     pub workers: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the
     /// default) is fully synchronous BSP; `s > 0` lets machines overlap supersteps
@@ -157,7 +166,11 @@ pub struct ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// The default configuration: an auto-sized worker pool, synchronous execution.
+    /// The default configuration: synchronous execution, and `workers = 0`, a pool as
+    /// wide as the host. The pool serves a run only when the algorithm config's
+    /// `parallel` flag is set ([`FrogWildConfig::parallel`],
+    /// [`PageRankConfig::parallel`]); both are off by default, and FrogWild and
+    /// PageRank then run on the calling thread.
     pub fn new() -> Self {
         ExecutionConfig::default()
     }
@@ -191,7 +204,7 @@ pub struct PageRankConfig {
     /// Seed for engine randomness (partitioning-related only; PageRank itself is
     /// deterministic).
     pub seed: u64,
-    /// Serve the engine's work batches from a worker pool of
+    /// Serve the engine's work units from a worker pool of
     /// [`ExecutionConfig::workers`] threads (independent of the simulated machine
     /// count) instead of the calling thread. Results are bit-identical either way.
     pub parallel: bool,

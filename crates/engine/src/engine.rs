@@ -8,21 +8,22 @@
 //! `p_s` — decides which mirrors receive fresh state and may therefore participate in
 //! scatter.
 //!
-//! A vertex is addressed one way. Its *mail* lives in three per-run arrays indexed by
-//! global vertex id (a vertex has one master, so nothing else is needed to address
-//! it), allocated once: the combined incoming message and the combined gather
-//! accumulator, occupied only where the frontier says and emptied by apply, and the
-//! combined *outgoing* message of the machine being routed. Its *state* lives in
-//! per-machine replica caches, and the slot of every replica comes from the table
-//! [`VertexPlacement`](crate::placement::VertexPlacement) recorded when the graph was
-//! partitioned; nothing in a run searches for a vertex.
+//! A vertex is addressed one way. Its *mail* lives in per-run arrays indexed by global
+//! vertex id (a vertex has one master, so nothing else is needed to address it),
+//! allocated once: the combined incoming message and the combined gather accumulator,
+//! occupied only where the frontier says and emptied by apply, and, one per pool
+//! thread, the combined *outgoing* message of the machine that thread is scattering.
+//! Its *state* lives in per-machine replica caches, and the slot of every replica comes
+//! from the table [`VertexPlacement`](crate::placement::VertexPlacement) recorded when
+//! the graph was partitioned; nothing in a run searches for a vertex.
 //!
 //! Walkers headed to the same vertex travel as one message (the paper's first
-//! optimization), and combining is a fold, not a sort: route takes each machine's
-//! outbox in production order — scatter task order, edge order within a task — and
-//! folds every emission into its destination's outgoing slot, `combine(so far, next)`.
-//! Only the *distinct* destinations are then sorted, so a machine's combined messages
-//! are staged, counted and charged to the network in ascending destination order.
+//! optimization), and each machine combines its own mail, as GraphLab's machines do.
+//! One machine's scatter is one work unit: the thread that runs it writes the emissions
+//! to its lane's outbox in production order — task order, edge order within a task —
+//! folds them into the lane's outgoing slots, `combine(so far, next)`, sorts only the
+//! *distinct* destinations and hands back the combined messages in ascending order. The
+//! driver thread just stages the machines' lists in machine order and charges the sends.
 //!
 //! Inter-machine messages flow through a **bounded-staleness staging inbox**: a
 //! message produced in superstep `t` on the channel from machine `a` to machine `b`
@@ -48,28 +49,28 @@
 //! of zero and is gated at every tolerance; `tolerance = 0` never gates a vertex that
 //! still changes, and reproduces the ungated engine bit-for-bit.
 //!
-//! Gather, apply and scatter run through one phase runner: the phase's per-machine
-//! task lists are cut into contiguous key ranges of `BATCH_SIZE` tasks and served by a
-//! worker pool whose size ([`EngineConfig::workers`]) is independent of the simulated
-//! machine count.
-//! Workers only *read* shared state; every cache write happens in a serial commit step
-//! between phases, and batch results are re-assembled in canonical (machine, range)
-//! order. All random decisions go through counter-mode hashes of `(seed, superstep,
-//! vertex, machine)`, so any worker count produces identical results for identical
-//! configurations.
+//! Gather, apply and scatter run through one phase runner over per-machine task lists.
+//! Gather and apply cut each list into contiguous key ranges of `BATCH_SIZE` tasks;
+//! scatter keeps a machine's list whole. The units are served by a worker pool of
+//! [`EngineConfig::workers`] threads, never more than the host has or the phase has
+//! units, and each thread works in its own lane. Workers only *read* shared state; every
+//! cache write happens in a serial commit step between phases, which takes the units'
+//! results in canonical (machine, range) order. All random decisions go through
+//! counter-mode hashes of `(seed, superstep, vertex, machine)`, so any worker count
+//! produces identical results for identical configurations.
 
 // lint:allow-file(indexing, hot path: every index is a vertex id or a slot the placement table recorded at build time)
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use frogwild_graph::VertexId;
-use frogwild_obs::{span_meta, SpanKey, SpanMeta, SpanSink, Tracer};
+use frogwild_obs::{span_meta, SpanKey, SpanSink, Tracer};
 
 use crate::cluster::MachineId;
 use crate::metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
 use crate::placement::PartitionedGraph;
+use crate::pool::{run_batched, worker_threads};
 use crate::program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 use crate::rng;
 
@@ -79,10 +80,6 @@ const TAG_SYNC: u64 = 0x5C2;
 const TAG_SCATTER: u64 = 0x5CA3;
 const TAG_FORCE: u64 = 0xF0C4;
 const TAG_STALE: u64 = 0x57A1;
-
-/// Per-machine phase results: what each machine's tasks produced, in task order, plus
-/// the number of work operations the machine performed.
-type PerMachine<T> = Vec<(Vec<T>, u64)>;
 
 /// Trace-timeline lanes (the `lane` component of [`SpanKey`]) for the engine's
 /// phases. Distinct lanes keep records of distinct sinks totally ordered even when
@@ -95,7 +92,7 @@ const LANE_SCATTER: u16 = 4;
 const LANE_ROUTE: u16 = 5;
 const LANE_WATERMARK: u16 = 6;
 
-/// Tasks per work batch: one contiguous key range of one machine's task list.
+/// Tasks per gather or apply work unit: one contiguous key range of one machine's list.
 const BATCH_SIZE: usize = 512;
 
 /// Engine configuration.
@@ -121,10 +118,11 @@ pub struct EngineConfig {
     /// frontier. `0.0` (the default) reproduces the ungated engine bit-for-bit for
     /// every shipped program. Must be a non-negative number.
     pub tolerance: f64,
-    /// Threads serving each phase's work batches: `1` (the default) runs everything
-    /// on the calling thread, `n > 1` is a pool of `n`, and `0` sizes the pool from
-    /// the host's available parallelism. The thread count is independent of the
-    /// simulated machine count, and results are bit-identical for any value.
+    /// Threads serving each phase's work units: `1` (the default) runs everything
+    /// on the calling thread, `n > 1` is a pool of `n` capped at the host's available
+    /// parallelism, and `0` is a pool of exactly that. No phase starts more threads
+    /// than it has units. The thread count is independent of the simulated machine
+    /// count, and results are bit-identical for any value.
     pub workers: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the default)
     /// is fully synchronous BSP: every message produced in superstep `t` is visible
@@ -158,15 +156,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// The thread count a `workers` setting stands for: itself, or — for `0` — the host's
-/// available parallelism (one thread when the host will not say).
-pub fn worker_threads(workers: usize) -> usize {
-    match workers {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
 /// The engine's active set for one superstep, from an arbitrary list of vertices: sorted
 /// and deduplicated. It holds the vertices that received a message (or were explicitly
 /// activated) and will run apply this superstep, and shrinks as delta gating drops the
@@ -179,7 +168,7 @@ fn frontier_of(mut vertices: Vec<VertexId>) -> Vec<VertexId> {
 }
 
 /// A contiguous range of one machine's phase task list, executed as a unit by the
-/// worker pool (the key-range scheduling idiom: each batch touches one shard only,
+/// worker pool (the key-range scheduling idiom: each unit touches one shard only,
 /// so workers never contend on a machine's data).
 #[derive(Clone, Copy, Debug)]
 struct BatchRange {
@@ -236,6 +225,25 @@ struct StagedSlot<M> {
     lag: u64,
 }
 
+/// What one pool thread works in for a whole run: the outbox its scatter units emit
+/// into, and the vertex-indexed outgoing slots (sized by the first unit that needs
+/// them) plus the slots `touched` that the outbox is folded into. Empty between units.
+struct Lane<M> {
+    outgoing: Vec<Option<M>>,
+    touched: Vec<VertexId>,
+    outbox: Vec<(VertexId, M)>,
+}
+
+/// One machine's combined outgoing mail, as its scatter unit hands it to the driver.
+struct Mail<M> {
+    /// The messages by the ring slot they are staged in (their lag), each list in
+    /// ascending destination order; messages past the superstep horizon are dropped.
+    slots: Vec<Vec<(VertexId, M)>>,
+    /// Distinct destinations, and those whose master is another machine.
+    routed: u64,
+    remote: u64,
+}
+
 /// Everything a run mutates, allocated once by [`Engine::run`].
 struct RunState<P: VertexProgram> {
     /// Replica state caches: `caches[machine][slot]`.
@@ -246,10 +254,8 @@ struct RunState<P: VertexProgram> {
     /// The combined gather accumulator of every vertex, by vertex id. Filled by the
     /// gather commit and taken by apply within one superstep.
     accums: Vec<Option<P::Accum>>,
-    /// The combined outgoing message of every vertex, by vertex id, and the slots
-    /// `touched`: what route folds one machine's outbox into, empty between machines.
-    outgoing: Vec<Option<P::Message>>,
-    touched: Vec<VertexId>,
+    /// One lane per pool thread: never more than the host has threads.
+    lanes: Vec<Lane<P::Message>>,
     /// The bounded-staleness staging inbox, a ring whose front becomes visible at the
     /// next superstep to run: one slot per possible delay, and no delay outlasts the
     /// superstep horizon. The drain schedule is a pure function of the configuration —
@@ -331,6 +337,11 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
     pub fn run(&self, initial: InitialActivation<P::Message>) -> EngineOutput<P::State> {
         let num_machines = self.graph.num_machines();
         let num_vertices = self.graph.num_vertices();
+        // The pool is never wider than the host: a thread past its cores only adds a lane.
+        let threads = match self.config.workers {
+            1 => 1,
+            workers => worker_threads(workers).min(worker_threads(0)),
+        };
 
         let mut state: RunState<P> = RunState {
             caches: self
@@ -341,8 +352,13 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 .collect(),
             inbox: (0..num_vertices).map(|_| None).collect(),
             accums: (0..num_vertices).map(|_| None).collect(),
-            outgoing: (0..num_vertices).map(|_| None).collect(),
-            touched: Vec::new(),
+            lanes: (0..threads)
+                .map(|_| Lane {
+                    outgoing: Vec::new(),
+                    touched: Vec::new(),
+                    outbox: Vec::new(),
+                })
+                .collect(),
             // `visibility` clamps every delivery to the superstep horizon, so a window
             // wider than the run needs no more slots than the run has supersteps.
             staged: (0..=self.config.staleness.min(self.config.max_supersteps))
@@ -515,17 +531,19 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         }
     }
 
-    /// The superstep at which a message produced in `superstep` on the channel from
-    /// machine `sender` to machine `receiver` becomes visible. Synchronous runs and
-    /// same-machine deliveries are always next-superstep; otherwise the channel's
-    /// delay is a counter-mode hash of `(seed, superstep, sender, receiver)` in
-    /// `[0, staleness]`, clamped so deliveries still land within the superstep
-    /// horizon (late walkers are absorbed in the final superstep, not lost).
-    fn visibility(&self, superstep: usize, sender: usize, receiver: usize) -> usize {
-        let base = superstep + 1;
+    /// The staging-ring slot of a message produced in `superstep` on the channel from
+    /// machine `sender` to machine `receiver`: its delay past the next superstep, the
+    /// ring's front. Synchronous runs and same-machine deliveries are never delayed;
+    /// otherwise the delay is a counter-mode hash of `(seed, superstep, sender,
+    /// receiver)` in `[0, staleness]`, clamped to the superstep horizon (late walkers
+    /// are absorbed in the final superstep, not lost). `None` when even the next
+    /// superstep lies past the horizon: the message can never be drained, and is
+    /// dropped exactly like the synchronous engine drops the final superstep's.
+    fn visibility(&self, superstep: usize, sender: usize, receiver: usize) -> Option<usize> {
+        let latest = self.config.max_supersteps.checked_sub(superstep + 2)?;
         let staleness = self.config.staleness;
-        if staleness == 0 || sender == receiver || base >= self.config.max_supersteps {
-            return base;
+        if staleness == 0 || sender == receiver {
+            return Some(0);
         }
         let delay = rng::pick_index(
             staleness.saturating_add(1),
@@ -537,8 +555,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 TAG_STALE,
             ],
         );
-        base.saturating_add(delay)
-            .min(self.config.max_supersteps - 1)
+        Some(delay.min(latest))
     }
 
     /// Drains the ring's front slot — every staged message due at the superstep about
@@ -573,8 +590,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             caches,
             inbox,
             accums,
-            outgoing,
-            touched,
+            lanes,
             staged,
             gather_tasks,
             apply_tasks,
@@ -611,20 +627,17 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     }
                 }
             }
-            let gathered = self.run_phase(
-                step,
-                LANE_GATHER,
-                span_meta!("gather_batch"),
-                true,
-                gather_tasks,
-                |machine, locals| self.gather_batch(machine, &caches[machine], locals),
-            );
-            for (machine, (partials, ops)) in gathered.into_iter().enumerate() {
+            let gathered =
+                self.run_phase(step, LANE_GATHER, gather_tasks, lanes, |m, locals, _| {
+                    self.gather_batch(m, &caches[m], locals)
+                });
+            let accum_bytes = (self.program.accum_bytes() + header_bytes) as u64;
+            for (BatchRange { machine, .. }, (partials, ops)) in gathered {
                 record.cost.gather_ops += ops;
                 record.ops_per_machine[machine] += ops;
                 for (vertex, accum) in partials {
                     if placement.master(vertex).index() != machine {
-                        record.send(machine, (self.program.accum_bytes() + header_bytes) as u64);
+                        record.send(machine, 1, accum_bytes);
                     }
                     deposit(&mut accums[vertex as usize], accum, |a, b| {
                         self.program.combine_accums(a, b)
@@ -651,21 +664,16 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         // Workers compute fresh states (and their deltas) against the read-only
         // caches; the commit below writes them back serially, so any worker count
         // observes identical inputs.
-        let applied = self.run_phase(
-            step,
-            LANE_APPLY,
-            span_meta!("apply_batch"),
-            false,
-            apply_tasks,
-            |machine, tasks| self.apply_batch(&caches[machine], tasks, superstep),
-        );
+        let applied = self.run_phase(step, LANE_APPLY, apply_tasks, lanes, |m, tasks, _| {
+            self.apply_batch(&caches[m], tasks, superstep)
+        });
         // Serial commit: fresh states into the master slots, deltas by frontier
         // position for the sync loop below.
         let mut deltas = vec![0.0f64; active.len()];
-        for (machine, (results, ops)) in applied.into_iter().enumerate() {
+        for (BatchRange { machine, start, .. }, (results, ops)) in applied {
             record.cost.apply_ops += ops;
             record.ops_per_machine[machine] += ops;
-            for (task, (fresh, delta)) in apply_tasks[machine].iter().zip(results) {
+            for (task, (fresh, delta)) in apply_tasks[machine][start..].iter().zip(results) {
                 caches[machine][task.local as usize] = fresh;
                 deltas[task.position] = delta;
             }
@@ -716,7 +724,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 if replica.0 != master {
                     record.cost.sync_ops += 1;
                     record.ops_per_machine[master.index()] += 1;
-                    record.send(master.index(), state_bytes);
+                    record.send(master.index(), 1, state_bytes);
                 }
             }
 
@@ -735,7 +743,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                         record.cost.sync_ops += 1;
                         record.cost.skipped_syncs = record.cost.skipped_syncs.saturating_sub(1);
                         record.ops_per_machine[master.index()] += 1;
-                        record.send(master.index(), state_bytes);
+                        record.send(master.index(), 1, state_bytes);
                     }
                     participating.sort_unstable();
                 }
@@ -768,7 +776,8 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         drop(sync_span);
 
         // ----------------------------------------------------------------- scatter --
-        // Read-only scatter batches over the now-consistent caches.
+        // One unit per machine over the now-consistent caches: each scatters and
+        // combines that machine's mail in its own lane.
         let mut scatter_span = sink.span(
             span_meta!("scatter"),
             SpanKey::new(step, 0, 0, LANE_SCATTER),
@@ -776,10 +785,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         let scattered = self.run_phase(
             step,
             LANE_SCATTER,
-            span_meta!("scatter_batch"),
-            true,
             scatter_tasks,
-            |machine, tasks| self.scatter_batch(machine, &caches[machine], tasks, superstep),
+            lanes,
+            |m, tasks, lane| self.scatter_machine(superstep, m, &caches[m], tasks, lane),
         );
         scatter_span.counter(
             "tasks",
@@ -788,32 +796,18 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         drop(scatter_span);
 
         // ----------------------------------------------------------- route messages --
+        // Stage each machine's combined messages, in machine order, and charge the sends.
         let mut route_span = sink.span(span_meta!("route"), SpanKey::new(step, 0, 0, LANE_ROUTE));
         let message_bytes = (self.program.message_bytes() + header_bytes) as u64;
-        for (machine, (outbox, ops)) in scattered.into_iter().enumerate() {
+        for (BatchRange { machine, .. }, (mail, ops)) in scattered {
             record.cost.scatter_ops += ops;
             record.ops_per_machine[machine] += ops;
-            // Fold in production order; stage the distinct destinations ascending.
-            self.fold_messages(outgoing, touched, outbox);
-            touched.sort_unstable();
-            let combined = |v: VertexId| Some((v, outgoing[v as usize].take()?));
-            for (vertex, message) in touched.drain(..).filter_map(combined) {
-                let master = placement.master(vertex).index();
-                if master != machine {
-                    record.send(machine, message_bytes);
-                }
-                record.cost.routed_messages += 1;
-                // A message whose visibility lies past the superstep horizon can
-                // never be drained; it is dropped exactly like the synchronous engine
-                // drops the messages routed by the final superstep.
-                let visible = self.visibility(superstep, machine, master);
-                if visible < self.config.max_supersteps {
-                    // The ring's front is the next superstep, so the slot is the lag.
-                    let lag = visible - (superstep + 1);
-                    let slot = &mut staged[lag];
-                    slot.messages.push((vertex, message));
-                    slot.lag += lag as u64;
-                }
+            record.cost.routed_messages += mail.routed;
+            record.send(machine, mail.remote, message_bytes);
+            for (lag, messages) in mail.slots.into_iter().enumerate() {
+                let slot = &mut staged[lag];
+                slot.lag += (lag * messages.len()) as u64;
+                slot.messages.extend(messages);
             }
         }
         route_span.counter("messages", record.cost.routed_messages);
@@ -824,99 +818,56 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         record
     }
 
-    /// Runs one phase over its per-machine task lists: cuts each list into contiguous
-    /// key-range batches, serves the batches through the worker pool — each under a
-    /// `batch_span` keyed `(step, machine + 1, batch + 1, lane)` that counts its
-    /// tasks and, when `counts_edges`, the edge operations `work` reports — and
-    /// re-assembles what they produced per machine. Batches come back in canonical
-    /// (machine, range) order, so a machine's results are exactly what one pass over
-    /// its task list would produce.
-    fn run_phase<T, O, F>(
+    /// Runs one phase, named by its trace lane, over its per-machine task lists: cuts
+    /// each list into work units, serves them through the worker pool — each under a
+    /// unit span keyed `(step, machine + 1, unit + 1, phase)` that counts its tasks
+    /// and, outside apply, the edge operations `work` reports — and returns every unit
+    /// with what it produced, in canonical (machine, range) order. Gather and apply
+    /// units are key ranges of `BATCH_SIZE` tasks; a machine's whole scatter list is
+    /// one unit, so one thread combines all of that machine's mail.
+    fn run_phase<T, R, F>(
         &self,
         step: u64,
-        lane: u16,
-        batch_span: &'static SpanMeta,
-        counts_edges: bool,
+        phase: u16,
         tasks: &[Vec<T>],
+        lanes: &mut [Lane<P::Message>],
         work: F,
-    ) -> PerMachine<O>
+    ) -> Vec<(BatchRange, (R, u64))>
     where
         T: Sync,
-        O: Send,
-        F: Fn(usize, &[T]) -> (Vec<O>, u64) + Sync,
+        R: Send,
+        F: Fn(usize, &[T], &mut Lane<P::Message>) -> (R, u64) + Sync,
     {
-        let mut batches = Vec::new();
+        let (unit_span, counts_edges, unit_tasks) = match phase {
+            LANE_GATHER => (span_meta!("gather_batch"), true, BATCH_SIZE),
+            LANE_APPLY => (span_meta!("apply_batch"), false, BATCH_SIZE),
+            _ => (span_meta!("scatter_batch"), true, usize::MAX),
+        };
+        let mut units = Vec::new();
         for (machine, list) in tasks.iter().enumerate() {
-            for start in (0..list.len()).step_by(BATCH_SIZE) {
-                batches.push(BatchRange {
+            for start in (0..list.len()).step_by(unit_tasks) {
+                let end = start.saturating_add(unit_tasks).min(list.len());
+                units.push(BatchRange {
                     machine,
                     start,
-                    end: (start + BATCH_SIZE).min(list.len()),
+                    end,
                 });
             }
         }
-        let results = self.run_batched(&batches, |i, b| {
-            let batch_sink = self.config.tracer.sink();
-            let mut span = batch_sink.span(
-                batch_span,
-                SpanKey::new(step, b.machine as u32 + 1, i as u32 + 1, lane),
+        let results = run_batched(&units, lanes, |i, u, lane| {
+            let unit_sink = self.config.tracer.sink();
+            let mut span = unit_sink.span(
+                unit_span,
+                SpanKey::new(step, u.machine as u32 + 1, i as u32 + 1, phase),
             );
-            let result = work(b.machine, &tasks[b.machine][b.start..b.end]);
-            span.counter("tasks", (b.end - b.start) as u64);
+            let result = work(u.machine, &tasks[u.machine][u.start..u.end], lane);
+            span.counter("tasks", (u.end - u.start) as u64);
             if counts_edges {
                 span.counter("edge_ops", result.1);
             }
             result
         });
-        let mut per_machine: PerMachine<O> = tasks.iter().map(|_| (Vec::new(), 0)).collect();
-        for (b, (produced, ops)) in batches.iter().zip(results) {
-            per_machine[b.machine].0.extend(produced);
-            per_machine[b.machine].1 += ops;
-        }
-        per_machine
-    }
-
-    /// Executes `f` over every batch — on the calling thread, or on the worker pool
-    /// with workers pulling batches off a shared counter. `f` receives the batch's
-    /// canonical index (its position in `batches` — the deterministic identity trace
-    /// spans key on, never the OS thread) alongside the range. Results come back in
-    /// batch order regardless of which worker ran what, so scheduling never changes
-    /// observable output.
-    fn run_batched<T, F>(&self, batches: &[BatchRange], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &BatchRange) -> T + Sync,
-    {
-        let workers = worker_threads(self.config.workers).min(batches.len());
-        if workers <= 1 {
-            return batches.iter().enumerate().map(|(i, b)| f(i, b)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let next = &next;
-            let f = &f;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= batches.len() {
-                                break;
-                            }
-                            out.push((i, f(i, &batches[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked")) // lint:allow(panic, re-raises a worker thread panic)
-                .collect()
-        });
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, t)| t).collect()
+        units.into_iter().zip(results).collect()
     }
 
     /// One gather batch on `machine`: partial accumulations over the locally-owned
@@ -992,19 +943,21 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         (out, tasks.len() as u64)
     }
 
-    /// One scatter batch on `machine`: runs `scatter_replica` for a range of scatter
-    /// tasks against the read-only cache (mirror refreshes are committed before scatter
-    /// starts). Returns the emitted messages and the number of edge operations
-    /// considered.
-    fn scatter_batch(
+    /// One machine's scatter and combine, in `lane`: runs `scatter_replica` for the
+    /// machine's tasks against its read-only cache (mirror refreshes are committed
+    /// before scatter starts) into the lane's outbox, folds the outbox in production
+    /// order into the lane's outgoing slots, and hands back the distinct destinations'
+    /// combined messages in ascending order, each in the ring slot its channel's delay
+    /// picks. Returns that mail plus the number of edge operations considered.
+    fn scatter_machine(
         &self,
+        superstep: usize,
         machine: usize,
         cache: &[P::State],
         tasks: &[ScatterTask],
-        superstep: usize,
-    ) -> (Vec<(VertexId, P::Message)>, u64) {
+        lane: &mut Lane<P::Message>,
+    ) -> (Mail<P::Message>, u64) {
         let shard = self.graph.shard(MachineId::from(machine));
-        let mut outbox: Vec<(VertexId, P::Message)> = Vec::new();
         let mut ops = 0u64;
         for task in tasks {
             let local_neighbors = shard.local_out_neighbors(task.local);
@@ -1028,10 +981,34 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 task.vertex,
                 &cache[task.local as usize],
                 local_neighbors,
-                &mut |dst, msg| outbox.push((dst, msg)),
+                &mut |dst, msg| lane.outbox.push((dst, msg)),
             );
         }
-        (outbox, ops)
+        if lane.outgoing.is_empty() {
+            lane.outgoing
+                .resize_with(self.graph.num_vertices(), || None);
+        }
+        self.fold_messages(&mut lane.outgoing, &mut lane.touched, lane.outbox.drain(..));
+        lane.touched.sort_unstable();
+        // Undelayed, every message lands in the ring's front slot.
+        let mut mail = Mail {
+            slots: vec![Vec::with_capacity(lane.touched.len())],
+            routed: lane.touched.len() as u64,
+            remote: 0,
+        };
+        let placement = self.graph.placement();
+        let combined = |v: VertexId| Some((v, lane.outgoing[v as usize].take()?));
+        for (vertex, message) in lane.touched.drain(..).filter_map(combined) {
+            let master = placement.master(vertex).index();
+            mail.remote += u64::from(master != machine);
+            if let Some(lag) = self.visibility(superstep, machine, master) {
+                if mail.slots.len() <= lag {
+                    mail.slots.resize_with(lag + 1, Vec::new);
+                }
+                mail.slots[lag].push((vertex, message));
+            }
+        }
+        (mail, ops)
     }
 }
 
@@ -1199,24 +1176,52 @@ mod tests {
         }
     }
 
-    /// What gives a sweep over worker counts something to re-assemble under the fixed
-    /// batch size: in the run `tracer` recorded, some machine's task list of some
-    /// superstep was cut into at least three batches, in each of gather, apply and
-    /// scatter.
-    fn assert_every_phase_spans_three_batches(tracer: &Tracer) {
+    /// What gives a sweep over worker counts something to schedule differently: in the
+    /// run `tracer` recorded, some machine's gather and apply task lists of some
+    /// superstep were each cut into at least three batches, while every machine's
+    /// scatter list was one unit — so a machine with more than `BATCH_SIZE` scatter
+    /// tasks was one unit too — keyed `(superstep, machine + 1, ordinal among the
+    /// superstep's non-empty units + 1)`.
+    fn assert_every_phase_is_cut_into_its_units(tracer: &Tracer) {
         let timeline = tracer.finish();
-        for phase in ["gather_batch", "apply_batch", "scatter_batch"] {
-            // Batch spans are keyed (superstep, machine + 1, batch + 1).
-            let mut batches = std::collections::BTreeMap::<(u64, u32), usize>::new();
+        // Unit spans are keyed (superstep, machine + 1, unit + 1).
+        let units = |phase: &str| {
+            let mut units = std::collections::BTreeMap::<(u64, u32), Vec<u32>>::new();
             for entry in timeline.entries().iter().filter(|e| e.name == phase) {
-                *batches.entry((entry.key.seq, entry.key.pid)).or_default() += 1;
+                let tasks = entry.counters.iter().find(|(name, _)| *name == "tasks");
+                assert!(tasks.is_some_and(|&(_, t)| t > 0), "{phase}: an empty unit");
+                let key = (entry.key.seq, entry.key.pid);
+                units.entry(key).or_default().push(entry.key.tid);
             }
-            let most = batches.values().copied().max().unwrap_or(0);
+            units
+        };
+        for phase in ["gather_batch", "apply_batch"] {
+            let most = units(phase).values().map(Vec::len).max().unwrap_or(0);
             assert!(
                 most >= 3,
                 "{phase}: no task list spans more than {most} batches"
             );
         }
+        let scatter = units("scatter_batch");
+        let mut ordinals = std::collections::BTreeMap::<u64, Vec<u32>>::new();
+        for (&(step, machine), tids) in &scatter {
+            assert_eq!(
+                tids.len(),
+                1,
+                "superstep {step}, machine {machine}: {tids:?}"
+            );
+            ordinals.entry(step).or_default().push(tids[0]);
+        }
+        for (step, tids) in ordinals {
+            let expected: Vec<u32> = (1..=tids.len() as u32).collect();
+            assert_eq!(tids, expected, "superstep {step}");
+        }
+        let largest = (timeline.entries().iter())
+            .filter(|e| e.name == "scatter_batch")
+            .flat_map(|e| e.counters.iter().filter(|(name, _)| *name == "tasks"))
+            .map(|&(_, tasks)| tasks)
+            .max();
+        assert!(largest > Some(BATCH_SIZE as u64), "{largest:?}");
     }
 
     fn partitioned(graph: &DiGraph, machines: usize) -> PartitionedGraph {
@@ -1634,7 +1639,7 @@ mod tests {
         };
         let tracer = Tracer::new(TraceConfig::enabled());
         let baseline = run(1, tracer.clone());
-        assert_every_phase_spans_three_batches(&tracer);
+        assert_every_phase_is_cut_into_its_units(&tracer);
         for workers in [2, 3, 8] {
             let other = run(workers, Tracer::disabled());
             assert_eq!(baseline.states, other.states, "workers={workers}");
@@ -1650,6 +1655,65 @@ mod tests {
                 baseline.metrics.totals().routed_messages,
                 other.metrics.totals().routed_messages
             );
+        }
+    }
+
+    #[test]
+    fn a_machine_scatters_its_whole_list_as_one_unit_at_any_worker_count() {
+        let mut rng = SmallRng::seed_from_u64(59);
+        let graph = rmat(N_BATCHED, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 3);
+        // Every vertex applies and forwards in superstep 0 and every mirror is
+        // synchronized, so a machine scatters each replica that owns an out-edge: its
+        // share of the superstep's scatter operations is the edges it owns.
+        let shards = pg.shards();
+        let shares: Vec<u64> = shards.iter().map(|s| s.num_local_edges() as u64).collect();
+        let tasks: Vec<u64> = (shards.iter())
+            .map(|s| {
+                let owns_an_out_edge = |&local: &u32| s.local_out_degree(local) > 0;
+                (0..s.num_local_vertices() as u32)
+                    .filter(owns_an_out_edge)
+                    .count() as u64
+            })
+            .collect();
+        assert!(tasks.iter().all(|&t| t > BATCH_SIZE as u64), "{tasks:?}");
+        for workers in [1, 2, 8] {
+            let tracer = Tracer::new(TraceConfig::enabled());
+            let engine = Engine::new(
+                &pg,
+                OrderedMail { steps: 2 },
+                EngineConfig {
+                    max_supersteps: 2,
+                    workers,
+                    tracer: tracer.clone(),
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let out = engine.run(InitialActivation::AllVertices);
+            let first = &out.metrics.supersteps[0].cost;
+            assert_eq!(
+                first.scatter_ops,
+                shares.iter().sum::<u64>(),
+                "workers {workers}"
+            );
+            // One `scatter_batch` span per machine, keyed (0, machine + 1, machine + 1),
+            // counting the machine's whole task list and its whole share.
+            let timeline = tracer.finish();
+            let units: Vec<(u32, u32, u64, u64)> = (timeline.entries().iter())
+                .filter(|e| e.name == "scatter_batch" && e.key.seq == 0)
+                .map(|e| {
+                    let counter = |name: &str| {
+                        let found = e.counters.iter().find(|(n, _)| *n == name);
+                        found.map_or(0, |&(_, value)| value)
+                    };
+                    (e.key.pid, e.key.tid, counter("tasks"), counter("edge_ops"))
+                })
+                .collect();
+            let expected: Vec<(u32, u32, u64, u64)> = (0..shards.len())
+                .map(|m| (m as u32 + 1, m as u32 + 1, tasks[m], shares[m]))
+                .collect();
+            assert_eq!(units, expected, "workers {workers}");
         }
     }
 
@@ -1783,7 +1847,7 @@ mod tests {
         };
         let tracer = Tracer::new(TraceConfig::enabled());
         let baseline = run(1, tracer.clone());
-        assert_every_phase_spans_three_batches(&tracer);
+        assert_every_phase_is_cut_into_its_units(&tracer);
         for workers in [2, 3, 8] {
             let other = run(workers, Tracer::disabled());
             assert_eq!(baseline.states, other.states, "workers={workers}");
@@ -1855,7 +1919,7 @@ mod tests {
         for staleness in [0usize, 2] {
             let tracer = Tracer::new(TraceConfig::enabled());
             let baseline = run(1, staleness, tracer.clone());
-            assert_every_phase_spans_three_batches(&tracer);
+            assert_every_phase_is_cut_into_its_units(&tracer);
             let tokens: Vec<TokenState> = baseline.states.iter().map(|s| s.inner.clone()).collect();
             // Every token ends absorbed by the final superstep or parked on a vertex
             // with no out-edge (2 and 3, each handed tokens exactly once).
@@ -2039,7 +2103,7 @@ mod tests {
         for staleness in [0usize, 2] {
             let tracer = Tracer::new(TraceConfig::enabled());
             let baseline = run(1, staleness, tracer.clone());
-            assert_every_phase_spans_three_batches(&tracer);
+            assert_every_phase_is_cut_into_its_units(&tracer);
             if staleness == 0 {
                 let expected = ordered_mail_reference(&graph, &assignment, &initial, steps);
                 let values: Vec<u64> = baseline.states.iter().map(|s| s.inner.value).collect();

@@ -25,7 +25,8 @@
 //!   (per-iteration time, total time, network bytes, CPU time). A run's cost is its
 //!   supersteps' records folded with [`QueryCost::absorb`].
 //! * **Execution** ([`engine`]) — a frontier-scheduled superstep executor whose phases
-//!   run as key-range batches on the calling thread or a worker pool, producing
+//!   run as work units on the calling thread or a worker pool no wider than the host
+//!   ([`worker_threads`]), each machine combining its own outgoing mail, producing
 //!   identical results for the same seed at any worker count.
 //! * **Walk-segment generation** ([`walkgen`]) — parallel precomputation of per-vertex
 //!   random-walk segments (each machine generates for the vertices it masters), the
@@ -44,15 +45,17 @@ pub mod engine;
 pub mod metrics;
 pub mod partition;
 pub mod placement;
+mod pool;
 pub mod program;
 pub mod rng;
 pub mod walkgen;
 
 pub use cluster::{ClusterConfig, MachineId};
-pub use engine::{worker_threads, Engine, EngineConfig, EngineOutput, InitialActivation};
+pub use engine::{Engine, EngineConfig, EngineOutput, InitialActivation};
 pub use frogwild_graph::Error;
 pub use metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
 pub use partition::PartitionerKind;
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
+pub use pool::worker_threads;
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 pub use walkgen::generate_walk_segments;

@@ -391,12 +391,13 @@ pub struct SuperstepMetrics {
 }
 
 impl SuperstepMetrics {
-    /// Charges one message of `bytes` sent by `machine` to a different machine.
-    /// Saturating, like every sum of these counters.
-    pub(crate) fn send(&mut self, machine: usize, bytes: u64) {
+    /// Charges `messages` messages of `bytes` each sent by `machine` to a different
+    /// machine. Saturating, like every sum of these counters.
+    pub(crate) fn send(&mut self, machine: usize, messages: u64, bytes: u64) {
+        let bytes = messages.saturating_mul(bytes);
         let cost = &mut self.cost;
         cost.network_bytes = cost.network_bytes.saturating_add(bytes);
-        cost.network_messages = cost.network_messages.saturating_add(1);
+        cost.network_messages = cost.network_messages.saturating_add(messages);
         if let Some(sent) = self.bytes_per_machine.get_mut(machine) {
             *sent = sent.saturating_add(bytes);
         }
@@ -499,17 +500,18 @@ mod tests {
     #[test]
     fn network_record_and_merge() {
         let mut a = step(vec![0, 0], vec![0, 0]);
-        a.send(0, 100);
-        a.send(1, 50);
+        a.send(0, 1, 100);
+        a.send(1, 2, 25);
         assert_eq!(a.cost.network_bytes, 150);
-        assert_eq!(a.cost.network_messages, 2);
+        assert_eq!(a.cost.network_messages, 3);
         assert_eq!(a.bytes_per_machine, vec![100, 50]);
 
         let mut b = step(vec![0, 0], vec![0, 0]);
-        b.send(1, 25);
+        b.send(1, 1, 25);
+        b.send(0, 0, 999);
         let totals = run_of(2, vec![a, b]).totals();
         assert_eq!(totals.network_bytes, 175);
-        assert_eq!(totals.network_messages, 3);
+        assert_eq!(totals.network_messages, 4);
     }
 
     #[test]
@@ -540,11 +542,14 @@ mod tests {
         // wrap (or panic in debug builds) mid-stream.
         let mut net = step(vec![0], vec![u64::MAX - 10]);
         net.cost.network_bytes = u64::MAX - 10;
-        net.send(0, 100);
+        net.send(0, 1, 100);
         assert_eq!(net.cost.network_bytes, u64::MAX);
         assert_eq!(net.bytes_per_machine[0], u64::MAX);
         net.cost.network_messages = u64::MAX;
-        net.send(0, 7);
+        net.send(0, 1, 7);
+        assert_eq!(net.cost.network_messages, u64::MAX);
+        // A count times a size past the ceiling pins too.
+        net.send(0, u64::MAX, 2);
         assert_eq!(net.cost.network_messages, u64::MAX);
         assert_eq!(net.bytes_per_machine[0], u64::MAX);
 
@@ -596,7 +601,7 @@ mod tests {
         for i in 0..3 {
             let mut s = step(vec![10, 0], vec![0, 0]);
             s.superstep = i;
-            s.send(0, 1000);
+            s.send(0, 1, 1000);
             s.cost.apply_ops = 10;
             s.cost.scatter_ops = 7;
             s.cost.sync_ops = 4;

@@ -9,7 +9,7 @@
 //! contiguous runs to the host's threads — as many as [`worker_threads`]`(0)` reports,
 //! never more than there are machines — so a layout of forty thousand simulated machines
 //! still builds on a handful of threads. (The engine in [`crate::engine`] schedules
-//! differently: a worker pool over key-range batches.)
+//! differently: a worker pool over per-phase work units.)
 //!
 //! Segments are generated **in place**. The arena has a fixed stride — segment `j` of
 //! vertex `v` occupies the `L` slots starting at `(v · R + j) · L` — so every segment's
@@ -28,8 +28,8 @@ use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, Tracer};
 use rand::Rng;
 
-use crate::engine::worker_threads;
 use crate::placement::PartitionedGraph;
+use crate::pool::worker_threads;
 
 /// Domain-separation tag for segment-generation randomness.
 const TAG_SEGMENT: u64 = 0x5E91;
