@@ -300,7 +300,7 @@ pub fn reseeded(query: &Query, seed: u64) -> Query {
 
 /// A multi-threaded serving front-end over one [`Session`].
 ///
-/// Obtained via [`Session::serve`] (the builder-configured [`ServeConfig`]) or
+/// Obtained via [`Session::serve`] (the default [`ServeConfig`]) or
 /// [`Session::serve_with`] (an explicit one). The handle holds the session
 /// exclusively; each [`serve`](ServeHandle::serve) call runs one fixed worker pool
 /// over the submitted stream, folds the served costs into the session's cumulative

@@ -87,7 +87,6 @@ pub struct SessionBuilder<'g> {
     partitioner: PartitionerKind,
     seed: u64,
     execution: ExecutionConfig,
-    serve: ServeConfig,
     walk_index: Option<WalkIndexConfig>,
     tracing: TraceConfig,
 }
@@ -121,14 +120,6 @@ impl<'g> SessionBuilder<'g> {
     /// [`ExecutionConfig`]); `staleness == 0` is the synchronous executor.
     pub fn execution(mut self, execution: ExecutionConfig) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Default [`ServeConfig`] for the concurrent serving front-end the session
-    /// hands out via [`Session::serve`] — pool size, submission-queue bound, batch
-    /// size, and the overload [`Admission`](crate::serve::Admission) policy.
-    pub fn serve_config(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
         self
     }
 
@@ -187,7 +178,6 @@ impl<'g> SessionBuilder<'g> {
         if self.graph.num_vertices() == 0 {
             return Err(Error::graph("cannot build a session over an empty graph"));
         }
-        self.serve.validate()?;
         let cluster = ClusterConfig::new(self.machines, self.seed);
         let tracer = Tracer::new(self.tracing);
         let started = Instant::now(); // lint:allow(timing, host-seconds telemetry only; excluded from determinism)
@@ -212,7 +202,6 @@ impl<'g> SessionBuilder<'g> {
             cluster,
             partitioner: self.partitioner,
             execution: self.execution,
-            serve_config: self.serve,
             index,
             tracer,
             stats: SessionStats {
@@ -596,7 +585,6 @@ pub struct Session<'g> {
     cluster: ClusterConfig,
     partitioner: PartitionerKind,
     execution: ExecutionConfig,
-    serve_config: ServeConfig,
     index: Option<SessionIndex>,
     tracer: Tracer,
     stats: SessionStats,
@@ -611,7 +599,6 @@ impl<'g> Session<'g> {
             partitioner: PartitionerKind::default(),
             seed: 0x5EED_F20C,
             execution: ExecutionConfig::default(),
-            serve: ServeConfig::default(),
             walk_index: None,
             tracing: TraceConfig::disabled(),
         }
@@ -637,16 +624,15 @@ impl<'g> Session<'g> {
         Ok(response)
     }
 
-    /// Hands out the concurrent serving front-end under the builder-configured
-    /// [`ServeConfig`] (see [`SessionBuilder::serve_config`]).
+    /// Hands out the concurrent serving front-end under [`ServeConfig::default`];
+    /// [`Session::serve_with`] takes an explicit one.
     ///
     /// The returned [`ServeHandle`] shares the session's read-only state — graph,
     /// partitioned layout, walk-index arena — across a fixed worker pool behind a
     /// bounded, admission-controlled submission queue. Served streams fold into the
     /// same cumulative [`SessionStats`] as serial queries.
     pub fn serve(&mut self) -> ServeHandle<'_, 'g> {
-        let config = self.serve_config;
-        ServeHandle::new(self, config)
+        ServeHandle::new(self, ServeConfig::default())
     }
 
     /// Like [`Session::serve`], but under an explicit [`ServeConfig`].
@@ -783,13 +769,13 @@ impl<'g> Session<'g> {
         // ForwardPush query keeps its own epsilon for the localization phase (the
         // index only adds stitched walks for the residual the push would have left
         // unattributed), so its accuracy guarantee tightens rather than changes. The
-        // method's own parameters are validated either way, so a malformed query is
-        // rejected identically with or without an index.
+        // query is validated before the paths part, so a malformed one is rejected
+        // identically with or without an index.
+        validate_ppr(self.graph, source, teleport_probability, &method)?;
         if let (Some(si), false) = (
             &self.index,
             matches!(method, PprMethod::PowerIteration { .. }),
         ) {
-            validate_ppr_method(&method)?;
             let config = match method {
                 PprMethod::ForwardPush { epsilon } => WalkIndexConfig {
                     frontier_epsilon: epsilon,
@@ -813,7 +799,7 @@ impl<'g> Session<'g> {
             );
             return Ok(self.indexed_response(algorithm, served, k, detail, started));
         }
-        ppr_response_over(
+        Ok(ppr_response_over(
             self.graph,
             source,
             k,
@@ -821,7 +807,7 @@ impl<'g> Session<'g> {
             method,
             self.replication_factor(),
             started,
-        )
+        ))
     }
 
     /// The walk index the session serves from, when one was built.
@@ -922,7 +908,8 @@ pub fn serve_ppr(
     if k == 0 {
         return Err(Error::query("k must be positive"));
     }
-    ppr_response_over(
+    validate_ppr(graph, source, teleport_probability, &method)?;
+    Ok(ppr_response_over(
         graph,
         source,
         k,
@@ -930,12 +917,30 @@ pub fn serve_ppr(
         method,
         1.0,
         Instant::now(), // lint:allow(timing, stamps the host started instant of this query)
-    )
+    ))
 }
 
-/// Validates the parameters of a [`PprMethod`], shared by the serial and the
-/// index-served paths so a malformed query fails identically on both.
-fn validate_ppr_method(method: &PprMethod) -> Result<()> {
+/// Validates a [`Query::Ppr`]'s source, teleport probability and method parameters,
+/// in that order, before any path serves it, so a malformed query fails identically
+/// on the serial and the index-served paths.
+fn validate_ppr(
+    graph: &DiGraph,
+    source: VertexId,
+    teleport_probability: f64,
+    method: &PprMethod,
+) -> Result<()> {
+    let n = graph.num_vertices();
+    if source as usize >= n {
+        return Err(Error::query(format!(
+            "ppr source {source} out of range for a graph with {n} vertices"
+        )));
+    }
+    if !in_open_unit_interval(teleport_probability) {
+        return Err(Error::config(
+            "Query::Ppr",
+            format!("teleport_probability must be in (0, 1), got {teleport_probability}"),
+        ));
+    }
     match *method {
         PprMethod::ForwardPush { epsilon } => {
             if !(epsilon > 0.0 && epsilon.is_finite()) {
@@ -982,6 +987,7 @@ fn validate_ppr_method(method: &PprMethod) -> Result<()> {
     Ok(())
 }
 
+/// Evaluates a [`Query::Ppr`] that [`validate_ppr`] accepted.
 fn ppr_response_over(
     graph: &DiGraph,
     source: VertexId,
@@ -990,20 +996,8 @@ fn ppr_response_over(
     method: PprMethod,
     replication_factor: f64,
     started: Instant,
-) -> Result<Response> {
+) -> Response {
     let n = graph.num_vertices();
-    if source as usize >= n {
-        return Err(Error::query(format!(
-            "ppr source {source} out of range for a graph with {n} vertices"
-        )));
-    }
-    if !in_open_unit_interval(teleport_probability) {
-        return Err(Error::config(
-            "Query::Ppr",
-            format!("teleport_probability must be in (0, 1), got {teleport_probability}"),
-        ));
-    }
-    validate_ppr_method(&method)?;
     let (algorithm, estimate, detail, push_ops, walk_hops) = match method {
         PprMethod::ForwardPush { epsilon } => {
             let push = forward_push_ppr(graph, source, teleport_probability, epsilon);
@@ -1076,9 +1070,7 @@ fn ppr_response_over(
         walk_hops,
         ..QueryCost::default()
     };
-    Ok(assemble_response(
-        algorithm, estimate, k, cost, detail, started,
-    ))
+    assemble_response(algorithm, estimate, k, cost, detail, started)
 }
 
 fn engine_response(
@@ -1589,41 +1581,50 @@ mod tests {
     #[test]
     fn walk_index_sessions_reject_malformed_methods_like_plain_ones() {
         let g = test_graph(200);
-        let mut session = Session::builder(&g)
+        let n = g.num_vertices() as VertexId;
+        let mut plain = Session::builder(&g).machines(2).build().unwrap();
+        let mut indexed = Session::builder(&g)
             .machines(2)
             .walk_index(WalkIndexConfig::default())
             .build()
             .unwrap();
-        // The index would ignore the method parameters, but validation still applies.
-        assert!(matches!(
-            session.query(&Query::Ppr {
-                source: 0,
+        let push = |epsilon| PprMethod::ForwardPush { epsilon };
+        let power = |max_iterations, tolerance| PprMethod::PowerIteration {
+            max_iterations,
+            tolerance,
+        };
+        let monte_carlo = |walkers, max_steps| PprMethod::MonteCarlo {
+            walkers,
+            max_steps,
+            seed: 1,
+        };
+        // The index would ignore most of these, but the query is rejected first, and
+        // with the error the index-less path gives.
+        let malformed = [
+            (0, 0.0, push(1e-4)),
+            (0, 1.0, push(1e-4)),
+            (0, 1.5, push(1e-4)),
+            (0, f64::NAN, push(1e-4)),
+            (n, 0.15, push(1e-4)),
+            (0, 0.15, push(0.0)),
+            (0, 0.15, push(f64::INFINITY)),
+            (0, 0.15, power(0, 1e-9)),
+            (0, 0.15, power(10, -1.0)),
+            (0, 0.15, monte_carlo(0, 10)),
+            (0, 0.15, monte_carlo(100, 0)),
+            (n, 0.15, push(-1.0)),
+        ];
+        for (source, teleport_probability, method) in malformed {
+            let query = Query::Ppr {
+                source,
                 k: 5,
-                teleport_probability: 0.15,
-                method: PprMethod::ForwardPush { epsilon: 0.0 },
-            }),
-            Err(Error::InvalidConfig {
-                context: "PprMethod::ForwardPush",
-                ..
-            })
-        ));
-        assert!(matches!(
-            session.query(&Query::Ppr {
-                source: 0,
-                k: 5,
-                teleport_probability: 0.15,
-                method: PprMethod::MonteCarlo {
-                    walkers: 0,
-                    max_steps: 10,
-                    seed: 1
-                },
-            }),
-            Err(Error::InvalidConfig {
-                context: "PprMethod::MonteCarlo",
-                ..
-            })
-        ));
-        assert_eq!(session.stats().queries_served, 0);
+                teleport_probability,
+                method,
+            };
+            let without = plain.query(&query).unwrap_err();
+            assert_eq!(indexed.query(&query).unwrap_err(), without, "{query:?}");
+        }
+        assert_eq!(indexed.stats().queries_served, 0);
     }
 
     #[test]

@@ -372,6 +372,7 @@ impl PartitionedGraph {
             let mut local_out_total = 0usize;
             for (m, local) in self.placement.replica_slots(v) {
                 let shard = self.shard(m);
+                // lint:allow(forbidden, validate checks each recorded slot against a search)
                 if shard.local_index(v) != Some(local) {
                     return Err(frogwild_graph::Error::partition(format!(
                         "vertex {v}: recorded slot {local} on {m} is not its local index"
@@ -388,6 +389,7 @@ impl PartitionedGraph {
         }
         for shard in &self.shards {
             for (i, &v) in shard.vertices.iter().enumerate() {
+                // lint:allow(forbidden, validate checks the lookup table against a search)
                 if shard.local_index(v) != Some(i as u32) {
                     return Err(frogwild_graph::Error::partition(format!(
                         "shard {}: lookup table inconsistent for vertex {v}",
@@ -396,6 +398,7 @@ impl PartitionedGraph {
                 }
             }
             for &t in shard.out_targets.iter() {
+                // lint:allow(forbidden, validate checks each edge target against a search)
                 if shard.local_index(t).is_none() {
                     return Err(frogwild_graph::Error::partition(format!(
                         "shard {}: out-edge target {t} is not the id of a local replica",

@@ -16,7 +16,11 @@
 //! * **API hygiene** — every `#[non_exhaustive]` pub type in `crates/core`
 //!   keeps a public constructor helper, and every `pub` item of the library
 //!   crates has a caller outside tests (`orphan-pub`: the public surface is the
-//!   called surface).
+//!   called surface);
+//! * **shape** — the code shapes a rewrite removed from named files stay out, or
+//!   under a count (`forbidden`, whose rows are [`rules::FORBIDDEN`]: the engine's
+//!   addressing and its one pool, the set-up path, the walk arena, the engine
+//!   configuration).
 //!
 //! The analysis is a hand-rolled lexer ([`lexer`]) plus shallow token-pattern
 //! rules ([`rules`]) — no external dependencies, no type information. That
@@ -27,35 +31,17 @@
 pub mod lexer;
 pub mod rules;
 
-use rules::{analyze_file, finish_ctor_rule, finish_orphan_rule, Finding, Scope};
+use rules::{
+    analyze_file, finish_ctor_rule, finish_forbidden_rule, finish_orphan_rule, Finding, Scope,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Driver configuration, assembled by the CLI (or tests).
-#[derive(Clone, Debug, Default)]
-pub struct Config {
-    /// Rules to drop from the report entirely (`--allow <rule>`).
-    pub allow_rules: Vec<String>,
-    /// Baseline entries to subtract (grandfathered findings).
-    pub baseline: Vec<BaselineEntry>,
-    /// Report findings in these files only (`--changed-since`). Every file is still
-    /// analyzed: the cross-file joins need the whole scan set as evidence.
-    pub only_paths: Option<Vec<String>>,
-}
-
-/// One grandfathered finding: `rule <TAB> path <TAB> line` in the baseline file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BaselineEntry {
-    pub rule: String,
-    pub path: String,
-    pub line: u32,
-}
-
 /// The outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that survived allows and the baseline, in (path, line) order.
+    /// Findings that survived `lint:allow`, in (path, line) order.
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
@@ -63,8 +49,9 @@ pub struct Report {
 
 /// Scans `files` (path, source) pairs. Paths must be workspace-relative with
 /// forward slashes; the crate-level constructor join groups files by their
-/// `crates/<name>/` prefix, the `orphan-pub` join spans every file given.
-pub fn run_on_sources(files: &[(String, String)], config: &Config) -> Report {
+/// `crates/<name>/` prefix, the `orphan-pub` and `forbidden` joins span every file
+/// given.
+pub fn run_on_sources(files: &[(String, String)]) -> Report {
     let mut findings = Vec::new();
     // Constructor-rule state grouped per crate (fixture/scratch files outside
     // `crates/` join a shared "" group, so a fixture pair still links up).
@@ -72,6 +59,7 @@ pub fn run_on_sources(files: &[(String, String)], config: &Config) -> Report {
     let mut evidence: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut pub_decls = Vec::new();
     let mut referenced = BTreeSet::new();
+    let mut forbidden = Vec::new();
 
     for (path, src) in files {
         let scope = Scope::classify(path);
@@ -88,23 +76,14 @@ pub fn run_on_sources(files: &[(String, String)], config: &Config) -> Report {
             .extend(report.ctor_evidence);
         pub_decls.extend(report.pub_decls);
         referenced.extend(report.referenced);
+        forbidden.extend(report.forbidden);
     }
     for (group, d) in &decls {
         let e = evidence.get(group).map(Vec::as_slice).unwrap_or(&[]);
         findings.extend(finish_ctor_rule(d, e));
     }
     findings.extend(finish_orphan_rule(&pub_decls, &referenced));
-
-    findings.retain(|f| !config.allow_rules.iter().any(|r| r == f.rule));
-    if let Some(only) = &config.only_paths {
-        findings.retain(|f| only.contains(&f.path));
-    }
-    findings.retain(|f| {
-        !config
-            .baseline
-            .iter()
-            .any(|b| b.rule == f.rule && b.path == f.path && b.line == f.line)
-    });
+    findings.extend(finish_forbidden_rule(&forbidden));
     findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
@@ -127,25 +106,32 @@ fn crate_group(path: &str) -> String {
 /// (`crates/*/tests`, `tests/`, `benches/`) hold test code by definition and are
 /// skipped.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
+    let mut dirs = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        let mut crates: Vec<_> = std::fs::read_dir(&crates_dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .collect();
-        crates.sort();
-        for krate in crates {
-            let src = krate.join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut out)?;
-            }
+        for krate in std::fs::read_dir(&crates_dir)?.filter_map(|e| e.ok()) {
+            dirs.push(krate.path().join("src"));
         }
     }
-    for dir in ["src", "examples"] {
-        let dir = root.join(dir);
-        if dir.is_dir() {
-            collect_rs(&dir, &mut out)?;
+    dirs.extend(["src", "examples"].map(|dir| root.join(dir)));
+    dirs.retain(|dir| dir.is_dir());
+    rust_files(&dirs)
+}
+
+/// Every `.rs` file under the directories in `paths`, plus each file in `paths` as
+/// given, sorted.
+pub fn rust_files(paths: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    for path in paths {
+        if path.is_dir() {
+            collect_rs(path, &mut out)?;
+        } else if path.is_file() {
+            out.push(path.clone());
+        } else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("no such file or directory: {}", path.display()),
+            ));
         }
     }
     out.sort();
@@ -153,12 +139,8 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
+    for entry in std::fs::read_dir(dir)?.filter_map(|e| e.ok()) {
+        let path = entry.path();
         if path.is_dir() {
             collect_rs(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -175,125 +157,26 @@ pub fn relative_path(root: &Path, path: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
-/// Parses a baseline file: one `rule<TAB>path<TAB>line` entry per line,
-/// `#`-comments and blank lines skipped.
-pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let mut entries = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let (Some(rule), Some(path), Some(ln)) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!(
-                "baseline line {}: expected `rule<TAB>path<TAB>line`",
-                i + 1
-            ));
-        };
-        let ln: u32 = ln
-            .trim()
-            .parse()
-            .map_err(|_| format!("baseline line {}: bad line number `{ln}`", i + 1))?;
-        entries.push(BaselineEntry {
-            rule: rule.trim().to_string(),
-            path: path.trim().to_string(),
-            line: ln,
-        });
-    }
-    Ok(entries)
-}
-
-/// Renders findings back into baseline-file form (`--write-baseline`).
-pub fn render_baseline(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "# frogwild-lint baseline: grandfathered findings, one `rule<TAB>path<TAB>line`\n\
-         # per line. CI fails when this file is non-empty — burn entries down, don't\n\
-         # add them. Regenerate with `cargo run -p frogwild-lint -- --write-baseline`.\n",
-    );
-    for f in findings {
-        let _ = writeln!(out, "{}\t{}\t{}", f.rule, f.path, f.line);
-    }
-    out
-}
-
-/// Output format for the report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Format {
-    #[default]
-    Human,
-    Csv,
-}
-
-/// Renders the report in the chosen format.
-pub fn render_report(report: &Report, format: Format) -> String {
+/// Renders the report: one `path:line:col: rule: message` line per finding, then a
+/// count.
+pub fn render_report(report: &Report) -> String {
     let mut out = String::new();
-    match format {
-        Format::Human => {
-            for f in &report.findings {
-                let _ = writeln!(
-                    out,
-                    "{}:{}:{}: {}: {}",
-                    f.path, f.line, f.col, f.rule, f.message
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{} finding{} across {} file{}",
-                report.findings.len(),
-                if report.findings.len() == 1 { "" } else { "s" },
-                report.files_scanned,
-                if report.files_scanned == 1 { "" } else { "s" },
-            );
-        }
-        Format::Csv => {
-            let _ = writeln!(out, "rule,path,line,col,message");
-            for f in &report.findings {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},\"{}\"",
-                    f.rule,
-                    f.path,
-                    f.line,
-                    f.col,
-                    f.message.replace('"', "\"\"")
-                );
-            }
-        }
+    for f in &report.findings {
+        let _ = writeln!(
+            out,
+            "{}:{}:{}: {}: {}",
+            f.path, f.line, f.col, f.rule, f.message
+        );
     }
+    let _ = writeln!(
+        out,
+        "{} finding{} across {} file{}",
+        report.findings.len(),
+        if report.findings.len() == 1 { "" } else { "s" },
+        report.files_scanned,
+        if report.files_scanned == 1 { "" } else { "s" },
+    );
     out
-}
-
-/// Files touched since `rev`, per `git diff --name-only <rev>` plus untracked
-/// files — the `--changed-since` report set.
-pub fn changed_since(root: &Path, rev: &str) -> Result<Vec<String>, String> {
-    let diff = git_lines(root, &["diff", "--name-only", rev])?;
-    let untracked = git_lines(root, &["ls-files", "--others", "--exclude-standard"])?;
-    let mut files: Vec<String> = diff.into_iter().chain(untracked).collect();
-    files.sort();
-    files.dedup();
-    Ok(files)
-}
-
-fn git_lines(root: &Path, args: &[&str]) -> Result<Vec<String>, String> {
-    let output = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(args)
-        .output()
-        .map_err(|e| format!("failed to run git: {e}"))?;
-    if !output.status.success() {
-        return Err(format!(
-            "git {} failed: {}",
-            args.join(" "),
-            String::from_utf8_lossy(&output.stderr).trim()
-        ));
-    }
-    Ok(String::from_utf8_lossy(&output.stdout)
-        .lines()
-        .map(|l| l.trim().to_string())
-        .filter(|l| !l.is_empty())
-        .collect())
 }
 
 #[cfg(test)]
@@ -313,7 +196,7 @@ mod tests {
             ("crates/core/src/b.rs", "fn f() { x.unwrap(); }"),
             ("crates/core/src/a.rs", "use std::collections::HashMap;"),
         ]);
-        let report = run_on_sources(&files, &Config::default());
+        let report = run_on_sources(&files);
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.findings.len(), 2);
         assert_eq!(report.findings[0].path, "crates/core/src/a.rs");
@@ -321,85 +204,22 @@ mod tests {
     }
 
     #[test]
-    fn allow_rules_drop_whole_rule() {
-        let files = sources(&[("crates/core/src/a.rs", "fn f() { x.unwrap(); }")]);
-        let config = Config {
-            allow_rules: vec!["panic".to_string()],
-            ..Config::default()
-        };
-        assert!(run_on_sources(&files, &config).findings.is_empty());
-    }
-
-    #[test]
-    fn baseline_suppresses_exact_matches_only() {
-        let files = sources(&[(
-            "crates/core/src/a.rs",
-            "fn f() { x.unwrap(); }\nfn g() { y.unwrap(); }",
-        )]);
-        let config = Config {
-            baseline: vec![BaselineEntry {
-                rule: "panic".to_string(),
-                path: "crates/core/src/a.rs".to_string(),
-                line: 1,
-            }],
-            ..Config::default()
-        };
-        let report = run_on_sources(&files, &config);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].line, 2);
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let files = sources(&[(
-            "crates/engine/src/x.rs",
-            "fn f() { a.unwrap(); let t = Instant::now(); }",
-        )]);
-        let first = run_on_sources(&files, &Config::default());
-        assert_eq!(first.findings.len(), 2);
-        let baseline_text = render_baseline(&first.findings);
-        let baseline = parse_baseline(&baseline_text).expect("parses");
-        assert_eq!(baseline.len(), 2);
-        let second = run_on_sources(
-            &files,
-            &Config {
-                baseline,
-                ..Config::default()
-            },
-        );
-        assert!(second.findings.is_empty(), "{:?}", second.findings);
-    }
-
-    #[test]
-    fn baseline_parser_rejects_garbage() {
-        assert!(parse_baseline("# comment\n\npanic\tcrates/core/src/a.rs\t3\n").is_ok());
-        assert!(parse_baseline("panic crates/core/src/a.rs 3\n").is_err());
-        assert!(parse_baseline("panic\tp\tnot-a-number\n").is_err());
-    }
-
-    #[test]
     fn ctor_join_spans_files_within_a_crate_but_not_across_crates() {
-        let linked = run_on_sources(
-            &sources(&[
-                ("crates/core/src/a.rs", "#[non_exhaustive]\npub struct T;"),
-                ("crates/core/src/b.rs", "impl T { pub fn new() -> T { T } }"),
-                ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
-            ]),
-            &Config::default(),
-        );
+        let linked = run_on_sources(&sources(&[
+            ("crates/core/src/a.rs", "#[non_exhaustive]\npub struct T;"),
+            ("crates/core/src/b.rs", "impl T { pub fn new() -> T { T } }"),
+            ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
+        ]));
         assert!(linked.findings.is_empty(), "{:?}", linked.findings);
 
-        let unlinked = run_on_sources(
-            &sources(&[
-                ("crates/core/src/a.rs", "#[non_exhaustive]\npub struct T;"),
-                (
-                    "crates/graph/src/b.rs",
-                    "impl T { pub fn new() -> T { T } }",
-                ),
-                ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
-            ]),
-            &Config::default(),
-        );
+        let unlinked = run_on_sources(&sources(&[
+            ("crates/core/src/a.rs", "#[non_exhaustive]\npub struct T;"),
+            (
+                "crates/graph/src/b.rs",
+                "impl T { pub fn new() -> T { T } }",
+            ),
+            ("crates/cli/src/main.rs", "fn main() { T::new(); }"),
+        ]));
         assert_eq!(unlinked.findings.len(), 1);
         assert_eq!(unlinked.findings[0].rule, "non-exhaustive-ctor");
     }
@@ -410,7 +230,7 @@ mod tests {
         let rules = |extra: &[(&str, &str)]| -> Vec<&'static str> {
             let mut files = vec![lonely];
             files.extend_from_slice(extra);
-            let report = run_on_sources(&sources(&files), &Config::default());
+            let report = run_on_sources(&sources(&files));
             report.findings.iter().map(|f| f.rule).collect()
         };
         assert_eq!(rules(&[]), ["orphan-pub"]);
@@ -430,59 +250,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn only_paths_limits_the_report_not_the_evidence() {
-        let files = sources(&[
-            (
-                "crates/core/src/a.rs",
-                "pub fn used() {}\npub fn unused() {}",
-            ),
-            ("crates/core/src/b.rs", "fn f() { used(); x.unwrap(); }"),
-        ]);
-        let config = Config {
-            only_paths: Some(vec!["crates/core/src/a.rs".to_string()]),
-            ..Config::default()
-        };
-        let report = run_on_sources(&files, &config);
-        // b.rs still vouches for `used`, but its own unwrap is out of the report.
-        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].rule, "orphan-pub");
-        assert_eq!(report.findings[0].line, 2);
+    fn forbidden(files: &[(String, String)]) -> Vec<Finding> {
+        let report = run_on_sources(files);
+        (report.findings.into_iter())
+            .filter(|f| f.rule == "forbidden")
+            .collect()
     }
 
-    #[test]
-    fn csv_format_escapes_quotes() {
-        let report = Report {
-            findings: vec![Finding {
-                rule: "panic",
-                path: "a.rs".to_string(),
-                line: 1,
-                col: 2,
-                message: "uses \"quotes\"".to_string(),
-            }],
-            files_scanned: 1,
-        };
-        let csv = render_report(&report, Format::Csv);
-        assert!(csv.starts_with("rule,path,line,col,message\n"));
-        assert!(csv.contains("panic,a.rs,1,2,\"uses \"\"quotes\"\"\""));
-    }
-
-    #[test]
-    fn changed_since_runs_against_this_repo_when_git_is_available() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("workspace root");
-        if !root.join(".git").exists() {
-            return; // packaged source, nothing to test against
+    /// A file the row path `covered` names: the file itself, or one in the directory.
+    fn file_in(covered: &str) -> String {
+        match covered.ends_with('/') {
+            true => format!("{covered}case.rs"),
+            false => covered.to_string(),
         }
-        match changed_since(root, "HEAD") {
-            Ok(files) => {
-                for f in files {
-                    assert!(!f.contains('\\'), "forward slashes expected: {f}");
+    }
+
+    /// One occurrence of `pattern` as live code (a `lint:allow(` pattern as a directive).
+    fn occurrence(pattern: &str) -> String {
+        match pattern.starts_with("lint:allow(") {
+            true => format!("// {pattern}, generated case)\n"),
+            false => format!("fn case() {{ {pattern} }}\n"),
+        }
+    }
+
+    /// `copies` occurrences of `pattern`, dealt round-robin over the files of `paths`.
+    fn occurrences(paths: &[&str], pattern: &str, copies: usize) -> Vec<(String, String)> {
+        let mut files: BTreeMap<String, String> = BTreeMap::new();
+        for i in 0..copies {
+            let path = file_in(paths[i % paths.len()]);
+            files
+                .entry(path)
+                .or_default()
+                .push_str(&occurrence(pattern));
+        }
+        files.into_iter().collect()
+    }
+
+    #[test]
+    fn every_forbidden_row_bites_at_its_paths_past_its_count_and_nowhere_else() {
+        for rule in rules::FORBIDDEN {
+            for &pattern in rule.patterns {
+                let over = rule.at_most + 1;
+                let case = format!("{pattern} x{over}");
+                assert!(
+                    forbidden(&occurrences(rule.paths, pattern, rule.at_most)).is_empty(),
+                    "{case}: at the limit"
+                );
+                let found = forbidden(&occurrences(rule.paths, pattern, over));
+                assert_eq!(found.len(), 1, "{case}: {found:?}");
+                assert!(
+                    found[0].message.contains(rule.reason) && found[0].message.contains(pattern),
+                    "{case}: {}",
+                    found[0].message
+                );
+                // The same text in a test region, a comment or a string, or at a path the
+                // row does not name, is no finding.
+                let path = file_in(rule.paths[0]);
+                let code = occurrence(pattern).repeat(over);
+                let elsewhere = [
+                    (
+                        path.clone(),
+                        format!("#[cfg(test)]\nmod tests {{\n{code}}}\n"),
+                    ),
+                    (path.clone(), format!("/* {pattern} */\n").repeat(over)),
+                    (
+                        path.clone(),
+                        format!("const S: &str = \"{pattern}\";\n").repeat(over),
+                    ),
+                    ("crates/lint/src/case.rs".to_string(), code),
+                ];
+                for file in elsewhere {
+                    let found = forbidden(std::slice::from_ref(&file));
+                    assert!(found.is_empty(), "{case} in {file:?}: {found:?}");
                 }
             }
-            Err(e) => panic!("git diff against HEAD failed: {e}"),
         }
+    }
+
+    #[test]
+    fn a_reasoned_forbidden_allow_suppresses_one_occurrence() {
+        let path = "crates/engine/src/placement.rs";
+        let call = "fn f() { shard.local_index(v); }\n";
+        let allowed = format!("// lint:allow(forbidden, validate searches on purpose)\n{call}");
+        assert!(forbidden(&sources(&[(path, &allowed)])).is_empty());
+        assert_eq!(
+            forbidden(&sources(&[(path, &format!("{allowed}{call}"))])).len(),
+            1
+        );
     }
 }

@@ -63,11 +63,185 @@ pub const RULES: &[RuleInfo] = &[
               `lint:allow(orphan-pub, oracle for <test name>)`",
     },
     RuleInfo {
+        name: "forbidden",
+        doc: "a token sequence a row of the FORBIDDEN table names, in the files that row \
+              covers, more often than the row allows (engine addressing, set-up path, \
+              index arena, engine configuration: shapes a rewrite removed)",
+    },
+    RuleInfo {
         name: "allow-syntax",
         doc: "malformed lint:allow comment (missing reason), one naming an unknown rule, \
               or an orphan-pub allow whose reason is not `oracle for <test name>`",
     },
 ];
+
+/// One row of [`FORBIDDEN`]: token sequences that may occur at most `at_most` times,
+/// summed over `paths`, outside test regions.
+pub struct Forbidden {
+    /// Exact files, or directory prefixes ending in `/`.
+    pub paths: &'static [&'static str],
+    /// Source text, tokenised with [`lex`]. A pattern `lint:allow(<rule>` counts the
+    /// allow directives naming `<rule>` instead of tokens.
+    pub patterns: &'static [&'static str],
+    pub at_most: usize,
+    pub reason: &'static str,
+}
+
+const fn forbid(
+    paths: &'static [&'static str],
+    patterns: &'static [&'static str],
+    reason: &'static str,
+) -> Forbidden {
+    Forbidden {
+        paths,
+        patterns,
+        at_most: 0,
+        reason,
+    }
+}
+
+const ENGINE_AND_POOL: &[&str] = &["crates/engine/src/engine.rs", "crates/engine/src/pool.rs"];
+const ENGINE_AND_CORE: &[&str] = &["crates/engine/src/", "crates/core/src/"];
+
+/// The `forbidden` rule's table: shapes the engine, the set-up path and the walk
+/// index were rewritten away from, kept from growing back one line at a time.
+pub const FORBIDDEN: &[Forbidden] = &[
+    // Engine addressing: a vertex is found through the placement table and the
+    // vertex-indexed mailboxes, and each machine combines its own mail on the one pool.
+    forbid(
+        &["crates/engine/src/engine.rs"],
+        &[
+            "BTreeMap",
+            "btree_map::",
+            "local_index(",
+            "combine_by_destination",
+            "sort_by_key",
+        ],
+        "address vertices through VertexPlacement slots and the vertex-indexed mailboxes; \
+         combine messages by folding into them (fold_messages) and sort distinct \
+         destinations only",
+    ),
+    forbid(
+        &["crates/engine/src/engine.rs"],
+        &[
+            "fn scatter_batch",
+            "extend(produced)",
+            "fold_messages(outgoing",
+        ],
+        "a machine's scatter is one unit that folds its own outbox in its lane; no scatter \
+         batches, no re-assembly, no fold on the driver thread",
+    ),
+    Forbidden {
+        at_most: 1,
+        ..forbid(
+            ENGINE_AND_POOL,
+            &["std::thread::scope"],
+            "one pool: run_batched is the engine's only thread scope",
+        )
+    },
+    Forbidden {
+        at_most: 1,
+        ..forbid(
+            ENGINE_AND_POOL,
+            &["lint:allow(panic"],
+            "the one allowed panic re-raises a worker-thread panic in run_batched",
+        )
+    },
+    // Set-up path: each edge is touched a constant number of times and nothing is
+    // searched for.
+    forbid(
+        &["crates/graph/src/io.rs"],
+        &["BTreeMap", ".lines()"],
+        "parse bytes from the reader's buffer and relabel through the one hash table; no \
+         BTreeMap, no per-line String",
+    ),
+    Forbidden {
+        at_most: 2,
+        ..forbid(
+            &["crates/graph/src/io.rs"],
+            &["writeln!"],
+            "the two header lines are formatted; an edge is spelled into the line buffer",
+        )
+    },
+    forbid(
+        &["crates/graph/src/generators/rmat.rs"],
+        &[".log2()", "else if r <"],
+        "the recursion depth is integer arithmetic and the quadrant a count of thresholds \
+         passed; no float logarithm, no branch chain",
+    ),
+    forbid(
+        &["crates/engine/src/placement.rs"],
+        &[".local_index("],
+        "only validate may call local_index(; the build reads the slots VertexPlacement holds",
+    ),
+    // Index arena: one fixed-stride format, filled in place, and a stitcher that learns
+    // everything about a vertex from its next slot.
+    forbid(
+        &[
+            "crates/core/src/walkindex/storage.rs",
+            "crates/core/src/walkindex/build.rs",
+        ],
+        &["offsets"],
+        "segment (v, j) lives at (v * R + j) * L; the arena keeps no offsets table",
+    ),
+    forbid(
+        &["crates/engine/src/walkgen.rs"],
+        &["MachineSegments"],
+        "machines write hops into their chunks of the arena; no per-machine batch type",
+    ),
+    Forbidden {
+        at_most: 1,
+        ..forbid(
+            &["crates/core/src/walkindex/serve.rs"],
+            &["out_degree("],
+            "a sentinel in slot 0 already says the vertex is a sink",
+        )
+    },
+    // Engine configuration: a setting exists only if production sets it, and a counter
+    // has one record.
+    forbid(
+        &["crates/engine/src/lib.rs"],
+        &["mod sync"],
+        "mirror synchronisation is EngineConfig::sync_probability, a number",
+    ),
+    forbid(
+        ENGINE_AND_CORE,
+        &[
+            "SyncPolicy",
+            "AlgorithmKnobs",
+            "batch_size",
+            "dyn Partitioner",
+            "trait Partitioner",
+        ],
+        "p_s is a probability, a partitioner is a PartitionerKind, the batch size is a \
+         constant",
+    ),
+    forbid(
+        ENGINE_AND_CORE,
+        &[
+            "WorkStats",
+            "NetworkStats",
+            "from_metrics",
+            "total_cpu_seconds",
+        ],
+        "a superstep's counters are its QueryCost and a total is QueryCost::absorb; no \
+         second stats type or fold",
+    ),
+    forbid(
+        &["crates/engine/src/walkgen.rs", "crates/core/src/walkindex/"],
+        &["parallel"],
+        "segment generation shares worker_threads(0) among the machines, always; there is \
+         no parallel setting",
+    ),
+];
+
+impl Forbidden {
+    fn covers(&self, path: &str) -> bool {
+        self.paths
+            .iter()
+            .any(|p| path == *p || (p.ends_with('/') && path.starts_with(p)))
+    }
+}
 
 /// Is `name` a registered rule?
 pub fn known_rule(name: &str) -> bool {
@@ -177,6 +351,18 @@ pub struct FileReport {
     /// Every identifier this file uses outside test regions, the names its own
     /// `pub_decls` declare excepted: the `orphan-pub` evidence.
     pub referenced: BTreeSet<String>,
+    /// Occurrences of [`FORBIDDEN`] patterns, pending the per-row count.
+    pub forbidden: Vec<ForbiddenHit>,
+}
+
+/// One unsuppressed occurrence of a pattern of `FORBIDDEN[row]`.
+#[derive(Clone, Debug)]
+pub struct ForbiddenHit {
+    pub row: usize,
+    pub pattern: &'static str,
+    pub path: String,
+    pub line: u32,
+    pub col: u32,
 }
 
 /// Keywords that may directly precede `[` without forming an index expression.
@@ -263,15 +449,22 @@ pub fn analyze_file(path: &str, scope: Scope, src: &str) -> FileReport {
     }
     collect_ctor_evidence(&lexed, &mut report);
     collect_references(path, scope, &lexed, &mut report);
+    collect_forbidden(path, &lexed, &mut report);
 
     // Apply lint:allow suppression (except to allow-syntax itself).
-    report.findings.retain(|f| {
-        f.rule == "allow-syntax"
-            || !lexed.allows.iter().any(|a| {
-                a.rule == f.rule && (a.file_level || a.line == f.line || a.line + 1 == f.line)
-            })
-    });
     report
+        .findings
+        .retain(|f| f.rule == "allow-syntax" || !allowed(&lexed, f.rule, f.line));
+    report
+}
+
+/// Does a `lint:allow(rule, ..)` on `line` or the line before, or a file-level one,
+/// suppress `rule` there?
+fn allowed(lexed: &LexOutput, rule: &str, line: u32) -> bool {
+    lexed
+        .allows
+        .iter()
+        .any(|a| a.rule == rule && (a.file_level || a.line == line || a.line + 1 == line))
 }
 
 /// Crate-level join for `non-exhaustive-ctor`: every declared type must appear
@@ -313,6 +506,81 @@ pub fn finish_orphan_rule(decls: &[PubDecl], referenced: &BTreeSet<String>) -> V
             ),
         })
         .collect()
+}
+
+/// Workspace-level join for `forbidden`: each row's occurrences, in (path, line)
+/// order, past the first `at_most` are findings.
+pub fn finish_forbidden_rule(hits: &[ForbiddenHit]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (row, rule) in FORBIDDEN.iter().enumerate() {
+        let mut mine: Vec<&ForbiddenHit> = hits.iter().filter(|h| h.row == row).collect();
+        mine.sort_by_key(|h| (&h.path, h.line, h.col));
+        let found = mine.len();
+        for h in mine.into_iter().skip(rule.at_most) {
+            findings.push(Finding {
+                rule: "forbidden",
+                path: h.path.clone(),
+                line: h.line,
+                col: h.col,
+                message: format!(
+                    "`{}` in {}: {found} found, at most {} allowed; {}",
+                    h.pattern,
+                    rule.paths.join(" + "),
+                    rule.at_most,
+                    rule.reason
+                ),
+            });
+        }
+    }
+    findings
+}
+
+/// Records every occurrence, outside test regions, of a pattern of each
+/// [`FORBIDDEN`] row that covers `path`, unless a `lint:allow(forbidden, ..)`
+/// suppresses it.
+fn collect_forbidden(path: &str, lexed: &LexOutput, report: &mut FileReport) {
+    let toks = &lexed.tokens;
+    for (row, rule) in FORBIDDEN.iter().enumerate() {
+        if !rule.covers(path) {
+            continue;
+        }
+        for &pattern in rule.patterns {
+            let at: Vec<(u32, u32)> = match pattern.strip_prefix("lint:allow(") {
+                Some(name) => {
+                    let directive_in_test = |line: u32| {
+                        let next = toks.partition_point(|t| t.span.line < line);
+                        lexed.in_test.get(next).copied().unwrap_or(false)
+                    };
+                    (lexed.allows.iter())
+                        .filter(|a| a.rule == name && !directive_in_test(a.line))
+                        .map(|a| (a.line, 1))
+                        .collect()
+                }
+                None => {
+                    let want: Vec<String> =
+                        lex(pattern).tokens.into_iter().map(|t| t.text).collect();
+                    live(lexed)
+                        .filter(|(i, _)| {
+                            toks.get(*i..i + want.len())
+                                .is_some_and(|w| w.iter().map(|t| &t.text).eq(want.iter()))
+                        })
+                        .map(|(_, t)| (t.span.line, t.span.col))
+                        .collect()
+                }
+            };
+            for (line, col) in at {
+                if !allowed(lexed, "forbidden", line) {
+                    report.forbidden.push(ForbiddenHit {
+                        row,
+                        pattern,
+                        path: path.to_string(),
+                        line,
+                        col,
+                    });
+                }
+            }
+        }
+    }
 }
 
 fn live(lexed: &LexOutput) -> impl Iterator<Item = (usize, &Token)> {
@@ -592,15 +860,11 @@ fn collect_non_exhaustive(path: &str, lexed: &LexOutput, report: &mut FileReport
         let Some(name_tok) = toks.get(k + 1) else {
             continue;
         };
-        let allowed = lexed.allows.iter().any(|a| {
-            a.rule == "non-exhaustive-ctor"
-                && (a.file_level || a.line == tok.span.line || a.line + 1 == tok.span.line)
-        });
         report.non_exhaustive.push(TypeDecl {
             name: name_tok.text.clone(),
             path: path.to_string(),
             line: tok.span.line,
-            allowed,
+            allowed: allowed(lexed, "non-exhaustive-ctor", tok.span.line),
         });
     }
 }
@@ -638,10 +902,7 @@ fn collect_references(path: &str, scope: Scope, lexed: &LexOutput, report: &mut 
                 path: path.to_string(),
                 line: tok.span.line,
                 col: tok.span.col,
-                allowed: lexed.allows.iter().any(|a| {
-                    a.rule == "orphan-pub"
-                        && (a.file_level || a.line == tok.span.line || a.line + 1 == tok.span.line)
-                }),
+                allowed: allowed(lexed, "orphan-pub", tok.span.line),
             });
         }
     }
