@@ -2,8 +2,9 @@
 //!
 //! The benchmark harness that regenerates every figure of the FrogWild paper's
 //! evaluation section (Figures 1–8) plus a numerical check of the paper's theory
-//! (Theorems 1–2, Proposition 7), and the Criterion microbenchmarks for the engine's
-//! building blocks.
+//! (Theorems 1–2, Proposition 7). Its `frogbench` binary is the workspace's one
+//! benchmark: end-to-end and per-layer metrics over five workloads, described by the
+//! root `BENCHMARK.json`.
 //!
 //! The `figures` binary is the entry point:
 //!

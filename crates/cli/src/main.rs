@@ -135,7 +135,15 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
     // option keeps the default.
     let memory_budget_bytes = match args.get("walk-index-budget-mb") {
         None => base.memory_budget_bytes,
-        Some(_) => args.get_parsed::<usize>("walk-index-budget-mb", 0, "an integer")? * 1024 * 1024,
+        Some(_) => {
+            let mib = args.get_parsed::<usize>("walk-index-budget-mb", 0, "an integer")?;
+            mib.checked_mul(1024 * 1024).ok_or_else(|| {
+                Error::config(
+                    "command line",
+                    format!("--walk-index-budget-mb {mib} is more bytes than a usize can count"),
+                )
+            })?
+        }
     };
     Ok(WalkIndexConfig {
         segments_per_vertex: args.get_parsed(
@@ -732,10 +740,11 @@ fn cmd_plan(args: &Args) -> Result<()> {
     }
     let mass_ok = mass > 0.0 && mass <= 1.0;
     let delta_ok = delta > 0.0 && delta < 1.0;
-    if !mass_ok || !delta_ok || loss <= 0.0 {
+    let loss_ok = loss.is_finite() && loss > 0.0;
+    if !mass_ok || !delta_ok || !loss_ok {
         return Err(Error::config(
             "command line",
-            "--mass and --delta must be in (0, 1), --loss positive",
+            "--mass and --delta must be in (0, 1), --loss finite and positive",
         ));
     }
 

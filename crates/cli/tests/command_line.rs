@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 16] = [
+    let table: [Case<'_>; 19] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -74,6 +74,28 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
         (
             &["topk", "--graph", ids, "--k", "4", "--staleness", &max],
             Ok(&["100", "200", "300", "400"]),
+        ),
+        // 2^44 + 1 MiB is 2^64 + 2^20 bytes: it wrapped to a one-MiB budget.
+        (
+            &[
+                "index",
+                "--synthetic",
+                "twitter",
+                "--vertices",
+                "100",
+                "--walk-index-budget-mb",
+                "17592186044417",
+            ],
+            Err("error: invalid command line: --walk-index-budget-mb 17592186044417 is more bytes"),
+        ),
+        // NaN passed `loss <= 0.0` and reached the walker planner's assertion.
+        (
+            &["autotune", "--graph", ids, "--loss", "NaN"],
+            Err("error: invalid AutoTuneConfig: mass_loss_target must be finite and positive"),
+        ),
+        (
+            &["plan", "--loss", "NaN"],
+            Err("--loss finite and positive"),
         ),
         (
             &[

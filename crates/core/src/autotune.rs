@@ -15,7 +15,6 @@
 
 use frogwild_engine::PartitionedGraph;
 use frogwild_obs::Tracer;
-use serde::{Deserialize, Serialize};
 
 use crate::confidence::plan_walkers;
 use crate::config::{
@@ -27,7 +26,7 @@ use crate::theory::recommended_iterations;
 
 /// Tuning knobs for [`auto_topk_on`]. The defaults are deliberately conservative; every
 /// field can be overridden with struct-update syntax.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AutoTuneConfig {
     /// Number of vertices the caller ultimately wants ranked (the `k` of top-k).
     pub k: usize,
@@ -69,8 +68,11 @@ impl AutoTuneConfig {
         if self.k == 0 {
             return Err(Error::config(CTX, "k must be positive"));
         }
-        if self.mass_loss_target <= 0.0 {
-            return Err(Error::config(CTX, "mass_loss_target must be positive"));
+        if !self.mass_loss_target.is_finite() || self.mass_loss_target <= 0.0 {
+            return Err(Error::config(
+                CTX,
+                "mass_loss_target must be finite and positive",
+            ));
         }
         if !in_open_unit_interval(self.failure_probability) {
             return Err(Error::config(CTX, "failure_probability must be in (0, 1)"));
@@ -212,12 +214,13 @@ mod tests {
     fn validation_rejects_bad_configs() {
         let base = AutoTuneConfig::default();
         assert!(AutoTuneConfig { k: 0, ..base }.validate().is_err());
-        assert!(AutoTuneConfig {
-            mass_loss_target: 0.0,
-            ..base
+        for bad in [0.0, f64::NAN, f64::INFINITY] {
+            let c = AutoTuneConfig {
+                mass_loss_target: bad,
+                ..base
+            };
+            assert!(c.validate().is_err(), "mass_loss_target {bad} accepted");
         }
-        .validate()
-        .is_err());
         assert!(AutoTuneConfig {
             failure_probability: 1.0,
             ..base

@@ -18,10 +18,8 @@
 
 // lint:allow-file(indexing, dense per-vertex tables indexed by validated vertex ids of the same graph)
 
-use serde::{Deserialize, Serialize};
-
 /// A two-sided confidence interval on a proportion.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Interval {
     /// Lower end of the interval (clamped to 0).
     pub low: f64,
@@ -148,7 +146,7 @@ pub fn separation_probability(count_a: u64, count_b: u64, num_walkers: u64) -> f
 /// bound: enough walkers that (a) the sampling term of Theorem 1 is below
 /// `mass_loss_target` and (b) every individual frequency is within the implied
 /// per-vertex resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WalkerPlan {
     /// Walkers required by the Remark 6 / Theorem 1 sampling term.
     pub walkers_for_mass: u64,

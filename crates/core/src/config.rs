@@ -1,7 +1,5 @@
 //! Experiment configuration types.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Error;
 
 /// `true` when `p` lies in the open interval `(0, 1)`.
@@ -22,7 +20,7 @@ pub const DEFAULT_TELEPORT: f64 = 0.15;
 /// The defaults reproduce the paper's headline setting: 800 000 initial walkers, four
 /// iterations, `p_T = 0.15`. `sync_probability` is the paper's `p_s` ∈ {1, 0.7, 0.4, 0.1}
 /// sweep parameter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FrogWildConfig {
     /// Number of initial random walkers (`N` in the paper). The paper uses 800K for
     /// both the Twitter and LiveJournal graphs.
@@ -151,7 +149,7 @@ impl FrogWildConfig {
 /// assert_eq!(exec.staleness, 1);
 /// ```
 #[non_exhaustive]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExecutionConfig {
     /// Worker threads serving phase work units when the algorithm config's
     /// `parallel` flag is on (`0` = derive from the host's available parallelism,
@@ -191,7 +189,7 @@ impl ExecutionConfig {
 }
 
 /// Configuration of the baseline GraphLab-style PageRank run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PageRankConfig {
     /// Maximum number of iterations. The paper compares against "exact" (run to
     /// convergence), 2-iteration and 1-iteration variants.

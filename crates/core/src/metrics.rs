@@ -10,10 +10,9 @@
 //!   to the true top-k.
 
 use crate::topk::{set_mass, top_k};
-use serde::{Deserialize, Serialize};
 
 /// Result of the mass-captured metric.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MassCaptured {
     /// π-mass of the estimate's top-k set: `µ_k(v)`.
     pub captured: f64,

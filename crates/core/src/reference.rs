@@ -11,12 +11,11 @@
 
 use frogwild_graph::{DiGraph, VertexId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dist;
 
 /// Result of a serial PageRank computation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PageRankResult {
     /// PageRank score of every vertex; sums to 1.
     pub scores: Vec<f64>,

@@ -109,10 +109,13 @@ impl<T> Bounded<T> {
     }
 
     /// Waits up to `timeout` for space, then enqueues; hands the item back as
-    /// [`AdmitError::Full`] when the queue stayed at capacity the whole time.
+    /// [`AdmitError::Full`] when the queue stayed at capacity the whole time. A
+    /// timeout too long for the clock to hold a deadline waits like [`push`](Bounded::push).
     pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), AdmitError<T>> {
         // lint:allow(timing, the admission timeout is wall-clock by definition)
-        let deadline = std::time::Instant::now() + timeout;
+        let Some(deadline) = std::time::Instant::now().checked_add(timeout) else {
+            return self.push(item);
+        };
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         while state.items.len() >= self.capacity && !state.closed {
             let now = std::time::Instant::now(); // lint:allow(timing, admission-timeout bookkeeping only)
@@ -210,6 +213,13 @@ mod tests {
             other => panic!("expected Full, got {other:?}"),
         }
         assert!(started.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn push_timeout_past_the_clock_range_enqueues_when_there_is_space() {
+        let q = Bounded::new(1);
+        q.push_timeout(1, Duration::MAX).unwrap();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

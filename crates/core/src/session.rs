@@ -669,13 +669,14 @@ impl<'g> Session<'g> {
                         SpanKey::new(seq, 0, 0, LANE_INDEX),
                     );
                     let served = indexed_pagerank(self.graph, &si.index, config)?;
-                    record_index_counters(&mut index_span, &served.stats);
+                    let cost = self.indexed_cost(&mut index_span, &served.stats);
                     drop(index_span);
                     let algorithm = format!(
                         "FrogWild walk-index iters={} walkers={}",
                         config.iterations, config.num_walkers
                     );
-                    self.indexed_response(algorithm, served, *k, ResponseDetail::TopK, started)
+                    let detail = ResponseDetail::TopK;
+                    assemble_response(algorithm, served.estimate, *k, cost, detail, started)
                 }
                 None => {
                     let report = run_frogwild(&self.pg, config, &self.execution, &tracer)?;
@@ -734,15 +735,13 @@ impl<'g> Session<'g> {
         self.stats.total_wall_seconds += report.wall_seconds;
     }
 
-    fn indexed_response(
+    /// The cost of one index-served query, and the counters of its trace span read
+    /// back from that cost (the frontier and stitched walks are the span's alone).
+    fn indexed_cost(
         &self,
-        algorithm: String,
-        served: crate::walkindex::IndexedEstimate,
-        k: usize,
-        detail: ResponseDetail,
-        started: Instant,
-    ) -> Response {
-        let stats = &served.stats;
+        span: &mut frogwild_obs::SpanGuard<'_>,
+        stats: &IndexServeStats,
+    ) -> QueryCost {
         let cost = QueryCost {
             replication_factor: self.replication_factor(),
             push_ops: stats.pushes as u64,
@@ -752,7 +751,15 @@ impl<'g> Session<'g> {
             index_served: true,
             ..QueryCost::default()
         };
-        assemble_response(algorithm, served.estimate, k, cost, detail, started)
+        span.counter("pushes", cost.push_ops);
+        span.counter("frontier", stats.frontier_vertices);
+        span.counter("stitched_walks", stats.stitched_walks);
+        span.counter("segment_hits", cost.index_hits);
+        span.counter("segment_misses", cost.index_misses);
+        // Every miss resamples exactly one fresh hop.
+        span.counter("resamples", cost.index_misses);
+        span.counter("walk_hops", cost.walk_hops);
+        cost
     }
 
     fn ppr_response(
@@ -772,6 +779,7 @@ impl<'g> Session<'g> {
         // query is validated before the paths part, so a malformed one is rejected
         // identically with or without an index.
         validate_ppr(self.graph, source, teleport_probability, &method)?;
+        let sink = self.tracer.for_query(seq).sink();
         if let (Some(si), false) = (
             &self.index,
             matches!(method, PprMethod::PowerIteration { .. }),
@@ -783,11 +791,10 @@ impl<'g> Session<'g> {
                 },
                 _ => si.config,
             };
-            let sink = self.tracer.for_query(seq).sink();
             let mut index_span =
                 sink.span(span_meta!("index_ppr"), SpanKey::new(seq, 0, 0, LANE_INDEX));
             let served = indexed_ppr(self.graph, &si.index, &config, source, teleport_probability)?;
-            record_index_counters(&mut index_span, &served.stats);
+            let cost = self.indexed_cost(&mut index_span, &served.stats);
             drop(index_span);
             let detail = ResponseDetail::Ppr {
                 iterations: 0,
@@ -797,9 +804,11 @@ impl<'g> Session<'g> {
                 "PPR walk-index src={source} eps={} walks/residual={}",
                 config.frontier_epsilon, config.walks_per_unit_residual
             );
-            return Ok(self.indexed_response(algorithm, served, k, detail, started));
+            let response = assemble_response(algorithm, served.estimate, k, cost, detail, started);
+            return Ok(response);
         }
-        Ok(ppr_response_over(
+        let mut span = sink.span(span_meta!("ppr"), SpanKey::new(seq, 0, 0, LANE_INDEX));
+        let response = ppr_response_over(
             self.graph,
             source,
             k,
@@ -807,7 +816,10 @@ impl<'g> Session<'g> {
             method,
             self.replication_factor(),
             started,
-        ))
+        );
+        span.counter("pushes", response.cost.push_ops);
+        span.counter("walk_hops", response.cost.walk_hops);
+        Ok(response)
     }
 
     /// The walk index the session serves from, when one was built.
@@ -871,18 +883,6 @@ impl<'g> Session<'g> {
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
-}
-
-/// Attaches the index-serving economics of one query to its trace span.
-fn record_index_counters(span: &mut frogwild_obs::SpanGuard<'_>, stats: &IndexServeStats) {
-    span.counter("pushes", stats.pushes as u64);
-    span.counter("frontier", stats.frontier_vertices);
-    span.counter("stitched_walks", stats.stitched_walks);
-    span.counter("segment_hits", stats.segment_hits);
-    span.counter("segment_misses", stats.segment_misses);
-    // Every miss resamples exactly one fresh hop.
-    span.counter("resamples", stats.segment_misses);
-    span.counter("walk_hops", stats.walk_hops);
 }
 
 /// Answers a [`Query::Ppr`] directly over an unpartitioned graph.

@@ -1,10 +1,8 @@
 //! Cluster description: machine identifiers and cluster-wide configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated machine (cluster node). The paper's experiments use
 /// clusters of 12–24 machines; `u16` leaves generous headroom.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MachineId(pub u16);
 
 impl MachineId {
@@ -29,7 +27,7 @@ impl From<usize> for MachineId {
 }
 
 /// Static description of the simulated cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// Number of machines in the cluster. The paper sweeps 12, 16, 20 and 24.
     pub num_machines: usize,

@@ -16,8 +16,6 @@
 //! `frogwild` crate reports the same type for a driver run, a session response and a
 //! session's running totals.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost of one superstep, one engine run, or one answered query.
 ///
 /// The engine fields are one row of the paper's Figure 1 (total time, network sent,
@@ -279,7 +277,7 @@ impl std::fmt::Display for QueryCost {
 /// usable per-machine bandwidth, 1 ms per-superstep barrier/latency overhead. The
 /// absolute values only shift every series by a constant factor; comparisons between
 /// algorithms use the same model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Seconds of CPU time per work operation (gather/apply/scatter op).
     pub seconds_per_op: f64,
@@ -372,7 +370,7 @@ impl CostModel {
 
 /// One superstep's record: its cost, and the per-machine profile the [`CostModel`]
 /// prices it from.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SuperstepMetrics {
     /// Superstep index (0-based).
     pub superstep: usize,
@@ -405,7 +403,7 @@ impl SuperstepMetrics {
 }
 
 /// Aggregated metrics for a full run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
     /// Per-superstep metrics in execution order.
     pub supersteps: Vec<SuperstepMetrics>,

@@ -9,14 +9,13 @@
 // lint:allow-file(indexing, CSR invariants - monotone offsets and ids below n - are validated at build and load)
 
 use crate::{DanglingPolicy, GraphError};
-use serde::{Deserialize, Serialize};
 
 /// Dense vertex identifier. Graphs in the paper's evaluation have up to 41.6M vertices,
 /// comfortably within `u32`.
 pub type VertexId = u32;
 
 /// An immutable directed graph in CSR form with both adjacency directions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiGraph {
     /// `out_offsets[v]..out_offsets[v+1]` indexes `out_targets` with the successors of `v`.
     out_offsets: Vec<usize>,

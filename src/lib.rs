@@ -8,7 +8,7 @@
 //! * [`frogwild_graph`] — CSR graphs, generators, I/O (crates/graph),
 //! * [`frogwild_engine`] — the simulated PowerGraph-style engine (crates/engine),
 //! * `frogwild_cli` — the `frogwild` command-line binary (crates/cli),
-//! * `frogwild_bench` — the figure harness and Criterion benches (crates/bench).
+//! * `frogwild_bench` — the figure harness and the `frogbench` benchmark (crates/bench).
 
 pub use frogwild;
 pub use frogwild_engine;

@@ -140,14 +140,16 @@ fn assert_spans_sum_to_the_cost(timeline: &Timeline, seq: u64, cost: &QueryCost,
     ] {
         assert_eq!(sum(span, counter), value, "{label}: {span}.{counter}");
     }
-    // Serial PPR records no span of its own; a walk index's serving span is its ledger.
-    if cost.index_served {
-        let index = |counter: &str| sum("index_topk", counter) + sum("index_ppr", counter);
-        assert_eq!(index("pushes"), cost.push_ops, "{label}");
-        assert_eq!(index("segment_hits"), cost.index_hits, "{label}");
-        assert_eq!(index("segment_misses"), cost.index_misses, "{label}");
-        assert_eq!(index("walk_hops"), cost.walk_hops, "{label}");
-    }
+    // A walk index's serving span is its ledger, and serial PPR's `ppr` span is its own.
+    let served = |counter: &str| -> u64 {
+        (["index_topk", "index_ppr", "ppr"].iter())
+            .map(|span| sum(span, counter))
+            .sum()
+    };
+    assert_eq!(served("pushes"), cost.push_ops, "{label}");
+    assert_eq!(served("segment_hits"), cost.index_hits, "{label}");
+    assert_eq!(served("segment_misses"), cost.index_misses, "{label}");
+    assert_eq!(served("walk_hops"), cost.walk_hops, "{label}");
 }
 
 #[test]

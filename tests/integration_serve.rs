@@ -175,6 +175,37 @@ fn timeout_admission_bounds_the_wait_and_still_serves() {
     assert!(report.served > 0);
 }
 
+/// A timeout with no deadline the clock can represent waits like `Admission::Block`.
+/// A panic on the admission thread would leave the workers waiting forever, so the
+/// stream runs on a thread of its own under a watchdog.
+#[test]
+fn an_unrepresentable_admission_timeout_waits_and_serves() {
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let stream = std::thread::spawn(move || {
+        let graph = small_graph();
+        let queries = mixed_stream(4, graph.num_vertices() as u64);
+        let mut session = session_over(&graph);
+        let report = session
+            .serve_with(ServeConfig {
+                workers: 2,
+                queue_depth: 1,
+                batch: 1,
+                admission: Admission::Timeout(Duration::MAX),
+            })
+            .expect("valid test configuration")
+            .serve(&queries);
+        sender.send((report.served, report.rejected, report.failed))
+    });
+    let counts = receiver
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the stream finished before the watchdog");
+    stream
+        .join()
+        .expect("the stream thread")
+        .expect("the receiver");
+    assert_eq!(counts, (4, 0, 0));
+}
+
 #[test]
 fn failed_queries_surface_as_outcomes_not_stream_aborts() {
     let graph = small_graph();
