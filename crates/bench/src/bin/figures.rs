@@ -2,37 +2,35 @@
 //!
 //! ```text
 //! USAGE:
-//!     cargo run -p frogwild-bench --release --bin figures -- [FIGURES...]
+//!     cargo run -p frogwild_bench --release --bin figures -- [FIGURES...]
 //!
 //! FIGURES:
-//!     all (default) | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | theory | ablation | estimator | stragglers | staleness | walkindex | qps
+//!     all (default), or any name of a `frogwild_bench::FIGURES` row; `--help` lists them
 //!
 //! ENVIRONMENT:
 //!     FROGWILD_SCALE=tiny|small|medium   experiment scale (default: small)
 //!     FROGWILD_OUT=<dir>                 CSV output directory (default: bench_results)
 //! ```
 //!
-//! Each figure is printed as a markdown table and written as a CSV file.
+//! Each figure is printed as a markdown table and written as a CSV file. An unknown
+//! figure name or `FROGWILD_SCALE` value exits 1 and lists the accepted ones.
 
-use frogwild_bench::{run_figures, Scale};
-use std::time::Instant;
+use frogwild_bench::report::file_stem;
+use frogwild_bench::{figure_names, run_figures, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "usage: figures [all|fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|theory|ablation|estimator|stragglers|staleness|walkindex|qps]...\n\
-             env:   FROGWILD_SCALE=tiny|small|medium, FROGWILD_OUT=<dir>"
+            "usage: figures [{}]...\n\
+             env:   FROGWILD_SCALE=tiny|small|medium, FROGWILD_OUT=<dir>",
+            figure_names().join("|")
         );
         return;
     }
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| fail(&e));
     let out_dir = std::env::var("FROGWILD_OUT").unwrap_or_else(|_| "bench_results".to_string());
-    let selected = if args.is_empty() {
-        vec!["all".to_string()]
-    } else {
-        args
-    };
+    let selected: Vec<&str> = args.iter().map(String::as_str).collect();
 
     eprintln!(
         "# FrogWild figure harness — scale: {} twitter vertices / {} livejournal vertices, {} walkers, machines {:?}",
@@ -40,41 +38,19 @@ fn main() {
     );
     eprintln!("# figures: {selected:?}; CSV output: {out_dir}/");
 
-    let start = Instant::now();
-    let tables = run_figures(&selected, &scale);
-    if tables.is_empty() {
-        eprintln!("no figures matched {selected:?}");
-        std::process::exit(1);
-    }
-
+    let tables = run_figures(&selected, &scale).unwrap_or_else(|e| fail(&e));
     for table in &tables {
         println!("{}", table.to_markdown());
-        let file_name = sanitize(&table.title);
-        let path = std::path::Path::new(&out_dir).join(format!("{file_name}.csv"));
+        let path = std::path::Path::new(&out_dir).join(format!("{}.csv", file_stem(&table.title)));
         if let Err(e) = table.write_csv(&path) {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
-    eprintln!(
-        "# produced {} tables in {:.1}s",
-        tables.len(),
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("# produced {} tables", tables.len());
 }
 
-/// Turns a table title into a file name: keep the figure id prefix, drop punctuation.
-fn sanitize(title: &str) -> String {
-    let prefix: String = title
-        .chars()
-        .take_while(|&c| c != ':')
-        .collect::<String>()
-        .to_lowercase();
-    prefix
-        .chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '_' })
-        .collect::<String>()
-        .split('_')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("_")
+/// Prints `error: <message>` and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
 }

@@ -60,7 +60,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             &off,
         )
         .expect("valid figure configuration");
-        let (mass, _) = accuracy(&fw, &workload.truth, k);
+        let mass = accuracy(&fw, &workload.truth, k);
         partitioner_table.push_row(vec![
             partitioner.to_string(),
             fmt_f64(pg.placement().replication_factor()),
@@ -102,7 +102,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 &off,
             )
             .expect("valid figure configuration");
-            let (mass, _) = accuracy(&fw, &workload.truth, k);
+            let mass = accuracy(&fw, &workload.truth, k);
             scatter_table.push_row(vec![
                 mode.to_string(),
                 ps.to_string(),

@@ -40,7 +40,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
 
     let mut push = |label: &str, iterations: String, ps: String, report: &RunReport| {
-        let (mass, _) = accuracy(report, &workload.truth, K);
+        let mass = accuracy(report, &workload.truth, K);
         table.push_row(vec![
             label.to_string(),
             iterations,

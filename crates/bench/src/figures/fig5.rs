@@ -46,7 +46,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         let report =
             run_sparsified_pr(&workload.graph, &cluster, keep_probability, &two_iterations)
                 .expect("valid figure configuration");
-        let (mass, _) = accuracy(&report, &workload.truth, K);
+        let mass = accuracy(&report, &workload.truth, K);
         table.push_row(vec![
             "Sparsified GraphLab PR 2 iters".into(),
             keep_probability.to_string(),
@@ -70,7 +70,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             &off,
         )
         .expect("valid figure configuration");
-        let (mass, _) = accuracy(&report, &workload.truth, K);
+        let mass = accuracy(&report, &workload.truth, K);
         table.push_row(vec![
             "FrogWild 4 iters".into(),
             ps.to_string(),

@@ -55,7 +55,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 &off,
             )
             .expect("valid figure configuration");
-            let (mass, _) = accuracy(&report, &workload.truth, K);
+            let mass = accuracy(&report, &workload.truth, K);
             walkers_acc.push_row(vec![walkers.to_string(), ps.to_string(), fmt_f64(mass)]);
             walkers_time.push_row(vec![
                 walkers.to_string(),
@@ -91,7 +91,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 &off,
             )
             .expect("valid figure configuration");
-            let (mass, _) = accuracy(&report, &workload.truth, K);
+            let mass = accuracy(&report, &workload.truth, K);
             iters_acc.push_row(vec![iterations.to_string(), ps.to_string(), fmt_f64(mass)]);
             iters_time.push_row(vec![
                 iterations.to_string(),
@@ -130,7 +130,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     ] {
         let report =
             run_graphlab_pr(&pg, &config, &exec, &off).expect("valid figure configuration");
-        let (mass, _) = accuracy(&report, &workload.truth, K);
+        let mass = accuracy(&report, &workload.truth, K);
         tradeoff.push_row(vec![
             label.to_string(),
             config.max_iterations.to_string(),
@@ -154,7 +154,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
                 &off,
             )
             .expect("valid figure configuration");
-            let (mass, _) = accuracy(&report, &workload.truth, K);
+            let mass = accuracy(&report, &workload.truth, K);
             tradeoff.push_row(vec![
                 "FrogWild".into(),
                 iterations.to_string(),

@@ -68,7 +68,7 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     for s in STALENESS_SWEEP {
         let report = run_frogwild(&pg, &config, &ExecutionConfig::new().staleness(s), &off)
             .expect("valid figure configuration");
-        let (mass, _) = accuracy(&report, &workload.truth, 20);
+        let mass = accuracy(&report, &workload.truth, 20);
         table.push_row(vec![
             s.to_string(),
             fmt_f64(mass),

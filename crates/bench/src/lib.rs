@@ -9,13 +9,19 @@
 //! The `figures` binary is the entry point:
 //!
 //! ```text
-//! cargo run -p frogwild-bench --release --bin figures -- all
-//! cargo run -p frogwild-bench --release --bin figures -- fig1 fig2
-//! FROGWILD_SCALE=medium cargo run -p frogwild-bench --release --bin figures -- fig1
+//! cargo run -p frogwild_bench --release --bin figures -- all
+//! cargo run -p frogwild_bench --release --bin figures -- fig1 fig2
+//! FROGWILD_SCALE=medium cargo run -p frogwild_bench --release --bin figures -- fig1
 //! ```
 //!
-//! Each figure function returns [`crate::report::Table`]s; the binary prints them as
-//! markdown and writes CSVs under `bench_results/`.
+//! [`FIGURES`] lists every figure the harness runs; the binary's name check, its
+//! `--help` and [`run_figures`] all read it. Each figure function returns
+//! [`crate::report::Table`]s; the binary prints them as markdown and writes CSVs
+//! under `bench_results/`, one file per [`report::file_stem`].
+//!
+//! Every number in those tables comes from the engine's simulated clock and cost
+//! model, never from the host clock, so a figure is a function of its [`Scale`]:
+//! two runs print the same bytes. Host-clock speed is frogbench's to measure.
 //!
 //! The experiments run on synthetic graphs whose shape matches the paper's datasets
 //! (see the `frogwild_graph::generators` module docs); [`Scale`] controls the graph
@@ -28,73 +34,78 @@ pub mod workloads;
 
 pub use workloads::Scale;
 
-/// Runs the selected figures and returns all produced tables, in order.
-pub fn run_figures(names: &[String], scale: &Scale) -> Vec<report::Table> {
-    let mut tables = Vec::new();
-    let wants = |name: &str| {
-        names.is_empty()
-            || names.iter().any(|n| n == "all")
-            || names.iter().any(|n| n.eq_ignore_ascii_case(name))
-    };
-    if wants("fig1") {
-        tables.extend(figures::fig1::run(scale));
+use report::Table;
+
+/// A figure's `run` function: its tables at a scale.
+pub type RunFigure = fn(&Scale) -> Vec<Table>;
+
+/// Every figure the harness runs, in output order: the names that select it
+/// (compared ignoring ASCII case) and the function that produces its tables.
+pub const FIGURES: &[(&[&str], RunFigure)] = &[
+    (&["fig1"], figures::fig1::run),
+    (&["fig2"], figures::fig2::run),
+    (&["fig3", "fig4"], figures::fig34::run),
+    (&["fig5"], figures::fig5::run),
+    (&["fig6", "fig7"], figures::fig67::run),
+    (&["fig8"], figures::fig8::run),
+    (&["theory"], figures::theory_check::run),
+    (&["ablation"], figures::ablation::run),
+    (&["estimator"], figures::estimator::run),
+    (&["stragglers"], figures::stragglers::run),
+    (&["staleness"], figures::staleness::run),
+];
+
+/// The names [`run_figures`] accepts: `all`, then every [`FIGURES`] name in order.
+pub fn figure_names() -> Vec<&'static str> {
+    std::iter::once("all")
+        .chain(FIGURES.iter().flat_map(|(names, _)| names.iter().copied()))
+        .collect()
+}
+
+/// Runs the selected figures and returns all produced tables, in [`FIGURES`] order.
+/// No names, or `all`, selects every figure; a name no row lists is an error that
+/// names the accepted ones.
+pub fn run_figures(names: &[&str], scale: &Scale) -> Result<Vec<Table>, String> {
+    let among = |row: &[&str], name: &str| row.iter().any(|r| r.eq_ignore_ascii_case(name));
+    let accepted = figure_names();
+    if let Some(unknown) = names.iter().find(|n| !among(&accepted, n)) {
+        let accepted = accepted.join(", ");
+        return Err(format!("unknown figure {unknown:?} (accepted: {accepted})"));
     }
-    if wants("fig2") {
-        tables.extend(figures::fig2::run(scale));
-    }
-    if wants("fig3") || wants("fig4") {
-        tables.extend(figures::fig34::run(scale));
-    }
-    if wants("fig5") {
-        tables.extend(figures::fig5::run(scale));
-    }
-    if wants("fig6") || wants("fig7") {
-        tables.extend(figures::fig67::run(scale));
-    }
-    if wants("fig8") {
-        tables.extend(figures::fig8::run(scale));
-    }
-    if wants("theory") {
-        tables.extend(figures::theory_check::run(scale));
-    }
-    if wants("ablation") {
-        tables.extend(figures::ablation::run(scale));
-    }
-    if wants("estimator") {
-        tables.extend(figures::estimator::run(scale));
-    }
-    if wants("stragglers") {
-        tables.extend(figures::stragglers::run(scale));
-    }
-    if wants("staleness") {
-        tables.extend(figures::staleness::run(scale));
-    }
-    if wants("walkindex") {
-        tables.extend(figures::walkindex::run(scale));
-    }
-    if wants("qps") {
-        tables.extend(figures::qps::run(scale));
-    }
-    if wants("trace") {
-        tables.extend(figures::trace::run(scale));
-    }
-    tables
+    let every = names.is_empty() || among(names, "all");
+    Ok(FIGURES
+        .iter()
+        .filter(|(row, _)| every || names.iter().any(|n| among(row, n)))
+        .flat_map(|(_, run)| run(scale))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn run_figures_with_unknown_name_produces_nothing() {
-        let tables = run_figures(&["not-a-figure".to_string()], &Scale::tiny());
-        assert!(tables.is_empty());
+        for names in [&["not-a-figure"][..], &["fig8", "fgi2"], &["walkindex"]] {
+            let err = run_figures(names, &Scale::tiny()).unwrap_err();
+            assert!(err.contains("unknown figure"), "{err}");
+            assert!(err.contains("all, fig1, fig2, fig3, fig4"), "{err}");
+        }
     }
 
     #[test]
     fn run_figures_selects_by_name() {
-        let tables = run_figures(&["fig8".to_string()], &Scale::tiny());
+        let tables = run_figures(&["FIG8"], &Scale::tiny()).unwrap();
         assert!(!tables.is_empty());
         assert!(tables.iter().all(|t| t.title.contains("Figure 8")));
+    }
+
+    #[test]
+    fn every_figure_is_a_function_of_its_scale() {
+        let first = run_figures(&["all"], &Scale::tiny()).unwrap();
+        assert_eq!(first, run_figures(&["all"], &Scale::tiny()).unwrap());
+        let stems: BTreeSet<String> = first.iter().map(|t| report::file_stem(&t.title)).collect();
+        assert_eq!(stems.len(), first.len(), "two tables share a CSV file");
     }
 }

@@ -1,8 +1,9 @@
 //! Tiny table writers used by the figure harness.
 //!
 //! The benchmark harness prints every figure's data series as a table on stdout and
-//! writes the same rows as a CSV file under `bench_results/`. Implemented by hand to
-//! keep the dependency set to the crates the rest of the workspace already uses.
+//! writes the same rows as a CSV file under `bench_results/`, named by [`file_stem`].
+//! Implemented by hand to keep the dependency set to the crates the rest of the
+//! workspace already uses.
 
 use std::io::Write;
 use std::path::Path;
@@ -107,6 +108,24 @@ fn csv_row(cells: &[String]) -> String {
         .join(",")
 }
 
+/// The CSV file name (without extension) of a table titled `title`: the figure id
+/// before the first `:`, lower-cased, each run of punctuation one `_`.
+pub fn file_stem(title: &str) -> String {
+    let prefix: String = title
+        .chars()
+        .take_while(|&c| c != ':')
+        .collect::<String>()
+        .to_lowercase();
+    prefix
+        .chars()
+        .map(|c| if c.is_alphanumeric() { c } else { '_' })
+        .collect::<String>()
+        .split('_')
+        .filter(|s| !s.is_empty())
+        .collect::<Vec<_>>()
+        .join("_")
+}
+
 /// Formats a float with a sensible number of significant digits for table output.
 pub fn fmt_f64(value: f64) -> String {
     if value == 0.0 {
@@ -178,6 +197,13 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("machines,seconds"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_stems_keep_the_figure_id() {
+        assert_eq!(file_stem("Figure 6(a): accuracy vs walkers"), "figure_6_a");
+        assert_eq!(file_stem("Figures 3-4: accuracy"), "figures_3_4");
+        assert_eq!(file_stem("no colon here"), "no_colon_here");
     }
 
     #[test]

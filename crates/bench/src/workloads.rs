@@ -73,13 +73,25 @@ impl Scale {
         }
     }
 
-    /// Reads `FROGWILD_SCALE` from the environment (`tiny`, `small`, `medium`),
-    /// defaulting to [`Scale::small`].
-    pub fn from_env() -> Self {
-        match std::env::var("FROGWILD_SCALE").as_deref() {
-            Ok("tiny") => Scale::tiny(),
-            Ok("medium") => Scale::medium(),
-            _ => Scale::small(),
+    /// The preset a `FROGWILD_SCALE` value names: `tiny`, `small` or `medium`; unset
+    /// (`None`) is [`Scale::small`]. Any other value is an error naming the presets.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("tiny") => Ok(Scale::tiny()),
+            None | Some("small") => Ok(Scale::small()),
+            Some("medium") => Ok(Scale::medium()),
+            Some(other) => Err(format!(
+                "unknown FROGWILD_SCALE {other:?} (accepted: tiny, small, medium)"
+            )),
+        }
+    }
+
+    /// Reads `FROGWILD_SCALE` from the environment through [`Scale::parse`].
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("FROGWILD_SCALE") {
+            Ok(value) => Scale::parse(Some(&value)),
+            Err(std::env::VarError::NotPresent) => Scale::parse(None),
+            Err(e) => Err(format!("FROGWILD_SCALE: {e}")),
         }
     }
 
@@ -147,6 +159,18 @@ mod tests {
         assert!(tiny.twitter_vertices < small.twitter_vertices);
         assert!(small.twitter_vertices < medium.twitter_vertices);
         assert_eq!(small.machine_counts, vec![12, 16, 20, 24]);
+    }
+
+    #[test]
+    fn scale_names_parse_and_unknown_ones_are_rejected() {
+        assert_eq!(Scale::parse(None), Ok(Scale::small()));
+        assert_eq!(Scale::parse(Some("tiny")), Ok(Scale::tiny()));
+        assert_eq!(Scale::parse(Some("small")), Ok(Scale::small()));
+        assert_eq!(Scale::parse(Some("medium")), Ok(Scale::medium()));
+        for bad in ["medum", "", "Tiny"] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("tiny, small, medium"), "{err}");
+        }
     }
 
     #[test]

@@ -107,14 +107,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with an explicit worker count and the other knobs at their defaults.
-    pub fn with_workers(workers: usize) -> Self {
-        ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        }
-    }
-
     /// Validates the configuration as a typed [`Error::InvalidConfig`].
     pub fn validate(&self) -> Result<()> {
         if self.queue_depth == 0 {
@@ -424,10 +416,13 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(ServeConfig::with_workers(3).validate().is_ok());
-        assert_eq!(ServeConfig::with_workers(3).workers, 3);
-        assert_eq!(ServeConfig::with_workers(3).effective_workers(), 3);
-        assert!(ServeConfig::with_workers(0).effective_workers() >= 1);
+        let three = ServeConfig {
+            workers: 3,
+            ..ServeConfig::default()
+        };
+        assert!(three.validate().is_ok());
+        assert_eq!(three.effective_workers(), 3);
+        assert!(ServeConfig::default().effective_workers() >= 1);
     }
 
     #[test]
@@ -465,7 +460,10 @@ mod tests {
 
         let mut serial_session = Session::builder(&g).machines(4).seed(5).build().unwrap();
         let serial = serial_session
-            .serve_with(ServeConfig::with_workers(1))
+            .serve_with(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            })
             .unwrap()
             .serve_serial(&queries);
 
@@ -498,15 +496,16 @@ mod tests {
     fn sequence_ids_continue_across_serve_calls() {
         let g = test_graph(200);
         let queries = mixed_stream(6);
+        let config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
 
         let mut one_call = Session::builder(&g).machines(2).seed(8).build().unwrap();
-        let whole = one_call
-            .serve_with(ServeConfig::with_workers(2))
-            .unwrap()
-            .serve(&queries);
+        let whole = one_call.serve_with(config).unwrap().serve(&queries);
 
         let mut two_calls = Session::builder(&g).machines(2).seed(8).build().unwrap();
-        let mut handle = two_calls.serve_with(ServeConfig::with_workers(2)).unwrap();
+        let mut handle = two_calls.serve_with(config).unwrap();
         let first = handle.serve(&queries[..3]);
         let second = handle.serve(&queries[3..]);
 

@@ -95,7 +95,10 @@ fn tracing_is_bit_identical_across_workers_and_staleness() {
                     session.serve().serve_serial(&queries)
                 } else {
                     session
-                        .serve_with(ServeConfig::with_workers(workers))
+                        .serve_with(ServeConfig {
+                            workers,
+                            ..ServeConfig::default()
+                        })
                         .expect("valid test configuration")
                         .serve(&queries)
                 };
@@ -226,7 +229,10 @@ fn chrome_export_round_trips_through_the_validator() {
     let queries = mixed_stream(8, graph.num_vertices() as u64);
     let mut session = session_over(&graph, TraceConfig::enabled(), 0);
     let report = session
-        .serve_with(ServeConfig::with_workers(2))
+        .serve_with(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        })
         .expect("valid test configuration")
         .serve(&queries);
     assert_eq!(report.served, queries.len() as u64);

@@ -93,7 +93,10 @@ fn every_worker_count_is_bit_identical_to_the_serial_path() {
     for workers in [1usize, 2, 4, 8] {
         let mut session = session_over(&graph);
         let report = session
-            .serve_with(ServeConfig::with_workers(workers))
+            .serve_with(ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            })
             .expect("valid test configuration")
             .serve(&queries);
         assert_eq!(report.served, 32, "{workers} workers");
@@ -217,7 +220,10 @@ fn failed_queries_surface_as_outcomes_not_stream_aborts() {
     };
     let mut session = session_over(&graph);
     let report = session
-        .serve_with(ServeConfig::with_workers(2))
+        .serve_with(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        })
         .expect("valid test configuration")
         .serve(&queries);
     assert_eq!(report.served, 7);
@@ -233,7 +239,10 @@ fn latency_and_wall_telemetry_flow_into_session_stats() {
     let queries = mixed_stream(12, graph.num_vertices() as u64);
     let mut session = session_over(&graph);
     let report = session
-        .serve_with(ServeConfig::with_workers(2))
+        .serve_with(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        })
         .expect("valid test configuration")
         .serve(&queries);
 
@@ -270,7 +279,10 @@ fn a_pool_larger_than_the_stream_spawns_a_worker_per_batch_at_most() {
     let graph = small_graph();
     let queries = mixed_stream(3, graph.num_vertices() as u64);
     let mut session = session_over(&graph);
-    let config = ServeConfig::with_workers(usize::MAX);
+    let config = ServeConfig {
+        workers: usize::MAX,
+        ..ServeConfig::default()
+    };
     let report = session
         .serve_with(config)
         .expect("valid test configuration")
@@ -297,12 +309,18 @@ fn eight_workers_beat_one_by_3x_on_parallel_hardware() {
 
     let mut one = session_over(&graph);
     let single = one
-        .serve_with(ServeConfig::with_workers(1))
+        .serve_with(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
         .expect("valid test configuration")
         .serve(&queries);
     let mut eight = session_over(&graph);
     let pooled = eight
-        .serve_with(ServeConfig::with_workers(8))
+        .serve_with(ServeConfig {
+            workers: 8,
+            ..ServeConfig::default()
+        })
         .expect("valid test configuration")
         .serve(&queries);
 
