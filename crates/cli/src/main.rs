@@ -394,7 +394,7 @@ fn cmd_topk(args: &Args) -> Result<()> {
             "it configures the engine, but --walk-index serves topk from precomputed segments",
         );
     }
-    let k: usize = args.get_parsed("k", 100, "an integer")?;
+    let k = ranked_count(args, 100)?;
     let repeat: usize = args.get_parsed("repeat", 1usize, "an integer")?;
     if repeat == 0 {
         return Err(Error::config("command line", "--repeat must be at least 1"));
@@ -410,18 +410,28 @@ fn cmd_topk(args: &Args) -> Result<()> {
     finish_ranking(args, &session, &response, &loaded, "estimated_mass")
 }
 
+/// `--k`, the number of vertices a ranking command reports: at least one.
+fn ranked_count(args: &Args, default: usize) -> Result<usize> {
+    let k: usize = args.get_parsed("k", default, "an integer")?;
+    if k == 0 {
+        return Err(Error::config("command line", "--k must be at least 1"));
+    }
+    Ok(k)
+}
+
 fn cmd_pagerank(args: &Args) -> Result<()> {
-    let loaded = load_graph(args)?;
-    let mut session = session_over(args, &loaded.graph, None)?;
     let mut config = if args.has_flag("exact") {
         PageRankConfig::exact()
     } else {
         PageRankConfig::truncated(args.get_parsed("iterations", 2usize, "an integer")?)
     };
     config.tolerance = args.get_parsed("tolerance", config.tolerance, "a non-negative number")?;
+    let k = ranked_count(args, 100)?;
+    // Fail fast on a bad configuration before the (expensive) graph load + partition.
     config.validate()?;
-    let k: usize = args.get_parsed("k", 100, "an integer")?;
 
+    let loaded = load_graph(args)?;
+    let mut session = session_over(args, &loaded.graph, None)?;
     let response = session.query(&Query::Pagerank { k, config })?;
     finish_ranking(args, &session, &response, &loaded, "score")
 }

@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 19] = [
+    let table: [Case<'_>; 23] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -159,6 +159,24 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             &["stats", "--graph", ids, "--machines", "4"],
             Err("option --machines does not apply to stats"),
         ),
+        // A bad configuration is rejected before the graph is generated and
+        // partitioned (the loop checks that no `session:` line was printed).
+        (
+            &["pagerank", "--synthetic", "twitter", "--vertices", "2000", "--iterations", "0"],
+            Err("error: invalid PageRankConfig: max_iterations must be positive"),
+        ),
+        (
+            &["pagerank", "--synthetic", "twitter", "--vertices", "2000", "--tolerance", "NaN"],
+            Err("error: invalid PageRankConfig: tolerance must be finite and non-negative"),
+        ),
+        (
+            &["pagerank", "--synthetic", "twitter", "--vertices", "2000", "--k", "0"],
+            Err("error: invalid command line: --k must be at least 1"),
+        ),
+        (
+            &["topk", "--synthetic", "twitter", "--vertices", "2000", "--k", "0"],
+            Err("error: invalid command line: --k must be at least 1"),
+        ),
         // The subcommand is checked by the parser, before any of its options.
         (
             &["topkk", "--walker", "100"],
@@ -179,6 +197,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             Err(text) => {
                 assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
                 assert!(stderr.contains(text), "{args:?}: {stderr}");
+                assert!(!stderr.contains("session:"), "{args:?}: {stderr}");
             }
         }
     }

@@ -46,13 +46,11 @@ pub struct FrogWildConfig {
     /// [`ExecutionConfig::workers`] threads instead of the calling thread. Results are
     /// bit-identical either way.
     ///
-    /// Off by default because it does not pay at the paper's operating point, walkers
-    /// ≪ vertices: at 20 000 walkers on 100 000 vertices a frontier holds about
-    /// 12 000 vertices, too little work for a phase to earn back the threads it
-    /// starts. On two cores the `fw_topk_sweep` benchmark read 11.4–12.2 ms per
-    /// query serial against 10.9–11.5 ms pooled, inside its run-to-run spread: the
-    /// pool takes the traced scatter phase from 4.2 to 2.9 ms but apply from 1.6 to
-    /// 2.6 ms.
+    /// Off by default, although it now pays at the paper's operating point, walkers
+    /// ≪ vertices: with every per-vertex loop of a superstep on the pool, the
+    /// `fw_topk_sweep` benchmark (20 000 walkers on 100 000 vertices, two cores) read
+    /// 16.4 ms per query pooled against 21.1 ms serial (medians of ten alternating
+    /// pairs; pooled faster in all ten, at every `p_s`), for 5.2 MiB more peak memory.
     pub parallel: bool,
     /// Delta-gating threshold: a vertex whose live-walker count after apply is at or
     /// below this value skips synchronization and scatter and drops out of the

@@ -11,19 +11,20 @@
 //! A vertex is addressed one way. Its *mail* lives in per-run arrays indexed by global
 //! vertex id (a vertex has one master, so nothing else is needed to address it),
 //! allocated once: the combined incoming message and the combined gather accumulator,
-//! occupied only where the frontier says and emptied by apply, and, one per pool
+//! occupied only where the frontier says and emptied after apply, and, one per pool
 //! thread, the combined *outgoing* message of the machine that thread is scattering.
-//! Its *state* lives in per-machine replica caches, and the slot of every replica comes
-//! from the table [`VertexPlacement`](crate::placement::VertexPlacement) recorded when
-//! the graph was partitioned; nothing in a run searches for a vertex.
+//! Its *state* lives in per-machine replica caches, and the slot of every replica —
+//! with whether its machine owns an out-edge or an in-edge of the vertex — comes from
+//! the table [`VertexPlacement`](crate::placement::VertexPlacement) recorded when the
+//! graph was partitioned; nothing in a run searches for a vertex.
 //!
 //! Walkers headed to the same vertex travel as one message (the paper's first
 //! optimization), and each machine combines its own mail, as GraphLab's machines do.
-//! One machine's scatter is one work unit: the thread that runs it writes the emissions
-//! to its lane's outbox in production order — task order, edge order within a task —
-//! folds them into the lane's outgoing slots, `combine(so far, next)`, sorts only the
-//! *distinct* destinations and hands back the combined messages in ascending order. The
-//! driver thread just stages the machines' lists in machine order and charges the sends.
+//! One machine's scatter is one work unit: the thread that runs it folds each emission,
+//! where it is produced, into its lane's outgoing slot for the destination —
+//! `combine(so far, next)` in production order, task order then edge order — and marks
+//! the destination in the lane's bitmap; reading the bitmap back hands the combined
+//! messages over in ascending destination order, with no copy and no sort.
 //!
 //! Inter-machine messages flow through a **bounded-staleness staging inbox**: a
 //! message produced in superstep `t` on the channel from machine `a` to machine `b`
@@ -40,7 +41,7 @@
 //! are bit-identical across worker counts for any fixed staleness bound, and
 //! `staleness = 0` reproduces the synchronous engine bit-for-bit.
 //!
-//! The superstep operates on an explicit frontier — the sorted set of vertices
+//! The superstep operates on an explicit frontier — the ascending set of vertices
 //! activated by last superstep's messages. One gate shrinks it: after apply the
 //! executor asks the program for `delta(old, new)` and drops any vertex whose delta is
 //! at or below [`EngineConfig::tolerance`] out of the frontier, skipping its
@@ -49,17 +50,32 @@
 //! of zero and is gated at every tolerance; `tolerance = 0` never gates a vertex that
 //! still changes, and reproduces the ungated engine bit-for-bit.
 //!
-//! Gather, apply and scatter run through one phase runner over per-machine task lists.
-//! Gather and apply cut each list into contiguous key ranges of `BATCH_SIZE` tasks;
-//! scatter keeps a machine's list whole. The units are served by a worker pool of
-//! [`EngineConfig::workers`] threads, never more than the host has or the phase has
-//! units, and each thread works in its own lane. Workers only *read* shared state; every
-//! cache write happens in a serial commit step between phases, which takes the units'
-//! results in canonical (machine, range) order. All random decisions go through
-//! counter-mode hashes of `(seed, superstep, vertex, machine)`, so any worker count
+//! The driver thread walks no vertex, replica, partial or message. Every such loop runs
+//! on a worker pool of [`EngineConfig::workers`] threads — never more than the host has
+//! or the phase has units, each thread in its own lane — in one of three kinds of unit:
+//!
+//! * a **frontier range** of `RANGE_SIZE` consecutive frontier vertices, owning their
+//!   slots of the inbox and the accumulators: it lists its vertices' gather and apply
+//!   tasks per machine, folds the gather partials addressed to it machine by machine,
+//!   and decides its vertices' synchronization, queueing a refresh for every
+//!   synchronized mirror and a scatter for every scattering replica on the replica's
+//!   machine. The drain runs on spans of vertex ids the same way, before the frontier
+//!   is known;
+//! * a **gather batch** of `BATCH_SIZE` consecutive tasks of one machine's gather
+//!   list, which only reads the caches;
+//! * a **machine**, owning its replica cache: in apply it updates its masters in
+//!   place, `BATCH_SIZE` tasks to a span; in scatter it refreshes its synchronized
+//!   mirrors and scatters its replicas, in range order.
+//!
+//! The driver only concatenates unit outputs in canonical (range, machine) order and
+//! sums counters. Every fold keeps production order — a vertex's partials and mail are
+//! folded machine by machine, each machine's list ascending — and every random decision
+//! is a counter-mode hash of `(seed, superstep, vertex, machine)`, so any worker count
 //! produces identical results for identical configurations.
 
 // lint:allow-file(indexing, hot path: every index is a vertex id or a slot the placement table recorded at build time)
+
+mod units;
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -67,12 +83,15 @@ use std::time::Instant;
 use frogwild_graph::VertexId;
 use frogwild_obs::{span_meta, SpanKey, SpanSink, Tracer};
 
-use crate::cluster::MachineId;
 use crate::metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
 use crate::placement::PartitionedGraph;
 use crate::pool::{run_batched, worker_threads};
-use crate::program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
+use crate::program::{EdgeDirection, VertexProgram};
 use crate::rng;
+
+use units::{
+    drain_marks, mark, DrainSpan, Lane, MachineUnit, Partials, RangeSlots, SyncRange, Synced,
+};
 
 /// Domain-separation tags for the deterministic randomness streams.
 const TAG_APPLY: u64 = 0xA111;
@@ -92,8 +111,12 @@ const LANE_SCATTER: u16 = 4;
 const LANE_ROUTE: u16 = 5;
 const LANE_WATERMARK: u16 = 6;
 
-/// Tasks per gather or apply work unit: one contiguous key range of one machine's list.
+/// Tasks per gather unit, and per apply span: one contiguous key range of one machine's
+/// list.
 const BATCH_SIZE: usize = 512;
+
+/// Frontier vertices per range unit, and the staged messages a drain unit is cut for.
+const RANGE_SIZE: usize = 2048;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -156,27 +179,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// The engine's active set for one superstep, from an arbitrary list of vertices: sorted
-/// and deduplicated. It holds the vertices that received a message (or were explicitly
-/// activated) and will run apply this superstep, and shrinks as delta gating drops the
-/// vertices that have gone quiet — which is what makes later supersteps cheaper than
-/// the first.
-fn frontier_of(mut vertices: Vec<VertexId>) -> Vec<VertexId> {
-    vertices.sort_unstable();
-    vertices.dedup();
-    vertices
-}
-
-/// A contiguous range of one machine's phase task list, executed as a unit by the
-/// worker pool (the key-range scheduling idiom: each unit touches one shard only,
-/// so workers never contend on a machine's data).
-#[derive(Clone, Copy, Debug)]
-struct BatchRange {
-    machine: usize,
-    start: usize,
-    end: usize,
-}
-
 /// How the first superstep's active set is formed.
 pub enum InitialActivation<M> {
     /// Every vertex is active in superstep 0 with no incoming message
@@ -197,51 +199,41 @@ pub struct EngineOutput<S> {
     pub metrics: RunMetrics,
 }
 
-/// One active vertex's apply, queued on its master's machine.
-struct ApplyTask<P: VertexProgram> {
-    /// Slot of the vertex in its master's cache.
-    local: u32,
-    vertex: VertexId,
-    /// Position of the vertex in the frontier, where its delta is written back.
-    position: usize,
-    accum: Option<P::Accum>,
-    message: Option<P::Message>,
+/// A contiguous range of one machine's gather task list, executed as a unit by the
+/// worker pool (the key-range scheduling idiom: each unit touches one shard only,
+/// so workers never contend on a machine's data).
+#[derive(Clone, Copy, Debug)]
+struct BatchRange {
+    machine: usize,
+    start: usize,
+    end: usize,
 }
 
-/// One synchronized replica's scatter, queued on the replica's machine.
-struct ScatterTask {
+/// A gather batch as `gather_batches` hands it back: its key range, its partials and
+/// its edge operations.
+type Gathered<A> = (BatchRange, (Partials<A>, u64));
+
+/// One active vertex's apply, queued on its master's machine: the vertex and its slot
+/// in the master's cache.
+#[derive(Clone, Copy)]
+struct ApplyTask {
     local: u32,
     vertex: VertexId,
-    replica_rank: usize,
-    num_participating: usize,
 }
 
-/// The combined messages staged for one visibility superstep, in production order —
-/// producing superstep, sending machine, destination vertex, each ascending — which is
-/// also the order they are drained.
+/// The combined messages staged for one visibility superstep: one run per (producing
+/// superstep, sending machine), in that order, each ascending by destination — the
+/// production order they are drained in.
 struct StagedSlot<M> {
-    messages: Vec<(VertexId, M)>,
+    runs: Vec<Vec<(VertexId, M)>>,
     /// Summed supersteps of delay relative to synchronous (next-superstep) delivery.
     lag: u64,
 }
 
-/// What one pool thread works in for a whole run: the outbox its scatter units emit
-/// into, and the vertex-indexed outgoing slots (sized by the first unit that needs
-/// them) plus the slots `touched` that the outbox is folded into. Empty between units.
-struct Lane<M> {
-    outgoing: Vec<Option<M>>,
-    touched: Vec<VertexId>,
-    outbox: Vec<(VertexId, M)>,
-}
-
-/// One machine's combined outgoing mail, as its scatter unit hands it to the driver.
-struct Mail<M> {
-    /// The messages by the ring slot they are staged in (their lag), each list in
-    /// ascending destination order; messages past the superstep horizon are dropped.
-    slots: Vec<Vec<(VertexId, M)>>,
-    /// Distinct destinations, and those whose master is another machine.
-    routed: u64,
-    remote: u64,
+impl<M> StagedSlot<M> {
+    fn len(&self) -> usize {
+        self.runs.iter().map(Vec::len).sum()
+    }
 }
 
 /// Everything a run mutates, allocated once by [`Engine::run`].
@@ -249,11 +241,13 @@ struct RunState<P: VertexProgram> {
     /// Replica state caches: `caches[machine][slot]`.
     caches: Vec<Vec<P::State>>,
     /// The combined incoming message of every vertex, by vertex id. Occupied only for
-    /// vertices of the current frontier; apply takes it.
+    /// vertices of the current frontier; emptied once apply has read it.
     inbox: Vec<Option<P::Message>>,
     /// The combined gather accumulator of every vertex, by vertex id. Filled by the
-    /// gather commit and taken by apply within one superstep.
+    /// gather commit and emptied once apply has read it, within one superstep.
     accums: Vec<Option<P::Accum>>,
+    /// One bit per vertex: the inbox slots a drain has filled. Clear between drains.
+    arrivals: Vec<u64>,
     /// One lane per pool thread: never more than the host has threads.
     lanes: Vec<Lane<P::Message>>,
     /// The bounded-staleness staging inbox, a ring whose front becomes visible at the
@@ -261,12 +255,10 @@ struct RunState<P: VertexProgram> {
     /// superstep horizon. The drain schedule is a pure function of the configuration —
     /// worker counts never reorder it.
     staged: VecDeque<StagedSlot<P::Message>>,
-    /// Per-machine task lists of the three phases and the sync loop's replica list:
-    /// cleared every superstep, never reallocated.
+    /// Per-machine task lists of gather and apply: cleared every superstep, never
+    /// reallocated.
     gather_tasks: Vec<Vec<u32>>,
-    apply_tasks: Vec<Vec<ApplyTask<P>>>,
-    scatter_tasks: Vec<Vec<ScatterTask>>,
-    participating: Vec<(MachineId, u32)>,
+    apply_tasks: Vec<Vec<ApplyTask>>,
 }
 
 /// Puts `value` into `slot`, folding it into what is already there (`combine(old,
@@ -352,35 +344,34 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 .collect(),
             inbox: (0..num_vertices).map(|_| None).collect(),
             accums: (0..num_vertices).map(|_| None).collect(),
-            lanes: (0..threads)
-                .map(|_| Lane {
-                    outgoing: Vec::new(),
-                    touched: Vec::new(),
-                    outbox: Vec::new(),
-                })
-                .collect(),
+            arrivals: vec![0; num_vertices.div_ceil(64)],
+            lanes: (0..threads).map(|_| Lane::default()).collect(),
             // `visibility` clamps every delivery to the superstep horizon, so a window
             // wider than the run needs no more slots than the run has supersteps.
             staged: (0..=self.config.staleness.min(self.config.max_supersteps))
                 .map(|_| StagedSlot {
-                    messages: Vec::new(),
+                    runs: Vec::new(),
                     lag: 0,
                 })
                 .collect(),
             gather_tasks: vec![Vec::new(); num_machines],
-            apply_tasks: (0..num_machines).map(|_| Vec::new()).collect(),
-            scatter_tasks: (0..num_machines).map(|_| Vec::new()).collect(),
-            participating: Vec::new(),
+            apply_tasks: vec![Vec::new(); num_machines],
         };
 
         // Initial frontier.
         let mut frontier: Vec<VertexId> = match initial {
             InitialActivation::AllVertices => (0..num_vertices as VertexId).collect(),
             InitialActivation::Messages(messages) => {
-                // Combine per destination, delivering to the masters locally.
-                let mut vertices = Vec::new();
-                self.fold_messages(&mut state.inbox, &mut vertices, messages);
-                frontier_of(vertices)
+                // Combine per destination, delivering to the masters locally, and read
+                // the recipients back in ascending order.
+                for (vertex, message) in messages {
+                    let slot = &mut state.inbox[vertex as usize];
+                    deposit(slot, message, |a, b| self.program.combine_messages(a, b));
+                    mark(&mut state.arrivals, vertex as usize);
+                }
+                let mut recipients = Vec::new();
+                drain_marks(&mut state.arrivals, |v| recipients.push(v as VertexId));
+                recipients
             }
         };
 
@@ -407,7 +398,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 // Quiescent right now, but messages may still be in flight: jump to
                 // the earliest staged visibility instead of idling through empty
                 // supersteps. No staged work at all means the run is finished.
-                match state.staged.iter().position(|s| !s.messages.is_empty()) {
+                match state.staged.iter().position(|s| !s.runs.is_empty()) {
                     Some(ahead) if superstep + ahead < self.config.max_supersteps => {
                         state.staged.rotate_left(ahead);
                         superstep += ahead;
@@ -415,12 +406,12 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                     _ => break,
                 }
             }
-            // Drain everything due at this superstep into the inbox; newly delivered
-            // messages activate their destination vertices.
-            let (activations, lag) = self.drain_staged(&mut state);
-            if !activations.is_empty() {
-                frontier.extend(activations);
-                frontier = frontier_of(frontier);
+            // Drain everything due at this superstep into the inbox; its recipients are
+            // the frontier. Only superstep 0 starts with a frontier of its own, and
+            // nothing is staged before it.
+            let (drained, lag) = self.drain_staged(&mut state);
+            if !drained.is_empty() {
+                frontier = drained;
             }
 
             let mut step_span = loop_sink.span(
@@ -433,7 +424,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             step.cost.staleness_lag = lag;
             // Everything staged past the next superstep (the ring's front).
             step.cost.max_inbox_depth = (state.staged.iter().skip(1))
-                .map(|slot| slot.messages.len() as u64)
+                .map(|slot| slot.len() as u64)
                 .sum();
 
             // Simulated time. Synchronous runs keep the barriered cost model
@@ -491,7 +482,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             drop(step_span);
 
             metrics.supersteps.push(step);
-            frontier = Vec::new();
+            frontier.clear();
             superstep += 1;
         }
         if self.config.staleness > 0 {
@@ -511,24 +502,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             .collect();
 
         EngineOutput { states, metrics }
-    }
-
-    /// Folds `messages`, in the order given, into the vertex-indexed `slots` — walkers
-    /// headed to the same vertex travel as one message, the paper's first optimization
-    /// — and lists every vertex whose slot was empty on `touched`.
-    fn fold_messages(
-        &self,
-        slots: &mut [Option<P::Message>],
-        touched: &mut Vec<VertexId>,
-        messages: impl IntoIterator<Item = (VertexId, P::Message)>,
-    ) {
-        for (vertex, message) in messages {
-            if deposit(&mut slots[vertex as usize], message, |a, b| {
-                self.program.combine_messages(a, b)
-            }) {
-                touched.push(vertex);
-            }
-        }
     }
 
     /// The staging-ring slot of a message produced in `superstep` on the channel from
@@ -560,19 +533,37 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
     /// Drains the ring's front slot — every staged message due at the superstep about
     /// to run — into the inbox, in production order: the fixed drain schedule that
-    /// makes bounded-staleness runs deterministic. The emptied slot goes round to the
-    /// back. Returns the vertices the deliveries activated (unsorted) and the summed
-    /// delivery lag in supersteps.
+    /// makes bounded-staleness runs deterministic. Units are spans of whole bitmap words
+    /// of vertex ids, cut for about `RANGE_SIZE` messages each; each folds the runs'
+    /// messages to its span run by run. The emptied slot goes round to the back.
+    /// Returns the recipients, ascending, and the summed delivery lag in supersteps.
     fn drain_staged(&self, state: &mut RunState<P>) -> (Vec<VertexId>, u64) {
-        let mut activations = Vec::new();
-        let mut lag = 0u64;
         state.staged.rotate_left(1);
-        if let Some(slot) = state.staged.back_mut() {
-            lag = std::mem::take(&mut slot.lag);
-            let due = slot.messages.drain(..);
-            self.fold_messages(&mut state.inbox, &mut activations, due);
+        let Some(slot) = state.staged.back_mut() else {
+            return (Vec::new(), 0);
+        };
+        let lag = std::mem::take(&mut slot.lag);
+        let runs = std::mem::take(&mut slot.runs);
+        let due: usize = runs.iter().map(Vec::len).sum();
+        if due == 0 {
+            return (Vec::new(), lag);
         }
-        (activations, lag)
+        let span = (state.inbox.len())
+            .div_ceil(due.div_ceil(RANGE_SIZE))
+            .next_multiple_of(64);
+        let mut units: Vec<DrainSpan<'_, P::Message>> = (state.inbox.chunks_mut(span))
+            .zip(state.arrivals.chunks_mut(span / 64))
+            .enumerate()
+            .map(|(i, (slots, marks))| DrainSpan {
+                base: i * span,
+                slots,
+                marks,
+            })
+            .collect();
+        let recipients = run_batched(&mut units, &mut state.lanes, |_, unit, _| {
+            self.drain_range(&runs, unit)
+        });
+        (recipients.concat(), lag)
     }
 
     /// Executes one superstep: takes the frontier's mail, commits fresh states to
@@ -594,8 +585,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             staged,
             gather_tasks,
             apply_tasks,
-            scatter_tasks,
-            participating,
             ..
         } = state;
         let num_machines = self.graph.num_machines();
@@ -613,161 +602,116 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         };
         let header_bytes = self.cost_model.message_header_bytes;
         let step = superstep as u64;
+        let ranges: Vec<&[VertexId]> = active.chunks(RANGE_SIZE).collect();
+        let replicas = placement.replication_factor();
 
         // ------------------------------------------------------------------ gather --
         let mut gather_span =
             sink.span(span_meta!("gather"), SpanKey::new(step, 0, 0, LANE_GATHER));
         if self.program.gather_direction() == EdgeDirection::In {
-            // Which slots must gather on each machine.
-            gather_tasks.iter_mut().for_each(Vec::clear);
-            for &v in active {
-                for (m, local) in placement.replica_slots(v) {
-                    if self.graph.shard(m).local_in_degree(local) > 0 {
-                        gather_tasks[m.index()].push(local);
-                    }
+            // Which slots must gather on each machine: the replicas owning an in-edge.
+            self.machine_lists(&ranges, lanes, gather_tasks, replicas, |v, lists| {
+                for replica in placement.replicas_of(v).filter(|r| r.owns_in_edge) {
+                    lists[replica.machine.index()].push(replica.slot);
                 }
-            }
-            let gathered =
-                self.run_phase(step, LANE_GATHER, gather_tasks, lanes, |m, locals, _| {
-                    self.gather_batch(m, &caches[m], locals)
-                });
+            });
+            let gathered = self.gather_batches(step, caches, gather_tasks, lanes);
             let accum_bytes = (self.program.accum_bytes() + header_bytes) as u64;
-            for (BatchRange { machine, .. }, (partials, ops)) in gathered {
+            for (BatchRange { machine, .. }, (partials, ops)) in &gathered {
                 record.cost.gather_ops += ops;
-                record.ops_per_machine[machine] += ops;
-                for (vertex, accum) in partials {
-                    if placement.master(vertex).index() != machine {
-                        record.send(machine, 1, accum_bytes);
-                    }
-                    deposit(&mut accums[vertex as usize], accum, |a, b| {
-                        self.program.combine_accums(a, b)
-                    });
-                }
+                record.ops_per_machine[*machine] += ops;
+                record.send(*machine, partials.remote, accum_bytes);
             }
+            // Each range folds the partials addressed to its vertices, machine by
+            // machine: the units are in (machine, range) order.
+            let mut units = range_slots(&ranges, accums);
+            run_batched(&mut units, lanes, |_, unit, _| {
+                self.commit_partials(unit, &gathered);
+            });
         }
         gather_span.counter("edge_ops", record.cost.gather_ops);
         drop(gather_span);
 
         // ------------------------------------------------------------------- apply --
         let mut apply_span = sink.span(span_meta!("apply"), SpanKey::new(step, 0, 0, LANE_APPLY));
-        apply_tasks.iter_mut().for_each(Vec::clear);
-        for (position, &v) in active.iter().enumerate() {
+        self.machine_lists(&ranges, lanes, apply_tasks, 1.0, |v, lists| {
             let (master, local) = placement.master_slot(v);
-            apply_tasks[master.index()].push(ApplyTask {
-                local,
-                vertex: v,
-                position,
-                accum: accums[v as usize].take(),
-                message: inbox[v as usize].take(),
-            });
-        }
-        // Workers compute fresh states (and their deltas) against the read-only
-        // caches; the commit below writes them back serially, so any worker count
-        // observes identical inputs.
-        let applied = self.run_phase(step, LANE_APPLY, apply_tasks, lanes, |m, tasks, _| {
-            self.apply_batch(&caches[m], tasks, superstep)
+            lists[master.index()].push(ApplyTask { local, vertex: v });
         });
-        // Serial commit: fresh states into the master slots, deltas by frontier
-        // position for the sync loop below.
-        let mut deltas = vec![0.0f64; active.len()];
-        for (BatchRange { machine, start, .. }, (results, ops)) in applied {
-            record.cost.apply_ops += ops;
-            record.ops_per_machine[machine] += ops;
-            for (task, (fresh, delta)) in apply_tasks[machine][start..].iter().zip(results) {
-                caches[machine][task.local as usize] = fresh;
-                deltas[task.position] = delta;
+        // One unit per machine, owning its cache: it applies its masters in place, in
+        // key ranges of `BATCH_SIZE` tasks that keep a span each, numbered across the
+        // machines in (machine, range) order. Each apply reads only its own vertex's
+        // slot and mail, so any worker count observes identical inputs.
+        let mut batches = 0u32;
+        let mut units: Vec<MachineUnit<'_, P::State>> = (caches.iter_mut().enumerate())
+            .map(|(machine, cache)| {
+                let tasks = apply_tasks[machine].len();
+                let ordinal = batches + 1;
+                batches += tasks.div_ceil(BATCH_SIZE) as u32;
+                MachineUnit {
+                    machine,
+                    cache,
+                    tasks: tasks as u64,
+                    ordinal,
+                }
+            })
+            .collect();
+        let (mail_in, gathered_in) = (&inbox[..], &accums[..]);
+        let deltas: Vec<Vec<f64>> = run_batched(&mut units, lanes, |_, unit, _| {
+            let tasks = &apply_tasks[unit.machine];
+            let mut deltas = Vec::with_capacity(tasks.len());
+            for (ordinal, batch) in (unit.ordinal..).zip(tasks.chunks(BATCH_SIZE)) {
+                let unit_sink = self.config.tracer.sink();
+                let key = SpanKey::new(step, unit.machine as u32 + 1, ordinal, LANE_APPLY);
+                let mut span = unit_sink.span(span_meta!("apply_batch"), key);
+                let cache = &mut *unit.cache;
+                self.apply_batch(superstep, cache, batch, mail_in, gathered_in, &mut deltas);
+                span.counter("tasks", batch.len() as u64);
             }
+            deltas
+        });
+        for (m, machine_deltas) in deltas.iter().enumerate() {
+            record.cost.apply_ops += machine_deltas.len() as u64;
+            record.ops_per_machine[m] += machine_deltas.len() as u64;
         }
         apply_span.counter("tasks", active.len() as u64);
         drop(apply_span);
 
-        // ----------------------------------------------------- sync decision (central) --
+        // ----------------------------------------------------------- sync decision --
         let mut sync_span = sink.span(span_meta!("sync"), SpanKey::new(step, 0, 0, LANE_SYNC));
-        let ps = self.config.sync_probability;
-        let tolerance = self.config.tolerance;
+        // A vertex that passes the gate queues about `mirrors · p_s` refreshes and, at
+        // most, a scatter for its master and each of them.
+        let (mirrors, ps) = (replicas - 1.0, self.config.sync_probability);
+        let caches_in = &caches[..];
+        let mut units: Vec<SyncRange<'_, P>> = (range_slots(&ranges, inbox))
+            .into_iter()
+            .zip(range_slots(&ranges, accums))
+            .map(|(mail, gathered)| SyncRange {
+                out: Synced::new(
+                    num_machines,
+                    room(mail.vertices, mirrors * ps, num_machines),
+                    room(mail.vertices, 1.0 + mirrors * ps, num_machines),
+                ),
+                mail,
+                accums: gathered.slots,
+            })
+            .collect();
+        run_batched(&mut units, lanes, |_, unit, lane| {
+            self.sync_range(superstep, unit, apply_tasks, &deltas, caches_in, lane);
+        });
+        let synced: Vec<Synced<P::State>> = units.into_iter().map(|unit| unit.out).collect();
         let state_bytes = (self.program.state_bytes() + header_bytes) as u64;
-        let has_out_edge =
-            |&(m, local): &(MachineId, u32)| self.graph.shard(m).local_out_degree(local) > 0;
-        scatter_tasks.iter_mut().for_each(Vec::clear);
-
-        for (&v, &delta) in active.iter().zip(&deltas) {
-            // The scatter gate: a vertex that is quiet or converged schedules no
-            // synchronization and no scatter, so it falls out of the frontier. A
-            // program that does not implement `delta` reports infinity, which no
-            // finite tolerance gates.
-            if delta <= tolerance {
-                record.cost.skipped_scatters += 1;
-                continue;
+        let mut scatter_tasks = vec![0u64; num_machines];
+        for range in &synced {
+            record.cost.skipped_syncs += range.skipped_syncs;
+            record.cost.skipped_scatters += range.skipped_scatters;
+            for (m, &syncs) in range.syncs.iter().enumerate() {
+                record.cost.sync_ops += syncs;
+                record.ops_per_machine[m] += syncs;
+                record.send(m, syncs, state_bytes);
             }
-            let (master, master_local) = placement.master_slot(v);
-            // Decide which replicas are synchronized (and hence may scatter).
-            let replicas = placement.replica_slots(v);
-            participating.clear();
-            for replica in replicas.clone() {
-                // At `p_s = 1` the coin is heads without a hash: every mirror is synchronized.
-                let synced = replica.0 == master
-                    || rng::coin(
-                        ps,
-                        &[
-                            self.config.seed,
-                            superstep as u64,
-                            v as u64,
-                            replica.0.index() as u64,
-                            TAG_SYNC,
-                        ],
-                    );
-                if !synced {
-                    record.cost.skipped_syncs += 1;
-                    continue;
-                }
-                participating.push(replica);
-                if replica.0 != master {
-                    record.cost.sync_ops += 1;
-                    record.ops_per_machine[master.index()] += 1;
-                    record.send(master.index(), 1, state_bytes);
-                }
-            }
-
-            // "At least one out-edge per node": if no participating replica owns an
-            // out-edge while the vertex does have out-edges, force-sync one replica
-            // that does.
-            if self.graph.out_degree(v) > 0 && !participating.iter().any(has_out_edge) {
-                let candidates: Vec<(MachineId, u32)> = replicas.filter(has_out_edge).collect();
-                if !candidates.is_empty() {
-                    let pick = candidates[rng::pick_index(
-                        candidates.len(),
-                        &[self.config.seed, superstep as u64, v as u64, TAG_FORCE],
-                    )];
-                    participating.push(pick);
-                    if pick.0 != master {
-                        record.cost.sync_ops += 1;
-                        record.cost.skipped_syncs = record.cost.skipped_syncs.saturating_sub(1);
-                        record.ops_per_machine[master.index()] += 1;
-                        record.send(master.index(), 1, state_bytes);
-                    }
-                    participating.sort_unstable();
-                }
-            }
-
-            // Refresh the synchronized mirrors. A mirror slot is never a slot this
-            // loop reads (it reads master slots only), so writing here is the same as
-            // committing every refresh after the loop.
-            for &(m, local) in participating.iter() {
-                if m != master {
-                    let fresh = caches[master.index()][master_local as usize].clone();
-                    caches[m.index()][local as usize] = fresh;
-                }
-            }
-
-            // Scatter tasks: participating replicas that own at least one out-edge.
-            participating.retain(has_out_edge);
-            for (rank, &(m, local)) in participating.iter().enumerate() {
-                scatter_tasks[m.index()].push(ScatterTask {
-                    local,
-                    vertex: v,
-                    replica_rank: rank,
-                    num_participating: participating.len(),
-                });
+            for (m, total) in scatter_tasks.iter_mut().enumerate() {
+                *total += range.scatters_on(m);
             }
         }
         sync_span.counter("sync_ops", record.cost.sync_ops);
@@ -776,38 +720,58 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         drop(sync_span);
 
         // ----------------------------------------------------------------- scatter --
-        // One unit per machine over the now-consistent caches: each scatters and
-        // combines that machine's mail in its own lane.
+        // One unit per machine: it refreshes its mirrors and then scatters and combines
+        // that machine's mail in its own lane. Machines with something to scatter are
+        // numbered for their spans in machine order.
         let mut scatter_span = sink.span(
             span_meta!("scatter"),
             SpanKey::new(step, 0, 0, LANE_SCATTER),
         );
-        let scattered = self.run_phase(
-            step,
-            LANE_SCATTER,
-            scatter_tasks,
-            lanes,
-            |m, tasks, lane| self.scatter_machine(superstep, m, &caches[m], tasks, lane),
-        );
-        scatter_span.counter(
-            "tasks",
-            scatter_tasks.iter().map(|t| t.len() as u64).sum::<u64>(),
-        );
+        let mut scattering = 0u32;
+        let mut units: Vec<MachineUnit<'_, P::State>> = (caches.iter_mut().enumerate())
+            .map(|(machine, cache)| {
+                let tasks = scatter_tasks[machine];
+                scattering += u32::from(tasks > 0);
+                MachineUnit {
+                    machine,
+                    cache,
+                    tasks,
+                    ordinal: scattering,
+                }
+            })
+            .collect();
+        let scattered = run_batched(&mut units, lanes, |_, unit, lane| {
+            let unit_sink = self.config.tracer.sink();
+            let mut span = (unit.tasks > 0).then(|| {
+                let key = SpanKey::new(step, unit.machine as u32 + 1, unit.ordinal, LANE_SCATTER);
+                unit_sink.span(span_meta!("scatter_batch"), key)
+            });
+            let result = self.scatter_machine(superstep, unit, &synced, lane);
+            if let Some(span) = &mut span {
+                span.counter("tasks", unit.tasks);
+                span.counter("edge_ops", result.1);
+            }
+            result
+        });
+        scatter_span.counter("tasks", scatter_tasks.iter().sum::<u64>());
         drop(scatter_span);
 
         // ----------------------------------------------------------- route messages --
         // Stage each machine's combined messages, in machine order, and charge the sends.
         let mut route_span = sink.span(span_meta!("route"), SpanKey::new(step, 0, 0, LANE_ROUTE));
         let message_bytes = (self.program.message_bytes() + header_bytes) as u64;
-        for (BatchRange { machine, .. }, (mail, ops)) in scattered {
+        for (machine, (mail, ops)) in scattered.into_iter().enumerate() {
             record.cost.scatter_ops += ops;
             record.ops_per_machine[machine] += ops;
             record.cost.routed_messages += mail.routed;
             record.send(machine, mail.remote, message_bytes);
             for (lag, messages) in mail.slots.into_iter().enumerate() {
+                if messages.is_empty() {
+                    continue;
+                }
                 let slot = &mut staged[lag];
                 slot.lag += (lag * messages.len()) as u64;
-                slot.messages.extend(messages);
+                slot.runs.push(messages);
             }
         }
         route_span.counter("messages", record.cost.routed_messages);
@@ -818,35 +782,55 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         record
     }
 
-    /// Runs one phase, named by its trace lane, over its per-machine task lists: cuts
-    /// each list into work units, serves them through the worker pool — each under a
-    /// unit span keyed `(step, machine + 1, unit + 1, phase)` that counts its tasks
-    /// and, outside apply, the edge operations `work` reports — and returns every unit
-    /// with what it produced, in canonical (machine, range) order. Gather and apply
-    /// units are key ranges of `BATCH_SIZE` tasks; a machine's whole scatter list is
-    /// one unit, so one thread combines all of that machine's mail.
-    fn run_phase<T, R, F>(
+    /// Builds one task list per machine from the frontier ranges: each range lists its
+    /// vertices' tasks machine by machine, in frontier order, through `tasks_of`, and
+    /// the ranges' lists — made with room for `per_vertex` tasks a vertex — are
+    /// concatenated in range order.
+    fn machine_lists<T, F>(
+        &self,
+        ranges: &[&[VertexId]],
+        lanes: &mut [Lane<P::Message>],
+        lists: &mut [Vec<T>],
+        per_vertex: f64,
+        tasks_of: F,
+    ) where
+        T: Copy + Send,
+        F: Fn(VertexId, &mut [Vec<T>]) + Sync,
+    {
+        let machines = lists.len();
+        let mut units: Vec<(&[VertexId], Vec<Vec<T>>)> = (ranges.iter())
+            .map(|&vertices| {
+                let room = room(vertices, per_vertex, machines);
+                (vertices, units::machine_lists(machines, room))
+            })
+            .collect();
+        run_batched(&mut units, lanes, |_, (vertices, out), _| {
+            vertices.iter().for_each(|&v| tasks_of(v, out));
+        });
+        lists.iter_mut().for_each(Vec::clear);
+        for (_, range) in &units {
+            for (list, share) in lists.iter_mut().zip(range) {
+                list.extend_from_slice(share);
+            }
+        }
+    }
+
+    /// Runs gather over its per-machine task lists: cuts each list into key ranges of
+    /// `BATCH_SIZE` tasks and serves them through the worker pool, each under a unit
+    /// span keyed `(step, machine + 1, unit + 1, LANE_GATHER)` that counts its tasks
+    /// and edge operations. Returns every unit with its partials, in canonical
+    /// (machine, range) order.
+    fn gather_batches(
         &self,
         step: u64,
-        phase: u16,
-        tasks: &[Vec<T>],
+        caches: &[Vec<P::State>],
+        tasks: &[Vec<u32>],
         lanes: &mut [Lane<P::Message>],
-        work: F,
-    ) -> Vec<(BatchRange, (R, u64))>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T], &mut Lane<P::Message>) -> (R, u64) + Sync,
-    {
-        let (unit_span, counts_edges, unit_tasks) = match phase {
-            LANE_GATHER => (span_meta!("gather_batch"), true, BATCH_SIZE),
-            LANE_APPLY => (span_meta!("apply_batch"), false, BATCH_SIZE),
-            _ => (span_meta!("scatter_batch"), true, usize::MAX),
-        };
+    ) -> Vec<Gathered<P::Accum>> {
         let mut units = Vec::new();
         for (machine, list) in tasks.iter().enumerate() {
-            for start in (0..list.len()).step_by(unit_tasks) {
-                let end = start.saturating_add(unit_tasks).min(list.len());
+            for start in (0..list.len()).step_by(BATCH_SIZE) {
+                let end = (start + BATCH_SIZE).min(list.len());
                 units.push(BatchRange {
                     machine,
                     start,
@@ -854,168 +838,53 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 });
             }
         }
-        let results = run_batched(&units, lanes, |i, u, lane| {
+        let results = run_batched(&mut units, lanes, |i, u, _| {
             let unit_sink = self.config.tracer.sink();
-            let mut span = unit_sink.span(
-                unit_span,
-                SpanKey::new(step, u.machine as u32 + 1, i as u32 + 1, phase),
-            );
-            let result = work(u.machine, &tasks[u.machine][u.start..u.end], lane);
-            span.counter("tasks", (u.end - u.start) as u64);
-            if counts_edges {
-                span.counter("edge_ops", result.1);
-            }
+            let key = SpanKey::new(step, u.machine as u32 + 1, i as u32 + 1, LANE_GATHER);
+            let mut span = unit_sink.span(span_meta!("gather_batch"), key);
+            let locals = &tasks[u.machine][u.start..u.end];
+            let result = self.gather_batch(u.machine, &caches[u.machine], locals);
+            span.counter("tasks", locals.len() as u64);
+            span.counter("edge_ops", result.1);
             result
         });
         units.into_iter().zip(results).collect()
     }
+}
 
-    /// One gather batch on `machine`: partial accumulations over the locally-owned
-    /// in-edges of the listed slots. Returns `(vertex, partial)` pairs plus the number
-    /// of edge operations.
-    fn gather_batch(
-        &self,
-        machine: usize,
-        cache: &[P::State],
-        locals: &[u32],
-    ) -> (Vec<(VertexId, P::Accum)>, u64) {
-        let shard = self.graph.shard(MachineId::from(machine));
-        let mut out = Vec::new();
-        let mut ops = 0u64;
-        for &local in locals {
-            let vertex = shard.global_id(local);
-            let dst_state = &cache[local as usize];
-            let mut acc: Option<P::Accum> = None;
-            for &src_local in shard.local_in_neighbors(local) {
-                ops += 1;
-                let src = shard.global_id(src_local);
-                let src_state = &cache[src_local as usize];
-                let src_degree = self.graph.out_degree(src);
-                if let Some(partial) = self
-                    .program
-                    .gather_edge(src, vertex, src_state, dst_state, src_degree)
-                {
-                    deposit(&mut acc, partial, |a, b| self.program.combine_accums(a, b));
-                }
-            }
-            if let Some(acc) = acc {
-                out.push((vertex, acc));
-            }
-        }
-        (out, ops)
-    }
+/// The room a range's per-machine output lists are made with: their expected length,
+/// at `per_vertex` entries a vertex of the range spread evenly over the machines.
+fn room(vertices: &[VertexId], per_vertex: f64, machines: usize) -> usize {
+    (vertices.len() as f64 * per_vertex / machines as f64).ceil() as usize
+}
 
-    /// One apply batch: runs `apply` for a range of one machine's mastered active
-    /// vertices against its read-only cache, producing one `(fresh state, delta)` pair
-    /// per task, in task order, for the serial commit, plus the task count as the
-    /// batch's operations. The delta is the program's convergence magnitude for the
-    /// executor's tolerance gate.
-    fn apply_batch(
-        &self,
-        cache: &[P::State],
-        tasks: &[ApplyTask<P>],
-        superstep: usize,
-    ) -> (Vec<(P::State, f64)>, u64) {
-        let mut out = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let old = &cache[task.local as usize];
-            let mut fresh = old.clone();
-            let mut task_rng = rng::derived_rng(&[
-                self.config.seed,
-                superstep as u64,
-                task.vertex as u64,
-                TAG_APPLY,
-            ]);
-            let mut ctx = ApplyContext {
-                superstep,
-                rng: &mut task_rng,
-            };
-            self.program.apply(
-                &mut ctx,
-                task.vertex,
-                &mut fresh,
-                task.accum.clone(),
-                task.message.clone(),
-            );
-            let delta = self.program.delta(old, &fresh);
-            out.push((fresh, delta));
-        }
-        (out, tasks.len() as u64)
+/// One unit per frontier range over the vertex-indexed `slots`: they are cut at the
+/// first vertex of every range after the first, so that unit `r` holds every slot of
+/// range `r`'s vertices.
+fn range_slots<'a, T>(ranges: &[&'a [VertexId]], slots: &'a mut [T]) -> Vec<RangeSlots<'a, T>> {
+    let mut units = Vec::with_capacity(ranges.len());
+    let (mut base, mut rest) = (0usize, slots);
+    for (i, &vertices) in ranges.iter().enumerate() {
+        let end = ranges
+            .get(i + 1)
+            .map_or(base + rest.len(), |next| next[0] as usize);
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+        units.push(RangeSlots {
+            vertices,
+            base,
+            slots,
+        });
+        (base, rest) = (end, tail);
     }
-
-    /// One machine's scatter and combine, in `lane`: runs `scatter_replica` for the
-    /// machine's tasks against its read-only cache (mirror refreshes are committed
-    /// before scatter starts) into the lane's outbox, folds the outbox in production
-    /// order into the lane's outgoing slots, and hands back the distinct destinations'
-    /// combined messages in ascending order, each in the ring slot its channel's delay
-    /// picks. Returns that mail plus the number of edge operations considered.
-    fn scatter_machine(
-        &self,
-        superstep: usize,
-        machine: usize,
-        cache: &[P::State],
-        tasks: &[ScatterTask],
-        lane: &mut Lane<P::Message>,
-    ) -> (Mail<P::Message>, u64) {
-        let shard = self.graph.shard(MachineId::from(machine));
-        let mut ops = 0u64;
-        for task in tasks {
-            let local_neighbors = shard.local_out_neighbors(task.local);
-            ops += local_neighbors.len() as u64;
-            let mut task_rng = rng::derived_rng(&[
-                self.config.seed,
-                superstep as u64,
-                task.vertex as u64,
-                machine as u64,
-                TAG_SCATTER,
-            ]);
-            let mut ctx = ScatterContext {
-                replica_rank: task.replica_rank,
-                num_participating: task.num_participating,
-                global_out_degree: self.graph.out_degree(task.vertex),
-                sync_probability: self.config.sync_probability,
-                rng: &mut task_rng,
-            };
-            self.program.scatter_replica(
-                &mut ctx,
-                task.vertex,
-                &cache[task.local as usize],
-                local_neighbors,
-                &mut |dst, msg| lane.outbox.push((dst, msg)),
-            );
-        }
-        if lane.outgoing.is_empty() {
-            lane.outgoing
-                .resize_with(self.graph.num_vertices(), || None);
-        }
-        self.fold_messages(&mut lane.outgoing, &mut lane.touched, lane.outbox.drain(..));
-        lane.touched.sort_unstable();
-        // Undelayed, every message lands in the ring's front slot.
-        let mut mail = Mail {
-            slots: vec![Vec::with_capacity(lane.touched.len())],
-            routed: lane.touched.len() as u64,
-            remote: 0,
-        };
-        let placement = self.graph.placement();
-        let combined = |v: VertexId| Some((v, lane.outgoing[v as usize].take()?));
-        for (vertex, message) in lane.touched.drain(..).filter_map(combined) {
-            let master = placement.master(vertex).index();
-            mail.remote += u64::from(master != machine);
-            if let Some(lag) = self.visibility(superstep, machine, master) {
-                if mail.slots.len() <= lag {
-                    mail.slots.resize_with(lag + 1, Vec::new);
-                }
-                mail.slots[lag].push((vertex, message));
-            }
-        }
-        (mail, ops)
-    }
+    units
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::MachineId;
     use crate::partition::PartitionerKind;
+    use crate::program::{ApplyContext, ScatterContext};
     use frogwild_graph::generators::simple::{cycle, star};
     use frogwild_graph::generators::{rmat, RmatParams};
     use frogwild_graph::DiGraph;
@@ -1530,10 +1399,32 @@ mod tests {
 
     #[test]
     fn frontier_sorts_dedups_and_reports_size() {
-        let f = frontier_of(vec![5, 1, 3, 1, 5]);
-        assert_eq!(f, [1, 3, 5]);
-        assert_eq!(f.len(), 3);
-        assert!(frontier_of(Vec::new()).is_empty());
+        // The bitmap a frontier is read back from: ascending, deduplicated, and clear
+        // afterwards.
+        let mut marks = vec![0u64; 4];
+        for v in [5, 1, 3, 1, 5, 200, 64, 63] {
+            mark(&mut marks, v);
+        }
+        let mut frontier = Vec::new();
+        drain_marks(&mut marks, |v| frontier.push(v));
+        assert_eq!(frontier, [1, 3, 5, 63, 64, 200]);
+        assert!(marks.iter().all(|&w| w == 0));
+        // A run's first frontier: the recipients of the initial messages, each once.
+        let pg = partitioned(&cycle(10), 2);
+        let engine = Engine::new(
+            &pg,
+            TokenForward { steps: 1 },
+            EngineConfig {
+                max_supersteps: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let initial = vec![(5u32, 1u64), (1, 2), (3, 4), (1, 8), (5, 16)];
+        let out = engine.run(InitialActivation::Messages(initial));
+        assert_eq!(out.metrics.supersteps[0].cost.active_vertices, 3);
+        let arrived: Vec<u64> = out.states.iter().map(|s| s.arrived).collect();
+        assert_eq!(arrived, [0, 10, 0, 4, 0, 17, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -1681,7 +1572,10 @@ mod tests {
             let tracer = Tracer::new(TraceConfig::enabled());
             let engine = Engine::new(
                 &pg,
-                OrderedMail { steps: 2 },
+                OrderedMail {
+                    steps: 2,
+                    descending: false,
+                },
                 EngineConfig {
                     max_supersteps: 2,
                     workers,
@@ -1944,9 +1838,13 @@ mod tests {
     /// A program whose message combine is order-*sensitive* (`a · 31 + b`, wrapping),
     /// so the fold order of every destination's messages shows in the states. A vertex
     /// chains what it receives into `value` and, until the last step, sends every
-    /// out-neighbour a message naming the edge.
+    /// out-neighbour a message naming the edge — in edge order, or in reverse when
+    /// `descending`. A vertex applied without mail chains its own id. Its delta is
+    /// `value % 8 + 1` while it forwards, so a tolerance of 3 gates about three
+    /// vertices in eight and a tolerance of 0 gates none.
     struct OrderedMail {
         steps: usize,
+        descending: bool,
     }
 
     #[derive(Clone, Default, Debug, PartialEq)]
@@ -1980,18 +1878,19 @@ mod tests {
         fn apply(
             &self,
             ctx: &mut ApplyContext<'_>,
-            _vertex: VertexId,
+            vertex: VertexId,
             state: &mut MailState,
             _accum: Option<()>,
             message: Option<u64>,
         ) {
-            state.value = ordered_apply(state.value, message.unwrap_or(0));
+            let message = message.unwrap_or(u64::from(vertex));
+            state.value = ordered_apply(state.value, message);
             state.forwards = ctx.superstep + 1 < self.steps;
         }
 
         fn delta(&self, _old: &MailState, new: &MailState) -> f64 {
             if new.forwards {
-                f64::INFINITY
+                (new.value % 8 + 1) as f64
             } else {
                 0.0
             }
@@ -2005,8 +1904,11 @@ mod tests {
             local_out_neighbors: &[VertexId],
             emit: &mut dyn FnMut(VertexId, u64),
         ) {
-            for &dst in local_out_neighbors {
-                emit(dst, ordered_message(state.value, vertex, dst));
+            let mut send = |&dst: &VertexId| emit(dst, ordered_message(state.value, vertex, dst));
+            if self.descending {
+                local_out_neighbors.iter().rev().for_each(&mut send);
+            } else {
+                local_out_neighbors.iter().for_each(&mut send);
             }
         }
     }
@@ -2088,7 +1990,10 @@ mod tests {
         let run = |workers: usize, staleness: usize, tracer: Tracer| {
             let engine = Engine::new(
                 &pg,
-                Gathering(OrderedMail { steps }),
+                Gathering(OrderedMail {
+                    steps,
+                    descending: false,
+                }),
                 EngineConfig {
                     max_supersteps: steps,
                     workers,
@@ -2191,6 +2096,378 @@ mod tests {
         let totals = out.metrics.totals();
         assert!(totals.gather_ops > 0 && totals.apply_ops > 0 && totals.scatter_ops > 0);
         assert!(totals.sync_ops > 0 && totals.skipped_syncs > 0 && totals.network_bytes > 0);
+    }
+
+    /// The engine as it ran while the driver thread walked the frontier, kept to check
+    /// the pooled one against: one thread; the drain folds the due messages into the
+    /// inbox and sorts the frontier; gather folds each machine's partials in (machine,
+    /// frontier) order; the sync decision runs in frontier order, refreshing mirrors as
+    /// it goes; and each machine's emissions go to an outbox that is folded and whose
+    /// distinct destinations are sorted before staging. Returns the final states and
+    /// every superstep's record.
+    fn serial_reference<P: VertexProgram>(
+        engine: &Engine<'_, P>,
+        initial: InitialActivation<P::Message>,
+    ) -> (Vec<P::State>, Vec<SuperstepMetrics>) {
+        let (graph, program, config) = (engine.graph, &engine.program, &engine.config);
+        let cost_model = &engine.cost_model;
+        let placement = graph.placement();
+        let (n, machines) = (graph.num_vertices(), graph.num_machines());
+        let header = cost_model.message_header_bytes;
+        let combine = |a, b| program.combine_messages(a, b);
+        let mut caches: Vec<Vec<P::State>> = (graph.shards().iter())
+            .map(|s| vec![P::State::default(); s.num_local_vertices()])
+            .collect();
+        let mut inbox: Vec<Option<P::Message>> = (0..n).map(|_| None).collect();
+        let mut accums: Vec<Option<P::Accum>> = (0..n).map(|_| None).collect();
+        // The ring: each slot's messages in production order, and its summed lag.
+        let ring = config.staleness.min(config.max_supersteps) + 1;
+        type Slot<M> = (Vec<(VertexId, M)>, u64);
+        let mut staged: VecDeque<Slot<P::Message>> = (0..ring).map(|_| (Vec::new(), 0)).collect();
+        let mut frontier: Vec<VertexId> = match initial {
+            InitialActivation::AllVertices => (0..n as VertexId).collect(),
+            InitialActivation::Messages(messages) => {
+                let mut frontier = Vec::new();
+                for (v, message) in messages {
+                    if deposit(&mut inbox[v as usize], message, combine) {
+                        frontier.push(v);
+                    }
+                }
+                frontier
+            }
+        };
+        let mut records = Vec::new();
+        let (mut finish_times, mut watermarks) = (vec![0.0f64; machines], Vec::new());
+        let mut superstep = 0;
+        while superstep < config.max_supersteps {
+            if frontier.is_empty() {
+                match staged.iter().position(|slot| !slot.0.is_empty()) {
+                    Some(ahead) if superstep + ahead < config.max_supersteps => {
+                        staged.rotate_left(ahead);
+                        superstep += ahead;
+                    }
+                    _ => break,
+                }
+            }
+            staged.rotate_left(1);
+            let (due, lag) = std::mem::take(staged.back_mut().unwrap());
+            for (v, message) in due {
+                if deposit(&mut inbox[v as usize], message, combine) {
+                    frontier.push(v);
+                }
+            }
+            frontier.sort_unstable();
+            frontier.dedup();
+            let mut record = SuperstepMetrics {
+                superstep,
+                cost: QueryCost {
+                    replication_factor: placement.replication_factor(),
+                    supersteps: 1,
+                    active_vertices: frontier.len() as u64,
+                    staleness_lag: lag,
+                    ..QueryCost::default()
+                },
+                ops_per_machine: vec![0; machines],
+                bytes_per_machine: vec![0; machines],
+            };
+
+            if program.gather_direction() == EdgeDirection::In {
+                let accum_bytes = (program.accum_bytes() + header) as u64;
+                for (m, shard) in graph.shards().iter().enumerate() {
+                    for &v in &frontier {
+                        let on_m = placement.replica_slots(v).find(|r| r.0.index() == m);
+                        let Some((_, local)) = on_m else { continue };
+                        let mut acc = None;
+                        for &src_local in shard.local_in_neighbors(local) {
+                            record.cost.gather_ops += 1;
+                            record.ops_per_machine[m] += 1;
+                            let src = shard.global_id(src_local);
+                            let (src_state, dst_state) =
+                                (&caches[m][src_local as usize], &caches[m][local as usize]);
+                            let degree = graph.out_degree(src);
+                            if let Some(partial) =
+                                program.gather_edge(src, v, src_state, dst_state, degree)
+                            {
+                                deposit(&mut acc, partial, |a, b| program.combine_accums(a, b));
+                            }
+                        }
+                        let Some(acc) = acc else { continue };
+                        if placement.master(v).index() != m {
+                            record.send(m, 1, accum_bytes);
+                        }
+                        deposit(&mut accums[v as usize], acc, |a, b| {
+                            program.combine_accums(a, b)
+                        });
+                    }
+                }
+            }
+
+            let mut deltas = Vec::with_capacity(frontier.len());
+            for &v in &frontier {
+                let (master, local) = placement.master_slot(v);
+                let (m, local) = (master.index(), local as usize);
+                let mut fresh = caches[m][local].clone();
+                let key = [config.seed, superstep as u64, v as u64, TAG_APPLY];
+                let mut ctx = ApplyContext {
+                    superstep,
+                    rng: &mut rng::derived_rng(&key),
+                };
+                let (accum, message) = (accums[v as usize].take(), inbox[v as usize].take());
+                program.apply(&mut ctx, v, &mut fresh, accum, message);
+                deltas.push(program.delta(&caches[m][local], &fresh));
+                caches[m][local] = fresh;
+                record.cost.apply_ops += 1;
+                record.ops_per_machine[m] += 1;
+            }
+
+            let state_bytes = (program.state_bytes() + header) as u64;
+            let has_out_edge =
+                |&(m, local): &(MachineId, u32)| graph.shard(m).local_out_degree(local) > 0;
+            let mut scatter_tasks: Vec<Vec<(u32, VertexId, usize, usize)>> =
+                vec![Vec::new(); machines];
+            for (&v, &delta) in frontier.iter().zip(&deltas) {
+                if delta <= config.tolerance {
+                    record.cost.skipped_scatters += 1;
+                    continue;
+                }
+                let (master, master_local) = placement.master_slot(v);
+                let replicas = placement.replica_slots(v);
+                let mut participating = Vec::new();
+                for replica in replicas.clone() {
+                    let key = [
+                        config.seed,
+                        superstep as u64,
+                        v as u64,
+                        replica.0.index() as u64,
+                        TAG_SYNC,
+                    ];
+                    if replica.0 != master && !rng::coin(config.sync_probability, &key) {
+                        record.cost.skipped_syncs += 1;
+                        continue;
+                    }
+                    participating.push(replica);
+                    if replica.0 != master {
+                        record.cost.sync_ops += 1;
+                        record.ops_per_machine[master.index()] += 1;
+                        record.send(master.index(), 1, state_bytes);
+                    }
+                }
+                if graph.out_degree(v) > 0 && !participating.iter().any(has_out_edge) {
+                    let candidates: Vec<_> = replicas.filter(has_out_edge).collect();
+                    let key = [config.seed, superstep as u64, v as u64, TAG_FORCE];
+                    let pick = candidates[rng::pick_index(candidates.len(), &key)];
+                    participating.push(pick);
+                    if pick.0 != master {
+                        record.cost.sync_ops += 1;
+                        record.cost.skipped_syncs -= 1;
+                        record.ops_per_machine[master.index()] += 1;
+                        record.send(master.index(), 1, state_bytes);
+                    }
+                    participating.sort_unstable();
+                }
+                for &(m, local) in &participating {
+                    if m != master {
+                        let fresh = caches[master.index()][master_local as usize].clone();
+                        caches[m.index()][local as usize] = fresh;
+                    }
+                }
+                participating.retain(has_out_edge);
+                for (rank, &(m, local)) in participating.iter().enumerate() {
+                    scatter_tasks[m.index()].push((local, v, rank, participating.len()));
+                }
+            }
+
+            let message_bytes = (program.message_bytes() + header) as u64;
+            for (m, tasks) in scatter_tasks.iter().enumerate() {
+                let shard = graph.shard(MachineId::from(m));
+                let mut outbox = Vec::new();
+                for &(local, v, rank, count) in tasks {
+                    let neighbors = shard.local_out_neighbors(local);
+                    record.cost.scatter_ops += neighbors.len() as u64;
+                    record.ops_per_machine[m] += neighbors.len() as u64;
+                    let key = [
+                        config.seed,
+                        superstep as u64,
+                        v as u64,
+                        m as u64,
+                        TAG_SCATTER,
+                    ];
+                    let mut ctx = ScatterContext {
+                        replica_rank: rank,
+                        num_participating: count,
+                        global_out_degree: graph.out_degree(v),
+                        sync_probability: config.sync_probability,
+                        rng: &mut rng::derived_rng(&key),
+                    };
+                    let state = &caches[m][local as usize];
+                    let mut emit = |dst, message| outbox.push((dst, message));
+                    program.scatter_replica(&mut ctx, v, state, neighbors, &mut emit);
+                }
+                let mut outgoing: Vec<Option<P::Message>> = (0..n).map(|_| None).collect();
+                let mut touched = Vec::new();
+                for (dst, message) in outbox {
+                    if deposit(&mut outgoing[dst as usize], message, combine) {
+                        touched.push(dst);
+                    }
+                }
+                touched.sort_unstable();
+                record.cost.routed_messages += touched.len() as u64;
+                let mut remote = 0;
+                for dst in touched {
+                    let message = outgoing[dst as usize].take().unwrap();
+                    let master = placement.master(dst).index();
+                    remote += u64::from(master != m);
+                    if let Some(lag) = engine.visibility(superstep, m, master) {
+                        staged[lag].0.push((dst, message));
+                        staged[lag].1 += lag as u64;
+                    }
+                }
+                record.send(m, remote, message_bytes);
+            }
+
+            record.cost.simulated_seconds = cost_model.superstep_seconds(&record);
+            record.cost.simulated_cpu_seconds = cost_model.cpu_seconds(&record);
+            record.cost.max_inbox_depth = staged.iter().skip(1).map(|s| s.0.len() as u64).sum();
+            if config.staleness > 0 {
+                let barriered = record.cost.simulated_seconds;
+                let gate = (watermarks.iter().rev())
+                    .find(|&&(step, _): &&(usize, f64)| {
+                        (step + 1).saturating_add(config.staleness) <= superstep
+                    })
+                    .map_or(0.0, |&(_, w)| w);
+                let mut watermark = 0.0f64;
+                for (m, finish) in finish_times.iter_mut().enumerate() {
+                    let own = cost_model.machine_superstep_seconds(
+                        record.ops_per_machine[m],
+                        record.bytes_per_machine[m],
+                    );
+                    *finish = finish.max(gate) + own;
+                    watermark = watermark.max(*finish);
+                }
+                let previous = watermarks.last().map_or(0.0, |&(_, w)| w);
+                record.cost.simulated_seconds = watermark - previous;
+                record.cost.barrier_wait_avoided_seconds =
+                    (barriered - record.cost.simulated_seconds).max(0.0);
+                watermarks.push((superstep, watermark));
+            }
+            records.push(record);
+            frontier.clear();
+            superstep += 1;
+        }
+        let states = (0..n as VertexId)
+            .map(|v| {
+                let (master, local) = placement.master_slot(v);
+                caches[master.index()][local as usize].clone()
+            })
+            .collect();
+        (states, records)
+    }
+
+    /// Runs `program()` from `initial()` at workers {1, 2, 8} × staleness {0, 2} ×
+    /// tolerance {0, 3}, partial sync, and asserts that every run equals the serial
+    /// reference of its staleness and tolerance: states and every field of every
+    /// superstep's record. The sweep has to reach something: tolerance 3 gates vertices
+    /// tolerance 0 does not, staleness 2 delays some channel, and some mirror is skipped.
+    fn assert_every_run_matches_the_serial_reference<P, F>(
+        pg: &PartitionedGraph,
+        program: F,
+        initial: impl Fn() -> InitialActivation<P::Message>,
+        steps: usize,
+    ) where
+        P: VertexProgram,
+        P::State: PartialEq + std::fmt::Debug,
+        F: Fn() -> P,
+    {
+        for staleness in [0usize, 2] {
+            let mut ungated = None;
+            for tolerance in [0.0, 3.0] {
+                let config = |workers| EngineConfig {
+                    max_supersteps: steps,
+                    sync_probability: 0.5,
+                    staleness,
+                    tolerance,
+                    workers,
+                    ..EngineConfig::default()
+                };
+                let engine = Engine::new(pg, program(), config(1)).unwrap();
+                let (states, supersteps) = serial_reference(&engine, initial());
+                let expected = RunMetrics {
+                    supersteps,
+                    ..RunMetrics::default()
+                };
+                let totals = expected.totals();
+                // Every vertex is gated once it stops forwarding; tolerance 3 gates more.
+                let skipped = totals.skipped_scatters;
+                assert!(ungated.is_none_or(|ungated| skipped > ungated), "{skipped}");
+                ungated = Some(skipped);
+                assert_eq!(totals.staleness_lag > 0, staleness > 0);
+                assert!(
+                    totals.skipped_syncs > 0 && totals.routed_messages > 0,
+                    "{totals:?}"
+                );
+                for workers in [1, 2, 8] {
+                    let out = Engine::new(pg, program(), config(workers))
+                        .unwrap()
+                        .run(initial());
+                    let label =
+                        format!("tolerance={tolerance} staleness={staleness} workers={workers}");
+                    assert_eq!(out.states, states, "{label}");
+                    assert_same_supersteps(&out.metrics, &expected, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_ranges_reproduce_the_serial_sync_commit_and_drain_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(67);
+        let graph = rmat(N_BATCHED, RmatParams::default(), &mut rng);
+        let pg = partitioned(&graph, 5);
+        let placement = pg.placement();
+        // Superstep 0's frontier is every vertex: at least three ranges, and some
+        // machine mirrors vertices of at least two of them, so its sync items come
+        // from several ranges.
+        let all: Vec<VertexId> = (0..N_BATCHED as VertexId).collect();
+        let ranges: Vec<&[VertexId]> = all.chunks(RANGE_SIZE).collect();
+        assert!(ranges.len() >= 3, "{} ranges", ranges.len());
+        let mirrored = |m: MachineId| {
+            let mirrors =
+                |v: &VertexId| placement.master(*v) != m && placement.replicas(*v).contains(&m);
+            ranges.iter().filter(|r| r.iter().any(mirrors)).count()
+        };
+        assert!((0..pg.num_machines()).any(|m| mirrored(MachineId::from(m)) >= 2));
+        let steps = 4;
+        for descending in [false, true] {
+            let mail = move || OrderedMail { steps, descending };
+            assert_every_run_matches_the_serial_reference(
+                &pg,
+                mail,
+                || InitialActivation::AllVertices,
+                steps,
+            );
+            assert_every_run_matches_the_serial_reference(
+                &pg,
+                || Gathering(mail()),
+                || InitialActivation::AllVertices,
+                steps,
+            );
+        }
+        // Ranks and participant counts: tokens split across the scattering replicas.
+        let tokens =
+            || InitialActivation::Messages((0..N_BATCHED as VertexId).map(|v| (v, 7)).collect());
+        assert_every_run_matches_the_serial_reference(
+            &pg,
+            || TokenForward { steps },
+            tokens,
+            steps,
+        );
+        // A sparse start: one range, and mail that reaches it through the drain.
+        let initial = || InitialActivation::Messages(vec![(0, 5), (17, 11), (0, 13), (4_000, 3)]);
+        let mail = || OrderedMail {
+            steps: 6,
+            descending: true,
+        };
+        assert_every_run_matches_the_serial_reference(&pg, mail, initial, 6);
     }
 
     #[test]

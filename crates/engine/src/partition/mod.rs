@@ -202,6 +202,11 @@ pub(crate) mod test_support {
             "{}: no empty machines on a dense-enough graph (counts {counts:?})",
             p.name()
         );
+        // The layout built on it is consistent, replica edge flags included.
+        let layout = crate::placement::PartitionedGraph::from_assignment(&g, &a, 7);
+        layout
+            .validate()
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
     }
 }
 

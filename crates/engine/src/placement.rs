@@ -30,10 +30,29 @@ pub struct VertexPlacement {
     master_local: Vec<u32>,
     /// The replica table in CSR form: the replicas of `v` are entries
     /// `offsets[v]..offsets[v + 1]` of `machines` (ascending, always containing the
-    /// master's machine) and of `locals`, the slot of `v` on that machine.
+    /// master's machine) and of `locals`, the slot of `v` on that machine below
+    /// [`SLOT_MASK`], with [`OWNS_OUT_EDGE`] and [`OWNS_IN_EDGE`] set when the machine
+    /// owns an out-edge or an in-edge of `v`.
     offsets: Vec<usize>,
     machines: Vec<MachineId>,
     locals: Vec<u32>,
+}
+
+/// The flag bits of a replica table word, above the slot.
+const OWNS_OUT_EDGE: u32 = 1 << 31;
+const OWNS_IN_EDGE: u32 = 1 << 30;
+const SLOT_MASK: u32 = OWNS_IN_EDGE - 1;
+
+/// One replica of a vertex, as the placement table records it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Replica {
+    pub(crate) machine: MachineId,
+    /// The vertex's slot in that machine's shard.
+    pub(crate) slot: u32,
+    /// Whether the machine owns at least one out-edge of the vertex (it can scatter).
+    pub(crate) owns_out_edge: bool,
+    /// Whether the machine owns at least one in-edge of the vertex (it can gather).
+    pub(crate) owns_in_edge: bool,
 }
 
 impl VertexPlacement {
@@ -62,9 +81,24 @@ impl VertexPlacement {
         &self,
         v: VertexId,
     ) -> impl ExactSizeIterator<Item = (MachineId, u32)> + Clone + '_ {
+        self.replicas_of(v).map(|r| (r.machine, r.slot))
+    }
+
+    /// Every replica of `v`, with which edge directions its machine owns, in ascending
+    /// machine order.
+    #[inline]
+    pub(crate) fn replicas_of(
+        &self,
+        v: VertexId,
+    ) -> impl ExactSizeIterator<Item = Replica> + Clone + '_ {
         let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
         let machines = self.machines[range.clone()].iter().copied();
-        machines.zip(self.locals[range].iter().copied())
+        (machines.zip(self.locals[range].iter().copied())).map(|(machine, word)| Replica {
+            machine,
+            slot: word & SLOT_MASK,
+            owns_out_edge: word & OWNS_OUT_EDGE != 0,
+            owns_in_edge: word & OWNS_IN_EDGE != 0,
+        })
     }
 
     /// Number of vertices placed.
@@ -261,25 +295,36 @@ impl PartitionedGraph {
 
         // --- shards -------------------------------------------------------------
         // Local edges per machine, in local-index terms. Replicas are tabled in bit
-        // order, so the slot of `v` on machine `m` is the table entry as far into `v`'s
-        // as `v`'s mask has bits below `m`.
-        let slot = |v: VertexId, m: usize| {
+        // order, so the entry of `v` on machine `m` is the one as far into `v`'s as
+        // `v`'s mask has bits below `m`; each edge flags its endpoints' entries there.
+        assert!(
+            shards
+                .iter()
+                .all(|s| s.vertices.len() <= SLOT_MASK as usize),
+            "a machine holds more replicas than a replica table word can slot"
+        );
+        let offsets = &placement.offsets;
+        let entry = |v: VertexId, m: usize| {
             let (word, bit) = word_and_bit(v, m);
             let below: u32 = masks[v as usize * words..word]
                 .iter()
                 .map(|w| w.count_ones())
                 .sum();
             let rank = below + (masks[word] & (bit - 1)).count_ones();
-            placement.locals[placement.offsets[v as usize] + rank as usize]
+            offsets[v as usize] + rank as usize
         };
         let mut local_edges: Vec<Vec<(u32, u32)>> = assignment
             .edges_per_machine()
             .into_iter()
             .map(Vec::with_capacity)
             .collect();
+        let locals = &mut placement.locals;
         for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
             let m = machine.index();
-            local_edges[m].push((slot(src, m), slot(dst, m)));
+            let (s, d) = (entry(src, m), entry(dst, m));
+            locals[s] |= OWNS_OUT_EDGE;
+            locals[d] |= OWNS_IN_EDGE;
+            local_edges[m].push((locals[s] & SLOT_MASK, locals[d] & SLOT_MASK));
         }
         // The masks have done their work, and what follows is the build's memory peak.
         drop(masks);
@@ -348,7 +393,8 @@ impl PartitionedGraph {
     /// Consistency check used by tests: every edge appears on exactly one machine, every
     /// endpoint of a local edge has a local replica, local degree sums match global
     /// degrees, the master of every vertex is one of its replicas, every slot the
-    /// placement table records is the vertex's local index on that machine, and every
+    /// placement table records is the vertex's local index on that machine and carries
+    /// the out- and in-edge flags that machine's local degrees call for, and every
     /// stored out-edge target is the global id of a vertex replicated on that shard.
     pub fn validate(&self) -> Result<(), frogwild_graph::Error> {
         let total_local_edges: usize = self.shards.iter().map(|s| s.num_local_edges()).sum();
@@ -370,7 +416,8 @@ impl PartitionedGraph {
                 )));
             }
             let mut local_out_total = 0usize;
-            for (m, local) in self.placement.replica_slots(v) {
+            for replica in self.placement.replicas_of(v) {
+                let (m, local) = (replica.machine, replica.slot);
                 let shard = self.shard(m);
                 // lint:allow(forbidden, validate checks each recorded slot against a search)
                 if shard.local_index(v) != Some(local) {
@@ -378,7 +425,18 @@ impl PartitionedGraph {
                         "vertex {v}: recorded slot {local} on {m} is not its local index"
                     )));
                 }
-                local_out_total += shard.local_out_degree(local);
+                let (out_degree, in_degree) =
+                    (shard.local_out_degree(local), shard.local_in_degree(local));
+                if replica.owns_out_edge != (out_degree > 0)
+                    || replica.owns_in_edge != (in_degree > 0)
+                {
+                    return Err(frogwild_graph::Error::partition(format!(
+                        "vertex {v} on {m}: edge flags (out {}, in {}) disagree with local \
+                         degrees (out {out_degree}, in {in_degree})",
+                        replica.owns_out_edge, replica.owns_in_edge
+                    )));
+                }
+                local_out_total += out_degree;
             }
             if local_out_total != self.out_degrees[v as usize] as usize {
                 return Err(frogwild_graph::Error::partition(format!(
@@ -564,6 +622,24 @@ mod tests {
             pg.validate(),
             Err(frogwild_graph::Error::Partition { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_a_replica_edge_flag_that_disagrees_with_the_shard() {
+        let g = small_rmat();
+        for (flag, entry) in [
+            (OWNS_OUT_EDGE, 0usize),
+            (OWNS_IN_EDGE, 0),
+            (OWNS_OUT_EDGE, 7),
+        ] {
+            let mut pg = PartitionedGraph::build(&g, 4, PartitionerKind::Oblivious, 8);
+            pg.validate().unwrap();
+            pg.placement.locals[entry] ^= flag;
+            assert!(
+                matches!(pg.validate(), Err(frogwild_graph::Error::Partition { .. })),
+                "flag {flag:#x} flipped on entry {entry}"
+            );
+        }
     }
 
     #[test]

@@ -100,7 +100,12 @@ const fn forbid(
     }
 }
 
-const ENGINE_AND_POOL: &[&str] = &["crates/engine/src/engine.rs", "crates/engine/src/pool.rs"];
+const ENGINE: &[&str] = &["crates/engine/src/engine.rs", "crates/engine/src/engine/"];
+const ENGINE_AND_POOL: &[&str] = &[
+    "crates/engine/src/engine.rs",
+    "crates/engine/src/engine/",
+    "crates/engine/src/pool.rs",
+];
 const ENGINE_AND_CORE: &[&str] = &["crates/engine/src/", "crates/core/src/"];
 
 /// The `forbidden` rule's table: shapes the engine, the set-up path and the walk
@@ -109,7 +114,7 @@ pub const FORBIDDEN: &[Forbidden] = &[
     // Engine addressing: a vertex is found through the placement table and the
     // vertex-indexed mailboxes, and each machine combines its own mail on the one pool.
     forbid(
-        &["crates/engine/src/engine.rs"],
+        ENGINE,
         &[
             "BTreeMap",
             "btree_map::",
@@ -118,18 +123,21 @@ pub const FORBIDDEN: &[Forbidden] = &[
             "sort_by_key",
         ],
         "address vertices through VertexPlacement slots and the vertex-indexed mailboxes; \
-         combine messages by folding into them (fold_messages) and sort distinct \
-         destinations only",
+         combine messages by folding into them where they are produced or delivered",
     ),
     forbid(
-        &["crates/engine/src/engine.rs"],
+        ENGINE,
         &[
             "fn scatter_batch",
             "extend(produced)",
             "fold_messages(outgoing",
+            "outbox",
+            ".sort_unstable(",
         ],
-        "a machine's scatter is one unit that folds its own outbox in its lane; no scatter \
-         batches, no re-assembly, no fold on the driver thread",
+        "a machine's scatter is one unit that folds each emission into its lane's outgoing \
+         slot where it is produced and reads its mail back ascending from the lane's \
+         bitmap, and a frontier is read back ascending from the drain's bitmap: no outbox, \
+         no sort, no scatter batches, no re-assembly",
     ),
     Forbidden {
         at_most: 1,
