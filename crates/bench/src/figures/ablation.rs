@@ -15,20 +15,24 @@
 //!    versus fully independent erasures (Example 9): how many walkers are lost and the
 //!    accuracy impact.
 
-use super::accuracy;
+use super::{accuracy, frogwild, mid_cluster};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Algorithm, Dataset, Experiment, Lab};
+use frogwild::erasure::{erasure_walk_pagerank, ErasureModel};
 use frogwild::prelude::*;
-use frogwild_engine::PartitionedGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Runs the ablation tables.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = twitter_workload(scale);
-    let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let workload = lab.workload(Dataset::Twitter);
+    let machines = mid_cluster(&scale);
     let k = 100;
+    let on = |partitioner, algorithm: Algorithm| Experiment {
+        partitioner,
+        ..Experiment::new(Dataset::Twitter, machines, algorithm)
+    };
 
     // ------------------------------------------------------- partitioner ablation
     let mut partitioner_table = Table::new(
@@ -45,38 +49,20 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ],
     );
     for partitioner in PartitionerKind::ALL {
-        let pg = PartitionedGraph::build(&workload.graph, machines, partitioner, scale.seed);
-        let pr = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
-            .expect("valid figure configuration");
-        let fw = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: scale.walkers,
-                iterations: 4,
-                sync_probability: 0.7,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
-        )
-        .expect("valid figure configuration");
-        let mass = accuracy(&fw, &workload.truth, k);
+        let pr = on(partitioner, PageRankConfig::truncated(2).into());
+        let replication = lab.layout(&pr).placement().replication_factor();
+        let pr = lab.run(pr);
+        let fw = lab.run(on(partitioner, frogwild(scale.walkers, 4, 0.7).into()));
         partitioner_table.push_row(vec![
             partitioner.to_string(),
-            fmt_f64(pg.placement().replication_factor()),
+            fmt_f64(replication),
             pr.cost.network_bytes.to_string(),
             fw.cost.network_bytes.to_string(),
-            fmt_f64(mass),
+            fmt_f64(accuracy(&fw, &workload.truth, k)),
         ]);
     }
 
     // ------------------------------------------------------- scatter-mode ablation
-    let pg = PartitionedGraph::build(
-        &workload.graph,
-        machines,
-        PartitionerKind::Oblivious,
-        scale.seed,
-    );
     let mut scatter_table = Table::new(
         "Ablation B: deterministic even-split scatter vs idealized binomial scatter",
         &[
@@ -87,26 +73,17 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             "messages",
         ],
     );
-    for &ps in &[1.0, 0.4] {
-        for (mode, binomial) in [("even-split", false), ("binomial", true)] {
-            let fw = run_frogwild(
-                &pg,
-                &FrogWildConfig {
-                    num_walkers: scale.walkers,
-                    iterations: 4,
-                    sync_probability: ps,
-                    binomial_scatter: binomial,
-                    ..FrogWildConfig::default()
-                },
-                &exec,
-                &off,
-            )
-            .expect("valid figure configuration");
-            let mass = accuracy(&fw, &workload.truth, k);
+    for ps in [1.0, 0.4] {
+        for (mode, binomial_scatter) in [("even-split", false), ("binomial", true)] {
+            let config = FrogWildConfig {
+                binomial_scatter,
+                ..frogwild(scale.walkers, 4, ps)
+            };
+            let fw = lab.run(on(PartitionerKind::Oblivious, config.into()));
             scatter_table.push_row(vec![
                 mode.to_string(),
                 ps.to_string(),
-                fmt_f64(mass),
+                fmt_f64(accuracy(&fw, &workload.truth, k)),
                 fw.cost.network_bytes.to_string(),
                 fw.cost.network_messages.to_string(),
             ]);
@@ -119,25 +96,15 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         &["model", "ps", "mass_captured_k100", "walkers_retained"],
     );
     let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0xE7A5);
-    for &ps in &[0.4, 0.1] {
+    for ps in [0.4, 0.1] {
         for (name, model) in [
-            (
-                "at-least-one",
-                frogwild::erasure::ErasureModel::AtLeastOneOutEdge,
-            ),
-            ("independent", frogwild::erasure::ErasureModel::Independent),
+            ("at-least-one", ErasureModel::AtLeastOneOutEdge),
+            ("independent", ErasureModel::Independent),
         ] {
-            let est = frogwild::erasure::erasure_walk_pagerank(
-                &workload.graph,
-                scale.walkers,
-                4,
-                0.15,
-                ps,
-                model,
-                &mut rng,
-            );
+            let est =
+                erasure_walk_pagerank(&workload.graph, scale.walkers, 4, 0.15, ps, model, &mut rng);
             let retained: f64 = est.iter().sum();
-            let mass = frogwild::metrics::mass_captured(&est, &workload.truth, k).normalized();
+            let mass = mass_captured(&est, &workload.truth, k).normalized();
             erasure_table.push_row(vec![
                 name.to_string(),
                 ps.to_string(),
@@ -153,10 +120,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn ablation_tables_have_expected_shape() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].len(), 5);
         assert_eq!(tables[1].len(), 4);
@@ -165,7 +133,7 @@ mod tests {
 
     #[test]
     fn smarter_partitioners_beat_random_replication() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         let rf = |name: &str| -> f64 {
             tables[0].rows.iter().find(|r| r[0] == name).unwrap()[1]
                 .parse()
@@ -179,7 +147,7 @@ mod tests {
 
     #[test]
     fn walkers_are_fully_retained_under_at_least_one_model() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         for row in &tables[2].rows {
             let retained: f64 = row[3].parse().unwrap();
             // the estimator is normalised per walker, so full retention sums to 1

@@ -18,25 +18,32 @@
 //!   where Remark 6 predicts the walker budget must grow, and the captured-mass gap
 //!   shows it.
 
+use super::{frogwild, mid_cluster};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Dataset, Experiment, Lab};
 use frogwild::metrics::{exact_identification, mass_captured};
 use frogwild::montecarlo::{complete_path_pagerank, walkers_per_vertex_pagerank};
 use frogwild::prelude::*;
 use frogwild::rank_metrics::{kendall_tau_top_k, ndcg_at_k};
-use frogwild::reference::{exact_pagerank, serial_random_walk_pagerank};
-use frogwild_engine::{PartitionedGraph, PartitionerKind};
-use frogwild_graph::generators::watts_strogatz::{watts_strogatz, WattsStrogatzParams};
+use frogwild::reference::serial_random_walk_pagerank;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Runs the estimator-study tables.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
     let k = 100;
-    let workload = twitter_workload(scale);
-    let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
+    let workload = lab.workload(Dataset::Twitter);
+    let machines = mid_cluster(&scale);
     let max_steps = 4;
+    // FrogWild over the scale's walkers for `max_steps` at `p_s`, seeded by the scale.
+    let engine = |dataset: Dataset, ps: f64| {
+        let config = FrogWildConfig {
+            seed: scale.seed,
+            ..frogwild(scale.walkers, max_steps, ps)
+        };
+        Experiment::new(dataset, machines, config)
+    };
 
     // ---------------------------------------------------------------- Table D
     let mut estimator_table = Table::new(
@@ -64,26 +71,8 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ]);
     };
 
-    let pg = PartitionedGraph::build(
-        &workload.graph,
-        machines,
-        PartitionerKind::Oblivious,
-        scale.seed,
-    );
-    for &ps in &[1.0, 0.4] {
-        let report = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: scale.walkers,
-                iterations: max_steps,
-                sync_probability: ps,
-                seed: scale.seed,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
-        )
-        .expect("valid figure configuration");
+    for ps in [1.0, 0.4] {
+        let report = lab.run(engine(Dataset::Twitter, ps));
         push_estimator_row(
             &format!("frogwild engine ps={ps}"),
             scale.walkers,
@@ -118,36 +107,13 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ),
         &["graph", "top100_true_mass", "mass_k100", "exact_ident_k100"],
     );
-    let mut small_world_rng = SmallRng::seed_from_u64(scale.seed ^ 0x5A11);
-    let small_world = watts_strogatz(
-        scale.twitter_vertices,
-        WattsStrogatzParams::default(),
-        &mut small_world_rng,
-    );
-    let small_world_truth = exact_pagerank(&small_world, 0.15, 200, 1e-10).scores;
-    let families: [(&str, &DiGraph, &[f64]); 2] = [
-        (
-            "twitter-shaped (heavy tail)",
-            &workload.graph,
-            &workload.truth,
-        ),
-        ("watts-strogatz (flat)", &small_world, &small_world_truth),
-    ];
-    for (name, graph, truth) in families {
-        let pg = PartitionedGraph::build(graph, machines, PartitionerKind::Oblivious, scale.seed);
-        let report = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: scale.walkers,
-                iterations: 4,
-                sync_probability: 0.7,
-                seed: scale.seed,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
-        )
-        .expect("valid figure configuration");
+    for (name, dataset) in [
+        ("twitter-shaped (heavy tail)", Dataset::Twitter),
+        ("watts-strogatz (flat)", Dataset::SmallWorld),
+    ] {
+        let family = lab.workload(dataset);
+        let truth = &family.truth;
+        let report = lab.run(engine(dataset, 0.7));
         let optimal = mass_captured(truth, truth, k).optimal;
         family_table.push_row(vec![
             name.to_string(),
@@ -163,10 +129,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn estimator_tables_have_expected_shape() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].len(), 5, "2 engine rows + 3 serial estimators");
         assert_eq!(tables[1].len(), 2, "two graph families");
@@ -174,7 +141,7 @@ mod tests {
 
     #[test]
     fn heavy_tailed_graph_concentrates_more_mass_than_small_world() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         let family = &tables[1];
         let optimal: Vec<f64> = family.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         // The true top-100 of the heavy-tailed graph holds more mass than the
@@ -189,7 +156,7 @@ mod tests {
 
     #[test]
     fn all_estimators_produce_valid_metric_values() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         for row in &tables[0].rows {
             let mass: f64 = row[2].parse().unwrap();
             let ident: f64 = row[3].parse().unwrap();

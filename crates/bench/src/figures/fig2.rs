@@ -3,56 +3,29 @@
 //! (a) mass captured, (b) exact identification, for k ∈ {30, 100, 300, 1000}.
 //! Series: GraphLab PR 2 iters, 1 iter, and FrogWild with p_s ∈ {1, 0.7, 0.4, 0.1}.
 //!
-//! This figure is the session API's home turf: one `Session` partitions the workload
-//! graph once and then serves the whole six-way algorithm sweep as a query stream.
+//! Its runs are Figure 1's at 16 machines (or the scale's largest cluster, when that is
+//! smaller): the [`Lab`] hands back the estimates Figure 1 already ran.
 
-use super::PS_SWEEP;
+use super::{mid_cluster, paper_series};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Dataset, Experiment, Lab};
 use frogwild::prelude::*;
 
 /// The k values the paper sweeps.
 pub const K_SWEEP: [usize; 4] = [30, 100, 300, 1000];
 
 /// Runs the Figure 2 sweep: one table per accuracy metric.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let workload = twitter_workload(scale);
-    let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let mut session = Session::builder(&workload.graph)
-        .machines(machines)
-        .seed(scale.seed)
-        .build()
-        .expect("valid figure configuration");
-    let max_k = *K_SWEEP.last().unwrap();
-
-    let mut runs: Vec<(String, Response)> = Vec::new();
-    for iters in [2usize, 1] {
-        runs.push((
-            format!("GraphLab PR {iters} iters"),
-            session
-                .query(&Query::Pagerank {
-                    k: max_k,
-                    config: PageRankConfig::truncated(iters),
-                })
-                .expect("valid figure configuration"),
-        ));
-    }
-    for &ps in &PS_SWEEP {
-        runs.push((
-            format!("FrogWild ps={ps}"),
-            session
-                .query(&Query::TopK {
-                    k: max_k,
-                    config: FrogWildConfig {
-                        num_walkers: scale.walkers,
-                        iterations: 4,
-                        sync_probability: ps,
-                        ..FrogWildConfig::default()
-                    },
-                })
-                .expect("valid figure configuration"),
-        ));
-    }
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let workload = lab.workload(Dataset::Twitter);
+    let machines = mid_cluster(&scale);
+    // Figure 1's series without exact PR: GraphLab PR 2 and 1 iterations, then FrogWild.
+    let runs: Vec<_> = (paper_series(&scale).into_iter().skip(1))
+        .map(|(label, algorithm)| {
+            let experiment = Experiment::new(Dataset::Twitter, machines, algorithm);
+            (label, lab.run(experiment))
+        })
+        .collect();
 
     let mut mass_table = Table::new(
         format!(
@@ -66,9 +39,9 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         &["k", "algorithm", "exact_identification"],
     );
     for &k in &K_SWEEP {
-        for (label, response) in &runs {
-            let mass = mass_captured(&response.estimate, &workload.truth, k).normalized();
-            let ident = exact_identification(&response.estimate, &workload.truth, k);
+        for (label, report) in &runs {
+            let mass = mass_captured(&report.estimate, &workload.truth, k).normalized();
+            let ident = exact_identification(&report.estimate, &workload.truth, k);
             mass_table.push_row(vec![k.to_string(), label.clone(), fmt_f64(mass)]);
             ident_table.push_row(vec![k.to_string(), label.clone(), fmt_f64(ident)]);
         }
@@ -79,10 +52,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn fig2_produces_both_metrics_for_all_series() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 2);
         // 4 k values × (2 PR + 4 FrogWild) series
         assert_eq!(tables[0].len(), K_SWEEP.len() * 6);
@@ -98,7 +72,7 @@ mod tests {
         // full-sync accuracy is not worse than its most aggressive partial-sync
         // setting. The paper-level comparison against the 1-iteration baseline is
         // asserted at larger scale by tests/integration_end_to_end_figures.rs.
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         let mass = &tables[0];
         for row in &mass.rows {
             let v: f64 = row[2].parse().unwrap();

@@ -6,21 +6,19 @@
 //! `p_s = q`. The figure plots mass captured (k = 100) against total running time for
 //! q / p_s ∈ {0.4, 0.7, 1}.
 
-use super::accuracy;
+use super::{accuracy, frogwild};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Algorithm, Dataset, Experiment, Lab};
 use frogwild::prelude::*;
 
 /// k used by the figure.
 pub const K: usize = 100;
 
 /// Runs the Figure 5 comparison.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = twitter_workload(scale);
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let workload = lab.workload(Dataset::Twitter);
     let machines = *scale.machine_counts.first().unwrap_or(&12);
-    let cluster = ClusterConfig::new(machines, scale.seed);
-    let pg = partition_graph(&workload.graph, &cluster);
 
     let mut table = Table::new(
         format!(
@@ -38,59 +36,48 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     );
 
     // Two iterations: one would only measure in-degree, which is known at load time.
-    let two_iterations = PageRankConfig {
+    let config = PageRankConfig {
         seed: scale.seed,
         ..PageRankConfig::truncated(2)
     };
-    for keep_probability in [0.4, 0.7, 1.0] {
-        let report =
-            run_sparsified_pr(&workload.graph, &cluster, keep_probability, &two_iterations)
-                .expect("valid figure configuration");
-        let mass = accuracy(&report, &workload.truth, K);
-        table.push_row(vec![
-            "Sparsified GraphLab PR 2 iters".into(),
-            keep_probability.to_string(),
-            fmt_f64(mass),
-            fmt_f64(report.cost.simulated_seconds),
-            fmt_f64(report.cost.seconds_per_iteration()),
-            report.cost.network_bytes.to_string(),
-        ]);
-    }
-
-    for ps in [0.4, 0.7, 1.0] {
-        let report = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: scale.walkers,
-                iterations: 4,
-                sync_probability: ps,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
+    let levels = [0.4, 0.7, 1.0];
+    let sparsified = levels.map(|keep_probability| {
+        let algorithm = Algorithm::Sparsified {
+            keep_probability,
+            config,
+        };
+        (
+            "Sparsified GraphLab PR 2 iters",
+            keep_probability,
+            algorithm,
         )
-        .expect("valid figure configuration");
-        let mass = accuracy(&report, &workload.truth, K);
+    });
+    let frogwilds = levels.map(|ps| {
+        let config = frogwild(scale.walkers, 4, ps);
+        ("FrogWild 4 iters", ps, Algorithm::FrogWild(config))
+    });
+    for (label, q_or_ps, algorithm) in sparsified.into_iter().chain(frogwilds) {
+        let report = lab.run(Experiment::new(Dataset::Twitter, machines, algorithm));
         table.push_row(vec![
-            "FrogWild 4 iters".into(),
-            ps.to_string(),
-            fmt_f64(mass),
+            label.to_string(),
+            q_or_ps.to_string(),
+            fmt_f64(accuracy(&report, &workload.truth, K)),
             fmt_f64(report.cost.simulated_seconds),
             fmt_f64(report.cost.seconds_per_iteration()),
             report.cost.network_bytes.to_string(),
         ]);
     }
-
     vec![table]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn fig5_produces_both_families() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 6);
         let frogwild_rows = tables[0]
@@ -107,7 +94,7 @@ mod tests {
         // per-superstep barrier, which only happens at the harness scales (small /
         // medium). At tiny scale the claim that survives is the per-iteration cost and
         // the network traffic — both strictly lower for FrogWild at matching q = p_s.
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         let rows = &tables[0].rows;
         let cell = |algo_prefix: &str, q: &str, col: usize| -> f64 {
             rows.iter()

@@ -6,10 +6,9 @@
 //! accuracy against (a) total time and (b) network bytes for
 //! iterations ∈ {3, 4, 5} × p_s ∈ {0.1, 0.4, 0.7, 1} plus the PR baselines.
 
-use super::{accuracy, PS_SWEEP};
+use super::{accuracy, frogwild, livejournal_cluster, tradeoff_table, PS_SWEEP};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{livejournal_workload, Scale};
-use frogwild::prelude::*;
+use crate::workloads::{Dataset, Experiment, Lab};
 
 /// k used by the LiveJournal figures.
 pub const K: usize = 100;
@@ -17,166 +16,69 @@ pub const K: usize = 100;
 pub const ITERATION_SWEEP: [usize; 5] = [2, 3, 4, 5, 6];
 
 /// Runs the Figure 6 and 7 sweeps.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = livejournal_workload(scale);
-    let machines = scale
-        .machine_counts
-        .iter()
-        .copied()
-        .find(|&m| m >= 20)
-        .unwrap_or_else(|| *scale.machine_counts.last().unwrap_or(&20));
-    let cluster = ClusterConfig::new(machines, scale.seed);
-    let pg = partition_graph(&workload.graph, &cluster);
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let machines = livejournal_cluster(&scale);
 
-    // ---------------------------------------------------------------- Figure 6(a)/(c)
-    let mut walkers_acc = Table::new(
-        format!(
-            "Figure 6(a): accuracy vs number of walkers ({}, {} machines, 4 iters, k={K})",
-            workload.name, machines
-        ),
-        &["walkers", "ps", "mass_captured_k100"],
-    );
-    let mut walkers_time = Table::new(
-        "Figure 6(c): total time vs number of walkers",
-        &["walkers", "ps", "total_time_s"],
-    );
-    for &walkers in &scale.walker_sweep() {
-        for &ps in &PS_SWEEP {
-            let report = run_frogwild(
-                &pg,
-                &FrogWildConfig {
-                    num_walkers: walkers,
-                    iterations: 4,
-                    sync_probability: ps,
-                    ..FrogWildConfig::default()
-                },
-                &exec,
-                &off,
-            )
-            .expect("valid figure configuration");
-            let mass = accuracy(&report, &workload.truth, K);
-            walkers_acc.push_row(vec![walkers.to_string(), ps.to_string(), fmt_f64(mass)]);
-            walkers_time.push_row(vec![
-                walkers.to_string(),
-                ps.to_string(),
-                fmt_f64(report.cost.simulated_seconds),
-            ]);
-        }
-    }
-
-    // ---------------------------------------------------------------- Figure 6(b)/(d)
-    let mut iters_acc = Table::new(
-        format!(
-            "Figure 6(b): accuracy vs number of iterations ({} walkers, k={K})",
-            scale.walkers
-        ),
-        &["iterations", "ps", "mass_captured_k100"],
-    );
-    let mut iters_time = Table::new(
-        "Figure 6(d): total time vs number of iterations",
-        &["iterations", "ps", "total_time_s"],
-    );
-    for &iterations in &ITERATION_SWEEP {
-        for &ps in &PS_SWEEP {
-            let report = run_frogwild(
-                &pg,
-                &FrogWildConfig {
-                    num_walkers: scale.walkers,
-                    iterations,
-                    sync_probability: ps,
-                    ..FrogWildConfig::default()
-                },
-                &exec,
-                &off,
-            )
-            .expect("valid figure configuration");
-            let mass = accuracy(&report, &workload.truth, K);
-            iters_acc.push_row(vec![iterations.to_string(), ps.to_string(), fmt_f64(mass)]);
-            iters_time.push_row(vec![
-                iterations.to_string(),
-                ps.to_string(),
-                fmt_f64(report.cost.simulated_seconds),
-            ]);
-        }
-    }
-
-    // -------------------------------------------------------------------- Figure 7
-    let mut tradeoff = Table::new(
-        format!(
-            "Figure 7: accuracy vs total time and network ({}, {} machines, {} walkers, k={K})",
-            workload.name, machines, scale.walkers
-        ),
-        &[
-            "algorithm",
-            "iterations",
-            "ps",
+    let workload = lab.workload(Dataset::LiveJournal);
+    let name = workload.name;
+    let panel = |title: &str, axis, column| Table::new(title, &[axis, "ps", column]);
+    let mut figure6 = [
+        panel(
+            &format!("Figure 6(a): accuracy vs number of walkers ({name}, {machines} machines, 4 iters, k={K})"),
+            "walkers",
             "mass_captured_k100",
-            "total_time_s",
-            "network_bytes",
-        ],
-    );
-    for (label, config) in [
-        ("GraphLab PR 1 iters", PageRankConfig::truncated(1)),
-        ("GraphLab PR 2 iters", PageRankConfig::truncated(2)),
-        (
-            "GraphLab PR exact",
-            PageRankConfig {
-                max_iterations: scale.exact_pr_iterations,
-                tolerance: 1e-9,
-                ..PageRankConfig::default()
-            },
         ),
-    ] {
-        let report =
-            run_graphlab_pr(&pg, &config, &exec, &off).expect("valid figure configuration");
-        let mass = accuracy(&report, &workload.truth, K);
-        tradeoff.push_row(vec![
-            label.to_string(),
-            config.max_iterations.to_string(),
-            "-".into(),
-            fmt_f64(mass),
-            fmt_f64(report.cost.simulated_seconds),
-            report.cost.network_bytes.to_string(),
-        ]);
-    }
-    for iterations in [3usize, 4, 5] {
-        for &ps in &PS_SWEEP {
-            let report = run_frogwild(
-                &pg,
-                &FrogWildConfig {
-                    num_walkers: scale.walkers,
-                    iterations,
-                    sync_probability: ps,
-                    ..FrogWildConfig::default()
-                },
-                &exec,
-                &off,
-            )
-            .expect("valid figure configuration");
-            let mass = accuracy(&report, &workload.truth, K);
-            tradeoff.push_row(vec![
-                "FrogWild".into(),
-                iterations.to_string(),
-                ps.to_string(),
-                fmt_f64(mass),
-                fmt_f64(report.cost.simulated_seconds),
-                report.cost.network_bytes.to_string(),
-            ]);
+        panel(
+            &format!(
+                "Figure 6(b): accuracy vs number of iterations ({} walkers, k={K})",
+                scale.walkers
+            ),
+            "iterations",
+            "mass_captured_k100",
+        ),
+        panel("Figure 6(c): total time vs number of walkers", "walkers", "total_time_s"),
+        panel("Figure 6(d): total time vs number of iterations", "iterations", "total_time_s"),
+    ];
+    // Each sweep's points: (the swept value, walkers, iterations).
+    let walker_points = scale
+        .walker_sweep()
+        .into_iter()
+        .map(|w| (w, w, 4))
+        .collect();
+    let iteration_points = ITERATION_SWEEP
+        .map(|i| (i as u64, scale.walkers, i))
+        .to_vec();
+    let sweeps: [Vec<(u64, u64, usize)>; 2] = [walker_points, iteration_points];
+    for (sweep, points) in sweeps.into_iter().enumerate() {
+        for (x, walkers, iterations) in points {
+            for ps in PS_SWEEP {
+                let config = frogwild(walkers, iterations, ps);
+                let report = lab.run(Experiment::new(Dataset::LiveJournal, machines, config));
+                let mass = accuracy(&report, &workload.truth, K);
+                let seconds = report.cost.simulated_seconds;
+                figure6[sweep].push_row(vec![x.to_string(), ps.to_string(), fmt_f64(mass)]);
+                figure6[sweep + 2].push_row(vec![x.to_string(), ps.to_string(), fmt_f64(seconds)]);
+            }
         }
     }
-
-    vec![walkers_acc, iters_acc, walkers_time, iters_time, tradeoff]
+    let title = format!(
+        "Figure 7: accuracy vs total time and network ({name}, {machines} machines, {} walkers, k={K})",
+        scale.walkers
+    );
+    let figure7 = tradeoff_table(lab, Dataset::LiveJournal, machines, title);
+    figure6.into_iter().chain([figure7]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn fig67_produces_all_five_tables() {
         let scale = Scale::tiny();
-        let tables = run(&scale);
+        let tables = run(&mut Lab::new(scale.clone()));
         assert_eq!(tables.len(), 5);
         // 6(a): walker sweep × ps sweep
         assert_eq!(tables[0].len(), scale.walker_sweep().len() * PS_SWEEP.len());

@@ -5,43 +5,25 @@
 //! reason FrogWild can afford far fewer walkers than the one-walker-per-vertex schemes
 //! in earlier Monte-Carlo PageRank work.
 
+use super::{frogwild, livejournal_cluster};
 use crate::report::Table;
-use crate::workloads::{livejournal_workload, Scale};
-use frogwild::prelude::*;
+use crate::workloads::{Dataset, Experiment, Lab};
 
 /// Runs the Figure 8 sweep.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = livejournal_workload(scale);
-    let machines = scale
-        .machine_counts
-        .iter()
-        .copied()
-        .find(|&m| m >= 20)
-        .unwrap_or_else(|| *scale.machine_counts.last().unwrap_or(&20));
-    let cluster = ClusterConfig::new(machines, scale.seed);
-    let pg = partition_graph(&workload.graph, &cluster);
-
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let machines = livejournal_cluster(&scale);
     let mut table = Table::new(
         format!(
             "Figure 8: network bytes vs number of initial walkers ({}, {} machines, 4 iters, ps=1)",
-            workload.name, machines
+            lab.workload(Dataset::LiveJournal).name,
+            machines
         ),
         &["walkers", "network_bytes", "messages"],
     );
-    for &walkers in &scale.walker_sweep() {
-        let report = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: walkers,
-                iterations: 4,
-                sync_probability: 1.0,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
-        )
-        .expect("valid figure configuration");
+    for walkers in scale.walker_sweep() {
+        let config = frogwild(walkers, 4, 1.0);
+        let report = lab.run(Experiment::new(Dataset::LiveJournal, machines, config));
         table.push_row(vec![
             walkers.to_string(),
             report.cost.network_bytes.to_string(),
@@ -54,11 +36,12 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn fig8_network_grows_with_walkers() {
         let scale = Scale::tiny();
-        let tables = run(&scale);
+        let tables = run(&mut Lab::new(scale.clone()));
         assert_eq!(tables.len(), 1);
         let bytes: Vec<u64> = tables[0]
             .rows

@@ -21,32 +21,22 @@
 //! synchronous run would pay per superstep — the wait the first table reports as
 //! avoided.
 
-use crate::figures::accuracy;
+use super::{accuracy, frogwild, mid_cluster};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Dataset, Experiment, Lab};
 use frogwild::prelude::*;
-use frogwild_engine::{PartitionedGraph, PartitionerKind};
 
 /// The staleness windows swept, in supersteps. `0` is the synchronous baseline.
 const STALENESS_SWEEP: [usize; 4] = [0, 1, 2, 4];
 
 /// Runs the staleness sweep table.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let off = Tracer::disabled();
-    let workload = twitter_workload(scale);
-    let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let pg = PartitionedGraph::build(
-        &workload.graph,
-        machines,
-        PartitionerKind::Oblivious,
-        scale.seed,
-    );
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let workload = lab.workload(Dataset::Twitter);
+    let machines = mid_cluster(&scale);
     let config = FrogWildConfig {
-        num_walkers: scale.walkers,
-        iterations: 6,
-        sync_probability: 0.7,
         seed: scale.seed,
-        ..FrogWildConfig::default()
+        ..frogwild(scale.walkers, 6, 0.7)
     };
 
     let mut table = Table::new(
@@ -66,8 +56,10 @@ pub fn run(scale: &Scale) -> Vec<Table> {
     let deepest = *STALENESS_SWEEP.last().unwrap_or(&0);
     let mut straggler_profile: Vec<f64> = Vec::new();
     for s in STALENESS_SWEEP {
-        let report = run_frogwild(&pg, &config, &ExecutionConfig::new().staleness(s), &off)
-            .expect("valid figure configuration");
+        let report = lab.run(Experiment {
+            execution: ExecutionConfig::new().staleness(s),
+            ..Experiment::new(Dataset::Twitter, machines, config)
+        });
         let mass = accuracy(&report, &workload.truth, 20);
         table.push_row(vec![
             s.to_string(),
@@ -106,10 +98,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn staleness_sweep_trades_barrier_wait_without_collapsing_accuracy() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 2);
         let table = &tables[0];
         assert_eq!(table.len(), STALENESS_SWEEP.len());
@@ -134,7 +127,7 @@ mod tests {
 
     #[test]
     fn watermark_table_profiles_every_machine() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         let watermark = &tables[1];
         assert!(watermark.title.contains("watermark"));
         // One row per machine; at least one machine is the fastest (lag 0) and the

@@ -13,31 +13,26 @@
 //! slowdown factor of total simulated time when machine 0 runs 2× / 4× / 8× slower,
 //! for exact PageRank, 2-iteration PageRank and FrogWild at `p_s ∈ {1, 0.4}`.
 
+use super::{frogwild, mid_cluster, paper_series};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Algorithm, Dataset, Experiment, Lab};
 use frogwild::prelude::*;
-use frogwild_engine::{CostModel, PartitionedGraph, PartitionerKind};
+use frogwild_engine::CostModel;
 
 /// The straggler slowdown factors applied to machine 0.
 const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
 
 /// Runs the straggler-sensitivity table.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = twitter_workload(scale);
-    let machines = 16.min(*scale.machine_counts.last().unwrap_or(&16));
-    let pg = PartitionedGraph::build(
-        &workload.graph,
-        machines,
-        PartitionerKind::Oblivious,
-        scale.seed,
-    );
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let machines = mid_cluster(&scale);
     let model = CostModel::default();
 
     let mut table = Table::new(
         format!(
             "Ablation F: straggler sensitivity ({}, {} machines, machine 0 slowed)",
-            workload.name, machines
+            lab.workload(Dataset::Twitter).name,
+            machines
         ),
         &[
             "algorithm",
@@ -49,10 +44,20 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         ],
     );
 
-    let mut push_row = |label: &str, report: &RunReport| {
+    // GraphLab PR exact and 2 iterations, then FrogWild at p_s = 1 and 0.4.
+    let baselines = paper_series(&scale).into_iter().take(2);
+    let frogwilds = [1.0, 0.4].map(|ps| {
+        let config = FrogWildConfig {
+            seed: scale.seed,
+            ..frogwild(scale.walkers, 4, ps)
+        };
+        (format!("FrogWild ps={ps}"), Algorithm::FrogWild(config))
+    });
+    for (label, algorithm) in baselines.chain(frogwilds) {
+        let report = lab.run(Experiment::new(Dataset::Twitter, machines, algorithm));
         let nominal = report.cost.simulated_seconds;
         let mut row = vec![
-            label.to_string(),
+            label,
             fmt_f64(report.metrics.work_imbalance()),
             fmt_f64(nominal),
         ];
@@ -65,38 +70,6 @@ pub fn run(scale: &Scale) -> Vec<Table> {
             row.push(fmt_f64(degraded / nominal.max(f64::MIN_POSITIVE)));
         }
         table.push_row(row);
-    };
-
-    let exact = run_graphlab_pr(
-        &pg,
-        &PageRankConfig {
-            max_iterations: scale.exact_pr_iterations,
-            tolerance: 1e-9,
-            ..PageRankConfig::default()
-        },
-        &exec,
-        &off,
-    )
-    .expect("valid figure configuration");
-    push_row("GraphLab PR exact", &exact);
-    let two = run_graphlab_pr(&pg, &PageRankConfig::truncated(2), &exec, &off)
-        .expect("valid figure configuration");
-    push_row("GraphLab PR 2 iters", &two);
-    for &ps in &[1.0, 0.4] {
-        let fw = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                num_walkers: scale.walkers,
-                iterations: 4,
-                sync_probability: ps,
-                seed: scale.seed,
-                ..FrogWildConfig::default()
-            },
-            &exec,
-            &off,
-        )
-        .expect("valid figure configuration");
-        push_row(&format!("FrogWild ps={ps}"), &fw);
     }
 
     vec![table]
@@ -105,10 +78,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn straggler_table_has_expected_shape_and_monotone_slowdowns() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
         assert_eq!(table.len(), 4, "exact PR, 2-iter PR, FrogWild ps=1, ps=0.4");

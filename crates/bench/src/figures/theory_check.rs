@@ -6,23 +6,19 @@
 //! analytical envelope, which is the strongest end-to-end consistency check available
 //! for the partial-synchronization machinery.
 
+use super::{frogwild, mid_cluster, PS_SWEEP};
 use crate::report::{fmt_f64, Table};
-use crate::workloads::{twitter_workload, Scale};
+use crate::workloads::{Dataset, Experiment, Lab};
 use frogwild::metrics::mass_captured;
-use frogwild::prelude::*;
 use frogwild::theory;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Runs the theory-vs-measurement comparison.
-pub fn run(scale: &Scale) -> Vec<Table> {
-    let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
-    let workload = twitter_workload(scale);
-    let cluster = ClusterConfig::new(
-        16.min(*scale.machine_counts.last().unwrap_or(&16)),
-        scale.seed,
-    );
-    let pg = partition_graph(&workload.graph, &cluster);
+pub fn run(lab: &mut Lab) -> Vec<Table> {
+    let scale = lab.scale().clone();
+    let workload = lab.workload(Dataset::Twitter);
+    let machines = mid_cluster(&scale);
     let pi_max = workload.truth.iter().cloned().fold(0.0, f64::max);
     let n = workload.graph.num_vertices();
     let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x7E07);
@@ -74,20 +70,10 @@ pub fn run(scale: &Scale) -> Vec<Table> {
         &["ps", "iterations", "measured_loss", "epsilon_bound", "within_bound"],
     );
     let k = 30;
-    for &ps in &[1.0, 0.7, 0.4, 0.1] {
-        for &iterations in &[4usize, 6] {
-            let report = run_frogwild(
-                &pg,
-                &FrogWildConfig {
-                    num_walkers: scale.walkers,
-                    iterations,
-                    sync_probability: ps,
-                    ..FrogWildConfig::default()
-                },
-                &exec,
-                &off,
-            )
-            .expect("valid figure configuration");
+    for ps in PS_SWEEP {
+        for iterations in [4usize, 6] {
+            let config = frogwild(scale.walkers, iterations, ps);
+            let report = lab.run(Experiment::new(Dataset::Twitter, machines, config));
             let m = mass_captured(&report.estimate, &workload.truth, k);
             let p_intersect = theory::intersection_probability_bound(n, iterations, 0.15, pi_max);
             let epsilon =
@@ -108,10 +94,11 @@ pub fn run(scale: &Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::Scale;
 
     #[test]
     fn theory_tables_report_containment() {
-        let tables = run(&Scale::tiny());
+        let tables = run(&mut Lab::new(Scale::tiny()));
         assert_eq!(tables.len(), 3);
         // Theorem 1 rows must all be within the bound at tiny scale too.
         let theorem1 = &tables[2];

@@ -1,11 +1,17 @@
-//! Experiment workloads: synthetic stand-ins for the paper's Twitter and LiveJournal
-//! graphs, plus the scale knobs shared by every figure.
+//! Experiment workloads: the scale knobs shared by every figure, the synthetic stand-ins
+//! for the paper's Twitter and LiveJournal graphs, and the [`Lab`] that builds each of
+//! them once and runs each distinct experiment on them once.
 
-use frogwild::reference::exact_pagerank;
+use frogwild::prelude::{
+    exact_pagerank, run_frogwild, run_graphlab_pr, run_sparsified_pr, ClusterConfig, DiGraph,
+    ExecutionConfig, FrogWildConfig, PageRankConfig, PartitionerKind, RunReport, Tracer,
+};
+use frogwild_engine::PartitionedGraph;
+use frogwild_graph::generators::watts_strogatz::{watts_strogatz, WattsStrogatzParams};
 use frogwild_graph::generators::{livejournal_like, twitter_like};
-use frogwild_graph::DiGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::rc::Rc;
 
 /// Scale of the experiment suite.
 ///
@@ -122,34 +128,196 @@ pub struct Workload {
     pub truth: Vec<f64>,
 }
 
-impl Workload {
-    fn build(name: &'static str, graph: DiGraph) -> Self {
+/// The graphs the figures run on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dataset {
+    /// The stand-in for the paper's Twitter graph, [`Scale::twitter_vertices`] large.
+    Twitter,
+    /// The stand-in for the paper's LiveJournal graph, [`Scale::livejournal_vertices`]
+    /// large.
+    LiveJournal,
+    /// A Watts–Strogatz small-world graph as large as the Twitter-shaped one: the
+    /// flat-PageRank negative control of the estimator study.
+    SmallWorld,
+}
+
+impl Dataset {
+    fn generate(self, scale: &Scale) -> Workload {
+        let rng = |tag: u64| SmallRng::seed_from_u64(scale.seed ^ tag);
+        let (name, graph) = match self {
+            Dataset::Twitter => (
+                "Twitter-shaped",
+                twitter_like(scale.twitter_vertices, &mut rng(0x7017)),
+            ),
+            Dataset::LiveJournal => (
+                "LiveJournal-shaped",
+                livejournal_like(scale.livejournal_vertices, &mut rng(0x11FE)),
+            ),
+            Dataset::SmallWorld => (
+                "Watts-Strogatz",
+                watts_strogatz(
+                    scale.twitter_vertices,
+                    WattsStrogatzParams::default(),
+                    &mut rng(0x5A11),
+                ),
+            ),
+        };
         let truth = exact_pagerank(&graph, 0.15, 200, 1e-10).scores;
         Workload { name, graph, truth }
     }
 }
 
-/// The Twitter-shaped workload for the given scale.
-pub fn twitter_workload(scale: &Scale) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x7017);
-    Workload::build(
-        "Twitter-shaped",
-        twitter_like(scale.twitter_vertices, &mut rng),
-    )
+/// What an [`Experiment`] runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Algorithm {
+    /// FrogWild, [`run_frogwild`].
+    FrogWild(FrogWildConfig),
+    /// GraphLab PageRank, [`run_graphlab_pr`].
+    PageRank(PageRankConfig),
+    /// GraphLab PageRank on a copy of the graph that keeps each edge with probability
+    /// `keep_probability`, partitioned afresh by the oblivious ingress under the default
+    /// execution: [`run_sparsified_pr`], Figure 5's baseline.
+    Sparsified {
+        keep_probability: f64,
+        config: PageRankConfig,
+    },
 }
 
-/// The LiveJournal-shaped workload for the given scale.
-pub fn livejournal_workload(scale: &Scale) -> Workload {
-    let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0x11FE);
-    Workload::build(
-        "LiveJournal-shaped",
-        livejournal_like(scale.livejournal_vertices, &mut rng),
-    )
+impl From<FrogWildConfig> for Algorithm {
+    fn from(config: FrogWildConfig) -> Self {
+        Algorithm::FrogWild(config)
+    }
+}
+
+impl From<PageRankConfig> for Algorithm {
+    fn from(config: PageRankConfig) -> Self {
+        Algorithm::PageRank(config)
+    }
+}
+
+/// One engine run: the graph, the layout it is partitioned into (always with the
+/// scale's seed), what runs on it and how. Two equal experiments are the same run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Experiment {
+    /// The graph.
+    pub dataset: Dataset,
+    /// Simulated machines in the layout.
+    pub machines: usize,
+    /// The ingress that builds the layout.
+    pub partitioner: PartitionerKind,
+    /// What runs on the layout.
+    pub algorithm: Algorithm,
+    /// How the engine executes it.
+    pub execution: ExecutionConfig,
+}
+
+impl Experiment {
+    /// `algorithm` on `dataset` over `machines` machines of the oblivious ingress, under
+    /// the default (synchronous) execution.
+    pub fn new(dataset: Dataset, machines: usize, algorithm: impl Into<Algorithm>) -> Self {
+        Experiment {
+            dataset,
+            machines,
+            partitioner: PartitionerKind::Oblivious,
+            algorithm: algorithm.into(),
+            execution: ExecutionConfig::default(),
+        }
+    }
+}
+
+/// The figures' one laboratory: it generates each [`Dataset`] once and runs each
+/// distinct [`Experiment`] once, answering a repeated request from its memo.
+///
+/// The evaluation is one grid of runs read many ways — Figure 2 reads Figure 1's runs at
+/// 16 machines, Figure 8 a slice of Figure 6(a) — so a figure asks the lab for the runs
+/// its tables read and never spells out a partition or a driver call. The memo compares
+/// experiments with `==`; the lab keeps only the layout it partitioned last.
+pub struct Lab {
+    scale: Scale,
+    workloads: Vec<(Dataset, Rc<Workload>)>,
+    layout: Option<((Dataset, usize, PartitionerKind), PartitionedGraph)>,
+    memo: Vec<(Experiment, Rc<RunReport>)>,
+}
+
+impl Lab {
+    /// An empty lab at `scale`: nothing is generated or run until a figure asks.
+    pub fn new(scale: Scale) -> Self {
+        Lab {
+            scale,
+            workloads: Vec::new(),
+            layout: None,
+            memo: Vec::new(),
+        }
+    }
+
+    /// The scale every workload and layout of this lab is built at.
+    pub fn scale(&self) -> &Scale {
+        &self.scale
+    }
+
+    /// The `dataset`'s workload, generated on first request.
+    pub fn workload(&mut self, dataset: Dataset) -> Rc<Workload> {
+        if let Some((_, workload)) = self.workloads.iter().find(|(d, _)| *d == dataset) {
+            return Rc::clone(workload);
+        }
+        let workload = Rc::new(dataset.generate(&self.scale));
+        self.workloads.push((dataset, Rc::clone(&workload)));
+        workload
+    }
+
+    /// The layout `experiment` runs on — its dataset partitioned over its machines by
+    /// its partitioner — built unless the lab partitioned it last (it keeps only that).
+    pub fn layout(&mut self, experiment: &Experiment) -> &PartitionedGraph {
+        let key = (
+            experiment.dataset,
+            experiment.machines,
+            experiment.partitioner,
+        );
+        if self.layout.as_ref().is_none_or(|(built, _)| *built != key) {
+            self.layout = None; // the old layout goes before the new one is built
+            let graph = &self.workload(key.0).graph;
+            let pg = PartitionedGraph::build(graph, key.1, key.2, self.scale.seed);
+            self.layout = Some((key, pg));
+        }
+        let (_, pg) = self.layout.as_ref().expect("the layout was just built");
+        pg
+    }
+
+    /// The report of `experiment`, run on first request.
+    pub fn run(&mut self, experiment: Experiment) -> Rc<RunReport> {
+        if let Some((_, report)) = self.memo.iter().find(|(e, _)| *e == experiment) {
+            return Rc::clone(report);
+        }
+        #[cfg(test)]
+        tests::DRIVER_CALLS.with(|calls| calls.set(calls.get() + 1));
+        let (exec, off) = (experiment.execution, Tracer::disabled());
+        let report = match experiment.algorithm {
+            Algorithm::FrogWild(c) => run_frogwild(self.layout(&experiment), &c, &exec, &off),
+            Algorithm::PageRank(c) => run_graphlab_pr(self.layout(&experiment), &c, &exec, &off),
+            Algorithm::Sparsified {
+                keep_probability,
+                config,
+            } => {
+                let cluster = ClusterConfig::new(experiment.machines, self.scale.seed);
+                let graph = &self.workload(experiment.dataset).graph;
+                run_sparsified_pr(graph, &cluster, keep_probability, &config)
+            }
+        };
+        let report = Rc::new(report.expect("valid figure configuration"));
+        self.memo.push((experiment, Rc::clone(&report)));
+        report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Driver calls made on this thread by any [`Lab`].
+        pub(super) static DRIVER_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn presets_are_ordered_by_size() {
@@ -185,14 +353,41 @@ mod tests {
 
     #[test]
     fn workloads_have_truth_vectors() {
-        let w = twitter_workload(&Scale::tiny());
+        let mut lab = Lab::new(Scale::tiny());
+        let w = lab.workload(Dataset::Twitter);
         assert_eq!(w.truth.len(), w.graph.num_vertices());
         let total: f64 = w.truth.iter().sum();
         assert!((total - 1.0).abs() < 1e-6);
         assert!(w.graph.has_no_dangling());
+        assert!(
+            Rc::ptr_eq(&w, &lab.workload(Dataset::Twitter)),
+            "built twice"
+        );
 
-        let lj = livejournal_workload(&Scale::tiny());
+        let lj = lab.workload(Dataset::LiveJournal);
         assert_eq!(lj.name, "LiveJournal-shaped");
         assert!(lj.graph.num_edges() < w.graph.num_edges());
+    }
+
+    #[test]
+    fn a_figures_run_asks_the_driver_for_each_experiment_once() {
+        let calls = || DRIVER_CALLS.with(Cell::get);
+        let before = calls();
+        let mut lab = Lab::new(Scale::tiny());
+        for (names, run) in crate::FIGURES {
+            let start = calls();
+            run(&mut lab);
+            // Figure 2 reads Figure 1's runs, and Figure 8 a slice of Figure 6(a).
+            if names.contains(&"fig2") || names.contains(&"fig8") {
+                assert_eq!(calls(), start, "{names:?} ran an experiment again");
+            }
+        }
+        let keys: Vec<Experiment> = lab.memo.iter().map(|(key, _)| *key).collect();
+        for (i, key) in keys.iter().enumerate() {
+            assert!(!keys[..i].contains(key), "{key:?} ran twice");
+        }
+        // Every driver call went through this lab's memo: a figure that ran an
+        // experiment past it would add a call and no key.
+        assert_eq!(calls() - before, keys.len());
     }
 }

@@ -470,7 +470,7 @@ fn cmd_autotune(args: &Args) -> Result<()> {
 fn cmd_ppr(args: &Args) -> Result<()> {
     args.require("source")?;
     let source: u64 = args.get_parsed("source", 0, "a vertex id")?;
-    let k: usize = args.get_parsed("k", 20, "an integer")?;
+    let k = ranked_count(args, 20)?;
     let method = match args.get("method").unwrap_or("push") {
         "push" => PprMethod::ForwardPush {
             epsilon: args.get_parsed("epsilon", 1e-7, "a positive number")?,
@@ -577,9 +577,9 @@ fn cmd_ppr(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// Generates a deterministic mixed TopK/PPR stream sized by `--queries`, shaped to
-/// exercise both the engine path and (when `--walk-index` is set) the index path.
-fn serve_stream(args: &Args, graph: &DiGraph) -> Result<Vec<Query>> {
+/// Generates a deterministic mixed TopK/PPR stream of `--queries` queries ranking `k`
+/// each, shaped to exercise both the engine path and (with `--walk-index`) the index path.
+fn serve_stream(args: &Args, graph: &DiGraph, k: usize) -> Result<Vec<Query>> {
     let count: usize = args.get_parsed("queries", 100usize, "an integer")?;
     if count == 0 {
         return Err(Error::config(
@@ -587,7 +587,6 @@ fn serve_stream(args: &Args, graph: &DiGraph) -> Result<Vec<Query>> {
             "--queries must be at least 1",
         ));
     }
-    let k: usize = args.get_parsed("k", 20, "an integer")?;
     let topk_config = FrogWildConfig {
         num_walkers: args.get_parsed("walkers", 20_000u64, "an integer")?,
         iterations: args.get_parsed("iterations", 3usize, "an integer")?,
@@ -624,8 +623,9 @@ fn serve_stream(args: &Args, graph: &DiGraph) -> Result<Vec<Query>> {
 
 fn cmd_serve(args: &Args) -> Result<()> {
     let serve_config = serve_config_from(args)?;
+    let k = ranked_count(args, 20)?;
     let graph = load_graph(args)?.graph;
-    let queries = serve_stream(args, &graph)?;
+    let queries = serve_stream(args, &graph, k)?;
     let mut session = session_over(args, &graph, walk_index_config(args)?)?;
     let mut handle = session.serve_with(serve_config)?;
     let report = if args.has_flag("serial") {
@@ -684,8 +684,8 @@ fn cmd_serve(args: &Args) -> Result<()> {
 }
 
 fn cmd_index(args: &Args) -> Result<()> {
-    let graph = load_graph(args)?.graph;
     let config = walk_index_values(args)?;
+    let graph = load_graph(args)?.graph;
     // A session over the walk index is the build — each machine's segment generation
     // lands in the trace as a `walk_segments` span — and, below, the probes.
     let mut builder = Session::builder(&graph)

@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 23] = [
+    let table: [Case<'_>; 25] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -160,7 +160,8 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             Err("option --machines does not apply to stats"),
         ),
         // A bad configuration is rejected before the graph is generated and
-        // partitioned (the loop checks that no `session:` line was printed).
+        // partitioned (the loop checks that no `generated` or `session:` line was
+        // printed).
         (
             &["pagerank", "--synthetic", "twitter", "--vertices", "2000", "--iterations", "0"],
             Err("error: invalid PageRankConfig: max_iterations must be positive"),
@@ -175,6 +176,15 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
         ),
         (
             &["topk", "--synthetic", "twitter", "--vertices", "2000", "--k", "0"],
+            Err("error: invalid command line: --k must be at least 1"),
+        ),
+        // Served every query as a failure and exited 0.
+        (
+            &["serve", "--synthetic", "twitter", "--vertices", "2000", "--queries", "8", "--k", "0"],
+            Err("error: invalid command line: --k must be at least 1"),
+        ),
+        (
+            &["ppr", "--synthetic", "twitter", "--vertices", "2000", "--source", "3", "--k", "0"],
             Err("error: invalid command line: --k must be at least 1"),
         ),
         // The subcommand is checked by the parser, before any of its options.
@@ -198,6 +208,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
                 assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
                 assert!(stderr.contains(text), "{args:?}: {stderr}");
                 assert!(!stderr.contains("session:"), "{args:?}: {stderr}");
+                assert!(!stderr.contains("generated"), "{args:?}: {stderr}");
             }
         }
     }

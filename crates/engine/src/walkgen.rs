@@ -5,11 +5,10 @@
 //! together PowerWalk-style instead of walking the graph afresh. Generating those
 //! segments is the expensive part of an index build, no segment depends on another, and
 //! the natural unit of work is the placement's own division: **each simulated machine
-//! generates the segments of the vertices it masters**. The machines are dealt out in
-//! contiguous runs to the host's threads — as many as [`worker_threads`]`(0)` reports,
-//! never more than there are machines — so a layout of forty thousand simulated machines
-//! still builds on a handful of threads. (The engine in [`crate::engine`] schedules
-//! differently: a worker pool over per-phase work units.)
+//! generates the segments of the vertices it masters**. Each machine is one unit of the
+//! engine's one pool (`pool::run_batched`), on as many threads as [`worker_threads`]`(0)`
+//! reports, never more than there are machines — so a layout of forty thousand
+//! simulated machines still builds on a handful of threads.
 //!
 //! Segments are generated **in place**. The arena has a fixed stride — segment `j` of
 //! vertex `v` occupies the `L` slots starting at `(v · R + j) · L` — so every segment's
@@ -29,7 +28,7 @@ use frogwild_obs::{span_meta, SpanKey, Tracer};
 use rand::Rng;
 
 use crate::placement::PartitionedGraph;
-use crate::pool::worker_threads;
+use crate::pool::{run_batched, worker_threads};
 
 /// Domain-separation tag for segment-generation randomness.
 const TAG_SEGMENT: u64 = 0x5E91;
@@ -50,9 +49,9 @@ pub const NO_HOP: VertexId = VertexId::MAX;
 /// walk length is also decided at query time, which keeps the index valid for any
 /// teleport probability.
 ///
-/// The machines' chunks are filled on the host's threads, a contiguous run of machines
-/// to each. The output is identical for every thread count, and identical across machine
-/// counts and partitioners for a fixed `seed`.
+/// The machines' chunks are filled on the engine's pool, one machine per unit. The
+/// output is identical for every thread count, and identical across machine counts and
+/// partitioners for a fixed `seed`.
 ///
 /// Each machine's generation is recorded into `tracer` as a `walk_segments` span keyed
 /// `(0, machine, 0)`, carrying vertex and (real) hop counters; the tracer only observes.
@@ -109,24 +108,9 @@ pub fn generate_walk_segments(
         span.counter("hops", hops);
     };
 
-    let threads = worker_threads(0).min(num_machines);
-    let run_len = num_machines.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .chunks_mut(run_len)
-            .enumerate()
-            .map(|(run, machines)| {
-                scope.spawn(move || {
-                    for (offset, chunks) in machines.iter_mut().enumerate() {
-                        fill(run * run_len + offset, std::mem::take(chunks));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            // lint:allow(panic, re-raises a worker thread panic)
-            handle.join().expect("segment generation worker panicked");
-        }
+    let mut lanes = vec![(); worker_threads(0).min(num_machines)];
+    run_batched(&mut work, &mut lanes, |machine, chunks, _| {
+        fill(machine, std::mem::take(chunks));
     });
     arena
 }

@@ -66,7 +66,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "forbidden",
         doc: "a token sequence a row of the FORBIDDEN table names, in the files that row \
               covers, more often than the row allows (engine addressing, set-up path, \
-              index arena, engine configuration: shapes a rewrite removed)",
+              index arena, engine configuration, figures: shapes a rewrite removed)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -101,15 +101,17 @@ const fn forbid(
 }
 
 const ENGINE: &[&str] = &["crates/engine/src/engine.rs", "crates/engine/src/engine/"];
-const ENGINE_AND_POOL: &[&str] = &[
+/// The engine, its pool and the walk-segment generator: every file that runs threads.
+const ONE_POOL: &[&str] = &[
     "crates/engine/src/engine.rs",
     "crates/engine/src/engine/",
     "crates/engine/src/pool.rs",
+    "crates/engine/src/walkgen.rs",
 ];
 const ENGINE_AND_CORE: &[&str] = &["crates/engine/src/", "crates/core/src/"];
 
-/// The `forbidden` rule's table: shapes the engine, the set-up path and the walk
-/// index were rewritten away from, kept from growing back one line at a time.
+/// The `forbidden` rule's table: shapes the engine, the set-up path, the walk index
+/// and the figures were rewritten away from, kept from growing back one line at a time.
 pub const FORBIDDEN: &[Forbidden] = &[
     // Engine addressing: a vertex is found through the placement table and the
     // vertex-indexed mailboxes, and each machine combines its own mail on the one pool.
@@ -142,7 +144,7 @@ pub const FORBIDDEN: &[Forbidden] = &[
     Forbidden {
         at_most: 1,
         ..forbid(
-            ENGINE_AND_POOL,
+            ONE_POOL,
             &["std::thread::scope"],
             "one pool: run_batched is the engine's only thread scope",
         )
@@ -150,7 +152,7 @@ pub const FORBIDDEN: &[Forbidden] = &[
     Forbidden {
         at_most: 1,
         ..forbid(
-            ENGINE_AND_POOL,
+            ONE_POOL,
             &["lint:allow(panic"],
             "the one allowed panic re-raises a worker-thread panic in run_batched",
         )
@@ -240,6 +242,22 @@ pub const FORBIDDEN: &[Forbidden] = &[
         &["parallel"],
         "segment generation shares worker_threads(0) among the machines, always; there is \
          no parallel setting",
+    ),
+    // Figures: the evaluation is one grid of runs, and the Lab holds it.
+    forbid(
+        &["crates/bench/src/figures/"],
+        &[
+            "run_frogwild(",
+            "run_graphlab_pr(",
+            "run_sparsified_pr(",
+            "partition_graph(",
+            "PartitionedGraph::build(",
+            "Session::builder(",
+            "twitter_workload(",
+            "livejournal_workload(",
+        ],
+        "a figure asks the Lab, which builds each workload and layout and runs each \
+         experiment once",
     ),
 ];
 
