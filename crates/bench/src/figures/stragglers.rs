@@ -1,23 +1,24 @@
 //! Straggler-sensitivity study: how much does one slow machine hurt each algorithm?
 //!
 //! Not a paper figure. Both FrogWild and the baseline PageRank run on a *synchronous*
-//! engine, so every superstep waits for the slowest machine. The paper's evaluation uses
-//! homogeneous EC2 instances; in practice clusters are rarely uniform, and the question
-//! a deployment cares about is how gracefully each algorithm degrades when one machine
-//! is slow (noisy neighbour, failing disk, background compaction…).
+//! engine here, so every superstep waits for the slowest machine. The paper's evaluation
+//! uses homogeneous EC2 instances; in practice clusters are rarely uniform, and the
+//! question a deployment cares about is how gracefully each algorithm degrades when one
+//! machine is slow (noisy neighbour, failing disk, background compaction…).
 //!
 //! Every superstep's record keeps its per-machine work and traffic
 //! ([`frogwild_engine::SuperstepMetrics`]), so one recorded run can be *re-priced*
-//! under any straggler scenario without re-executing
-//! ([`frogwild_engine::CostModel::superstep_seconds_hetero`]). The table reports the
-//! slowdown factor of total simulated time when machine 0 runs 2× / 4× / 8× slower,
-//! for exact PageRank, 2-iteration PageRank and FrogWild at `p_s ∈ {1, 0.4}`.
+//! under any straggler scenario without re-executing:
+//! [`frogwild_engine::RunMetrics::reprice`] replays the run's own simulated clock with
+//! machine 0's compute and transfer slowed, and at nominal speeds gives back the run's
+//! `simulated_seconds`. The table reports the slowdown factor of total simulated time
+//! when machine 0 runs 2× / 4× / 8× slower, for exact PageRank, 2-iteration PageRank
+//! and FrogWild at `p_s ∈ {1, 0.4}`.
 
 use super::{frogwild, mid_cluster, paper_series};
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{Algorithm, Dataset, Experiment, Lab};
 use frogwild::prelude::*;
-use frogwild_engine::CostModel;
 
 /// The straggler slowdown factors applied to machine 0.
 const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
@@ -26,7 +27,6 @@ const SLOWDOWNS: [f64; 3] = [2.0, 4.0, 8.0];
 pub fn run(lab: &mut Lab) -> Vec<Table> {
     let scale = lab.scale().clone();
     let machines = mid_cluster(&scale);
-    let model = CostModel::default();
 
     let mut table = Table::new(
         format!(
@@ -64,9 +64,7 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         for &slow in &SLOWDOWNS {
             let mut speeds = vec![1.0; machines];
             speeds[0] = slow;
-            let degraded = report
-                .metrics
-                .total_simulated_seconds_hetero(&model, &speeds);
+            let degraded = report.metrics.reprice(&speeds);
             row.push(fmt_f64(degraded / nominal.max(f64::MIN_POSITIVE)));
         }
         table.push_row(row);

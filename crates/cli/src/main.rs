@@ -87,13 +87,7 @@ fn load_graph(args: &Args) -> Result<Loaded> {
         );
         return Ok(Loaded { graph, labels });
     }
-    let vertices: usize = args.get_parsed("vertices", 100_000, "an integer")?;
-    if vertices == 0 {
-        return Err(Error::config(
-            "command line",
-            "--vertices must be at least 1",
-        ));
-    }
+    let vertices = vertex_count(args)?;
     if vertices > VertexId::MAX as usize {
         return Err(Error::config(
             "command line",
@@ -127,7 +121,20 @@ fn load_graph(args: &Args) -> Result<Loaded> {
     })
 }
 
-/// The `--walk-index-*` options parsed into a config (defaults where absent).
+/// `--vertices`: the size of the graph to generate, or to plan for; at least one.
+fn vertex_count(args: &Args) -> Result<usize> {
+    let vertices: usize = args.get_parsed("vertices", 100_000, "an integer")?;
+    if vertices == 0 {
+        return Err(Error::config(
+            "command line",
+            "--vertices must be at least 1",
+        ));
+    }
+    Ok(vertices)
+}
+
+/// The `--walk-index-*` options parsed into a config (defaults where absent) and
+/// validated, before any graph is loaded.
 fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
     let base = WalkIndexConfig::default();
     // An explicit `--walk-index-budget-mb 0` must reach the library validator (which
@@ -145,7 +152,7 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
             })?
         }
     };
-    Ok(WalkIndexConfig {
+    let config = WalkIndexConfig {
         segments_per_vertex: args.get_parsed(
             "walk-index-segments",
             base.segments_per_vertex,
@@ -164,7 +171,9 @@ fn walk_index_values(args: &Args) -> Result<WalkIndexConfig> {
         )?,
         memory_budget_bytes,
         seed: seed_of(args)?,
-    })
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 /// `Some(config)` when the command line opts into a walk index — via the bare
@@ -185,7 +194,8 @@ fn warn_no_effect(args: &Args, options: &[&str], why: &str) {
     }
 }
 
-/// The `--serve-*` / `--admission*` options parsed into a [`ServeConfig`].
+/// The `--serve-*` / `--admission*` options parsed into a [`ServeConfig`] and
+/// validated, before any graph is loaded.
 fn serve_config_from(args: &Args) -> Result<ServeConfig> {
     let base = ServeConfig::default();
     let admission = match args.get("admission").unwrap_or("block") {
@@ -202,12 +212,14 @@ fn serve_config_from(args: &Args) -> Result<ServeConfig> {
             ))
         }
     };
-    Ok(ServeConfig {
+    let config = ServeConfig {
         workers: args.get_parsed("serve-workers", base.workers, "an integer")?,
         queue_depth: args.get_parsed("queue-depth", base.queue_depth, "an integer")?,
         batch: args.get_parsed("serve-batch", base.batch, "an integer")?,
         admission,
-    })
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 /// [`SpanKey::lane`] of the one CLI-level span (the sessionless `ppr` command's). Engine
@@ -498,6 +510,14 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         "it configures the engine, and ppr is served serially or from the walk index",
     );
 
+    // Without an index, PPR runs serially on the raw graph and never touches a
+    // partitioned layout, so a one-shot CLI query skips the session (and its O(|E|)
+    // partitioning) entirely. With `--walk-index-*` options a session is built so the
+    // query is served by stitching precomputed segments — except for the exact method,
+    // which always bypasses the index and must not pay for building one.
+    let index =
+        walk_index_config(args)?.filter(|_| !matches!(method, PprMethod::PowerIteration { .. }));
+
     let loaded = load_graph(args)?;
     let graph = &loaded.graph;
     // `--source` names a vertex the way the graph's origin does: by the file's own id
@@ -518,13 +538,6 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         )));
     }
 
-    // Without an index, PPR runs serially on the raw graph and never touches a
-    // partitioned layout, so a one-shot CLI query skips the session (and its O(|E|)
-    // partitioning) entirely. With `--walk-index-*` options a session is built so the
-    // query is served by stitching precomputed segments — except for the exact method,
-    // which always bypasses the index and must not pay for building one.
-    let index =
-        walk_index_config(args)?.filter(|_| !matches!(method, PprMethod::PowerIteration { .. }));
     let response = if index.is_some() {
         let mut session = session_over(args, graph, index)?;
         let response = session.query(&Query::Ppr {
@@ -624,9 +637,10 @@ fn serve_stream(args: &Args, graph: &DiGraph, k: usize) -> Result<Vec<Query>> {
 fn cmd_serve(args: &Args) -> Result<()> {
     let serve_config = serve_config_from(args)?;
     let k = ranked_count(args, 20)?;
+    let index = walk_index_config(args)?;
     let graph = load_graph(args)?.graph;
     let queries = serve_stream(args, &graph, k)?;
-    let mut session = session_over(args, &graph, walk_index_config(args)?)?;
+    let mut session = session_over(args, &graph, index)?;
     let mut handle = session.serve_with(serve_config)?;
     let report = if args.has_flag("serial") {
         handle.serve_serial(&queries)
@@ -741,7 +755,7 @@ fn cmd_plan(args: &Args) -> Result<()> {
     use frogwild::theory::{recommended_iterations, recommended_walkers};
 
     let k: usize = args.get_parsed("k", 100, "an integer")?;
-    let vertices: usize = args.get_parsed("vertices", 100_000, "an integer")?;
+    let vertices = vertex_count(args)?;
     let mass: f64 = args.get_parsed("mass", 0.1, "a probability")?;
     let loss: f64 = args.get_parsed("loss", 0.02, "a positive number")?;
     let delta: f64 = args.get_parsed("delta", 0.1, "a probability")?;

@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 25] = [
+    let table: [Case<'_>; 30] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -186,6 +186,27 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
         (
             &["ppr", "--synthetic", "twitter", "--vertices", "2000", "--source", "3", "--k", "0"],
             Err("error: invalid command line: --k must be at least 1"),
+        ),
+        (
+            &["serve", "--vertices", "500", "--queries", "4", "--serve-batch", "0"],
+            Err("error: invalid ServeConfig: batch must be at least 1"),
+        ),
+        (
+            &["topk", "--vertices", "500", "--walkers", "100", "--walk-index-length", "0"],
+            Err("error: invalid WalkIndexConfig: segment_length must be positive"),
+        ),
+        (
+            &["index", "--vertices", "500", "--walk-index-length", "0"],
+            Err("error: invalid WalkIndexConfig: segment_length must be positive"),
+        ),
+        (
+            &["ppr", "--vertices", "500", "--source", "3", "--walk-index-length", "0"],
+            Err("error: invalid WalkIndexConfig: segment_length must be positive"),
+        ),
+        // Printed a walker plan for a graph with no vertices.
+        (
+            &["plan", "--vertices", "0", "--k", "5"],
+            Err("error: invalid command line: --vertices must be at least 1"),
         ),
         // The subcommand is checked by the parser, before any of its options.
         (

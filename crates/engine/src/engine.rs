@@ -8,6 +8,10 @@
 //! `p_s` — decides which mirrors receive fresh state and may therefore participate in
 //! scatter.
 //!
+//! The engine only counts: the run loop hands each superstep's record, in order, to the
+//! one clock of [`crate::metrics`], which prices it and whose per-machine progress the
+//! loop traces as `watermark` events.
+//!
 //! A vertex is addressed one way. Its *mail* lives in per-run arrays indexed by global
 //! vertex id (a vertex has one master, so nothing else is needed to address it),
 //! allocated once: the combined incoming message and the combined gather accumulator,
@@ -83,7 +87,7 @@ use std::time::Instant;
 use frogwild_graph::VertexId;
 use frogwild_obs::{span_meta, SpanKey, SpanSink, Tracer};
 
-use crate::metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
+use crate::metrics::{ClusterClock, QueryCost, RunMetrics, SuperstepMetrics, MESSAGE_HEADER_BYTES};
 use crate::placement::PartitionedGraph;
 use crate::pool::{run_batched, worker_threads};
 use crate::program::{EdgeDirection, VertexProgram};
@@ -152,11 +156,12 @@ pub struct EngineConfig {
     /// at `t + 1`, bit-for-bit identical to the barriered executor. With `staleness =
     /// s > 0`, each cross-machine channel's messages from superstep `t` arrive at a
     /// deterministically delayed superstep in `[t + 1, t + 1 + s]` (hash of `(seed,
-    /// t, sender, receiver)`), machines overlap supersteps up to `s` deep, and
-    /// simulated time switches to a pipelined per-machine watermark model. Results
-    /// remain bit-identical across worker counts for any fixed `s`. Delays near the
-    /// superstep horizon are clamped so late messages are still delivered in the final
-    /// superstep rather than lost, so any `s` is meaningful, however large.
+    /// t, sender, receiver)`), machines overlap supersteps up to `s` deep, and the
+    /// clock of [`crate::metrics`] prices the run on its pipelined per-machine
+    /// watermark model instead of the barriered one. Results remain bit-identical
+    /// across worker counts for any fixed `s`. Delays near the superstep horizon are
+    /// clamped so late messages are still delivered in the final superstep rather than
+    /// lost, so any `s` is meaningful, however large.
     pub staleness: usize,
     /// Structured-tracing handle. The default ([`Tracer::disabled`]) records nothing
     /// and costs nothing; an enabled tracer records per-phase spans keyed by
@@ -284,8 +289,6 @@ pub struct Engine<'g, P: VertexProgram> {
     graph: &'g PartitionedGraph,
     program: P,
     config: EngineConfig,
-    /// What the engine prices work and traffic with: always the default model.
-    cost_model: CostModel,
 }
 
 impl<'g, P: VertexProgram> Engine<'g, P> {
@@ -320,7 +323,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             graph,
             program,
             config,
-            cost_model: CostModel::default(),
         })
     }
 
@@ -375,17 +377,14 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             }
         };
 
+        let staleness = self.config.staleness;
         let mut metrics = RunMetrics {
             replication_factor: self.graph.placement().replication_factor(),
             num_machines,
+            staleness,
             ..RunMetrics::default()
         };
-
-        // Pipelined clock for staleness > 0: per-machine finish times plus the
-        // history of global watermarks (the time by which *every* machine had
-        // finished a given superstep) that gate how far ahead any machine may run.
-        let mut finish_times = vec![0.0f64; num_machines];
-        let mut watermarks: Vec<(usize, f64)> = Vec::new();
+        let mut clock = ClusterClock::new(num_machines, staleness, &[]);
 
         // One sink for the serial driver loop; per-batch sinks are created inside
         // the worker closures. Inert (no allocation, no clock reads) when tracing
@@ -427,45 +426,18 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
                 .map(|slot| slot.len() as u64)
                 .sum();
 
-            // Simulated time. Synchronous runs keep the barriered cost model
-            // untouched; under staleness the machines pipeline — each starts a
-            // superstep at max(own finish time, watermark of superstep
-            // `t - 1 - staleness`) — and the superstep is charged the global
-            // watermark's advance, so the per-superstep times still sum to the
-            // run's makespan.
-            if self.config.staleness > 0 {
-                let sync_seconds = step.cost.simulated_seconds;
-                let gate = watermarks
-                    .iter()
-                    .rev()
-                    .find(|(step, _)| (step + 1).saturating_add(self.config.staleness) <= superstep)
-                    .map(|&(_, w)| w)
-                    .unwrap_or(0.0);
-                let mut new_watermark = 0.0f64;
-                for (m, finish) in finish_times.iter_mut().enumerate() {
-                    let own = self.cost_model.machine_superstep_seconds(
-                        step.ops_per_machine[m],
-                        step.bytes_per_machine[m],
+            clock.price(&mut step);
+            if loop_sink.is_enabled() {
+                // Per-machine watermark progress under staleness: when machine `m`
+                // finishes this superstep on the pipelined simulated clock.
+                for (m, &(finish, own)) in clock.progress().iter().enumerate() {
+                    let (finish_us, own_us) = ((finish * 1e6) as u64, (own * 1e6) as u64);
+                    loop_sink.event_with(
+                        span_meta!("watermark"),
+                        SpanKey::new(superstep as u64, m as u32 + 1, 0, LANE_WATERMARK),
+                        &[("finish_us", finish_us), ("own_us", own_us)],
                     );
-                    *finish = finish.max(gate) + own;
-                    new_watermark = new_watermark.max(*finish);
-                    if loop_sink.is_enabled() {
-                        // Per-machine watermark progress: when machine `m` finishes
-                        // this superstep on the pipelined simulated clock.
-                        let finish_us = (*finish * 1e6) as u64;
-                        let own_us = (own * 1e6) as u64;
-                        loop_sink.event_with(
-                            span_meta!("watermark"),
-                            SpanKey::new(superstep as u64, m as u32 + 1, 0, LANE_WATERMARK),
-                            &[("finish_us", finish_us), ("own_us", own_us)],
-                        );
-                    }
                 }
-                let previous = watermarks.last().map(|&(_, w)| w).unwrap_or(0.0);
-                step.cost.simulated_seconds = new_watermark - previous;
-                step.cost.barrier_wait_avoided_seconds =
-                    (sync_seconds - step.cost.simulated_seconds).max(0.0);
-                watermarks.push((superstep, new_watermark));
             }
 
             let cost = &step.cost;
@@ -475,7 +447,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             step_span.counter("staleness_lag", cost.staleness_lag);
             step_span.counter_seconds("simulated", cost.simulated_seconds);
             step_span.wall_counter_seconds("host", cost.host_seconds);
-            if self.config.staleness > 0 {
+            if staleness > 0 {
                 step_span
                     .counter_seconds("barrier_wait_avoided", cost.barrier_wait_avoided_seconds);
             }
@@ -485,12 +457,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             frontier.clear();
             superstep += 1;
         }
-        if self.config.staleness > 0 {
-            // The straggler profile: when each machine crossed the finish line on
-            // the pipelined watermark clock (empty for synchronous runs, whose
-            // machines finish every superstep together by construction).
-            metrics.machine_finish_seconds = finish_times;
-        }
+        metrics.machine_finish_seconds = clock.into_finish_seconds();
 
         // Collect final states from the masters.
         let placement = self.graph.placement();
@@ -568,8 +535,9 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
 
     /// Executes one superstep: takes the frontier's mail, commits fresh states to
     /// the caches and stages the routed messages (in canonical production order) for
-    /// delivery. Returns the superstep's record, counted and priced; the caller adds
-    /// what only the run loop knows (host time, staleness lag, inbox depth).
+    /// delivery. Returns the superstep's record, counted but not priced; the caller
+    /// adds what only the run loop knows (host time, staleness lag, inbox depth) and
+    /// prices it on the run's clock.
     fn superstep(
         &self,
         superstep: usize,
@@ -600,7 +568,7 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
             ops_per_machine: vec![0; num_machines],
             bytes_per_machine: vec![0; num_machines],
         };
-        let header_bytes = self.cost_model.message_header_bytes;
+        let header_bytes = MESSAGE_HEADER_BYTES;
         let step = superstep as u64;
         let ranges: Vec<&[VertexId]> = active.chunks(RANGE_SIZE).collect();
         let replicas = placement.replication_factor();
@@ -776,9 +744,6 @@ impl<'g, P: VertexProgram> Engine<'g, P> {
         }
         route_span.counter("messages", record.cost.routed_messages);
         drop(route_span);
-
-        record.cost.simulated_seconds = self.cost_model.superstep_seconds(&record);
-        record.cost.simulated_cpu_seconds = self.cost_model.cpu_seconds(&record);
         record
     }
 
@@ -2110,10 +2075,9 @@ mod tests {
         initial: InitialActivation<P::Message>,
     ) -> (Vec<P::State>, Vec<SuperstepMetrics>) {
         let (graph, program, config) = (engine.graph, &engine.program, &engine.config);
-        let cost_model = &engine.cost_model;
         let placement = graph.placement();
         let (n, machines) = (graph.num_vertices(), graph.num_machines());
-        let header = cost_model.message_header_bytes;
+        let header = MESSAGE_HEADER_BYTES;
         let combine = |a, b| program.combine_messages(a, b);
         let mut caches: Vec<Vec<P::State>> = (graph.shards().iter())
             .map(|s| vec![P::State::default(); s.num_local_vertices()])
@@ -2137,7 +2101,7 @@ mod tests {
             }
         };
         let mut records = Vec::new();
-        let (mut finish_times, mut watermarks) = (vec![0.0f64; machines], Vec::new());
+        let mut clock = ClusterClock::new(machines, config.staleness, &[]);
         let mut superstep = 0;
         while superstep < config.max_supersteps {
             if frontier.is_empty() {
@@ -2325,31 +2289,8 @@ mod tests {
                 record.send(m, remote, message_bytes);
             }
 
-            record.cost.simulated_seconds = cost_model.superstep_seconds(&record);
-            record.cost.simulated_cpu_seconds = cost_model.cpu_seconds(&record);
             record.cost.max_inbox_depth = staged.iter().skip(1).map(|s| s.0.len() as u64).sum();
-            if config.staleness > 0 {
-                let barriered = record.cost.simulated_seconds;
-                let gate = (watermarks.iter().rev())
-                    .find(|&&(step, _): &&(usize, f64)| {
-                        (step + 1).saturating_add(config.staleness) <= superstep
-                    })
-                    .map_or(0.0, |&(_, w)| w);
-                let mut watermark = 0.0f64;
-                for (m, finish) in finish_times.iter_mut().enumerate() {
-                    let own = cost_model.machine_superstep_seconds(
-                        record.ops_per_machine[m],
-                        record.bytes_per_machine[m],
-                    );
-                    *finish = finish.max(gate) + own;
-                    watermark = watermark.max(*finish);
-                }
-                let previous = watermarks.last().map_or(0.0, |&(_, w)| w);
-                record.cost.simulated_seconds = watermark - previous;
-                record.cost.barrier_wait_avoided_seconds =
-                    (barriered - record.cost.simulated_seconds).max(0.0);
-                watermarks.push((superstep, watermark));
-            }
+            clock.price(&mut record);
             records.push(record);
             frontier.clear();
             superstep += 1;

@@ -20,7 +20,7 @@
 //!   paper's experiments run.
 //! * **Cost accounting** ([`metrics`]) — one cost record, [`QueryCost`]: each
 //!   superstep's bytes and messages crossing machine boundaries, work operations,
-//!   frontier and staleness counters, priced by a simulated cluster-time model so
+//!   frontier and staleness counters, priced by one simulated cluster clock so
 //!   experiments can report the same four panels as Figure 1 of the paper
 //!   (per-iteration time, total time, network bytes, CPU time). A run's cost is its
 //!   supersteps' records folded with [`QueryCost::absorb`].
@@ -53,7 +53,7 @@ pub mod walkgen;
 pub use cluster::{ClusterConfig, MachineId};
 pub use engine::{Engine, EngineConfig, EngineOutput, InitialActivation};
 pub use frogwild_graph::Error;
-pub use metrics::{CostModel, QueryCost, RunMetrics, SuperstepMetrics};
+pub use metrics::{QueryCost, RunMetrics, SuperstepMetrics};
 pub use partition::PartitionerKind;
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
 pub use pool::worker_threads;

@@ -1,18 +1,25 @@
-//! Cost accounting: one cost record, a per-machine profile, and a simulated
-//! cluster-time model.
+//! Cost accounting: one cost record, a per-machine profile, and the one clock that
+//! prices them.
 //!
 //! The paper's Figure 1 reports four panels per configuration — time per iteration,
 //! total time, network bytes sent, and CPU time. Wall-clock on the real 24-node EC2
-//! cluster cannot be reproduced on a single host, so the engine accounts the underlying
-//! quantities exactly (bytes crossing machine boundaries, per-machine work operations)
-//! and converts them to time through an explicit, documented [`CostModel`]. The *shape*
-//! of the paper's results (orderings, ratios, scaling trends) depends only on these
-//! counts, not on the absolute constants.
+//! cluster cannot be reproduced on a single host, so the engine only *counts* the
+//! underlying quantities (bytes crossing machine boundaries, per-machine work
+//! operations), and this module's one clock prices them with the constants of
+//! m3.xlarge-class machines on 1 GbE: 10 ns per operation, 1 Gbit/s per machine, 1 ms
+//! of barrier overhead per superstep, 12 header bytes per message. The *shape* of the
+//! paper's results (orderings, ratios, scaling trends) depends only on the counts.
+//!
+//! The clock prices a run superstep by superstep. At staleness 0 it is barriered: the
+//! busiest machine's compute plus the busiest machine's transfer plus the overhead.
+//! Above 0 the machines pipeline up to the staleness window, and a superstep costs the
+//! advance of the all-machine watermark. [`RunMetrics::reprice`] replays a run's clock
+//! with some machines slowed.
 //!
 //! Every cost number is a [`QueryCost`]. The engine writes each superstep's counters
 //! straight into the `cost` of a [`SuperstepMetrics`], next to the per-machine profile
-//! the cost model prices; [`RunMetrics::totals`] folds a run's records in superstep
-//! order with [`QueryCost::absorb`], the one place two cost records are summed. The
+//! the clock prices; [`RunMetrics::totals`] folds a run's records in superstep order
+//! with [`QueryCost::absorb`], the one place two cost records are summed. The
 //! `frogwild` crate reports the same type for a driver run, a session response and a
 //! session's running totals.
 
@@ -270,106 +277,18 @@ impl std::fmt::Display for QueryCost {
     }
 }
 
-/// Converts counted work and traffic into simulated seconds.
-///
-/// Default constants are calibrated to commodity hardware of the paper's era
-/// (m3.xlarge-class machines on 1 GbE): ~10 ns per edge/vertex operation, 1 Gbit/s
-/// usable per-machine bandwidth, 1 ms per-superstep barrier/latency overhead. The
-/// absolute values only shift every series by a constant factor; comparisons between
-/// algorithms use the same model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
-    /// Seconds of CPU time per work operation (gather/apply/scatter op).
-    pub seconds_per_op: f64,
-    /// Usable network bandwidth per machine, bytes per second.
-    pub bytes_per_second: f64,
-    /// Fixed per-superstep overhead (barrier, scheduling), seconds.
-    pub superstep_overhead: f64,
-    /// Per-message fixed overhead in bytes (headers, vertex ids, routing).
-    pub message_header_bytes: usize,
-}
+/// Seconds of CPU time per work operation.
+const SECONDS_PER_OP: f64 = 10e-9;
+/// Usable network bandwidth per machine, in bytes per second: 1 Gbit/s.
+const BYTES_PER_SECOND: f64 = 125_000_000.0;
+/// Fixed per-superstep overhead (barrier, scheduling), in seconds.
+const SUPERSTEP_OVERHEAD_SECONDS: f64 = 1e-3;
+/// Fixed bytes of every message the engine charges (headers, vertex ids, routing),
+/// on top of its payload.
+pub(crate) const MESSAGE_HEADER_BYTES: usize = 12;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            seconds_per_op: 10e-9,
-            bytes_per_second: 125_000_000.0, // 1 Gbit/s
-            superstep_overhead: 1e-3,
-            message_header_bytes: 12,
-        }
-    }
-}
-
-/// The largest per-machine count: the critical path of a superstep.
-fn busiest(per_machine: &[u64]) -> u64 {
-    per_machine.iter().copied().max().unwrap_or(0)
-}
-
-impl CostModel {
-    /// Simulated wall-clock seconds for one superstep: the busiest machine's compute
-    /// time plus the bottleneck link's transfer time plus the barrier overhead.
-    /// (Compute and communication are *not* overlapped, matching the synchronous
-    /// engine the paper modifies.)
-    pub fn superstep_seconds(&self, step: &SuperstepMetrics) -> f64 {
-        let compute = busiest(&step.ops_per_machine) as f64 * self.seconds_per_op;
-        let transfer = busiest(&step.bytes_per_machine) as f64 / self.bytes_per_second;
-        compute + transfer + self.superstep_overhead
-    }
-
-    /// Simulated aggregate CPU seconds of one superstep (summed over machines, like
-    /// the paper's "CPU usage" panel which can exceed wall-clock time): its gather,
-    /// apply and scatter operations. Saturating, so pinned counters never wrap.
-    pub fn cpu_seconds(&self, step: &SuperstepMetrics) -> f64 {
-        let cost = &step.cost;
-        let ops = (cost.gather_ops)
-            .saturating_add(cost.apply_ops)
-            .saturating_add(cost.scatter_ops);
-        ops as f64 * self.seconds_per_op
-    }
-
-    /// Simulated seconds a **single machine** spends on one superstep: its own
-    /// operations, its own outbound traffic, and the per-superstep scheduling
-    /// overhead. This is the per-machine term the bounded-staleness executor
-    /// pipelines (each machine advances on its own clock, gated only by the
-    /// staleness watermark); the synchronous model instead takes the
-    /// component-wise maxima across machines — see
-    /// [`CostModel::superstep_seconds`].
-    pub fn machine_superstep_seconds(&self, ops: u64, bytes: u64) -> f64 {
-        ops as f64 * self.seconds_per_op
-            + bytes as f64 / self.bytes_per_second
-            + self.superstep_overhead
-    }
-
-    /// Simulated wall-clock seconds for one superstep on a **heterogeneous** cluster:
-    /// machine `m` executes its operations `speed_factors[m]` times slower than the
-    /// baseline (1.0 = nominal speed, 2.0 = half as fast). The synchronous barrier means
-    /// the slowest machine sets the pace, so a single straggler inflates every
-    /// superstep — the straggler-sensitivity ablation quantifies how much of that
-    /// inflation each algorithm feels.
-    ///
-    /// Missing entries (machines beyond `speed_factors.len()`) run at nominal speed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any provided speed factor is not strictly positive.
-    pub fn superstep_seconds_hetero(&self, step: &SuperstepMetrics, speed_factors: &[f64]) -> f64 {
-        assert!(
-            speed_factors.iter().all(|&s| s > 0.0),
-            "speed factors must be strictly positive"
-        );
-        let factor = |m: usize| speed_factors.get(m).copied().unwrap_or(1.0);
-        let compute = (step.ops_per_machine.iter().enumerate())
-            .map(|(m, &ops)| ops as f64 * self.seconds_per_op * factor(m))
-            .fold(0.0f64, f64::max);
-        let transfer = (step.bytes_per_machine.iter().enumerate())
-            .map(|(m, &bytes)| bytes as f64 / self.bytes_per_second * factor(m))
-            .fold(0.0f64, f64::max);
-        compute + transfer + self.superstep_overhead
-    }
-}
-
-/// One superstep's record: its cost, and the per-machine profile the [`CostModel`]
-/// prices it from.
+/// One superstep's record: its cost, and the per-machine profile the clock prices it
+/// from.
 #[derive(Clone, Debug, Default)]
 pub struct SuperstepMetrics {
     /// Superstep index (0-based).
@@ -411,6 +330,8 @@ pub struct RunMetrics {
     pub replication_factor: f64,
     /// Number of machines in the simulated cluster.
     pub num_machines: usize,
+    /// The staleness window the run executed under, which chose the clock that priced it.
+    pub staleness: usize,
     /// Per-machine finish times on the pipelined watermark clock (simulated
     /// seconds), indexed by machine — the run's straggler profile. Empty for
     /// synchronous runs (`staleness = 0`), where every machine finishes each
@@ -434,16 +355,21 @@ impl RunMetrics {
         total
     }
 
-    /// Re-prices the whole run on a heterogeneous cluster where machine `m` runs
-    /// `speed_factors[m]` times slower than nominal (see
-    /// [`CostModel::superstep_seconds_hetero`]). Because the per-superstep counters are
-    /// retained, the same run can be re-evaluated under any straggler scenario without
-    /// re-executing the engine.
-    pub fn total_simulated_seconds_hetero(&self, model: &CostModel, speed_factors: &[f64]) -> f64 {
-        self.supersteps
-            .iter()
-            .map(|s| model.superstep_seconds_hetero(s, speed_factors))
-            .sum()
+    /// The run's simulated seconds with machine `m` `speed_factors[m]` times slower than
+    /// nominal (2.0 is half as fast; machines past the slice's end are nominal): its own
+    /// clock replayed over its per-machine counters, without re-executing the engine.
+    /// At nominal speeds it is `totals().simulated_seconds` to the last bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a speed factor is not strictly positive.
+    pub fn reprice(&self, speed_factors: &[f64]) -> f64 {
+        let mut clock = ClusterClock::new(self.num_machines, self.staleness, speed_factors);
+        let mut total_seconds = 0.0;
+        for step in &self.supersteps {
+            total_seconds += clock.advance(step).0;
+        }
+        total_seconds
     }
 
     /// Ratio between the busiest and the average machine's total work over the run —
@@ -462,11 +388,113 @@ impl RunMetrics {
             .iter()
             .fold(0u64, |sum, &ops| sum.saturating_add(ops));
         let mean = total as f64 / self.num_machines as f64;
+        let busiest = per_machine.iter().copied().max().unwrap_or(0);
         if mean == 0.0 {
             1.0
         } else {
-            busiest(&per_machine) as f64 / mean
+            busiest as f64 / mean
         }
+    }
+}
+
+/// The simulated cluster clock: prices a run's supersteps, in order, by the rule of the
+/// module doc. Machine `m` runs `speed_factors[m]` times slower than nominal: its
+/// compute and transfer take that much longer, the per-superstep overhead does not.
+pub(crate) struct ClusterClock {
+    staleness: usize,
+    speed_factors: Vec<f64>,
+    /// Per machine, when it finished its latest superstep and what that superstep cost
+    /// it alone. Empty on the barriered clock, whose machines finish together.
+    progress: Vec<(f64, f64)>,
+    /// Each superstep the pipelined clock priced, with its watermark: the time by which
+    /// every machine had finished it.
+    history: Vec<(usize, f64)>,
+}
+
+impl ClusterClock {
+    /// A clock for `machines` machines under a staleness window of `staleness`
+    /// supersteps. Machines past the end of `speed_factors` run at nominal speed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a speed factor is not strictly positive.
+    pub(crate) fn new(machines: usize, staleness: usize, speed_factors: &[f64]) -> Self {
+        assert!(
+            speed_factors.iter().all(|&s| s > 0.0),
+            "speed factors must be strictly positive"
+        );
+        let pipelined = if staleness > 0 { machines } else { 0 };
+        ClusterClock {
+            staleness,
+            speed_factors: speed_factors.to_vec(),
+            progress: vec![(0.0, 0.0); pipelined],
+            history: Vec::new(),
+        }
+    }
+
+    /// Prices `step`, the run's next superstep: sets its simulated, CPU and
+    /// barrier-wait-avoided seconds. CPU seconds price its gather, apply and scatter
+    /// operations at nominal speed, summed over machines like the paper's panel.
+    pub(crate) fn price(&mut self, step: &mut SuperstepMetrics) {
+        let (seconds, avoided) = self.advance(step);
+        let cost = &mut step.cost;
+        let ops = (cost.gather_ops)
+            .saturating_add(cost.apply_ops)
+            .saturating_add(cost.scatter_ops);
+        cost.simulated_seconds = seconds;
+        cost.simulated_cpu_seconds = ops as f64 * SECONDS_PER_OP;
+        cost.barrier_wait_avoided_seconds = avoided;
+    }
+
+    /// Advances the clock past `step`: its simulated seconds, and the barrier wait the
+    /// pipelined clock saved on it against the barriered one (zero at staleness 0).
+    fn advance(&mut self, step: &SuperstepMetrics) -> (f64, f64) {
+        // A machine may start this superstep once every machine has finished the one
+        // `staleness + 1` before it: the latest such watermark gates it.
+        let staleness = self.staleness;
+        let gate = (self.history.iter().rev())
+            .find(|&&(done, _)| (done + 1).saturating_add(staleness) <= step.superstep)
+            .map_or(0.0, |&(_, watermark)| watermark);
+        let (mut compute, mut transfer, mut watermark) = (0.0f64, 0.0f64, 0.0f64);
+        let mut clocks = self.progress.iter_mut();
+        let profile = step.ops_per_machine.iter().zip(&step.bytes_per_machine);
+        for (m, (&ops, &bytes)) in profile.enumerate() {
+            let factor = self.speed_factors.get(m).copied().unwrap_or(1.0);
+            let machine_compute = ops as f64 * SECONDS_PER_OP * factor;
+            let machine_transfer = bytes as f64 / BYTES_PER_SECOND * factor;
+            compute = compute.max(machine_compute);
+            transfer = transfer.max(machine_transfer);
+            if let Some((finish, own)) = clocks.next() {
+                *own = machine_compute + machine_transfer + SUPERSTEP_OVERHEAD_SECONDS;
+                *finish = finish.max(gate) + *own;
+                watermark = watermark.max(*finish);
+            }
+        }
+        // Barriered, compute and communication do not overlap.
+        let barriered = compute + transfer + SUPERSTEP_OVERHEAD_SECONDS;
+        if staleness == 0 {
+            return (barriered, 0.0);
+        }
+        // Pipelined, a superstep costs the watermark's advance, so the supersteps'
+        // seconds still sum to the run's makespan.
+        let previous = self.history.last().map_or(0.0, |&(_, watermark)| watermark);
+        self.history.push((step.superstep, watermark));
+        let seconds = watermark - previous;
+        (seconds, (barriered - seconds).max(0.0))
+    }
+
+    /// Each machine's finish time and own time in the latest superstep, by machine
+    /// (nothing on the barriered clock).
+    pub(crate) fn progress(&self) -> &[(f64, f64)] {
+        &self.progress
+    }
+
+    /// When each machine finished the run: [`RunMetrics::machine_finish_seconds`].
+    pub(crate) fn into_finish_seconds(self) -> Vec<f64> {
+        self.progress
+            .into_iter()
+            .map(|(finish, _)| finish)
+            .collect()
     }
 }
 
@@ -495,6 +523,13 @@ mod tests {
         }
     }
 
+    /// `step` priced as the first superstep of a barriered run at nominal speeds.
+    fn priced(mut step: SuperstepMetrics) -> SuperstepMetrics {
+        let machines = step.ops_per_machine.len();
+        ClusterClock::new(machines, 0, &[]).price(&mut step);
+        step
+    }
+
     #[test]
     fn network_record_and_merge() {
         let mut a = step(vec![0, 0], vec![0, 0]);
@@ -519,8 +554,8 @@ mod tests {
         w.cost.apply_ops = 5;
         w.cost.scatter_ops = 20;
         // CPU prices gather + apply + scatter: 35 operations.
-        let model = CostModel::default();
-        assert_eq!(model.cpu_seconds(&w), 35.0 * model.seconds_per_op);
+        let w = priced(w);
+        assert_eq!(w.cost.simulated_cpu_seconds, 35.0 * SECONDS_PER_OP);
 
         let mut other = step(vec![0, 7], vec![0, 0]);
         other.cost.scatter_ops = 7;
@@ -555,11 +590,8 @@ mod tests {
         w.cost.gather_ops = u64::MAX - 1;
         w.cost.scatter_ops = u64::MAX;
         // The pinned per-kind counters must not wrap when priced either.
-        let model = CostModel::default();
-        assert_eq!(
-            model.cpu_seconds(&w),
-            u64::MAX as f64 * model.seconds_per_op
-        );
+        let cpu = priced(w.clone()).cost.simulated_cpu_seconds;
+        assert_eq!(cpu, u64::MAX as f64 * SECONDS_PER_OP);
 
         let run = run_of(1, vec![net.clone(), w.clone(), net, w.clone()]);
         assert!((run.work_imbalance() - 1.0).abs() < 1e-12);
@@ -578,19 +610,20 @@ mod tests {
 
     #[test]
     fn cost_model_superstep_time_components() {
-        let model = CostModel::default();
         let mut s = step(vec![1_000_000], vec![125_000_000]);
         s.cost.apply_ops = 1_000_000;
         s.cost.network_bytes = 125_000_000;
-        let t = model.superstep_seconds(&s);
+        let cost = priced(s).cost;
+        let t = cost.simulated_seconds;
         // 1e6 ops * 10ns = 0.01s; 125MB at 1Gbit/s = 1s; +1ms overhead
         assert!((t - (0.01 + 1.0 + 0.001)).abs() < 1e-9, "t = {t}");
-        assert!((model.cpu_seconds(&s) - 0.01).abs() < 1e-12);
+        assert!((cost.simulated_cpu_seconds - 0.01).abs() < 1e-12);
+        assert_eq!(cost.barrier_wait_avoided_seconds, 0.0);
     }
 
     #[test]
     fn run_metrics_aggregation() {
-        let model = CostModel::default();
+        let mut clock = ClusterClock::new(2, 0, &[]);
         let mut run = RunMetrics {
             num_machines: 2,
             replication_factor: 1.5,
@@ -607,8 +640,7 @@ mod tests {
             s.cost.skipped_scatters = 2;
             s.cost.active_vertices = 10;
             s.cost.routed_messages = 5;
-            s.cost.simulated_seconds = model.superstep_seconds(&s);
-            s.cost.simulated_cpu_seconds = model.cpu_seconds(&s);
+            clock.price(&mut s);
             s.cost.host_seconds = 0.25;
             s.cost.max_inbox_depth = 3 + i as u64;
             s.cost.staleness_lag = 2;
@@ -671,68 +703,137 @@ mod tests {
 
     #[test]
     fn per_machine_superstep_seconds_never_exceed_the_barriered_maxima() {
-        let model = CostModel::default();
-        // One machine is compute-heavy, the other network-heavy: the synchronous
-        // model charges max(ops) + max(bytes), the per-machine term charges each
-        // machine its own combined cost, so every machine's clock advances by no
-        // more than the barriered superstep time.
+        // One machine is compute-heavy, the other network-heavy: the barriered clock
+        // charges max(ops) + max(bytes), the pipelined one charges each machine its own
+        // combined cost, so every machine's clock advances by no more than the barriered
+        // superstep time.
         let s = step(vec![1_000_000, 10_000], vec![1_000, 125_000_000]);
-        let sync = model.superstep_seconds(&s);
-        for m in 0..2 {
-            let own = model.machine_superstep_seconds(s.ops_per_machine[m], s.bytes_per_machine[m]);
-            assert!(own <= sync, "machine {m}: {own} > {sync}");
+        let barriered = priced(s.clone()).cost.simulated_seconds;
+        let mut clock = ClusterClock::new(2, 1, &[]);
+        let mut pipelined = s;
+        clock.price(&mut pipelined);
+        for (m, &(finish, own)) in clock.progress().iter().enumerate() {
+            assert!(own <= barriered, "machine {m}: {own} > {barriered}");
+            // The first superstep starts at zero on every machine.
+            assert_eq!(finish, own);
         }
         // And the components reconcile: 1e6 ops * 10ns + 1kB at 1Gbit/s + 1ms.
-        let m0 = model.machine_superstep_seconds(1_000_000, 1_000);
+        let (_, m0) = clock.progress()[0];
         assert!((m0 - (0.01 + 1_000.0 / 125_000_000.0 + 0.001)).abs() < 1e-12);
+        let cost = pipelined.cost;
+        assert!(cost.simulated_seconds <= barriered);
+        assert_eq!(
+            cost.barrier_wait_avoided_seconds,
+            barriered - cost.simulated_seconds
+        );
+    }
+
+    #[test]
+    fn pipelined_clock_overlaps_supersteps_and_waits_for_the_watermark() {
+        // Two machines; 100 000 operations are 1 ms of compute, on top of the 1 ms every
+        // superstep costs. Returns the priced run and each machine's finish time.
+        let run = |staleness: usize, ops: &[[u64; 2]]| {
+            let mut clock = ClusterClock::new(2, staleness, &[]);
+            let mut supersteps = Vec::new();
+            for (superstep, ops) in ops.iter().enumerate() {
+                let mut s = SuperstepMetrics {
+                    superstep,
+                    ..step(ops.to_vec(), vec![0, 0])
+                };
+                clock.price(&mut s);
+                supersteps.push(s);
+            }
+            let finish: Vec<f64> = clock.progress().iter().map(|p| p.0).collect();
+            let run = RunMetrics {
+                staleness,
+                ..run_of(2, supersteps)
+            };
+            (run, finish)
+        };
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-15;
+        let seconds = |run: &RunMetrics, field: fn(&QueryCost) -> f64| -> Vec<f64> {
+            run.supersteps.iter().map(|s| field(&s.cost)).collect()
+        };
+
+        // The load alternates between the machines. Barriered, every superstep waits
+        // 2 ms for the loaded one; with one superstep of slack the idle machine runs
+        // ahead, and the middle superstep only advances the watermark by 1 ms.
+        let alternating = [[100_000, 0], [0, 100_000], [100_000, 0]];
+        let (barriered, finish) = run(0, &alternating);
+        assert!(finish.is_empty());
+        assert!(close(barriered.totals().simulated_seconds, 6e-3));
+        let (pipelined, finish) = run(1, &alternating);
+        let expected = [(2e-3, 0.0), (1e-3, 1e-3), (2e-3, 0.0)];
+        let charged = seconds(&pipelined, |c| c.simulated_seconds);
+        let avoided = seconds(&pipelined, |c| c.barrier_wait_avoided_seconds);
+        for (i, (seconds, saved)) in expected.into_iter().enumerate() {
+            assert!(close(charged[i], seconds), "{charged:?}");
+            assert!(close(avoided[i], saved), "{avoided:?}");
+        }
+        assert!(
+            close(finish[0], 5e-3) && close(finish[1], 4e-3),
+            "{finish:?}"
+        );
+        // Repricing at nominal speeds replays the run's own clock, to the bit.
+        let totals = pipelined.totals();
+        assert!(close(totals.simulated_seconds, 5e-3));
+        assert_eq!(pipelined.reprice(&[1.0, 1.0]), totals.simulated_seconds);
+        assert!(pipelined.reprice(&[2.0, 1.0]) > totals.simulated_seconds);
+
+        // Machine 1 idles, but may start superstep 2 only once every machine has
+        // finished superstep 0, at 11 ms: it finishes at 12 ms, not at 3 ms.
+        let (gated, finish) = run(1, &[[1_000_000, 0], [0, 0], [0, 0]]);
+        assert!(
+            close(finish[0], 13e-3) && close(finish[1], 12e-3),
+            "{finish:?}"
+        );
+        assert!(close(gated.totals().simulated_seconds, 13e-3));
     }
 
     #[test]
     fn heterogeneous_superstep_time_is_set_by_the_straggler() {
-        let model = CostModel::default();
-        let s = step(vec![1_000_000, 1_000_000], vec![0, 0]);
+        let run = run_of(
+            2,
+            vec![priced(step(vec![1_000_000, 1_000_000], vec![0, 0]))],
+        );
 
-        let uniform = model.superstep_seconds_hetero(&s, &[1.0, 1.0]);
-        let homogeneous = model.superstep_seconds(&s);
-        assert!((uniform - homogeneous).abs() < 1e-12);
+        let uniform = run.reprice(&[1.0, 1.0]);
+        assert_eq!(uniform, run.totals().simulated_seconds);
 
         // Slowing down one machine by 4x inflates the barrier-to-barrier time by ~4x
         // of the compute component, even though half the work is unaffected.
-        let straggler = model.superstep_seconds_hetero(&s, &[1.0, 4.0]);
-        let expected = 1_000_000.0 * model.seconds_per_op * 4.0 + model.superstep_overhead;
+        let straggler = run.reprice(&[1.0, 4.0]);
+        let expected = 1_000_000.0 * SECONDS_PER_OP * 4.0 + SUPERSTEP_OVERHEAD_SECONDS;
         assert!(
             (straggler - expected).abs() < 1e-12,
             "straggler {straggler}"
         );
         // Missing entries default to nominal speed.
-        let partial = model.superstep_seconds_hetero(&s, &[2.0]);
+        let partial = run.reprice(&[2.0]);
         assert!(partial > uniform && partial < straggler);
     }
 
     #[test]
     #[should_panic(expected = "speed factors must be strictly positive")]
     fn heterogeneous_model_rejects_zero_speed() {
-        let model = CostModel::default();
-        let _ = model.superstep_seconds_hetero(&step(vec![0], vec![0]), &[0.0]);
+        let _ = run_of(1, vec![step(vec![0], vec![0])]).reprice(&[0.0]);
     }
 
     #[test]
     fn run_metrics_hetero_and_imbalance() {
-        let model = CostModel::default();
         let mut s = step(vec![200, 100], vec![0, 0]);
         s.cost.apply_ops = 300;
         s.cost.active_vertices = 10;
-        s.cost.simulated_seconds = model.superstep_seconds(&s);
         let run = RunMetrics {
             replication_factor: 1.0,
-            ..run_of(2, vec![s])
+            ..run_of(2, vec![priced(s)])
         };
 
         // max = 200, mean = 150
         assert!((run.work_imbalance() - 200.0 / 150.0).abs() < 1e-12);
-        let nominal = run.total_simulated_seconds_hetero(&model, &[1.0, 1.0]);
-        assert!((nominal - run.totals().simulated_seconds).abs() < 1e-12);
-        let slowed = run.total_simulated_seconds_hetero(&model, &[10.0, 1.0]);
+        let nominal = run.reprice(&[1.0, 1.0]);
+        assert_eq!(nominal, run.totals().simulated_seconds);
+        let slowed = run.reprice(&[10.0, 1.0]);
         assert!(slowed > nominal);
     }
 

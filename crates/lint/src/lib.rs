@@ -19,8 +19,8 @@
 //!   called surface);
 //! * **shape** — the code shapes a rewrite removed from named files stay out, or
 //!   under a count (`forbidden`, whose rows are [`rules::FORBIDDEN`]: the engine's
-//!   addressing and its one pool, the set-up path, the walk arena, the engine
-//!   configuration, the figures' one laboratory).
+//!   addressing, its one pool and its one clock, the set-up path, the walk arena, the
+//!   engine configuration, the figures' one laboratory).
 //!
 //! The analysis is a hand-rolled lexer ([`lexer`]) plus shallow token-pattern
 //! rules ([`rules`]) — no external dependencies, no type information. That

@@ -65,8 +65,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "forbidden",
         doc: "a token sequence a row of the FORBIDDEN table names, in the files that row \
-              covers, more often than the row allows (engine addressing, set-up path, \
-              index arena, engine configuration, figures: shapes a rewrite removed)",
+              covers, more often than the row allows (engine addressing and pricing, set-up \
+              path, index arena, engine configuration, figures: shapes a rewrite removed)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -140,6 +140,19 @@ pub const FORBIDDEN: &[Forbidden] = &[
          slot where it is produced and reads its mail back ascending from the lane's \
          bitmap, and a frontier is read back ascending from the drain's bitmap: no outbox, \
          no sort, no scatter batches, no re-assembly",
+    ),
+    // Engine pricing: simulated time has one source.
+    forbid(
+        ENGINE,
+        &[
+            "CostModel",
+            "finish_times",
+            "watermarks",
+            "machine_superstep_seconds",
+            "superstep_seconds_hetero",
+        ],
+        "the engine counts, and metrics prices: one clock there turns each superstep's \
+         per-machine profile into simulated seconds, barriered or pipelined",
     ),
     Forbidden {
         at_most: 1,

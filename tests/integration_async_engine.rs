@@ -1,6 +1,6 @@
 //! Integration pins for bounded-staleness (async inter-machine) execution.
 //!
-//! Three contracts, layered on top of `integration_delta_engine`'s golden pins:
+//! Four contracts, layered on top of `integration_delta_engine`'s golden pins:
 //!
 //! * `staleness = 0` through the unified `ExecutionConfig` surface reproduces the
 //!   synchronous executor's golden fingerprints **bit-for-bit** — the async refactor
@@ -11,9 +11,11 @@
 //! * the window must pay for itself: on a ~100k-edge power-law graph, `s >= 1`
 //!   spends measurably less simulated wall-time than the barriered run (the overlap
 //!   is reported as `barrier_wait_avoided_seconds`) at matched top-20 accuracy.
+//! * a run reprices to its own simulated seconds at nominal speeds, on whichever clock
+//!   its staleness chose.
 
 use frogwild::prelude::*;
-use frogwild_graph::generators::twitter_like;
+use frogwild_graph::generators::{rmat, twitter_like, RmatParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -176,6 +178,45 @@ fn staleness_cuts_simulated_wall_time_at_matched_topk_accuracy() {
             stale_mass >= sync_mass - 0.05,
             "s={staleness}: mass {stale_mass} vs sync {sync_mass}"
         );
+    }
+}
+
+/// Repricing a run at nominal speeds replays the clock it ran on — barriered at
+/// staleness 0, pipelined above — so it gives back the run's own simulated seconds, and
+/// slowing a machine never makes a run cheaper.
+#[test]
+fn repricing_at_nominal_speeds_is_the_runs_own_clock() {
+    let off = Tracer::disabled();
+    let mut rng = SmallRng::seed_from_u64(13);
+    let graph = rmat(2_000, RmatParams::default(), &mut rng);
+    let machines = 8;
+    let pg = partition_graph(&graph, &ClusterConfig::new(machines, 3));
+    let frogwild = |staleness| {
+        let execution = ExecutionConfig::new().staleness(staleness);
+        run_frogwild(&pg, &frogwild_base(), &execution, &off).unwrap()
+    };
+    let pagerank = PageRankConfig::truncated(5);
+    let pagerank = run_graphlab_pr(&pg, &pagerank, &ExecutionConfig::default(), &off).unwrap();
+    let stale = frogwild(2);
+    // The pipelined clock priced the stale run below the barriered one.
+    assert!(stale.cost.barrier_wait_avoided_seconds > 0.0);
+    let runs = [
+        ("FrogWild staleness=0", frogwild(0)),
+        ("FrogWild staleness=2", stale),
+        ("GraphLab PR staleness=0", pagerank),
+    ];
+    let mut straggler = vec![1.0; machines];
+    straggler[0] = 2.0;
+    for (label, report) in runs {
+        let nominal = report.metrics.reprice(&vec![1.0; machines]);
+        assert_eq!(
+            nominal.to_bits(),
+            report.cost.simulated_seconds.to_bits(),
+            "{label}: {nominal} vs {}",
+            report.cost.simulated_seconds
+        );
+        let slowed = report.metrics.reprice(&straggler);
+        assert!(slowed >= nominal, "{label}: {slowed} < {nominal}");
     }
 }
 
