@@ -101,8 +101,15 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
             ("at-least-one", ErasureModel::AtLeastOneOutEdge),
             ("independent", ErasureModel::Independent),
         ] {
-            let est =
-                erasure_walk_pagerank(&workload.graph, scale.walkers, 4, 0.15, ps, model, &mut rng);
+            let est = erasure_walk_pagerank(
+                &workload.graph,
+                scale.walkers,
+                4,
+                TELEPORT,
+                ps,
+                model,
+                &mut rng,
+            );
             let retained: f64 = est.iter().sum();
             let mass = mass_captured(&est, &workload.truth, k).normalized();
             erasure_table.push_row(vec![

@@ -81,18 +81,33 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
     }
 
     let mut rng = SmallRng::seed_from_u64(scale.seed ^ 0xE571);
-    let endpoint =
-        serial_random_walk_pagerank(&workload.graph, scale.walkers, max_steps, 0.15, &mut rng);
+    let endpoint = serial_random_walk_pagerank(
+        &workload.graph,
+        scale.walkers,
+        max_steps,
+        TELEPORT,
+        &mut rng,
+    );
     push_estimator_row("serial end-point MC", scale.walkers, &endpoint);
 
-    let complete =
-        complete_path_pagerank(&workload.graph, scale.walkers, max_steps, 0.15, &mut rng);
+    let complete = complete_path_pagerank(
+        &workload.graph,
+        scale.walkers,
+        max_steps,
+        TELEPORT,
+        &mut rng,
+    );
     push_estimator_row("serial complete-path MC", scale.walkers, &complete);
 
     // The walkers-per-vertex rule spends Θ(n) walks; report its real budget.
     let per_vertex_walks = 1u32;
-    let per_vertex =
-        walkers_per_vertex_pagerank(&workload.graph, per_vertex_walks, max_steps, 0.15, &mut rng);
+    let per_vertex = walkers_per_vertex_pagerank(
+        &workload.graph,
+        per_vertex_walks,
+        max_steps,
+        TELEPORT,
+        &mut rng,
+    );
     push_estimator_row(
         "walkers-per-vertex MC",
         workload.graph.num_vertices() as u64 * per_vertex_walks as u64,

@@ -9,6 +9,7 @@
 use super::{frogwild, mid_cluster, PS_SWEEP};
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{Dataset, Experiment, Lab};
+use frogwild::config::TELEPORT;
 use frogwild::metrics::mass_captured;
 use frogwild::theory;
 use rand::rngs::SmallRng;
@@ -32,11 +33,11 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
         &["steps", "bound", "measured"],
     );
     for steps in [2usize, 4, 6] {
-        let bound = theory::intersection_probability_bound(n, steps, 0.15, pi_max);
+        let bound = theory::intersection_probability_bound(n, steps, TELEPORT, pi_max);
         let measured = theory::empirical_intersection_probability(
             &workload.graph,
             steps,
-            0.15,
+            TELEPORT,
             20_000,
             &mut rng,
         );
@@ -75,9 +76,17 @@ pub fn run(lab: &mut Lab) -> Vec<Table> {
             let config = frogwild(scale.walkers, iterations, ps);
             let report = lab.run(Experiment::new(Dataset::Twitter, machines, config));
             let m = mass_captured(&report.estimate, &workload.truth, k);
-            let p_intersect = theory::intersection_probability_bound(n, iterations, 0.15, pi_max);
-            let epsilon =
-                theory::theorem1_epsilon(0.15, iterations, k, 0.1, scale.walkers, ps, p_intersect);
+            let p_intersect =
+                theory::intersection_probability_bound(n, iterations, TELEPORT, pi_max);
+            let epsilon = theory::theorem1_epsilon(
+                TELEPORT,
+                iterations,
+                k,
+                0.1,
+                scale.walkers,
+                ps,
+                p_intersect,
+            );
             theorem1.push_row(vec![
                 ps.to_string(),
                 iterations.to_string(),

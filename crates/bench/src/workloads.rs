@@ -4,7 +4,7 @@
 
 use frogwild::prelude::{
     exact_pagerank, run_frogwild, run_graphlab_pr, run_sparsified_pr, ClusterConfig, DiGraph,
-    ExecutionConfig, FrogWildConfig, PageRankConfig, PartitionerKind, RunReport, Tracer,
+    ExecutionConfig, FrogWildConfig, PageRankConfig, PartitionerKind, RunReport, Tracer, TELEPORT,
 };
 use frogwild_engine::PartitionedGraph;
 use frogwild_graph::generators::watts_strogatz::{watts_strogatz, WattsStrogatzParams};
@@ -162,7 +162,7 @@ impl Dataset {
                 ),
             ),
         };
-        let truth = exact_pagerank(&graph, 0.15, 200, 1e-10).scores;
+        let truth = exact_pagerank(&graph, TELEPORT, 200, 1e-10).scores;
         Workload { name, graph, truth }
     }
 }

@@ -86,7 +86,7 @@ pub const OPTIONS: &[OptionSpec] = &[
     opt("partitioner", "p", RANKS, "oblivious", "random | grid | oblivious | hdrf | hybrid"),
     opt("seed", "n", LOADS, "42", "random seed"),
     opt("verbose", "", RANKS, "", "print the per-query cost audit (QueryCost) to stderr"),
-    opt("workers", "n", RANKS, "0", "size of the engine pool that topk's parallel switch turns on, 0 = host parallelism (results are bit-identical for every size)"),
+    opt("workers", "n", RANKS, "1", "threads of every engine query's pool: 1 = the calling thread, 0 = host parallelism (results are bit-identical for every size)"),
     opt("staleness", "s", RANKS, "0", "bounded-staleness window: 0 is the synchronous executor, s > 0 lets a machine run s supersteps ahead of its peers' messages"),
     opt("serve-workers", "n", "serve", "0", "worker threads in the serving pool, 0 = host parallelism"),
     opt("queue-depth", "n", "serve", "64", "bounded submission queue capacity, in batches"),
@@ -109,7 +109,6 @@ pub const OPTIONS: &[OptionSpec] = &[
     opt("iterations", "n", "topk pagerank serve", "4; pagerank: 2; serve: 3", "engine supersteps (pagerank: iterations)"),
     opt("ps", "p", "topk autotune serve", "0.7", "mirror synchronization probability, in (0, 1]"),
     opt("repeat", "n", "topk", "1", "serve the query n times on one session"),
-    opt("parallel", "", "topk", "", "run topk's engine work batches on a worker pool"),
     opt("tolerance", "t", "topk pagerank ppr", "0; pagerank: the preset's", "delta gate: a vertex whose live-walker count (pagerank: rank change) after apply is <= t skips scatter"),
     opt("exact", "", "pagerank", "", "run to convergence instead of a fixed number of iterations"),
     opt("pilot-walkers", "n", "autotune", "10000", "walkers of the pilot run"),
@@ -345,8 +344,8 @@ mod tests {
 
     #[test]
     fn a_switch_never_consumes_the_token_after_it() {
-        let args = Args::parse(&to_vec(&["topk", "--parallel", "ids.txt", "--k", "2"])).unwrap();
-        assert!(args.has_flag("parallel"));
+        let args = Args::parse(&to_vec(&["topk", "--verbose", "ids.txt", "--k", "2"])).unwrap();
+        assert!(args.has_flag("verbose"));
         assert_eq!(args.get("graph"), Some("ids.txt"));
         assert_eq!(args.get("k"), Some("2"));
     }
@@ -360,7 +359,7 @@ mod tests {
         );
         assert_eq!(parse(&["topk", "--k"]), ArgError::MissingValue("k".into()));
         assert_eq!(
-            parse(&["topk", "--k", "--parallel"]),
+            parse(&["topk", "--k", "--verbose"]),
             ArgError::MissingValue("k".into())
         );
         // A negative number is a value, not an option.
@@ -383,7 +382,7 @@ mod tests {
 
     #[test]
     fn each_subcommand_takes_exactly_the_options_the_table_lists_for_it() {
-        assert_eq!(OPTIONS.len(), 44);
+        assert_eq!(OPTIONS.len(), 43);
         for (command, _) in COMMANDS {
             let args = Args::parse(&command_line(command, |o| o.read_by(command))).unwrap();
             for o in OPTIONS {

@@ -302,7 +302,7 @@ fn session_over<'g>(
     let partitioner: PartitionerKind =
         args.get_parsed("partitioner", Default::default(), "a partitioner name")?;
     let execution = ExecutionConfig::new()
-        .workers(args.get_parsed("workers", 0usize, "an integer")?)
+        .workers(args.get_parsed("workers", 1usize, "an integer")?)
         .staleness(args.get_parsed("staleness", 0usize, "an integer")?);
     let mut builder = Session::builder(graph)
         .machines(args.get_parsed("machines", 16, "an integer")?)
@@ -314,16 +314,6 @@ fn session_over<'g>(
     }
     if let Some(config) = index {
         builder = builder.walk_index(config);
-    }
-    // Index-serving commands say on their own that no engine option reaches them.
-    let pooled = args.command == "topk" && args.has_flag("parallel");
-    if !pooled && index.is_none() {
-        warn_no_effect(
-            args,
-            &["workers"],
-            "it sizes the engine pool that only topk --parallel turns on; engine queries \
-             run on the calling thread",
-        );
     }
     let session = builder.build()?;
     eprintln!(
@@ -392,7 +382,6 @@ fn cmd_topk(args: &Args) -> Result<()> {
         iterations: args.get_parsed("iterations", 4usize, "an integer")?,
         sync_probability: args.get_parsed("ps", 0.7f64, "a probability in (0, 1]")?,
         seed: seed_of(args)?,
-        parallel: args.has_flag("parallel"),
         tolerance: args.get_parsed("tolerance", 0.0f64, "a non-negative number")?,
         ..FrogWildConfig::default()
     };
@@ -543,7 +532,7 @@ fn cmd_ppr(args: &Args) -> Result<()> {
         let response = session.query(&Query::Ppr {
             source: source as VertexId,
             k,
-            teleport_probability: 0.15,
+            teleport_probability: TELEPORT,
             method,
         })?;
         eprintln!("{}", session.stats());
@@ -557,7 +546,8 @@ fn cmd_ppr(args: &Args) -> Result<()> {
             Tracer::new(trace_request(args)?.map_or_else(TraceConfig::disabled, |r| r.config));
         let sink = tracer.sink();
         let mut span = sink.span(span_meta!("serve_ppr"), SpanKey::new(0, 0, 0, LANE_CLI));
-        let response = frogwild::session::serve_ppr(graph, source as VertexId, k, 0.15, method)?;
+        let response =
+            frogwild::session::serve_ppr(graph, source as VertexId, k, TELEPORT, method)?;
         span.counter("pushes", response.cost.push_ops);
         span.counter("walk_hops", response.cost.walk_hops);
         drop(span);
@@ -622,7 +612,7 @@ fn serve_stream(args: &Args, graph: &DiGraph, k: usize) -> Result<Vec<Query>> {
                 Query::Ppr {
                     source: ((i as u64 * 31) % vertices) as VertexId,
                     k,
-                    teleport_probability: 0.15,
+                    teleport_probability: TELEPORT,
                     method: PprMethod::MonteCarlo {
                         walkers: 2_000,
                         max_steps: 32,
@@ -730,7 +720,7 @@ fn cmd_index(args: &Args) -> Result<()> {
             session.query(&Query::Ppr {
                 source: rng.gen_range(0..graph.num_vertices()) as VertexId,
                 k: 20,
-                teleport_probability: 0.15,
+                teleport_probability: TELEPORT,
                 method: PprMethod::ForwardPush {
                     epsilon: config.frontier_epsilon,
                 },
@@ -784,7 +774,7 @@ fn cmd_plan(args: &Args) -> Result<()> {
     println!("walkers_remark6_scaling,{}", recommended_walkers(k, mass));
     println!(
         "iterations_remark6_scaling,{}",
-        recommended_iterations(0.15, mass)
+        recommended_iterations(TELEPORT, mass)
     );
     Ok(())
 }

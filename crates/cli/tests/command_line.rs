@@ -18,15 +18,20 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 30] = [
+    let table: [Case<'_>; 31] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
         ),
         // A switch does not swallow the path after it.
         (
-            &["topk", "--parallel", ids, "--k", "2"],
+            &["topk", "--verbose", ids, "--k", "2"],
             Ok(&["200", "300"]),
+        ),
+        // `--workers` alone sizes the engine pool; the switch that turned it on is gone.
+        (
+            &["topk", "--parallel", ids, "--k", "2"],
+            Err("error: invalid command line: unknown option --parallel"),
         ),
         (
             &["topk", "--graph", ids, "--k"],
@@ -54,8 +59,8 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
             Err("error: invalid command line: --vertices 5000000000 is more than 32-bit vertex ids can name"),
         ),
         // The switch that asked an index build for a thread per simulated machine, and
-        // died spawning 40 000 of them, is topk's alone; the same line without it runs
-        // (and is pinned) in the test below.
+        // died spawning 40 000 of them, is gone; the same line without it runs (and is
+        // pinned) in the test below.
         (
             &[
                 "index",
@@ -69,7 +74,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
                 "2",
                 "--parallel",
             ],
-            Err("option --parallel does not apply to index (read by: topk)"),
+            Err("error: invalid command line: unknown option --parallel"),
         ),
         (
             &["topk", "--graph", ids, "--k", "4", "--staleness", &max],
@@ -121,7 +126,6 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
                 "20000",
                 "--machines",
                 "4000",
-                "--parallel",
                 "--workers",
                 "100000",
                 "--k",
@@ -291,4 +295,38 @@ fn index_reports_the_build_and_the_probes_of_its_session() {
         assert_eq!(rows.get(1..), Some(&pinned[..]), "{stdout}");
         assert_eq!(stdout.lines().count(), 1 + pinned.len() + 3, "{stdout}");
     }
+}
+
+/// `--workers` sizes the pool of every engine query: under `pagerank` it is read, says
+/// nothing on stderr, and answers exactly what the calling thread answers.
+#[test]
+fn workers_sizes_every_engine_query_without_a_warning() {
+    let ids = edge_file("command_line_workers");
+    let ids = ids.to_str().unwrap();
+    let line = ["pagerank", "--graph", ids, "--k", "4"];
+    let serial = frogwild(&line);
+    assert!(serial.status.success(), "{serial:?}");
+    for workers in ["2", "0"] {
+        let pooled = frogwild(&[&line[..], &["--workers", workers]].concat());
+        let stderr = String::from_utf8_lossy(&pooled.stderr);
+        assert!(pooled.status.success(), "--workers {workers}: {stderr}");
+        assert!(
+            !stderr.contains("warning:"),
+            "--workers {workers}: {stderr}"
+        );
+        assert_eq!(pooled.stdout, serial.stdout, "--workers {workers}");
+    }
+}
+
+/// Remark 6's iteration count is solved in log space: at a mass whose square is 0 in
+/// f64 it printed `u64::MAX`.
+#[test]
+fn plan_iterations_stay_finite_where_the_squared_mass_underflows() {
+    let output = frogwild(&["plan", "--mass", "1e-300", "--k", "5"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let row = stdout
+        .lines()
+        .find(|row| row.starts_with("iterations_remark6_scaling,"));
+    assert_eq!(row, Some("iterations_remark6_scaling,8512"), "{stdout}");
 }

@@ -18,7 +18,7 @@ use frogwild_obs::Tracer;
 
 use crate::confidence::plan_walkers;
 use crate::config::{
-    in_half_open_unit_interval, in_open_unit_interval, ExecutionConfig, FrogWildConfig,
+    in_half_open_unit_interval, in_open_unit_interval, ExecutionConfig, FrogWildConfig, TELEPORT,
 };
 use crate::driver::{run_frogwild, RunReport};
 use crate::error::Error;
@@ -162,8 +162,8 @@ pub fn auto_topk_on(
     let planned_walkers = plan
         .walkers_for_mass
         .clamp(config.pilot_walkers, config.max_walkers);
-    let planned_iterations =
-        recommended_iterations(0.15, estimated_topk_mass).clamp(PILOT_ITERATIONS, MAX_ITERATIONS);
+    let planned_iterations = recommended_iterations(TELEPORT, estimated_topk_mass)
+        .clamp(PILOT_ITERATIONS, MAX_ITERATIONS);
 
     // ------------------------------------------------------------------ 3. run
     let run = run_frogwild(

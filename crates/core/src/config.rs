@@ -12,14 +12,18 @@ pub(crate) fn in_half_open_unit_interval(p: f64) -> bool {
     p > 0.0 && p <= 1.0
 }
 
-/// The teleportation probability the paper (and the original PageRank paper) uses.
-pub const DEFAULT_TELEPORT: f64 = 0.15;
+/// The teleportation probability `p_T` of every FrogWild and PageRank run: the value
+/// the paper (and the original PageRank paper) uses in every experiment. A walker dies
+/// with this probability at every step, reproducing the uniform jump of the PageRank
+/// chain. Only personalized queries ([`Query::Ppr`](crate::session::Query::Ppr)) and
+/// the oracles take their own.
+pub const TELEPORT: f64 = 0.15;
 
 /// Configuration of a FrogWild run.
 ///
 /// The defaults reproduce the paper's headline setting: 800 000 initial walkers, four
-/// iterations, `p_T = 0.15`. `sync_probability` is the paper's `p_s` ∈ {1, 0.7, 0.4, 0.1}
-/// sweep parameter.
+/// iterations, `p_T =` [`TELEPORT`]. `sync_probability` is the paper's
+/// `p_s` ∈ {1, 0.7, 0.4, 0.1} sweep parameter.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FrogWildConfig {
     /// Number of initial random walkers (`N` in the paper). The paper uses 800K for
@@ -28,9 +32,6 @@ pub struct FrogWildConfig {
     /// Number of engine supersteps the walkers are allowed (`t` in the paper, called
     /// "iterations" in the evaluation; 3–5 in the experiments, 4 by default).
     pub iterations: usize,
-    /// Teleportation probability `p_T`; each walker dies with this probability at every
-    /// step, reproducing the uniform jump of the PageRank chain.
-    pub teleport_probability: f64,
     /// Mirror synchronization probability `p_s` (1.0 = unmodified engine; below it, the
     /// at-least-one-out-edge erasure model the paper's experiments run).
     pub sync_probability: f64,
@@ -42,16 +43,6 @@ pub struct FrogWildConfig {
     pub binomial_scatter: bool,
     /// Seed for walker placement and all engine randomness.
     pub seed: u64,
-    /// Serve the engine's work units from a worker pool of
-    /// [`ExecutionConfig::workers`] threads instead of the calling thread. Results are
-    /// bit-identical either way.
-    ///
-    /// Off by default, although it now pays at the paper's operating point, walkers
-    /// ≪ vertices: with every per-vertex loop of a superstep on the pool, the
-    /// `fw_topk_sweep` benchmark (20 000 walkers on 100 000 vertices, two cores) read
-    /// 16.4 ms per query pooled against 21.1 ms serial (medians of ten alternating
-    /// pairs; pooled faster in all ten, at every `p_s`), for 5.2 MiB more peak memory.
-    pub parallel: bool,
     /// Delta-gating threshold: a vertex whose live-walker count after apply is at or
     /// below this value skips synchronization and scatter and drops out of the
     /// frontier (its walkers park in place and still count toward the estimator).
@@ -65,11 +56,9 @@ impl Default for FrogWildConfig {
         FrogWildConfig {
             num_walkers: 800_000,
             iterations: 4,
-            teleport_probability: DEFAULT_TELEPORT,
             sync_probability: 1.0,
             binomial_scatter: false,
             seed: 0xF209,
-            parallel: false,
             tolerance: 0.0,
         }
     }
@@ -89,15 +78,6 @@ impl FrogWildConfig {
             return Err(Error::config(
                 "FrogWildConfig",
                 "iterations must be positive",
-            ));
-        }
-        if !in_open_unit_interval(self.teleport_probability) {
-            return Err(Error::config(
-                "FrogWildConfig",
-                format!(
-                    "teleport_probability must be in (0, 1), got {}",
-                    self.teleport_probability
-                ),
             ));
         }
         if !in_half_open_unit_interval(self.sync_probability) {
@@ -147,12 +127,16 @@ impl FrogWildConfig {
 /// assert_eq!(exec.staleness, 1);
 /// ```
 #[non_exhaustive]
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecutionConfig {
-    /// Worker threads serving phase work units when the algorithm config's
-    /// `parallel` flag is on (`0` = derive from the host's available parallelism,
-    /// and no value makes the pool wider than that); without that flag the engine
-    /// runs on the calling thread.
+    /// Threads serving every engine run's phase work units, FrogWild's and
+    /// PageRank's alike: `1` (the default) is the calling thread, `n > 1` a pool of
+    /// `n` capped at the host's available parallelism, and `0` a pool exactly as wide
+    /// as the host (see [`EngineConfig::workers`](frogwild_engine::EngineConfig::workers)).
+    ///
+    /// The pool pays at the paper's operating point, walkers ≪ vertices: the
+    /// `fw_topk_sweep` benchmark (20 000 walkers on 100 000 vertices, two cores) read
+    /// 16.4 ms per query pooled against 21.1 ms serial, for 5.2 MiB more peak memory.
     pub workers: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the
     /// default) is fully synchronous BSP; `s > 0` lets machines overlap supersteps
@@ -161,17 +145,22 @@ pub struct ExecutionConfig {
     pub staleness: usize,
 }
 
+impl Default for ExecutionConfig {
+    fn default() -> Self {
+        ExecutionConfig {
+            workers: 1,
+            staleness: 0,
+        }
+    }
+}
+
 impl ExecutionConfig {
-    /// The default configuration: synchronous execution, and `workers = 0`, a pool as
-    /// wide as the host. The pool serves a run only when the algorithm config's
-    /// `parallel` flag is set ([`FrogWildConfig::parallel`],
-    /// [`PageRankConfig::parallel`]); both are off by default, and FrogWild and
-    /// PageRank then run on the calling thread.
+    /// The default configuration: synchronous execution on the calling thread.
     pub fn new() -> Self {
         ExecutionConfig::default()
     }
 
-    /// Sets the worker-pool size (`0` = derive from the host).
+    /// Sets the worker-pool size (`1` = the calling thread, `0` = as wide as the host).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -195,14 +184,13 @@ pub struct PageRankConfig {
     /// Per-vertex convergence tolerance: a vertex stops signalling its neighbours once
     /// its rank changes by less than this amount (GraphLab's `TOLERANCE` option).
     pub tolerance: f64,
-    /// Teleportation probability `p_T` (0.15 everywhere in the paper).
-    pub teleport_probability: f64,
     /// Seed for engine randomness (partitioning-related only; PageRank itself is
     /// deterministic).
     pub seed: u64,
-    /// Serve the engine's work units from a worker pool of
-    /// [`ExecutionConfig::workers`] threads (independent of the simulated machine
-    /// count) instead of the calling thread. Results are bit-identical either way.
+    /// Run on the [`ExecutionConfig::workers`] pool (the default) instead of the
+    /// calling thread. Results are bit-identical either way. Only frogbench's
+    /// `pr_dense` workload still names this field; once it sizes PageRank's pool
+    /// through `workers` alone, the field goes.
     pub parallel: bool,
 }
 
@@ -211,9 +199,8 @@ impl Default for PageRankConfig {
         PageRankConfig {
             max_iterations: 100,
             tolerance: 1e-3,
-            teleport_probability: DEFAULT_TELEPORT,
             seed: 0xF209,
-            parallel: false,
+            parallel: true,
         }
     }
 }
@@ -248,15 +235,6 @@ impl PageRankConfig {
                 "max_iterations must be positive",
             ));
         }
-        if !in_open_unit_interval(self.teleport_probability) {
-            return Err(Error::config(
-                "PageRankConfig",
-                format!(
-                    "teleport_probability must be in (0, 1), got {}",
-                    self.teleport_probability
-                ),
-            ));
-        }
         if !self.tolerance.is_finite() || self.tolerance < 0.0 {
             return Err(Error::config(
                 "PageRankConfig",
@@ -279,7 +257,6 @@ mod tests {
         let c = FrogWildConfig::default();
         assert_eq!(c.num_walkers, 800_000);
         assert_eq!(c.iterations, 4);
-        assert_eq!(c.teleport_probability, 0.15);
         assert_eq!(c.sync_probability, 1.0);
         assert!(c.validate().is_ok());
     }
@@ -295,11 +272,6 @@ mod tests {
         c.iterations = 0;
         assert!(c.validate().is_err());
         c.iterations = 1;
-        c.teleport_probability = 0.0;
-        assert!(c.validate().is_err());
-        c.teleport_probability = 1.0;
-        assert!(c.validate().is_err());
-        c.teleport_probability = 0.15;
         c.sync_probability = 0.0;
         assert!(c.validate().is_err());
         c.sync_probability = 1.1;
@@ -319,9 +291,9 @@ mod tests {
         assert_eq!(exec.workers, 3);
         assert_eq!(exec.staleness, 2);
 
-        // The defaults size the pool automatically and run synchronously.
-        let auto = ExecutionConfig::new();
-        assert_eq!((auto.workers, auto.staleness), (0, 0));
+        // The defaults run synchronously on the calling thread.
+        let default = ExecutionConfig::new();
+        assert_eq!((default.workers, default.staleness), (1, 0));
     }
 
     #[test]
@@ -347,7 +319,6 @@ mod tests {
             assert!(c.validate().is_err(), "tolerance {bad} accepted");
         }
         c.tolerance = 0.0;
-        c.teleport_probability = 1.5;
-        assert!(c.validate().is_err());
+        assert!(c.validate().is_ok());
     }
 }

@@ -107,12 +107,7 @@ pub fn run_frogwild(
         max_supersteps: config.iterations,
         seed: config.seed,
         tolerance: config.tolerance,
-        // The `parallel` flag turns the pool on; `execution.workers` sizes it.
-        workers: if config.parallel {
-            execution.workers
-        } else {
-            1
-        },
+        workers: execution.workers,
         staleness: execution.staleness,
         tracer: tracer.clone(),
     };
@@ -178,7 +173,6 @@ pub fn run_graphlab_pr(
         max_supersteps: config.max_iterations,
         seed: config.seed,
         tolerance: config.tolerance,
-        // The `parallel` flag turns the pool on; `execution.workers` sizes it.
         workers: if config.parallel {
             execution.workers
         } else {
@@ -467,29 +461,23 @@ mod tests {
 
     #[test]
     fn parallel_execution_matches_serial() {
-        let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
+        let off = Tracer::disabled();
         let g = test_graph(300);
         let cluster = small_cluster();
         let pg = partition_graph(&g, &cluster);
-        let base = FrogWildConfig {
+        let config = FrogWildConfig {
             num_walkers: 20_000,
             iterations: 3,
             sync_probability: 0.4,
             ..FrogWildConfig::default()
         };
-        let serial = run_frogwild(&pg, &base, &exec, &off).unwrap();
-        let parallel = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                parallel: true,
-                ..base
-            },
-            &exec,
-            &off,
-        )
-        .unwrap();
-        assert_eq!(serial.estimate, parallel.estimate);
-        assert_eq!(serial.cost.network_bytes, parallel.cost.network_bytes);
+        let serial = run_frogwild(&pg, &config, &ExecutionConfig::default(), &off).unwrap();
+        for workers in [1, 0, 3] {
+            let execution = ExecutionConfig::new().workers(workers);
+            let parallel = run_frogwild(&pg, &config, &execution, &off).unwrap();
+            assert_eq!(serial.estimate, parallel.estimate, "{execution:?}");
+            assert_eq!(serial.cost.network_bytes, parallel.cost.network_bytes);
+        }
     }
 
     #[test]
@@ -501,7 +489,6 @@ mod tests {
             num_walkers: 20_000,
             iterations: 3,
             sync_probability: 0.7,
-            parallel: true,
             ..FrogWildConfig::default()
         };
         let reference = run_frogwild(&pg, &base, &exec, &off).unwrap();

@@ -135,7 +135,7 @@ pub use frogwild_obs as obs;
 pub mod prelude {
     pub use crate::autotune::{auto_topk_on, AutoTuneConfig, AutoTuneReport};
     pub use crate::confidence::{plan_walkers, wilson_interval, WalkerPlan};
-    pub use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig};
+    pub use crate::config::{ExecutionConfig, FrogWildConfig, PageRankConfig, TELEPORT};
     pub use crate::driver::{
         partition_graph, run_frogwild, run_graphlab_pr, run_sparsified_pr, RunReport,
     };

@@ -13,7 +13,7 @@ use frogwild_engine::{ApplyContext, ScatterContext, VertexProgram};
 use frogwild_graph::VertexId;
 use rand::Rng;
 
-use crate::config::FrogWildConfig;
+use crate::config::{FrogWildConfig, TELEPORT};
 use crate::dist;
 
 /// Per-vertex walker counters.
@@ -37,8 +37,6 @@ impl FrogState {
 /// The FrogWild vertex program. Construct it from a [`FrogWildConfig`].
 #[derive(Clone, Debug)]
 pub struct FrogWildProgram {
-    /// Walker death probability per step (`p_T`).
-    teleport_probability: f64,
     /// Number of engine supersteps before every surviving walker is absorbed (`t`).
     iterations: usize,
     /// Use the idealized per-edge binomial scatter instead of the deterministic split.
@@ -55,7 +53,6 @@ impl FrogWildProgram {
     pub fn new(config: &FrogWildConfig) -> Result<Self, crate::Error> {
         config.validate()?;
         Ok(FrogWildProgram {
-            teleport_probability: config.teleport_probability,
             iterations: config.iterations,
             binomial_scatter: config.binomial_scatter,
         })
@@ -95,7 +92,7 @@ impl VertexProgram for FrogWildProgram {
         }
         // Each incoming frog dies (teleports away, i.e. is sampled here) with
         // probability p_T.
-        let deaths = dist::binomial(incoming, self.teleport_probability, ctx.rng);
+        let deaths = dist::binomial(incoming, TELEPORT, ctx.rng);
         state.stopped += deaths;
         state.live = incoming - deaths;
     }

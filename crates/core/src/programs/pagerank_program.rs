@@ -7,7 +7,7 @@
 //! * ranks are initialised to 1.0 and left unnormalised (the exact fixed point is
 //!   `n · π`); the driver normalises before computing accuracy metrics;
 //! * gather pulls `rank / out_degree` over in-edges;
-//! * apply sets `rank = p_T + (1 - p_T) · Σ`;
+//! * apply sets `rank = p_T + (1 - p_T) · Σ`, at `p_T =` [`TELEPORT`];
 //! * the program reports each apply's rank change through `delta`, and the executor
 //!   signals out-neighbours only while that change exceeds its configured tolerance
 //!   (GraphLab's dynamic scheduling, now enforced by the delta-gated frontier).
@@ -19,7 +19,7 @@
 use frogwild_engine::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 use frogwild_graph::VertexId;
 
-use crate::config::PageRankConfig;
+use crate::config::{PageRankConfig, TELEPORT};
 
 /// Per-vertex PageRank state.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,9 +40,7 @@ impl Default for RankState {
 /// program only reports each vertex's rank change through
 /// [`VertexProgram::delta`].
 #[derive(Clone, Debug)]
-pub struct PageRankProgram {
-    teleport_probability: f64,
-}
+pub struct PageRankProgram;
 
 impl PageRankProgram {
     /// Builds the program from a [`PageRankConfig`].
@@ -53,9 +51,7 @@ impl PageRankProgram {
     /// configuration fails [`PageRankConfig::validate`].
     pub fn new(config: &PageRankConfig) -> Result<Self, crate::Error> {
         config.validate()?;
-        Ok(PageRankProgram {
-            teleport_probability: config.teleport_probability,
-        })
+        Ok(PageRankProgram)
     }
 }
 
@@ -96,7 +92,7 @@ impl VertexProgram for PageRankProgram {
         _message: Option<()>,
     ) {
         let gathered = accum.unwrap_or(0.0);
-        state.rank = self.teleport_probability + (1.0 - self.teleport_probability) * gathered;
+        state.rank = TELEPORT + (1.0 - TELEPORT) * gathered;
     }
 
     fn delta(&self, old: &RankState, new: &RankState) -> f64 {

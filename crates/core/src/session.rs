@@ -58,7 +58,9 @@ use frogwild_graph::{DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, TraceConfig, Tracer};
 
 use crate::autotune::{auto_topk_on, AutoTuneConfig};
-use crate::config::{in_open_unit_interval, ExecutionConfig, FrogWildConfig, PageRankConfig};
+use crate::config::{
+    in_open_unit_interval, ExecutionConfig, FrogWildConfig, PageRankConfig, TELEPORT,
+};
 use crate::driver::{run_frogwild, run_graphlab_pr, RunReport};
 use crate::error::{Error, Result};
 use crate::ppr::{
@@ -112,10 +114,12 @@ impl<'g> SessionBuilder<'g> {
 
     /// The [`ExecutionConfig`] every engine-served query runs under: the worker pool
     /// and the bounded-staleness window. Every value is accepted — there is nothing
-    /// in it for [`build`](SessionBuilder::build) to reject.
+    /// in it for [`build`](SessionBuilder::build) to reject. The default runs every
+    /// engine query on the calling thread.
     ///
-    /// `workers` decides only how work batches are spread over host threads —
-    /// results are bit-identical for every setting. `staleness` changes the
+    /// `workers` sizes the pool of every engine-served query (top-k, PageRank,
+    /// autotuned top-k) and decides only how work batches are spread over host
+    /// threads — results are bit-identical for every setting. `staleness` changes the
     /// executor's message-visibility schedule (still deterministically — see
     /// [`ExecutionConfig`]); `staleness == 0` is the synchronous executor.
     pub fn execution(mut self, execution: ExecutionConfig) -> Self {
@@ -306,14 +310,14 @@ impl Query {
         }
     }
 
-    /// A [`Query::Ppr`] from `source`: top-20 under the conventional 0.15 teleport
+    /// A [`Query::Ppr`] from `source`: top-20 under the conventional [`TELEPORT`]
     /// probability, evaluated with forward push at `ε = 1e-6` (the cheap serving
     /// path). Spell out the variant for a different `k`, teleport or method.
     pub fn ppr(source: VertexId) -> Self {
         Query::Ppr {
             source,
             k: 20,
-            teleport_probability: 0.15,
+            teleport_probability: TELEPORT,
             method: PprMethod::ForwardPush { epsilon: 1e-6 },
         }
     }
@@ -1232,17 +1236,12 @@ mod tests {
         let g = test_graph(300);
         let q = Query::TopK {
             k: 15,
-            config: FrogWildConfig {
-                parallel: true,
-                ..fw_config()
-            },
+            config: fw_config(),
         };
         let mut baseline = Session::builder(&g).machines(4).seed(11).build().unwrap();
         let expected = baseline.query(&q).unwrap();
-        for execution in [
-            ExecutionConfig::new().workers(2),
-            ExecutionConfig::new().workers(5),
-        ] {
+        for workers in [1, 0, 3] {
+            let execution = ExecutionConfig::new().workers(workers);
             let mut session = Session::builder(&g)
                 .machines(4)
                 .seed(11)

@@ -138,9 +138,10 @@ pub fn recommended_iterations(teleport_probability: f64, optimal_mass: f64) -> u
         optimal_mass > 0.0 && optimal_mass <= 1.0,
         "optimal mass must be in (0, 1]"
     );
-    // Solve (1 - pT)^{t+1} / pT <= optimal_mass^2 for t.
-    let target = optimal_mass * optimal_mass * teleport_probability;
-    let t = target.ln() / (1.0 - teleport_probability).ln() - 1.0;
+    // Solve (1 - pT)^{t+1} / pT <= optimal_mass^2 for t, in log space: the product
+    // `optimal_mass^2 · pT` underflows to 0 below a mass of about 1e-154.
+    let target = 2.0 * optimal_mass.ln() + teleport_probability.ln();
+    let t = target / (1.0 - teleport_probability).ln() - 1.0;
     t.ceil().max(1.0) as usize
 }
 
@@ -276,6 +277,14 @@ mod tests {
         assert_eq!(recommended_walkers(100, 1.0), 100);
         assert!(recommended_iterations(0.15, 0.5) < recommended_iterations(0.15, 0.01));
         assert!(recommended_iterations(0.15, 0.9) >= 1);
+    }
+
+    #[test]
+    fn recommended_iterations_stay_finite_where_the_squared_mass_underflows() {
+        // 1e-300² is 0 in f64; the log-space answer is
+        // ceil((2 ln 1e-300 + ln 0.15) / ln 0.85 - 1).
+        assert_eq!(recommended_iterations(0.15, 1e-300), 8_512);
+        assert_eq!(recommended_iterations(0.15, f64::MIN_POSITIVE), 8_729);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use frogwild_graph::{DiGraph, VertexId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::config::{in_open_unit_interval, FrogWildConfig};
+use crate::config::{in_open_unit_interval, FrogWildConfig, TELEPORT};
 use crate::error::{Error, Result};
 use crate::ppr::forward_push_ppr;
 
@@ -334,7 +334,7 @@ pub fn indexed_pagerank(
         stitcher.walk_spread(
             start,
             share,
-            fw.teleport_probability,
+            TELEPORT,
             fw.iterations as u64,
             &mut estimate,
             &mut rng,
@@ -628,7 +628,7 @@ mod tests {
             stitcher.reference_walk_spread(
                 start,
                 share,
-                fw.teleport_probability,
+                TELEPORT,
                 fw.iterations as u64,
                 &mut estimate,
                 &mut rng,

@@ -70,14 +70,12 @@ proptest! {
         vertices in 60usize..250,
         graph_seed in any::<u64>(),
         machines in 1usize..7,
-        teleport in 0.1f64..0.5,
         workers in 0usize..5,
     ) {
         let graph = graph_of(vertices, graph_seed);
         let pg = partition_graph(&graph, &ClusterConfig::new(machines, 3));
         let config = PageRankConfig {
             max_iterations: 15,
-            teleport_probability: teleport,
             ..PageRankConfig::default()
         };
         let off = Tracer::disabled();
@@ -113,22 +111,15 @@ proptest! {
             iterations: 5,
             sync_probability: ps,
             seed: walker_seed,
-            parallel: true,
             ..FrogWildConfig::default()
         };
-        let serial = run_frogwild(
-            &pg,
-            &FrogWildConfig { parallel: false, ..config },
-            &ExecutionConfig::new().staleness(staleness),
-            &off,
-        )
-        .unwrap();
+        let serial =
+            run_frogwild(&pg, &config, &ExecutionConfig::new().staleness(staleness), &off)
+                .unwrap();
         // The walker count stays conserved under any staleness window.
         prop_assert!((serial.estimate.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for execution in [
-            ExecutionConfig::new().workers(2).staleness(staleness),
-            ExecutionConfig::new().workers(5).staleness(staleness),
-        ] {
+        for workers in [1, 0, 3] {
+            let execution = ExecutionConfig::new().workers(workers).staleness(staleness);
             let pooled = run_frogwild(&pg, &config, &execution, &off).unwrap();
             prop_assert!(serial.estimate.iter().zip(&pooled.estimate)
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -148,7 +139,6 @@ proptest! {
         vertices in 60usize..250,
         graph_seed in any::<u64>(),
         machines in 2usize..7,
-        teleport in 0.1f64..0.5,
         tolerance in 1e-7f64..1e-4,
         staleness in 1usize..3,
     ) {
@@ -157,7 +147,6 @@ proptest! {
         let iterations = 30;
         let config = PageRankConfig {
             max_iterations: iterations,
-            teleport_probability: teleport,
             tolerance,
             ..PageRankConfig::default()
         };
@@ -178,14 +167,14 @@ proptest! {
         // gated run's envelope, widened by the extra (s) in-flight iterations.
         let envelope = tolerance
             * (iterations + staleness) as f64
-            * (1.0 - teleport)
-            / (teleport * teleport)
+            * (1.0 - TELEPORT)
+            / (TELEPORT * TELEPORT)
             + 1e-12;
         let distance = l1_distance(&stale.estimate, &sync.estimate);
         prop_assert!(
             distance <= envelope,
-            "l1 {} exceeds envelope {} (tol {}, p {}, s {})",
-            distance, envelope, tolerance, teleport, staleness
+            "l1 {} exceeds envelope {} (tol {}, s {})",
+            distance, envelope, tolerance, staleness
         );
     }
 }

@@ -149,7 +149,9 @@ pub struct EngineConfig {
     /// on the calling thread, `n > 1` is a pool of `n` capped at the host's available
     /// parallelism, and `0` is a pool of exactly that. No phase starts more threads
     /// than it has units. The thread count is independent of the simulated machine
-    /// count, and results are bit-identical for any value.
+    /// count, and results are bit-identical for any value. The `frogwild` drivers set
+    /// it from `ExecutionConfig::workers`, the one pool setting of every FrogWild and
+    /// PageRank run.
     pub workers: usize,
     /// Bounded staleness for inter-machine messages, in supersteps. `0` (the default)
     /// is fully synchronous BSP: every message produced in superstep `t` is visible

@@ -66,7 +66,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "forbidden",
         doc: "a token sequence a row of the FORBIDDEN table names, in the files that row \
               covers, more often than the row allows (engine addressing and pricing, set-up \
-              path, index arena, engine configuration, figures: shapes a rewrite removed)",
+              path, index arena, engine configuration, p_T, figures: shapes a rewrite removed)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -256,6 +256,37 @@ pub const FORBIDDEN: &[Forbidden] = &[
         "segment generation shares worker_threads(0) among the machines, always; there is \
          no parallel setting",
     ),
+    forbid(
+        &["crates/cli/src/"],
+        &["parallel"],
+        "--workers sizes the pool of every engine query; there is no parallel switch",
+    ),
+    Forbidden {
+        at_most: 3,
+        ..forbid(
+            &["crates/core/src/"],
+            &["parallel"],
+            "ExecutionConfig::workers sizes the engine pool; PageRankConfig::parallel keeps \
+             only its declaration, its Default and the driver's read until the benchmark \
+             stops naming it (ROADMAP item 1(a)), and then goes",
+        )
+    },
+    // Configuration: p_T is the paper's one constant, written once.
+    Forbidden {
+        at_most: 1,
+        ..forbid(
+            &[
+                "crates/core/src/",
+                "crates/engine/src/",
+                "crates/cli/src/",
+                "crates/bench/src/figures/",
+                "crates/bench/src/workloads.rs",
+            ],
+            &["0.15"],
+            "p_T is frogwild::config::TELEPORT; only its definition spells 0.15 (the oracles \
+             and theory formulas take p_T as an argument)",
+        )
+    },
     // Figures: the evaluation is one grid of runs, and the Lab holds it.
     forbid(
         &["crates/bench/src/figures/"],

@@ -60,16 +60,7 @@ fn staleness_zero_reproduces_the_synchronous_golden_fingerprints() {
         ExecutionConfig::new().staleness(0),
         ExecutionConfig::new().workers(3).staleness(0),
     ] {
-        let report = run_frogwild(
-            &pg,
-            &FrogWildConfig {
-                parallel: execution.workers != 0,
-                ..frogwild_base()
-            },
-            &execution,
-            &off,
-        )
-        .unwrap();
+        let report = run_frogwild(&pg, &frogwild_base(), &execution, &off).unwrap();
         assert_eq!(
             fingerprint(&report.estimate),
             0xc498_2688_7c36_ed28,
@@ -89,16 +80,12 @@ fn fixed_staleness_is_deterministic_across_worker_counts() {
     let pg = twitter_layout();
     let config = FrogWildConfig {
         iterations: 6,
-        parallel: true,
         ..frogwild_base()
     };
     for staleness in [1usize, 2, 4] {
         let serial = run_frogwild(
             &pg,
-            &FrogWildConfig {
-                parallel: false,
-                ..config
-            },
+            &config,
             &ExecutionConfig::new().staleness(staleness),
             &off,
         )

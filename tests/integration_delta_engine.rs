@@ -94,17 +94,14 @@ fn tolerance_zero_reproduces_the_pre_refactor_executor_bit_for_bit() {
 fn worker_pool_scheduling_reproduces_the_golden_fingerprints() {
     let off = Tracer::disabled();
     let pg = twitter_layout();
-    let parallel = FrogWildConfig {
-        parallel: true,
-        ..frogwild_base()
-    };
     for execution in [
         ExecutionConfig::default(),
+        ExecutionConfig::new().workers(0),
         ExecutionConfig::new().workers(2),
         ExecutionConfig::new().workers(3),
         ExecutionConfig::new().workers(8),
     ] {
-        let report = run_frogwild(&pg, &parallel, &execution, &off).unwrap();
+        let report = run_frogwild(&pg, &frogwild_base(), &execution, &off).unwrap();
         assert_eq!(
             fingerprint(&report.estimate),
             0xc498_2688_7c36_ed28,

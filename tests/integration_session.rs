@@ -232,14 +232,6 @@ fn each_invalid_frogwild_config_field_returns_invalid_config() {
             ..base
         },
         FrogWildConfig {
-            teleport_probability: 0.0,
-            ..base
-        },
-        FrogWildConfig {
-            teleport_probability: 1.0,
-            ..base
-        },
-        FrogWildConfig {
             sync_probability: 0.0,
             ..base
         },
@@ -266,10 +258,6 @@ fn each_invalid_pagerank_config_field_returns_invalid_config() {
     let bad_configs = [
         PageRankConfig {
             max_iterations: 0,
-            ..base
-        },
-        PageRankConfig {
-            teleport_probability: 1.5,
             ..base
         },
         PageRankConfig {
