@@ -762,16 +762,24 @@ fn cmd_plan(args: &Args) -> Result<()> {
         ));
     }
 
+    // A count no u64 holds (a squared mass or loss that underflows) is `unreachable`.
+    let count = |walkers: Option<u64>| walkers.map_or("unreachable".into(), |w| w.to_string());
     let plan = plan_walkers(k, vertices, mass, loss, delta);
     println!("# walker-budget plan for top-{k} on {vertices} vertices");
     println!("quantity,value");
-    println!("walkers_theorem1_sampling_term,{}", plan.walkers_for_mass);
+    println!(
+        "walkers_theorem1_sampling_term,{}",
+        count(plan.walkers_for_mass)
+    );
     println!(
         "walkers_per_vertex_frequency_term,{}",
-        plan.walkers_for_frequency
+        count(plan.walkers_for_frequency)
     );
-    println!("walkers_recommended,{}", plan.recommended);
-    println!("walkers_remark6_scaling,{}", recommended_walkers(k, mass));
+    println!("walkers_recommended,{}", count(plan.recommended));
+    println!(
+        "walkers_remark6_scaling,{}",
+        count(recommended_walkers(k, mass))
+    );
     println!(
         "iterations_remark6_scaling,{}",
         recommended_iterations(TELEPORT, mass)

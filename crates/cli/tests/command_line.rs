@@ -318,6 +318,32 @@ fn workers_sizes_every_engine_query_without_a_warning() {
     }
 }
 
+/// A walker count no u64 holds is `unreachable`: at a mass whose square is 0 in f64 the
+/// per-vertex term, the recommendation and Remark 6's scaling printed `u64::MAX`, a
+/// saturated cast of infinity. The sampling term does not involve the mass.
+#[test]
+fn plan_walker_counts_no_u64_holds_are_unreachable_not_saturated() {
+    let output = frogwild(&["plan", "--mass", "1e-300", "--k", "5"]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(!stdout.contains(&u64::MAX.to_string()), "{stdout}");
+    for (quantity, value) in [
+        ("walkers_theorem1_sampling_term", "125000"),
+        ("walkers_per_vertex_frequency_term", "unreachable"),
+        ("walkers_recommended", "unreachable"),
+        ("walkers_remark6_scaling", "unreachable"),
+    ] {
+        let row = stdout
+            .lines()
+            .find(|row| row.starts_with(&format!("{quantity},")));
+        assert_eq!(
+            row,
+            Some(format!("{quantity},{value}").as_str()),
+            "{stdout}"
+        );
+    }
+}
+
 /// Remark 6's iteration count is solved in log space: at a mass whose square is 0 in
 /// f64 it printed `u64::MAX`.
 #[test]

@@ -159,9 +159,10 @@ pub fn auto_topk_on(
         config.mass_loss_target,
         config.failure_probability,
     );
-    let planned_walkers = plan
-        .walkers_for_mass
-        .clamp(config.pilot_walkers, config.max_walkers);
+    // A count no u64 holds asks for more walkers than any cap allows.
+    let planned_walkers = (plan.walkers_for_mass).map_or(config.max_walkers, |w| {
+        w.clamp(config.pilot_walkers, config.max_walkers)
+    });
     let planned_iterations = recommended_iterations(TELEPORT, estimated_topk_mass)
         .clamp(PILOT_ITERATIONS, MAX_ITERATIONS);
 

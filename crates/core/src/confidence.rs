@@ -60,19 +60,32 @@ pub fn hoeffding_epsilon(num_walkers: u64, num_vertices: usize, failure_probabil
 
 /// Number of walkers needed so that every empirical frequency is within `epsilon` of its
 /// expectation with probability at least `1 - failure_probability` (the inverse of
-/// [`hoeffding_epsilon`]).
+/// [`hoeffding_epsilon`]), or `None` when that number is not a `u64` — an `epsilon` so
+/// small that its square underflows asks for infinitely many.
 ///
 /// # Panics
 ///
 /// Panics if `epsilon` is not in `(0, 1)` or `failure_probability` is outside `(0, 1)`.
-pub fn required_walkers(epsilon: f64, num_vertices: usize, failure_probability: f64) -> u64 {
+pub fn required_walkers(
+    epsilon: f64,
+    num_vertices: usize,
+    failure_probability: f64,
+) -> Option<u64> {
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
     assert!(
         failure_probability > 0.0 && failure_probability < 1.0,
         "failure probability must be in (0, 1)"
     );
     let union_terms = (2.0 * num_vertices.max(1) as f64 / failure_probability).ln();
-    (union_terms / (2.0 * epsilon * epsilon)).ceil() as u64
+    walker_count(union_terms / (2.0 * epsilon * epsilon))
+}
+
+/// A non-negative real walker count rounded up, or `None` when it is not a `u64`:
+/// infinite, NaN, or at least 2^64. (`as u64` would saturate it to `u64::MAX`, a count
+/// no run can be given and nothing can tell from a real one.)
+pub(crate) fn walker_count(walkers: f64) -> Option<u64> {
+    let walkers = walkers.ceil();
+    (walkers < u64::MAX as f64).then_some(walkers as u64)
 }
 
 /// Wilson score interval for a vertex that received `count` of `num_walkers` walkers,
@@ -147,13 +160,16 @@ pub fn separation_probability(count_a: u64, count_b: u64, num_walkers: u64) -> f
 /// `mass_loss_target` and (b) every individual frequency is within the implied
 /// per-vertex resolution.
 #[derive(Clone, Copy, Debug, PartialEq)]
+///
+/// A count is `None` when no `u64` can hold it: a mass or loss target so small that its
+/// square underflows asks for infinitely many walkers.
 pub struct WalkerPlan {
     /// Walkers required by the Remark 6 / Theorem 1 sampling term.
-    pub walkers_for_mass: u64,
+    pub walkers_for_mass: Option<u64>,
     /// Walkers required by the per-vertex Hoeffding bound.
-    pub walkers_for_frequency: u64,
-    /// The recommended budget (the maximum of the two).
-    pub recommended: u64,
+    pub walkers_for_frequency: Option<u64>,
+    /// The recommended budget (the maximum of the two; `None` if either is).
+    pub recommended: Option<u64>,
 }
 
 /// Plans a walker budget for a top-`k` query on a graph with `num_vertices` vertices,
@@ -185,7 +201,7 @@ pub fn plan_walkers(
     // Theorem 1 sampling term (with p_s = 1 and negligible intersection probability):
     // ε ≥ sqrt(k / (δ N)), so N ≥ k / (δ ε²).
     let walkers_for_mass =
-        (k as f64 / (failure_probability * mass_loss_target * mass_loss_target)).ceil() as u64;
+        walker_count(k as f64 / (failure_probability * mass_loss_target * mass_loss_target));
     // Per-vertex resolution: the k-th heaviest vertex holds at least optimal_mass / k;
     // we want frequencies resolved to a quarter of that value.
     let per_vertex_resolution = (optimal_mass / k as f64) / 4.0;
@@ -197,7 +213,9 @@ pub fn plan_walkers(
     WalkerPlan {
         walkers_for_mass,
         walkers_for_frequency,
-        recommended: walkers_for_mass.max(walkers_for_frequency),
+        recommended: walkers_for_mass
+            .zip(walkers_for_frequency)
+            .map(|(m, f)| m.max(f)),
     }
 }
 
@@ -297,7 +315,7 @@ mod tests {
     #[test]
     fn required_walkers_inverts_epsilon() {
         let eps = 0.001;
-        let n = required_walkers(eps, 10_000, 0.05);
+        let n = required_walkers(eps, 10_000, 0.05).unwrap();
         let achieved = hoeffding_epsilon(n, 10_000, 0.05);
         assert!(achieved <= eps);
         // and not wastefully more than needed
@@ -372,16 +390,17 @@ mod tests {
     #[test]
     fn plan_walkers_scales_like_remark6() {
         let base = plan_walkers(100, 1_000_000, 0.3, 0.05, 0.1);
-        assert_eq!(
-            base.recommended,
-            base.walkers_for_mass.max(base.walkers_for_frequency)
+        let (mass, frequency) = (
+            base.walkers_for_mass.unwrap(),
+            base.walkers_for_frequency.unwrap(),
         );
+        assert_eq!(base.recommended, Some(mass.max(frequency)));
         // Quadrupling k quadruples the mass term.
         let more_k = plan_walkers(400, 1_000_000, 0.3, 0.05, 0.1);
-        assert_eq!(more_k.walkers_for_mass, 4 * base.walkers_for_mass);
+        assert_eq!(more_k.walkers_for_mass, Some(4 * mass));
         // Halving the tolerated loss quadruples the mass term.
         let tighter = plan_walkers(100, 1_000_000, 0.3, 0.025, 0.1);
-        assert_eq!(tighter.walkers_for_mass, 4 * base.walkers_for_mass);
+        assert_eq!(tighter.walkers_for_mass, Some(4 * mass));
     }
 
     #[test]
@@ -392,13 +411,29 @@ mod tests {
         // per-vertex frequency term is far more conservative (it union-bounds over all
         // 40M vertices) and is reported separately for exactly that reason.
         let plan = plan_walkers(100, 40_000_000, 0.05, 0.02, 0.1);
-        assert!(
-            plan.walkers_for_mass > 100_000 && plan.walkers_for_mass < 20_000_000,
-            "mass term {}",
-            plan.walkers_for_mass
-        );
+        let mass = plan.walkers_for_mass.unwrap();
+        assert!(mass > 100_000 && mass < 20_000_000, "mass term {mass}");
         assert!(plan.recommended >= plan.walkers_for_mass);
         assert!(plan.recommended >= plan.walkers_for_frequency);
+    }
+
+    #[test]
+    fn walker_counts_no_u64_can_hold_are_none_not_saturated() {
+        // The square of 5e-302 underflows to 0, so the Hoeffding count is infinite.
+        assert_eq!(required_walkers(5e-302, 10, 0.1), None);
+        // Finite, but past 2^64.
+        assert_eq!(required_walkers(1e-10, 1_000_000, 0.1), None);
+        assert_eq!(required_walkers(0.5, 1, 0.5), Some(3));
+        // A top-5 mass of 1e-300 resolves frequencies to 5e-302; a loss target of 1e-200
+        // squares to 0.
+        let tiny_mass = plan_walkers(5, 1_000, 1e-300, 0.02, 0.1);
+        assert_eq!(tiny_mass.walkers_for_mass, Some(125_000));
+        assert_eq!(tiny_mass.walkers_for_frequency, None);
+        assert_eq!(tiny_mass.recommended, None);
+        let tiny_loss = plan_walkers(5, 1_000, 0.5, 1e-200, 0.1);
+        assert_eq!(tiny_loss.walkers_for_mass, None);
+        assert!(tiny_loss.walkers_for_frequency.is_some());
+        assert_eq!(tiny_loss.recommended, None);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 // lint:allow-file(indexing, dense tables are sized by the same loop bounds that index them)
 
+use crate::confidence::walker_count;
 use frogwild_graph::{DiGraph, VertexId};
 use rand::Rng;
 
@@ -116,14 +117,15 @@ pub fn power_law_max_bound(num_vertices: usize, gamma: f64, theta: f64) -> (f64,
 }
 
 /// Remark 6: number of walkers sufficient for the sampling error to be of the same
-/// order as the captured mass, `N = O(k / µ_k(π)²)`. Returned with constant 1.
-pub fn recommended_walkers(k: usize, optimal_mass: f64) -> u64 {
+/// order as the captured mass, `N = O(k / µ_k(π)²)`. Returned with constant 1, or `None`
+/// when no `u64` holds it (a mass whose square underflows asks for infinitely many).
+pub fn recommended_walkers(k: usize, optimal_mass: f64) -> Option<u64> {
     assert!(k > 0, "k must be positive");
     assert!(
         optimal_mass > 0.0 && optimal_mass <= 1.0,
         "optimal mass must be in (0, 1]"
     );
-    (k as f64 / (optimal_mass * optimal_mass)).ceil() as u64
+    walker_count(k as f64 / (optimal_mass * optimal_mass))
 }
 
 /// Remark 6: number of steps sufficient for the mixing error to be of the same order
@@ -274,9 +276,18 @@ mod tests {
     fn recommended_parameters_scale_as_remark6() {
         // Heavier top-k mass needs fewer walkers and fewer steps.
         assert!(recommended_walkers(100, 0.5) < recommended_walkers(100, 0.05));
-        assert_eq!(recommended_walkers(100, 1.0), 100);
+        assert_eq!(recommended_walkers(100, 1.0), Some(100));
         assert!(recommended_iterations(0.15, 0.5) < recommended_iterations(0.15, 0.01));
         assert!(recommended_iterations(0.15, 0.9) >= 1);
+    }
+
+    #[test]
+    fn recommended_walkers_are_none_where_no_u64_holds_them() {
+        // 1e-300² is 0 in f64: infinitely many walkers, not a saturated u64::MAX.
+        assert_eq!(recommended_walkers(5, 1e-300), None);
+        // Finite, but past 2^64.
+        assert_eq!(recommended_walkers(5, 1e-10), None);
+        assert_eq!(recommended_walkers(5, 1e-5), Some(50_000_000_000));
     }
 
     #[test]

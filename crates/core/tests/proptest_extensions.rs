@@ -111,7 +111,10 @@ proptest! {
             // Planning for the achieved epsilon never asks for more walkers than we had
             // (up to the integer ceiling).
             let needed = required_walkers(eps, vertices, delta);
-            prop_assert!(needed <= walkers + 1, "needed {} from {} walkers", needed, walkers);
+            prop_assert!(
+                needed.is_some_and(|needed| needed <= walkers + 1),
+                "needed {:?} from {} walkers", needed, walkers
+            );
         }
     }
 

@@ -84,12 +84,11 @@ mod units;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use frogwild_graph::VertexId;
+use frogwild_graph::{run_batched, worker_threads, VertexId};
 use frogwild_obs::{span_meta, SpanKey, SpanSink, Tracer};
 
 use crate::metrics::{ClusterClock, QueryCost, RunMetrics, SuperstepMetrics, MESSAGE_HEADER_BYTES};
 use crate::placement::PartitionedGraph;
-use crate::pool::{run_batched, worker_threads};
 use crate::program::{EdgeDirection, VertexProgram};
 use crate::rng;
 

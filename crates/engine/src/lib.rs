@@ -45,17 +45,15 @@ pub mod engine;
 pub mod metrics;
 pub mod partition;
 pub mod placement;
-mod pool;
 pub mod program;
 pub mod rng;
 pub mod walkgen;
 
 pub use cluster::{ClusterConfig, MachineId};
 pub use engine::{Engine, EngineConfig, EngineOutput, InitialActivation};
-pub use frogwild_graph::Error;
+pub use frogwild_graph::{worker_threads, Error};
 pub use metrics::{QueryCost, RunMetrics, SuperstepMetrics};
 pub use partition::PartitionerKind;
 pub use placement::{PartitionedGraph, Shard, VertexPlacement};
-pub use pool::worker_threads;
 pub use program::{ApplyContext, EdgeDirection, ScatterContext, VertexProgram};
 pub use walkgen::generate_walk_segments;

@@ -18,7 +18,8 @@
 use crate::cluster::MachineId;
 use crate::partition::{set_bits, EdgeAssignment, PartitionerKind};
 use crate::rng;
-use frogwild_graph::{DiGraph, VertexId};
+use frogwild_graph::{row_ranges, run_batched, setup_width, split_lengths, DiGraph, VertexId};
+use std::ops::Range;
 
 /// Where every replica of every vertex lives: the machine holding it and its slot
 /// (local index) in that machine's [`Shard`]. This table is the one way the engine
@@ -209,7 +210,9 @@ impl PartitionedGraph {
     ///
     /// Master assignment follows PowerGraph: the master of a vertex is chosen by a
     /// seed-derived hash among the machines holding a replica of that vertex (isolated
-    /// vertices are hashed across all machines).
+    /// vertices are hashed across all machines). The edge assignment runs on the
+    /// calling thread; the layout is built from it on the host's threads (see
+    /// [`from_assignment`](Self::from_assignment)), and is the same at any width.
     pub fn build(
         graph: &DiGraph,
         num_machines: usize,
@@ -220,14 +223,36 @@ impl PartitionedGraph {
         Self::from_assignment(graph, &assignment, seed)
     }
 
-    /// Builds the partitioned layout from an explicit edge assignment, in three passes
-    /// that search for nothing: replica sets are gathered as one bitmask a vertex; an
+    /// Builds the partitioned layout from an explicit edge assignment, on
+    /// [`setup_width`] threads — the host's for a large graph, the calling thread for a
+    /// small one — in passes that search for nothing. The layout is the same at any
+    /// width.
+    ///
+    /// On the calling thread, replica sets are gathered as one bitmask a vertex, and an
     /// ascending sweep over the vertices reads machines off the masks in bit order,
     /// picking masters and filling the placement table and the shards' vertex lists
-    /// together; edges are then localised through the slots that sweep recorded.
+    /// together. Then, on the pool: contiguous edge ranges count their edges per
+    /// machine, and localise them through the slots that sweep recorded, each into its
+    /// own part of every machine's list, so a list holds its machine's edges in edge
+    /// order; the shards' CSRs are built one machine a unit, in waves of as many
+    /// machines as threads, each wave freeing its lists as it finishes; and the replica
+    /// table's edge flags are read off the shards' local degrees, a vertex range a unit.
+    /// Every array a pass fills is allocated on the calling thread.
     pub fn from_assignment(graph: &DiGraph, assignment: &EdgeAssignment, seed: u64) -> Self {
+        Self::from_assignment_on(setup_width(graph.num_edges()), graph, assignment, seed)
+    }
+
+    /// [`from_assignment`](Self::from_assignment) on `width` threads.
+    fn from_assignment_on(
+        width: usize,
+        graph: &DiGraph,
+        assignment: &EdgeAssignment,
+        seed: u64,
+    ) -> Self {
         let n = graph.num_vertices();
         let num_machines = assignment.num_machines;
+        let width = width.max(1);
+        let lanes = &mut vec![(); width];
         assert_eq!(
             assignment.machines.len(),
             graph.num_edges(),
@@ -292,54 +317,128 @@ impl PartitionedGraph {
             }
             placement.offsets.push(placement.machines.len());
         }
-
-        // --- shards -------------------------------------------------------------
-        // Local edges per machine, in local-index terms. Replicas are tabled in bit
-        // order, so the entry of `v` on machine `m` is the one as far into `v`'s as
-        // `v`'s mask has bits below `m`; each edge flags its endpoints' entries there.
         assert!(
             shards
                 .iter()
                 .all(|s| s.vertices.len() <= SLOT_MASK as usize),
             "a machine holds more replicas than a replica table word can slot"
         );
-        let offsets = &placement.offsets;
-        let entry = |v: VertexId, m: usize| {
+
+        // --- local edge lists ---------------------------------------------------
+        // Each edge range counts its edges per machine, so that it can own a part of
+        // every machine's list: the ranges' parts follow one another in range order.
+        let ranges = row_ranges(graph.out_offsets(), width);
+        let edge_range =
+            |r: &Range<usize>| graph.out_offsets()[r.start]..graph.out_offsets()[r.end];
+        let mut counts: Vec<Vec<usize>> = ranges.iter().map(|_| vec![0; num_machines]).collect();
+        let mut units: Vec<_> = ranges.iter().zip(&mut counts).collect();
+        run_batched(&mut units, lanes, |_, (range, counts), _| {
+            for machine in &assignment.machines[edge_range(range)] {
+                counts[machine.index()] += 1;
+            }
+        });
+        let mut lists: Vec<Vec<(u32, u32)>> = (0..num_machines)
+            .map(|m| vec![(0, 0); counts.iter().map(|c| c[m]).sum()])
+            .collect();
+        let mut parts: Vec<Vec<&mut [(u32, u32)]>> = ranges.iter().map(|_| Vec::new()).collect();
+        for (m, list) in lists.iter_mut().enumerate() {
+            let pieces = split_lengths(list, counts.iter().map(|c| c[m]));
+            for (part, piece) in parts.iter_mut().zip(pieces) {
+                part.push(piece);
+            }
+        }
+        // Replicas are tabled in bit order, so the entry of `v` on machine `m` is the one
+        // as far into `v`'s as `v`'s mask has bits below `m`; it holds `v`'s slot there.
+        // A source's slots are read off once for all its edges, a destination's each time.
+        let (offsets, locals) = (&placement.offsets, &placement.locals);
+        let slot = |v: VertexId, m: usize| {
             let (word, bit) = word_and_bit(v, m);
             let below: u32 = masks[v as usize * words..word]
                 .iter()
                 .map(|w| w.count_ones())
                 .sum();
             let rank = below + (masks[word] & (bit - 1)).count_ones();
-            offsets[v as usize] + rank as usize
+            locals[offsets[v as usize] + rank as usize]
         };
-        let mut local_edges: Vec<Vec<(u32, u32)>> = assignment
-            .edges_per_machine()
-            .into_iter()
-            .map(Vec::with_capacity)
-            .collect();
-        let locals = &mut placement.locals;
-        for ((src, dst), &machine) in graph.edges().zip(assignment.machines.iter()) {
-            let m = machine.index();
-            let (s, d) = (entry(src, m), entry(dst, m));
-            locals[s] |= OWNS_OUT_EDGE;
-            locals[d] |= OWNS_IN_EDGE;
-            local_edges[m].push((locals[s] & SLOT_MASK, locals[d] & SLOT_MASK));
-        }
+        let mut units: Vec<_> = ranges.iter().zip(parts).collect();
+        run_batched(&mut units, lanes, |_, (range, parts), _| {
+            // How far each part is filled, and the current source's slot on each machine
+            // it is on, kept on this thread: the units' lists of parts lie side by side,
+            // and writing them would share cache lines across threads.
+            let mut filled = vec![0; num_machines];
+            let mut source_slots = vec![0; num_machines];
+            let machines = &assignment.machines[edge_range(range)];
+            let mut e = 0;
+            for v in range.clone() {
+                let on = set_bits(masks[v * words..(v + 1) * words].iter().copied());
+                for (m, &slot) in on.zip(&locals[offsets[v]..offsets[v + 1]]) {
+                    source_slots[m] = slot;
+                }
+                for &dst in graph.out_neighbors(v as VertexId) {
+                    let m = machines[e].index();
+                    e += 1;
+                    parts[m][filled[m]] = (source_slots[m], slot(dst, m));
+                    filled[m] += 1;
+                }
+            }
+        });
+        drop(units);
         // The masks have done their work, and what follows is the build's memory peak.
         drop(masks);
-        for (m, edges) in local_edges.into_iter().enumerate() {
-            let vertices = &shards[m].vertices;
-            let out_edges = edges.iter().map(|&(s, d)| (s, vertices[d as usize]));
-            let (out_offsets, out_targets) = build_local_csr(vertices.len(), out_edges);
-            let (in_offsets, in_sources_local) =
-                build_local_csr(vertices.len(), edges.iter().map(|&(s, d)| (d, s)));
-            let shard = &mut shards[m];
-            shard.out_offsets = out_offsets;
-            shard.out_targets = out_targets;
-            shard.in_offsets = in_offsets;
-            shard.in_sources_local = in_sources_local;
+
+        // --- shards -------------------------------------------------------------
+        let mut lists = lists.into_iter();
+        for wave in shards.chunks_mut(width) {
+            let edges: Vec<Vec<(u32, u32)>> = lists.by_ref().take(wave.len()).collect();
+            let mut units: Vec<_> = wave
+                .iter_mut()
+                .zip(&edges)
+                .map(|(shard, edges)| {
+                    let (locals, count) = (shard.vertices.len(), edges.len());
+                    shard.out_offsets = vec![0; locals + 1];
+                    shard.out_targets = vec![0; count];
+                    shard.in_offsets = vec![0; locals + 1];
+                    shard.in_sources_local = vec![0; count];
+                    (shard, edges)
+                })
+                .collect();
+            run_batched(&mut units, lanes, |_, (shard, edges), _| {
+                let vertices = &shard.vertices;
+                fill_local_csr(
+                    &mut shard.out_offsets,
+                    &mut shard.out_targets,
+                    edges.iter().map(|&(s, d)| (s, vertices[d as usize])),
+                );
+                fill_local_csr(
+                    &mut shard.in_offsets,
+                    &mut shard.in_sources_local,
+                    edges.iter().map(|&(s, d)| (d, s)),
+                );
+            });
         }
+
+        // --- edge flags ---------------------------------------------------------
+        // A machine owns an out-edge (in-edge) of a vertex if the vertex's row in its
+        // shard's out-CSR (in-CSR) is not empty.
+        let ranges = row_ranges(&placement.offsets, width);
+        let offsets = &placement.offsets;
+        let entries = ranges.iter().map(|r| offsets[r.end] - offsets[r.start]);
+        let flags = split_lengths(&mut placement.locals, entries);
+        let mut units: Vec<_> = ranges.iter().zip(flags).collect();
+        let (machines, all) = (&placement.machines, &shards);
+        run_batched(&mut units, lanes, |_, (range, words), _| {
+            let entries = offsets[range.start]..offsets[range.end];
+            for (word, machine) in words.iter_mut().zip(&machines[entries]) {
+                let (shard, slot) = (&all[machine.index()], *word);
+                if shard.local_out_degree(slot) > 0 {
+                    *word |= OWNS_OUT_EDGE;
+                }
+                if shard.local_in_degree(slot) > 0 {
+                    *word |= OWNS_IN_EDGE;
+                }
+            }
+        });
+        drop(units);
 
         let out_degrees = (0..n as VertexId)
             .map(|v| graph.out_degree(v) as u32)
@@ -469,31 +568,31 @@ impl PartitionedGraph {
     }
 }
 
-/// Counting-sort CSR by local row index; the column values are stored as given.
-fn build_local_csr(
-    num_local: usize,
+/// Counting-sort CSR by local row index into `offsets` (one more than the rows, zeroed)
+/// and `targets` (one per edge); the column values are stored as given, each row in
+/// edge order. `offsets` is its own cursor: row `s` is counted into `offsets[s + 1]`,
+/// summed so that `offsets[s]` is where the row starts, advanced past each edge placed,
+/// and so left holding where each row ends — the start of the next — until it is
+/// shifted back by one.
+fn fill_local_csr(
+    offsets: &mut [usize],
+    targets: &mut [u32],
     edges: impl Iterator<Item = (u32, u32)> + Clone,
-) -> (Vec<usize>, Vec<u32>) {
-    let mut degrees = vec![0usize; num_local];
-    let mut count = 0usize;
+) {
     for (s, _) in edges.clone() {
-        degrees[s as usize] += 1;
-        count += 1;
+        offsets[s as usize + 1] += 1;
     }
-    let mut offsets = Vec::with_capacity(num_local + 1);
-    offsets.push(0);
-    let mut acc = 0;
-    for &d in &degrees {
-        acc += d;
-        offsets.push(acc);
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
-    let mut targets = vec![0u32; count];
-    let mut cursor = offsets[..num_local].to_vec();
     for (s, d) in edges {
-        targets[cursor[s as usize]] = d;
-        cursor[s as usize] += 1;
+        let cursor = &mut offsets[s as usize];
+        targets[*cursor] = d;
+        *cursor += 1;
     }
-    (offsets, targets)
+    let rows = offsets.len() - 1;
+    offsets.copy_within(0..rows, 1);
+    offsets[0] = 0;
 }
 
 #[cfg(test)]
@@ -655,6 +754,34 @@ mod tests {
                 .sum();
             assert_eq!(out_total, shard.num_local_edges());
             assert_eq!(in_total, shard.num_local_edges());
+        }
+    }
+
+    #[test]
+    fn every_width_builds_the_same_layout() {
+        let g = small_rmat();
+        // A graph with isolated vertices too, and one with no edge at all.
+        let sparse = DiGraph::from_edges(9, &[(0, 1), (1, 0), (4, 7), (7, 7)]);
+        for graph in [&g, &sparse, &DiGraph::empty(5)] {
+            for kind in PartitionerKind::ALL {
+                // Seventy machines take two mask words.
+                for machines in [1usize, 3, 16, 70] {
+                    let assignment = kind.assign(graph, machines, 13);
+                    let build =
+                        |width| PartitionedGraph::from_assignment_on(width, graph, &assignment, 13);
+                    let one = build(1);
+                    one.validate().unwrap();
+                    let layout = format!("{one:?}");
+                    for width in [2, 8] {
+                        let wide = build(width);
+                        wide.validate().unwrap();
+                        assert!(
+                            format!("{wide:?}") == layout,
+                            "{kind:?} on {machines} machines at width {width}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! segments is the expensive part of an index build, no segment depends on another, and
 //! the natural unit of work is the placement's own division: **each simulated machine
 //! generates the segments of the vertices it masters**. Each machine is one unit of the
-//! engine's one pool (`pool::run_batched`), on as many threads as [`worker_threads`]`(0)`
+//! workspace's one pool ([`run_batched`]), on as many threads as [`worker_threads`]`(0)`
 //! reports, never more than there are machines — so a layout of forty thousand
 //! simulated machines still builds on a handful of threads.
 //!
@@ -23,12 +23,11 @@
 //! machine count, the partitioner, or how many threads the host lent the build — the
 //! same determinism contract the engine obeys across worker counts.
 
-use frogwild_graph::{DiGraph, VertexId};
+use frogwild_graph::{run_batched, worker_threads, DiGraph, VertexId};
 use frogwild_obs::{span_meta, SpanKey, Tracer};
 use rand::Rng;
 
 use crate::placement::PartitionedGraph;
-use crate::pool::{run_batched, worker_threads};
 
 /// Domain-separation tag for segment-generation randomness.
 const TAG_SEGMENT: u64 = 0x5E91;

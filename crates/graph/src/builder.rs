@@ -101,13 +101,6 @@ impl GraphBuilder {
         self.edges.push((src, dst));
     }
 
-    /// Adds `src -> dst` and widens the vertex count to cover both ends, for the
-    /// edge-list reader, which learns how many vertices a file names only at its end.
-    pub(crate) fn add_edge_growing(&mut self, src: VertexId, dst: VertexId) {
-        self.num_vertices = self.num_vertices.max(src.max(dst) as usize + 1);
-        self.edges.push((src, dst));
-    }
-
     /// Adds many edges at once.
     // lint:allow(orphan-pub, oracle for byte_reader_agrees_with_the_line_reader)
     pub fn extend_edges(

@@ -8,7 +8,9 @@
 
 // lint:allow-file(indexing, CSR invariants - monotone offsets and ids below n - are validated at build and load)
 
+use crate::pool::{row_ranges, run_batched, setup_width, split_lengths};
 use crate::{DanglingPolicy, GraphError};
+use std::ops::Range;
 
 /// Dense vertex identifier. Graphs in the paper's evaluation have up to 41.6M vertices,
 /// comfortably within `u32`.
@@ -49,11 +51,9 @@ impl DiGraph {
         }
     }
 
-    /// The one CSR constructor. Each edge is read twice and written once per direction:
-    /// a pass that bounds-checks and counts out-degrees, a counting-sort scatter into
-    /// rows, then one sweep that sorts (and, when asked, deduplicates) each row where it
-    /// lies. The in-direction is filled from the finished out-rows in source order, so
-    /// its rows come out sorted without being sorted.
+    /// The one CSR constructor, on [`setup_width`] units per pass: the host's threads
+    /// for a large edge list, the calling thread for a small one. The graph is the same
+    /// at any width.
     ///
     /// `remove_self_loops` drops `v -> v` edges before anything else; `dangling` then
     /// applies to the vertices left without a successor (deduplication cannot empty a
@@ -66,86 +66,172 @@ impl DiGraph {
         remove_self_loops: bool,
         dangling: DanglingPolicy,
     ) -> crate::Result<Self> {
-        let n = num_vertices;
-        let dropped = |s: VertexId, d: VertexId| remove_self_loops && s == d;
+        let width = setup_width(edges.len());
+        Self::from_edge_rows_on(
+            width,
+            num_vertices,
+            edges,
+            dedup,
+            remove_self_loops,
+            dangling,
+        )
+    }
 
-        // One vertex-indexed scratch vector, in turn the out-degrees, the out-rows'
-        // write cursors, the in-degrees and the in-rows' cursors.
-        let mut degrees = vec![0usize; n];
-        for &(s, d) in edges {
-            if s as usize >= n || d as usize >= n {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: s.max(d) as u64,
-                    num_vertices: n as u64,
+    /// [`from_edge_rows`](Self::from_edge_rows) with every pass cut into `width` vertex
+    /// ranges, each one unit of the pool. Each edge is read twice and written once per
+    /// direction: every range counts the out-degrees of its own sources, the rows are
+    /// laid out, every range scatters its sources' edges into its rows (in `edges`
+    /// order) and sorts (and, when asked, deduplicates) each row where it lies. A range
+    /// compacts its rows within its own part of the target array; the calling thread
+    /// then closes the gaps between ranges. The in-direction is filled the same way,
+    /// each range of destinations reading the finished out-rows in source order, so its
+    /// rows come out sorted without being sorted. Every output array is allocated here,
+    /// on the calling thread, and lent to the units in disjoint slices.
+    pub(crate) fn from_edge_rows_on(
+        width: usize,
+        num_vertices: usize,
+        edges: &[(VertexId, VertexId)],
+        dedup: bool,
+        remove_self_loops: bool,
+        dangling: DanglingPolicy,
+    ) -> crate::Result<Self> {
+        let n = num_vertices;
+        let width = width.max(1);
+        let dropped = |s: VertexId, d: VertexId| remove_self_loops && s == d;
+        let lanes = &mut vec![(); width];
+
+        if let Some(&(s, d)) = edges.iter().find(|&&(s, d)| s.max(d) as usize >= n) {
+            return Err(GraphError::VertexOutOfBounds {
+                vertex: s.max(d) as u64,
+                num_vertices: n as u64,
+            });
+        }
+
+        // One vertex-indexed scratch vector, in turn each row's edge count (its
+        // out-degree before the dangling policy), the count kept after deduplication,
+        // the in-degrees and the in-rows' cursors.
+        let even = (0..=width).map(|k| n * k / width);
+        let even: Vec<usize> = even.collect();
+        let mut counts = vec![0usize; n];
+        let mut units: Vec<_> = (even.windows(2).map(|w| w[0]..w[1]))
+            .zip(split_lengths(
+                &mut counts,
+                even.windows(2).map(|w| w[1] - w[0]),
+            ))
+            .collect();
+        run_batched(&mut units, lanes, |_, (range, counts), _| {
+            for &(s, d) in edges {
+                let i = (s as usize).wrapping_sub(range.start);
+                if i < counts.len() && !dropped(s, d) {
+                    counts[i] += 1;
+                }
+            }
+        });
+        drop(units);
+        // A dangling vertex keeps a one-slot row under `SelfLoop`, which the scatter
+        // leaves unfilled and the sort writes `v` into.
+        let slots = |c: usize| match dangling {
+            DanglingPolicy::SelfLoop => c.max(1),
+            DanglingPolicy::Keep | DanglingPolicy::Error => c,
+        };
+        if dangling == DanglingPolicy::Error {
+            if let Some(v) = counts.iter().position(|&c| c == 0) {
+                return Err(GraphError::DanglingVertex {
+                    vertex: v as VertexId,
                 });
             }
-            degrees[s as usize] += usize::from(!dropped(s, d));
-        }
-        match dangling {
-            DanglingPolicy::Keep => {}
-            DanglingPolicy::Error => {
-                if let Some(v) = degrees.iter().position(|&d| d == 0) {
-                    return Err(GraphError::DanglingVertex {
-                        vertex: v as VertexId,
-                    });
-                }
-            }
-            // A one-slot row the scatter below leaves unfilled; the sweep writes `v` in.
-            DanglingPolicy::SelfLoop => degrees.iter_mut().for_each(|d| *d = (*d).max(1)),
         }
 
-        let mut out_offsets = prefix_sums(&degrees);
+        let mut out_offsets = prefix_sums(counts.iter().map(|&c| slots(c)));
         let mut out_targets = vec![0 as VertexId; out_offsets[n]];
-        let mut cursor = degrees;
-        cursor.copy_from_slice(&out_offsets[..n]);
-        for &(s, d) in edges.iter().filter(|&&(s, d)| !dropped(s, d)) {
-            let c = &mut cursor[s as usize];
-            out_targets[*c] = d;
-            *c += 1;
-        }
-
-        // Sorted rows let neighbor queries binary search and make iteration order
-        // independent of input edge order. Deduplication compacts the rows leftwards in
-        // the same sweep: `write` never passes the row being read.
-        let mut write = 0;
-        let mut start = 0;
-        for v in 0..n {
-            let end = out_offsets[v + 1];
-            if cursor[v] < end {
-                out_targets[start] = v as VertexId;
-            }
-            out_targets[start..end].sort_unstable();
-            if dedup {
-                out_offsets[v] = write;
-                for i in start..end {
-                    if i == start || out_targets[i] != out_targets[i - 1] {
-                        out_targets[write] = out_targets[i];
-                        write += 1;
+        let ranges = row_ranges(&out_offsets, width);
+        let kept: Vec<usize> = {
+            let offsets = &out_offsets;
+            let mut units: Vec<_> = (ranges.iter().cloned())
+                .zip(split_lengths(&mut counts, ranges.iter().map(|r| r.len())))
+                .zip(split_lengths(
+                    &mut out_targets,
+                    part_lengths(&ranges, offsets),
+                ))
+                .collect();
+            run_batched(&mut units, lanes, |_, ((range, filled), rows), _| {
+                let base = offsets[range.start];
+                filled.fill(0);
+                for &(s, d) in edges {
+                    let i = (s as usize).wrapping_sub(range.start);
+                    if i < filled.len() && !dropped(s, d) {
+                        rows[offsets[s as usize] - base + filled[i]] = d;
+                        filled[i] += 1;
                     }
                 }
-            }
-            start = end;
-        }
+                sort_rows(range.clone(), offsets, filled, rows, dedup)
+            })
+        };
+        // Sorted rows let neighbor queries binary search and make iteration order
+        // independent of input edge order. Each range compacted its deduplicated rows
+        // to the front of its part; the parts are closed up here, in order, so a part
+        // only ever moves leftwards.
         if dedup {
-            out_offsets[n] = write;
+            let mut write = 0;
+            for (range, &kept) in ranges.iter().zip(&kept) {
+                let start = out_offsets[range.start];
+                out_targets.copy_within(start..start + kept, write);
+                write += kept;
+            }
             out_targets.truncate(write);
+            let mut acc = 0;
+            for (offset, &kept) in out_offsets.iter_mut().zip(&counts) {
+                *offset = acc;
+                acc += kept;
+            }
+            out_offsets[n] = acc;
         }
 
-        let mut in_degrees = cursor;
+        let mut in_degrees = counts;
         in_degrees.fill(0);
-        for &d in &out_targets {
-            in_degrees[d as usize] += 1;
+        {
+            let mut units: Vec<_> = (even.windows(2).map(|w| w[0]..w[1]))
+                .zip(split_lengths(
+                    &mut in_degrees,
+                    even.windows(2).map(|w| w[1] - w[0]),
+                ))
+                .collect();
+            let targets = &out_targets;
+            run_batched(&mut units, lanes, |_, (range, degrees), _| {
+                for &d in targets {
+                    let i = (d as usize).wrapping_sub(range.start);
+                    if i < degrees.len() {
+                        degrees[i] += 1;
+                    }
+                }
+            });
         }
-        let in_offsets = prefix_sums(&in_degrees);
+        let in_offsets = prefix_sums(in_degrees.iter().copied());
         let mut in_sources = vec![0 as VertexId; out_targets.len()];
-        let mut cursor = in_degrees;
-        cursor.copy_from_slice(&in_offsets[..n]);
-        for v in 0..n {
-            for &d in &out_targets[out_offsets[v]..out_offsets[v + 1]] {
-                let c = &mut cursor[d as usize];
-                in_sources[*c] = v as VertexId;
-                *c += 1;
-            }
+        {
+            let ranges = row_ranges(&in_offsets, width);
+            let mut cursor = in_degrees;
+            let mut units: Vec<_> = (ranges.iter().cloned())
+                .zip(split_lengths(&mut cursor, ranges.iter().map(|r| r.len())))
+                .zip(split_lengths(
+                    &mut in_sources,
+                    part_lengths(&ranges, &in_offsets),
+                ))
+                .collect();
+            let (out_offsets, out_targets, in_offsets) = (&out_offsets, &out_targets, &in_offsets);
+            run_batched(&mut units, lanes, |_, ((range, cursor), rows), _| {
+                let base = in_offsets[range.start];
+                cursor.fill(0);
+                for (v, ends) in out_offsets.windows(2).enumerate() {
+                    for &d in &out_targets[ends[0]..ends[1]] {
+                        let i = (d as usize).wrapping_sub(range.start);
+                        if i < cursor.len() {
+                            rows[in_offsets[d as usize] - base + cursor[i]] = v as VertexId;
+                            cursor[i] += 1;
+                        }
+                    }
+                }
+            });
         }
 
         Ok(DiGraph {
@@ -190,6 +276,14 @@ impl DiGraph {
     pub fn in_degree(&self, v: VertexId) -> usize {
         let v = v as usize;
         self.in_offsets[v + 1] - self.in_offsets[v]
+    }
+
+    /// The out-row offsets: `out_offsets()[v]..out_offsets()[v + 1]` are the positions
+    /// of `v`'s out-edges in [`edges`](Self::edges) order, so a range of vertices is a
+    /// range of edges, and a pass over one can be cut by [`row_ranges`].
+    #[inline]
+    pub fn out_offsets(&self) -> &[usize] {
+        &self.out_offsets
     }
 
     /// Successors of `v`, sorted ascending.
@@ -342,15 +436,57 @@ impl<'a> Iterator for EdgeIter<'a> {
 impl<'a> ExactSizeIterator for EdgeIter<'a> {}
 
 /// `offsets[v]..offsets[v + 1]` spans `counts[v]` entries; the last offset is the total.
-fn prefix_sums(counts: &[usize]) -> Vec<usize> {
+fn prefix_sums(counts: impl ExactSizeIterator<Item = usize>) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0usize;
     offsets.push(acc);
-    for &c in counts {
+    for c in counts {
         acc += c;
         offsets.push(acc);
     }
     offsets
+}
+
+/// How many entries each of `ranges` spans in a table with these row offsets.
+fn part_lengths(ranges: &[Range<usize>], offsets: &[usize]) -> Vec<usize> {
+    (ranges.iter())
+        .map(|r| offsets[r.end] - offsets[r.start])
+        .collect()
+}
+
+/// Sorts the rows of `range`, which lie in `rows` from `offsets[range.start]` on, with
+/// `filled[i]` edges scattered into vertex `range.start + i`'s row; a row left with an
+/// unfilled slot (a dangling vertex's, under [`DanglingPolicy::SelfLoop`]) gets the
+/// vertex itself. With `dedup` each row is compacted leftwards in the same sweep —
+/// `write` never passes the row being read — `filled` becomes the count kept, and the
+/// total kept is returned; without, the rows stay where they lie.
+fn sort_rows(
+    range: Range<usize>,
+    offsets: &[usize],
+    filled: &mut [usize],
+    rows: &mut [VertexId],
+    dedup: bool,
+) -> usize {
+    let base = offsets[range.start];
+    let mut write = 0;
+    for (i, v) in range.enumerate() {
+        let (start, end) = (offsets[v] - base, offsets[v + 1] - base);
+        if filled[i] < end - start {
+            rows[start] = v as VertexId;
+        }
+        rows[start..end].sort_unstable();
+        if dedup {
+            let first = write;
+            for j in start..end {
+                if j == start || rows[j] != rows[j - 1] {
+                    rows[write] = rows[j];
+                    write += 1;
+                }
+            }
+            filled[i] = write - first;
+        }
+    }
+    write
 }
 
 #[cfg(test)]
@@ -459,6 +595,121 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_edges_panics_on_out_of_bounds() {
         let _ = DiGraph::from_edges(2, &[(0, 2)]);
+    }
+
+    /// What the rows must hold: the edges left after dropping self-loops, one self-loop
+    /// per dangling vertex under `SelfLoop`, sorted, deduplicated if asked.
+    fn naive_rows(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        dedup: bool,
+        remove_self_loops: bool,
+        dangling: DanglingPolicy,
+    ) -> Vec<(VertexId, VertexId)> {
+        let mut kept: Vec<_> = (edges.iter().copied())
+            .filter(|&(s, d)| !(remove_self_loops && s == d))
+            .collect();
+        if dangling == DanglingPolicy::SelfLoop {
+            let sources: std::collections::BTreeSet<VertexId> =
+                kept.iter().map(|&(s, _)| s).collect();
+            kept.extend(
+                (0..n as VertexId)
+                    .filter(|v| !sources.contains(v))
+                    .map(|v| (v, v)),
+            );
+        }
+        kept.sort_unstable();
+        if dedup {
+            kept.dedup();
+        }
+        kept
+    }
+
+    #[test]
+    fn every_width_builds_the_same_graph_and_the_same_error() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xC5B);
+        let policies = [
+            DanglingPolicy::SelfLoop,
+            DanglingPolicy::Error,
+            DanglingPolicy::Keep,
+        ];
+        for case in 0..60 {
+            let n = [0usize, 1, 3, 17, 200][case % 5];
+            let m = rng.gen_range(0..4 * n + 2);
+            // Few distinct ids, so duplicates, self-loops and dangling vertices all occur;
+            // now and then one id past the end, to be reported.
+            let mut edges: Vec<(VertexId, VertexId)> = (0..m)
+                .map(|_| {
+                    let hi = (n as VertexId).max(1);
+                    (rng.gen_range(0..hi), rng.gen_range(0..hi))
+                })
+                .collect();
+            if case % 7 == 6 && !edges.is_empty() {
+                let at = rng.gen_range(0..edges.len());
+                edges[at].1 = n as VertexId + 3;
+            }
+            for dedup in [false, true] {
+                for remove_self_loops in [false, true] {
+                    for dangling in policies {
+                        let build = |width| {
+                            DiGraph::from_edge_rows_on(
+                                width,
+                                n,
+                                &edges,
+                                dedup,
+                                remove_self_loops,
+                                dangling,
+                            )
+                        };
+                        let at_one = build(1);
+                        let what = format!(
+                            "case {case}: {n} vertices, {m} edges, dedup {dedup}, \
+                             remove_self_loops {remove_self_loops}, {dangling:?}"
+                        );
+                        match &at_one {
+                            Ok(graph) => {
+                                graph.validate().unwrap();
+                                let expected =
+                                    naive_rows(n, &edges, dedup, remove_self_loops, dangling);
+                                assert_eq!(graph.edge_vec(), expected, "{what}");
+                                // The in-rows are the same edges, by destination.
+                                let mut reversed: Vec<_> =
+                                    expected.iter().map(|&(s, d)| (d, s)).collect();
+                                reversed.sort_unstable();
+                                let in_rows: Vec<_> = (graph.vertices())
+                                    .flat_map(|v| {
+                                        graph.in_neighbors(v).iter().map(move |&s| (v, s))
+                                    })
+                                    .collect();
+                                assert_eq!(in_rows, reversed, "{what}");
+                            }
+                            Err(e) => assert!(
+                                matches!(
+                                    e,
+                                    GraphError::VertexOutOfBounds { .. }
+                                        | GraphError::DanglingVertex { .. }
+                                ),
+                                "{what}: {e}"
+                            ),
+                        }
+                        for width in [2, 8] {
+                            match (&at_one, build(width)) {
+                                (Ok(one), Ok(wide)) => assert_eq!(one, &wide, "{what} at {width}"),
+                                (Err(one), Err(wide)) => {
+                                    assert_eq!(
+                                        one.to_string(),
+                                        wide.to_string(),
+                                        "{what} at {width}"
+                                    )
+                                }
+                                (one, wide) => panic!("{what} at {width}: {one:?} vs {wide:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

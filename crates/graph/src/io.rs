@@ -34,12 +34,13 @@
 //! vertex `v`. Without it ids are used verbatim, must fit a [`VertexId`], and `labels`
 //! is empty.
 
-use crate::builder::{DanglingPolicy, GraphBuilder};
+use crate::builder::DanglingPolicy;
 use crate::csr::{DiGraph, VertexId};
+use crate::pool::{run_batched, setup_width, split_lengths, worker_threads};
 use crate::{GraphError, Result};
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Options controlling how an edge list is interpreted.
@@ -71,13 +72,23 @@ impl Default for EdgeListOptions {
 /// Reads an edge list (see the [module documentation](self) for the grammar) from any
 /// `Read` implementation, in one streaming pass over its bytes.
 ///
+/// The input is read in bounded blocks cut at newlines, and each block is split into
+/// pieces parsed side by side on the host's threads ([`worker_threads`]`(0)`); an input
+/// of one piece, half a mebibyte or less, is parsed on the calling thread. Each piece
+/// numbers the ids it meets in its own order of first appearance, and the pieces'
+/// lists are merged in file order, so the dense ids, `labels` and the line of the first
+/// error are those of a line-by-line read. The graph is then built on
+/// [`setup_width`] threads. Width never changes the result.
+///
 /// Returns the graph together with `labels`: `labels[v]` is the id the input used for
 /// dense vertex `v` when `relabel` is enabled, and the table is empty otherwise.
 pub fn read_edge_list<R: Read>(
     reader: R,
     options: &EdgeListOptions,
 ) -> Result<(DiGraph, Vec<u64>)> {
-    read_buffered(BufReader::with_capacity(READ_BUFFER_BYTES, reader), options)
+    let read = read_edges(reader, options.relabel, worker_threads(0), PIECE_BYTES)?;
+    let width = setup_width(read.edges.len());
+    read.build(options, width)
 }
 
 /// Reads an edge list from a file path. See [`read_edge_list`].
@@ -89,79 +100,226 @@ pub fn read_edge_list_file<P: AsRef<Path>>(
     read_edge_list(file, options)
 }
 
-/// Large enough that a refill is rare next to the parsing of what it brought.
-const READ_BUFFER_BYTES: usize = 1 << 16;
+/// The bytes of edge list one unit of the reader parses: a block holds one piece per
+/// thread. Large enough that a block's merge and hand-over are small next to its
+/// parsing, small enough that a block's pieces add little to the load's memory.
+const PIECE_BYTES: usize = 1 << 19;
 
-/// [`read_edge_list`] over a caller-supplied buffer, whatever its capacity: lines are
-/// parsed where they lie in it, and only the one line that straddles a refill is
-/// copied, into `carry`.
-fn read_buffered<B: BufRead>(
-    mut reader: B,
-    options: &EdgeListOptions,
-) -> Result<(DiGraph, Vec<u64>)> {
-    let mut edges = EdgeSink {
-        builder: GraphBuilder::new(0),
-        relabel: options.relabel,
-        dense: Default::default(),
-        labels: Vec::new(),
-    };
-    let mut carry: Vec<u8> = Vec::new();
-    let mut line_number = 0usize;
-    loop {
-        let buffer = match reader.fill_buf() {
-            Ok(buffer) => buffer,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        if buffer.is_empty() {
-            break;
-        }
-        // Every piece but the last ended in a newline; the last is a line's beginning.
-        let mut lines = buffer.split(|&b| b == b'\n');
-        let unfinished = lines.next_back().unwrap_or_default();
-        for line in lines {
-            line_number += 1;
-            if carry.is_empty() {
-                edges.line(line, line_number)?;
-            } else {
-                carry.extend_from_slice(line);
-                edges.line(&carry, line_number)?;
-                carry.clear();
-            }
-        }
-        carry.extend_from_slice(unfinished);
-        let consumed = buffer.len();
-        reader.consume(consumed);
-    }
-    if !carry.is_empty() {
-        edges.line(&carry, line_number + 1)?;
-    }
+/// Bytes of edge list a piece's id table and first-appearance list are sized for per
+/// distinct id. A synthetic Twitter-shaped list, sorted by source, brings one new id
+/// every 30 to 35 bytes of a half-mebibyte piece; a piece with more grows them, on its
+/// pool thread.
+const BYTES_PER_ID: usize = 24;
 
-    let graph = edges
-        .builder
-        .dedup(options.dedup)
-        .remove_self_loops(options.remove_self_loops)
-        .dangling_policy(options.dangling)
-        .build()?;
-    Ok((graph, edges.labels))
-}
-
-/// Where parsed lines go: straight into the builder's edge vector, through the
-/// first-appearance table when relabelling.
-struct EdgeSink {
-    builder: GraphBuilder,
-    relabel: bool,
-    /// The first-appearance table, both ways: `labels[v]` is the file's id for dense
-    /// vertex `v`, and `dense` finds `v` again from that id — the one lookup structure,
-    /// whatever the range of the ids. Both stay empty when not relabelling.
-    // lint:allow(hash-container, probed by id and never iterated, so no order of its own reaches an output; and the hasher is fixed, not per-process)
-    dense: std::collections::HashMap<u64, VertexId, BuildHasherDefault<IdHasher>>,
+/// An edge list as read, before its graph is built: the edges in dense ids, how many
+/// vertices they name, and the labels.
+struct ReadEdges {
+    num_vertices: usize,
+    edges: Vec<(VertexId, VertexId)>,
     labels: Vec<u64>,
 }
 
-impl EdgeSink {
+impl ReadEdges {
+    /// The graph, built on `width` threads, and the labels.
+    fn build(self, options: &EdgeListOptions, width: usize) -> Result<(DiGraph, Vec<u64>)> {
+        let graph = DiGraph::from_edge_rows_on(
+            width,
+            self.num_vertices,
+            &self.edges,
+            options.dedup,
+            options.remove_self_loops,
+            options.dangling,
+        )?;
+        Ok((graph, self.labels))
+    }
+}
+
+/// The reader behind [`read_edge_list`], on `threads` threads and pieces of about
+/// `piece_bytes` bytes (the last line of a piece runs on to its newline). Blocks of
+/// `threads * piece_bytes` bytes are read into one buffer, allocated here; the partial
+/// line at a block's end is carried over to the next, and is only parsed, whatever its
+/// length, once its newline or the end of the input arrives.
+fn read_edges<R: Read>(
+    mut reader: R,
+    relabel: bool,
+    threads: usize,
+    piece_bytes: usize,
+) -> Result<ReadEdges> {
+    let threads = threads.max(1);
+    let piece_bytes = piece_bytes.max(1);
+    let block_bytes = threads * piece_bytes;
+    let mut merged = Merged {
+        relabel,
+        dense: Default::default(),
+        read: ReadEdges {
+            num_vertices: 0,
+            edges: Vec::new(),
+            labels: Vec::new(),
+        },
+        lines: 0,
+    };
+    // Every buffer a piece is parsed into is made here, on the calling thread, at the
+    // size a piece of typical text fills, and reused block after block: memory a pool
+    // thread allocates stays with its own arena, out of the calling thread's reach.
+    let mut pieces: Vec<Piece> = Vec::new();
+    let mut lanes: Vec<IdTable> = (0..threads)
+        .map(|_| IdTable::with_capacity_and_hasher(piece_bytes / BYTES_PER_ID, <_>::default()))
+        .collect();
+    let mut buffer = vec![0u8; block_bytes];
+    let mut carry = 0;
+    loop {
+        if buffer.len() < carry + block_bytes {
+            buffer.resize(carry + block_bytes, 0);
+        }
+        // lint:allow(indexing, the buffer was just grown to hold the carry and a block)
+        let got = fill(&mut reader, &mut buffer[carry..carry + block_bytes])?;
+        let len = carry + got;
+        let at_end = got < block_bytes;
+        // lint:allow(indexing, `len` counts the bytes the buffer holds)
+        let end = match buffer[carry..len].iter().rposition(|&b| b == b'\n') {
+            _ if at_end => len,
+            Some(newline) => carry + newline + 1,
+            None => {
+                carry = len;
+                continue;
+            }
+        };
+        // lint:allow(indexing, `end` is at most `len`)
+        let texts: Vec<&[u8]> = split_pieces(&buffer[..end], piece_bytes).collect();
+        while pieces.len() < texts.len() {
+            pieces.push(Piece::with_room(piece_bytes));
+        }
+        let mut units: Vec<_> = texts.into_iter().zip(pieces.iter_mut()).collect();
+        let known = &merged.dense;
+        run_batched(&mut units, &mut lanes, |_, (text, piece), table| {
+            // Parsed as locals: the pieces' headers, like the lanes', lie side by side,
+            // and two threads bumping lengths in one cache line would both crawl.
+            let (mut parsed, mut local) = (std::mem::take(*piece), std::mem::take(table));
+            parsed.parse(text, relabel, &mut local);
+            parsed.look_up(known);
+            (**piece, *table) = (parsed, local);
+        });
+        let parsed: Vec<&mut Piece> = units.into_iter().map(|(_, piece)| piece).collect();
+        merged.absorb(parsed, threads)?;
+        buffer.copy_within(end..len, 0);
+        carry = len - end;
+        if at_end {
+            break;
+        }
+    }
+    if relabel {
+        merged.read.num_vertices = merged.read.labels.len();
+    }
+    Ok(merged.read)
+}
+
+/// Reads until `buffer` is full or the input ends; returns how much was read.
+fn fill<R: Read>(reader: &mut R, buffer: &mut [u8]) -> Result<usize> {
+    let mut got = 0;
+    while got < buffer.len() {
+        // lint:allow(indexing, `got` is below the buffer's length)
+        match reader.read(&mut buffer[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(got)
+}
+
+/// Cuts a block (whole lines, the last perhaps without its newline) into pieces of at
+/// least `piece_bytes` bytes, each running on to the end of its last line.
+fn split_pieces(block: &[u8], piece_bytes: usize) -> impl Iterator<Item = &[u8]> {
+    let mut rest = block;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let stop = piece_bytes.min(rest.len());
+        // lint:allow(indexing, `rest` is not empty and `piece_bytes` is at least 1)
+        let cut = match rest[stop - 1..].iter().position(|&b| b == b'\n') {
+            Some(newline) => stop + newline,
+            None => rest.len(),
+        };
+        let (piece, tail) = rest.split_at(cut);
+        rest = tail;
+        Some(piece)
+    })
+}
+
+/// A first-appearance table: the dense id of every file id met so far. The merge keeps
+/// the one of the whole file; a relabelling piece numbers its own ids through its
+/// lane's, emptied for each piece.
+// lint:allow(hash-container, probed by id and never iterated, so no order of its own reaches an output; and the hasher is fixed, not per-process)
+type IdTable = std::collections::HashMap<u64, VertexId, BuildHasherDefault<IdHasher>>;
+
+/// What one piece of a block parses to. The buffers are the calling thread's, reused
+/// from block to block.
+#[derive(Default)]
+struct Piece {
+    /// The piece's edges: in ids of its own when relabelling (`firsts[i]` is the file's
+    /// id for local id `i`), in the file's ids otherwise.
+    edges: Vec<(VertexId, VertexId)>,
+    /// When relabelling, the file's ids in order of first appearance in the piece.
+    firsts: Vec<u64>,
+    /// When relabelling, the dense id of each local one: looked up by the piece for the
+    /// ids earlier blocks numbered, [`UNNUMBERED`] for the rest until the merge.
+    dense: Vec<VertexId>,
+    /// Lines read, the bad one included.
+    lines: usize,
+    /// The first bad line's error, with its line number counted within the piece.
+    error: Option<GraphError>,
+    /// Without relabelling, one more than the largest id.
+    bound: usize,
+    /// When relabelling, the last source read and its local id: a file sorted by
+    /// source, as SNAP's are, repeats it line after line, and then needs no lookup.
+    last_source: Option<(u64, VertexId)>,
+}
+
+impl Piece {
+    /// Empty buffers, the edge list with room for every edge `piece_bytes` can spell
+    /// (`0 0\n` is the shortest edge line).
+    fn with_room(piece_bytes: usize) -> Piece {
+        Piece {
+            edges: Vec::with_capacity(piece_bytes / 4 + 1),
+            firsts: Vec::with_capacity(piece_bytes / BYTES_PER_ID),
+            dense: Vec::with_capacity(piece_bytes / BYTES_PER_ID),
+            ..Piece::default()
+        }
+    }
+
+    /// Parses `text` (whole lines, the last perhaps without its newline) up to its end
+    /// or its first bad line.
+    fn parse(&mut self, text: &[u8], relabel: bool, table: &mut IdTable) {
+        self.edges.clear();
+        self.firsts.clear();
+        self.lines = 0;
+        self.error = None;
+        self.bound = 0;
+        self.last_source = None;
+        table.clear();
+        let text = text.strip_suffix(b"\n").unwrap_or(text);
+        for line in text.split(|&b| b == b'\n') {
+            self.lines += 1;
+            if let Err(error) = self.line(line, relabel, table) {
+                self.error = Some(error);
+                return;
+            }
+        }
+    }
+
+    /// Looks up, in the merge's table as the blocks before this one left it, the dense
+    /// id of each id the piece met: most are found, and the merge, on the calling
+    /// thread, only numbers the rest.
+    fn look_up(&mut self, known: &IdTable) {
+        self.dense.clear();
+        let ids = self.firsts.iter();
+        (self.dense).extend(ids.map(|id| known.get(id).copied().unwrap_or(UNNUMBERED)));
+    }
+
     /// Parses one line (without its `\n`) and, if it is an edge, records it.
-    fn line(&mut self, line: &[u8], number: usize) -> Result<()> {
+    fn line(&mut self, line: &[u8], relabel: bool, table: &mut IdTable) -> Result<()> {
         let edge = skip_spaces(line);
         if matches!(edge.first(), None | Some(b'#' | b'%')) {
             return Ok(());
@@ -169,38 +327,116 @@ impl EdgeSink {
         let Some((src, dst)) = parse_edge(edge) else {
             let text = line.strip_suffix(b"\r").unwrap_or(line);
             return Err(GraphError::Parse {
-                line: number,
+                line: self.lines,
                 content: String::from_utf8_lossy(text).into_owned(),
             });
         };
-        let (src, dst) = (self.vertex(src)?, self.vertex(dst)?);
-        self.builder.add_edge_growing(src, dst);
+        let edge = if relabel {
+            let firsts = &mut self.firsts;
+            let mut local = |id: u64| {
+                *table.entry(id).or_insert_with(|| {
+                    firsts.push(id);
+                    (firsts.len() - 1) as VertexId
+                })
+            };
+            let s = match self.last_source {
+                Some((id, s)) if id == src => s,
+                _ => local(src),
+            };
+            self.last_source = Some((src, s));
+            (s, local(dst))
+        } else {
+            let (s, d) = (fit(src, src)?, fit(dst, dst)?);
+            self.bound = self.bound.max(s.max(d) as usize + 1);
+            (s, d)
+        };
+        self.edges.push(edge);
         Ok(())
     }
+}
 
-    /// The dense vertex a file id stands for.
-    fn vertex(&mut self, id: u64) -> Result<VertexId> {
-        // Vertices number fewer than `VertexId::MAX`, so that their count is one too.
-        let fit = |v: u64| {
-            if v < VertexId::MAX as u64 {
-                return Ok(v as VertexId);
+/// The dense id a piece has not found numbered; never a vertex's, as `fit` refuses it.
+const UNNUMBERED: VertexId = VertexId::MAX;
+
+/// `v` as a vertex id, or the error naming the file's `id` when it does not fit:
+/// vertices number fewer than `VertexId::MAX`, so that their count is one too.
+fn fit(v: u64, id: u64) -> Result<VertexId> {
+    if v < VertexId::MAX as u64 {
+        return Ok(v as VertexId);
+    }
+    Err(GraphError::VertexOutOfBounds {
+        vertex: id,
+        num_vertices: VertexId::MAX as u64,
+    })
+}
+
+/// The pieces read so far, merged in file order.
+struct Merged {
+    relabel: bool,
+    /// The first-appearance table, both ways: `read.labels[v]` is the file's id for
+    /// dense vertex `v`, and `dense` finds `v` again from that id — the one lookup
+    /// structure, whatever the range of the ids. Both stay empty when not relabelling.
+    dense: IdTable,
+    read: ReadEdges,
+    /// Lines before the pieces to come.
+    lines: usize,
+}
+
+impl Merged {
+    /// Takes a block's pieces, in order: numbers each piece's ids no earlier block did
+    /// on the calling thread, through the one table, stops at the first bad line (after
+    /// the ids the lines above it brought), then appends every piece's edges in dense
+    /// ids, each piece translated on one of `threads` pool threads into its own part of
+    /// the list.
+    fn absorb(&mut self, mut pieces: Vec<&mut Piece>, threads: usize) -> Result<()> {
+        for piece in pieces.iter_mut() {
+            if self.relabel {
+                let Piece { firsts, dense, .. } = &mut **piece;
+                let unnumbered = dense.iter_mut().zip(firsts.iter());
+                for (v, &id) in unnumbered.filter(|(v, _)| **v == UNNUMBERED) {
+                    *v = match self.dense.entry(id) {
+                        // Met first in an earlier piece of this block.
+                        Entry::Occupied(known) => *known.get(),
+                        Entry::Vacant(first_appearance) => {
+                            let v = fit(self.read.labels.len() as u64, id)?;
+                            self.read.labels.push(id);
+                            *first_appearance.insert(v)
+                        }
+                    };
+                }
+            } else {
+                self.read.num_vertices = self.read.num_vertices.max(piece.bound);
             }
-            Err(GraphError::VertexOutOfBounds {
-                vertex: id,
-                num_vertices: VertexId::MAX as u64,
-            })
-        };
-        if !self.relabel {
-            return fit(id);
-        }
-        match self.dense.entry(id) {
-            Entry::Occupied(known) => Ok(*known.get()),
-            Entry::Vacant(first_appearance) => {
-                let v = fit(self.labels.len() as u64)?;
-                self.labels.push(id);
-                Ok(*first_appearance.insert(v))
+            if let Some(mut error) = piece.error.take() {
+                if let GraphError::Parse { line, .. } = &mut error {
+                    *line += self.lines;
+                }
+                return Err(error);
             }
+            self.lines += piece.lines;
         }
+        let edges = &mut self.read.edges;
+        let start = edges.len();
+        edges.resize(
+            start + pieces.iter().map(|p| p.edges.len()).sum::<usize>(),
+            (0, 0),
+        );
+        // lint:allow(indexing, `start` is the list's length before it grew)
+        let parts = split_lengths(&mut edges[start..], pieces.iter().map(|p| p.edges.len()));
+        let mut units: Vec<_> = pieces.into_iter().zip(parts).collect();
+        let relabel = self.relabel;
+        run_batched(&mut units, &mut vec![(); threads], |_, (piece, part), _| {
+            if relabel {
+                let dense = &piece.dense;
+                for (to, &(s, d)) in part.iter_mut().zip(&piece.edges) {
+                    // lint:allow(indexing, a piece's local ids number its first appearances)
+                    *to = (dense[s as usize], dense[d as usize]);
+                }
+            } else {
+                part.copy_from_slice(&piece.edges);
+            }
+        });
+        Ok(())
     }
 }
 
@@ -320,8 +556,21 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &DiGraph, path: P) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::io::{BufRead, BufReader};
+
+    /// The reader at `threads` threads and `piece_bytes`-byte pieces, the graph built at
+    /// the same width.
+    fn read_at(
+        input: &[u8],
+        options: &EdgeListOptions,
+        threads: usize,
+        piece_bytes: usize,
+    ) -> Result<(DiGraph, Vec<u64>)> {
+        read_edges(input, options.relabel, threads, piece_bytes)?.build(options, threads)
+    }
 
     /// The line-and-`str` reader this module started with, kept as the oracle the
     /// byte-level reader is compared against.
@@ -526,10 +775,13 @@ mod tests {
                 String::from_utf8_lossy(&input)
             );
             let expected = oracle(&input, &options);
-            // The capacity under test, and the public entry point's own.
-            let small = read_buffered(BufReader::with_capacity(capacity, input.as_slice()), &options);
-            let public = read_edge_list(input.as_slice(), &options);
-            for actual in [small, public] {
+            // Pieces of the size under test at one, two and eight threads, and the
+            // public entry point.
+            let mut reads: Vec<_> = [1, 2, 8]
+                .map(|threads| read_at(&input, &options, threads, capacity))
+                .into();
+            reads.push(read_edge_list(input.as_slice(), &options));
+            for actual in reads {
                 match (actual, &expected) {
                     (Ok((graph, labels)), Ok((reference, map))) => {
                         prop_assert_eq!(&graph, reference, "{}", case);
@@ -635,14 +887,14 @@ mod tests {
             ),
         ];
         for (input, options, want) in &cases {
-            // Every small capacity puts some refill boundary inside the hostile token.
-            for capacity in [1, 2, 3, 5, 7, 16, READ_BUFFER_BYTES] {
-                let got = read_buffered(
-                    BufReader::with_capacity(capacity, input.as_slice()),
-                    options,
-                );
+            // Every small piece puts some block or piece boundary inside the hostile token.
+            for (capacity, threads) in [1, 2, 3, 5, 7, 16, PIECE_BYTES]
+                .into_iter()
+                .flat_map(|capacity| [1, 2, 8].map(|threads| (capacity, threads)))
+            {
+                let got = read_at(input, options, threads, capacity);
                 let case = format!(
-                    "{:?} through {capacity} bytes",
+                    "{:?} in {capacity}-byte pieces on {threads} threads",
                     String::from_utf8_lossy(input)
                 );
                 match (got, want) {
@@ -672,14 +924,74 @@ mod tests {
         comment[0] = b'#';
         let mut digits = vec![b'7'; 1 << 20];
         digits[1] = b' ';
-        for capacity in [1, 4096, READ_BUFFER_BYTES] {
-            let read =
-                |input: &[u8]| read_buffered(BufReader::with_capacity(capacity, input), &options);
+        for (capacity, threads) in [(1, 1), (1, 2), (4096, 8), (PIECE_BYTES, 2)] {
+            let read = |input: &[u8]| read_at(input, &options, threads, capacity);
             let (g, labels) = read(&comment).unwrap();
             assert_eq!((g.num_vertices(), labels.len()), (0, 0));
             match read(&digits) {
                 Err(GraphError::Parse { line: 1, content }) => assert_eq!(content.len(), 1 << 20),
                 other => panic!("got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_bad_line_wins_at_every_width() {
+        // Two thousand edges over a hundred ids, with bad lines deep in; the pieces are
+        // small, so the bad lines fall in different pieces and blocks.
+        let lines = |bad: &[(usize, &str)]| {
+            let mut text = String::from("# header\n");
+            for i in 0..2000usize {
+                match bad.iter().find(|(at, _)| *at == i + 2) {
+                    Some((_, line)) => text.push_str(line),
+                    None => text.push_str(&format!("{} {}", i * 7 % 100, i * 13 % 97)),
+                }
+                text.push('\n');
+            }
+            text.into_bytes()
+        };
+        let relabelled = EdgeListOptions::default();
+        let verbatim = EdgeListOptions {
+            relabel: false,
+            ..EdgeListOptions::default()
+        };
+        let cases: Vec<(Vec<u8>, &EdgeListOptions, &str)> = vec![
+            (
+                lines(&[(1500, "15 x"), (1700, "7"), (1900, "99999999999 1")]),
+                &relabelled,
+                "could not parse edge-list line 1500: \"15 x\"",
+            ),
+            (
+                lines(&[(1500, "15 x"), (1700, "7"), (1900, "99999999999 1")]),
+                &verbatim,
+                "could not parse edge-list line 1500: \"15 x\"",
+            ),
+            (
+                lines(&[(900, "4294967295 1"), (1500, "15 x")]),
+                &verbatim,
+                "vertex id 4294967295 out of bounds for graph with 4294967295 vertices",
+            ),
+        ];
+        for (input, options, want) in &cases {
+            for threads in [1, 2, 8] {
+                for piece_bytes in [1, 64, 1000, PIECE_BYTES] {
+                    match read_at(input, options, threads, piece_bytes) {
+                        Err(e) => assert_eq!(&e.to_string(), want, "{threads} x {piece_bytes}"),
+                        Ok(_) => panic!("{threads} x {piece_bytes}: read a bad file"),
+                    }
+                }
+            }
+        }
+        // And without the bad lines, the same graph and labels at every width.
+        let clean = lines(&[]);
+        for options in [&relabelled, &verbatim] {
+            let one = read_at(&clean, options, 1, PIECE_BYTES).unwrap();
+            assert_eq!(one.0.num_edges(), 2000);
+            for threads in [2, 8] {
+                for piece_bytes in [1, 64, 1000] {
+                    let wide = read_at(&clean, options, threads, piece_bytes).unwrap();
+                    assert!(one == wide, "{threads} x {piece_bytes}");
+                }
             }
         }
     }

@@ -17,6 +17,9 @@
 //! * [`stats`] — degree statistics and a power-law tail-exponent estimator
 //!   (the paper's analysis assumes the PageRank tail follows a power law with θ ≈ 2.2).
 //! * [`sparsify`] — the uniform edge-deletion sparsifier used as a baseline in Figure 5.
+//! * [`run_batched`] and [`worker_threads`] — the workspace's one thread pool. Set-up
+//!   passes (reading, the CSR build, the engine's layout build) run on the host's
+//!   threads ([`setup_width`]) and give the same output at any width.
 //!
 //! All randomized constructions take an explicit [`rand::Rng`] so every experiment in
 //! the workspace is reproducible from a seed.
@@ -29,12 +32,14 @@ mod csr;
 pub mod error;
 pub mod generators;
 pub mod io;
+mod pool;
 pub mod sparsify;
 pub mod stats;
 
 pub use builder::{DanglingPolicy, GraphBuilder};
 pub use csr::{DiGraph, EdgeIter, VertexId};
 pub use error::Error;
+pub use pool::{row_ranges, run_batched, setup_width, split_lengths, worker_threads};
 
 /// Errors produced while constructing or loading graphs.
 #[derive(Debug)]

@@ -101,12 +101,22 @@ const fn forbid(
 }
 
 const ENGINE: &[&str] = &["crates/engine/src/engine.rs", "crates/engine/src/engine/"];
-/// The engine, its pool and the walk-segment generator: every file that runs threads.
+/// Every file that runs threads on the one pool: the engine, the walk-segment generator,
+/// and the graph crate, whose pool module is the only place a thread is started and whose
+/// reader and CSR build share it.
 const ONE_POOL: &[&str] = &[
     "crates/engine/src/engine.rs",
     "crates/engine/src/engine/",
-    "crates/engine/src/pool.rs",
     "crates/engine/src/walkgen.rs",
+    "crates/graph/src/",
+];
+/// The pool's files without the graph crate's generators, whose documented
+/// preconditions keep panic allows of their own.
+const ONE_POOL_PANICS: &[&str] = &[
+    "crates/engine/src/engine.rs",
+    "crates/engine/src/engine/",
+    "crates/engine/src/walkgen.rs",
+    "crates/graph/src/pool.rs",
 ];
 const ENGINE_AND_CORE: &[&str] = &["crates/engine/src/", "crates/core/src/"];
 
@@ -159,13 +169,14 @@ pub const FORBIDDEN: &[Forbidden] = &[
         ..forbid(
             ONE_POOL,
             &["std::thread::scope"],
-            "one pool: run_batched is the engine's only thread scope",
+            "one pool: run_batched is the only thread scope of the engine, the reader and \
+             the CSR build",
         )
     },
     Forbidden {
         at_most: 1,
         ..forbid(
-            ONE_POOL,
+            ONE_POOL_PANICS,
             &["lint:allow(panic"],
             "the one allowed panic re-raises a worker-thread panic in run_batched",
         )
@@ -253,8 +264,8 @@ pub const FORBIDDEN: &[Forbidden] = &[
     forbid(
         &["crates/engine/src/walkgen.rs", "crates/core/src/walkindex/"],
         &["parallel"],
-        "segment generation shares worker_threads(0) among the machines, always; there is \
-         no parallel setting",
+        "set-up shares worker_threads(0): segment generation deals the machines out to the \
+         host's threads, always; there is no parallel setting",
     ),
     forbid(
         &["crates/cli/src/"],

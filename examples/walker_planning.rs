@@ -54,10 +54,11 @@ fn main() -> Result<()> {
     let plan = plan_walkers(k, graph.num_vertices(), pilot_mass.max(0.01), 0.05, 0.1);
     let iterations = recommended_iterations(0.15, pilot_mass.max(0.01)).clamp(3, 6);
     println!(
-        "plan: Theorem-1 sampling term {} walkers, per-vertex frequency term {} walkers",
+        "plan: Theorem-1 sampling term {:?} walkers, per-vertex frequency term {:?} walkers",
         plan.walkers_for_mass, plan.walkers_for_frequency
     );
-    let budget = plan.walkers_for_mass.clamp(50_000, 2_000_000);
+    // `None` is a count no u64 holds: more walkers than the cap.
+    let budget = (plan.walkers_for_mass).map_or(2_000_000, |w| w.clamp(50_000, 2_000_000));
     println!("planned run: {budget} walkers, {iterations} iterations");
 
     // ------------------------------------------------------------------ 3. real run

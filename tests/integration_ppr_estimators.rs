@@ -128,7 +128,7 @@ fn planned_walker_budget_achieves_the_planned_accuracy() {
 
     let plan = plan_walkers(k, graph.num_vertices(), optimal, loss_target, 0.1);
     // Keep the test fast: the Theorem 1 term is the binding one at this scale.
-    let budget = plan.walkers_for_mass.min(400_000);
+    let budget = plan.walkers_for_mass.unwrap().min(400_000);
     let mut rng = SmallRng::seed_from_u64(7);
     let estimate = serial_random_walk_pagerank(&graph, budget, 8, 0.15, &mut rng);
     let achieved = mass_captured(&estimate, &truth.scores, k);
