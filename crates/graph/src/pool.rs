@@ -22,8 +22,8 @@ pub fn worker_threads(workers: usize) -> usize {
     }
 }
 
-/// The fewest items — edges, or bytes of an edge list — a set-up pass shares among the
-/// host's threads; a smaller input runs on the calling thread alone.
+/// The fewest items — edges, for the CSR and layout builds — a set-up pass shares among
+/// the host's threads; a smaller input runs on the calling thread alone.
 const SETUP_GRAIN: usize = 1 << 16;
 
 /// The width a set-up pass over `items` items runs at: [`worker_threads`]`(0)`, or `1`
