@@ -80,7 +80,6 @@ const INDEXED: &str = "topk ppr serve index";
 pub const OPTIONS: &[OptionSpec] = &[
     opt("graph", "path", LOADS, "", "SNAP-style edge list (whitespace separated, # comments); ids printed and accepted are the file's own"),
     opt("synthetic", "kind", LOADS, "twitter", "generate the graph instead of loading one: twitter | livejournal"),
-    opt("kind", "kind", LOADS, "", "the same as the option above: the name `generate` is documented with"),
     opt("vertices", "n", "topk autotune pagerank ppr serve index plan stats generate", "100000", "size of the synthetic graph (plan: of the graph the query will run on)"),
     opt("machines", "n", SESSIONS, "16", "simulated cluster size"),
     opt("partitioner", "p", RANKS, "oblivious", "random | grid | oblivious | hdrf | hybrid"),
@@ -382,7 +381,7 @@ mod tests {
 
     #[test]
     fn each_subcommand_takes_exactly_the_options_the_table_lists_for_it() {
-        assert_eq!(OPTIONS.len(), 43);
+        assert_eq!(OPTIONS.len(), 42);
         for (command, _) in COMMANDS {
             let args = Args::parse(&command_line(command, |o| o.read_by(command))).unwrap();
             for o in OPTIONS {

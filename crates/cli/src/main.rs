@@ -97,8 +97,7 @@ fn load_graph(args: &Args) -> Result<Loaded> {
             ),
         ));
     }
-    // `generate` calls the shape `--kind`.
-    let kind = (args.get("synthetic").or(args.get("kind"))).unwrap_or("twitter");
+    let kind = args.get("synthetic").unwrap_or("twitter");
     let mut rng = SmallRng::seed_from_u64(seed);
     let graph = match kind {
         "twitter" => frogwild_graph::generators::twitter_like(vertices, &mut rng),

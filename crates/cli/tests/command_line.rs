@@ -18,7 +18,7 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
     let out = edge_file("command_line_out");
     let out = out.to_str().unwrap();
     let max = u64::MAX.to_string();
-    let table: [Case<'_>; 31] = [
+    let table: [Case<'_>; 32] = [
         (
             &["topk", "--graph", ids, "--walker", "100"],
             Err("error: invalid command line: unknown option --walker"),
@@ -44,6 +44,11 @@ fn hostile_command_lines_are_errors_or_the_right_answer() {
         (
             &["generate", "--vertices", "0", "--out", out],
             Err("error: invalid command line: --vertices must be at least 1"),
+        ),
+        // One name per option: the shape of a generated graph is `--synthetic`'s.
+        (
+            &["generate", "--kind", "twitter", "--out", out],
+            Err("error: invalid command line: unknown option --kind"),
         ),
         // Aborted on a 1.3 TB allocation; past 2^32 the ids would have wrapped.
         (

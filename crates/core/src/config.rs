@@ -184,8 +184,10 @@ pub struct PageRankConfig {
     /// Per-vertex convergence tolerance: a vertex stops signalling its neighbours once
     /// its rank changes by less than this amount (GraphLab's `TOLERANCE` option).
     pub tolerance: f64,
-    /// Seed for engine randomness (partitioning-related only; PageRank itself is
-    /// deterministic).
+    /// Seed of the engine run ([`EngineConfig::seed`](frogwild_engine::EngineConfig::seed)).
+    /// It does not place the graph: the session's seed partitions it. It keys the
+    /// bounded-staleness delays, so at [`ExecutionConfig::staleness`] `> 0` it changes the
+    /// ranks; at staleness 0 PageRank is deterministic and the seed has no effect.
     pub seed: u64,
     /// Run on the [`ExecutionConfig::workers`] pool (the default) instead of the
     /// calling thread. Results are bit-identical either way. Only frogbench's

@@ -353,6 +353,23 @@ mod tests {
     }
 
     #[test]
+    fn pagerank_seed_has_no_effect_at_staleness_zero() {
+        let off = Tracer::disabled();
+        let pg = partition_graph(&test_graph(300), &small_cluster());
+        let run = |seed| {
+            let config = PageRankConfig {
+                seed,
+                ..PageRankConfig::truncated(4)
+            };
+            run_graphlab_pr(&pg, &config, &ExecutionConfig::new().staleness(0), &off).unwrap()
+        };
+        let (one, other) = (run(1), run(0x5EED));
+        let bits = |r: &RunReport| r.estimate.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one), bits(&other));
+        assert_eq!(one.cost, other.cost);
+    }
+
+    #[test]
     fn truncated_pr_is_less_accurate_than_exact() {
         let (exec, off) = (ExecutionConfig::default(), Tracer::disabled());
         let g = test_graph(400);

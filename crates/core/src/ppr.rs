@@ -133,9 +133,9 @@ pub struct ForwardPushResult {
 
 impl ForwardPushResult {
     /// Total residual mass not yet converted into estimates; at most
-    /// `epsilon · Σ_v d_out(v)` by the push termination rule. Summed over the frontier,
-    /// ascending from `+0.0`: bit for bit the sum over all of `residual`, whose other
-    /// entries are exact zeros.
+    /// `epsilon · Σ_v max(d_out(v), 1)` by the push termination rule. Summed over the
+    /// frontier, ascending from `+0.0`: bit for bit the sum over all of `residual`, whose
+    /// other entries are exact zeros.
     pub fn residual_mass(&self) -> f64 {
         (self.frontier.iter()).fold(0.0, |mass, &v| mass + self.residual[v as usize])
     }
@@ -144,9 +144,11 @@ impl ForwardPushResult {
 /// Forward-push (Andersen–Chung–Lang) local approximation of single-source PPR.
 ///
 /// Maintains an `estimate` and a `residual` vector, both zero except at `source`
-/// initially. While some vertex `u` holds residual mass above `epsilon · d_out(u)`, the
-/// push rule moves `teleport_probability · r(u)` into `estimate[u]` and spreads the rest
-/// over `u`'s out-neighbours. The run time is `O(1 / (epsilon · teleport_probability))`
+/// initially. While some vertex `u` holds residual mass above
+/// `epsilon · max(d_out(u), 1)`, the push rule moves `teleport_probability · r(u)` into
+/// `estimate[u]` and spreads the rest over `u`'s out-neighbours — or, at a sink, returns
+/// it to `source`, the convention of [`personalized_pagerank`] and
+/// [`monte_carlo_ppr_counted`]. The run time is `O(1 / (epsilon · teleport_probability))`
 /// *independent of the graph size*, which is why local push is the baseline of choice
 /// for top-k PPR.
 ///
@@ -185,21 +187,19 @@ pub fn forward_push_ppr(
         queued[u as usize] = false;
         let deg = graph.out_degree(u);
         let r = residual[u as usize];
-        // Dangling vertices keep their residual as estimate directly: a walk stuck at a
-        // sink can only terminate there.
-        if deg == 0 {
-            estimate[u as usize] += r;
-            residual[u as usize] = 0.0;
-            continue;
-        }
-        if r < epsilon * deg as f64 {
+        if r < epsilon * deg.max(1) as f64 {
             continue;
         }
         pushes += 1;
         estimate[u as usize] += teleport_probability * r;
         residual[u as usize] = 0.0;
-        let share = (1.0 - teleport_probability) * r / deg as f64;
-        for &v in graph.out_neighbors(u) {
+        // A walk at a sink restarts from the source: its one out-edge, in effect.
+        let targets = match graph.out_neighbors(u) {
+            [] => std::slice::from_ref(&source),
+            targets => targets,
+        };
+        let share = (1.0 - teleport_probability) * r / targets.len() as f64;
+        for &v in targets {
             residual[v as usize] += share;
             reached[v as usize / 64] |= 1 << (v % 64);
             let vdeg = graph.out_degree(v).max(1);
@@ -399,6 +399,8 @@ mod tests {
     fn recording_the_frontier_changes_nothing_the_push_computed() {
         // Digests of (pushes, estimate, residual) taken on the commit before the push
         // recorded its frontier: the hand-over is bookkeeping beside the same arithmetic.
+        // The sink-bearing graph's was re-taken when a push at a sink began returning
+        // its walk to the source instead of settling the whole residual there.
         let pinned = [
             (
                 test_graph(400, 9),
@@ -413,7 +415,7 @@ mod tests {
                 4,
                 0.15,
                 1e-5,
-                0x14af_3355_5a40_f604,
+                0x5890_5c60_dd24_94c1,
             ),
         ];
         for (g, source, teleport, epsilon, digest) in pinned {
@@ -424,19 +426,52 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_source_settles_at_once_and_leaves_an_empty_frontier() {
+    fn a_sink_source_restarts_into_itself_and_is_its_own_frontier() {
         // The general property — frontier == {v : residual[v] > 0}, mass bit-equal to
         // the dense sum — is `push_frontier_is_the_residual_support` in the proptests;
-        // this is the one case they cannot promise to draw.
+        // this is the one case they cannot promise to draw. A walk from a sink source
+        // restarts there forever, so its whole PPR mass is the source's own.
         let g = sink_bearing_graph(500);
         assert_eq!(g.out_degree(0), 0);
         let push = forward_push_ppr(&g, 0, 0.15, 1e-3);
-        assert!(push.frontier.is_empty());
-        assert_eq!(push.pushes, 0);
-        assert_eq!(push.estimate[0], 1.0);
+        assert_eq!(push.frontier, [0]);
+        // 0.85^k falls below 1e-3 at k = 43.
+        assert_eq!(push.pushes, 43);
+        assert!((push.estimate[0] + push.residual[0] - 1.0).abs() < 1e-12);
+        assert!(push.residual[0] < 1e-3);
+        assert!(push.estimate[1..].iter().all(|&x| x == 0.0));
         let dense: f64 = push.residual.iter().sum();
         assert_eq!(push.residual_mass().to_bits(), dense.to_bits());
-        assert_eq!(push.residual_mass().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn push_at_a_sink_returns_to_the_source_and_brackets_exact_ppr() {
+        // Graphs that keep their sinks: a walk at a sink restarts from the source, as
+        // in power iteration and Monte Carlo, so exact PPR lies within the push's
+        // estimate plus its residual mass at every vertex.
+        let cases = [
+            (DiGraph::from_edges(2, &[(0, 1)]), 0),
+            (DiGraph::from_edges(5, &[(0, 1), (1, 2), (1, 3), (3, 0)]), 1),
+            (DiGraph::from_edges(5, &[(0, 1), (1, 2), (1, 3), (3, 0)]), 4),
+            (sink_bearing_graph(200), 4),
+            (sink_bearing_graph(200), 17),
+        ];
+        for (g, source) in &cases {
+            let restart = single_source_restart(g.num_vertices(), *source);
+            let exact = personalized_pagerank(g, &restart, 0.15, 5_000, 1e-15).scores;
+            for epsilon in [1e-3, 1e-6] {
+                let push = forward_push_ppr(g, *source, 0.15, epsilon);
+                let slack = push.residual_mass();
+                for (v, (&e, &x)) in push.estimate.iter().zip(&exact).enumerate() {
+                    let case = format!("source {source}, eps {epsilon}, vertex {v}");
+                    assert!(e <= x + 1e-9, "{case}: estimate {e} > exact {x}");
+                    assert!(x <= e + slack + 1e-9, "{case}: exact {x} > {e} + {slack}");
+                }
+            }
+        }
+        // The two-vertex path ranks its source first, as power iteration does.
+        let push = forward_push_ppr(&cases[0].0, 0, 0.15, 1e-9);
+        assert!(push.estimate[0] > push.estimate[1], "{:?}", push.estimate);
     }
 
     #[test]

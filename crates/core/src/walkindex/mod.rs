@@ -17,7 +17,8 @@
 //!   `VertexId::MAX`; a sink's own segments are all padding. Padding costs a sink
 //!   `R · L · 4` bytes where a delimiter table would cost every vertex `R · 8`, so the
 //!   fixed stride is the smaller format unless more than `2 / L` of the vertices are
-//!   sinks — and graphs built under the default `DanglingPolicy::SelfLoop` have none.
+//!   sinks. Only a `DiGraph::from_edges` graph that keeps its sinks has any: builder- and
+//!   reader-built graphs have no sinks.
 //!   Segments carry no teleportation, so one index serves any teleport probability.
 //! * [`build_walk_index`] — the build, on the host's threads: each simulated machine of a
 //!   [`PartitionedGraph`](frogwild_engine::PartitionedGraph) generates the segments of

@@ -10,8 +10,8 @@
 //! are the prefix before the first sentinel, and a sink's own segments are all-sentinel.
 //! That padding costs a sink `R · L · 4` bytes, where a delimiter table would cost
 //! *every* vertex `R · 8`, so the fixed stride is the smaller arena unless more than
-//! `2 / L` of the vertices are sinks — and graphs built under the default
-//! `DanglingPolicy::SelfLoop` have none.
+//! `2 / L` of the vertices are sinks. Only a `DiGraph::from_edges` graph that keeps its
+//! sinks has any: builder- and reader-built graphs have no sinks.
 
 // lint:allow-file(indexing, the arena holds exactly n·R·L slots, checked on construction)
 

@@ -1,44 +1,22 @@
-//! Checked, mutable construction of [`DiGraph`] values.
+//! Mutable construction of [`DiGraph`] values.
 //!
-//! [`GraphBuilder`] accumulates edges, optionally deduplicates them, applies a
-//! [`DanglingPolicy`] to vertices with no successors (the paper's analysis assumes
-//! `d_out(j) > 0` for every `j`), and produces an immutable CSR graph.
+//! [`GraphBuilder`] accumulates edges, optionally deduplicates them, gives every vertex
+//! with no successor a self-loop (the paper's analysis assumes `d_out(j) > 0` for every
+//! `j`), and produces an immutable CSR graph.
 
 use crate::csr::{DiGraph, VertexId};
-use crate::{GraphError, Result};
-
-/// What to do with vertices that end up with out-degree zero.
-///
-/// PageRank's transition matrix `P_ij = A_ij / d_out(j)` is undefined for dangling
-/// vertices, so they must be handled before the algorithms run. GraphLab's PageRank
-/// and most practical systems use a self-loop or an implicit uniform jump; we offer
-/// both plus a strict mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DanglingPolicy {
-    /// Add a self-loop `v -> v` to every dangling vertex. This is the default and is
-    /// what the experiment drivers use: it keeps the graph structure local (no dense
-    /// rows) and matches how the FrogWild implementation treats a frog stuck on a
-    /// sink — it simply stays put until it dies.
-    #[default]
-    SelfLoop,
-    /// Return [`GraphError::DanglingVertex`] if any vertex has no successor.
-    Error,
-    /// Leave dangling vertices untouched. Algorithms must then cope with them
-    /// explicitly (the serial reference implementation redistributes their mass
-    /// uniformly, the standard "dangling correction").
-    Keep,
-}
+use crate::Result;
 
 /// Incremental builder for [`DiGraph`].
 ///
 /// ```
-/// use frogwild_graph::{GraphBuilder, DanglingPolicy};
+/// use frogwild_graph::GraphBuilder;
 ///
 /// let mut b = GraphBuilder::new(3);
-/// b.add_edge(0, 1).unwrap();
-/// b.add_edge(1, 2).unwrap();
-/// b.add_edge(1, 2).unwrap(); // duplicate
-/// let g = b.dedup(true).dangling_policy(DanglingPolicy::SelfLoop).build().unwrap();
+/// b.add_edge(0, 1);
+/// b.add_edge(1, 2);
+/// b.add_edge(1, 2); // duplicate
+/// let g = b.dedup(true).build().unwrap();
 /// assert_eq!(g.num_edges(), 3); // 0->1, 1->2, and the self-loop added to vertex 2
 /// assert!(g.has_no_dangling());
 /// ```
@@ -47,8 +25,6 @@ pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
     dedup: bool,
-    remove_self_loops: bool,
-    dangling: DanglingPolicy,
 }
 
 impl GraphBuilder {
@@ -58,8 +34,6 @@ impl GraphBuilder {
             num_vertices,
             edges: Vec::new(),
             dedup: false,
-            remove_self_loops: false,
-            dangling: DanglingPolicy::default(),
         }
     }
 
@@ -69,8 +43,8 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of vertices the final graph will have (ignoring the dangling policy,
-    /// which never adds vertices).
+    /// Number of vertices the final graph will have (the sinks' self-loops never add
+    /// vertices).
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
     }
@@ -80,37 +54,9 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds a directed edge `src -> dst`, checking bounds.
-    pub fn add_edge(&mut self, src: VertexId, dst: VertexId) -> Result<()> {
-        if (src as usize) >= self.num_vertices || (dst as usize) >= self.num_vertices {
-            return Err(GraphError::VertexOutOfBounds {
-                vertex: src.max(dst) as u64,
-                num_vertices: self.num_vertices as u64,
-            });
-        }
+    /// Adds a directed edge `src -> dst`. Its bounds are checked by [`build`](Self::build).
+    pub fn add_edge(&mut self, src: VertexId, dst: VertexId) {
         self.edges.push((src, dst));
-        Ok(())
-    }
-
-    /// Adds a directed edge without bounds checking (the check happens again in
-    /// `build`, so this only defers the error). Useful in hot generator loops where the
-    /// generator guarantees validity.
-    pub fn add_edge_unchecked(&mut self, src: VertexId, dst: VertexId) {
-        debug_assert!((src as usize) < self.num_vertices);
-        debug_assert!((dst as usize) < self.num_vertices);
-        self.edges.push((src, dst));
-    }
-
-    /// Adds many edges at once.
-    // lint:allow(orphan-pub, oracle for byte_reader_agrees_with_the_line_reader)
-    pub fn extend_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
-    ) -> Result<()> {
-        for (s, d) in edges {
-            self.add_edge(s, d)?;
-        }
-        Ok(())
     }
 
     /// Whether duplicate edges should be collapsed to a single edge (default: `false`).
@@ -119,124 +65,71 @@ impl GraphBuilder {
         self
     }
 
-    /// Whether self-loops should be dropped (default: `false`). Applied before the
-    /// dangling policy, so a vertex whose only edge was a self-loop may get it back
-    /// under [`DanglingPolicy::SelfLoop`].
-    pub fn remove_self_loops(mut self, yes: bool) -> Self {
-        self.remove_self_loops = yes;
-        self
-    }
-
-    /// Sets the policy for vertices with no outgoing edges (default: self-loop).
-    pub fn dangling_policy(mut self, policy: DanglingPolicy) -> Self {
-        self.dangling = policy;
-        self
-    }
-
     /// Freezes the accumulated edges into an immutable [`DiGraph`].
     ///
     /// Hands the one edge vector to the row-wise CSR constructor [`DiGraph::from_edges`]
-    /// also uses: edges are bounds-checked (one added through
-    /// [`add_edge_unchecked`](Self::add_edge_unchecked) fails here, with
-    /// [`GraphError::VertexOutOfBounds`]), self-loops dropped if asked, rows sorted and
-    /// deduplicated if asked, and the [`DanglingPolicy`] applied to the vertices left
-    /// without a successor — reporting the lowest one under [`DanglingPolicy::Error`].
+    /// also uses: edges are bounds-checked (the first one out of range, in the order they
+    /// were added, is [`GraphError::VertexOutOfBounds`](crate::GraphError::VertexOutOfBounds)),
+    /// rows sorted and deduplicated if asked, and every vertex left without a successor
+    /// given a self-loop.
     pub fn build(self) -> Result<DiGraph> {
-        DiGraph::from_edge_rows(
-            self.num_vertices,
-            &self.edges,
-            self.dedup,
-            self.remove_self_loops,
-            self.dangling,
-        )
+        DiGraph::from_edge_rows(self.num_vertices, &self.edges, self.dedup, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphError;
+
+    fn builder_with(n: usize, edges: &[(VertexId, VertexId)]) -> GraphBuilder {
+        let mut b = GraphBuilder::new(n);
+        for &(s, d) in edges {
+            b.add_edge(s, d);
+        }
+        b
+    }
 
     #[test]
     fn basic_build() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(1, 2).unwrap();
-        b.add_edge(2, 0).unwrap();
-        let g = b.build().unwrap();
+        let g = builder_with(3, &[(0, 1), (1, 2), (2, 0)]).build().unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert!(g.has_no_dangling());
     }
 
     #[test]
-    fn out_of_bounds_rejected_eagerly() {
-        let mut b = GraphBuilder::new(2);
-        let err = b.add_edge(0, 5).unwrap_err();
+    fn out_of_bounds_rejected_at_build() {
+        let b = builder_with(2, &[(0, 1), (0, 5), (7, 0)]);
+        let err = b.build().unwrap_err();
         assert!(matches!(
             err,
-            GraphError::VertexOutOfBounds { vertex: 5, .. }
+            GraphError::VertexOutOfBounds {
+                vertex: 5,
+                num_vertices: 2
+            }
         ));
     }
 
     #[test]
     fn dedup_collapses_duplicates() {
-        let mut b = GraphBuilder::new(2);
-        b.extend_edges([(0, 1), (0, 1), (0, 1), (1, 0)]).unwrap();
+        let b = builder_with(2, &[(0, 1), (0, 1), (0, 1), (1, 0)]);
         let g = b.dedup(true).build().unwrap();
         assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
     fn duplicates_kept_without_dedup() {
-        let mut b = GraphBuilder::new(2);
-        b.extend_edges([(0, 1), (0, 1), (1, 0)]).unwrap();
-        let g = b.build().unwrap();
+        let g = builder_with(2, &[(0, 1), (0, 1), (1, 0)]).build().unwrap();
         assert_eq!(g.num_edges(), 3);
     }
 
     #[test]
     fn self_loop_policy_fixes_dangling() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 2).unwrap();
-        b.add_edge(1, 2).unwrap();
-        let g = b.build().unwrap(); // default policy: self-loop
+        let g = builder_with(3, &[(0, 2), (1, 2)]).build().unwrap();
         assert!(g.has_no_dangling());
         assert!(g.has_edge(2, 2));
         assert_eq!(g.num_edges(), 3);
-    }
-
-    #[test]
-    fn error_policy_reports_dangling_vertex() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 2).unwrap();
-        let err = b
-            .dangling_policy(DanglingPolicy::Error)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GraphError::DanglingVertex { vertex: 1 }));
-    }
-
-    #[test]
-    fn keep_policy_leaves_dangling() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).unwrap();
-        let g = b.dangling_policy(DanglingPolicy::Keep).build().unwrap();
-        assert_eq!(g.dangling_vertices(), vec![1]);
-    }
-
-    #[test]
-    fn remove_self_loops_then_selfloop_policy_restores_needed_ones() {
-        let mut b = GraphBuilder::new(2);
-        b.extend_edges([(0, 0), (0, 1), (1, 1)]).unwrap();
-        let g = b
-            .remove_self_loops(true)
-            .dangling_policy(DanglingPolicy::SelfLoop)
-            .build()
-            .unwrap();
-        // vertex 0 keeps 0->1; vertex 1 lost its only edge so the policy adds 1->1 back
-        assert!(!g.has_edge(0, 0));
-        assert!(g.has_edge(1, 1));
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
@@ -251,7 +144,7 @@ mod tests {
     #[test]
     fn capacity_hint_does_not_change_result() {
         let mut b = GraphBuilder::new(2).with_edge_capacity(100);
-        b.add_edge(0, 1).unwrap();
+        b.add_edge(0, 1);
         assert_eq!(b.num_edges(), 1);
         assert_eq!(b.num_vertices(), 2);
     }

@@ -9,7 +9,7 @@
 // lint:allow-file(indexing, CSR invariants - monotone offsets and ids below n - are validated at build and load)
 
 use crate::pool::{row_ranges, run_batched, setup_width, split_lengths};
-use crate::{DanglingPolicy, GraphError};
+use crate::GraphError;
 use std::ops::Range;
 
 /// Dense vertex identifier. Graphs in the paper's evaluation have up to 41.6M vertices,
@@ -36,15 +36,15 @@ impl DiGraph {
     /// (multi-edges are legal and treated as parallel edges by the random walk, matching
     /// the weight they would receive in the transition matrix) and dangling vertices are
     /// left as they are. This is [`GraphBuilder::build`](crate::GraphBuilder::build)'s
-    /// constructor with every policy off; use the builder for deduplication,
-    /// dangling-vertex handling and a checked construction path.
+    /// constructor keeping the sinks and the duplicates; use the builder for
+    /// deduplication, self-loops on sinks and a checked construction path.
     ///
     /// # Panics
     ///
     /// Panics if an edge references a vertex `>= num_vertices`.
     // lint:allow(orphan-pub, oracle for builder_policies_match_from_edges_applied_naively)
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        match Self::from_edge_rows(num_vertices, edges, false, false, DanglingPolicy::Keep) {
+        match Self::from_edge_rows(num_vertices, edges, false, false) {
             Ok(graph) => graph,
             // lint:allow(panic, the documented contract of the unchecked constructor)
             Err(e) => panic!("{e}"),
@@ -55,26 +55,18 @@ impl DiGraph {
     /// for a large edge list, the calling thread for a small one. The graph is the same
     /// at any width.
     ///
-    /// `remove_self_loops` drops `v -> v` edges before anything else; `dangling` then
-    /// applies to the vertices left without a successor (deduplication cannot empty a
-    /// row). An out-of-bounds edge is reported before a dangling vertex, the first such
-    /// edge in `edges` order and the lowest such vertex respectively.
+    /// With `loop_sinks` every vertex without a successor gets the self-loop `v -> v`
+    /// (the builder and the reader); without, it stays a sink ([`from_edges`](Self::from_edges)).
+    /// Deduplication cannot empty a row. The one error is the first out-of-bounds edge in
+    /// `edges` order.
     pub(crate) fn from_edge_rows(
         num_vertices: usize,
         edges: &[(VertexId, VertexId)],
         dedup: bool,
-        remove_self_loops: bool,
-        dangling: DanglingPolicy,
+        loop_sinks: bool,
     ) -> crate::Result<Self> {
         let width = setup_width(edges.len());
-        Self::from_edge_rows_on(
-            width,
-            num_vertices,
-            edges,
-            dedup,
-            remove_self_loops,
-            dangling,
-        )
+        Self::from_edge_rows_on(width, num_vertices, edges, dedup, loop_sinks)
     }
 
     /// [`from_edge_rows`](Self::from_edge_rows) with every pass cut into `width` vertex
@@ -92,12 +84,10 @@ impl DiGraph {
         num_vertices: usize,
         edges: &[(VertexId, VertexId)],
         dedup: bool,
-        remove_self_loops: bool,
-        dangling: DanglingPolicy,
+        loop_sinks: bool,
     ) -> crate::Result<Self> {
         let n = num_vertices;
         let width = width.max(1);
-        let dropped = |s: VertexId, d: VertexId| remove_self_loops && s == d;
         let lanes = &mut vec![(); width];
 
         if let Some(&(s, d)) = edges.iter().find(|&&(s, d)| s.max(d) as usize >= n) {
@@ -108,7 +98,7 @@ impl DiGraph {
         }
 
         // One vertex-indexed scratch vector, in turn each row's edge count (its
-        // out-degree before the dangling policy), the count kept after deduplication,
+        // out-degree before a sink's self-loop), the count kept after deduplication,
         // the in-degrees and the in-rows' cursors.
         let even = (0..=width).map(|k| n * k / width);
         let even: Vec<usize> = even.collect();
@@ -120,27 +110,17 @@ impl DiGraph {
             ))
             .collect();
         run_batched(&mut units, lanes, |_, (range, counts), _| {
-            for &(s, d) in edges {
+            for &(s, _) in edges {
                 let i = (s as usize).wrapping_sub(range.start);
-                if i < counts.len() && !dropped(s, d) {
+                if i < counts.len() {
                     counts[i] += 1;
                 }
             }
         });
         drop(units);
-        // A dangling vertex keeps a one-slot row under `SelfLoop`, which the scatter
-        // leaves unfilled and the sort writes `v` into.
-        let slots = |c: usize| match dangling {
-            DanglingPolicy::SelfLoop => c.max(1),
-            DanglingPolicy::Keep | DanglingPolicy::Error => c,
-        };
-        if dangling == DanglingPolicy::Error {
-            if let Some(v) = counts.iter().position(|&c| c == 0) {
-                return Err(GraphError::DanglingVertex {
-                    vertex: v as VertexId,
-                });
-            }
-        }
+        // With `loop_sinks` a sink keeps a one-slot row, which the scatter leaves
+        // unfilled and the sort writes `v` into.
+        let slots = |c: usize| if loop_sinks { c.max(1) } else { c };
 
         let mut out_offsets = prefix_sums(counts.iter().map(|&c| slots(c)));
         let mut out_targets = vec![0 as VertexId; out_offsets[n]];
@@ -159,7 +139,7 @@ impl DiGraph {
                 filled.fill(0);
                 for &(s, d) in edges {
                     let i = (s as usize).wrapping_sub(range.start);
-                    if i < filled.len() && !dropped(s, d) {
+                    if i < filled.len() {
                         rows[offsets[s as usize] - base + filled[i]] = d;
                         filled[i] += 1;
                     }
@@ -322,8 +302,9 @@ impl DiGraph {
 
     /// Vertices with out-degree zero ("dangling" vertices).
     ///
-    /// The paper assumes `d_out(j) > 0` for every vertex; dangling vertices must be fixed
-    /// (see [`DanglingPolicy`](crate::DanglingPolicy)) before running PageRank.
+    /// The paper assumes `d_out(j) > 0` for every vertex. Graphs from
+    /// [`GraphBuilder`](crate::GraphBuilder) and the edge-list reader have none; only
+    /// [`from_edges`](Self::from_edges) keeps them.
     pub fn dangling_vertices(&self) -> Vec<VertexId> {
         self.vertices()
             .filter(|&v| self.out_degree(v) == 0)
@@ -456,8 +437,7 @@ fn part_lengths(ranges: &[Range<usize>], offsets: &[usize]) -> Vec<usize> {
 
 /// Sorts the rows of `range`, which lie in `rows` from `offsets[range.start]` on, with
 /// `filled[i]` edges scattered into vertex `range.start + i`'s row; a row left with an
-/// unfilled slot (a dangling vertex's, under [`DanglingPolicy::SelfLoop`]) gets the
-/// vertex itself. With `dedup` each row is compacted leftwards in the same sweep —
+/// unfilled slot (a sink's, when sinks get a self-loop) gets the vertex itself. With `dedup` each row is compacted leftwards in the same sweep —
 /// `write` never passes the row being read — `filled` becomes the count kept, and the
 /// total kept is returned; without, the rows stay where they lie.
 fn sort_rows(
@@ -597,19 +577,16 @@ mod tests {
         let _ = DiGraph::from_edges(2, &[(0, 2)]);
     }
 
-    /// What the rows must hold: the edges left after dropping self-loops, one self-loop
-    /// per dangling vertex under `SelfLoop`, sorted, deduplicated if asked.
+    /// What the rows must hold: the edges, one self-loop per sink with `loop_sinks`,
+    /// sorted, deduplicated if asked.
     fn naive_rows(
         n: usize,
         edges: &[(VertexId, VertexId)],
         dedup: bool,
-        remove_self_loops: bool,
-        dangling: DanglingPolicy,
+        loop_sinks: bool,
     ) -> Vec<(VertexId, VertexId)> {
-        let mut kept: Vec<_> = (edges.iter().copied())
-            .filter(|&(s, d)| !(remove_self_loops && s == d))
-            .collect();
-        if dangling == DanglingPolicy::SelfLoop {
+        let mut kept = edges.to_vec();
+        if loop_sinks {
             let sources: std::collections::BTreeSet<VertexId> =
                 kept.iter().map(|&(s, _)| s).collect();
             kept.extend(
@@ -629,15 +606,10 @@ mod tests {
     fn every_width_builds_the_same_graph_and_the_same_error() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xC5B);
-        let policies = [
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Error,
-            DanglingPolicy::Keep,
-        ];
         for case in 0..60 {
             let n = [0usize, 1, 3, 17, 200][case % 5];
             let m = rng.gen_range(0..4 * n + 2);
-            // Few distinct ids, so duplicates, self-loops and dangling vertices all occur;
+            // Few distinct ids, so duplicates, self-loops and sinks all occur;
             // now and then one id past the end, to be reported.
             let mut edges: Vec<(VertexId, VertexId)> = (0..m)
                 .map(|_| {
@@ -650,61 +622,40 @@ mod tests {
                 edges[at].1 = n as VertexId + 3;
             }
             for dedup in [false, true] {
-                for remove_self_loops in [false, true] {
-                    for dangling in policies {
-                        let build = |width| {
-                            DiGraph::from_edge_rows_on(
-                                width,
-                                n,
-                                &edges,
-                                dedup,
-                                remove_self_loops,
-                                dangling,
-                            )
-                        };
-                        let at_one = build(1);
-                        let what = format!(
-                            "case {case}: {n} vertices, {m} edges, dedup {dedup}, \
-                             remove_self_loops {remove_self_loops}, {dangling:?}"
-                        );
-                        match &at_one {
-                            Ok(graph) => {
-                                graph.validate().unwrap();
-                                let expected =
-                                    naive_rows(n, &edges, dedup, remove_self_loops, dangling);
-                                assert_eq!(graph.edge_vec(), expected, "{what}");
-                                // The in-rows are the same edges, by destination.
-                                let mut reversed: Vec<_> =
-                                    expected.iter().map(|&(s, d)| (d, s)).collect();
-                                reversed.sort_unstable();
-                                let in_rows: Vec<_> = (graph.vertices())
-                                    .flat_map(|v| {
-                                        graph.in_neighbors(v).iter().map(move |&s| (v, s))
-                                    })
-                                    .collect();
-                                assert_eq!(in_rows, reversed, "{what}");
-                            }
-                            Err(e) => assert!(
-                                matches!(
-                                    e,
-                                    GraphError::VertexOutOfBounds { .. }
-                                        | GraphError::DanglingVertex { .. }
-                                ),
-                                "{what}: {e}"
-                            ),
+                for loop_sinks in [false, true] {
+                    let build =
+                        |width| DiGraph::from_edge_rows_on(width, n, &edges, dedup, loop_sinks);
+                    let at_one = build(1);
+                    let what = format!(
+                        "case {case}: {n} vertices, {m} edges, dedup {dedup}, \
+                         loop_sinks {loop_sinks}"
+                    );
+                    match &at_one {
+                        Ok(graph) => {
+                            graph.validate().unwrap();
+                            let expected = naive_rows(n, &edges, dedup, loop_sinks);
+                            assert_eq!(graph.edge_vec(), expected, "{what}");
+                            // The in-rows are the same edges, by destination.
+                            let mut reversed: Vec<_> =
+                                expected.iter().map(|&(s, d)| (d, s)).collect();
+                            reversed.sort_unstable();
+                            let in_rows: Vec<_> = (graph.vertices())
+                                .flat_map(|v| graph.in_neighbors(v).iter().map(move |&s| (v, s)))
+                                .collect();
+                            assert_eq!(in_rows, reversed, "{what}");
                         }
-                        for width in [2, 8] {
-                            match (&at_one, build(width)) {
-                                (Ok(one), Ok(wide)) => assert_eq!(one, &wide, "{what} at {width}"),
-                                (Err(one), Err(wide)) => {
-                                    assert_eq!(
-                                        one.to_string(),
-                                        wide.to_string(),
-                                        "{what} at {width}"
-                                    )
-                                }
-                                (one, wide) => panic!("{what} at {width}: {one:?} vs {wide:?}"),
+                        Err(e) => assert!(
+                            matches!(e, GraphError::VertexOutOfBounds { .. }),
+                            "{what}: {e}"
+                        ),
+                    }
+                    for width in [2, 8] {
+                        match (&at_one, build(width)) {
+                            (Ok(one), Ok(wide)) => assert_eq!(one, &wide, "{what} at {width}"),
+                            (Err(one), Err(wide)) => {
+                                assert_eq!(one.to_string(), wide.to_string(), "{what} at {width}")
                             }
+                            (one, wide) => panic!("{what} at {width}: {one:?} vs {wide:?}"),
                         }
                     }
                 }

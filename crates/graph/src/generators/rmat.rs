@@ -20,7 +20,7 @@
 //! another with nothing drawn in between. A change to any of this is a change of every
 //! generated graph.
 
-use crate::builder::{DanglingPolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::csr::{DiGraph, VertexId};
 use rand::Rng;
 
@@ -137,12 +137,12 @@ pub fn rmat<R: Rng>(num_vertices: usize, params: RmatParams, rng: &mut R) -> DiG
         attempts += 1;
         let (src, dst) = sample_edge(scale, &params, rng);
         if src < n && dst < n && src != dst {
-            b.add_edge_unchecked(src, dst);
+            b.add_edge(src, dst);
             generated += 1;
         }
     }
     // lint:allow(panic, generator edges are in range by construction)
-    b.dangling_policy(DanglingPolicy::SelfLoop).build().unwrap()
+    b.build().unwrap()
 }
 
 /// Draws one edge by descending `scale` levels of the recursion, reading `rng` as the

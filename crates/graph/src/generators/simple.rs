@@ -1,6 +1,6 @@
 //! Small deterministic graphs used in unit tests and documentation examples.
 
-use crate::builder::{DanglingPolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::csr::{DiGraph, VertexId};
 
 /// A directed path `0 -> 1 -> ... -> n-1`, with a self-loop on the final vertex so the
@@ -9,10 +9,10 @@ pub fn path(n: usize) -> DiGraph {
     assert!(n > 0, "path requires at least one vertex");
     let mut b = GraphBuilder::new(n);
     for v in 0..n - 1 {
-        b.add_edge_unchecked(v as VertexId, (v + 1) as VertexId);
+        b.add_edge(v as VertexId, (v + 1) as VertexId);
     }
     // lint:allow(panic, generator edges are in range by construction)
-    b.dangling_policy(DanglingPolicy::SelfLoop).build().unwrap()
+    b.build().unwrap()
 }
 
 /// A directed cycle `0 -> 1 -> ... -> n-1 -> 0`.
@@ -20,7 +20,7 @@ pub fn cycle(n: usize) -> DiGraph {
     assert!(n > 0, "cycle requires at least one vertex");
     let mut b = GraphBuilder::new(n);
     for v in 0..n {
-        b.add_edge_unchecked(v as VertexId, ((v + 1) % n) as VertexId);
+        b.add_edge(v as VertexId, ((v + 1) % n) as VertexId);
     }
     // lint:allow(panic, generator edges are in range by construction)
     b.build().unwrap()
@@ -34,8 +34,8 @@ pub fn star(n: usize) -> DiGraph {
     assert!(n >= 2, "star requires at least two vertices");
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
-        b.add_edge_unchecked(v as VertexId, 0);
-        b.add_edge_unchecked(0, v as VertexId);
+        b.add_edge(v as VertexId, 0);
+        b.add_edge(0, v as VertexId);
     }
     // lint:allow(panic, generator edges are in range by construction)
     b.build().unwrap()
@@ -50,7 +50,7 @@ pub fn complete(n: usize) -> DiGraph {
     for s in 0..n {
         for d in 0..n {
             if s != d {
-                b.add_edge_unchecked(s as VertexId, d as VertexId);
+                b.add_edge(s as VertexId, d as VertexId);
             }
         }
     }
@@ -71,14 +71,14 @@ pub fn two_communities(size: usize) -> DiGraph {
         for s in 0..size {
             for d in 0..size {
                 if s != d {
-                    b.add_edge_unchecked((offset + s) as VertexId, (offset + d) as VertexId);
+                    b.add_edge((offset + s) as VertexId, (offset + d) as VertexId);
                 }
             }
         }
     }
     // bridges between the communities
-    b.add_edge_unchecked(0, size as VertexId);
-    b.add_edge_unchecked(size as VertexId, 0);
+    b.add_edge(0, size as VertexId);
+    b.add_edge(size as VertexId, 0);
     // lint:allow(panic, generator edges are in range by construction)
     b.build().unwrap()
 }

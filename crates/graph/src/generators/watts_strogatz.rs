@@ -6,7 +6,7 @@
 //! (Remark 6: `N = O(k / µ_k(π)²)` blows up as `µ_k(π) → k/n`). The ablation benchmarks
 //! use this generator to show where the algorithm's advantage disappears.
 
-use crate::builder::{DanglingPolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::csr::{DiGraph, VertexId};
 use rand::Rng;
 
@@ -95,13 +95,12 @@ pub fn watts_strogatz<R: Rng>(
             } else {
                 lattice_dst
             };
-            builder.add_edge_unchecked(v as VertexId, dst);
+            builder.add_edge(v as VertexId, dst);
         }
     }
 
     builder
         .dedup(true)
-        .dangling_policy(DanglingPolicy::SelfLoop)
         .build()
         // lint:allow(panic, generator edges are in range by construction)
         .expect("Watts–Strogatz edges are constructed in range")

@@ -26,15 +26,14 @@
 //! started with accepted and this one rejects; in exchange a stray non-UTF-8 byte in a
 //! comment no longer fails the whole load.
 //!
-//! # Labels
+//! # The graph
 //!
-//! With [`EdgeListOptions::relabel`] (the default) the ids of the file are replaced by
-//! dense ones in order of first appearance — source before destination, line by line —
-//! and the reader returns `labels`, where `labels[v]` is the id the file used for dense
-//! vertex `v`. Without it ids are used verbatim, must fit a [`VertexId`], and `labels`
-//! is empty.
+//! The ids of the file are replaced by dense ones in order of first appearance — source
+//! before destination, line by line — and the reader returns `labels`, where
+//! `labels[v]` is the id the file used for dense vertex `v`. Duplicate edges are
+//! collapsed (as GraphLab's ingress does) and every vertex without a successor gets a
+//! self-loop, so the graph has no sinks.
 
-use crate::builder::DanglingPolicy;
 use crate::csr::{DiGraph, VertexId};
 use crate::pool::{run_batched, setup_width, split_lengths, worker_threads};
 use crate::{GraphError, Result};
@@ -43,31 +42,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
-/// Options controlling how an edge list is interpreted.
-#[derive(Clone, Debug)]
-pub struct EdgeListOptions {
-    /// Collapse duplicate edges (default: `true`, matching GraphLab ingress behaviour).
-    pub dedup: bool,
-    /// Drop self-loops found in the input (default: `false`).
-    pub remove_self_loops: bool,
-    /// What to do with vertices that have no outgoing edges after loading.
-    pub dangling: DanglingPolicy,
-    /// If `true`, vertex ids are re-mapped to a dense `0..n` range in order of first
-    /// appearance; if `false` the ids are used verbatim and the vertex count is
-    /// `max_id + 1` (default: `true` — SNAP files frequently have sparse id spaces).
-    pub relabel: bool,
-}
-
-impl Default for EdgeListOptions {
-    fn default() -> Self {
-        EdgeListOptions {
-            dedup: true,
-            remove_self_loops: false,
-            dangling: DanglingPolicy::SelfLoop,
-            relabel: true,
-        }
-    }
-}
+/// The reader's options: none. An edge list is read one way (see the
+/// [module documentation](self)); the type stays only while the benchmark harness names
+/// `EdgeListOptions::default()`, and goes with ROADMAP item 1(a).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EdgeListOptions {}
 
 /// Reads an edge list (see the [module documentation](self) for the grammar) from any
 /// `Read` implementation, in one streaming pass over its bytes.
@@ -81,14 +60,14 @@ impl Default for EdgeListOptions {
 /// [`setup_width`] threads. Width never changes the result.
 ///
 /// Returns the graph together with `labels`: `labels[v]` is the id the input used for
-/// dense vertex `v` when `relabel` is enabled, and the table is empty otherwise.
+/// dense vertex `v`.
 pub fn read_edge_list<R: Read>(
     reader: R,
-    options: &EdgeListOptions,
+    _options: &EdgeListOptions,
 ) -> Result<(DiGraph, Vec<u64>)> {
-    let read = read_edges(reader, options.relabel, worker_threads(0), PIECE_BYTES)?;
+    let read = read_edges(reader, worker_threads(0), PIECE_BYTES)?;
     let width = setup_width(read.edges.len());
-    read.build(options, width)
+    read.build(width)
 }
 
 /// Reads an edge list from a file path. See [`read_edge_list`].
@@ -111,25 +90,18 @@ const PIECE_BYTES: usize = 1 << 19;
 /// pool thread.
 const BYTES_PER_ID: usize = 24;
 
-/// An edge list as read, before its graph is built: the edges in dense ids, how many
-/// vertices they name, and the labels.
+/// An edge list as read, before its graph is built: the edges in dense ids and the
+/// labels, one per vertex.
 struct ReadEdges {
-    num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
     labels: Vec<u64>,
 }
 
 impl ReadEdges {
-    /// The graph, built on `width` threads, and the labels.
-    fn build(self, options: &EdgeListOptions, width: usize) -> Result<(DiGraph, Vec<u64>)> {
-        let graph = DiGraph::from_edge_rows_on(
-            width,
-            self.num_vertices,
-            &self.edges,
-            options.dedup,
-            options.remove_self_loops,
-            options.dangling,
-        )?;
+    /// The graph, deduplicated and with self-loops on its sinks, built on `width`
+    /// threads, and the labels.
+    fn build(self, width: usize) -> Result<(DiGraph, Vec<u64>)> {
+        let graph = DiGraph::from_edge_rows_on(width, self.labels.len(), &self.edges, true, true)?;
         Ok((graph, self.labels))
     }
 }
@@ -139,20 +111,13 @@ impl ReadEdges {
 /// `threads * piece_bytes` bytes are read into one buffer, allocated here; the partial
 /// line at a block's end is carried over to the next, and is only parsed, whatever its
 /// length, once its newline or the end of the input arrives.
-fn read_edges<R: Read>(
-    mut reader: R,
-    relabel: bool,
-    threads: usize,
-    piece_bytes: usize,
-) -> Result<ReadEdges> {
+fn read_edges<R: Read>(mut reader: R, threads: usize, piece_bytes: usize) -> Result<ReadEdges> {
     let threads = threads.max(1);
     let piece_bytes = piece_bytes.max(1);
     let block_bytes = threads * piece_bytes;
     let mut merged = Merged {
-        relabel,
         dense: Default::default(),
         read: ReadEdges {
-            num_vertices: 0,
             edges: Vec::new(),
             labels: Vec::new(),
         },
@@ -195,7 +160,7 @@ fn read_edges<R: Read>(
             // Parsed as locals: the pieces' headers, like the lanes', lie side by side,
             // and two threads bumping lengths in one cache line would both crawl.
             let (mut parsed, mut local) = (std::mem::take(*piece), std::mem::take(table));
-            parsed.parse(text, relabel, &mut local);
+            parsed.parse(text, &mut local);
             parsed.look_up(known);
             (**piece, *table) = (parsed, local);
         });
@@ -206,9 +171,6 @@ fn read_edges<R: Read>(
         if at_end {
             break;
         }
-    }
-    if relabel {
-        merged.read.num_vertices = merged.read.labels.len();
     }
     Ok(merged.read)
 }
@@ -249,8 +211,8 @@ fn split_pieces(block: &[u8], piece_bytes: usize) -> impl Iterator<Item = &[u8]>
 }
 
 /// A first-appearance table: the dense id of every file id met so far. The merge keeps
-/// the one of the whole file; a relabelling piece numbers its own ids through its
-/// lane's, emptied for each piece.
+/// the one of the whole file; a piece numbers its own ids through its lane's, emptied
+/// for each piece.
 // lint:allow(hash-container, probed by id and never iterated, so no order of its own reaches an output; and the hasher is fixed, not per-process)
 type IdTable = std::collections::HashMap<u64, VertexId, BuildHasherDefault<IdHasher>>;
 
@@ -258,22 +220,20 @@ type IdTable = std::collections::HashMap<u64, VertexId, BuildHasherDefault<IdHas
 /// from block to block.
 #[derive(Default)]
 struct Piece {
-    /// The piece's edges: in ids of its own when relabelling (`firsts[i]` is the file's
-    /// id for local id `i`), in the file's ids otherwise.
+    /// The piece's edges, in ids of its own: `firsts[i]` is the file's id for local id
+    /// `i`.
     edges: Vec<(VertexId, VertexId)>,
-    /// When relabelling, the file's ids in order of first appearance in the piece.
+    /// The file's ids in order of first appearance in the piece.
     firsts: Vec<u64>,
-    /// When relabelling, the dense id of each local one: looked up by the piece for the
-    /// ids earlier blocks numbered, [`UNNUMBERED`] for the rest until the merge.
+    /// The dense id of each local one: looked up by the piece for the ids earlier
+    /// blocks numbered, [`UNNUMBERED`] for the rest until the merge.
     dense: Vec<VertexId>,
     /// Lines read, the bad one included.
     lines: usize,
     /// The first bad line's error, with its line number counted within the piece.
     error: Option<GraphError>,
-    /// Without relabelling, one more than the largest id.
-    bound: usize,
-    /// When relabelling, the last source read and its local id: a file sorted by
-    /// source, as SNAP's are, repeats it line after line, and then needs no lookup.
+    /// The last source read and its local id: a file sorted by source, as SNAP's are,
+    /// repeats it line after line, and then needs no lookup.
     last_source: Option<(u64, VertexId)>,
 }
 
@@ -291,18 +251,17 @@ impl Piece {
 
     /// Parses `text` (whole lines, the last perhaps without its newline) up to its end
     /// or its first bad line.
-    fn parse(&mut self, text: &[u8], relabel: bool, table: &mut IdTable) {
+    fn parse(&mut self, text: &[u8], table: &mut IdTable) {
         self.edges.clear();
         self.firsts.clear();
         self.lines = 0;
         self.error = None;
-        self.bound = 0;
         self.last_source = None;
         table.clear();
         let text = text.strip_suffix(b"\n").unwrap_or(text);
         for line in text.split(|&b| b == b'\n') {
             self.lines += 1;
-            if let Err(error) = self.line(line, relabel, table) {
+            if let Err(error) = self.line(line, table) {
                 self.error = Some(error);
                 return;
             }
@@ -319,7 +278,7 @@ impl Piece {
     }
 
     /// Parses one line (without its `\n`) and, if it is an edge, records it.
-    fn line(&mut self, line: &[u8], relabel: bool, table: &mut IdTable) -> Result<()> {
+    fn line(&mut self, line: &[u8], table: &mut IdTable) -> Result<()> {
         let edge = skip_spaces(line);
         if matches!(edge.first(), None | Some(b'#' | b'%')) {
             return Ok(());
@@ -331,51 +290,33 @@ impl Piece {
                 content: String::from_utf8_lossy(text).into_owned(),
             });
         };
-        let edge = if relabel {
-            let firsts = &mut self.firsts;
-            let mut local = |id: u64| {
-                *table.entry(id).or_insert_with(|| {
-                    firsts.push(id);
-                    (firsts.len() - 1) as VertexId
-                })
-            };
-            let s = match self.last_source {
-                Some((id, s)) if id == src => s,
-                _ => local(src),
-            };
-            self.last_source = Some((src, s));
-            (s, local(dst))
-        } else {
-            let (s, d) = (fit(src, src)?, fit(dst, dst)?);
-            self.bound = self.bound.max(s.max(d) as usize + 1);
-            (s, d)
+        let firsts = &mut self.firsts;
+        let mut local = |id: u64| {
+            *table.entry(id).or_insert_with(|| {
+                firsts.push(id);
+                (firsts.len() - 1) as VertexId
+            })
         };
-        self.edges.push(edge);
+        let s = match self.last_source {
+            Some((id, s)) if id == src => s,
+            _ => local(src),
+        };
+        self.last_source = Some((src, s));
+        let d = local(dst);
+        self.edges.push((s, d));
         Ok(())
     }
 }
 
-/// The dense id a piece has not found numbered; never a vertex's, as `fit` refuses it.
+/// The dense id a piece has not found numbered; never a vertex's, as the merge refuses
+/// to number that many.
 const UNNUMBERED: VertexId = VertexId::MAX;
-
-/// `v` as a vertex id, or the error naming the file's `id` when it does not fit:
-/// vertices number fewer than `VertexId::MAX`, so that their count is one too.
-fn fit(v: u64, id: u64) -> Result<VertexId> {
-    if v < VertexId::MAX as u64 {
-        return Ok(v as VertexId);
-    }
-    Err(GraphError::VertexOutOfBounds {
-        vertex: id,
-        num_vertices: VertexId::MAX as u64,
-    })
-}
 
 /// The pieces read so far, merged in file order.
 struct Merged {
-    relabel: bool,
     /// The first-appearance table, both ways: `read.labels[v]` is the file's id for
     /// dense vertex `v`, and `dense` finds `v` again from that id — the one lookup
-    /// structure, whatever the range of the ids. Both stay empty when not relabelling.
+    /// structure, whatever the range of the ids.
     dense: IdTable,
     read: ReadEdges,
     /// Lines before the pieces to come.
@@ -390,22 +331,26 @@ impl Merged {
     /// the list.
     fn absorb(&mut self, mut pieces: Vec<&mut Piece>, threads: usize) -> Result<()> {
         for piece in pieces.iter_mut() {
-            if self.relabel {
-                let Piece { firsts, dense, .. } = &mut **piece;
-                let unnumbered = dense.iter_mut().zip(firsts.iter());
-                for (v, &id) in unnumbered.filter(|(v, _)| **v == UNNUMBERED) {
-                    *v = match self.dense.entry(id) {
-                        // Met first in an earlier piece of this block.
-                        Entry::Occupied(known) => *known.get(),
-                        Entry::Vacant(first_appearance) => {
-                            let v = fit(self.read.labels.len() as u64, id)?;
-                            self.read.labels.push(id);
-                            *first_appearance.insert(v)
+            let Piece { firsts, dense, .. } = &mut **piece;
+            let unnumbered = dense.iter_mut().zip(firsts.iter());
+            for (v, &id) in unnumbered.filter(|(v, _)| **v == UNNUMBERED) {
+                *v = match self.dense.entry(id) {
+                    // Met first in an earlier piece of this block.
+                    Entry::Occupied(known) => *known.get(),
+                    Entry::Vacant(first_appearance) => {
+                        // Vertices number fewer than `VertexId::MAX`, so that their
+                        // count is a `VertexId` too.
+                        let v = self.read.labels.len();
+                        if v >= VertexId::MAX as usize {
+                            return Err(GraphError::VertexOutOfBounds {
+                                vertex: id,
+                                num_vertices: VertexId::MAX as u64,
+                            });
                         }
-                    };
-                }
-            } else {
-                self.read.num_vertices = self.read.num_vertices.max(piece.bound);
+                        self.read.labels.push(id);
+                        *first_appearance.insert(v as VertexId)
+                    }
+                };
             }
             if let Some(mut error) = piece.error.take() {
                 if let GraphError::Parse { line, .. } = &mut error {
@@ -424,16 +369,11 @@ impl Merged {
         // lint:allow(indexing, `start` is the list's length before it grew)
         let parts = split_lengths(&mut edges[start..], pieces.iter().map(|p| p.edges.len()));
         let mut units: Vec<_> = pieces.into_iter().zip(parts).collect();
-        let relabel = self.relabel;
         run_batched(&mut units, &mut vec![(); threads], |_, (piece, part), _| {
-            if relabel {
-                let dense = &piece.dense;
-                for (to, &(s, d)) in part.iter_mut().zip(&piece.edges) {
-                    // lint:allow(indexing, a piece's local ids number its first appearances)
-                    *to = (dense[s as usize], dense[d as usize]);
-                }
-            } else {
-                part.copy_from_slice(&piece.edges);
+            let dense = &piece.dense;
+            for (to, &(s, d)) in part.iter_mut().zip(&piece.edges) {
+                // lint:allow(indexing, a piece's local ids number its first appearances)
+                *to = (dense[s as usize], dense[d as usize]);
             }
         });
         Ok(())
@@ -563,21 +503,13 @@ mod tests {
 
     /// The reader at `threads` threads and `piece_bytes`-byte pieces, the graph built at
     /// the same width.
-    fn read_at(
-        input: &[u8],
-        options: &EdgeListOptions,
-        threads: usize,
-        piece_bytes: usize,
-    ) -> Result<(DiGraph, Vec<u64>)> {
-        read_edges(input, options.relabel, threads, piece_bytes)?.build(options, threads)
+    fn read_at(input: &[u8], threads: usize, piece_bytes: usize) -> Result<(DiGraph, Vec<u64>)> {
+        read_edges(input, threads, piece_bytes)?.build(threads)
     }
 
     /// The line-and-`str` reader this module started with, kept as the oracle the
     /// byte-level reader is compared against.
-    fn reference_read_edge_list<R: Read>(
-        reader: R,
-        options: &EdgeListOptions,
-    ) -> Result<(DiGraph, BTreeMap<u64, VertexId>)> {
+    fn reference_read_edge_list<R: Read>(reader: R) -> Result<(DiGraph, BTreeMap<u64, VertexId>)> {
         let reader = BufReader::new(reader);
         let mut raw_edges: Vec<(u64, u64)> = Vec::new();
         for (idx, line) in reader.lines().enumerate() {
@@ -611,75 +543,31 @@ mod tests {
         }
 
         let mut mapping: BTreeMap<u64, VertexId> = BTreeMap::new();
-        let edges: Vec<(VertexId, VertexId)>;
-        let num_vertices: usize;
-        if options.relabel {
-            edges = raw_edges
-                .iter()
-                .map(|&(s, d)| {
-                    let next = mapping.len() as VertexId;
-                    let si = *mapping.entry(s).or_insert(next);
-                    let next = mapping.len() as VertexId;
-                    let di = *mapping.entry(d).or_insert(next);
-                    (si, di)
-                })
-                .collect();
-            num_vertices = mapping.len();
-        } else {
-            let max_id = raw_edges.iter().map(|&(s, d)| s.max(d)).max().unwrap_or(0);
-            if max_id >= VertexId::MAX as u64 {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: max_id,
-                    num_vertices: VertexId::MAX as u64,
-                });
-            }
-            edges = raw_edges
-                .iter()
-                .map(|&(s, d)| (s as VertexId, d as VertexId))
-                .collect();
-            num_vertices = if raw_edges.is_empty() {
-                0
-            } else {
-                max_id as usize + 1
-            };
-        }
+        let edges: Vec<(VertexId, VertexId)> = raw_edges
+            .iter()
+            .map(|&(s, d)| {
+                let next = mapping.len() as VertexId;
+                let si = *mapping.entry(s).or_insert(next);
+                let next = mapping.len() as VertexId;
+                let di = *mapping.entry(d).or_insert(next);
+                (si, di)
+            })
+            .collect();
 
-        let mut builder = GraphBuilder::new(num_vertices).with_edge_capacity(edges.len());
-        builder.extend_edges(edges)?;
-        let graph = builder
-            .dedup(options.dedup)
-            .remove_self_loops(options.remove_self_loops)
-            .dangling_policy(options.dangling)
-            .build()?;
+        let mut builder = GraphBuilder::new(mapping.len()).with_edge_capacity(edges.len());
+        for (s, d) in edges {
+            builder.add_edge(s, d);
+        }
+        let graph = builder.dedup(true).build()?;
         Ok((graph, mapping))
-    }
-
-    /// What the byte-level reader must return on `input`: the reference's answer, but
-    /// for one documented difference in *which* error a doubly bad file gets. Without
-    /// relabelling the reference parses every line before it looks at any id, while the
-    /// streaming reader refuses an id that does not fit a `VertexId` as soon as it is
-    /// read — so an oversized id above a malformed line wins.
-    fn oracle(input: &[u8], options: &EdgeListOptions) -> Result<(DiGraph, BTreeMap<u64, u32>)> {
-        let whole = reference_read_edge_list(input, options);
-        if let (false, Err(GraphError::Parse { line, .. })) = (options.relabel, &whole) {
-            let before: Vec<&[u8]> = input.split_inclusive(|&b| b == b'\n').collect();
-            let before = before[..line - 1].concat();
-            let earlier = reference_read_edge_list(before.as_slice(), options);
-            if matches!(earlier, Err(GraphError::VertexOutOfBounds { .. })) {
-                return earlier;
-            }
-        }
-        whole
     }
 
     /// One generated line, before it is spelled out: `(kind, a, b, spelling)`.
     type LineSeed = (u8, u64, u64, u64);
 
     /// Spells generated lines out as edge-list text. Ids are small (so they repeat) or,
-    /// two in `rare` of them, at least `u32::MAX` (so they are sparse under relabelling
-    /// and refused without it — nothing in between, which a verbatim load would
-    /// allocate a graph for).
-    fn spell(lines: &[LineSeed], final_newline: bool, rare: u64) -> Vec<u8> {
+    /// two in five of them, at least `u32::MAX` (so they are sparse).
+    fn spell(lines: &[LineSeed], final_newline: bool) -> Vec<u8> {
         const GAPS: [&str; 6] = [" ", "\t", "  ", " \t ", "\x0b", "\x0c "];
         const EDGES: [&str; 4] = ["", " ", "\t\t", " \r "];
         const GARBAGE: [&str; 9] = [
@@ -693,7 +581,7 @@ mod tests {
             "1 1111111111111111111111111111111111111111",
             "not-an-edge",
         ];
-        let id = |x: u64| match x % rare {
+        let id = |x: u64| match x % 5 {
             0 => u64::MAX - (x >> 8) % 3,
             1 => u32::MAX as u64 + (x >> 8) % 1000,
             _ => (x >> 8) % 40,
@@ -726,37 +614,6 @@ mod tests {
         text.into_bytes()
     }
 
-    fn arb_options() -> impl Strategy<Value = EdgeListOptions> {
-        (any::<bool>(), any::<bool>(), 0u8..3, any::<bool>()).prop_map(
-            |(dedup, remove_self_loops, dangling, relabel)| EdgeListOptions {
-                dedup,
-                remove_self_loops,
-                dangling: [
-                    DanglingPolicy::SelfLoop,
-                    DanglingPolicy::Error,
-                    DanglingPolicy::Keep,
-                ][dangling as usize],
-                relabel,
-            },
-        )
-    }
-
-    /// Same variant, and the same payload where the two readers define one: the line
-    /// of a parse error, the vertex of a dangling one.
-    fn assert_same_error(actual: &GraphError, expected: &GraphError, case: &str) {
-        match (actual, expected) {
-            (GraphError::Parse { line: a, .. }, GraphError::Parse { line: e, .. }) => {
-                assert_eq!(a, e, "{case}")
-            }
-            (
-                GraphError::DanglingVertex { vertex: a },
-                GraphError::DanglingVertex { vertex: e },
-            ) => assert_eq!(a, e, "{case}"),
-            (GraphError::VertexOutOfBounds { .. }, GraphError::VertexOutOfBounds { .. }) => {}
-            _ => panic!("{case}: got {actual:?}, the reference reader gives {expected:?}"),
-        }
-    }
-
     proptest! {
         #[test]
         fn byte_reader_agrees_with_the_line_reader(
@@ -765,22 +622,20 @@ mod tests {
                 0..40,
             ),
             final_newline in any::<bool>(),
-            options in arb_options(),
             capacity in 1usize..48,
         ) {
-            // Without relabelling one oversized id fails the load, so they are rarer.
-            let input = spell(&lines, final_newline, if options.relabel { 5 } else { 400 });
+            let input = spell(&lines, final_newline);
             let case = format!(
-                "{:?} with {options:?} through a {capacity}-byte buffer",
+                "{:?} through a {capacity}-byte buffer",
                 String::from_utf8_lossy(&input)
             );
-            let expected = oracle(&input, &options);
+            let expected = reference_read_edge_list(input.as_slice());
             // Pieces of the size under test at one, two and eight threads, and the
             // public entry point.
             let mut reads: Vec<_> = [1, 2, 8]
-                .map(|threads| read_at(&input, &options, threads, capacity))
+                .map(|threads| read_at(&input, threads, capacity))
                 .into();
-            reads.push(read_edge_list(input.as_slice(), &options));
+            reads.push(read_edge_list(input.as_slice(), &EdgeListOptions::default()));
             for actual in reads {
                 match (actual, &expected) {
                     (Ok((graph, labels)), Ok((reference, map))) => {
@@ -790,7 +645,11 @@ mod tests {
                             prop_assert_eq!(labels[v as usize], id, "{}", case);
                         }
                     }
-                    (Err(actual), Err(expected)) => assert_same_error(&actual, expected, &case),
+                    // The line of a parse error, the one error a small input can have.
+                    (
+                        Err(GraphError::Parse { line: a, .. }),
+                        Err(GraphError::Parse { line: e, .. }),
+                    ) => prop_assert_eq!(a, *e, "{}", case),
                     (actual, expected) => panic!(
                         "{case}: got {actual:?}, the reference reader gives {expected:?}"
                     ),
@@ -806,93 +665,51 @@ mod tests {
         Graph(usize, usize),
         /// `GraphError::Parse` at this line, with this (lossily decoded) content.
         Parse(usize, &'static str),
-        /// `GraphError::VertexOutOfBounds` naming this id.
-        OutOfBounds(u64),
     }
 
     #[test]
     fn hostile_bytes_are_typed_errors_at_the_right_line() {
-        let verbatim = EdgeListOptions {
-            relabel: false,
-            ..EdgeListOptions::default()
-        };
-        let relabelled = EdgeListOptions::default();
         let forty_digits = "1111111111222222222233333333334444444444";
-        let cases: Vec<(Vec<u8>, &EdgeListOptions, Want)> = vec![
+        let cases: Vec<(Vec<u8>, Want)> = vec![
             // Overflow is a parse error, not a wrap and not a panic.
             (
                 b"0 1\n18446744073709551616 1\n".to_vec(),
-                &relabelled,
                 Want::Parse(2, "18446744073709551616 1"),
             ),
-            (
-                b"0 18446744073709551615\n".to_vec(),
-                &relabelled,
-                Want::Graph(2, 2),
-            ),
+            (b"0 18446744073709551615\n".to_vec(), Want::Graph(2, 2)),
             (
                 format!("0 1\n1 2\n2 {forty_digits}\n").into_bytes(),
-                &relabelled,
                 Want::Parse(3, "2 1111111111222222222233333333334444444444"),
             ),
             // Spellings `u64::from_str` refuses too.
-            (b"0 1\n-1 2\n".to_vec(), &relabelled, Want::Parse(2, "-1 2")),
-            (b"1e3 2\n".to_vec(), &relabelled, Want::Parse(1, "1e3 2")),
-            (
-                b"\n\n3 0x10\n".to_vec(),
-                &relabelled,
-                Want::Parse(3, "3 0x10"),
-            ),
-            (b"+ 1\n".to_vec(), &relabelled, Want::Parse(1, "+ 1")),
-            (b"++1 1\n".to_vec(), &relabelled, Want::Parse(1, "++1 1")),
+            (b"0 1\n-1 2\n".to_vec(), Want::Parse(2, "-1 2")),
+            (b"1e3 2\n".to_vec(), Want::Parse(1, "1e3 2")),
+            (b"\n\n3 0x10\n".to_vec(), Want::Parse(3, "3 0x10")),
+            (b"+ 1\n".to_vec(), Want::Parse(1, "+ 1")),
+            (b"++1 1\n".to_vec(), Want::Parse(1, "++1 1")),
             // A lone token, at the end of the input and without a newline.
-            (b"0 1\n# c\n5".to_vec(), &relabelled, Want::Parse(3, "5")),
+            (b"0 1\n# c\n5".to_vec(), Want::Parse(3, "5")),
             // NUL is neither a digit nor a separator.
-            (
-                b"0 1\n1\x002\n".to_vec(),
-                &relabelled,
-                Want::Parse(2, "1\x002"),
-            ),
-            (b"\0\n".to_vec(), &relabelled, Want::Parse(1, "\0")),
+            (b"0 1\n1\x002\n".to_vec(), Want::Parse(2, "1\x002")),
+            (b"\0\n".to_vec(), Want::Parse(1, "\0")),
             // Invalid UTF-8: an error with a line number in an edge, nothing in a comment
             // (the reference reader fails both with an `Io` error and no line).
             (
                 b"0 1\r\n1 \xff2\r\n".to_vec(),
-                &relabelled,
                 Want::Parse(2, "1 \u{fffd}2"),
             ),
-            (
-                b"# caf\xe9 \xff\xfe\n0 1\n".to_vec(),
-                &relabelled,
-                Want::Graph(2, 2),
-            ),
+            (b"# caf\xe9 \xff\xfe\n0 1\n".to_vec(), Want::Graph(2, 2)),
             // Non-ASCII whitespace is not a separator: the one input the line reader
             // accepted that this one rejects.
-            (
-                "0\u{a0}1\n".as_bytes().to_vec(),
-                &relabelled,
-                Want::Parse(1, "0\u{a0}1"),
-            ),
-            // A verbatim id that cannot be a `VertexId` is refused where it is read,
-            // before the malformed line below it is reached.
-            (
-                b"0 1\n4294967295 0\nnot-an-edge\n".to_vec(),
-                &verbatim,
-                Want::OutOfBounds(4294967295),
-            ),
-            (
-                b"18446744073709551615 0\n".to_vec(),
-                &verbatim,
-                Want::OutOfBounds(u64::MAX),
-            ),
+            ("0\u{a0}1\n".as_bytes().to_vec(), Want::Parse(1, "0\u{a0}1")),
         ];
-        for (input, options, want) in &cases {
+        for (input, want) in &cases {
             // Every small piece puts some block or piece boundary inside the hostile token.
             for (capacity, threads) in [1, 2, 3, 5, 7, 16, PIECE_BYTES]
                 .into_iter()
                 .flat_map(|capacity| [1, 2, 8].map(|threads| (capacity, threads)))
             {
-                let got = read_at(input, options, threads, capacity);
+                let got = read_at(input, threads, capacity);
                 let case = format!(
                     "{:?} in {capacity}-byte pieces on {threads} threads",
                     String::from_utf8_lossy(input)
@@ -908,9 +725,6 @@ mod tests {
                     (Err(GraphError::Parse { line, content }), &Want::Parse(at, text)) => {
                         assert_eq!((line, content.as_str()), (at, text), "{case}")
                     }
-                    (Err(GraphError::VertexOutOfBounds { vertex, .. }), &Want::OutOfBounds(id)) => {
-                        assert_eq!(vertex, id, "{case}")
-                    }
                     (got, want) => panic!("{case}: got {got:?}, want {want:?}"),
                 }
             }
@@ -919,13 +733,12 @@ mod tests {
 
     #[test]
     fn a_mebibyte_without_a_newline_grows_the_carry_and_ends() {
-        let options = EdgeListOptions::default();
         let mut comment = vec![b'x'; 1 << 20];
         comment[0] = b'#';
         let mut digits = vec![b'7'; 1 << 20];
         digits[1] = b' ';
         for (capacity, threads) in [(1, 1), (1, 2), (4096, 8), (PIECE_BYTES, 2)] {
-            let read = |input: &[u8]| read_at(input, &options, threads, capacity);
+            let read = |input: &[u8]| read_at(input, threads, capacity);
             let (g, labels) = read(&comment).unwrap();
             assert_eq!((g.num_vertices(), labels.len()), (0, 0));
             match read(&digits) {
@@ -950,48 +763,24 @@ mod tests {
             }
             text.into_bytes()
         };
-        let relabelled = EdgeListOptions::default();
-        let verbatim = EdgeListOptions {
-            relabel: false,
-            ..EdgeListOptions::default()
-        };
-        let cases: Vec<(Vec<u8>, &EdgeListOptions, &str)> = vec![
-            (
-                lines(&[(1500, "15 x"), (1700, "7"), (1900, "99999999999 1")]),
-                &relabelled,
-                "could not parse edge-list line 1500: \"15 x\"",
-            ),
-            (
-                lines(&[(1500, "15 x"), (1700, "7"), (1900, "99999999999 1")]),
-                &verbatim,
-                "could not parse edge-list line 1500: \"15 x\"",
-            ),
-            (
-                lines(&[(900, "4294967295 1"), (1500, "15 x")]),
-                &verbatim,
-                "vertex id 4294967295 out of bounds for graph with 4294967295 vertices",
-            ),
-        ];
-        for (input, options, want) in &cases {
-            for threads in [1, 2, 8] {
-                for piece_bytes in [1, 64, 1000, PIECE_BYTES] {
-                    match read_at(input, options, threads, piece_bytes) {
-                        Err(e) => assert_eq!(&e.to_string(), want, "{threads} x {piece_bytes}"),
-                        Ok(_) => panic!("{threads} x {piece_bytes}: read a bad file"),
-                    }
+        let bad = lines(&[(1500, "15 x"), (1700, "7"), (1900, "99999999999 1")]);
+        let want = "could not parse edge-list line 1500: \"15 x\"";
+        for threads in [1, 2, 8] {
+            for piece_bytes in [1, 64, 1000, PIECE_BYTES] {
+                match read_at(&bad, threads, piece_bytes) {
+                    Err(e) => assert_eq!(e.to_string(), want, "{threads} x {piece_bytes}"),
+                    Ok(_) => panic!("{threads} x {piece_bytes}: read a bad file"),
                 }
             }
         }
         // And without the bad lines, the same graph and labels at every width.
         let clean = lines(&[]);
-        for options in [&relabelled, &verbatim] {
-            let one = read_at(&clean, options, 1, PIECE_BYTES).unwrap();
-            assert_eq!(one.0.num_edges(), 2000);
-            for threads in [2, 8] {
-                for piece_bytes in [1, 64, 1000] {
-                    let wide = read_at(&clean, options, threads, piece_bytes).unwrap();
-                    assert!(one == wide, "{threads} x {piece_bytes}");
-                }
+        let one = read_at(&clean, 1, PIECE_BYTES).unwrap();
+        assert_eq!(one.0.num_edges(), 2000);
+        for threads in [2, 8] {
+            for piece_bytes in [1, 64, 1000] {
+                let wide = read_at(&clean, threads, piece_bytes).unwrap();
+                assert!(one == wide, "{threads} x {piece_bytes}");
             }
         }
     }
@@ -1025,36 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn no_relabel_uses_max_id() {
-        let input = "0 5\n5 0\n";
-        let options = EdgeListOptions {
-            relabel: false,
-            ..EdgeListOptions::default()
-        };
-        let (g, labels) = read_edge_list(input.as_bytes(), &options).unwrap();
-        assert_eq!(g.num_vertices(), 6);
-        assert!(labels.is_empty());
-        // vertices 1..5 were dangling and received self-loops
-        assert!(g.has_no_dangling());
-    }
-
-    #[test]
-    fn dedup_option_controls_duplicates() {
-        let input = "0 1\n0 1\n1 0\n";
-        let with_dedup = read_edge_list(input.as_bytes(), &EdgeListOptions::default())
-            .unwrap()
-            .0;
-        assert_eq!(with_dedup.num_edges(), 2);
-        let no_dedup = read_edge_list(
-            input.as_bytes(),
-            &EdgeListOptions {
-                dedup: false,
-                ..EdgeListOptions::default()
-            },
-        )
-        .unwrap()
-        .0;
-        assert_eq!(no_dedup.num_edges(), 3);
+    fn duplicates_collapse_and_sinks_get_a_self_loop() {
+        let input = "0 1\n0 1\n1 0\n0 7\n";
+        let (g, labels) = read_edge_list(input.as_bytes(), &EdgeListOptions::default()).unwrap();
+        assert_eq!(labels, [0, 1, 7]);
+        assert_eq!(g.edge_vec(), [(0, 1), (0, 2), (1, 0), (2, 2)]);
     }
 
     #[test]
@@ -1135,12 +899,10 @@ mod tests {
         let g = crate::generators::simple::star(6);
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let options = EdgeListOptions {
-            relabel: false,
-            dedup: false,
-            ..EdgeListOptions::default()
-        };
-        let (g2, _) = read_edge_list(buf.as_slice(), &options).unwrap();
+        // The hub is written first, then its leaves in order: first appearance keeps
+        // every id.
+        let (g2, labels) = read_edge_list(buf.as_slice(), &EdgeListOptions::default()).unwrap();
+        assert_eq!(labels, [0, 1, 2, 3, 4, 5]);
         assert_eq!(g, g2);
     }
 
@@ -1151,12 +913,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cycle5.txt");
         write_edge_list_file(&g, &path).unwrap();
-        let options = EdgeListOptions {
-            relabel: false,
-            dedup: false,
-            ..EdgeListOptions::default()
-        };
-        let (g2, _) = read_edge_list_file(&path, &options).unwrap();
+        let (g2, _) = read_edge_list_file(&path, &EdgeListOptions::default()).unwrap();
         assert_eq!(g, g2);
         std::fs::remove_file(&path).ok();
     }

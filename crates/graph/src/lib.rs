@@ -7,8 +7,9 @@
 //! * [`DiGraph`] — an immutable, compressed-sparse-row (CSR) directed graph with both
 //!   out- and in-adjacency, the representation every other crate in the workspace
 //!   consumes.
-//! * [`GraphBuilder`] — a mutable edge accumulator that deduplicates, sorts and
-//!   validates edges before freezing them into a [`DiGraph`].
+//! * [`GraphBuilder`] — a mutable edge accumulator that validates, sorts and (if asked)
+//!   deduplicates edges and gives every sink a self-loop before freezing them into a
+//!   [`DiGraph`].
 //! * [`generators`] — synthetic graph generators (R-MAT/Kronecker, Watts–Strogatz, and
 //!   small deterministic shapes) used to stand in for the paper's Twitter and
 //!   LiveJournal datasets.
@@ -36,7 +37,7 @@ mod pool;
 pub mod sparsify;
 pub mod stats;
 
-pub use builder::{DanglingPolicy, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::{DiGraph, EdgeIter, VertexId};
 pub use error::Error;
 pub use pool::{row_ranges, run_batched, setup_width, split_lengths, worker_threads};
@@ -50,12 +51,6 @@ pub enum GraphError {
         vertex: u64,
         /// The number of vertices in the graph.
         num_vertices: u64,
-    },
-    /// The graph contains a vertex with no outgoing edges and the chosen
-    /// [`DanglingPolicy`] forbids them.
-    DanglingVertex {
-        /// The vertex with out-degree zero.
-        vertex: VertexId,
     },
     /// An I/O error occurred while reading or writing an edge list.
     Io(std::io::Error),
@@ -81,9 +76,6 @@ impl std::fmt::Display for GraphError {
                 f,
                 "vertex id {vertex} out of bounds for graph with {num_vertices} vertices"
             ),
-            GraphError::DanglingVertex { vertex } => {
-                write!(f, "vertex {vertex} has no outgoing edges")
-            }
             GraphError::Io(e) => write!(f, "i/o error: {e}"),
             GraphError::Parse { line, content } => {
                 write!(f, "could not parse edge-list line {line}: {content:?}")

@@ -6,7 +6,7 @@
 //! that sparsifier with the same "keep at least one out-edge" safeguard the engine's
 //! erasure model uses, so the comparison is apples-to-apples.
 
-use crate::builder::{DanglingPolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::csr::DiGraph;
 use rand::Rng;
 
@@ -35,19 +35,19 @@ pub fn uniform_sparsify<R: Rng>(graph: &DiGraph, keep_probability: f64, rng: &mu
         let mut kept_any = false;
         for &d in neighbors {
             if rng.gen::<f64>() < keep_probability {
-                b.add_edge_unchecked(v, d);
+                b.add_edge(v, d);
                 kept_any = true;
             }
         }
         if !kept_any {
             // lint:allow(indexing, gen_range is bounded by the neighbor count)
             let pick = neighbors[rng.gen_range(0..neighbors.len())];
-            b.add_edge_unchecked(v, pick);
+            b.add_edge(v, pick);
         }
     }
     // Only vertices that were isolated in the input are dangling here.
     // lint:allow(panic, builder input is a subset of an already-validated graph)
-    b.dangling_policy(DanglingPolicy::SelfLoop).build().unwrap()
+    b.build().unwrap()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use frogwild_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
 use frogwild_graph::sparsify::uniform_sparsify;
-use frogwild_graph::{DanglingPolicy, DiGraph, GraphBuilder, GraphError, VertexId};
+use frogwild_graph::{DiGraph, GraphBuilder, GraphError, VertexId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -16,15 +16,14 @@ fn arb_graph_input() -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)
     })
 }
 
-/// `GraphBuilder`'s policies spelled out one after the other on the edge list, with
-/// `DiGraph::from_edges` — every policy off — as the only constructor.
-fn build_naively(
+/// The edges a graph built from `edges` must hold, spelled out one rule after the
+/// other: sorted, deduplicated if asked, and with a self-loop on every sink if asked.
+fn rows_naively(
     n: usize,
     edges: &[(VertexId, VertexId)],
     dedup: bool,
-    remove_self_loops: bool,
-    dangling: DanglingPolicy,
-) -> Result<DiGraph, GraphError> {
+    loop_sinks: bool,
+) -> Result<Vec<(VertexId, VertexId)>, GraphError> {
     if let Some(&(s, d)) = edges
         .iter()
         .find(|&&(s, d)| s as usize >= n || d as usize >= n)
@@ -34,44 +33,18 @@ fn build_naively(
             num_vertices: n as u64,
         });
     }
-    let mut edges = edges.to_vec();
-    if remove_self_loops {
-        edges.retain(|&(s, d)| s != d);
+    let mut rows = edges.to_vec();
+    if loop_sinks {
+        let sinks: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| edges.iter().all(|&(s, _)| s != v))
+            .collect();
+        rows.extend(sinks.iter().map(|&v| (v, v)));
     }
+    rows.sort_unstable();
     if dedup {
-        edges.sort_unstable();
-        edges.dedup();
+        rows.dedup();
     }
-    let dangling_vertices: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| edges.iter().all(|&(s, _)| s != v))
-        .collect();
-    match dangling {
-        DanglingPolicy::SelfLoop => edges.extend(dangling_vertices.iter().map(|&v| (v, v))),
-        DanglingPolicy::Error => {
-            if let Some(&vertex) = dangling_vertices.first() {
-                return Err(GraphError::DanglingVertex { vertex });
-            }
-        }
-        DanglingPolicy::Keep => {}
-    }
-    Ok(DiGraph::from_edges(n, &edges))
-}
-
-/// Every `dedup` × `remove_self_loops` × `DanglingPolicy` setting of the builder.
-fn policy_combinations() -> Vec<(bool, bool, DanglingPolicy)> {
-    let mut combinations = Vec::new();
-    for dedup in [false, true] {
-        for remove_self_loops in [false, true] {
-            for dangling in [
-                DanglingPolicy::SelfLoop,
-                DanglingPolicy::Error,
-                DanglingPolicy::Keep,
-            ] {
-                combinations.push((dedup, remove_self_loops, dangling));
-            }
-        }
-    }
-    combinations
+    Ok(rows)
 }
 
 proptest! {
@@ -86,28 +59,31 @@ proptest! {
             let at = at % edges.len();
             edges[at].1 += n as VertexId;
         }
-        for (dedup, remove_self_loops, dangling) in policy_combinations() {
+        // The builder gives sinks a self-loop, with and without `dedup`.
+        for dedup in [false, true] {
             let mut b = GraphBuilder::new(n);
-            let built = b.extend_edges(edges.iter().copied()).and_then(|()| {
-                b.dedup(dedup)
-                    .remove_self_loops(remove_self_loops)
-                    .dangling_policy(dangling)
-                    .build()
-            });
-            let expected = build_naively(n, &edges, dedup, remove_self_loops, dangling);
-            let case = format!("dedup {dedup}, remove_self_loops {remove_self_loops}, {dangling:?}");
+            for &(s, d) in &edges {
+                b.add_edge(s, d);
+            }
+            let built = b.dedup(dedup).build();
+            let expected = rows_naively(n, &edges, dedup, true);
             match (built, expected) {
-                (Ok(built), Ok(expected)) => prop_assert_eq!(built, expected, "{}", case),
-                (
-                    Err(GraphError::DanglingVertex { vertex: built }),
-                    Err(GraphError::DanglingVertex { vertex: expected }),
-                ) => prop_assert_eq!(built, expected, "{}", case),
+                (Ok(built), Ok(expected)) => {
+                    prop_assert!(built.validate().is_ok());
+                    prop_assert_eq!(built.edge_vec(), expected, "dedup {}", dedup);
+                }
                 (
                     Err(GraphError::VertexOutOfBounds { vertex: bv, num_vertices: bn }),
                     Err(GraphError::VertexOutOfBounds { vertex: ev, num_vertices: en }),
-                ) => prop_assert_eq!((bv, bn), (ev, en), "{}", case),
-                (built, expected) => panic!("{case}: built {built:?}, expected {expected:?}"),
+                ) => prop_assert_eq!((bv, bn), (ev, en), "dedup {}", dedup),
+                (built, expected) => panic!("dedup {dedup}: built {built:?}, expected {expected:?}"),
             }
+        }
+        // `DiGraph::from_edges` keeps the sinks and the duplicates.
+        if let Ok(expected) = rows_naively(n, &edges, false, false) {
+            let kept = DiGraph::from_edges(n, &edges);
+            prop_assert!(kept.validate().is_ok());
+            prop_assert_eq!(kept.edge_vec(), expected);
         }
     }
 
@@ -137,8 +113,10 @@ proptest! {
     #[test]
     fn builder_selfloop_policy_always_eliminates_dangling((n, edges) in arb_graph_input()) {
         let mut b = GraphBuilder::new(n);
-        b.extend_edges(edges).unwrap();
-        let g = b.dangling_policy(DanglingPolicy::SelfLoop).build().unwrap();
+        for (s, d) in edges {
+            b.add_edge(s, d);
+        }
+        let g = b.build().unwrap();
         prop_assert!(g.has_no_dangling());
         prop_assert!(g.validate().is_ok());
     }
@@ -147,8 +125,10 @@ proptest! {
     fn builder_dedup_is_idempotent((n, edges) in arb_graph_input()) {
         let build = |input: &[(VertexId, VertexId)]| {
             let mut b = GraphBuilder::new(n);
-            b.extend_edges(input.iter().copied()).unwrap();
-            b.dedup(true).dangling_policy(DanglingPolicy::Keep).build().unwrap()
+            for &(s, d) in input {
+                b.add_edge(s, d);
+            }
+            b.dedup(true).build().unwrap()
         };
         let once = build(&edges);
         let twice = build(&once.edge_vec());
@@ -157,27 +137,22 @@ proptest! {
 
     #[test]
     fn edge_list_io_round_trip((n, edges) in arb_graph_input()) {
-        let g = DiGraph::from_edges(n, &edges);
+        // A graph as the reader builds them: no duplicates and no sinks, so every vertex
+        // is written and comes back, under a dense id of its own.
+        let mut b = GraphBuilder::new(n);
+        for &(s, d) in &edges {
+            b.add_edge(s, d);
+        }
+        let g = b.dedup(true).build().unwrap();
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let options = EdgeListOptions {
-            relabel: false,
-            dedup: false,
-            dangling: DanglingPolicy::Keep,
-            ..EdgeListOptions::default()
-        };
-        let (restored, _) = read_edge_list(buf.as_slice(), &options).unwrap();
-        // The writer only records vertices that occur in edges; isolated trailing
-        // vertices are lost, so compare on the common prefix dimension.
-        if g.num_edges() == 0 {
-            prop_assert_eq!(restored.num_edges(), 0);
-        } else {
-            let mut expected = g.edge_vec();
-            expected.sort_unstable();
-            let mut actual = restored.edge_vec();
-            actual.sort_unstable();
-            prop_assert_eq!(actual, expected);
-        }
+        let (restored, labels) = read_edge_list(buf.as_slice(), &EdgeListOptions::default()).unwrap();
+        prop_assert_eq!(restored.num_vertices(), n);
+        let mut actual: Vec<(VertexId, VertexId)> = (restored.edges())
+            .map(|(s, d)| (labels[s as usize] as VertexId, labels[d as usize] as VertexId))
+            .collect();
+        actual.sort_unstable();
+        prop_assert_eq!(actual, g.edge_vec());
     }
 
     #[test]

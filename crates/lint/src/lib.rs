@@ -19,9 +19,9 @@
 //!   called surface);
 //! * **shape** — the code shapes a rewrite removed from named files stay out, or
 //!   under a count (`forbidden`, whose rows are [`rules::FORBIDDEN`]: the engine's
-//!   addressing, its one pool and its one clock, the set-up path, the walk arena, the
-//!   engine configuration and its one pool setting, the one p_T, the figures' one
-//!   laboratory).
+//!   addressing, its one pool and its one clock, the set-up path, graph construction,
+//!   the walk arena, the engine configuration and its one pool setting, the one p_T,
+//!   the figures' one laboratory).
 //!
 //! The analysis is a hand-rolled lexer ([`lexer`]) plus shallow token-pattern
 //! rules ([`rules`]) — no external dependencies, no type information. That
@@ -102,8 +102,9 @@ fn crate_group(path: &str) -> String {
 }
 
 /// Collects the `.rs` files the workspace pass scans: `crates/*/src`, the root
-/// `src/`, and `examples/` (no rule runs on an example; it is read as evidence
-/// that a library item is called), relative to `root`. Test trees
+/// `src/`, and `examples/` (only the `forbidden` rows naming `examples/` run on an
+/// example; it is otherwise read as evidence that a library item is called),
+/// relative to `root`. Test trees
 /// (`crates/*/tests`, `tests/`, `benches/`) hold test code by definition and are
 /// skipped.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -318,7 +319,7 @@ mod tests {
                         path.clone(),
                         format!("const S: &str = \"{pattern}\";\n").repeat(over),
                     ),
-                    ("crates/lint/src/case.rs".to_string(), code),
+                    ("src/case.rs".to_string(), code),
                 ];
                 for file in elsewhere {
                     let found = forbidden(std::slice::from_ref(&file));
@@ -326,6 +327,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_example_is_held_to_the_rows_that_name_examples() {
+        let example = "fn main() { b.add_edge_unchecked(0, 1); let _ = x.unwrap(); }";
+        let found = forbidden(&sources(&[("examples/demo.rs", example)]));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.contains("add_edge_unchecked"));
+        // No other rule runs on an example.
+        let report = run_on_sources(&sources(&[("examples/demo.rs", example)]));
+        assert_eq!(report.findings, found);
     }
 
     #[test]

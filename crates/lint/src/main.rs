@@ -17,7 +17,8 @@ USAGE:
     frogwild-lint [OPTIONS] [PATHS...]
 
 By default the workspace sources (crates/*/src, src/, and examples/ as caller
-evidence) under the workspace root are scanned and findings are *reported*
+evidence and for the forbidden rows that name it) under the workspace root are
+scanned and findings are *reported*
 without failing. CI runs `--deny-all`. Explicit PATHS (files or directories)
 replace the default scan set — the cross-file rules (non-exhaustive-ctor,
 orphan-pub, forbidden) then see only those files; paths outside crates/ get the

@@ -66,7 +66,8 @@ pub const RULES: &[RuleInfo] = &[
         name: "forbidden",
         doc: "a token sequence a row of the FORBIDDEN table names, in the files that row \
               covers, more often than the row allows (engine addressing and pricing, set-up \
-              path, index arena, engine configuration, p_T, figures: shapes a rewrite removed)",
+              path, graph construction, index arena, engine configuration, p_T, figures: \
+              shapes a rewrite removed)",
     },
     RuleInfo {
         name: "allow-syntax",
@@ -197,6 +198,19 @@ pub const FORBIDDEN: &[Forbidden] = &[
             "the two header lines are formatted; an edge is spelled into the line buffer",
         )
     },
+    // Graph construction: one contract (dense ids, duplicates collapsed on request,
+    // sinks given a self-loop) and one way to add an edge.
+    forbid(
+        &["crates/", "examples/", "tests/"],
+        &[
+            "DanglingPolicy",
+            "DanglingVertex",
+            "remove_self_loops",
+            "add_edge_unchecked",
+        ],
+        "GraphBuilder and the edge-list reader give every sink a self-loop and drop no \
+         input self-loop, DiGraph::from_edges keeps sinks, and add_edge is checked at build",
+    ),
     forbid(
         &["crates/graph/src/generators/rmat.rs"],
         &[".log2()", "else if r <"],
@@ -343,8 +357,9 @@ pub enum Scope {
     /// `crates/cli`, `crates/bench`, `crates/lint`, the root umbrella crate:
     /// binaries and dev tooling, exempt from the library rules.
     Tool,
-    /// `examples/` — no rule runs here; the files are read only as evidence that
-    /// a library item has a caller (`orphan-pub`).
+    /// `examples/` — only the `forbidden` rows that name `examples/` run here; the
+    /// files are otherwise read as evidence that a library item has a caller
+    /// (`orphan-pub`).
     Example,
     /// Anything else (scratch files, fixtures): treated like `Core`, the
     /// strictest scope, so seeding a violation anywhere trips the lint.
@@ -480,6 +495,7 @@ pub fn analyze_file(path: &str, scope: Scope, src: &str) -> FileReport {
     let mut report = FileReport::default();
     if scope == Scope::Example {
         collect_references(path, scope, &lexed, &mut report);
+        collect_forbidden(path, &lexed, &mut report);
         return report;
     }
 

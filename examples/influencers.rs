@@ -17,7 +17,7 @@
 //! ```
 
 use frogwild::prelude::*;
-use frogwild_graph::{DanglingPolicy, GraphBuilder};
+use frogwild_graph::GraphBuilder;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,21 +38,17 @@ fn build_call_graph(rng: &mut SmallRng) -> DiGraph {
         for _ in 0..CALLS_PER_CUSTOMER {
             let callee = rng.gen_range(0..CUSTOMERS) as u32;
             if callee != customer {
-                builder.add_edge_unchecked(customer, callee);
+                builder.add_edge(customer, callee);
             }
         }
         if rng.gen::<f64>() < 0.33 {
             let influencer = rng.gen_range(0..INFLUENCERS) as u32;
             if influencer != customer {
-                builder.add_edge_unchecked(customer, influencer);
+                builder.add_edge(customer, influencer);
             }
         }
     }
-    builder
-        .dedup(true)
-        .dangling_policy(DanglingPolicy::SelfLoop)
-        .build()
-        .expect("valid call graph")
+    builder.dedup(true).build().expect("valid call graph")
 }
 
 fn main() -> Result<()> {

@@ -17,7 +17,7 @@
 //! ```
 
 use frogwild::prelude::*;
-use frogwild_graph::{DanglingPolicy, GraphBuilder};
+use frogwild_graph::GraphBuilder;
 use std::collections::HashMap;
 
 /// A public-domain style passage about graph processing; repeated phrases give the
@@ -75,14 +75,13 @@ fn build_cooccurrence_graph(text: &str) -> (DiGraph, Vec<String>) {
     for (i, &a) in ids.iter().enumerate() {
         for &b in &ids[i + 1..(i + 1 + window).min(ids.len())] {
             if a != b {
-                builder.add_edge_unchecked(a, b);
-                builder.add_edge_unchecked(b, a);
+                builder.add_edge(a, b);
+                builder.add_edge(b, a);
             }
         }
     }
     let graph = builder
         .dedup(true)
-        .dangling_policy(DanglingPolicy::SelfLoop)
         .build()
         .expect("valid co-occurrence graph");
     (graph, words)

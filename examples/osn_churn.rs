@@ -19,7 +19,7 @@
 
 use frogwild::prelude::*;
 use frogwild_graph::generators::{rmat, RmatParams};
-use frogwild_graph::{DanglingPolicy, GraphBuilder};
+use frogwild_graph::GraphBuilder;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,7 +70,7 @@ fn build_mixed_graph(rng: &mut SmallRng) -> DiGraph {
     );
     for (src, dst) in connectivity.edges() {
         for _ in 0..connectivity_copies {
-            builder.add_edge_unchecked(src, dst);
+            builder.add_edge(src, dst);
         }
     }
     for &user in &active_users {
@@ -82,15 +82,12 @@ fn build_mixed_graph(rng: &mut SmallRng) -> DiGraph {
             };
             if target != user {
                 for _ in 0..activity_copies {
-                    builder.add_edge_unchecked(user, target);
+                    builder.add_edge(user, target);
                 }
             }
         }
     }
-    builder
-        .dangling_policy(DanglingPolicy::SelfLoop)
-        .build()
-        .expect("valid mixed graph")
+    builder.build().expect("valid mixed graph")
 }
 
 fn main() -> Result<()> {

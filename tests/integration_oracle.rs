@@ -21,7 +21,7 @@ fn graphs() -> Vec<(&'static str, DiGraph)> {
     let built = |n: usize, edges: &[(VertexId, VertexId)]| {
         let mut builder = GraphBuilder::new(n);
         for &(src, dst) in edges {
-            builder.add_edge(src, dst).unwrap();
+            builder.add_edge(src, dst);
         }
         builder.build().unwrap()
     };
